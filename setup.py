@@ -1,31 +1,9 @@
-"""Build script: compiles the optional eigensolver extension.
+"""Legacy entry point: all metadata lives in pyproject.toml.
 
-The package works without the extension (a pure-numpy backend with the same
-algorithm is selected at import time), so a failed compile only costs speed.
+Kept so that ``python setup.py develop`` can install the package in place
+where the ``wheel`` package, which ``pip install -e .`` needs with
+setuptools < 70.1, is not available.
 """
-import sys
+from setuptools import setup
 
-from setuptools import Extension, setup
-
-try:
-    import numpy
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [
-            Extension(
-                "cartanfinsler._kernel",
-                ["src/cartanfinsler/_kernel.pyx"],
-                include_dirs=[numpy.get_include()],
-                extra_compile_args=["-O3"],
-                define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-            )
-        ],
-        language_level=3,
-    )
-except Exception as exc:  # pragma: no cover - exercised only on broken toolchains
-    print(f"cartanfinsler: skipping compiled kernel ({exc}); "
-          "the pure-python backend will be used", file=sys.stderr)
-    extensions = []
-
-setup(ext_modules=extensions)
+setup()

@@ -433,7 +433,8 @@ def _run_schwarz(cfg: RunConfig):
     def check(i):
         return schwarz.schwarz_check(maps[i], metric1, metric2,
                                      bounds1.k1, bounds2.k2,
-                                     n_samples=cfg.samples, seed=int(seeds[i]))
+                                     n_samples=cfg.samples, seed=int(seeds[i]),
+                                     slack=cfg.tolerances["schwarz_slack"])
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:

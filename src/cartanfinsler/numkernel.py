@@ -1,47 +1,19 @@
 """Dense complex-matrix kernel shared by every other module.
 
-Hermitian eigendecomposition (own cyclic-Jacobi, compiled when available),
+Hermitian eigendecomposition (LAPACK through ``numpy.linalg.eigh``),
 positive-definite square roots, power traces, singular values, and the
 Newton-identity bridge between power sums and elementary symmetric values.
-
-Backend selection: the Cython extension ``cartanfinsler._kernel`` is used
-when importable; otherwise the pure-numpy twin ``_kernel_py`` takes over.
-Set ``CARTANFINSLER_PURE=1`` to force the pure backend.
 """
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NumericError, StructureError
 
-if os.environ.get("CARTANFINSLER_PURE"):
-    from . import _kernel_py as _impl
-
-    _BACKEND = "python"
-else:
-    try:
-        from . import _kernel as _impl  # type: ignore[attr-defined]
-
-        _BACKEND = "compiled"
-    except ImportError:
-        from . import _kernel_py as _impl
-
-        _BACKEND = "python"
-
-#: iteration cap and off-diagonal stop threshold of the Jacobi sweeps
-MAX_SWEEPS = 100
-OFFDIAG_RTOL = 1e-14
-
 #: eigenvalues of a PSD matrix in [-PSD_CLAMP_RTOL*||M||, 0) are clamped to 0
 PSD_CLAMP_RTOL = 1e-10
-
-
-def backend() -> str:
-    """Name of the active eigensolver backend: 'compiled' or 'python'."""
-    return _BACKEND
 
 
 class HermitianSpectrum(NamedTuple):
@@ -62,26 +34,40 @@ def _check_hermitian(m: np.ndarray) -> None:
         raise StructureError("matrix is not Hermitian within 1e-12 relative")
 
 
+def _lapack_eigh(ms, want_vectors: bool):
+    """LAPACK eigensolve of a (..., n, n) stack, reordered to descending.
+
+    LAPACK returns NaN rather than failing on non-finite input; both that
+    and a failed convergence raise NumericError.
+    """
+    try:
+        if want_vectors:
+            w, u = np.linalg.eigh(ms)
+        else:
+            w, u = np.linalg.eigvalsh(ms), None
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Hermitian eigensolver did not converge: {exc}") from exc
+    if not np.isfinite(w).all():
+        raise NumericError("Hermitian eigensolver got a non-finite matrix")
+    return w[..., ::-1], None if u is None else u[..., ::-1]
+
+
 def hermitian_eigs(m) -> HermitianSpectrum:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
     m = _as_square(m)
     _check_hermitian(m)
-    w, u, ok = _impl.jacobi_eigh(m[None], MAX_SWEEPS, OFFDIAG_RTOL, True)
-    if not ok:
-        raise NumericError(f"Jacobi sweeps did not converge in {MAX_SWEEPS}")
-    return HermitianSpectrum(w[0], u[0])
+    w, u = _lapack_eigh(m, True)
+    return HermitianSpectrum(w, u)
 
 
 def eigh_batch(ms, want_vectors: bool = True):
     """Batched Hermitian eigendecomposition (hot path; no Hermiticity check).
 
-    Args: ms (batch, n, n). Returns (w, u) with w descending per matrix.
+    Args: ms (batch, n, n); only the lower triangles are read.
+    Returns (w, u) with w descending per matrix and u[k][:, j] the unit
+    eigenvector of w[k, j]; u is None when want_vectors is False.
     """
-    ms = np.asarray(ms, dtype=np.complex128)
-    w, u, ok = _impl.jacobi_eigh(ms, MAX_SWEEPS, OFFDIAG_RTOL, want_vectors)
-    if not ok:
-        raise NumericError(f"Jacobi sweeps did not converge in {MAX_SWEEPS}")
-    return w, u
+    return _lapack_eigh(np.asarray(ms, dtype=np.complex128), want_vectors)
 
 
 def eigvalsh_batch(ms) -> np.ndarray:

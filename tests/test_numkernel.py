@@ -2,18 +2,13 @@
 import numpy as np
 import pytest
 
-from cartanfinsler import numkernel
-from cartanfinsler import _kernel_py
-from cartanfinsler.errors import DomainError, StructureError
+from cartanfinsler import domains, numkernel
+from cartanfinsler.errors import DomainError, NumericError, StructureError
 
 
 def random_hermitian(rng, n, scale=1.0):
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * 0.5 * (b + b.conj().T)
-
-
-def test_backend_reports_something():
-    assert numkernel.backend() in ("compiled", "python")
 
 
 def test_eigs_diagonal_matrix():
@@ -77,20 +72,32 @@ def test_batch_matches_single():
         assert np.max(np.abs(rec - mats[k])) < 1e-12
 
 
-def test_pure_backend_agrees_with_selected():
-    rng = np.random.default_rng(4)
-    mats = np.stack([random_hermitian(rng, 4) for _ in range(10)])
-    w, _ = numkernel.eigh_batch(mats)
-    w2, u2, ok = _kernel_py.jacobi_eigh(mats, 100, 1e-14, True)
-    assert ok
-    np.testing.assert_allclose(w, w2, atol=1e-12)
-    rec = u2 @ (w2[:, :, None] * np.conj(np.swapaxes(u2, 1, 2)))
-    assert np.max(np.abs(rec - mats)) < 1e-12
-
-
 def test_eigs_rejects_non_hermitian():
     with pytest.raises(StructureError):
         numkernel.hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_non_finite_matrix_is_a_numeric_error():
+    bad = np.array([[[1.0, np.nan], [np.nan, 1.0]]])
+    with pytest.raises(NumericError):
+        numkernel.eigh_batch(bad)
+    with pytest.raises(NumericError):
+        numkernel.eigvalsh_batch(bad)
+
+
+@pytest.mark.parametrize(
+    "spec", [domains.type_i(2, 3), domains.type_ii(3), domains.type_iii(4)], ids=str
+)
+def test_membership_at_the_boundary(spec):
+    # I - ZZ* has smallest eigenvalue 1 - g^2 ~ 2e-10 at g = 1 - 1e-10, far
+    # above the 1e-12 membership margin in absolute terms, so the verdict
+    # needs no more than backward-stable (not relatively accurate) eigenvalues
+    for i in range(5):
+        z = domains.sample_point(spec, seed=40 + i)
+        z = z / np.linalg.svd(z, compute_uv=False)[0]
+        for k in range(2, 11):
+            assert domains.contains(spec, (1.0 - 10.0**-k) * z), (i, k)
+            assert not domains.contains(spec, (1.0 + 10.0**-k) * z), (i, k)
 
 
 def test_pd_sqrt_identity_and_diagonal():

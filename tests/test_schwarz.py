@@ -51,9 +51,40 @@ def test_gauge_invariance_under_automorphisms():
             assert b == pytest.approx(a, rel=1e-8)
 
 
+def _inverse_then_sqrt_gauge(z, v):
+    """F_C by the textbook route: invert the grams, then take PD square roots."""
+    def sqrt_pd(h):
+        w, u = np.linalg.eigh(0.5 * (h + h.conj().T))
+        return (u * np.sqrt(w)) @ u.conj().T
+
+    m, n = z.shape
+    p = np.linalg.inv(np.eye(m) - z @ z.conj().T)
+    q = np.linalg.inv(np.eye(n) - z.conj().T @ z)
+    return np.linalg.svd(sqrt_pd(p) @ v @ sqrt_pd(q), compute_uv=False)[0]
+
+
+def test_gauge_near_the_boundary():
+    # interior points at gauge 1 - 1e-5, where the inverse of I - ZZ* is
+    # Hermitian only to about 1e-11 relative; they must not raise
+    # StructureError
+    spec = dom.type_i(2, 3)
+    for i in range(50):
+        z = dom.sample_point(spec, seed=i)
+        z = 0.99999 * z / np.linalg.svd(z, compute_uv=False)[0]
+        v = dom.sample_tangent(spec, seed=1000 + i)
+        assert sw.caratheodory(spec, z, v) > 0.0
+    for spec in (dom.type_i(2, 3), dom.type_ii(3), dom.type_iii(4), dom.type_i(3, 3)):
+        zs = np.stack([dom.sample_point(spec, seed=i) for i in range(100)])
+        vs = np.stack([dom.sample_tangent(spec, seed=5000 + i) for i in range(100)])
+        want = [_inverse_then_sqrt_gauge(z, v) for z, v in zip(zs, vs)]
+        np.testing.assert_allclose(sw.caratheodory_many(spec, zs, vs), want, rtol=1e-12)
+
+
 def test_outside_point_rejected():
     with pytest.raises(DomainError):
         sw.caratheodory(dom.type_i(2, 2), 1.5 * np.eye(2), np.eye(2))
+    with pytest.raises(DomainError):
+        sw.caratheodory_many(dom.type_i(2, 2), 1.5 * np.eye(2)[None], np.eye(2)[None])
 
 
 @pytest.mark.parametrize(
@@ -190,6 +221,26 @@ def test_bound_monotonicity():
     smaller_k2 = sw.schwarz_check(m0, bm, bm, 1.0, 0.25, n_samples=40, seed=9)
     assert bigger_k1.min_margin >= base.min_margin
     assert smaller_k2.min_margin >= base.min_margin
+
+
+def test_schwarz_slack_sets_the_violation_threshold():
+    # the identity map with sqrt(K1/K2) = 1 - delta has relative margin -delta
+    # at every sample
+    spec = dom.type_i(2, 2)
+    tk = met.tk_metric(spec, 1.0, 2)
+    delta = 1e-3
+    ident = am.identity_map(spec)
+    k1 = (1.0 - delta) ** 2
+    base = sw.schwarz_check(ident, tk, tk, k1, 1.0, n_samples=20, seed=4)
+    assert base.min_margin_rel == pytest.approx(-delta, rel=1e-9)
+    assert base.violation
+    tight = sw.schwarz_check(ident, tk, tk, k1, 1.0, n_samples=20, seed=4,
+                             slack=0.5 * delta)
+    assert tight.violation and tight.witness is not None
+    loose = sw.schwarz_check(ident, tk, tk, k1, 1.0, n_samples=20, seed=4,
+                             slack=2.0 * delta)
+    assert not loose.violation and loose.witness is None
+    assert loose.min_margin_rel == base.min_margin_rel
 
 
 def test_schwarz_endpoint_mismatch():
