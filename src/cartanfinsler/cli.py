@@ -15,7 +15,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -59,7 +58,6 @@ class RunConfig:
     seed: int
     samples: int
     maps: int
-    threads: int
     tolerances: dict
     points: tuple
 
@@ -217,7 +215,7 @@ def _parse_tolerances(node, path, errs):
 
 
 def parse_config(text: str, task: str = None, seed: int = None,
-                 samples: int = None, threads: int = None) -> RunConfig:
+                 samples: int = None) -> RunConfig:
     """Validate a JSON config document; collect all field errors before failing."""
     try:
         doc = json.loads(text)
@@ -228,7 +226,7 @@ def parse_config(text: str, task: str = None, seed: int = None,
 
     errs = []
     known = {"task", "domain", "metric", "target_domain", "target_metric",
-             "seed", "samples", "maps", "threads", "tolerances", "points"}
+             "seed", "samples", "maps", "tolerances", "points"}
     for key in sorted(set(doc) - known):
         errs.append(f"{key}: unexpected key")
 
@@ -280,10 +278,6 @@ def parse_config(text: str, task: str = None, seed: int = None,
     elif "maps" in doc:
         errs.append("maps: only valid for the schwarz task")
         maps_val = 0
-    threads_val = threads if threads is not None else doc.get("threads", 1)
-    if not _is_int(threads_val) or threads_val < 1:
-        errs.append(f"threads: positive integer required, got {threads_val!r}")
-        threads_val = 1
 
     tolerances = _parse_tolerances(doc.get("tolerances"), "tolerances", errs)
 
@@ -299,11 +293,12 @@ def parse_config(text: str, task: str = None, seed: int = None,
     return RunConfig(task=cfg_task, domain=dom_spec, metric=metric,
                      target_domain=target_dom, target_metric=target_metric,
                      seed=seed_val, samples=samples_val, maps=maps_val,
-                     threads=threads_val, tolerances=tolerances, points=points)
+                     tolerances=tolerances, points=points)
 
 
 # ---------------------------------------------------------------------------
-# task runners
+# task runners: each returns (verdict, summary, table rows, drawn), where
+# drawn maps each check whose size follows ``samples`` to the count it drew
 
 
 def _run_eval(cfg: RunConfig):
@@ -313,10 +308,8 @@ def _run_eval(cfg: RunConfig):
         rows.append({"index": i, "source": "config",
                      "f2": f2, "f": math.sqrt(f2)})
     rng = np.random.default_rng(cfg.seed)
-    zs = np.stack([domains.sample_point(cfg.domain, seed=int(rng.integers(2**63)))
-                   for _ in range(cfg.samples)])
-    vs = np.stack([domains.sample_tangent(cfg.domain, seed=int(rng.integers(2**63)))
-                   for _ in range(cfg.samples)])
+    zs = domains.sample_points(cfg.domain, rng.integers(2**63, size=cfg.samples))
+    vs = domains.sample_tangents(cfg.domain, rng.integers(2**63, size=cfg.samples))
     f2s = metrics.eval2_many(cfg.metric, zs, vs)
     for j, f2 in enumerate(f2s):
         rows.append({"index": len(cfg.points) + j, "source": "random",
@@ -326,7 +319,8 @@ def _run_eval(cfg: RunConfig):
     summary = {"count": len(rows), "f_min": float(vals.min()),
                "f_max": float(vals.max()), "f_mean": float(vals.mean()),
                "all_finite_positive": ok}
-    return ("pass" if ok else "violation"), summary, rows
+    drawn = {"eval_points": cfg.samples}
+    return ("pass" if ok else "violation"), summary, rows, drawn
 
 
 def _run_certify(cfg: RunConfig):
@@ -366,13 +360,14 @@ def _run_certify(cfg: RunConfig):
         "invariance_deviation": float(deviation),
         "connection_checked": cert.passed,
     }
-    return ("pass" if ok else "violation"), summary, rows
+    drawn = {"invariance_points": n, "invariance_maps": n}
+    return ("pass" if ok else "violation"), summary, rows, drawn
 
 
 def _run_curvature(cfg: RunConfig):
-    report = curvature.curvature_bounds(
-        cfg.metric, seed=cfg.seed,
-        pair_draws=min(cfg.samples, curvature.PAIR_DRAWS))
+    pair_draws = min(cfg.samples, curvature.PAIR_DRAWS)
+    report = curvature.curvature_bounds(cfg.metric, seed=cfg.seed,
+                                        pair_draws=pair_draws)
     ok, worst_low, worst_high = curvature.verify_curvature_range(
         cfg.metric, report, n_samples=cfg.samples, seed=cfg.seed,
         slack=cfg.tolerances["curvature_slack"])
@@ -387,16 +382,16 @@ def _run_curvature(cfg: RunConfig):
         ("K1", report.k1), ("K2", report.k2), ("lu", report.lu),
         ("bisectional_C", report.bisectional_c),
         ("worst_low_excess", worst_low), ("worst_high_excess", worst_high))]
-    return ("pass" if ok else "violation"), summary, rows
+    drawn = {"bisectional_pairs": pair_draws, "range_tangents": cfg.samples}
+    return ("pass" if ok else "violation"), summary, rows, drawn
 
 
 def _run_sandwich(cfg: RunConfig):
     bounds = curvature.curvature_bounds(cfg.metric, seed=cfg.seed, pair_draws=0)
     slack = cfg.tolerances["sandwich_slack"]
     eq_tol = cfg.tolerances["sandwich_equality"]
-    report = schwarz.verify_sandwich(cfg.metric, bounds.k1, bounds.k2,
-                                     n_samples=cfg.samples, seed=cfg.seed,
-                                     slack=slack)
+    report = schwarz.verify_sandwich(cfg.metric, bounds, n_samples=cfg.samples,
+                                     seed=cfg.seed, slack=slack)
     ok = (report.worst_lower >= -slack and report.worst_upper >= -slack
           and report.eq_lower <= eq_tol and report.eq_upper <= eq_tol)
     summary = {
@@ -417,7 +412,8 @@ def _run_sandwich(cfg: RunConfig):
         ("worst_upper_margin", report.worst_upper),
         ("equality_lower", report.eq_lower),
         ("equality_upper", report.eq_upper))]
-    return ("pass" if ok else "violation"), summary, rows
+    drawn = {"sandwich_points": cfg.samples}
+    return ("pass" if ok else "violation"), summary, rows, drawn
 
 
 def _run_schwarz(cfg: RunConfig):
@@ -429,19 +425,10 @@ def _run_schwarz(cfg: RunConfig):
         curvature.curvature_bounds(metric2, pair_draws=0)
     maps = schwarz.generate_maps(source, target, seed=cfg.seed, count=cfg.maps)
     seeds = np.random.default_rng(cfg.seed).integers(2**63, size=len(maps))
-
-    def check(i):
-        return schwarz.schwarz_check(maps[i], metric1, metric2,
-                                     bounds1.k1, bounds2.k2,
-                                     n_samples=cfg.samples, seed=int(seeds[i]),
+    reports = [schwarz.schwarz_check(f, metric1, metric2, bounds1.k1, bounds2.k2,
+                                     n_samples=cfg.samples, seed=int(s),
                                      slack=cfg.tolerances["schwarz_slack"])
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            reports = list(pool.map(check, range(len(maps))))
-    else:
-        reports = [check(i) for i in range(len(maps))]
-
+               for f, s in zip(maps, seeds)]
     rows = [{"map_index": i, "kind": type(maps[i].body).__name__,
              "min_margin": float(r.min_margin),
              "min_margin_rel": float(r.min_margin_rel),
@@ -459,7 +446,8 @@ def _run_schwarz(cfg: RunConfig):
         "sup_ratio": float(max(r.sup_ratio for r in reports)),
         "violations": int(violations),
     }
-    return ("violation" if violations else "pass"), summary, rows
+    drawn = {"points_per_map": cfg.samples}
+    return ("violation" if violations else "pass"), summary, rows, drawn
 
 
 _RUNNERS = {"eval": _run_eval, "certify": _run_certify,
@@ -469,11 +457,11 @@ _RUNNERS = {"eval": _run_eval, "certify": _run_certify,
 
 def run(config: RunConfig) -> RunReport:
     """Dispatch a validated config and assemble the provenance-stamped report."""
-    verdict, summary, table = _RUNNERS[config.task](config)
+    verdict, summary, table, drawn = _RUNNERS[config.task](config)
     provenance = {
         "seed": config.seed,
         "samples": config.samples,
-        "threads": config.threads,
+        "effective_samples": drawn,
         "version": __version__,
         "domain": str(config.domain),
         "metric": config.metric.label,
@@ -556,8 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the config sample count")
         sp.add_argument("--format", choices=("structured", "tabular"),
                         default="structured", help="report format")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads for corpus tasks")
     return parser
 
 
@@ -570,7 +556,7 @@ def main(argv=None) -> int:
         return 2
     try:
         config = parse_config(text, task=args.task, seed=args.seed,
-                              samples=args.samples, threads=args.threads)
+                              samples=args.samples)
         report = run(config)
     except ConfigError as exc:
         for line in exc.errors:

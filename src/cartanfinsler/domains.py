@@ -93,33 +93,41 @@ def type_iv(n: int) -> DomainSpec:
     return DomainSpec("IV", (n,))
 
 
-def _as_point(spec: DomainSpec, z, name="Z"):
-    """Validate shape and symmetry class; return a complex array."""
-    z = np.asarray(z, dtype=np.complex128)
-    if z.shape != spec.ambient_shape:
+def _as_points(spec: DomainSpec, zs):
+    """Validate a stack (batch, *ambient_shape) of points; return a complex array."""
+    zs = np.asarray(zs, dtype=np.complex128)
+    if zs.ndim != len(spec.ambient_shape) + 1 or zs.shape[1:] != spec.ambient_shape:
         raise StructureError(
-            f"{name} has shape {z.shape}, expected {spec.ambient_shape} for {spec}"
+            f"Z has shape {zs.shape[1:]}, expected {spec.ambient_shape} for {spec}"
         )
-    scale = max(1.0, float(np.max(np.abs(z))))
-    if spec.kind == "II" and np.max(np.abs(z - z.T)) > SYMMETRY_ATOL * scale:
-        raise StructureError(f"{name} must be symmetric for {spec}")
-    if spec.kind == "III" and np.max(np.abs(z + z.T)) > SYMMETRY_ATOL * scale:
-        raise StructureError(f"{name} must be skew-symmetric for {spec}")
-    return z
+    if spec.kind in ("II", "III"):
+        sign = 1.0 if spec.kind == "II" else -1.0
+        scale = np.maximum(1.0, np.max(np.abs(zs), axis=(1, 2)))
+        asym = np.max(np.abs(zs - sign * np.swapaxes(zs, 1, 2)), axis=(1, 2))
+        if np.any(asym > SYMMETRY_ATOL * scale):
+            kind = "symmetric" if spec.kind == "II" else "skew-symmetric"
+            raise StructureError(f"Z must be {kind} for {spec}")
+    return zs
+
+
+def contains_many(spec: DomainSpec, zs) -> np.ndarray:
+    """Strict interior membership of each point of a stack (batch, *ambient_shape).
+
+    The defining inequalities must hold with margin 1e-12.
+    """
+    zs = _as_points(spec, zs)
+    if spec.kind == "IV":
+        p = np.abs(np.sum(zs * zs, axis=-1))            # |z z'|
+        r = np.sum(zs.real**2 + zs.imag**2, axis=-1)    # z z*
+        delta = 1.0 + p**2 - 2.0 * r
+        return (delta > MEMBERSHIP_MARGIN) & (1.0 - p > MEMBERSHIP_MARGIN)
+    gram = np.eye(zs.shape[1]) - zs @ np.conj(np.swapaxes(zs, 1, 2))
+    return numkernel.eigvalsh_batch(gram)[:, -1] > MEMBERSHIP_MARGIN
 
 
 def contains(spec: DomainSpec, z) -> bool:
     """Strict interior membership (margin 1e-12 on the defining inequalities)."""
-    z = _as_point(spec, z)
-    if spec.kind == "IV":
-        p = z @ z           # z z'
-        r = float(np.real(np.vdot(z, z)))  # z z*
-        delta = 1.0 + abs(p) ** 2 - 2.0 * r
-        return delta > MEMBERSHIP_MARGIN and 1.0 - abs(p) > MEMBERSHIP_MARGIN
-    m = z.shape[0]
-    gram = np.eye(m) - z @ z.conj().T
-    w = numkernel.eigvalsh_batch(gram[None])[0]
-    return bool(w[-1] > MEMBERSHIP_MARGIN)
+    return bool(contains_many(spec, np.asarray(z)[None])[0])
 
 
 def project_tangent(spec: DomainSpec, w):
@@ -136,19 +144,25 @@ def project_tangent(spec: DomainSpec, w):
     return w
 
 
-def minkowski_gauge(spec: DomainSpec, w) -> float:
-    """Minkowski gauge of the domain: the domain is {gauge < 1}.
+def minkowski_gauge_many(spec: DomainSpec, ws) -> np.ndarray:
+    """Minkowski gauge of each array of a stack (..., *ambient_shape).
 
-    Types I-III: largest singular value.  Type IV: closed form
-    sqrt(r + sqrt(r^2 - |p|^2)) with r = w w*, p = w w'.
+    The domain is {gauge < 1}.  Types I-III: largest singular value.
+    Type IV: closed form sqrt(r + sqrt(r^2 - |p|^2)) with r = w w*, p = w w'.
     """
-    w = np.asarray(w, dtype=np.complex128)
+    ws = np.asarray(ws, dtype=np.complex128)
     if spec.kind == "IV":
-        r = float(np.real(np.vdot(w, w)))
-        p = abs(w @ w)
-        inner = max(r * r - p * p, 0.0)
-        return float(np.sqrt(r + np.sqrt(inner)))
-    return float(numkernel.singular_values(w)[0])
+        r = np.sum(ws.real**2 + ws.imag**2, axis=-1)
+        p = np.abs(np.sum(ws * ws, axis=-1))
+        return np.sqrt(r + np.sqrt(np.maximum(r * r - p * p, 0.0)))
+    # m <= n on every matrix type, so W W* is the smaller gram
+    gram = ws @ np.conj(np.swapaxes(ws, -1, -2))
+    return np.sqrt(np.maximum(numkernel.eigvalsh_batch(gram)[..., 0], 0.0))
+
+
+def minkowski_gauge(spec: DomainSpec, w) -> float:
+    """Minkowski gauge of one array; see minkowski_gauge_many."""
+    return float(minkowski_gauge_many(spec, w))
 
 
 def tangent_basis(spec: DomainSpec) -> np.ndarray:
@@ -226,16 +240,43 @@ def _raw_draw(spec: DomainSpec, rng) -> np.ndarray:
     return project_tangent(spec, b)
 
 
+def sample_points(spec: DomainSpec, seeds) -> np.ndarray:
+    """Deterministic interior points, one per seed: a Gaussian draw rescaled
+    to gauge U[0, 0.9].
+
+    Each seed has its own generator, so item i equals sample_point(spec,
+    seeds[i]) whatever the other seeds are; the gauges are computed in one
+    batch.
+    """
+    rngs = [np.random.default_rng(int(s)) for s in seeds]
+    zs = np.empty((len(rngs),) + spec.ambient_shape, dtype=np.complex128)
+    for i, rng in enumerate(rngs):
+        zs[i] = _raw_draw(spec, rng)
+    g = minkowski_gauge_many(spec, zs)
+    for i in np.flatnonzero(g <= 1e-12):  # redraw a null draw from its own stream
+        while g[i] <= 1e-12:
+            zs[i] = _raw_draw(spec, rngs[i])
+            g[i] = minkowski_gauge(spec, zs[i])
+    rho = np.array([rng.uniform(0.0, 0.9) for rng in rngs])
+    return (rho / g).reshape((-1,) + (1,) * len(spec.ambient_shape)) * zs
+
+
 def sample_point(spec: DomainSpec, seed: int) -> np.ndarray:
-    """Deterministic interior point: Gaussian draw rescaled to gauge U[0, 0.9]."""
-    rng = np.random.default_rng(seed)
-    while True:
-        z = _raw_draw(spec, rng)
-        g = minkowski_gauge(spec, z)
-        if g > 1e-12:
-            break
-    rho = rng.uniform(0.0, 0.9)
-    return (rho / g) * z
+    """Deterministic interior point; see sample_points."""
+    return sample_points(spec, [seed])[0]
+
+
+def sample_tangents(spec: DomainSpec, seeds) -> np.ndarray:
+    """Deterministic nonzero tangent draws in the domain's symmetry class,
+    one per seed; item i equals sample_tangent(spec, seeds[i])."""
+    vs = np.empty((len(seeds),) + spec.ambient_shape, dtype=np.complex128)
+    for i, s in enumerate(seeds):
+        rng = np.random.default_rng(int(s))
+        while True:
+            vs[i] = _raw_draw(spec, rng)
+            if np.max(np.abs(vs[i])) > 1e-12:
+                break
+    return vs
 
 
 def sample_tangent(spec: DomainSpec, seed: int, unit_under=None, z=None) -> np.ndarray:
@@ -244,11 +285,7 @@ def sample_tangent(spec: DomainSpec, seed: int, unit_under=None, z=None) -> np.n
     unit_under: optional metric evaluator; when given (with the base point z)
     the draw is rescaled so unit_under(z, V) == 1.
     """
-    rng = np.random.default_rng(seed)
-    while True:
-        v = _raw_draw(spec, rng)
-        if np.max(np.abs(v)) > 1e-12:
-            break
+    v = sample_tangents(spec, [seed])[0]
     if unit_under is not None:
         if z is None:
             z = np.zeros(spec.ambient_shape, dtype=np.complex128)

@@ -445,13 +445,10 @@ def verify_kahler_berwald(metric: MetricSpec, n_base: int = 3, n_fiber: int = 10
         mixed = max(mixed, float(np.max(np.abs(bmat))))
 
         z = domains.sample_point(spec, seed=int(rng.integers(2**63)))
-        gammas = []
-        for _ in range(n_fiber):
-            v = domains.sample_tangent(spec, seed=int(rng.integers(2**63)))
-            v = v / np.linalg.norm(v)
-            cs = connection_sample(metric, z, v)
-            gammas.append(cs.horizontal)
-        gammas = np.stack(gammas)
+        gammas = np.stack([
+            connection_sample(metric, z, v / np.linalg.norm(v)).horizontal
+            for v in domains.sample_tangents(spec, rng.integers(2**63, size=n_fiber))
+        ])
         v_var = max(v_var, float(np.max(np.abs(gammas - gammas[0]))))
         mean = np.mean(gammas, axis=0)
         symm = max(symm, float(np.max(np.abs(mean - np.swapaxes(mean, 1, 2)))))
@@ -468,14 +465,8 @@ def verify_invariance(metric: MetricSpec, n_maps: int = 100, n_samples: int = 10
 
     spec = metric.domain
     rng = np.random.default_rng(seed)
-    zs = np.stack(
-        [domains.sample_point(spec, seed=int(rng.integers(2**63)))
-         for _ in range(n_samples)]
-    )
-    vs = np.stack(
-        [domains.sample_tangent(spec, seed=int(rng.integers(2**63)))
-         for _ in range(n_samples)]
-    )
+    zs = domains.sample_points(spec, rng.integers(2**63, size=n_samples))
+    vs = domains.sample_tangents(spec, rng.integers(2**63, size=n_samples))
     base = eval2_many(metric, zs, vs)
     worst = 0.0
     for _ in range(n_maps):

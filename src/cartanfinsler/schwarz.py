@@ -24,7 +24,7 @@ from .errors import DomainError, NumericError, StructureError
 from . import automorphisms as am
 from . import domains
 from . import numkernel
-from .curvature import curvature_bounds, lie_representative
+from .curvature import CurvatureReport, lie_representative
 from .domains import DomainSpec
 from .metrics import MetricSpec, _lie_ball_matrix, eval2_many
 
@@ -151,20 +151,19 @@ def _profile_tangent(spec: DomainSpec, profile) -> np.ndarray:
     return out
 
 
-def verify_sandwich(metric: MetricSpec, k1: float, k2: float,
+def verify_sandwich(metric: MetricSpec, bounds: CurvatureReport,
                     n_samples: int = 10_000, seed: int = 0,
                     slack: float = 1e-8) -> SandwichReport:
-    """Sample the two-sided gauge bound and probe tightness at extremizers."""
+    """Sample the two-sided gauge bound and probe tightness at extremizers.
+
+    bounds: the metric's curvature report; K1, K2 and the extremizing
+    profiles are read from it.
+    """
     spec = metric.domain
+    k1, k2 = bounds.k1, bounds.k2
     rng = np.random.default_rng(seed)
-    zs = np.stack(
-        [domains.sample_point(spec, seed=int(rng.integers(2**63)))
-         for _ in range(n_samples)]
-    )
-    vs = np.stack(
-        [domains.sample_tangent(spec, seed=int(rng.integers(2**63)))
-         for _ in range(n_samples)]
-    )
+    zs = domains.sample_points(spec, rng.integers(2**63, size=n_samples))
+    vs = domains.sample_tangents(spec, rng.integers(2**63, size=n_samples))
     f2 = eval2_many(metric, zs, vs)
     fc2 = caratheodory_many(spec, zs, vs) ** 2
     lower = (f2 - (4.0 / k1) * fc2) / f2
@@ -179,10 +178,9 @@ def verify_sandwich(metric: MetricSpec, k1: float, k2: float,
         i = int(np.argmin(upper))
         witness = ("upper", zs[i], vs[i], float(f2[i]), float(fc2[i]))
 
-    report = curvature_bounds(metric, pair_draws=0)
     origin = np.zeros(spec.ambient_shape, dtype=np.complex128)
-    v_min = _profile_tangent(spec, report.argmin_profile)
-    v_max = _profile_tangent(spec, report.argmax_profile)
+    v_min = _profile_tangent(spec, bounds.argmin_profile)
+    v_max = _profile_tangent(spec, bounds.argmax_profile)
     f2_min = eval2_many(metric, origin, v_min)
     f2_max = eval2_many(metric, origin, v_max)
     g_min = domains.minkowski_gauge(spec, v_min) ** 2
@@ -299,17 +297,14 @@ def generate_maps(source: DomainSpec, target: DomainSpec, seed: int = 0,
                   count: int = 50):
     """Corpus of holomorphic maps source -> target, probe-checked for range."""
     rng = np.random.default_rng(seed)
-    probes = np.stack(
-        [domains.sample_point(source, seed=int(rng.integers(2**63)))
-         for _ in range(PROBE_COUNT)]
-    )
+    probes = domains.sample_points(source, rng.integers(2**63, size=PROBE_COUNT))
 
     def admitted(m: am.HoloMap):
         body = m.body
         for _ in range(RESCALE_CAP + 1):
             candidate = am.HoloMap(source, target, body)
             images = am.apply(candidate, probes)
-            if all(domains.contains(target, img) for img in images):
+            if np.all(domains.contains_many(target, images)):
                 return candidate
             body = _rescaled(body, 0.5)
             if body is None:
@@ -381,14 +376,8 @@ def schwarz_check(f: am.HoloMap, metric1: MetricSpec, metric2: MetricSpec,
     bound = float(np.sqrt(k1 / k2))
     rng = np.random.default_rng(seed)
     spec = metric1.domain
-    zs = np.stack(
-        [domains.sample_point(spec, seed=int(rng.integers(2**63)))
-         for _ in range(n_samples)]
-    )
-    vs = np.stack(
-        [domains.sample_tangent(spec, seed=int(rng.integers(2**63)))
-         for _ in range(n_samples)]
-    )
+    zs = domains.sample_points(spec, rng.integers(2**63, size=n_samples))
+    vs = domains.sample_tangents(spec, rng.integers(2**63, size=n_samples))
     f1 = np.sqrt(eval2_many(metric1, zs, vs))
     imgs = am.apply(f, zs)
     dvs = am.differential(f, zs, vs)

@@ -105,8 +105,8 @@ def test_06_curvature_sign_and_pinching():
 def test_07_gauge_comparison_sandwich():
     for metric in SHIPPED:
         bounds = curv.curvature_bounds(metric, pair_draws=0)
-        rep = sw.verify_sandwich(metric, bounds.k1, bounds.k2,
-                                 n_samples=10_000, seed=77, slack=1e-8)
+        rep = sw.verify_sandwich(metric, bounds, n_samples=10_000, seed=77,
+                                 slack=1e-8)
         assert rep.worst_lower >= -1e-8, (metric.label, rep.worst_lower)
         assert rep.worst_upper >= -1e-8, (metric.label, rep.worst_upper)
         assert rep.eq_lower <= 1e-4, (metric.label, rep.eq_lower)

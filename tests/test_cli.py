@@ -160,26 +160,50 @@ def test_sandwich_task(tmp_path, capsys):
     assert out["summary"]["equality_upper"] < 1e-4
 
 
-def test_schwarz_task_and_threads_agree(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({
+def test_schwarz_task_reproducible_and_threads_retired(tmp_path, capsys):
+    doc = {
         "task": "schwarz",
         "domain": {"type": "I", "m": 2, "n": 2},
         "metric": {"family": "bergman"},
         "seed": 5,
         "maps": 12,
         "samples": 25,
-    }))
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
     rc = cli.main(["schwarz", "--config", str(path)])
     first = capsys.readouterr().out
     assert rc == 0
-    rc = cli.main(["schwarz", "--config", str(path), "--threads", "4"])
+    rc = cli.main(["schwarz", "--config", str(path)])
     second = capsys.readouterr().out
     assert rc == 0
     a, b = json.loads(first), json.loads(second)
-    assert a["table"] == b["table"]  # reduction order independent of threads
+    assert a["table"] == b["table"]
     assert a["summary"] == b["summary"]
-    assert b["provenance"]["threads"] == 4
+    assert "threads" not in a["provenance"]
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["schwarz", "--config", str(path), "--threads", "4"])
+    assert exc.value.code == 2
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(json.dumps({**doc, "threads": 2}))
+    assert err.value.errors == ["threads: unexpected key"]
+
+
+def test_certify_reports_capped_sample_count(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "task": "certify",
+        "domain": {"type": "I", "m": 1, "n": 2},
+        "metric": {"family": "bergman"},
+        "samples": 150,
+    }))
+    rc = cli.main(["certify", "--config", str(path)])
+    prov = json.loads(capsys.readouterr().out)["provenance"]
+    assert rc == 0
+    assert prov["samples"] == 150
+    assert prov["effective_samples"] == {"invariance_points": 100,
+                                         "invariance_maps": 100}
 
 
 def test_structured_output_deterministic(tmp_path, capsys):

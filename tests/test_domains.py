@@ -155,6 +155,34 @@ def test_sample_point_deterministic_interior(spec):
     assert domains.contains(spec, z1)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [domains.type_i(2, 3), domains.type_ii(3), domains.type_iii(4), domains.type_iv(3)],
+    ids=str,
+)
+def test_batched_sampling_and_gauge_match_single_items(spec):
+    seeds = np.random.default_rng(8).integers(2**63, size=25)
+    zs = domains.sample_points(spec, seeds)
+    vs = domains.sample_tangents(spec, seeds)
+    gs = domains.minkowski_gauge_many(spec, zs)
+    for i, seed in enumerate(seeds):
+        np.testing.assert_array_equal(zs[i], domains.sample_points(spec, [seed])[0])
+        np.testing.assert_array_equal(vs[i], domains.sample_tangents(spec, [seed])[0])
+        assert gs[i] == domains.minkowski_gauge(spec, zs[i])
+        # each seed keeps its own stream: one raw draw, then U[0, 0.9] gauge
+        rng = np.random.default_rng(seed)
+        raw = domains.project_tangent(
+            spec,
+            rng.standard_normal(spec.ambient_shape)
+            + 1j * rng.standard_normal(spec.ambient_shape),
+        )
+        rho = rng.uniform(0.0, 0.9)
+        assert gs[i] == pytest.approx(rho, rel=1e-13)
+        np.testing.assert_allclose(zs[i], (rho / domains.minkowski_gauge(spec, raw)) * raw,
+                                   rtol=1e-13, atol=0)
+    assert domains.sample_points(spec, []).shape == (0,) + spec.ambient_shape
+
+
 def test_sample_point_batch_membership():
     spec = domains.type_i(2, 2)
     for seed in range(1000):

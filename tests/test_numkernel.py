@@ -98,6 +98,9 @@ def test_membership_at_the_boundary(spec):
         for k in range(2, 11):
             assert domains.contains(spec, (1.0 - 10.0**-k) * z), (i, k)
             assert not domains.contains(spec, (1.0 + 10.0**-k) * z), (i, k)
+        eps = 10.0 ** -np.arange(2, 11)[:, None, None]
+        assert domains.contains_many(spec, (1.0 - eps) * z).all(), i
+        assert not domains.contains_many(spec, (1.0 + eps) * z).any(), i
 
 
 def test_pd_sqrt_identity_and_diagonal():
