@@ -53,16 +53,6 @@ def _origin_traces(vs, kmax: int):
     return out
 
 
-def _grad_rows(family, h):
-    """family.grad evaluated row-wise on h (B, k); fast path when constant."""
-    g = np.asarray(family.grad(h), dtype=float)
-    if g.shape == h.shape:
-        return g
-    if g.shape == (h.shape[-1],):
-        return np.broadcast_to(g, h.shape)
-    return np.stack([np.asarray(family.grad(row), dtype=float) for row in h])
-
-
 def _h_from_traces(s):
     """Power means h_a = S_a^(1/a) from power traces S_1..S_k."""
     h = np.empty_like(s)
@@ -75,7 +65,7 @@ def _matrix_hsc_from_traces(metric: MetricSpec, s_traces):
     """K(0;V) from tr[(VV*)^a], a = 1..k+1 (shape (B, k+1))."""
     k = metric.family.k
     h = _h_from_traces(s_traces[..., :k])
-    grads = _grad_rows(metric.family, h)
+    grads = norms.grad_rows(metric.family, h)
     f2 = metric.normalization * np.asarray(metric.family.value(h), dtype=float)
     acc = np.zeros(h.shape[:-1])
     for a in range(1, k + 1):
@@ -133,7 +123,7 @@ def bisectional_origin_many(metric: MetricSpec, vs, ws) -> np.ndarray:
     k = metric.family.k
     s = _origin_traces(vs, k)
     h = _h_from_traces(s)
-    grads = _grad_rows(metric.family, h)
+    grads = norms.grad_rows(metric.family, h)
     f2v = metric.normalization * np.asarray(metric.family.value(h), dtype=float)
     hw = _h_from_traces(_origin_traces(ws, k))
     f2w = metric.normalization * np.asarray(metric.family.value(hw), dtype=float)
@@ -206,7 +196,7 @@ def _bisectional_sup_matrix(metric: MetricSpec) -> float:
     def outer(xbatch):
         xbatch = np.asarray(xbatch, dtype=float)
         f2v, h = profile_f2(xbatch)
-        grads = _grad_rows(metric.family, h)
+        grads = norms.grad_rows(metric.family, h)
         weights = np.zeros_like(xbatch)
         for a in range(1, k + 1):
             weights += (grads[..., a - 1]
@@ -218,11 +208,11 @@ def _bisectional_sup_matrix(metric: MetricSpec) -> float:
                 ybatch = np.asarray(ybatch, dtype=float)
                 f2w, _ = profile_f2(ybatch)
                 return (ybatch @ weights[i]) / f2w
-            (_, _), (_, fmax) = norms.simplex_scan(inner, dim, total=total)
+            _, fmax = norms.simplex_max(inner, dim, total=total)
             out[i] = fmax / f2v[i]
         return out
 
-    (_, _), (_, sup) = norms.simplex_scan(outer, dim, total=total)
+    _, sup = norms.simplex_max(outer, dim, total=total)
     return float(sup)
 
 

@@ -38,6 +38,9 @@ class DomainSpec:
             (m,) = self.dims
             if m < 1:
                 raise StructureError(f"matrix order must be >= 1, got {m}")
+            if self.kind == "III" and m < 2:
+                # 1x1 skew matrices are 0: the domain is a point
+                raise StructureError(f"type III needs order >= 2, got {m}")
         else:
             (n,) = self.dims
             if n < 2:

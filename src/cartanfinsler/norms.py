@@ -12,6 +12,7 @@ Certification checks the convexity/monotonicity conditions that make these
 genuine strongly pseudoconvex norms, on explicit sample grids, reporting
 worst margins and witnesses instead of silent booleans.
 """
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -42,6 +43,16 @@ class PhiFamilySpec:
     d1: Callable
     d2: Callable
     label: str
+
+
+def grad_rows(family: GFamilySpec, h) -> np.ndarray:
+    """family.grad at every row of h (..., k).
+
+    family.grad takes the whole batch and returns either one gradient per row
+    or, for a linear g, the constant gradient (k,), broadcast here.
+    """
+    h = np.asarray(h, dtype=float)
+    return np.broadcast_to(np.asarray(family.grad(h), dtype=float), h.shape)
 
 
 @dataclass(frozen=True)
@@ -99,10 +110,16 @@ def tk_family(t: float, k: int, c: float) -> GFamilySpec:
 
 
 def g_family_from_callable(value: Callable, k: int, label="custom") -> GFamilySpec:
-    """Wrap a user g(xi) with central-difference gradient and Hessian."""
+    """Wrap a user g(xi) with central-difference gradient and Hessian.
+
+    value is only ever called on one point xi of shape (k,); the gradient
+    also takes a batch (..., k), row by row.
+    """
 
     def grad(xi):
         xi = np.asarray(xi, dtype=float)
+        if xi.ndim > 1:
+            return np.apply_along_axis(grad, -1, xi)
         out = np.zeros(k)
         for a in range(k):
             h = FD_STEP * max(xi[a], 1e-3)
@@ -283,23 +300,11 @@ def certify_sn(spec: PhiFamilySpec, s_grid=None) -> Certificate:
 # simplex optimization (shared with the curvature module)
 
 
-def simplex_scan(fn_batch: Callable, dim: int, total: float = 1.0,
-                 resolution: int = None):
-    """Extremize fn over {y_1 >= ... >= y_dim >= 0, sum y = total}.
-
-    fn_batch maps an array (P, dim) of profiles to (P,) values.  Dense ordered
-    grid plus a mass-shuffling pattern-search polish (tolerance 1e-12).
-    Returns ((ymin, fmin), (ymax, fmax)).
-    """
-    if resolution is None:
-        resolution = 200 if dim <= 2 else 60
-    if dim == 1:
-        y = np.array([[total]])
-        f = float(fn_batch(y)[0])
-        return (y[0], f), (y[0], f)
-
-    # ordered compositions of `resolution` units into dim parts
+@functools.lru_cache(maxsize=None)
+def _composition_units(dim: int, resolution: int) -> np.ndarray:
+    """Ordered compositions of `resolution` units into dim parts (read-only)."""
     grid = []
+
     def rec(prefix, remaining, cap):
         slot = len(prefix)
         if slot == dim - 1:
@@ -309,41 +314,85 @@ def simplex_scan(fn_batch: Callable, dim: int, total: float = 1.0,
         lo = -(-remaining // (dim - slot))  # ceil: keep ordering feasible
         for units in range(lo, min(cap, remaining) + 1):
             rec(prefix + [units], remaining - units, units)
+
     rec([], resolution, resolution)
-    y_grid = np.asarray(grid, dtype=float) * (total / resolution)
+    units = np.asarray(grid, dtype=float)
+    units.flags.writeable = False
+    return units
+
+
+def simplex_grid(dim: int, total: float = 1.0, resolution: int = None):
+    """Dense ordered grid on {y_1 >= ... >= y_dim >= 0, sum y = total}.
+
+    Returns the (P, dim) profiles and their spacing total / resolution; the
+    integer compositions behind them are built once per (dim, resolution).
+    """
+    if resolution is None:
+        resolution = 200 if dim <= 2 else 60
+    step = total / resolution
+    if dim == 1:
+        return np.array([[float(total)]]), step
+    return _composition_units(dim, resolution) * step, step
+
+
+def polish(fn_batch: Callable, y0, sign: float, step: float):
+    """Mass-shuffling pattern search from y0 (tolerance 1e-12).
+
+    Maximizes sign * fn: moves `step` of mass between two coordinates while
+    that improves, halves the step otherwise.  Returns (y, fn(y)).
+    """
+    y = np.array(y0, dtype=float)
+    dim = len(y)
+    best = float(fn_batch(y[None])[0])
+    while step > POLISH_TOL:
+        improved = False
+        cands = []
+        for i in range(dim):
+            for j in range(dim):
+                if i == j:
+                    continue
+                c = y.copy()
+                c[i] += step
+                c[j] -= step
+                if c[j] >= 0.0:
+                    cands.append(c)
+        if cands:
+            cands = np.asarray(cands)
+            f = sign * np.asarray(fn_batch(cands), dtype=float)
+            b = int(np.argmax(f))
+            if f[b] > sign * best + 1e-18:
+                y = cands[b]
+                best = sign * f[b]
+                improved = True
+        if not improved:
+            step *= 0.5
+    return y, best
+
+
+def simplex_scan(fn_batch: Callable, dim: int, total: float = 1.0,
+                 resolution: int = None):
+    """Extremize fn over {y_1 >= ... >= y_dim >= 0, sum y = total}.
+
+    fn_batch maps an array (P, dim) of profiles to (P,) values.  Dense ordered
+    grid (simplex_grid) plus a pattern-search polish of the best grid point
+    at each end (polish).  Returns ((ymin, fmin), (ymax, fmax)).
+    """
+    if dim == 1:
+        y = np.array([[total]])
+        f = float(fn_batch(y)[0])
+        return (y[0], f), (y[0], f)
+    y_grid, step = simplex_grid(dim, total, resolution)
     vals = np.asarray(fn_batch(y_grid), dtype=float)
+    return (polish(fn_batch, y_grid[int(np.argmin(vals))], -1.0, step),
+            polish(fn_batch, y_grid[int(np.argmax(vals))], +1.0, step))
 
-    def polish(y0, sign):
-        y = y0.copy()
-        best = float(fn_batch(y[None])[0])
-        step = total / resolution
-        while step > POLISH_TOL:
-            improved = False
-            cands = []
-            for i in range(dim):
-                for j in range(dim):
-                    if i == j:
-                        continue
-                    c = y.copy()
-                    c[i] += step
-                    c[j] -= step
-                    if c[j] >= 0.0:
-                        cands.append(c)
-            if cands:
-                cands = np.asarray(cands)
-                f = sign * np.asarray(fn_batch(cands), dtype=float)
-                b = int(np.argmax(f))
-                if f[b] > sign * best + 1e-18:
-                    y = cands[b]
-                    best = sign * f[b]
-                    improved = True
-            if not improved:
-                step *= 0.5
-        return y, best
 
-    ymin, fmin = polish(y_grid[int(np.argmin(vals))], -1.0)
-    ymax, fmax = polish(y_grid[int(np.argmax(vals))], +1.0)
-    return (ymin, fmin), (ymax, fmax)
+def simplex_max(fn_batch: Callable, dim: int, total: float = 1.0,
+                resolution: int = None):
+    """The maximum half of simplex_scan, (ymax, fmax), without the minimum polish."""
+    y_grid, step = simplex_grid(dim, total, resolution)
+    vals = np.asarray(fn_batch(y_grid), dtype=float)
+    return polish(fn_batch, y_grid[int(np.argmax(vals))], +1.0, step)
 
 
 def _g_profile_batch(spec: GFamilySpec, doubled: bool):

@@ -259,3 +259,11 @@ def test_points_shape_mismatch(tmp_path):
     with pytest.raises(ConfigError) as exc:
         cli.parse_config(doc)
     assert any("points[0].z" in m for m in exc.value.errors)
+
+
+def test_zero_dimensional_type_iii_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(_config(domain={"type": "III", "m": 1}))
+    rc = cli.main(["eval", "--config", str(path)])
+    assert rc == 2
+    assert "order >= 2" in capsys.readouterr().err

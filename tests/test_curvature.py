@@ -196,3 +196,12 @@ def test_zero_vector_rejected():
         curv.hsc_origin(metric, np.zeros((2, 2)))
     with pytest.raises(DomainError):
         curv.bisectional_origin(metric, np.zeros((2, 2)), np.eye(2))
+
+
+@pytest.mark.parametrize("metric, expected", [
+    (met.bergman_metric(dom.type_i(2, 2)), 1.0),
+    (met.tk_metric(dom.type_ii(2), 1.0, 2), 4.0 / 3.0),
+    (met.tk_metric(dom.type_i(3, 3), 1.0, 2), 2.0 / 3.0),
+], ids=lambda x: x.label if hasattr(x, "label") else f"{x:.6g}")
+def test_bisectional_sup_matrix_pinned(metric, expected):
+    assert curv._bisectional_sup_matrix(metric) == pytest.approx(expected, abs=1e-12)

@@ -38,6 +38,15 @@ def test_invalid_specs_rejected():
         domains.DomainSpec("V", (2,))
 
 
+def test_type_iii_needs_order_two():
+    # 1x1 skew-symmetric matrices are 0: III(1) is a point, with nothing to sample
+    with pytest.raises(StructureError, match="order >= 2"):
+        domains.type_iii(1)
+    spec = domains.type_iii(2)
+    assert spec.dim == 1 and spec.rank == 1
+    assert domains.contains(spec, domains.sample_point(spec, 0))
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
 def test_origin_is_interior(spec):
     assert domains.contains(spec, np.zeros(spec.ambient_shape))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import cartanfinsler.automorphisms as am
+import cartanfinsler.curvature as curv
 import cartanfinsler.domains as dom
 import cartanfinsler.metrics as met
 import cartanfinsler.norms as nrm
@@ -117,6 +118,7 @@ def test_eval_checks_inputs():
 
 def test_grad_vbar_matches_fd():
     for metric in [met.tk_metric(dom.type_i(2, 2), 1.0, 2),
+                   met.tk_metric(dom.type_ii(2), 0.5, 3),
                    met.phi_metric(dom.type_iv(3), nrm.affine_phi(0.5))]:
         spec = metric.domain
         z = dom.sample_point(spec, seed=11)
@@ -135,6 +137,89 @@ def test_grad_vbar_matches_fd():
              for s in range(spec.dim)]
         )
         assert np.max(np.abs(grad - fd)) < 1e-7
+
+
+@pytest.mark.parametrize(
+    "metric", _all_metrics() + [met.tk_metric(dom.type_iii(4), 0.5, 3)],
+    ids=lambda m: m.label)
+def test_grad_vbar_many_matches_single_items(metric):
+    spec = metric.domain
+    zs = dom.sample_points(spec, range(5))
+    vs = dom.sample_tangents(spec, range(10, 15))
+    single = np.array([[met.grad_vbar(metric, z, v) for v in vs] for z in zs])
+    assert single.shape == (5, 5, spec.dim)
+    scale = np.max(np.abs(single))
+    # paired stacks, and leading axes that broadcast against each other
+    paired = met.grad_vbar_many(metric, zs, vs)
+    diag = single[np.arange(5), np.arange(5)]
+    assert np.max(np.abs(paired - diag)) <= 1e-13 * scale
+    grid = met.grad_vbar_many(metric, zs[:, None], vs[None])
+    assert np.max(np.abs(grid - single)) <= 1e-13 * scale
+
+
+def test_wrapped_callable_family_runs_the_batched_paths():
+    # g_family_from_callable differentiates numerically, one point at a time
+    spec = dom.type_i(2, 2)
+    tk = met.tk_metric(spec, 1.0, 2)
+    w = 4.0 / 2.0
+    custom = met.MetricSpec(spec, nrm.g_family_from_callable(
+        lambda xi: w * (xi[..., 0] + xi[..., 1]), k=2))
+    z = dom.sample_point(spec, seed=71)
+    v = dom.sample_tangent(spec, seed=72)
+    ref = met.grad_vbar(tk, z, v)
+    assert np.max(np.abs(met.grad_vbar(custom, z, v) - ref)) <= 1e-8 * np.max(np.abs(ref))
+    # one base difference of a numerical gradient: agreement to ~1e-7; the
+    # horizontal part differences once more along the fiber and is noisier
+    got = met.connection_sample(custom, z, v)
+    ref = met.connection_sample(tk, z, v)
+    assert np.max(np.abs(got.nonlinear - ref.nonlinear)) <= 1e-5
+    assert np.all(np.isfinite(got.horizontal))
+    vs = dom.sample_tangents(spec, range(5))
+    np.testing.assert_allclose(curv.hsc_origin_many(custom, vs),
+                               curv.hsc_origin_many(tk, vs), rtol=1e-8)
+
+
+def _connection_oracle(metric, z, v):
+    """Per-direction stencils: one grad_vbar call per base point and fiber."""
+    spec = metric.domain
+    basis = dom.tangent_basis(spec)
+    h = met.BASE_STEP * (1.0 + np.linalg.norm(z))
+    hstep = met.BASE_STEP * (1.0 + np.linalg.norm(v))
+
+    def d4(f, x, step, direction):
+        return (
+            8.0 * (f(x + step * direction) - f(x - step * direction))
+            - (f(x + 2.0 * step * direction) - f(x - 2.0 * step * direction))
+        ) / (12.0 * step)
+
+    def gamma_at(vv):
+        grad = lambda zz: met.grad_vbar(metric, zz, vv)
+        bmat = np.stack([0.5 * (d4(grad, z, h, t) - 1j * d4(grad, z, h, 1j * t))
+                         for t in basis])
+        hmat = met.fundamental_tensor(metric, z, vv).matrix
+        return np.linalg.solve(hmat.T, bmat.T)
+
+    horizontal = np.stack([d4(gamma_at, v, hstep, t) for t in basis], axis=1)
+    return gamma_at(v), horizontal
+
+
+@pytest.mark.parametrize("metric", [
+    met.tk_metric(dom.type_i(2, 2), 1.0, 2),
+    met.tk_metric(dom.type_ii(2), 1.0, 2),
+    met.tk_metric(dom.type_iii(4), 1.0, 2),
+    met.phi_metric(dom.type_iv(3), nrm.affine_phi(0.5)),
+], ids=lambda m: m.label)
+def test_connection_sample_matches_per_direction_oracle(metric):
+    spec = metric.domain
+    z = dom.sample_point(spec, seed=61)
+    v = dom.sample_tangent(spec, seed=62)
+    v = v / np.linalg.norm(v)
+    cs = met.connection_sample(metric, z, v)
+    nonlinear, horizontal = _connection_oracle(metric, z, v)
+    assert cs.nonlinear.shape == nonlinear.shape == (spec.dim, spec.dim)
+    assert cs.horizontal.shape == horizontal.shape == (spec.dim,) * 3
+    assert np.max(np.abs(cs.nonlinear - nonlinear)) <= 1e-8
+    assert np.max(np.abs(cs.horizontal - horizontal)) <= 1e-8
 
 
 def test_fundamental_tensor_properties():
@@ -211,7 +296,6 @@ def test_disc_connection_oracle():
 def test_kahler_berwald_report():
     metric = met.tk_metric(dom.type_ii(2), 1.0, 2)
     rep = met.verify_kahler_berwald(metric, n_base=1, n_fiber=3, seed=2)
-    assert rep.passed
     assert rep.mixed_residual <= 1e-6
     assert rep.gamma_v_variation <= 1e-5
     assert rep.gamma_symmetry <= 1e-5

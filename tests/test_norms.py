@@ -233,3 +233,69 @@ def test_norm_equal_for_either_admissible_rotation():
         f1 = norms.eval_g_norm(g, am.differential(phi, z0, v))
         f2 = norms.eval_g_norm(g, am.differential(phi2, z0, v))
         assert f2 == pytest.approx(f1, rel=1e-11)
+
+
+def _profile_fns():
+    rng = np.random.default_rng(11)
+    weights = rng.uniform(0.5, 2.0, 4)
+    tk = norms._g_profile_batch(norms.tk_family(1.0, 3, 4.0), doubled=False)
+    return [
+        ("tk_profile", tk),
+        ("weighted_squares", lambda y: np.sum(weights[: y.shape[-1]] * y**2, axis=-1)),
+        ("ratio", lambda y: (y @ weights[: y.shape[-1]]) / (1.0 + np.sum(y**3, axis=-1))),
+    ]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_simplex_max_is_the_scan_maximum(dim):
+    for name, fn in _profile_fns():
+        for total in (1.0, 0.5):
+            (_, _), (ymax, fmax) = norms.simplex_scan(fn, dim, total=total)
+            y, f = norms.simplex_max(fn, dim, total=total)
+            assert f == fmax, name  # bit for bit: same grid, same polish
+            assert np.array_equal(y, ymax), name
+
+
+def test_simplex_grid_is_ordered_and_cached():
+    for dim, total in ((1, 1.0), (2, 1.0), (3, 0.5), (4, 1.0)):
+        y, step = norms.simplex_grid(dim, total)
+        assert step == total / (200 if dim <= 2 else 60)
+        assert y.shape[1] == dim and np.all(y >= 0.0)
+        assert np.all(np.diff(y, axis=1) <= 0.0)  # y_1 >= ... >= y_dim
+        assert np.allclose(np.sum(y, axis=1), total, rtol=0, atol=1e-12)
+        y[:] = -1.0  # the caller owns its copy; the cache is untouched
+        again, _ = norms.simplex_grid(dim, total)
+        assert np.all(again >= 0.0) and len(again) == len(y)
+    # ordered compositions of 6 units into 3 parts: 600, 510, 420, 411, 330, 321, 222
+    assert len(norms.simplex_grid(3, 1.0, resolution=6)[0]) == 7
+    assert np.array_equal(norms.simplex_grid(1, 0.5)[0], [[0.5]])
+
+
+def test_polish_climbs_from_a_grid_point():
+    fn = lambda y: -np.sum((y - np.array([0.55, 0.3, 0.15])) ** 2, axis=-1)
+    y, f = norms.polish(fn, np.array([1.0, 0.0, 0.0]), +1.0, 0.1)
+    np.testing.assert_allclose(y, [0.55, 0.3, 0.15], atol=1e-10)
+    assert f == pytest.approx(0.0, abs=1e-18)
+    y, f = norms.polish(lambda y: -fn(y), np.array([1.0, 0.0, 0.0]), -1.0, 0.1)
+    np.testing.assert_allclose(y, [0.55, 0.3, 0.15], atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 1, 3)])
+def test_grad_rows_any_batch_shape(shape):
+    rng = np.random.default_rng(12)
+    h = rng.uniform(0.1, 1.0, shape + (3,))
+    tk = norms.tk_family(1.0, 3, 4.0)
+    g = norms.grad_rows(tk, h)
+    assert g.shape == h.shape
+    assert np.array_equal(g, np.broadcast_to(tk.grad(h[(0,) * len(shape)]), h.shape))
+    # a family whose gradient depends on the point
+    quad = norms.GFamilySpec(
+        k=3, value=lambda xi: np.sum(xi**2, axis=-1),
+        grad=lambda xi: 2.0 * np.asarray(xi), hess=lambda xi: 2.0 * np.eye(3),
+        label="quadratic")
+    assert np.array_equal(norms.grad_rows(quad, h), 2.0 * h)
+    # a wrapped callable that only understands one point at a time
+    custom = norms.g_family_from_callable(
+        lambda xi: xi[0] + 0.5 * xi[1] ** 2 + xi[2] ** 3, k=3)
+    rows = np.array([custom.grad(row) for row in h.reshape(-1, 3)])
+    assert np.array_equal(norms.grad_rows(custom, h), rows.reshape(h.shape))
