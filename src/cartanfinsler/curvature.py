@@ -2,9 +2,9 @@
 
 Everything is computed at the origin and extended by homogeneity: pulling
 (Z;V) back with a normalizing automorphism leaves the curvature unchanged.
-Matrix domains admit closed origin formulas in the power traces of V V*;
-the Lie ball contracts the base Hessian of F^2 numerically (the first base
-derivatives vanish at the origin, so a pure second-difference stencil works).
+Every type has an analytic origin formula: the matrix domains in the power
+traces of V V*, the Lie ball in |V|^2, |W|^2, |V.W|^2, |<V,W>|^2 and the
+profile phi at s_V.
 """
 from dataclasses import dataclass
 
@@ -14,11 +14,8 @@ from .errors import DomainError, NumericError
 from . import automorphisms as am
 from . import domains
 from . import norms
-from .metrics import MetricSpec, eval2_many
+from .metrics import MetricSpec
 
-# second-derivative stencils balance truncation ~h^4 against roundoff
-# ~eps/h^2; 1e-3 keeps both below 1e-9 for order-one data
-STENCIL_STEP = 1e-3
 LIE_SCAN_POINTS = 10_000
 PAIR_DRAWS = 10_000
 
@@ -73,27 +70,36 @@ def _matrix_hsc_from_traces(metric: MetricSpec, s_traces):
     return -4.0 * metric.normalization * acc / f2**2
 
 
-def _lie_stencil(metric: MetricSpec, vs, ws):
-    """(1/4) Laplacian of zeta -> F^2(zeta*W; V) at zeta = 0, batched."""
+def _lie_contraction(metric: MetricSpec, vs, ws):
+    """(1/4) Laplacian of zeta -> F^2(zeta*W; V) at zeta = 0, batched.
+
+    Delta(zeta W) and M(zeta W) depend on zeta only through |zeta|^2 up to
+    O(|zeta|^4), so F^2(zeta W; V) = F^2(0; V) + c |zeta|^2 + O(|zeta|^4) and
+    the Laplacian is c.  With V.W = sum V_i W_i, <V,W> = sum V_i conj(W_i)
+    and s_V = |V.V|^2 / |V|^4:
+        c = N [2 (|V|^2 |W|^2 - |V.W|^2 + |<V,W>|^2) phi(s_V)
+               + 4 s_V phi'(s_V) (|V.W|^2 - |<V,W>|^2)].
+    vs and ws are stacks whose batch axes broadcast against each other.
+    """
     vs = np.asarray(vs, dtype=np.complex128)
     ws = np.asarray(ws, dtype=np.complex128)
-    h = STENCIL_STEP
-    offsets = np.array(
-        [0.0, h, -h, 2 * h, -2 * h, 1j * h, -1j * h, 2j * h, -2j * h]
-    )
-    zs = offsets[:, None, None] * ws[None, :, :]
-    f = eval2_many(metric, zs, np.broadcast_to(vs, zs.shape))
-    d2x = (-f[3] + 16 * f[1] - 30 * f[0] + 16 * f[2] - f[4]) / (12 * h * h)
-    d2y = (-f[7] + 16 * f[5] - 30 * f[0] + 16 * f[6] - f[8]) / (12 * h * h)
-    return 0.25 * (d2x + d2y), f[0]
+    rv, s = norms.phi_invariants(vs)
+    rw = np.sum(np.abs(ws) ** 2, axis=-1)
+    bilinear = np.abs(np.sum(vs * ws, axis=-1)) ** 2
+    hermitian = np.abs(np.sum(vs * np.conj(ws), axis=-1)) ** 2
+    phi = np.asarray(metric.family.value(s), dtype=float)
+    d1 = np.asarray(metric.family.d1(s), dtype=float)
+    return metric.normalization * (
+        2.0 * (rv * rw - bilinear + hermitian) * phi
+        + 4.0 * s * d1 * (bilinear - hermitian))
 
 
 def hsc_origin_many(metric: MetricSpec, vs) -> np.ndarray:
     """Holomorphic sectional curvature at the origin, batched over tangents."""
     vs = np.asarray(vs, dtype=np.complex128)
     if metric.domain.kind == "IV":
-        contraction, f2 = _lie_stencil(metric, vs, vs)
-        return -2.0 * contraction / f2**2
+        f2 = norms.eval_phi_norm_many(metric.family, vs, metric.normalization)
+        return -2.0 * _lie_contraction(metric, vs, vs) / f2**2
     traces = _origin_traces(vs, metric.family.k + 1)
     return _matrix_hsc_from_traces(metric, traces)
 
@@ -117,9 +123,10 @@ def bisectional_origin_many(metric: MetricSpec, vs, ws) -> np.ndarray:
     vs = np.asarray(vs, dtype=np.complex128)
     ws = np.asarray(ws, dtype=np.complex128)
     if metric.domain.kind == "IV":
-        contraction, f2v = _lie_stencil(metric, vs, ws)
-        f2w = eval2_many(metric, np.zeros_like(ws), ws)
-        return -2.0 * contraction / (f2v * f2w)
+        norm = metric.normalization
+        f2v = norms.eval_phi_norm_many(metric.family, vs, norm)
+        f2w = norms.eval_phi_norm_many(metric.family, ws, norm)
+        return -2.0 * _lie_contraction(metric, vs, ws) / (f2v * f2w)
     k = metric.family.k
     s = _origin_traces(vs, k)
     h = _h_from_traces(s)
@@ -225,6 +232,7 @@ def _bisectional_sup_lie(metric: MetricSpec, restarts: int = 12) -> float:
     """
     spec = metric.domain
     n = spec.dims[0]
+    norm = metric.normalization
     rng = np.random.default_rng(0)
 
     def value(svec, wmat):
@@ -232,9 +240,10 @@ def _bisectional_sup_lie(metric: MetricSpec, restarts: int = 12) -> float:
         if n > 2:
             reps = np.concatenate(
                 [reps, np.zeros(svec.shape + (n - 2,))], axis=-1)
-        contraction, f2v = _lie_stencil(metric, reps, wmat)
-        f2w = eval2_many(metric, np.zeros_like(wmat), wmat)
-        return 2.0 * contraction / (f2v * f2w)  # = |B| where B <= 0
+        f2v = norms.eval_phi_norm_many(metric.family, reps, norm)
+        f2w = norms.eval_phi_norm_many(metric.family, wmat, norm)
+        # = |B| where B <= 0
+        return 2.0 * _lie_contraction(metric, reps, wmat) / (f2v * f2w)
 
     s0 = np.linspace(0.0, 1.0, restarts)
     w0 = lie_representative(s0)

@@ -58,7 +58,7 @@ def test_03_lie_ball_curvature_ratio_is_two():
     for n in range(2, 7):
         rep = curv.curvature_bounds(met.bergman_metric(dom.type_iv(n)),
                                     pair_draws=0)
-        assert rep.k1 / rep.k2 == pytest.approx(2.0, abs=1e-4), n
+        assert rep.k1 / rep.k2 == pytest.approx(2.0, abs=1e-12), n
 
 
 def test_04_invariance_under_automorphisms():

@@ -160,6 +160,31 @@ def test_sandwich_task(tmp_path, capsys):
     assert out["summary"]["equality_upper"] < 1e-4
 
 
+def _run_sandwich(tmp_path, capsys, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"task": "sandwich", "seed": 1, "samples": 100, **doc}))
+    rc = cli.main(["sandwich", "--config", str(path)])
+    return rc, json.loads(capsys.readouterr().out)
+
+
+def test_sandwich_equality_tolerance_drives_the_verdict(tmp_path, capsys):
+    tk = {"domain": {"type": "I", "m": 2, "n": 3},
+          "metric": {"family": "tk", "t": 1, "k": 2}}
+    rc, out = _run_sandwich(tmp_path, capsys, tk)
+    assert rc == 0 and out["summary"]["passed"] is True
+    assert 1e-9 < out["summary"]["equality_upper"] < 1e-4
+    rc, out = _run_sandwich(tmp_path, capsys,
+                            {**tk, "tolerances": {"sandwich_equality": 1e-9}})
+    assert rc == 1 and out["verdict"] == "violation"
+    assert out["summary"]["passed"] is False
+    # the Lie ball's K1 and K2 are exact, so its equality residuals vanish
+    rc, out = _run_sandwich(tmp_path, capsys, {
+        "domain": {"type": "IV", "n": 3}, "metric": {"family": "bergman"}})
+    assert rc == 0
+    assert out["summary"]["equality_lower"] <= 1e-14
+    assert out["summary"]["equality_upper"] <= 1e-14
+
+
 def test_schwarz_task_reproducible_and_threads_retired(tmp_path, capsys):
     doc = {
         "task": "schwarz",

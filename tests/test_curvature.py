@@ -15,6 +15,21 @@ def _rank_one(m, n):
     return v
 
 
+def _lie_stencil(metric, vs, ws, h=1e-3):
+    """Nine-point oracle: (1/4) Laplacian of zeta -> F^2(zeta*W; V) at 0.
+
+    Fourth-order second differences along zeta real and imaginary; the step
+    balances truncation ~h^4 against roundoff ~eps/h^2 (about 1e-9 for
+    order-one data).
+    """
+    offsets = np.array([0.0, h, -h, 2 * h, -2 * h, 1j * h, -1j * h, 2j * h, -2j * h])
+    zs = offsets[:, None, None] * ws[None, :, :]
+    f = met.eval2_many(metric, zs, np.broadcast_to(vs, zs.shape))
+    d2x = (-f[3] + 16 * f[1] - 30 * f[0] + 16 * f[2] - f[4]) / (12 * h * h)
+    d2y = (-f[7] + 16 * f[5] - 30 * f[0] + 16 * f[6] - f[8]) / (12 * h * h)
+    return 0.25 * (d2x + d2y)
+
+
 def _lie_reps(s_grid, n):
     reps = curv.lie_representative(s_grid)
     if n > 2:
@@ -118,9 +133,9 @@ def test_lie_ball_closed_form(n):
     metric = met.bergman_metric(dom.type_iv(n))
     s_grid = np.linspace(0.0, 1.0, 21)
     ks = curv.hsc_origin_many(metric, _lie_reps(s_grid, n))
-    assert np.max(np.abs(ks + 2.0 * (2.0 - s_grid) / n)) < 1e-8
+    assert np.max(np.abs(ks + 2.0 * (2.0 - s_grid) / n)) < 1e-12
     rep = curv.curvature_bounds(metric, pair_draws=0)
-    assert rep.k1 / rep.k2 == pytest.approx(2.0, abs=1e-6)
+    assert rep.k1 / rep.k2 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_bisectional_orthogonal_directions_vanish():
@@ -205,3 +220,60 @@ def test_zero_vector_rejected():
 ], ids=lambda x: x.label if hasattr(x, "label") else f"{x:.6g}")
 def test_bisectional_sup_matrix_pinned(metric, expected):
     assert curv._bisectional_sup_matrix(metric) == pytest.approx(expected, abs=1e-12)
+
+
+LIE_PROFILES = {"bergman": None, "affine0.5": 0.5, "affine2": 2.0}
+lie_metrics = pytest.mark.parametrize("n, profile", [
+    (n, profile) for n in (2, 3, 4, 6) for profile in LIE_PROFILES])
+
+
+def _lie_metric(n, profile):
+    spec = dom.type_iv(n)
+    t = LIE_PROFILES[profile]
+    return met.bergman_metric(spec) if t is None else met.phi_metric(
+        spec, nrm.affine_phi(t))
+
+
+def _unit_rows(rng, count, n):
+    x = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+@lie_metrics
+def test_lie_contraction_matches_stencil(n, profile):
+    metric = _lie_metric(n, profile)
+    rng = np.random.default_rng(n)
+    vs = _unit_rows(rng, 200, n)
+    ws = _unit_rows(rng, 200, n)
+    reps = _lie_reps(np.array([0.0, 1.0]), n)  # s = 0 and s = 1
+    vs = np.concatenate([vs, reps, reps, np.repeat(reps, 2, axis=0)])
+    ws = np.concatenate([ws, reps, reps[::-1], _unit_rows(rng, 4, n)])
+    exact = curv._lie_contraction(metric, vs, ws)
+    oracle = _lie_stencil(metric, vs, ws)
+    assert np.max(np.abs(exact - oracle) / np.abs(oracle)) < 1e-7
+    # the batch axes of V and W broadcast
+    grid = curv._lie_contraction(metric, vs[:5, None], ws[None, :7])
+    loop = [[curv._lie_contraction(metric, v, w) for w in ws[:7]] for v in vs[:5]]
+    assert np.allclose(grid, loop, rtol=1e-15, atol=0.0)
+
+
+@lie_metrics
+def test_lie_origin_f2_matches_eval2_many(n, profile):
+    metric = _lie_metric(n, profile)
+    vs = np.concatenate([_unit_rows(np.random.default_rng(n), 100, n),
+                         _lie_reps(np.array([0.0, 1.0]), n)])
+    origin = nrm.eval_phi_norm_many(metric.family, vs, metric.normalization)
+    ref = met.eval2_many(metric, np.zeros_like(vs), vs)
+    assert np.max(np.abs(origin - ref) / ref) < 1e-14
+
+
+def test_lie_origin_curvature_never_builds_the_matrix(monkeypatch):
+    def refuse(z):
+        raise AssertionError("origin curvature built M(z)")
+
+    monkeypatch.setattr(met, "_lie_ball_matrix", refuse)
+    metric = met.bergman_metric(dom.type_iv(3))
+    vs = _unit_rows(np.random.default_rng(0), 20, 3)
+    curv.hsc_origin_many(metric, vs)
+    curv.bisectional_origin_many(metric, vs, vs[::-1])
+    curv.curvature_bounds(metric, pair_draws=100)
