@@ -33,7 +33,7 @@ TOLERANCE_FLOOR = 1e-14
 DEFAULT_TOLERANCES = {
     "invariance": 1e-9,
     "mixed": 1e-6,
-    "connection": 1e-5,
+    "connection": 1e-6,
     "curvature_slack": 1e-7,
     "sandwich_slack": 1e-8,
     "sandwich_equality": 1e-4,
@@ -298,7 +298,7 @@ def parse_config(text: str, task: str = None, seed: int = None,
 
 # ---------------------------------------------------------------------------
 # task runners: each returns (verdict, summary, table rows, drawn), where
-# drawn maps each check whose size follows ``samples`` to the count it drew
+# drawn maps each sampled check to the count it drew
 
 
 def _run_eval(cfg: RunConfig):
@@ -340,9 +340,11 @@ def _run_certify(cfg: RunConfig):
          "threshold": tol["invariance"],
          "status": "pass" if deviation <= tol["invariance"] else "fail"},
     ]
+    fibers = 0
     if cert.passed:
         # connection checks assume a positive definite fundamental tensor
         kb = metrics.verify_kahler_berwald(cfg.metric, seed=cfg.seed)
+        fibers = kb.fibers
         for name, value, limit in (
             ("mixed_derivative", kb.mixed_residual, tol["mixed"]),
             ("connection_fiber_variation", kb.gamma_v_variation, tol["connection"]),
@@ -360,7 +362,8 @@ def _run_certify(cfg: RunConfig):
         "invariance_deviation": float(deviation),
         "connection_checked": cert.passed,
     }
-    drawn = {"invariance_points": n, "invariance_maps": n}
+    drawn = {"invariance_points": n, "invariance_maps": n,
+             "connection_fibers": fibers}
     return ("pass" if ok else "violation"), summary, rows, drawn
 
 

@@ -11,11 +11,11 @@ power traces); derivatives in the base variable Z use 4-point central
 differences per realified coordinate, combined into Wirtinger derivatives —
 F^2 is not holomorphic in Z, so complex-step differentiation does not apply.
 The base derivatives are one batched stencil: all 8 dim stencil points (and,
-in the connection, every fiber it differentiates along) go through a single
-grad_vbar_many call.
+in the connection, every fiber sampled at that base point) go through a
+single grad_vbar_many call, and the Kaehler-Berwald check fits one Gamma to
+N(z, v) = Gamma(z) v over those fibers.
 """
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -41,24 +41,12 @@ class MetricSpec:
 
 
 @dataclass(frozen=True)
-class FundamentalTensor:
-    matrix: np.ndarray  # packed Hermitian (r, r)
-    mode: str           # "analytic"
-    step: Optional[float]
-
-
-@dataclass(frozen=True)
-class ConnectionSample:
-    nonlinear: np.ndarray   # (r, r): [l, i] = coefficient of direction i
-    horizontal: np.ndarray  # (r, r, r): [l, j, i]
-
-
-@dataclass(frozen=True)
 class KahlerBerwaldReport:
     mixed_residual: float
     gamma_v_variation: float
     gamma_symmetry: float
     gamma_vs_hermitian: float
+    fibers: int  # fibers drawn over all base points
 
 
 def default_scale(spec: DomainSpec) -> float:
@@ -260,8 +248,8 @@ def grad_vbar(metric: MetricSpec, z, v) -> np.ndarray:
     return grad_vbar_many(metric, z, v)
 
 
-def fundamental_tensor(metric: MetricSpec, z, v) -> FundamentalTensor:
-    """Packed Hermitian matrix of second fiber derivatives of F^2."""
+def fundamental_tensor(metric: MetricSpec, z, v) -> np.ndarray:
+    """Packed Hermitian (dim, dim) matrix of second fiber derivatives of F^2."""
     z = np.asarray(z, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
     if np.max(np.abs(v)) == 0.0:
@@ -294,7 +282,7 @@ def fundamental_tensor(metric: MetricSpec, z, v) -> FundamentalTensor:
             + g_q * m
             + g_p2 * 4.0 * np.outer(v, np.conj(v))
         )
-        return FundamentalTensor(hmat, "analytic", None)
+        return hmat
 
     p, q, pvq, powers, s = _matrix_fiber_parts(metric, z, v)
     k = metric.family.k
@@ -343,8 +331,7 @@ def fundamental_tensor(metric: MetricSpec, z, v) -> FundamentalTensor:
 
     hess_amb *= metric.normalization
     basis = domains.tangent_basis(spec)
-    packed = np.einsum("sij,tab,ijab->st", basis, basis, hess_amb)
-    return FundamentalTensor(packed, "analytic", None)
+    return np.einsum("sij,tab,ijab->st", basis, basis, hess_amb)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +343,7 @@ def _d4(f, h):
     return (8.0 * (f[0] - f[1]) - (f[2] - f[3])) / (12.0 * h)
 
 
-def _wirtinger_base_fd(fn, spec: DomainSpec, z, step=None):
+def _wirtinger_base_fd(fn, spec: DomainSpec, z):
     """d(fn)/dz_i per packed base coordinate, 4-point central differences.
 
     fn maps a stack of points (batch...) + ambient shape to (batch...) +
@@ -364,7 +351,7 @@ def _wirtinger_base_fd(fn, spec: DomainSpec, z, step=None):
     (dim,) + fn-shape.
     """
     basis = domains.tangent_basis(spec)
-    h = (BASE_STEP if step is None else step) * (1.0 + float(np.linalg.norm(z)))
+    h = BASE_STEP * (1.0 + float(np.linalg.norm(z)))
     offsets = np.array([h, -h, 2.0 * h, -2.0 * h])
     directions = np.stack([basis, 1j * basis], axis=1)        # (dim, 2) + ambient
     shape = (1, 1, 4) + (1,) * len(spec.ambient_shape)
@@ -374,35 +361,22 @@ def _wirtinger_base_fd(fn, spec: DomainSpec, z, step=None):
     return 0.5 * (d[:, 0] - 1j * d[:, 1])
 
 
-def connection_sample(metric: MetricSpec, z, v, step=None) -> ConnectionSample:
-    """Nonlinear and horizontal connection coefficients at (z, v).
+def connection_sample(metric: MetricSpec, z, vs) -> np.ndarray:
+    """Nonlinear connection N(z, v) at one base point for a stack of fibers.
 
-    The horizontal coefficients differentiate the nonlinear ones along the
-    fiber with the same 4-point stencil; the base stencil of the centre fiber
-    and of all 4 dim fiber-stencil points is one grad_vbar_many call, and the
-    1 + 4 dim Hermitian systems are one batched solve.
+    Returns (n_fiber, dim, dim): entry [f, l, i] is the coefficient N^l_i of
+    base direction i at fiber vs[f], solving G_{l conj m} N^l_i = d_i G_{conj m}
+    (G = F^2, fiber derivatives in v, d_i the base derivative d/dz_i).
+    The base stencil of all fibers is one grad_vbar_many call and the
+    n_fiber Hermitian systems are one batched solve.
     """
     z = np.asarray(z, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    spec = metric.domain
-    basis = domains.tangent_basis(spec)
-    hstep = (BASE_STEP if step is None else step) * (1.0 + float(np.linalg.norm(v)))
-    offsets = np.array([hstep, -hstep, 2.0 * hstep, -2.0 * hstep])
-    shape = (1, 4) + (1,) * len(spec.ambient_shape)
-    fibers = np.concatenate(
-        [v[None], (v + offsets.reshape(shape) * basis[:, None]).reshape(
-            (-1,) + spec.ambient_shape)])                     # (1 + 4 dim) + ambient
-    hmats = np.stack([fundamental_tensor(metric, z, vv).matrix for vv in fibers])
-    # stencil points (dim, 2, 4) broadcast against the fibers: (dim, 2, 4, 1 + 4 dim)
+    vs = np.asarray(vs, dtype=np.complex128)
+    hmats = np.stack([fundamental_tensor(metric, z, v) for v in vs])
+    # stencil points (dim, 2, 4) broadcast against the fibers: (dim, 2, 4, n_fiber)
     bmats = _wirtinger_base_fd(
-        lambda zz: grad_vbar_many(metric, zz[:, :, :, None], fibers), spec, z, step)
-    # gamma[f, l, i] solves the Hermitian system of fiber f per base direction i
-    gamma = np.linalg.solve(np.swapaxes(hmats, -1, -2),
-                            np.moveaxis(bmats, 0, -1))
-    horizontal = np.moveaxis(
-        _d4(np.moveaxis(gamma[1:].reshape((spec.dim, 4) + gamma.shape[1:]), 1, 0),
-            hstep), 0, 1)
-    return ConnectionSample(gamma[0], horizontal)
+        lambda zz: grad_vbar_many(metric, zz[:, :, :, None], vs), metric.domain, z)
+    return np.linalg.solve(np.swapaxes(hmats, -1, -2), np.moveaxis(bmats, 0, -1))
 
 
 def hermitian_connection(metric: MetricSpec, z) -> np.ndarray:
@@ -439,14 +413,21 @@ def verify_kahler_berwald(metric: MetricSpec, n_base: int = 3, n_fiber: int = 10
                           seed: int = 0) -> KahlerBerwaldReport:
     """Numerical check of the Berwald/Kaehler structure of the metric.
 
-    Reports the worst of, over sampled (z, v), leaving the thresholds to the
-    caller (the CLI applies its "mixed" and "connection" tolerances):
+    At each sampled base point z the nonlinear connection is computed at
+    max(n_fiber, dim + 1) unit fibers v_f, and one Gamma[l, j, i] is fitted
+    to N_f[l, i] = sum_j Gamma[l, j, i] v_f[j] by least squares.  Reports the
+    worst over the base points, leaving the thresholds to the caller (the CLI
+    applies its "mixed" and "connection" tolerances):
       * mixed fiber-base derivative of F^2 at the origin (should vanish),
-      * variation of the horizontal coefficients across fiber directions,
-      * symmetry of the horizontal coefficients in their two lower slots,
-      * distance to the Hermitian reference connection at the same base.
+      * gamma_v_variation: worst entry of the fit residual N_f - Gamma v_f
+        (zero exactly when the metric is Berwald),
+      * gamma_symmetry: asymmetry of the fitted Gamma in its two lower slots
+        (zero when it is Kaehler),
+      * gamma_vs_hermitian: distance of the fitted Gamma to the Hermitian
+        reference connection at the same base.
     """
     spec = metric.domain
+    n_fiber = max(n_fiber, spec.dim + 1)
     rng = np.random.default_rng(seed)
     mixed = 0.0
     v_var = 0.0
@@ -461,16 +442,17 @@ def verify_kahler_berwald(metric: MetricSpec, n_base: int = 3, n_fiber: int = 10
         mixed = max(mixed, float(np.max(np.abs(bmat))))
 
         z = domains.sample_point(spec, seed=int(rng.integers(2**63)))
-        gammas = np.stack([
-            connection_sample(metric, z, v / np.linalg.norm(v)).horizontal
-            for v in domains.sample_tangents(spec, rng.integers(2**63, size=n_fiber))
-        ])
-        v_var = max(v_var, float(np.max(np.abs(gammas - gammas[0]))))
-        mean = np.mean(gammas, axis=0)
-        symm = max(symm, float(np.max(np.abs(mean - np.swapaxes(mean, 1, 2)))))
+        vs = np.stack([v / np.linalg.norm(v) for v in domains.sample_tangents(
+            spec, rng.integers(2**63, size=n_fiber))])
+        packed = np.stack([domains.pack(spec, v) for v in vs])       # (f, j)
+        nonlinear = connection_sample(metric, z, vs).reshape(n_fiber, -1)
+        fit = np.linalg.lstsq(packed, nonlinear, rcond=None)[0]      # (j, l i)
+        v_var = max(v_var, float(np.max(np.abs(nonlinear - packed @ fit))))
+        gamma = np.swapaxes(fit.reshape((spec.dim,) * 3), 0, 1)      # [l, j, i]
+        symm = max(symm, float(np.max(np.abs(gamma - np.swapaxes(gamma, 1, 2)))))
         ref = hermitian_connection(metric, z)
-        vs_herm = max(vs_herm, float(np.max(np.abs(mean - ref))))
-    return KahlerBerwaldReport(mixed, v_var, symm, vs_herm)
+        vs_herm = max(vs_herm, float(np.max(np.abs(gamma - ref))))
+    return KahlerBerwaldReport(mixed, v_var, symm, vs_herm, n_base * n_fiber)
 
 
 def verify_invariance(metric: MetricSpec, n_maps: int = 100, n_samples: int = 100,

@@ -145,6 +145,30 @@ def test_certify_pass(tmp_path, capsys):
     assert checks["connection_vs_hermitian"] == "pass"
 
 
+def test_certify_connection_tolerance_drives_the_verdict(tmp_path, capsys):
+    doc = {
+        "task": "certify",
+        "domain": {"type": "II", "m": 2},
+        "metric": {"family": "tk", "t": 1.0, "k": 2},
+        "seed": 1,
+        "samples": 20,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["certify", "--config", str(path)]) == 0
+    capsys.readouterr()
+    # the connection rows are rounding-level but not zero: at the floor they fail
+    path.write_text(json.dumps(dict(doc, tolerances={"connection": 1e-14})))
+    rc = cli.main(["certify", "--config", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert out["verdict"] == "violation"
+    rows = {row["check"]: row for row in out["table"]}
+    assert rows["connection_vs_hermitian"]["status"] == "fail"
+    assert rows["connection_vs_hermitian"]["threshold"] == 1e-14
+    assert rows["invariance_deviation"]["status"] == "pass"
+
+
 def test_sandwich_task(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
@@ -227,8 +251,10 @@ def test_certify_reports_capped_sample_count(tmp_path, capsys):
     prov = json.loads(capsys.readouterr().out)["provenance"]
     assert rc == 0
     assert prov["samples"] == 150
+    # three base points, max(10, dim + 1) = 10 fibers each
     assert prov["effective_samples"] == {"invariance_points": 100,
-                                         "invariance_maps": 100}
+                                         "invariance_maps": 100,
+                                         "connection_fibers": 30}
 
 
 def test_structured_output_deterministic(tmp_path, capsys):

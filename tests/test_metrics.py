@@ -168,23 +168,20 @@ def test_wrapped_callable_family_runs_the_batched_paths():
     v = dom.sample_tangent(spec, seed=72)
     ref = met.grad_vbar(tk, z, v)
     assert np.max(np.abs(met.grad_vbar(custom, z, v) - ref)) <= 1e-8 * np.max(np.abs(ref))
-    # one base difference of a numerical gradient: agreement to ~1e-7; the
-    # horizontal part differences once more along the fiber and is noisier
-    got = met.connection_sample(custom, z, v)
-    ref = met.connection_sample(tk, z, v)
-    assert np.max(np.abs(got.nonlinear - ref.nonlinear)) <= 1e-5
-    assert np.all(np.isfinite(got.horizontal))
+    # one base difference of a numerical gradient: agreement to ~1e-7
+    got = met.connection_sample(custom, z, v[None])
+    ref = met.connection_sample(tk, z, v[None])
+    assert np.max(np.abs(got - ref)) <= 1e-5
     vs = dom.sample_tangents(spec, range(5))
     np.testing.assert_allclose(curv.hsc_origin_many(custom, vs),
                                curv.hsc_origin_many(tk, vs), rtol=1e-8)
 
 
 def _connection_oracle(metric, z, v):
-    """Per-direction stencils: one grad_vbar call per base point and fiber."""
+    """Per-direction stencil: one grad_vbar call per base point, one fiber."""
     spec = metric.domain
     basis = dom.tangent_basis(spec)
     h = met.BASE_STEP * (1.0 + np.linalg.norm(z))
-    hstep = met.BASE_STEP * (1.0 + np.linalg.norm(v))
 
     def d4(f, x, step, direction):
         return (
@@ -192,15 +189,11 @@ def _connection_oracle(metric, z, v):
             - (f(x + 2.0 * step * direction) - f(x - 2.0 * step * direction))
         ) / (12.0 * step)
 
-    def gamma_at(vv):
-        grad = lambda zz: met.grad_vbar(metric, zz, vv)
-        bmat = np.stack([0.5 * (d4(grad, z, h, t) - 1j * d4(grad, z, h, 1j * t))
-                         for t in basis])
-        hmat = met.fundamental_tensor(metric, z, vv).matrix
-        return np.linalg.solve(hmat.T, bmat.T)
-
-    horizontal = np.stack([d4(gamma_at, v, hstep, t) for t in basis], axis=1)
-    return gamma_at(v), horizontal
+    grad = lambda zz: met.grad_vbar(metric, zz, v)
+    bmat = np.stack([0.5 * (d4(grad, z, h, t) - 1j * d4(grad, z, h, 1j * t))
+                     for t in basis])
+    hmat = met.fundamental_tensor(metric, z, v)
+    return np.linalg.solve(hmat.T, bmat.T)
 
 
 @pytest.mark.parametrize("metric", [
@@ -212,14 +205,12 @@ def _connection_oracle(metric, z, v):
 def test_connection_sample_matches_per_direction_oracle(metric):
     spec = metric.domain
     z = dom.sample_point(spec, seed=61)
-    v = dom.sample_tangent(spec, seed=62)
-    v = v / np.linalg.norm(v)
-    cs = met.connection_sample(metric, z, v)
-    nonlinear, horizontal = _connection_oracle(metric, z, v)
-    assert cs.nonlinear.shape == nonlinear.shape == (spec.dim, spec.dim)
-    assert cs.horizontal.shape == horizontal.shape == (spec.dim,) * 3
-    assert np.max(np.abs(cs.nonlinear - nonlinear)) <= 1e-8
-    assert np.max(np.abs(cs.horizontal - horizontal)) <= 1e-8
+    vs = dom.sample_tangents(spec, [62, 63, 64])
+    vs = np.stack([v / np.linalg.norm(v) for v in vs])
+    nonlinear = met.connection_sample(metric, z, vs)
+    assert nonlinear.shape == (3, spec.dim, spec.dim)
+    for got, v in zip(nonlinear, vs):
+        assert np.max(np.abs(got - _connection_oracle(metric, z, v))) <= 1e-8
 
 
 def test_fundamental_tensor_properties():
@@ -227,9 +218,7 @@ def test_fundamental_tensor_properties():
         spec = metric.domain
         z = dom.sample_point(spec, seed=21)
         v = dom.sample_tangent(spec, seed=22)
-        ft = met.fundamental_tensor(metric, z, v)
-        h = ft.matrix
-        assert ft.mode == "analytic"
+        h = met.fundamental_tensor(metric, z, v)
         assert np.max(np.abs(h - h.conj().T)) < 1e-9
         eigs = np.linalg.eigvalsh(h)
         assert eigs[0] > 0.0  # strongly pseudoconvex at interior data
@@ -243,7 +232,7 @@ def test_fundamental_tensor_matches_fd_of_grad():
     spec = metric.domain
     z = dom.sample_point(spec, seed=31)
     v = dom.sample_tangent(spec, seed=32)
-    h = met.fundamental_tensor(metric, z, v).matrix
+    h = met.fundamental_tensor(metric, z, v)
     c = dom.pack(spec, v)
     fd = np.zeros_like(h)
     for i in range(spec.dim):
@@ -259,19 +248,19 @@ def test_bergman_tensor_is_hermitian_form():
     # quadratic metrics: tensor depends only on the base point
     metric = met.bergman_metric(dom.type_i(2, 2))
     z = dom.sample_point(metric.domain, seed=41)
-    h1 = met.fundamental_tensor(metric, z, dom.sample_tangent(metric.domain, seed=1)).matrix
-    h2 = met.fundamental_tensor(metric, z, dom.sample_tangent(metric.domain, seed=2)).matrix
+    h1 = met.fundamental_tensor(metric, z, dom.sample_tangent(metric.domain, seed=1))
+    h2 = met.fundamental_tensor(metric, z, dom.sample_tangent(metric.domain, seed=2))
     assert np.max(np.abs(h1 - h2)) < 1e-8
     origin = np.zeros((2, 2), dtype=complex)
-    h0 = met.fundamental_tensor(metric, origin, np.eye(2, dtype=complex)).matrix
+    h0 = met.fundamental_tensor(metric, origin, np.eye(2, dtype=complex))
     assert np.allclose(h0, 4.0 * np.eye(4), atol=1e-12)  # c = m + n = 4
 
 
 def test_two_term_tensor_depends_on_fiber():
     metric = met.tk_metric(dom.type_i(2, 2), 1.0, 2)
     z = np.zeros((2, 2), dtype=complex)
-    h1 = met.fundamental_tensor(metric, z, dom.sample_tangent(metric.domain, seed=1)).matrix
-    h2 = met.fundamental_tensor(metric, z, dom.sample_tangent(metric.domain, seed=2)).matrix
+    h1 = met.fundamental_tensor(metric, z, dom.sample_tangent(metric.domain, seed=1))
+    h2 = met.fundamental_tensor(metric, z, dom.sample_tangent(metric.domain, seed=2))
     assert np.max(np.abs(h1 - h2)) > 1e-3
 
 
@@ -284,11 +273,11 @@ def test_invariance_under_automorphisms():
 def test_disc_connection_oracle():
     disc = met.bergman_metric(dom.type_i(1, 1))
     z = np.array([[0.3 + 0.2j]])
-    v = np.array([[0.7 - 0.4j]])
+    vs = np.array([[[0.7 - 0.4j]], [[-0.2 + 0.9j]], [[1.3 + 0.1j]]])
     gamma = 2.0 * np.conj(z[0, 0]) / (1.0 - abs(z[0, 0]) ** 2)
-    cs = met.connection_sample(disc, z, v)
-    assert cs.nonlinear[0, 0] == pytest.approx(gamma * v[0, 0], abs=1e-9)
-    assert cs.horizontal[0, 0, 0] == pytest.approx(gamma, abs=1e-7)
+    nonlinear = met.connection_sample(disc, z, vs)
+    np.testing.assert_allclose(nonlinear[:, 0, 0], gamma * vs[:, 0, 0], rtol=0,
+                               atol=1e-9)
     ref = met.hermitian_connection(disc, z)
     assert ref[0, 0, 0] == pytest.approx(gamma, abs=1e-10)
 
@@ -297,9 +286,58 @@ def test_kahler_berwald_report():
     metric = met.tk_metric(dom.type_ii(2), 1.0, 2)
     rep = met.verify_kahler_berwald(metric, n_base=1, n_fiber=3, seed=2)
     assert rep.mixed_residual <= 1e-6
-    assert rep.gamma_v_variation <= 1e-5
-    assert rep.gamma_symmetry <= 1e-5
-    assert rep.gamma_vs_hermitian <= 1e-5
+    assert rep.gamma_v_variation <= 1e-10
+    assert rep.gamma_symmetry <= 1e-10
+    assert rep.gamma_vs_hermitian <= 1e-10
+    assert rep.fibers == 4  # n_fiber is raised to dim + 1 = 4
+
+
+@pytest.mark.parametrize("spec", [dom.type_i(1, 3), dom.type_iii(4)], ids=str)
+def test_kahler_berwald_counts_one_fundamental_tensor_per_fiber(spec, monkeypatch):
+    calls = []
+    real = met.fundamental_tensor
+
+    def counted(metric, z, v):
+        calls.append(1)
+        return real(metric, z, v)
+
+    monkeypatch.setattr(met, "fundamental_tensor", counted)
+    rep = met.verify_kahler_berwald(met.tk_metric(spec, 1.0, 2))
+    assert len(calls) == rep.fibers == 3 * max(10, spec.dim + 1) == 30
+
+
+def _hermitian_connection_without_second_term(metric, z):
+    # Gamma(U)V = U Z* P V only: the V Q Z* U term is dropped
+    spec = metric.domain
+    basis = dom.tangent_basis(spec)
+    p = np.linalg.inv(np.eye(z.shape[0]) - z @ z.conj().T)
+    gamma = np.empty((spec.dim,) * 3, dtype=np.complex128)
+    for i, u in enumerate(basis):
+        for j, w in enumerate(basis):
+            gamma[:, j, i] = dom.pack(spec, u @ z.conj().T @ p @ w)
+    return gamma
+
+
+def test_kahler_berwald_check_can_fail(monkeypatch):
+    metric = met.tk_metric(dom.type_i(2, 2), 1.0, 2)
+    clean = met.verify_kahler_berwald(metric, seed=3)
+    assert max(clean.gamma_v_variation, clean.gamma_vs_hermitian) <= 1e-10
+    with monkeypatch.context() as patch:
+        patch.setattr(met, "hermitian_connection",
+                      _hermitian_connection_without_second_term)
+        rep = met.verify_kahler_berwald(metric, seed=3)
+    assert rep.gamma_vs_hermitian >= 1e-3
+    real = met.connection_sample
+
+    def bent(metric, z, vs):
+        # a term of degree 1 in v that is not linear: N is no longer Gamma v
+        c = np.stack([dom.pack(metric.domain, v) for v in vs])
+        quad = c[:, :, None] * c[:, None, :] / np.linalg.norm(c, axis=1)[:, None, None]
+        return real(metric, z, vs) + 1e-3 * quad
+
+    monkeypatch.setattr(met, "connection_sample", bent)
+    rep = met.verify_kahler_berwald(metric, seed=3)
+    assert rep.gamma_v_variation >= 1e-5
 
 
 def test_geodesic_disc_oracle():
