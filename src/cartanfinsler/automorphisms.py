@@ -24,6 +24,7 @@ from . import numkernel
 COND_LIMIT = 1e-12  # min-eigenvalue cutoff for (I - Z0 Z0*) near the boundary
 NEWTON_CAP = 50
 NEWTON_TOL = 1e-12
+ISOTROPY_STREAM = 1  # counter word 1 of the isotropy draws; sampling uses 0
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +120,18 @@ class HoloMap:
 # constructors
 
 
-def _haar_unitary(n, rng):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def _haar_unitary(g):
+    """Haar unitaries from a stack of complex Gaussian matrices (QR with the
+    phases of diag R divided out)."""
     q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
-def _haar_orthogonal(n, rng):
-    g = rng.standard_normal((n, n))
+def _haar_orthogonal(g):
+    """Haar orthogonals from a stack of real Gaussian matrices."""
     q, r = np.linalg.qr(g)
-    return q * np.sign(np.diagonal(r))
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
 def _inv_gram_root(gram):
@@ -182,28 +184,55 @@ def normalizing_automorphism(spec: DomainSpec, z0) -> HoloMap:
     return HoloMap(spec, spec, MatrixMobius(z0, a, np.linalg.inv(d)))
 
 
-def isotropy_element(spec: DomainSpec, seed: int) -> HoloMap:
-    """A random origin-fixing automorphism (Haar rotation data)."""
-    rng = np.random.default_rng(seed)
+def _isotropy_bodies(spec: DomainSpec, seeds):
+    """Haar rotation data, one origin-fixing body per seed.
+
+    Each seed's normals (and, on the Lie ball, the uniform of its phase) are
+    the domains.gaussian_draws of key (seed, 0) on ISOTROPY_STREAM, so they
+    are independent of sample_point(spec, seed).
+    """
+    keys = domains.seed_keys(seeds)
+
+    def complex_gaussians(normals, k):
+        half = normals.shape[1] // 2
+        return (normals[:, :half] + 1j * normals[:, half:]).reshape(-1, k, k)
+
     if spec.kind == "IV":
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        d = _haar_orthogonal(spec.dims[0], rng)
-        return HoloMap(spec, spec, VectorLinear(np.exp(1j * theta), d))
+        n = spec.dims[0]
+        normals, u = domains.gaussian_draws(keys, n * n, 1, stream=ISOTROPY_STREAM)
+        ds = _haar_orthogonal(normals.reshape(-1, n, n))
+        return [VectorLinear(np.exp(2j * np.pi * ui), d) for ui, d in zip(u[:, 0], ds)]
     if spec.kind == "I":
         m, n = spec.dims
-        a = _haar_unitary(m, rng)
-        d = _haar_unitary(n, rng)
-        return HoloMap(spec, spec, SandwichScale(a, d.conj().T))
-    a = _haar_unitary(spec.dims[0], rng)
-    return HoloMap(spec, spec, SandwichScale(a, a.T))
+        normals, _ = domains.gaussian_draws(keys, 2 * (m * m + n * n),
+                                            stream=ISOTROPY_STREAM)
+        a = _haar_unitary(complex_gaussians(normals[:, :2 * m * m], m))
+        d = _haar_unitary(complex_gaussians(normals[:, 2 * m * m:], n))
+        return [SandwichScale(ai, di.conj().T) for ai, di in zip(a, d)]
+    m = spec.dims[0]
+    normals, _ = domains.gaussian_draws(keys, 2 * m * m, stream=ISOTROPY_STREAM)
+    a = _haar_unitary(complex_gaussians(normals, m))
+    return [SandwichScale(ai, ai.T) for ai in a]
+
+
+def isotropy_element(spec: DomainSpec, seed: int) -> HoloMap:
+    """A random origin-fixing automorphism (Haar rotation data)."""
+    return HoloMap(spec, spec, _isotropy_bodies(spec, [seed])[0])
+
+
+def random_automorphisms(spec: DomainSpec, seeds) -> list:
+    """Isotropy composed with a normalizing map at a random interior point,
+    one automorphism per seed: isotropy_element(spec, seed) after the map
+    sending sample_point(spec, seed) to the origin.  The points and the
+    rotations are each drawn in one batch."""
+    z0s = domains.sample_points(spec, seeds)
+    return [compose(HoloMap(spec, spec, body), normalizing_automorphism(spec, z0))
+            for body, z0 in zip(_isotropy_bodies(spec, seeds), z0s)]
 
 
 def random_automorphism(spec: DomainSpec, seed: int) -> HoloMap:
-    """Isotropy composed with a normalizing map at a random interior point."""
-    rng = np.random.default_rng(seed)
-    z0 = domains.sample_point(spec, int(rng.integers(2**63)))
-    iso = isotropy_element(spec, int(rng.integers(2**63)))
-    return compose(iso, normalizing_automorphism(spec, z0))
+    """One automorphism of random_automorphisms."""
+    return random_automorphisms(spec, [seed])[0]
 
 
 def compose(*maps) -> HoloMap:

@@ -428,10 +428,11 @@ def _run_schwarz(cfg: RunConfig):
         curvature.curvature_bounds(metric2, pair_draws=0)
     maps = schwarz.generate_maps(source, target, seed=cfg.seed, count=cfg.maps)
     seeds = np.random.default_rng(cfg.seed).integers(2**63, size=len(maps))
+    zs, vs = schwarz.draw_samples(source, seeds, cfg.samples)
     reports = [schwarz.schwarz_check(f, metric1, metric2, bounds1.k1, bounds2.k2,
-                                     n_samples=cfg.samples, seed=int(s),
+                                     samples=(z, v),
                                      slack=cfg.tolerances["schwarz_slack"])
-               for f, s in zip(maps, seeds)]
+               for f, z, v in zip(maps, zs, vs)]
     rows = [{"map_index": i, "kind": type(maps[i].body).__name__,
              "min_margin": float(r.min_margin),
              "min_margin_rel": float(r.min_margin_rel),
@@ -466,6 +467,7 @@ def run(config: RunConfig) -> RunReport:
         "samples": config.samples,
         "effective_samples": drawn,
         "version": __version__,
+        "rng_scheme": domains.RNG_SCHEME,
         "domain": str(config.domain),
         "metric": config.metric.label,
         "tolerances": dict(sorted(config.tolerances.items())),

@@ -4,7 +4,15 @@ Points are numpy arrays: complex matrices of shape (m, n) for the matrix
 types (rectangular, symmetric, skew-symmetric) and complex row vectors of
 shape (N,) for the Lie ball.  Symmetric/skew points are stored as full
 matrices; the symmetry is an invariant, not a storage format.
+
+Sampling is counter-based (RNG_SCHEME): seed s is the key (s, 0) of
+Philox4x64-10, its counter blocks 1, 2, ... give the words, and normals come
+from them by Box-Muller on 53-bit uniforms.  Item i of a batch depends on
+seeds[i] only, and the whole (seeds x words) grid is one numpy computation.
+This scheme replaced one numpy Generator per seed, which changed every
+sampled stream.
 """
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,16 +142,17 @@ def contains(spec: DomainSpec, z) -> bool:
 
 
 def project_tangent(spec: DomainSpec, w):
-    """Project a raw ambient array onto the domain's tangent symmetry class."""
+    """Project a raw ambient array, or a stack (..., *ambient_shape) of them,
+    onto the domain's tangent symmetry class."""
     w = np.asarray(w, dtype=np.complex128)
-    if w.shape != spec.ambient_shape:
+    if w.shape[w.ndim - len(spec.ambient_shape):] != spec.ambient_shape:
         raise StructureError(
             f"tangent has shape {w.shape}, expected {spec.ambient_shape} for {spec}"
         )
     if spec.kind == "II":
-        return 0.5 * (w + w.T)
+        return 0.5 * (w + np.swapaxes(w, -1, -2))
     if spec.kind == "III":
-        return 0.5 * (w - w.T)
+        return 0.5 * (w - np.swapaxes(w, -1, -2))
     return w
 
 
@@ -238,29 +247,144 @@ def unpack(spec: DomainSpec, c) -> np.ndarray:
     return z
 
 
-def _raw_draw(spec: DomainSpec, rng) -> np.ndarray:
-    b = rng.standard_normal(spec.ambient_shape) + 1j * rng.standard_normal(spec.ambient_shape)
-    return project_tangent(spec, b)
+# ---------------------------------------------------------------------------
+# counter-based sampling: Philox4x64-10 (Salmon et al., SC'11) keyed by seed
+
+_U64 = np.uint64
+_MASK32 = _U64(0xFFFFFFFF)
+_SHIFT32 = _U64(32)
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=_U64)
+_PHILOX_M_LO = (_PHILOX_M & _MASK32)[:, None, None]
+_PHILOX_M_HI = (_PHILOX_M >> _SHIFT32)[:, None, None]
+_PHILOX_M_FULL = _PHILOX_M[:, None, None]
+# round r uses key (k0 + r W0, k1 + r W1), kept in arrays so that the
+# wrap-around is silent
+_PHILOX_BUMPS = np.arange(10, dtype=_U64)[:, None] * np.array(
+    [0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=_U64)
+_UNIT53 = 2.0**-53
+RNG_SCHEME = "philox4x64-10/box-muller"
+NULL_DRAW = 1e-12
+
+
+def seed_keys(seeds) -> np.ndarray:
+    """Validate a 1-D sequence of seeds and return them as uint64 keys.
+
+    Every seed must be an integer in [0, 2^64); a silent wrap would give two
+    seeds the same stream.
+    """
+    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
+        if seeds.ndim != 1:
+            raise ValueError(f"seeds must be a 1-D sequence, got shape {seeds.shape}")
+        if seeds.dtype.kind == "i" and seeds.size and seeds.min() < 0:
+            raise ValueError("seeds must lie in [0, 2^64)")
+        return seeds.astype(_U64)
+    # element by element: numpy would turn a list mixing ints above 2^63
+    # with numpy integers into floats
+    vals = [operator.index(s) for s in seeds]
+    if any(v < 0 or v >= 2**64 for v in vals):
+        raise ValueError("seeds must lie in [0, 2^64)")
+    return np.array(vals, dtype=_U64)
+
+
+def philox_blocks(keys, first: int, count: int, stream: int = 0) -> np.ndarray:
+    """Philox4x64-10 output words, shape (len(keys), 4 * count).
+
+    Row i holds the blocks of key (keys[i], 0) at the counters
+    (first + j, stream, 0, 0), j < count, four words per block in order.  At
+    stream 0 and first = 1 this is np.random.Philox(key=keys[i]).random_raw.
+    """
+    n = keys.size
+    # lanes (c0, c2) are multiplied, lanes (c1, c3) are xored in
+    a = np.zeros((2, n, count), dtype=_U64)
+    a[0] = np.arange(first, first + count, dtype=_U64)
+    b = np.zeros((2, n, count), dtype=_U64)
+    b[0] = stream
+    key = np.empty((10, 2, n, 1), dtype=_U64)
+    key[:, 0, :, 0] = keys + _PHILOX_BUMPS[:, 0, None]
+    key[:, 1] = _PHILOX_BUMPS[:, 1, None, None]
+    for r in range(10):
+        # 64x64 -> 128-bit products from 32-bit halves; no partial sum overflows
+        a_lo = a & _MASK32
+        a_hi = a >> _SHIFT32
+        p_lh = _PHILOX_M_LO * a_hi
+        t = _PHILOX_M_HI * a_lo
+        t += (_PHILOX_M_LO * a_lo) >> _SHIFT32
+        p_lh += t & _MASK32
+        hi = _PHILOX_M_HI * a_hi
+        hi += t >> _SHIFT32
+        hi += p_lh >> _SHIFT32
+        lo = _PHILOX_M_FULL * a
+        a = hi[::-1] ^ b
+        a ^= key[r]
+        b = lo[::-1]
+    return np.stack([a[0], b[0], a[1], b[1]], axis=-1).reshape(n, 4 * count)
+
+
+def gaussian_draws(keys, n_normals: int, n_uniforms: int = 0,
+                   stream: int = 0, attempt: int = 0):
+    """Standard normals (len(keys), n_normals) and uniforms (len(keys),
+    n_uniforms) from one run of counter blocks per key.
+
+    The normals come first, by Box-Muller on consecutive word pairs
+    (u1, u2) -> sqrt(-2 log(1 - u1)) (cos 2 pi u2, sin 2 pi u2); the
+    uniforms take the words after them.  A run is B = ceil(words / 4) blocks
+    and attempt a reads counters a B + 1, ..., (a + 1) B, so a caller that
+    must redraw an item takes its next run.
+    """
+    pairs = (n_normals + 1) // 2
+    n_words = 2 * pairs + n_uniforms
+    blocks = -(-n_words // 4)
+    words = philox_blocks(keys, attempt * blocks + 1, blocks, stream)
+    u = (words[:, :n_words] >> _U64(11)) * _UNIT53      # 53-bit uniforms on [0, 1)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0:2 * pairs:2]))
+    angle = (2.0 * np.pi) * u[:, 1:2 * pairs:2]
+    normals = np.empty((keys.size, 2 * pairs))
+    normals[:, 0::2] = radius * np.cos(angle)
+    normals[:, 1::2] = radius * np.sin(angle)
+    return normals[:, :n_normals], u[:, 2 * pairs:]
+
+
+def _draw(spec: DomainSpec, keys, size, n_uniforms: int):
+    """Raw tangent-class draws, one per key, with n_uniforms uniforms each.
+
+    A draw with size(draw) <= NULL_DRAW is redrawn from its key's next run
+    of counter blocks.  Returns (draws, uniforms, sizes).
+    """
+    cells = int(np.prod(spec.ambient_shape))
+
+    def raw(ks, attempt):
+        normals, u = gaussian_draws(ks, 2 * cells, n_uniforms, attempt=attempt)
+        ws = normals[:, :cells] + 1j * normals[:, cells:]
+        ws = project_tangent(spec, ws.reshape((-1,) + spec.ambient_shape))
+        return ws, u, size(ws)
+
+    draws, uniforms, sizes = raw(keys, 0)
+    redo = np.flatnonzero(sizes <= NULL_DRAW)
+    attempt = 0
+    while redo.size:
+        attempt += 1
+        draws[redo], uniforms[redo], sizes[redo] = raw(keys[redo], attempt)
+        redo = redo[sizes[redo] <= NULL_DRAW]
+    return draws, uniforms, sizes
+
+
+def _max_abs(ws):
+    return np.max(np.abs(ws), axis=tuple(range(1, ws.ndim)), initial=0.0)
 
 
 def sample_points(spec: DomainSpec, seeds) -> np.ndarray:
     """Deterministic interior points, one per seed: a Gaussian draw rescaled
-    to gauge U[0, 0.9].
+    to gauge 0.9 u, u uniform on [0, 1).
 
-    Each seed has its own generator, so item i equals sample_point(spec,
-    seeds[i]) whatever the other seeds are; the gauges are computed in one
-    batch.
+    Item i depends on seeds[i] only (see sample_tangents for the stream):
+    the real and then the imaginary parts of the ambient entries take the
+    first normals, projected onto the symmetry class, and u takes the word
+    after them.  A draw of gauge <= 1e-12 is redrawn from the next run of
+    counter blocks.  All seeds are computed in one batch.
     """
-    rngs = [np.random.default_rng(int(s)) for s in seeds]
-    zs = np.empty((len(rngs),) + spec.ambient_shape, dtype=np.complex128)
-    for i, rng in enumerate(rngs):
-        zs[i] = _raw_draw(spec, rng)
-    g = minkowski_gauge_many(spec, zs)
-    for i in np.flatnonzero(g <= 1e-12):  # redraw a null draw from its own stream
-        while g[i] <= 1e-12:
-            zs[i] = _raw_draw(spec, rngs[i])
-            g[i] = minkowski_gauge(spec, zs[i])
-    rho = np.array([rng.uniform(0.0, 0.9) for rng in rngs])
+    keys = seed_keys(seeds)
+    zs, u, g = _draw(spec, keys, lambda ws: minkowski_gauge_many(spec, ws), 1)
+    rho = 0.9 * u[:, 0]
     return (rho / g).reshape((-1,) + (1,) * len(spec.ambient_shape)) * zs
 
 
@@ -271,15 +395,14 @@ def sample_point(spec: DomainSpec, seed: int) -> np.ndarray:
 
 def sample_tangents(spec: DomainSpec, seeds) -> np.ndarray:
     """Deterministic nonzero tangent draws in the domain's symmetry class,
-    one per seed; item i equals sample_tangent(spec, seeds[i])."""
-    vs = np.empty((len(seeds),) + spec.ambient_shape, dtype=np.complex128)
-    for i, s in enumerate(seeds):
-        rng = np.random.default_rng(int(s))
-        while True:
-            vs[i] = _raw_draw(spec, rng)
-            if np.max(np.abs(vs[i])) > 1e-12:
-                break
-    return vs
+    one per seed; item i equals sample_tangent(spec, seeds[i]).
+
+    Stream: Philox4x64-10 with key (seed, 0) and counter blocks 1, 2, ...,
+    turned into normals by Box-Muller on 53-bit uniforms (gaussian_draws);
+    a draw with every entry <= 1e-12 in modulus is redrawn from the next
+    run of blocks.  Seeds must be integers in [0, 2^64).
+    """
+    return _draw(spec, seed_keys(seeds), _max_abs, 0)[0]
 
 
 def sample_tangent(spec: DomainSpec, seed: int, unit_under=None, z=None) -> np.ndarray:

@@ -429,21 +429,22 @@ def verify_kahler_berwald(metric: MetricSpec, n_base: int = 3, n_fiber: int = 10
     spec = metric.domain
     n_fiber = max(n_fiber, spec.dim + 1)
     rng = np.random.default_rng(seed)
+    v0s = domains.sample_tangents(spec, rng.integers(2**63, size=n_base))
+    zs = domains.sample_points(spec, rng.integers(2**63, size=n_base))
+    fibers = domains.sample_tangents(spec, rng.integers(2**63, size=n_base * n_fiber))
+    fibers = fibers.reshape((n_base, n_fiber) + spec.ambient_shape)
+    origin = np.zeros(spec.ambient_shape, dtype=np.complex128)
     mixed = 0.0
     v_var = 0.0
     symm = 0.0
     vs_herm = 0.0
-    for b in range(n_base):
-        v0 = domains.sample_tangent(spec, seed=int(rng.integers(2**63)))
+    for v0, z, vs in zip(v0s, zs, fibers):
         v0 = v0 / np.linalg.norm(v0)
-        origin = np.zeros(spec.ambient_shape, dtype=np.complex128)
         bmat = _wirtinger_base_fd(lambda zz: grad_vbar_many(metric, zz, v0),
                                   spec, origin)
         mixed = max(mixed, float(np.max(np.abs(bmat))))
 
-        z = domains.sample_point(spec, seed=int(rng.integers(2**63)))
-        vs = np.stack([v / np.linalg.norm(v) for v in domains.sample_tangents(
-            spec, rng.integers(2**63, size=n_fiber))])
+        vs = np.stack([v / np.linalg.norm(v) for v in vs])
         packed = np.stack([domains.pack(spec, v) for v in vs])       # (f, j)
         nonlinear = connection_sample(metric, z, vs).reshape(n_fiber, -1)
         fit = np.linalg.lstsq(packed, nonlinear, rcond=None)[0]      # (j, l i)
@@ -466,8 +467,7 @@ def verify_invariance(metric: MetricSpec, n_maps: int = 100, n_samples: int = 10
     vs = domains.sample_tangents(spec, rng.integers(2**63, size=n_samples))
     base = eval2_many(metric, zs, vs)
     worst = 0.0
-    for _ in range(n_maps):
-        phi = am.random_automorphism(spec, seed=int(rng.integers(2**63)))
+    for phi in am.random_automorphisms(spec, rng.integers(2**63, size=n_maps)):
         moved = eval2_many(metric, am.apply(phi, zs), am.differential(phi, zs, vs))
         worst = max(worst, float(np.max(np.abs(moved - base) / base)))
     return worst

@@ -264,18 +264,23 @@ def _corpus_kinds(source: DomainSpec, target: DomainSpec):
     return kinds
 
 
+def _random_unitary(n, rng):
+    return am._haar_unitary(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
+
+
 def _contraction_body(spec: DomainSpec, rng) -> object:
     rho = CORPUS_RHO * float(rng.uniform(0.5, 1.0))
     if spec.kind == "IV":
         theta = float(rng.uniform(0.0, 2 * np.pi))
-        d = am._haar_orthogonal(spec.dims[0], rng)
+        d = am._haar_orthogonal(rng.standard_normal((spec.dims[0],) * 2))
         return am.VectorLinear(rho * np.exp(1j * theta), d)
     mdim, ndim = spec.ambient_shape
     if spec.kind == "I":
         return am.SandwichScale(
-            rho * am._haar_unitary(mdim, rng), am._haar_unitary(ndim, rng)
+            rho * _random_unitary(mdim, rng), _random_unitary(ndim, rng)
         )
-    a = np.sqrt(rho) * am._haar_unitary(mdim, rng)
+    a = np.sqrt(rho) * _random_unitary(mdim, rng)
     return am.SandwichScale(a, a.T)  # A Z A' keeps the symmetry class
 
 
@@ -362,20 +367,36 @@ def generate_maps(source: DomainSpec, target: DomainSpec, seed: int = 0,
 # the Schwarz inequality harness
 
 
+def draw_samples(spec: DomainSpec, seeds, n_samples: int = 100):
+    """The (zs, vs) that schwarz_check draws at each seed, stacked: both of
+    shape (len(seeds), n_samples, *ambient_shape), drawn in one batch."""
+    items = np.array([np.random.default_rng(int(s)).integers(2**63, size=(2, n_samples))
+                      for s in seeds], dtype=np.int64).reshape(-1, 2, n_samples)
+    shape = (len(items), n_samples) + spec.ambient_shape
+    zs = domains.sample_points(spec, items[:, 0].reshape(-1)).reshape(shape)
+    vs = domains.sample_tangents(spec, items[:, 1].reshape(-1)).reshape(shape)
+    return zs, vs
+
+
 def schwarz_check(f: am.HoloMap, metric1: MetricSpec, metric2: MetricSpec,
                   k1: float, k2: float, n_samples: int = 100,
-                  seed: int = 0, slack: float = 1e-8) -> SchwarzReport:
+                  seed: int = 0, slack: float = 1e-8,
+                  samples=None) -> SchwarzReport:
     """Margins of sqrt(K1/K2) * F1 - f*F2 over sampled (Z;V).
 
+    samples: precomputed (zs, vs) in place of the n_samples draws at seed,
+    so that a caller checking several metric pairs on one map (or many maps)
+    draws once; draw_samples gives the same draws in a batch.
     A relative margin below -slack is a violation.
     """
     if f.source != metric1.domain or f.target != metric2.domain:
         raise StructureError("map endpoints do not match the metric domains")
     bound = float(np.sqrt(k1 / k2))
-    rng = np.random.default_rng(seed)
-    spec = metric1.domain
-    zs = domains.sample_points(spec, rng.integers(2**63, size=n_samples))
-    vs = domains.sample_tangents(spec, rng.integers(2**63, size=n_samples))
+    if samples is None:
+        zs, vs = draw_samples(metric1.domain, [seed], n_samples)
+        zs, vs = zs[0], vs[0]
+    else:
+        zs, vs = samples
     f1 = np.sqrt(eval2_many(metric1, zs, vs))
     imgs = am.apply(f, zs)
     dvs = am.differential(f, zs, vs)

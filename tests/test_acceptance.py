@@ -133,13 +133,15 @@ def test_08_schwarz_margins_over_map_corpus():
     for pi, (src, tgt) in enumerate(pairs):
         maps = sw.generate_maps(src, tgt, seed=88 + pi, count=500)
         seeds = np.random.default_rng(880 + pi).integers(2**63, size=len(maps))
+        # each map's 100 (Z, V) are drawn once and shared by its metric pairs
+        zs, vs = sw.draw_samples(src, seeds, n_samples=100)
         for f1 in (met.bergman_metric(src), met.tk_metric(src, 1.0, 2)):
             for f2 in (met.bergman_metric(tgt), met.tk_metric(tgt, 1.0, 2)):
                 k1 = bounds(f1).k1
                 k2 = bounds(f2).k2
                 for i, holomap in enumerate(maps):
                     rep = sw.schwarz_check(holomap, f1, f2, k1, k2,
-                                           n_samples=100, seed=int(seeds[i]))
+                                           samples=(zs[i], vs[i]))
                     assert not rep.violation, (
                         src, tgt, f1.label, f2.label, i, rep.min_margin_rel)
                     worst_rel = min(worst_rel, rep.min_margin_rel)

@@ -169,6 +169,32 @@ def test_certify_connection_tolerance_drives_the_verdict(tmp_path, capsys):
     assert rows["invariance_deviation"]["status"] == "pass"
 
 
+def test_certify_invariance_tolerance_drives_the_verdict(tmp_path, capsys):
+    doc = {
+        "task": "certify",
+        "domain": {"type": "I", "m": 1, "n": 3},
+        "metric": {"family": "bergman"},
+        "seed": 1,
+        "samples": 20,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["certify", "--config", str(path)]) == 0
+    deviation = json.loads(capsys.readouterr().out)["summary"]["invariance_deviation"]
+    # rounding-level (about 4e-14 on this config) but not zero
+    assert 1e-14 < deviation <= 1e-12
+    path.write_text(json.dumps(dict(doc, tolerances={"invariance": 1e-14})))
+    rc = cli.main(["certify", "--config", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert out["verdict"] == "violation"
+    rows = {row["check"]: row for row in out["table"]}
+    assert rows["invariance_deviation"]["status"] == "fail"
+    assert rows["invariance_deviation"]["threshold"] == 1e-14
+    assert all(row["status"] == "pass" for name, row in rows.items()
+               if name != "invariance_deviation")
+
+
 def test_sandwich_task(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
@@ -255,6 +281,7 @@ def test_certify_reports_capped_sample_count(tmp_path, capsys):
     assert prov["effective_samples"] == {"invariance_points": 100,
                                          "invariance_maps": 100,
                                          "connection_fibers": 30}
+    assert prov["rng_scheme"] == "philox4x64-10/box-muller"
 
 
 def test_structured_output_deterministic(tmp_path, capsys):

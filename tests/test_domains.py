@@ -1,4 +1,7 @@
 """Domain membership, symmetry projections, gauge, and sampling tests."""
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -164,11 +167,39 @@ def test_sample_point_deterministic_interior(spec):
     assert domains.contains(spec, z1)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [domains.type_i(2, 3), domains.type_ii(3), domains.type_iii(4), domains.type_iv(3)],
-    ids=str,
-)
+CLASSICAL = [domains.type_i(2, 3), domains.type_ii(3), domains.type_iii(4), domains.type_iv(3)]
+ORACLE_SEEDS = [0, 1, 2**62 + 17, 2**63 - 1] + [
+    int(s) for s in np.random.default_rng(12).integers(2**63, size=50)]
+
+
+def _oracle_draw(spec, seed, first_block=1):
+    """The documented stream, rebuilt from numpy's own Philox4x64-10: the
+    raw tangent-class draw and the uniform after its normals."""
+    cells = int(np.prod(spec.ambient_shape))
+    n_words = 2 * cells + 1
+    blocks = -(-n_words // 4)
+    bitgen = np.random.Philox(key=seed, counter=[first_block - 1, 0, 0, 0])
+    u = (bitgen.random_raw(4 * blocks)[:n_words] >> np.uint64(11)) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log1p(-u[0:2 * cells:2]))
+    angle = 2.0 * np.pi * u[1:2 * cells:2]
+    normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1).ravel()
+    raw = (normals[:cells] + 1j * normals[cells:]).reshape(spec.ambient_shape)
+    return domains.project_tangent(spec, raw), u[2 * cells]
+
+
+def test_philox_blocks_match_numpy_bit_for_bit():
+    keys = domains.seed_keys(ORACLE_SEEDS)
+    words = domains.philox_blocks(keys, 1, 3)
+    for seed, row in zip(ORACLE_SEEDS, words):
+        np.testing.assert_array_equal(row, np.random.Philox(key=seed).random_raw(12))
+    # a later counter run on another stream (counter word 1)
+    words = domains.philox_blocks(keys, 5, 2, stream=1)
+    for seed, row in zip(ORACLE_SEEDS, words):
+        bitgen = np.random.Philox(key=seed, counter=[4, 1, 0, 0])
+        np.testing.assert_array_equal(row, bitgen.random_raw(8))
+
+
+@pytest.mark.parametrize("spec", CLASSICAL, ids=str)
 def test_batched_sampling_and_gauge_match_single_items(spec):
     seeds = np.random.default_rng(8).integers(2**63, size=25)
     zs = domains.sample_points(spec, seeds)
@@ -178,18 +209,102 @@ def test_batched_sampling_and_gauge_match_single_items(spec):
         np.testing.assert_array_equal(zs[i], domains.sample_points(spec, [seed])[0])
         np.testing.assert_array_equal(vs[i], domains.sample_tangents(spec, [seed])[0])
         assert gs[i] == domains.minkowski_gauge(spec, zs[i])
-        # each seed keeps its own stream: one raw draw, then U[0, 0.9] gauge
-        rng = np.random.default_rng(seed)
-        raw = domains.project_tangent(
-            spec,
-            rng.standard_normal(spec.ambient_shape)
-            + 1j * rng.standard_normal(spec.ambient_shape),
-        )
-        rho = rng.uniform(0.0, 0.9)
-        assert gs[i] == pytest.approx(rho, rel=1e-13)
-        np.testing.assert_allclose(zs[i], (rho / domains.minkowski_gauge(spec, raw)) * raw,
+        # Philox key (seed, 0), Box-Muller normals, then a U[0, 0.9) gauge
+        raw, u = _oracle_draw(spec, int(seed))
+        np.testing.assert_allclose(vs[i], raw, rtol=1e-14, atol=0)
+        assert gs[i] == pytest.approx(0.9 * u, rel=1e-13)
+        np.testing.assert_allclose(zs[i], (0.9 * u / domains.minkowski_gauge(spec, raw)) * raw,
                                    rtol=1e-13, atol=0)
     assert domains.sample_points(spec, []).shape == (0,) + spec.ambient_shape
+    assert domains.sample_tangents(spec, []).shape == (0,) + spec.ambient_shape
+
+
+@pytest.mark.parametrize("spec", CLASSICAL, ids=str)
+def test_items_depend_on_their_own_seed_only(spec):
+    seeds = np.arange(40, dtype=np.uint64) * np.uint64(2**57 + 3)
+    zs = domains.sample_points(spec, seeds)
+    vs = domains.sample_tangents(spec, seeds)
+    order = np.random.default_rng(2).permutation(40)
+    others = np.concatenate([seeds[order], np.arange(7, dtype=np.uint64)])
+    np.testing.assert_array_equal(domains.sample_points(spec, others)[:40], zs[order])
+    np.testing.assert_array_equal(domains.sample_tangents(spec, others)[:40], vs[order])
+    # distinct seeds give distinct draws
+    flat = vs.reshape(40, -1)
+    assert len({row.tobytes() for row in flat}) == 40
+
+
+@pytest.mark.parametrize("spec", CLASSICAL, ids=str)
+def test_null_draw_takes_the_next_counter_blocks(spec, monkeypatch):
+    blocks_of = domains.philox_blocks
+    nulled = 2**63 - 1
+
+    def first_run_zero(keys, first, count, stream=0):
+        words = blocks_of(keys, first, count, stream)
+        if first == 1:
+            words[keys == np.uint64(nulled)] = 0  # zero words: all-zero normals
+        return words
+
+    monkeypatch.setattr(domains, "philox_blocks", first_run_zero)
+    seeds = [5, nulled, 6]
+    zs = domains.sample_points(spec, seeds)
+    vs = domains.sample_tangents(spec, seeds)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(zs[[0, 2]], domains.sample_points(spec, [5, 6]))
+    np.testing.assert_array_equal(vs[[0, 2]], domains.sample_tangents(spec, [5, 6]))
+    cells = int(np.prod(spec.ambient_shape))
+    raw, u = _oracle_draw(spec, nulled, first_block=1 + -(-(2 * cells + 1) // 4))
+    assert domains.minkowski_gauge(spec, zs[1]) == pytest.approx(0.9 * u, rel=1e-13)
+    np.testing.assert_allclose(zs[1], (0.9 * u / domains.minkowski_gauge(spec, raw)) * raw,
+                               rtol=1e-13, atol=0)
+    tangent_blocks = -(-2 * cells // 4)
+    raw, _ = _oracle_draw(spec, nulled, first_block=1 + tangent_blocks)
+    np.testing.assert_allclose(vs[1], raw, rtol=1e-14, atol=0)
+
+
+def _ks_statistic(sorted_x, cdf):
+    n = sorted_x.size
+    c = cdf(sorted_x)
+    i = np.arange(1, n + 1)
+    return max(np.max(i / n - c), np.max(c - (i - 1) / n))
+
+
+def test_sampler_distributions_on_20000_seeds():
+    keys = domains.seed_keys(np.arange(20_000) * 7919 + 3)
+    normals, u = domains.gaussian_draws(keys, 8, 1)
+    x = normals.ravel()
+    n = x.size
+    assert abs(np.mean(x)) < 5.0 / np.sqrt(n)
+    assert abs(np.var(x) - 1.0) < 5.0 * np.sqrt(2.0 / n)
+    erf = np.vectorize(math.erf)
+    d = _ks_statistic(np.sort(x), lambda t: 0.5 * (1.0 + erf(t / np.sqrt(2.0))))
+    assert d < 1.95 / np.sqrt(n)          # KS critical value at p = 0.001
+    assert 0.0 <= u.min() and u.max() < 1.0
+    spec = domains.type_i(2, 2)
+    g = np.sort(domains.minkowski_gauge_many(spec, domains.sample_points(spec, keys)))
+    assert 0.0 <= g[0] and g[-1] < 0.9
+    assert _ks_statistic(g, lambda t: t / 0.9) < 1.95 / np.sqrt(g.size)
+
+
+def test_seeds_outside_uint64_are_rejected():
+    spec = domains.type_ii(2)
+    for bad in ([-1], [2**64], [3, 2**70], np.array([4, -2])):
+        with pytest.raises(ValueError):
+            domains.sample_points(spec, bad)
+        with pytest.raises(ValueError):
+            domains.sample_tangents(spec, bad)
+    with pytest.raises(ValueError):
+        domains.sample_point(spec, -5)
+    # the top of the range is a valid key, and the key schedule wraps silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = domains.sample_points(spec, [2**64 - 1, 2**63, np.uint64(2**64 - 1)])
+        np.testing.assert_array_equal(top[0], top[2])
+        assert not np.array_equal(top[0], top[1])
+        assert np.all(domains.contains_many(spec, top))
+        # uint64 and int64 arrays name the same stream
+        np.testing.assert_array_equal(
+            domains.sample_tangents(spec, np.array([9, 2**62], dtype=np.uint64)),
+            domains.sample_tangents(spec, np.array([9, 2**62], dtype=np.int64)))
 
 
 def test_sample_point_batch_membership():
