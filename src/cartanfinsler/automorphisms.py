@@ -10,7 +10,9 @@ The normalizing automorphism of a matrix domain at Z0 is
 with A, D the Hermitian positive roots of (I - Z0 Z0*)^{-1} and
 (I - Z0* Z0)^{-1}; for the symmetric/skew domains D = conj(A).  The Lie-ball
 version goes through the real 2xN matrix X0 and the auxiliary map
-u(z) = ((1+zz')/2, (1-zz')/(2i)).
+u(z) = ((1+zz')/2, (1-zz')/(2i)).  Every automorphism body inverts in closed
+form; on the Lie ball the inverse of the map at z0 is the map at -z0 (Loos,
+Bounded Symmetric Domains and Jordan Pairs, 1977).
 """
 from dataclasses import dataclass
 
@@ -22,8 +24,6 @@ from .domains import DomainSpec
 from . import numkernel
 
 COND_LIMIT = 1e-12  # min-eigenvalue cutoff for (I - Z0 Z0*) near the boundary
-NEWTON_CAP = 50
-NEWTON_TOL = 1e-12
 ISOTROPY_STREAM = 1  # counter word 1 of the isotropy draws; sampling uses 0
 
 
@@ -100,13 +100,6 @@ class MatrixPolynomial:
 
 
 @dataclass(frozen=True)
-class NewtonInverse:
-    """Inverse of a Lie-ball automorphism by damped Newton iteration."""
-    inner: "HoloMap"
-    z_init: np.ndarray
-
-
-@dataclass(frozen=True)
 class HoloMap:
     source: DomainSpec
     target: DomainSpec
@@ -156,6 +149,25 @@ def _x0_matrix(z0):
     return x0.real
 
 
+def _lie_ball_roots(z0, x0):
+    """A = (I - X0 X0')^{-1/2} and D = (I - X0' X0)^{-1/2} in closed form.
+
+    z0 = e^{i theta} (x + i y) with x, y orthogonal real vectors has spectral
+    values l1, l2 = |x| +- |y|, and |x|, |y| are the singular values of
+    [Re z0; Im z0].  With tanh t_i = l_i, X0 = U diag(tanh(t1 +- t2)) V', so
+    A = U diag(c) U' and D = I + V (diag(c) - I) V' with
+    c = cosh(t1 +- t2) = (1 +- l1 l2) / sqrt((1 - l1^2)(1 - l2^2)).
+    Roots of the formed grams would lose (1 - l1^2)(1 - l2^2) to
+    cancellation once both spectral values near 1.
+    """
+    sig = np.linalg.svd(np.stack([z0.real, z0.imag]), compute_uv=False)
+    l1, l2 = sig[0] + sig[1], sig[0] - sig[1]
+    root = np.sqrt((1.0 - l1) * (1.0 + l1) * (1.0 - l2) * (1.0 + l2))
+    c = np.array([1.0 + l1 * l2, 1.0 - l1 * l2]) / root
+    u, _, vt = np.linalg.svd(x0, full_matrices=False)
+    return (u * c) @ u.T, np.eye(z0.size) + (vt.T * (c - 1.0)) @ vt
+
+
 def identity_map(spec: DomainSpec) -> HoloMap:
     if spec.kind == "IV":
         body = VectorLinear(1.0 + 0.0j, np.eye(spec.dims[0]))
@@ -172,9 +184,7 @@ def normalizing_automorphism(spec: DomainSpec, z0) -> HoloMap:
         raise DomainError(f"base point is not interior to {spec}")
     if spec.kind == "IV":
         x0 = _x0_matrix(z0)
-        a = _inv_gram_root(np.eye(2) - x0 @ x0.T).real
-        d = _inv_gram_root(np.eye(z0.size) - x0.T @ x0).real
-        return HoloMap(spec, spec, LieBallMobius(z0, x0, a, d))
+        return HoloMap(spec, spec, LieBallMobius(z0, x0, *_lie_ball_roots(z0, x0)))
     m, n = spec.ambient_shape
     a = _inv_gram_root(np.eye(m) - z0 @ z0.conj().T)
     if spec.kind == "I":
@@ -315,8 +325,6 @@ def apply(m: HoloMap, z):
                 last = deg
                 out = out + coeff * power
             return out
-        if isinstance(b, NewtonInverse):
-            return _newton_apply(b, z)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"singular intermediate inverse: {exc}") from exc
     raise StructureError(f"unknown map body {type(b).__name__}")
@@ -384,15 +392,14 @@ def differential(m: HoloMap, z, v):
                         term = term @ z
                     out = out + coeff * term
             return out
-        if isinstance(b, NewtonInverse):
-            return _newton_differential(b, z, v)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"singular intermediate inverse: {exc}") from exc
     raise StructureError(f"unknown map body {type(b).__name__}")
 
 
 def invert(m: HoloMap) -> HoloMap:
-    """Inverse automorphism; structural error for non-invertible bodies."""
+    """Inverse automorphism in closed form; structural error for
+    non-invertible bodies."""
     b = m.body
     if isinstance(b, MatrixMobius):
         return HoloMap(m.target, m.source,
@@ -401,9 +408,8 @@ def invert(m: HoloMap) -> HoloMap:
         return HoloMap(m.target, m.source,
                        MatrixMobius(b.z0, b.a, np.linalg.inv(b.d)))
     if isinstance(b, LieBallMobius):
-        return HoloMap(m.target, m.source, NewtonInverse(m, b.z0))
-    if isinstance(b, NewtonInverse):
-        return b.inner
+        # phi_{z0}^{-1} = phi_{-z0}: X0 is odd in z0, A and D are even
+        return HoloMap(m.target, m.source, LieBallMobius(-b.z0, -b.x0, b.a, b.d))
     if isinstance(b, SandwichScale):
         try:
             left = np.linalg.inv(b.left)
@@ -419,59 +425,3 @@ def invert(m: HoloMap) -> HoloMap:
         return compose([invert(f) for f in reversed(b.maps)])
     raise StructureError(f"map body {type(b).__name__} is not invertible")
 
-
-# ---------------------------------------------------------------------------
-# Newton inverse for the Lie ball
-
-
-def _newton_apply_single(b: NewtonInverse, w):
-    spec = b.inner.source
-    n = spec.dims[0]
-    z = b.z_init.copy()
-    eye = np.eye(n)
-    res = apply(b.inner, z) - w
-    norm = np.linalg.norm(res)
-    target = NEWTON_TOL * (1.0 + np.linalg.norm(w))
-    for _ in range(NEWTON_CAP):
-        if norm <= target:
-            return z
-        jac = np.stack([differential(b.inner, z, eye[k]) for k in range(n)], axis=1)
-        step = np.linalg.solve(jac, -res)
-        lam = 1.0
-        for _ in range(25):
-            z_new = z + lam * step
-            if domains.contains(spec, z_new):
-                res_new = apply(b.inner, z_new) - w
-                if np.linalg.norm(res_new) < norm:
-                    break
-            lam *= 0.5
-        else:
-            raise NumericError("Newton inversion stalled (damping exhausted)")
-        z, res, norm = z_new, res_new, np.linalg.norm(res_new)
-    if norm <= target:
-        return z
-    raise NumericError(f"Newton inversion did not converge: residual {norm:.3e}")
-
-
-def _newton_apply(b: NewtonInverse, w):
-    if w.ndim == 1:
-        return _newton_apply_single(b, w)
-    flat = w.reshape(-1, w.shape[-1])
-    out = np.stack([_newton_apply_single(b, row) for row in flat])
-    return out.reshape(w.shape)
-
-
-def _newton_differential(b: NewtonInverse, w, v):
-    def single(wr, vr):
-        z = _newton_apply_single(b, wr)
-        n = z.size
-        eye = np.eye(n)
-        jac = np.stack([differential(b.inner, z, eye[k]) for k in range(n)], axis=1)
-        return np.linalg.solve(jac, vr)
-
-    if w.ndim == 1:
-        return single(w, v)
-    flatw = w.reshape(-1, w.shape[-1])
-    flatv = np.broadcast_to(v, w.shape).reshape(-1, w.shape[-1])
-    out = np.stack([single(a_, b_) for a_, b_ in zip(flatw, flatv)])
-    return out.reshape(w.shape)

@@ -189,7 +189,9 @@ def _parse_points(node, spec, path, errs):
             continue
         z = _complex_array(entry["z"], spec.ambient_shape, f"{path}[{i}].z", errs)
         v = _complex_array(entry["v"], spec.ambient_shape, f"{path}[{i}].v", errs)
-        if z is not None and v is not None:
+        if v is not None and not np.any(v):
+            errs.append(f"{path}[{i}].v: tangent must be nonzero (F(z; 0) = 0)")
+        elif z is not None and v is not None:
             out.append((z, v))
     return tuple(out)
 

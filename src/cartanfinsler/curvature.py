@@ -50,18 +50,10 @@ def _origin_traces(vs, kmax: int):
     return out
 
 
-def _h_from_traces(s):
-    """Power means h_a = S_a^(1/a) from power traces S_1..S_k."""
-    h = np.empty_like(s)
-    for a in range(1, s.shape[-1] + 1):
-        h[..., a - 1] = np.maximum(s[..., a - 1], 0.0) ** (1.0 / a)
-    return h
-
-
 def _matrix_hsc_from_traces(metric: MetricSpec, s_traces):
     """K(0;V) from tr[(VV*)^a], a = 1..k+1 (shape (B, k+1))."""
     k = metric.family.k
-    h = _h_from_traces(s_traces[..., :k])
+    h = norms.power_means(s_traces[..., :k])
     grads = norms.grad_rows(metric.family, h)
     f2 = metric.normalization * np.asarray(metric.family.value(h), dtype=float)
     acc = np.zeros(h.shape[:-1])
@@ -129,10 +121,10 @@ def bisectional_origin_many(metric: MetricSpec, vs, ws) -> np.ndarray:
         return -2.0 * _lie_contraction(metric, vs, ws) / (f2v * f2w)
     k = metric.family.k
     s = _origin_traces(vs, k)
-    h = _h_from_traces(s)
+    h = norms.power_means(s)
     grads = norms.grad_rows(metric.family, h)
     f2v = metric.normalization * np.asarray(metric.family.value(h), dtype=float)
-    hw = _h_from_traces(_origin_traces(ws, k))
+    hw = norms.power_means(_origin_traces(ws, k))
     f2w = metric.normalization * np.asarray(metric.family.value(hw), dtype=float)
     gram_v = vs @ np.conj(np.swapaxes(vs, -1, -2))
     gram_w = ws @ np.conj(np.swapaxes(ws, -1, -2))
@@ -197,7 +189,7 @@ def _bisectional_sup_matrix(metric: MetricSpec) -> float:
     norm = metric.normalization
 
     def profile_f2(y):
-        h = _h_from_traces(_profile_to_traces(spec, y, k))
+        h = norms.power_means(_profile_to_traces(spec, y, k))
         return norm * np.asarray(metric.family.value(h), dtype=float), h
 
     def outer(xbatch):

@@ -125,25 +125,24 @@ def _lie_ball_matrix(z):
     return m, delta
 
 
-def _matrix_h(metric: MetricSpec, z, v):
-    """Power means h_a(Z;V) for the matrix types; batch-friendly."""
-    zc = np.conj(np.swapaxes(z, -1, -2))
-    vc = np.conj(np.swapaxes(v, -1, -2))
-    m_dim, n_dim = z.shape[-2], z.shape[-1]
-    p = np.linalg.inv(np.eye(m_dim) - z @ zc)
-    q = np.linalg.inv(np.eye(n_dim) - zc @ z)
-    m = p @ v @ q @ vc
+def _matrix_fiber_parts(metric: MetricSpec, zs, vs):
+    """P, Q, P V Q, the ladder M^0..M^k of M = P V Q V* and S_a = tr M^a.
+
+    zs and vs may carry batch axes in front of the matrix axes, and those
+    axes broadcast against each other.
+    """
+    zc = np.conj(np.swapaxes(zs, -1, -2))
+    p = np.linalg.inv(np.eye(zs.shape[-2]) - zs @ zc)
+    q = np.linalg.inv(np.eye(zs.shape[-1]) - zc @ zs)
+    pvq = p @ vs @ q
+    m = pvq @ np.conj(np.swapaxes(vs, -1, -2))
     k = metric.family.k
-    traces = np.empty(m.shape[:-2] + (k,))
-    power = m
-    traces[..., 0] = np.trace(power, axis1=-2, axis2=-1).real
-    for a in range(2, k + 1):
-        power = power @ m
-        traces[..., a - 1] = np.trace(power, axis1=-2, axis2=-1).real
-    h = np.empty_like(traces)
-    for a in range(1, k + 1):
-        h[..., a - 1] = np.maximum(traces[..., a - 1], 0.0) ** (1.0 / a)
-    return h
+    powers = [np.broadcast_to(np.eye(m.shape[-1], dtype=np.complex128), m.shape), m]
+    for _ in range(k - 1):
+        powers.append(powers[-1] @ m)
+    s_traces = np.stack([np.trace(powers[a], axis1=-2, axis2=-1).real
+                         for a in range(1, k + 1)], axis=-1)
+    return p, q, pvq, powers, s_traces
 
 
 def eval2_many(metric: MetricSpec, zs, vs) -> np.ndarray:
@@ -158,7 +157,7 @@ def eval2_many(metric: MetricSpec, zs, vs) -> np.ndarray:
         s = np.clip(s, 0.0, 1.0)
         phi = np.asarray(metric.family.value(s), dtype=float)
         return metric.normalization * q / delta**2 * phi
-    h = _matrix_h(metric, zs, vs)
+    h = norms.power_means(_matrix_fiber_parts(metric, zs, vs)[-1])
     vals = np.asarray(metric.family.value(h), dtype=float)
     return metric.normalization * np.where(h[..., 0] > 0.0, vals, 0.0)
 
@@ -180,26 +179,6 @@ def eval(metric: MetricSpec, z, v, checked: bool = True) -> float:
 
 # ---------------------------------------------------------------------------
 # fiber derivatives (analytic)
-
-
-def _matrix_fiber_parts(metric: MetricSpec, zs, vs):
-    """P, Q, P V Q, the ladder M^0..M^k of M = P V Q V* and S_a = tr M^a.
-
-    zs and vs may carry batch axes in front of the matrix axes, and those
-    axes broadcast against each other.
-    """
-    zc = np.conj(np.swapaxes(zs, -1, -2))
-    p = np.linalg.inv(np.eye(zs.shape[-2]) - zs @ zc)
-    q = np.linalg.inv(np.eye(zs.shape[-1]) - zc @ zs)
-    pvq = p @ vs @ q
-    m = pvq @ np.conj(np.swapaxes(vs, -1, -2))
-    k = metric.family.k
-    powers = [np.broadcast_to(np.eye(m.shape[-1], dtype=np.complex128), m.shape)]
-    for _ in range(k):
-        powers.append(powers[-1] @ m)
-    s_traces = np.stack([np.trace(powers[a], axis1=-2, axis2=-1).real
-                         for a in range(1, k + 1)], axis=-1)
-    return p, q, pvq, powers, s_traces
 
 
 def grad_vbar_many(metric: MetricSpec, zs, vs) -> np.ndarray:
@@ -226,9 +205,7 @@ def grad_vbar_many(metric: MetricSpec, zs, vs) -> np.ndarray:
         return g_q[..., None] * vm + (g_p2 * 2.0 * p)[..., None] * np.conj(vs)
     _, _, pvq, powers, s = _matrix_fiber_parts(metric, zs, vs)
     k = metric.family.k
-    h = np.empty_like(s)
-    for a in range(1, k + 1):
-        h[..., a - 1] = np.maximum(s[..., a - 1], 0.0) ** (1.0 / a)
+    h = norms.power_means(s)
     g_grad = norms.grad_rows(metric.family, h)
     grad_amb = np.zeros(pvq.shape, dtype=np.complex128)
     for a in range(1, k + 1):
@@ -286,7 +263,7 @@ def fundamental_tensor(metric: MetricSpec, z, v) -> np.ndarray:
 
     p, q, pvq, powers, s = _matrix_fiber_parts(metric, z, v)
     k = metric.family.k
-    h = np.array([max(s[a - 1], 0.0) ** (1.0 / a) for a in range(1, k + 1)])
+    h = norms.power_means(s)
     g_grad = np.atleast_1d(np.asarray(metric.family.grad(h), dtype=float))
     g_hess = np.atleast_2d(np.asarray(metric.family.hess(h), dtype=float))
     qvs = q @ v.conj().T  # Q V*
@@ -418,7 +395,10 @@ def verify_kahler_berwald(metric: MetricSpec, n_base: int = 3, n_fiber: int = 10
     to N_f[l, i] = sum_j Gamma[l, j, i] v_f[j] by least squares.  Reports the
     worst over the base points, leaving the thresholds to the caller (the CLI
     applies its "mixed" and "connection" tolerances):
-      * mixed fiber-base derivative of F^2 at the origin (should vanish),
+      * mixed fiber-base derivative of F^2 at the origin (should vanish);
+        exactly 0 for every metric invariant under z -> -z, all shipped
+        ones included, because the stencil pairs each z with -z, so this
+        row is a consistency check and not evidence,
       * gamma_v_variation: worst entry of the fit residual N_f - Gamma v_f
         (zero exactly when the metric is Berwald),
       * gamma_symmetry: asymmetry of the fitted Gamma in its two lower slots

@@ -177,16 +177,23 @@ def affine_phi(t: float) -> PhiFamilySpec:
 # evaluation
 
 
+def power_means(s) -> np.ndarray:
+    """h_a = max(S_a, 0)^{1/a} from power traces S_1..S_k on the last axis."""
+    s = np.asarray(s, dtype=float)
+    h = np.empty_like(s)
+    for a in range(1, s.shape[-1] + 1):
+        h[..., a - 1] = np.maximum(s[..., a - 1], 0.0) ** (1.0 / a)
+    return h
+
+
 def power_means_from_squares(y, k: int) -> np.ndarray:
     """h_a = (sum_i y_i^a)^{1/a} for a = 1..k from squared singular values y.
 
     y may carry leading batch axes; returns (..., k).
     """
     y = np.asarray(y, dtype=float)
-    out = np.empty(y.shape[:-1] + (k,))
-    for a in range(1, k + 1):
-        out[..., a - 1] = np.sum(y**a, axis=-1) ** (1.0 / a)
-    return out
+    return power_means(np.stack([np.sum(y**a, axis=-1) for a in range(1, k + 1)],
+                                axis=-1))
 
 
 def eval_g_norm(spec: GFamilySpec, v) -> float:

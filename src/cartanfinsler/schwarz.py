@@ -254,11 +254,10 @@ def _pad_compatible(source: DomainSpec, target: DomainSpec) -> bool:
 def _corpus_kinds(source: DomainSpec, target: DomainSpec):
     kinds = ["constant", "slice"]
     if source == target:
-        kinds += ["auto", "chain"]
-        if source.kind == "IV":
-            kinds += ["contract"]
-        else:
-            kinds += ["contract", "poly"]
+        kinds += ["auto", "chain", "contract"]
+        shape = source.ambient_shape
+        if len(shape) == 2 and shape[0] == shape[1]:
+            kinds += ["poly"]  # Z^d needs a square Z
     if source != target and _pad_compatible(source, target):
         kinds += ["pad", "pad_contract"]
     return kinds

@@ -63,10 +63,10 @@ def test_round_trip(spec):
     for seed in range(10):
         z = domains.sample_point(spec, seed=80 + seed)
         back = am.apply(inv, am.apply(phi, z))
-        assert np.max(np.abs(back - z)) <= 1e-9
+        assert np.max(np.abs(back - z)) <= 1e-14
         # and the other way around
         there = am.apply(phi, am.apply(inv, z))
-        assert np.max(np.abs(there - z)) <= 1e-9
+        assert np.max(np.abs(there - z)) <= 1e-14
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
@@ -159,23 +159,52 @@ def test_isotropy_round_trip():
     np.testing.assert_allclose(am.apply(inv, am.apply(iso, z)), z, atol=1e-13)
 
 
-def test_newton_inverse_on_lie_ball():
+def test_lie_ball_inverse_is_map_at_negated_base_point():
     spec = domains.type_iv(5)
     z0 = domains.sample_point(spec, seed=25)
     phi = am.normalizing_automorphism(spec, z0)
     psi = am.invert(phi)
-    # inverse of the inverse is the original body
-    assert am.invert(psi) is phi
+    # phi_{z0}^{-1} = phi_{-z0}: X0 is odd in z0, A and D are shared
+    b, ib = phi.body, psi.body
+    assert np.array_equal(ib.z0, -b.z0) and np.array_equal(ib.x0, -b.x0)
+    assert ib.a is b.a and ib.d is b.d
+    neg = am.normalizing_automorphism(spec, -z0).body
+    for field in ("x0", "a", "d"):
+        np.testing.assert_allclose(getattr(ib, field), getattr(neg, field),
+                                   rtol=1e-14, atol=0.0)
+    twice = am.invert(psi).body
+    for field in ("z0", "x0", "a", "d"):
+        assert np.array_equal(getattr(twice, field), getattr(b, field))
+    # the closed-form roots solve A (I - X0 X0') A = I and D (I - X0' X0) D = I
+    np.testing.assert_allclose(b.a @ (np.eye(2) - b.x0 @ b.x0.T) @ b.a, np.eye(2),
+                               atol=1e-14)
+    np.testing.assert_allclose(b.d @ (np.eye(5) - b.x0.T @ b.x0) @ b.d, np.eye(5),
+                               atol=1e-14)
     for seed in range(10):
         z = domains.sample_point(spec, seed=140 + seed)
-        assert np.max(np.abs(am.apply(psi, am.apply(phi, z)) - z)) <= 1e-8
+        assert np.max(np.abs(am.apply(psi, am.apply(phi, z)) - z)) <= 1e-14
     # differential of the inverse inverts the differential
     z = domains.sample_point(spec, seed=26)
     v = domains.sample_tangent(spec, seed=27)
     w = am.apply(phi, z)
     dv = am.differential(phi, z, v)
     back = am.differential(psi, w, dv)
-    np.testing.assert_allclose(back, v, atol=1e-9)
+    np.testing.assert_allclose(back, v, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_lie_ball_inverse_near_boundary(n):
+    # base points at gauge 1 - 1e-6: sampled directions, and a real direction,
+    # where both spectral values sit at the gauge
+    spec = domains.type_iv(n)
+    gauge = 1.0 - 1e-6
+    budget = 10.0 * np.finfo(float).eps / (1.0 - gauge**2)
+    real = np.zeros(n, dtype=complex)
+    real[0] = 1.0
+    for z in [real] + [domains.sample_point(spec, seed=300 + s) for s in range(5)]:
+        z0 = gauge * z / domains.minkowski_gauge(spec, z)
+        psi = am.invert(am.normalizing_automorphism(spec, z0))
+        assert np.max(np.abs(am.apply(psi, np.zeros(n)) - z0)) <= budget
 
 
 def test_non_invertible_bodies_rejected():

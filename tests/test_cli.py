@@ -345,3 +345,33 @@ def test_zero_dimensional_type_iii_is_config_error(tmp_path, capsys):
     rc = cli.main(["eval", "--config", str(path)])
     assert rc == 2
     assert "order >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_schwarz_self_map_on_non_square_type_i(tmp_path, capsys, m, seed):
+    # the corpus must not offer matrix powers Z^d on a non-square source
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "task": "schwarz",
+        "domain": {"type": "I", "m": m, "n": 3},
+        "metric": {"family": "bergman"},
+        "seed": seed,
+        "maps": 12,
+        "samples": 20,
+    }))
+    rc = cli.main(["schwarz", "--config", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert len(out["table"]) == 12
+
+
+def test_zero_tangent_point_is_config_error(tmp_path, capsys):
+    z = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    v = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    path = tmp_path / "cfg.json"
+    path.write_text(_config(points=[{"z": z, "v": v}, {"z": z, "v": z}]))
+    rc = cli.main(["eval", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "points[1].v" in err and "points[0]" not in err
