@@ -565,6 +565,7 @@ def main(argv=None) -> int:
         config = parse_config(text, task=args.task, seed=args.seed,
                               samples=args.samples)
         report = run(config)
+        text = emit_report(report, args.format)
     except ConfigError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)
@@ -572,7 +573,10 @@ def main(argv=None) -> int:
     except (DomainError, StructureError, NumericError) as exc:
         print(f"{args.task} failed: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(emit_report(report, args.format))
+    except Exception as exc:  # a program fault is no verified violation
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    sys.stdout.write(text)
     return 0 if report.verdict == "pass" else 1
 
 

@@ -124,20 +124,26 @@ def _as_points(spec: DomainSpec, zs):
 def contains_many(spec: DomainSpec, zs) -> np.ndarray:
     """Strict interior membership of each point of a stack (batch, *ambient_shape).
 
-    The defining inequalities must hold with margin 1e-12.
+    1 - gauge^2 must exceed the margin 1e-12, as 1 - |Z|^2 does on the
+    matrix types.  On type IV, gauge^2 = r + 2 |x ^ y| for z = x + iy with
+    r = z z*; the wedge norm |x ^ y| = sqrt(r^2 - |z z'|^2) / 2 is summed from
+    its 2x2 minors, which keeps full precision where the two spectral values
+    of z meet (real directions).
     """
     zs = _as_points(spec, zs)
     if spec.kind == "IV":
-        p = np.abs(np.sum(zs * zs, axis=-1))            # |z z'|
-        r = np.sum(zs.real**2 + zs.imag**2, axis=-1)    # z z*
-        delta = 1.0 + p**2 - 2.0 * r
-        return (delta > MEMBERSHIP_MARGIN) & (1.0 - p > MEMBERSHIP_MARGIN)
+        x, y = zs.real, zs.imag
+        i, j = np.triu_indices(zs.shape[-1], 1)
+        wedge = np.sqrt(np.sum((x[:, i] * y[:, j] - x[:, j] * y[:, i]) ** 2,
+                               axis=-1))
+        r = np.sum(x**2 + y**2, axis=-1)
+        return 1.0 - (r + 2.0 * wedge) > MEMBERSHIP_MARGIN
     gram = np.eye(zs.shape[1]) - zs @ np.conj(np.swapaxes(zs, 1, 2))
     return numkernel.eigvalsh_batch(gram)[:, -1] > MEMBERSHIP_MARGIN
 
 
 def contains(spec: DomainSpec, z) -> bool:
-    """Strict interior membership (margin 1e-12 on the defining inequalities)."""
+    """Strict interior membership (margin 1e-12 on 1 - gauge^2)."""
     return bool(contains_many(spec, np.asarray(z)[None])[0])
 
 

@@ -256,26 +256,29 @@ def orthant_grid(k: int, resolution: int = 25) -> np.ndarray:
 
 
 def certify_scc(spec: GFamilySpec, grid=None) -> Certificate:
-    """Gradient strictly positive and Hessian PSD at every grid point."""
+    """Gradient strictly positive and Hessian PSD at every grid point.
+
+    The worst margin is the first minimum in point order, the gradient check
+    before the Hessian check at each point.  spec.hess takes one point.
+    """
     if grid is None:
         grid = orthant_grid(spec.k)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    worst = np.inf
-    witness = None
-    failed = None
-    for xi in grid:
-        gvec = np.atleast_1d(np.asarray(spec.grad(xi), dtype=float))
-        margin = float(np.min(gvec)) - STRICT_MARGIN
-        if margin < worst:
-            worst, witness, failed = margin, xi, "gradient_positivity"
-        hmat = np.atleast_2d(np.asarray(spec.hess(xi), dtype=float))
-        w = numkernel.eigvalsh_batch(hmat.astype(np.complex128)[None])[0]
-        margin = float(w[-1]) + STRICT_MARGIN
-        if margin < worst:
-            worst, witness, failed = margin, xi, "hessian_psd"
+    hess = np.stack([np.atleast_2d(np.asarray(spec.hess(xi), dtype=float))
+                     for xi in grid])
+    margins = np.stack([
+        np.min(grad_rows(spec, grid), axis=-1) - STRICT_MARGIN,
+        numkernel.eigvalsh_batch(hess.astype(np.complex128))[:, -1]
+        + STRICT_MARGIN,
+    ], axis=-1).ravel()
+    margins[np.isnan(margins)] = np.inf  # a NaN margin never counts as worst
+    i = int(np.argmin(margins))
+    worst = float(margins[i])
     passed = worst >= 0.0
-    return Certificate(passed, worst, None if passed else witness,
-                       None if passed else failed)
+    if passed:
+        return Certificate(True, worst, None, None)
+    return Certificate(False, worst, grid[i // 2],
+                       ("gradient_positivity", "hessian_psd")[i % 2])
 
 
 def certify_sn(spec: PhiFamilySpec, s_grid=None) -> Certificate:
@@ -342,38 +345,79 @@ def simplex_grid(dim: int, total: float = 1.0, resolution: int = None):
     return _composition_units(dim, resolution) * step, step
 
 
-def polish(fn_batch: Callable, y0, sign: float, step: float):
-    """Mass-shuffling pattern search from y0 (tolerance 1e-12).
+def mass_moves(pairs) -> Callable:
+    """Pattern-search moves that shift `step` of mass from coordinate j to i.
 
-    Maximizes sign * fn: moves `step` of mass between two coordinates while
-    that improves, halves the step otherwise.  Returns (y, fn(y)).
+    pairs lists the allowed (i, j), i != j, in the order candidates are tried
+    (the first of equal candidates wins).  A candidate is feasible while its
+    coordinate j stays >= 0.
+    """
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    to, frm = pairs[:, 0], pairs[:, 1]
+    which = np.arange(len(pairs))
+
+    def moves(y, step):
+        cands = np.repeat(y[None], len(pairs), axis=0)
+        cands[which, :, to] += step
+        cands[which, :, frm] -= step
+        return cands, cands[which, :, frm] >= 0.0
+
+    return moves
+
+
+def polish_many(fn_batch: Callable, y0, sign, step, moves: Callable = None,
+                tol: float = POLISH_TOL, gain: float = 1e-18):
+    """Row-wise pattern search: each row of y0 (R, d) climbs sign * fn alone.
+
+    In every round each active row tries the candidates moves(y, step)
+    proposes for it, and takes the best if that beats its value by more than
+    `gain`; otherwise it halves its own step.  A row stops once its step is
+    <= tol.  moves maps rows (A, d) and their steps (A,) to candidates
+    (C, A, d) and a feasibility mask (C, A); infeasible candidates are not
+    evaluated and never win.  The default moves shift mass between any two
+    coordinates (mass_moves).  sign and step are scalars or one per row.
+    Returns (y, fn(y)) row by row.
     """
     y = np.array(y0, dtype=float)
-    dim = len(y)
-    best = float(fn_batch(y[None])[0])
-    while step > POLISH_TOL:
-        improved = False
-        cands = []
-        for i in range(dim):
-            for j in range(dim):
-                if i == j:
-                    continue
-                c = y.copy()
-                c[i] += step
-                c[j] -= step
-                if c[j] >= 0.0:
-                    cands.append(c)
-        if cands:
-            cands = np.asarray(cands)
-            f = sign * np.asarray(fn_batch(cands), dtype=float)
-            b = int(np.argmax(f))
-            if f[b] > sign * best + 1e-18:
-                y = cands[b]
-                best = sign * f[b]
-                improved = True
-        if not improved:
-            step *= 0.5
+    rows = len(y)
+    if moves is None:
+        dim = y.shape[-1]
+        moves = mass_moves([(i, j) for i in range(dim) for j in range(dim)
+                            if i != j])
+    sign = np.broadcast_to(np.asarray(sign, dtype=float), (rows,))
+    step = np.array(np.broadcast_to(np.asarray(step, dtype=float), (rows,)))
+    best = np.array(fn_batch(y), dtype=float)
+    active = np.flatnonzero(step > tol)
+    while active.size:
+        cands, feasible = moves(y[active], step[active])
+        if not len(cands):
+            break  # no moves at all: no row can improve
+        f = np.full(feasible.shape, -np.inf)
+        if feasible.any():
+            f[feasible] = np.broadcast_to(sign[active], f.shape)[feasible] \
+                * np.asarray(fn_batch(cands[feasible]), dtype=float)
+        b = np.argmax(f, axis=0)
+        cols = np.arange(active.size)
+        fb = f[b, cols]
+        up = fb > sign[active] * best[active] + gain
+        moved = active[up]
+        y[moved] = cands[b[up], cols[up]]
+        best[moved] = sign[moved] * fb[up]
+        step[active[~up]] *= 0.5
+        active = active[step[active] > tol]
     return y, best
+
+
+def polish(fn_batch: Callable, y0, sign: float, step: float):
+    """Mass-shuffling pattern search from one profile y0 (tolerance 1e-12).
+
+    Maximizes sign * fn: moves `step` of mass between two coordinates while
+    that improves, halves the step otherwise.  Returns (y, fn(y)); the
+    one-row case of polish_many.
+    """
+    y, best = polish_many(fn_batch, np.asarray(y0, dtype=float)[None], sign,
+                          step)
+    return y[0], float(best[0])
 
 
 def simplex_scan(fn_batch: Callable, dim: int, total: float = 1.0,
@@ -382,7 +426,8 @@ def simplex_scan(fn_batch: Callable, dim: int, total: float = 1.0,
 
     fn_batch maps an array (P, dim) of profiles to (P,) values.  Dense ordered
     grid (simplex_grid) plus a pattern-search polish of the best grid point
-    at each end (polish).  Returns ((ymin, fmin), (ymax, fmax)).
+    at each end, both ends as two rows of one polish_many call.  Returns
+    ((ymin, fmin), (ymax, fmax)).
     """
     if dim == 1:
         y = np.array([[total]])
@@ -390,16 +435,9 @@ def simplex_scan(fn_batch: Callable, dim: int, total: float = 1.0,
         return (y[0], f), (y[0], f)
     y_grid, step = simplex_grid(dim, total, resolution)
     vals = np.asarray(fn_batch(y_grid), dtype=float)
-    return (polish(fn_batch, y_grid[int(np.argmin(vals))], -1.0, step),
-            polish(fn_batch, y_grid[int(np.argmax(vals))], +1.0, step))
-
-
-def simplex_max(fn_batch: Callable, dim: int, total: float = 1.0,
-                resolution: int = None):
-    """The maximum half of simplex_scan, (ymax, fmax), without the minimum polish."""
-    y_grid, step = simplex_grid(dim, total, resolution)
-    vals = np.asarray(fn_batch(y_grid), dtype=float)
-    return polish(fn_batch, y_grid[int(np.argmax(vals))], +1.0, step)
+    starts = y_grid[[int(np.argmin(vals)), int(np.argmax(vals))]]
+    y, f = polish_many(fn_batch, starts, np.array([-1.0, 1.0]), step)
+    return (y[0], float(f[0])), (y[1], float(f[1]))
 
 
 def _g_profile_batch(spec: GFamilySpec, doubled: bool):

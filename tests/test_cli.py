@@ -375,3 +375,19 @@ def test_zero_tangent_point_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "points[1].v" in err and "points[0]" not in err
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    # a program fault exits 2, not 1 (the code of a verified violation)
+    def broken(config):
+        raise ValueError("operands could not be broadcast")
+
+    monkeypatch.setattr(cli, "run", broken)
+    path = tmp_path / "cfg.json"
+    path.write_text(_config())
+    rc = cli.main(["eval", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.strip() == \
+        "internal error: ValueError: operands could not be broadcast"

@@ -277,3 +277,114 @@ def test_lie_origin_curvature_never_builds_the_matrix(monkeypatch):
     curv.hsc_origin_many(metric, vs)
     curv.bisectional_origin_many(metric, vs, vs[::-1])
     curv.curvature_bounds(metric, pair_draws=100)
+
+
+def _nested_sup_matrix(metric):
+    """Oracle: sup over x of [sup over y of (y . w(x)) / F^2(y)] / F^2(x).
+
+    One grid scan and polish of y for every outer candidate x, nested in a
+    grid scan and polish of x (the pre-joint search, about 5,000 inner scans
+    on a rank-2 metric).
+    """
+    spec = metric.domain
+    k = metric.family.k
+    dim, total = curv._profile_dim_total(spec)
+    mult = 2.0 if spec.kind == "III" else 1.0
+    norm = metric.normalization
+
+    def scan_max(fn):
+        grid, step = nrm.simplex_grid(dim, total)
+        return nrm.polish(fn, grid[int(np.argmax(fn(grid)))], +1.0, step)
+
+    def profile_f2(y):
+        h = nrm.power_means(curv._profile_to_traces(spec, y, k))
+        return norm * np.asarray(metric.family.value(h), dtype=float), h
+
+    def outer(xbatch):
+        f2v, h = profile_f2(xbatch)
+        grads = nrm.grad_rows(metric.family, h)
+        weights = np.zeros_like(xbatch)
+        for a in range(1, k + 1):
+            weights += (grads[..., a - 1]
+                        * h[..., a - 1] ** (1 - a))[..., None] * xbatch**a
+        weights *= 4.0 * norm * mult
+        out = np.empty(len(xbatch))
+        for i in range(len(xbatch)):
+            _, fmax = scan_max(lambda y: (y @ weights[i]) / profile_f2(y)[0])
+            out[i] = fmax / f2v[i]
+        return out
+
+    return float(scan_max(outer)[1])
+
+
+def _global_step_sup_lie(metric, restarts=12):
+    """Oracle: the Lie-ball search with one step for all 24 starts, halved
+    only in a round where no start gains more than 1e-15."""
+    n = metric.domain.dims[0]
+    norm = metric.normalization
+    rng = np.random.default_rng(0)
+
+    def value(svec, wmat):
+        reps = _lie_reps(svec, n)
+        f2v = nrm.eval_phi_norm_many(metric.family, reps, norm)
+        f2w = nrm.eval_phi_norm_many(metric.family, wmat, norm)
+        return 2.0 * curv._lie_contraction(metric, reps, wmat) / (f2v * f2w)
+
+    s0 = np.linspace(0.0, 1.0, restarts)
+    wr = rng.standard_normal((restarts, n)) + 1j * rng.standard_normal((restarts, n))
+    wr /= np.linalg.norm(wr, axis=-1, keepdims=True)
+    s = np.concatenate([s0, rng.uniform(0.0, 1.0, restarts)])
+    w = np.concatenate([_lie_reps(s0, n), wr])
+    best = value(s, w)
+    step = 0.25
+    while step > 1e-9:
+        cands_s = [np.clip(s + step, 0.0, 1.0), np.clip(s - step, 0.0, 1.0)]
+        cands_w = [w, w]
+        for j in range(n):
+            for delta in (step, -step, 1j * step, -1j * step):
+                wc = w.copy()
+                wc[:, j] += delta
+                cands_s.append(s)
+                cands_w.append(wc / np.linalg.norm(wc, axis=-1, keepdims=True))
+        stack_s, stack_w = np.stack(cands_s), np.stack(cands_w)
+        vals = value(stack_s.reshape(-1), stack_w.reshape(-1, n))
+        vals = vals.reshape(len(cands_s), len(s))
+        vbest, which = vals.max(axis=0), vals.argmax(axis=0)
+        gain = np.where(vbest > best + 1e-15)[0]
+        if gain.size:
+            s[gain] = stack_s[which[gain], gain]
+            w[gain] = stack_w[which[gain], gain]
+            best[gain] = vbest[gain]
+        else:
+            step *= 0.5
+    return float(best.max())
+
+
+@pytest.mark.parametrize("metric", [
+    met.bergman_metric(dom.type_i(1, 3)),
+    met.tk_metric(dom.type_i(1, 3), 2.0, 3),
+    met.tk_metric(dom.type_i(2, 2), 0.5, 2),
+    met.tk_metric(dom.type_i(2, 3), 5.0, 3),
+    met.tk_metric(dom.type_ii(3), 0.1, 4),
+    met.tk_metric(dom.type_iii(5), 20.0, 2),
+], ids=lambda m: m.label)
+def test_joint_sup_matches_nested_scan(metric):
+    joint = curv._bisectional_sup_matrix(metric)
+    nested = _nested_sup_matrix(metric)
+    assert abs(joint - nested) <= 1e-15 * abs(nested)
+
+
+@pytest.mark.parametrize("n, profile", [(2, "affine2"), (3, "affine0.5"),
+                                        (4, "bergman")])
+def test_per_start_lie_search_matches_global_step(n, profile):
+    metric = _lie_metric(n, profile)
+    per_start = curv._bisectional_sup_lie(metric)
+    oracle = _global_step_sup_lie(metric)
+    assert abs(per_start - oracle) <= 1e-15 * abs(oracle)
+
+
+def test_joint_table_row_blocks_find_the_same_cell(monkeypatch):
+    metric = met.tk_metric(dom.type_iii(6), 2.0, 3)  # rank 3
+    whole = curv._bisectional_sup_matrix(metric)
+    monkeypatch.setattr(curv, "SUP_TABLE_CELLS", 1000)  # about 3 rows a block
+    assert curv._bisectional_sup_matrix(metric) == whole

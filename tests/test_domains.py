@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cartanfinsler import domains
+from cartanfinsler import automorphisms, domains
 from cartanfinsler.errors import StructureError
 
 ALL_SPECS = [
@@ -67,6 +67,29 @@ def test_type_iv_membership_value():
     # z = (0.5, 0, 0): 1 + 0.0625 - 0.5 > 0 and |zz'| = 0.25 < 1
     z = np.array([0.5, 0.0, 0.0], dtype=complex)
     assert domains.contains(domains.type_iv(3), z)
+
+
+def test_type_iv_membership_near_the_boundary():
+    spec = domains.type_iv(3)
+    # the margin sits on 1 - gauge^2, so real directions stay inside to the end
+    for gauge in (1.0 - 4e-7, 1.0 - 1e-9):
+        z = np.array([gauge, 0.0, 0.0], dtype=complex)
+        assert domains.minkowski_gauge(spec, z) == gauge
+        assert domains.contains(spec, z)
+        phi = automorphisms.normalizing_automorphism(spec, z)  # does not raise
+        assert phi.source == spec
+    # phase-rotated real directions: r^2 - |zz'|^2 would cancel to ~1e-8 here
+    phases = np.exp(1j * np.linspace(0.0, np.pi, 13))[:, None]
+    for real in ([1.0, 0.0, 0.0], [0.6, 0.8, 0.0]):
+        assert domains.contains_many(spec, (1.0 - 1e-9) * phases * real).all()
+    w = domains.sample_tangents(spec, np.arange(200))
+    w = w / domains.minkowski_gauge_many(spec, w)[:, None]
+    for scale in (1.0 - 1e-9, 1.0 - 4e-7):
+        assert domains.contains_many(spec, scale * w).all()
+    for scale in (1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.5):
+        assert not domains.contains_many(spec, scale * w).any()
+        assert not domains.contains(spec, np.array([scale, 0.0, 0.0]))
+        assert not domains.contains(spec, np.array([0.6j, 0.8j, 0.0]) * scale)
 
 
 def test_contains_rejects_wrong_symmetry():

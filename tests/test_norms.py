@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from cartanfinsler import domains, norms
+from cartanfinsler import domains, norms, numkernel
 from cartanfinsler.errors import StructureError
 
 
@@ -145,6 +145,53 @@ def test_certify_scc_rejects_decreasing_direction():
     assert cert.worst_margin < -0.4  # gradient entry is -0.5
 
 
+def _certify_scc_loop(spec, grid=None):
+    """Oracle: the per-point certify_scc, gradient check before Hessian check."""
+    grid = norms.orthant_grid(spec.k) if grid is None else np.atleast_2d(grid)
+    worst, witness, failed = np.inf, None, None
+    for xi in grid:
+        margin = float(np.min(np.atleast_1d(spec.grad(xi)))) - norms.STRICT_MARGIN
+        if margin < worst:
+            worst, witness, failed = margin, xi, "gradient_positivity"
+        hmat = np.atleast_2d(spec.hess(xi)).astype(np.complex128)
+        margin = float(numkernel.eigvalsh_batch(hmat[None])[0, -1]) \
+            + norms.STRICT_MARGIN
+        if margin < worst:
+            worst, witness, failed = margin, xi, "hessian_psd"
+    passed = worst >= 0.0
+    return norms.Certificate(passed, worst, None if passed else witness,
+                             None if passed else failed)
+
+
+@pytest.mark.parametrize("spec", [
+    norms.bergman_family(4.0),
+    norms.tk_family(t=1.0, k=2, c=4.0),
+    norms.tk_family(t=0.5, k=3, c=2.0),
+    norms.g_family_from_callable(lambda xi: xi[0] - 0.5 * xi[1], k=2,
+                                 label="decreasing"),
+    norms.g_family_from_callable(lambda xi: xi[0] + xi[1] - 2.0 * xi[0] * xi[1],
+                                 k=2, label="saddle"),
+    norms.g_family_from_callable(lambda xi: xi[0] + 0.3 * xi[1] - xi[1] ** 2,
+                                 k=2, label="concave"),
+], ids=lambda spec: spec.label)
+def test_certify_scc_matches_the_point_loop(spec):
+    cert = norms.certify_scc(spec)
+    oracle = _certify_scc_loop(spec)
+    assert cert.passed == oracle.passed
+    assert cert.worst_margin == oracle.worst_margin
+    assert cert.failed_condition == oracle.failed_condition
+    assert np.array_equal(cert.witness, oracle.witness) \
+        or cert.witness is oracle.witness is None
+
+
+def test_certify_scc_reports_a_non_psd_hessian():
+    cert = norms.certify_scc(norms.g_family_from_callable(
+        lambda xi: xi[0] + xi[1] - 2.0 * xi[0] * xi[1], k=2, label="saddle"))
+    assert not cert.passed
+    assert cert.failed_condition == "hessian_psd"
+    assert cert.worst_margin < -1.0  # Hessian eigenvalues are +-2
+
+
 def test_certify_sn_passes_builtins():
     assert norms.certify_sn(norms.constant_phi(2.0)).passed
     assert norms.certify_sn(norms.affine_phi(0.5)).passed
@@ -247,13 +294,34 @@ def _profile_fns():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_simplex_max_is_the_scan_maximum(dim):
+def test_polish_many_rows_are_one_row_polishes(dim):
     for name, fn in _profile_fns():
         for total in (1.0, 0.5):
-            (_, _), (ymax, fmax) = norms.simplex_scan(fn, dim, total=total)
-            y, f = norms.simplex_max(fn, dim, total=total)
-            assert f == fmax, name  # bit for bit: same grid, same polish
-            assert np.array_equal(y, ymax), name
+            grid, step = norms.simplex_grid(dim, total)
+            vals = fn(grid)
+            picks = [int(np.argmin(vals)), int(np.argmax(vals)), len(grid) // 2]
+            signs = np.array([-1.0, 1.0, 1.0])
+            steps = np.array([step, step, 4.0 * step])
+            ys, fs = norms.polish_many(fn, grid[picks], signs, steps)
+            for row, (i, sign, st) in enumerate(zip(picks, signs, steps)):
+                y, f = norms.polish(fn, grid[i], sign, st)
+                assert f == fs[row], name  # bit for bit
+                assert np.array_equal(y, ys[row]), name
+            # simplex_scan polishes both ends as two rows of one call
+            (ymin, fmin), (ymax, fmax) = norms.simplex_scan(fn, dim, total=total)
+            if dim > 1:
+                assert (fmin, fmax) == (fs[0], fs[1]), name
+                assert np.array_equal(ymin, ys[0]) and np.array_equal(ymax, ys[1])
+
+
+def test_polish_many_never_evaluates_infeasible_candidates():
+    def fn(y):
+        assert np.all(y >= 0.0)  # a negative mass never reaches fn
+        return y[:, 0]
+
+    y, f = norms.polish_many(fn, np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0, 0.25)
+    assert np.array_equal(y, [[1.0, 0.0], [1.0, 0.0]])
+    assert np.array_equal(f, [1.0, 1.0])
 
 
 def test_simplex_grid_is_ordered_and_cached():
