@@ -23,7 +23,6 @@ from . import domains
 from .domains import DomainSpec
 from . import numkernel
 
-COND_LIMIT = 1e-12  # min-eigenvalue cutoff for (I - Z0 Z0*) near the boundary
 ISOTROPY_STREAM = 1  # counter word 1 of the isotropy draws; sampling uses 0
 
 
@@ -127,22 +126,10 @@ def _haar_orthogonal(g):
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
-def _inv_gram_root(gram):
-    """Hermitian PD root of gram^{-1}, with a boundary conditioning guard."""
-    w, u = numkernel.hermitian_eigs(gram)
-    if w[-1] <= COND_LIMIT * max(1.0, w[0]):
-        raise NumericError(
-            f"base point too close to the boundary: min eigenvalue {w[-1]:.3e}"
-        )
-    return (u / np.sqrt(w)) @ u.conj().T
-
-
 def _x0_matrix(z0):
     """Real 2xN parameter matrix of the Lie-ball normalizing map."""
     a = z0 @ z0
-    denom = 1.0 - abs(a) ** 2
-    if denom <= COND_LIMIT:
-        raise NumericError("base point too close to the Lie-ball boundary")
+    denom = 1.0 - abs(a) ** 2  # >= 1 - gauge^4 > 0 at interior points
     row1 = (np.conj(a) - 1.0) * z0 + (a - 1.0) * np.conj(z0)
     row2 = 1j * (a + 1.0) * np.conj(z0) - 1j * (np.conj(a) + 1.0) * z0
     x0 = (-1.0 / denom) * np.stack([row1, row2])
@@ -185,10 +172,12 @@ def normalizing_automorphism(spec: DomainSpec, z0) -> HoloMap:
     if spec.kind == "IV":
         x0 = _x0_matrix(z0)
         return HoloMap(spec, spec, LieBallMobius(z0, x0, *_lie_ball_roots(z0, x0)))
+    # contains puts its margin on the grams' smallest eigenvalue, so the
+    # roots below cannot raise
     m, n = spec.ambient_shape
-    a = _inv_gram_root(np.eye(m) - z0 @ z0.conj().T)
+    a = numkernel.gram_inv_sqrt((np.eye(m) - z0 @ z0.conj().T)[None])[0]
     if spec.kind == "I":
-        d = _inv_gram_root(np.eye(n) - z0.conj().T @ z0)
+        d = numkernel.gram_inv_sqrt((np.eye(n) - z0.conj().T @ z0)[None])[0]
     else:
         d = np.conj(a)
     return HoloMap(spec, spec, MatrixMobius(z0, a, np.linalg.inv(d)))

@@ -121,23 +121,29 @@ def _as_points(spec: DomainSpec, zs):
     return zs
 
 
+def _lie_gauge2(ws):
+    """Squared type IV gauge r + 2 |x ^ y| of z = x + iy, r = z z*.
+
+    The wedge norm |x ^ y| = sqrt(r^2 - |z z'|^2) / 2 is summed from its 2x2
+    minors, which keeps full precision where the two spectral values of z
+    meet (phase-rotated real directions).
+    """
+    x, y = ws.real, ws.imag
+    i, j = np.triu_indices(ws.shape[-1], 1)
+    wedge = np.sqrt(np.sum((x[..., i] * y[..., j] - x[..., j] * y[..., i]) ** 2,
+                           axis=-1))
+    return np.sum(x**2 + y**2, axis=-1) + 2.0 * wedge
+
+
 def contains_many(spec: DomainSpec, zs) -> np.ndarray:
     """Strict interior membership of each point of a stack (batch, *ambient_shape).
 
     1 - gauge^2 must exceed the margin 1e-12, as 1 - |Z|^2 does on the
-    matrix types.  On type IV, gauge^2 = r + 2 |x ^ y| for z = x + iy with
-    r = z z*; the wedge norm |x ^ y| = sqrt(r^2 - |z z'|^2) / 2 is summed from
-    its 2x2 minors, which keeps full precision where the two spectral values
-    of z meet (real directions).
+    matrix types; type IV takes gauge^2 from _lie_gauge2.
     """
     zs = _as_points(spec, zs)
     if spec.kind == "IV":
-        x, y = zs.real, zs.imag
-        i, j = np.triu_indices(zs.shape[-1], 1)
-        wedge = np.sqrt(np.sum((x[:, i] * y[:, j] - x[:, j] * y[:, i]) ** 2,
-                               axis=-1))
-        r = np.sum(x**2 + y**2, axis=-1)
-        return 1.0 - (r + 2.0 * wedge) > MEMBERSHIP_MARGIN
+        return 1.0 - _lie_gauge2(zs) > MEMBERSHIP_MARGIN
     gram = np.eye(zs.shape[1]) - zs @ np.conj(np.swapaxes(zs, 1, 2))
     return numkernel.eigvalsh_batch(gram)[:, -1] > MEMBERSHIP_MARGIN
 
@@ -166,13 +172,11 @@ def minkowski_gauge_many(spec: DomainSpec, ws) -> np.ndarray:
     """Minkowski gauge of each array of a stack (..., *ambient_shape).
 
     The domain is {gauge < 1}.  Types I-III: largest singular value.
-    Type IV: closed form sqrt(r + sqrt(r^2 - |p|^2)) with r = w w*, p = w w'.
+    Type IV: sqrt(r + 2 |x ^ y|), the same formula contains_many reads.
     """
     ws = np.asarray(ws, dtype=np.complex128)
     if spec.kind == "IV":
-        r = np.sum(ws.real**2 + ws.imag**2, axis=-1)
-        p = np.abs(np.sum(ws * ws, axis=-1))
-        return np.sqrt(r + np.sqrt(np.maximum(r * r - p * p, 0.0)))
+        return np.sqrt(_lie_gauge2(ws))
     # m <= n on every matrix type, so W W* is the smaller gram
     gram = ws @ np.conj(np.swapaxes(ws, -1, -2))
     return np.sqrt(np.maximum(numkernel.eigvalsh_batch(gram)[..., 0], 0.0))
@@ -216,18 +220,14 @@ def tangent_basis(spec: DomainSpec) -> np.ndarray:
 
 
 def pack(spec: DomainSpec, z) -> np.ndarray:
-    """Independent complex coordinates of a tangent-class array."""
+    """Independent complex coordinates of a tangent-class array, or of each
+    array of a stack (..., *ambient_shape)."""
     z = np.asarray(z, dtype=np.complex128)
     if spec.kind == "I":
-        return z.reshape(-1).copy()
-    if spec.kind == "II":
-        m = z.shape[0]
-        iu = np.triu_indices(m)
-        return z[iu].copy()
-    if spec.kind == "III":
-        m = z.shape[0]
-        iu = np.triu_indices(m, k=1)
-        return z[iu].copy()
+        return z.reshape(z.shape[:-2] + (-1,)).copy()
+    if spec.kind in ("II", "III"):
+        i, j = np.triu_indices(z.shape[-1], k=0 if spec.kind == "II" else 1)
+        return z[..., i, j]
     return z.copy()
 
 

@@ -6,14 +6,15 @@ Lie ball (type IV): F^2(z;v) = norm * (v M(z) v*) / Delta^2 * phi(s) with
     Delta = 1 + |zz'|^2 - 2 zz*,  s = Delta^2 |vv'|^2 / (v M v*)^2,
 and M(z) the Hermitian curvature matrix of the ball.
 
-Derivatives in the fiber variable V are analytic (chain rule through the
-power traces); derivatives in the base variable Z use 4-point central
-differences per realified coordinate, combined into Wirtinger derivatives —
-F^2 is not holomorphic in Z, so complex-step differentiation does not apply.
-The base derivatives are one batched stencil: all 8 dim stencil points (and,
-in the connection, every fiber sampled at that base point) go through a
-single grad_vbar_many call, and the Kaehler-Berwald check fits one Gamma to
-N(z, v) = Gamma(z) v over those fibers.
+Every formula reads one base-point frame: P, Q from _frame on the matrix
+types, and M, Delta with the fiber invariants from lie_fiber on the Lie ball.
+Derivatives in the fiber variable V are analytic, and so is the Hermitian
+reference connection Gamma_H on all four types (hermitian_gamma).  Base
+derivatives of a general F^2 use 4-point central differences per realified
+coordinate, combined into Wirtinger derivatives (F^2 is not holomorphic in
+Z): all 8 dim stencil points and every fiber sampled at that base point go
+through one grad_vbar_many call, and the Kaehler-Berwald check fits one
+Gamma to N(z, v) = Gamma(z) v over those fibers.
 """
 from dataclasses import dataclass
 
@@ -125,15 +126,34 @@ def _lie_ball_matrix(z):
     return m, delta
 
 
+def lie_fiber(zs, vs):
+    """Lie-ball frame and fiber invariants (M, Delta, q, p, s) over stacks.
+
+    q = v M v*, p = v.v and s = Delta^2 |p|^2 / q^2 clipped to [0, 1], with
+    s = 0 where q = 0; the batch axes of zs and vs broadcast.
+    """
+    m, delta = _lie_ball_matrix(zs)
+    q = np.einsum("...i,...ij,...j->...", vs, m, np.conj(vs)).real
+    p = np.sum(vs * vs, axis=-1)
+    s = np.divide(delta**2 * np.abs(p) ** 2, q * q, out=np.zeros_like(q),
+                  where=q > 0.0)
+    return m, delta, q, p, np.clip(s, 0.0, 1.0)
+
+
+def _frame(zs):
+    """P = (I - Z Z*)^{-1} and Q = (I - Z* Z)^{-1} over a stack of points."""
+    zc = np.conj(np.swapaxes(zs, -1, -2))
+    return (np.linalg.inv(np.eye(zs.shape[-2]) - zs @ zc),
+            np.linalg.inv(np.eye(zs.shape[-1]) - zc @ zs))
+
+
 def _matrix_fiber_parts(metric: MetricSpec, zs, vs):
     """P, Q, P V Q, the ladder M^0..M^k of M = P V Q V* and S_a = tr M^a.
 
     zs and vs may carry batch axes in front of the matrix axes, and those
     axes broadcast against each other.
     """
-    zc = np.conj(np.swapaxes(zs, -1, -2))
-    p = np.linalg.inv(np.eye(zs.shape[-2]) - zs @ zc)
-    q = np.linalg.inv(np.eye(zs.shape[-1]) - zc @ zs)
+    p, q = _frame(zs)
     pvq = p @ vs @ q
     m = pvq @ np.conj(np.swapaxes(vs, -1, -2))
     k = metric.family.k
@@ -150,11 +170,7 @@ def eval2_many(metric: MetricSpec, zs, vs) -> np.ndarray:
     zs = np.asarray(zs, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
     if metric.domain.kind == "IV":
-        m, delta = _lie_ball_matrix(zs)
-        q = np.einsum("...i,...ij,...j->...", vs, m, np.conj(vs)).real
-        p2 = np.abs(np.sum(vs * vs, axis=-1)) ** 2
-        s = np.divide(delta**2 * p2, q * q, out=np.zeros_like(q), where=q > 0.0)
-        s = np.clip(s, 0.0, 1.0)
+        _, delta, q, _, s = lie_fiber(zs, vs)
         phi = np.asarray(metric.family.value(s), dtype=float)
         return metric.normalization * q / delta**2 * phi
     h = norms.power_means(_matrix_fiber_parts(metric, zs, vs)[-1])
@@ -166,9 +182,6 @@ def eval2(metric: MetricSpec, z, v, checked: bool = True) -> float:
     """F^2(Z;V)."""
     if checked:
         z, v = _check_pair(metric, z, v)
-    else:
-        z = np.asarray(z, dtype=np.complex128)
-        v = np.asarray(v, dtype=np.complex128)
     return float(eval2_many(metric, z, v))
 
 
@@ -193,11 +206,8 @@ def grad_vbar_many(metric: MetricSpec, zs, vs) -> np.ndarray:
     norm = metric.normalization
     if spec.kind == "IV":
         # coordinates are the entries, so the ambient gradient is the packed one
-        m, delta = _lie_ball_matrix(zs)
+        m, delta, q, p, s = lie_fiber(zs, vs)
         vm = np.einsum("...i,...ij->...j", vs, m)
-        q = np.einsum("...j,...j->...", vm, np.conj(vs)).real
-        p = np.sum(vs * vs, axis=-1)
-        s = np.clip(delta**2 * np.abs(p) ** 2 / (q * q), 0.0, 1.0)
         phi = np.asarray(metric.family.value(s), dtype=float)
         d1 = np.asarray(metric.family.d1(s), dtype=float)
         g_q = (norm / delta**2) * (phi - 2.0 * s * d1)
@@ -234,11 +244,7 @@ def fundamental_tensor(metric: MetricSpec, z, v) -> np.ndarray:
     spec = metric.domain
 
     if spec.kind == "IV":
-        m, delta = _lie_ball_matrix(z)
-        q = float(np.einsum("i,ij,j->", v, m, np.conj(v)).real)
-        p = np.sum(v * v)
-        p2 = abs(p) ** 2
-        s = min(max(delta**2 * p2 / (q * q), 0.0), 1.0)
+        m, delta, q, p, s = lie_fiber(z, v)
         phi = float(metric.family.value(s))
         d1 = float(metric.family.d1(s))
         d2 = float(metric.family.d2(s))
@@ -356,34 +362,47 @@ def connection_sample(metric: MetricSpec, z, vs) -> np.ndarray:
     return np.linalg.solve(np.swapaxes(hmats, -1, -2), np.moveaxis(bmats, 0, -1))
 
 
+def hermitian_gamma(spec: DomainSpec, z, us, ws) -> np.ndarray:
+    """Gamma_z(U, W) = W (d_U H) H^{-1} of the Hermitian reference tensor H.
+
+    Closed form; d_U is the holomorphic derivative along U, and H's scale
+    cancels.  z is one point, and the stacks us and ws broadcast.
+      * types I-III: U Z* P W + W Q Z* U;
+      * Lie ball, H = M/Delta^2: (W d_U M) M^{-1} - 2 (d_U Delta / Delta) W,
+        with a = z.z, r = z.zbar, d_U Delta = 2 (conj(a) (z.U) - zbar.U) and
+        d_U M = (d_U Delta) I - 2 conj(a) (U z' + z U') + 4 (zbar.U) z zbar'
+                - 2 (1 - 2r) U zbar' + 2 zbar U' - 4 (z.U) zbar zbar'.
+    """
+    z, us, ws = (np.asarray(a, dtype=np.complex128) for a in (z, us, ws))
+    if spec.kind != "IV":
+        zc = z.conj().T
+        p, q = _frame(z)
+        return us @ zc @ p @ ws + ws @ q @ zc @ us
+    m, delta = _lie_ball_matrix(z)
+    ac = np.conj(np.sum(z * z))
+    r = np.sum(np.abs(z) ** 2)
+    zb = np.conj(z)
+    dot = lambda x, y: np.sum(x * y, axis=-1)[..., None]
+    zu, zbu = dot(us, z), dot(us, zb)
+    wu, wz, wzb = dot(ws, us), dot(ws, z), dot(ws, zb)
+    d_delta = 2.0 * (ac * zu - zbu)
+    w_dm = (d_delta * ws - 2.0 * ac * (wu * z + wz * us) + 4.0 * zbu * wz * zb
+            - 2.0 * (1.0 - 2.0 * r) * wu * zb + 2.0 * wzb * us
+            - 4.0 * zu * wzb * zb)
+    return w_dm @ np.linalg.inv(m) - 2.0 * (d_delta / delta) * ws
+
+
 def hermitian_connection(metric: MetricSpec, z) -> np.ndarray:
     """Horizontal coefficients of the Hermitian (quadratic) reference metric.
 
-    Entry [l, j, i].  Matrix domains use the closed form
-    Gamma(U)V = U Z* P V + V Q Z* U; the Lie ball differentiates the
-    Hermitian tensor H(z) = norm * M(z)/Delta^2 numerically.
+    Entry [l, j, i] is coordinate l of hermitian_gamma(e_i, e_j), packed
+    over every pair of basis directions in one call.  Closed form on all
+    four types; nothing is differentiated numerically.
     """
     spec = metric.domain
-    z = np.asarray(z, dtype=np.complex128)
     basis = domains.tangent_basis(spec)
-    r = spec.dim
-    if spec.kind == "IV":
-        def hmat_at(zz):
-            m, delta = _lie_ball_matrix(zz)
-            return metric.normalization * m / np.asarray(delta**2)[..., None, None]
-        dh = _wirtinger_base_fd(hmat_at, spec, z)
-        hinv = np.linalg.inv(hmat_at(z))
-        return np.transpose(dh @ hinv, (2, 1, 0))
-    zc = z.conj().T
-    mdim, ndim = z.shape
-    p = np.linalg.inv(np.eye(mdim) - z @ zc)
-    q = np.linalg.inv(np.eye(ndim) - zc @ z)
-    gamma = np.empty((r, r, r), dtype=np.complex128)
-    for i, u in enumerate(basis):
-        for j, w in enumerate(basis):
-            out = u @ zc @ p @ w + w @ q @ zc @ u
-            gamma[:, j, i] = domains.pack(spec, out)
-    return gamma
+    gamma = hermitian_gamma(spec, z, basis[:, None], basis[None])
+    return np.transpose(domains.pack(spec, gamma), (2, 1, 0))
 
 
 def verify_kahler_berwald(metric: MetricSpec, n_base: int = 3, n_fiber: int = 10,
@@ -425,7 +444,7 @@ def verify_kahler_berwald(metric: MetricSpec, n_base: int = 3, n_fiber: int = 10
         mixed = max(mixed, float(np.max(np.abs(bmat))))
 
         vs = np.stack([v / np.linalg.norm(v) for v in vs])
-        packed = np.stack([domains.pack(spec, v) for v in vs])       # (f, j)
+        packed = domains.pack(spec, vs)                              # (f, j)
         nonlinear = connection_sample(metric, z, vs).reshape(n_fiber, -1)
         fit = np.linalg.lstsq(packed, nonlinear, rcond=None)[0]      # (j, l i)
         v_var = max(v_var, float(np.max(np.abs(nonlinear - packed @ fit))))
@@ -457,20 +476,6 @@ def verify_invariance(metric: MetricSpec, n_maps: int = 100, n_samples: int = 10
 # geodesics of the shared (Hermitian) connection
 
 
-def _geodesic_acceleration(metric: MetricSpec, z, w):
-    spec = metric.domain
-    if spec.kind == "IV":
-        gamma = hermitian_connection(metric, z)
-        wp = domains.pack(spec, w)
-        acc = -np.einsum("lji,j,i->l", gamma, wp, wp)
-        return domains.unpack(spec, acc)
-    zc = z.conj().T
-    mdim, ndim = z.shape
-    p = np.linalg.inv(np.eye(mdim) - z @ zc)
-    q = np.linalg.inv(np.eye(ndim) - zc @ z)
-    return -(w @ zc @ p @ w + w @ q @ zc @ w)
-
-
 def geodesic(metric: MetricSpec, z0, v0, t_end: float, steps: int):
     """Integrate the connection's geodesic flow with classical RK4.
 
@@ -485,7 +490,7 @@ def geodesic(metric: MetricSpec, z0, v0, t_end: float, steps: int):
 
     def rhs(state):
         zz, ww = state
-        return ww, _geodesic_acceleration(metric, zz, ww)
+        return ww, -hermitian_gamma(metric.domain, zz, ww, ww)
 
     for _ in range(steps):
         k1 = rhs((z, w))

@@ -1,8 +1,9 @@
 """Dense complex-matrix kernel shared by every other module.
 
 Hermitian eigendecomposition (LAPACK through ``numpy.linalg.eigh``),
-positive-definite square roots, power traces, singular values, and the
-Newton-identity bridge between power sums and elementary symmetric values.
+positive-definite square roots, the inverse gram roots of base points, power
+traces, singular values, and the Newton-identity bridge between power sums
+and elementary symmetric values.
 """
 from __future__ import annotations
 
@@ -73,6 +74,21 @@ def eigh_batch(ms, want_vectors: bool = True):
 def eigvalsh_batch(ms) -> np.ndarray:
     """Descending eigenvalues of a batch of Hermitian matrices."""
     return eigh_batch(ms, want_vectors=False)[0]
+
+
+def gram_inv_sqrt(grams) -> np.ndarray:
+    """G^{-1/2} = U diag(w^{-1/2}) U* over a stack of grams I - ZZ* or I - Z*Z.
+
+    The one rule: a gram whose smallest eigenvalue is not > 0 raises
+    DomainError, as its point is not interior.  The root uses the gram's own
+    eigenpairs, so it stays accurate up to the boundary, where inverting the
+    gram first would amplify its rounding by 1/(1 - gauge^2).
+    """
+    w, u = eigh_batch(grams)
+    if not np.all(w[..., -1] > 0.0):
+        raise DomainError("base point is not interior: a gram I - ZZ* or I - Z*Z "
+                          "is not positive definite")
+    return (u / np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
 
 
 def pd_sqrt(m) -> np.ndarray:

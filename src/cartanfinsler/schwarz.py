@@ -26,7 +26,7 @@ from . import domains
 from . import numkernel
 from .curvature import CurvatureReport, lie_representative
 from .domains import DomainSpec
-from .metrics import MetricSpec, _lie_ball_matrix, eval2_many
+from .metrics import MetricSpec, eval2_many, lie_fiber
 
 BISECTION_STEPS = 60
 PROBE_COUNT = 200
@@ -71,34 +71,19 @@ def caratheodory_many(spec: DomainSpec, zs, vs) -> np.ndarray:
     zs = np.asarray(zs, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
     if spec.kind == "IV":
-        m, delta = _lie_ball_matrix(zs)
-        r = np.einsum("...i,...ij,...j->...", vs, m, np.conj(vs)).real / delta**2
-        p2 = np.abs(np.sum(vs * vs, axis=-1)) ** 2
-        s = np.divide(delta**2 * p2, (r * delta**2) ** 2,
-                      out=np.zeros_like(r), where=r > 0.0)
-        s = np.clip(s, 0.0, 1.0)
+        _, delta, q, _, s = lie_fiber(zs, vs)
+        r = q / delta**2
         return np.sqrt(r * (1.0 + np.sqrt(1.0 - s)))
     flat_z = zs.reshape((-1,) + spec.ambient_shape)
     flat_v = vs.reshape((-1,) + spec.ambient_shape)
     zc = np.conj(np.swapaxes(flat_z, -1, -2))
     mdim, ndim = spec.ambient_shape
-    # P^{1/2} = (I - ZZ*)^{-1/2} from the gram's own eigenpairs: Hermitian by
-    # construction and accurate up to the boundary, where inverting the
-    # gram first amplifies its rounding by 1/(1 - gauge^2)
-    a = _inverse_sqrt(np.eye(mdim) - flat_z @ zc)
-    b = _inverse_sqrt(np.eye(ndim) - zc @ flat_z)
+    # P^{1/2} = (I - ZZ*)^{-1/2} and Q^{1/2} = (I - Z*Z)^{-1/2}
+    a = numkernel.gram_inv_sqrt(np.eye(mdim) - flat_z @ zc)
+    b = numkernel.gram_inv_sqrt(np.eye(ndim) - zc @ flat_z)
     w = a @ flat_v @ b  # m x n with m <= n, so W W* is the smaller gram
     top = numkernel.eigvalsh_batch(w @ np.conj(np.swapaxes(w, -1, -2)))[:, 0]
     return np.sqrt(np.maximum(top, 0.0)).reshape(zs.shape[: zs.ndim - 2])
-
-
-def _inverse_sqrt(grams) -> np.ndarray:
-    """G^{-1/2} = U diag(w^{-1/2}) U* for a stack of positive-definite grams."""
-    w, u = numkernel.eigh_batch(grams)
-    if not np.all(w[:, -1] > 0.0):
-        raise DomainError("base point is not interior: a gram I - ZZ* or I - Z*Z "
-                          "is not positive definite")
-    return (u / np.sqrt(w)[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2))
 
 
 def caratheodory(spec: DomainSpec, z, v) -> float:

@@ -4,6 +4,7 @@ import pytest
 
 from cartanfinsler import automorphisms as am
 from cartanfinsler import domains
+from cartanfinsler import schwarz
 from cartanfinsler.errors import DomainError, StructureError
 
 ALL_SPECS = [
@@ -219,12 +220,25 @@ def test_non_invertible_bodies_rejected():
 
 
 def test_boundary_base_point_raises():
-    # membership margin and the conditioning guard share the 1e-12 cutoff,
-    # so a near-boundary base point is rejected before any inverse is formed
+    # the membership margin rejects a near-boundary base point before any
+    # gram root is formed
     spec = domains.type_i(2, 2)
     z0 = np.diag([1.0 - 1e-14, 0.1]).astype(complex)
     with pytest.raises(DomainError):
         am.normalizing_automorphism(spec, z0)
+
+
+@pytest.mark.parametrize("spec", [domains.type_i(2, 3), domains.type_ii(3),
+                                  domains.type_iii(4)], ids=str)
+def test_gram_root_accepts_every_interior_point(spec):
+    ws = domains.sample_tangents(spec, range(10))
+    z0s = (1.0 - 1e-9) * ws / domains.minkowski_gauge_many(spec, ws)[:, None, None]
+    for z0 in z0s:
+        phi = am.normalizing_automorphism(spec, z0)  # does not raise
+        assert np.max(np.abs(am.apply(phi, z0))) <= 1e-12
+    # the gram root is also the one place an exterior point is refused
+    with pytest.raises(DomainError):
+        schwarz.caratheodory_many(spec, 1.5 * z0s, ws)
 
 
 def test_corpus_bodies_evaluate():

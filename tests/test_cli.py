@@ -332,6 +332,25 @@ def test_invalid_json_is_config_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"samples": 0}, "samples"),
+    ({"task": "schwarz", "maps": 0}, "maps"),
+    ({"domain": {"type": "IV", "n": 1}}, "domain"),
+    ({"domain": {"type": "I", "m": 3, "n": 2}}, "domain"),
+], ids=["samples-0", "maps-0", "IV(1)", "I(3,2)"])
+def test_degenerate_config_exits_2_naming_the_field(tmp_path, capsys, overrides,
+                                                     field):
+    doc = json.loads(_config(**overrides))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main([doc["task"], "--config", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"config error: {field}")
+    assert "Traceback" not in err
+
+
 def test_points_shape_mismatch(tmp_path):
     doc = _config(points=[{"z": [[0.0, 0.0]], "v": [[1.0, 0.0]]}])
     with pytest.raises(ConfigError) as exc:

@@ -92,6 +92,26 @@ def test_type_iv_membership_near_the_boundary():
         assert not domains.contains(spec, np.array([0.6j, 0.8j, 0.0]) * scale)
 
 
+def test_type_iv_gauge_in_phase_rotated_real_directions():
+    spec = domains.type_iv(3)
+    g = domains.minkowski_gauge(spec, np.exp(0.3j) * np.array([0.5, 0.0, 0.0]))
+    assert abs(g - 0.5) <= 2 * np.spacing(0.5)
+    t = 1.0 - 4e-7
+    g = domains.minkowski_gauge(spec, t * np.exp(0.7j) * np.array([0.6, 0.8, 0.0]))
+    assert abs(g - t) <= 2 * np.spacing(t)
+
+
+def test_type_iv_gauge_and_membership_agree_at_the_boundary():
+    spec = domains.type_iv(3)
+    phases = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 13, endpoint=False))[:, None]
+    for real in ([1.0, 0.0, 0.0], [0.6, 0.8, 0.0]):
+        for scale in (1.0 - 1e-9, 1.0 + 1e-9):
+            zs = scale * phases * np.array(real)
+            inside = domains.minkowski_gauge_many(spec, zs) < 1.0
+            np.testing.assert_array_equal(domains.contains_many(spec, zs), inside)
+            assert inside.all() == (scale < 1.0) and inside.any() == (scale < 1.0)
+
+
 def test_contains_rejects_wrong_symmetry():
     spec = domains.type_ii(2)
     with pytest.raises(StructureError):

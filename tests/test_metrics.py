@@ -306,6 +306,61 @@ def test_kahler_berwald_counts_one_fundamental_tensor_per_fiber(spec, monkeypatc
     assert len(calls) == rep.fibers == 3 * max(10, spec.dim + 1) == 30
 
 
+def _hermitian_connection_stencil(metric, z):
+    """Oracle: Gamma_H from the 4-point base stencil of H = norm M / Delta^2."""
+    def hmat_at(zz):
+        m, delta = met._lie_ball_matrix(zz)
+        return metric.normalization * m / np.asarray(delta**2)[..., None, None]
+
+    dh = met._wirtinger_base_fd(hmat_at, metric.domain, z)
+    return np.transpose(dh @ np.linalg.inv(hmat_at(z)), (2, 1, 0))
+
+
+def _hermitian_connection_pair_loop(metric, z):
+    """Oracle: Gamma(U)V = U Z* P V + V Q Z* U, one basis pair at a time."""
+    spec = metric.domain
+    basis = dom.tangent_basis(spec)
+    zc = z.conj().T
+    p = np.linalg.inv(np.eye(z.shape[0]) - z @ zc)
+    q = np.linalg.inv(np.eye(z.shape[1]) - zc @ z)
+    gamma = np.empty((spec.dim,) * 3, dtype=np.complex128)
+    for i, u in enumerate(basis):
+        for j, w in enumerate(basis):
+            gamma[:, j, i] = dom.pack(spec, u @ zc @ p @ w + w @ q @ zc @ u)
+    return gamma
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_lie_ball_hermitian_connection_matches_stencil_oracle(n):
+    metric = met.bergman_metric(dom.type_iv(n))
+    for z in dom.sample_points(metric.domain, range(20)):
+        ref = _hermitian_connection_stencil(metric, z)
+        got = met.hermitian_connection(metric, z)
+        assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("spec", [dom.type_i(2, 3), dom.type_ii(3), dom.type_iii(4),
+                                  dom.type_iv(3)], ids=str)
+def test_hermitian_gamma_is_symmetric(spec):
+    z = dom.sample_point(spec, seed=81)
+    us = dom.sample_tangents(spec, range(82, 88))
+    ws = dom.sample_tangents(spec, range(88, 94))
+    uw = met.hermitian_gamma(spec, z, us[:, None], ws[None])
+    wu = met.hermitian_gamma(spec, z, ws[None], us[:, None])
+    assert uw.shape == (6, 6) + spec.ambient_shape
+    assert np.max(np.abs(uw - wu)) <= 1e-13 * np.max(np.abs(uw))
+
+
+@pytest.mark.parametrize("spec", [dom.type_i(2, 3), dom.type_ii(3), dom.type_iii(4)],
+                         ids=str)
+def test_hermitian_connection_matches_pair_loop(spec):
+    metric = met.bergman_metric(spec)
+    for z in dom.sample_points(spec, range(5)):
+        ref = _hermitian_connection_pair_loop(metric, z)
+        got = met.hermitian_connection(metric, z)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def _hermitian_connection_without_second_term(metric, z):
     # Gamma(U)V = U Z* P V only: the V Q Z* U term is dropped
     spec = metric.domain
@@ -359,3 +414,13 @@ def test_geodesic_speed_constant_matrix_domain():
     assert np.max(np.abs(speeds - speeds[0]) / speeds[0]) < 1e-8
     for pt in zs[:: 80]:
         assert dom.contains(metric.domain, pt)
+
+
+def test_geodesic_speed_constant_lie_ball():
+    metric = met.bergman_metric(dom.type_iv(3))
+    z0 = dom.sample_point(metric.domain, seed=51)
+    v0 = 0.3 * dom.sample_tangent(metric.domain, seed=52)
+    ts, zs, ws = met.geodesic(metric, z0, v0, 2.0, 400)
+    speeds = np.sqrt(met.eval2_many(metric, zs, ws))
+    assert np.max(np.abs(speeds - speeds[0]) / speeds[0]) <= 1e-8
+    assert np.all(dom.contains_many(metric.domain, zs))
