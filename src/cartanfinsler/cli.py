@@ -379,6 +379,8 @@ def _run_curvature(cfg: RunConfig):
     summary = {
         "K1": float(report.k1), "K2": float(report.k2), "lu": float(report.lu),
         "bisectional_C": float(report.bisectional_c),
+        "bisectional_search": float(report.bisectional_search),
+        "bisectional_excess": float(report.bisectional_c / report.k1 - 1.0),
         "argmin_profile": np.asarray(report.argmin_profile).tolist(),
         "argmax_profile": np.asarray(report.argmax_profile).tolist(),
         "range_ok": bool(ok),

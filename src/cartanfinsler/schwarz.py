@@ -35,15 +35,6 @@ CORPUS_RHO = 0.8
 
 
 @dataclass(frozen=True)
-class PoincareDisc:
-    k1: float  # the disc is rescaled to constant curvature -k1
-
-    def __post_init__(self):
-        if not self.k1 > 0.0:
-            raise StructureError(f"curvature level must be positive, got {self.k1}")
-
-
-@dataclass(frozen=True)
 class SandwichReport:
     worst_lower: float   # min over samples of (F^2 - (4/K1) F_C^2) / F^2
     worst_upper: float   # min over samples of ((4/K2) F_C^2 - F^2) / F^2
@@ -174,28 +165,6 @@ def verify_sandwich(metric: MetricSpec, bounds: CurvatureReport,
     eq_lower = float(abs(f2_min - (4.0 / k1) * g_min) / f2_min)
     eq_upper = float(abs(f2_max - (4.0 / k2) * g_max) / f2_max)
     return SandwichReport(worst_lower, worst_upper, eq_lower, eq_upper, witness)
-
-
-# ---------------------------------------------------------------------------
-# Poincaré disc scaled to curvature -K1
-
-
-def poincare_eval(p: PoincareDisc, z: complex, v: complex) -> float:
-    """(2/sqrt(K1)) |v| / (1 - |z|^2)."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError(f"|z| = {abs(z):.6f} is not inside the unit disc")
-    return 2.0 / np.sqrt(p.k1) * abs(complex(v)) / (1.0 - abs(z) ** 2)
-
-
-def poincare_curvature_fd(p: PoincareDisc, z: complex, step: float = 1e-3) -> float:
-    """Gaussian curvature of the disc metric by a 5-point log-Laplacian."""
-    lam = lambda w: np.log(poincare_eval(p, w, 1.0))
-    z = complex(z)
-    h = step
-    lap = (lam(z + h) + lam(z - h) + lam(z + 1j * h) + lam(z - 1j * h)
-           - 4.0 * lam(z)) / h**2
-    return float(-lap / poincare_eval(p, z, 1.0) ** 2)
 
 
 # ---------------------------------------------------------------------------

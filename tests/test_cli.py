@@ -111,6 +111,12 @@ def test_curvature_task_lu(tmp_path, capsys):
     assert out["summary"]["lu"] == pytest.approx(np.sqrt(3.0), abs=1e-6)
     assert out["summary"]["range_ok"] is True
     assert out["provenance"]["tolerances"]["curvature_slack"] == 1e-7
+    # the search's own value, and C against k1 (B(V,V) = K(V) reaches -k1)
+    summary = out["summary"]
+    assert summary["bisectional_search"] == pytest.approx(summary["K1"],
+                                                          rel=1e-14)
+    assert summary["bisectional_excess"] == \
+        summary["bisectional_C"] / summary["K1"] - 1.0
 
 
 def test_certify_negative_control_exit_code(tmp_path, capsys):

@@ -100,7 +100,9 @@ def test_bergman_bounds_square_case():
     [
         met.tk_metric(dom.type_i(2, 2), 1.0, 2),
         met.tk_metric(dom.type_iii(4), 1.0, 2),
+        met.bergman_metric(dom.type_ii(3)),
         met.phi_metric(dom.type_iv(3), nrm.affine_phi(0.5)),
+        met.phi_metric(dom.type_iv(4), nrm.affine_phi(2.0)),
     ],
     ids=lambda m: m.label,
 )
@@ -108,6 +110,9 @@ def test_bisectional_bound_attained_on_diagonal(metric):
     # the extremized sup of |B| coincides with k1 (reached at V = W)
     rep = curv.curvature_bounds(metric, pair_draws=500)
     assert rep.bisectional_c == pytest.approx(rep.k1, abs=1e-8)
+    # so does the search alone, before the max with k1 and the sampled pairs
+    assert rep.bisectional_search == pytest.approx(rep.k1, rel=1e-14)
+    assert curv.curvature_bounds(metric, pair_draws=0).bisectional_search == 0.0
 
 
 def test_two_term_frozen_values():

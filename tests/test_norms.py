@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from cartanfinsler import domains, norms, numkernel
+from cartanfinsler import curvature, domains, metrics, norms, numkernel
 from cartanfinsler.errors import StructureError
 
 
@@ -346,6 +346,149 @@ def test_polish_climbs_from_a_grid_point():
     assert f == pytest.approx(0.0, abs=1e-18)
     y, f = norms.polish(lambda y: -fn(y), np.array([1.0, 0.0, 0.0]), -1.0, 0.1)
     np.testing.assert_allclose(y, [0.55, 0.3, 0.15], atol=1e-10)
+
+
+def _polish_one_halving(fn_batch, y0, sign, step, moves=None,
+                        tol=norms.POLISH_TOL, gain=1e-18):
+    """Oracle: the pattern search with one fn_batch round per halving.
+
+    Each active row tries its candidates at its own step, moves to the best
+    if it gains more than `gain`, and halves its step otherwise; a row stops
+    once its step is <= tol.
+    """
+    y = np.array(y0, dtype=float)
+    rows = len(y)
+    if moves is None:
+        dim = y.shape[-1]
+        moves = norms.mass_moves([(i, j) for i in range(dim)
+                                  for j in range(dim) if i != j])
+    sign = np.broadcast_to(np.asarray(sign, dtype=float), (rows,))
+    step = np.array(np.broadcast_to(np.asarray(step, dtype=float), (rows,)))
+    best = np.array(fn_batch(y), dtype=float)
+    active = np.flatnonzero(step > tol)
+    while active.size:
+        cands, feasible = moves(y[active], step[active])
+        if not len(cands):
+            break
+        f = np.full(feasible.shape, -np.inf)
+        if feasible.any():
+            f[feasible] = np.broadcast_to(sign[active], f.shape)[feasible] \
+                * np.asarray(fn_batch(cands[feasible]), dtype=float)
+        b = np.argmax(f, axis=0)
+        cols = np.arange(active.size)
+        fb = f[b, cols]
+        up = fb > sign[active] * best[active] + gain
+        moved = active[up]
+        y[moved] = cands[b[up], cols[up]]
+        best[moved] = sign[moved] * fb[up]
+        step[active[~up]] *= 0.5
+        active = active[step[active] > tol]
+    return y, best
+
+
+def _assert_ladder_matches_oracle(fn, y0, sign, step, polish=None, **kw):
+    y, best = (polish or norms.polish_many)(fn, y0, sign, step, ladder=True,
+                                            **kw)
+    oy, obest = _polish_one_halving(fn, y0, sign, step, **kw)
+    assert np.array_equal(y, oy) and np.array_equal(best, obest)  # bit for bit
+    return y, best
+
+
+_LADDER_DOMAINS = [domains.type_i(2, 2), domains.type_i(2, 3),
+                   domains.type_i(3, 3), domains.type_ii(3), domains.type_iii(6)]
+_LADDER_METRICS = [
+    f(d) for d in _LADDER_DOMAINS for f in (
+        metrics.bergman_metric,
+        lambda d: metrics.tk_metric(d, 0.1, 2),
+        lambda d: metrics.tk_metric(d, 2.0, 2),
+        lambda d: metrics.tk_metric(d, 20.0, 2),
+        lambda d: metrics.tk_metric(d, 1.0, 3))]
+
+
+@pytest.mark.parametrize("metric", _LADDER_METRICS, ids=lambda m: m.label)
+def test_ladder_polish_matches_one_halving_oracle(metric, monkeypatch):
+    """simplex_scan's fn and the block-move joint fn of the bisectional sup."""
+    shipped = norms.polish_many
+    laddered = []
+
+    def checked(fn, y0, sign, step, ladder=False, **kw):
+        laddered.append(ladder)
+        return _assert_ladder_matches_oracle(fn, y0, sign, step, shipped,
+                                             **kw)
+
+    monkeypatch.setattr(norms, "polish_many", checked)
+    report = curvature.curvature_bounds(metric, pair_draws=1)
+    assert laddered == [True, True]  # the K scan, then the joint sup
+    monkeypatch.setattr(norms, "polish_many", lambda *a, ladder=False, **kw:
+                        _polish_one_halving(*a, **kw))
+    oracle = curvature.curvature_bounds(metric, pair_draws=1)
+    assert (report.k1, report.k2, report.bisectional_search,
+            report.bisectional_c) == (oracle.k1, oracle.k2,
+                                      oracle.bisectional_search,
+                                      oracle.bisectional_c)
+    assert np.array_equal(report.argmin_profile, oracle.argmin_profile)
+    assert np.array_equal(report.argmax_profile, oracle.argmax_profile)
+
+
+def test_ladder_ends_a_grid_point_polish_in_one_round():
+    metric = metrics.tk_metric(domains.type_i(2, 2), 1.0, 2)
+    dim, total = curvature._profile_dim_total(metric.domain)
+
+    def counted(calls):
+        def fn(y):
+            calls.append(len(y))
+            return curvature._matrix_hsc_from_traces(
+                metric, curvature._profile_to_traces(metric.domain, y, 3))
+        return fn
+
+    grid, step = norms.simplex_grid(dim, total)
+    vals = counted([])(grid)
+    starts = grid[[int(np.argmin(vals)), int(np.argmax(vals))]]
+    ladder, oracle = [], []
+    norms.polish_many(counted(ladder), starts, [-1.0, 1.0], step, ladder=True)
+    _polish_one_halving(counted(oracle), starts, [-1.0, 1.0], step)
+    # the start's own value, then one halving per round against one ladder
+    assert len(oracle) >= 30 and len(ladder) == 2
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_ladder_matches_oracle_per_row_signs_and_steps(dim):
+    for name, fn in _profile_fns():
+        for total in (1.0, 0.5):
+            grid, step = norms.simplex_grid(dim, total)
+            vals = fn(grid)
+            picks = [int(np.argmin(vals)), int(np.argmax(vals)), len(grid) // 2,
+                     0, len(grid) - 1]
+            signs = np.array([-1.0, 1.0, 1.0, -1.0, 1.0])
+            steps = np.array([step, step, 4.0 * step, 0.3, 1e-12])
+            _assert_ladder_matches_oracle(fn, grid[picks], signs, steps)
+
+
+def test_ladder_matches_oracle_when_climbing():
+    target = np.array([0.55, 0.3, 0.15])
+    fn = lambda y: -np.sum((y - target) ** 2, axis=-1)
+    starts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1 / 3, 1 / 3, 1 / 3]])
+    y, _ = _assert_ladder_matches_oracle(fn, starts, 1.0, 0.1)
+    np.testing.assert_allclose(y, np.broadcast_to(target, y.shape), atol=1e-10)
+    _assert_ladder_matches_oracle(lambda y: -fn(y), starts, -1.0,
+                                  np.array([0.1, 0.25, 0.01]))
+
+
+def test_ladder_matches_oracle_on_infeasible_and_no_moves():
+    def fn(y):
+        assert np.all(y >= 0.0)  # a negative mass never reaches fn
+        return y[:, 0] - 0.3 * y[:, 1] ** 2
+
+    corners = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+    _assert_ladder_matches_oracle(fn, corners, 1.0, 0.25)
+    _assert_ladder_matches_oracle(fn, corners, -1.0, np.array([0.25, 1.0, 0.1]))
+
+    def no_moves(y, step):
+        return np.empty((0,) + y.shape), np.empty((0, len(y)), dtype=bool)
+
+    y, best = _assert_ladder_matches_oracle(fn, corners, 1.0, 0.25,
+                                            moves=no_moves)
+    assert np.array_equal(y, corners) and np.array_equal(best, fn(corners))
 
 
 @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 1, 3)])

@@ -115,25 +115,6 @@ def test_sandwich_tight_on_disc():
     assert abs(sr.worst_lower) < 1e-10 and abs(sr.worst_upper) < 1e-10
 
 
-def test_poincare_values_and_errors():
-    p = sw.PoincareDisc(k1=1.0)
-    assert sw.poincare_eval(p, 0.0, 1.0) == pytest.approx(2.0)
-    assert sw.poincare_eval(p, 0.5, 1.0) == pytest.approx(2.0 / 0.75)
-    p4 = sw.PoincareDisc(k1=4.0)
-    assert sw.poincare_eval(p4, 0.0, 1.0) == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        sw.poincare_eval(p, 1.0, 1.0)
-    with pytest.raises(StructureError):
-        sw.PoincareDisc(k1=0.0)
-
-
-@pytest.mark.parametrize("k1", [0.5, 1.0, 2.0, 4.0])
-def test_poincare_curvature(k1):
-    p = sw.PoincareDisc(k1=k1)
-    for z in [0.0, 0.3 + 0.2j, -0.5j]:
-        assert sw.poincare_curvature_fd(p, z) == pytest.approx(-k1, abs=1e-4)
-
-
 @pytest.mark.parametrize(
     "src,tgt",
     [
