@@ -4,7 +4,9 @@ Everything is computed at the origin and extended by homogeneity: pulling
 (Z;V) back with a normalizing automorphism leaves the curvature unchanged.
 Every type has an analytic origin formula: the matrix domains in the power
 traces of V V*, the Lie ball in |V|^2, |W|^2, |V.W|^2, |<V,W>|^2 and the
-profile phi at s_V.
+profile phi at s_V.  The supremum of |B| is a table and one polish on both:
+over two eigenvalue profiles on the matrix domains, over three invariants
+(s_V, Im(W_1 conj(W_2)), s_W) on the Lie ball.
 """
 from dataclasses import dataclass
 
@@ -17,6 +19,7 @@ from . import norms
 from .metrics import MetricSpec
 
 LIE_SCAN_POINTS = 10_000
+LIE_SUP_TICKS = 201  # ticks per axis of the Lie-ball (s, q) table and t grid
 PAIR_DRAWS = 10_000
 SUP_TABLE_CELLS = 1 << 20  # cells per row block of the joint grid table
 
@@ -186,8 +189,8 @@ def _bisectional_sup_matrix(metric: MetricSpec) -> float:
     profiles.  sup over x of [sup over y of J] is the sup of J over the pair,
     so one table of J on a simplex_grid squared, scanned in row blocks for
     its best cell, and one polish of that cell in the 2 * dim coordinates of
-    (x, y) find it; moves shift mass within x or within y.  The polish runs
-    the halving ladder (see norms.polish_many), as it seldom leaves the cell.
+    (x, y) find it; moves shift mass within x or within y.  The polish
+    seldom leaves the cell, so its halving ladder ends it in a few rounds.
     """
     spec = metric.domain
     k = metric.family.k
@@ -224,79 +227,90 @@ def _bisectional_sup_matrix(metric: MetricSpec) -> float:
     moves = norms.mass_moves(
         [(i, j) for i in range(2 * dim) for j in range(2 * dim)
          if i != j and i // dim == j // dim])
-    _, sup = norms.polish_many(joint, start, 1.0, step, moves=moves,
-                               ladder=True)
+    _, sup = norms.polish_many(joint, start, 1.0, step, moves=moves)
     return float(sup[0])
 
 
-def _lie_moves(n: int):
-    """Pattern-search moves of _bisectional_sup_lie on rows (s, Re W, Im W).
+def _lie_ratio(metric: MetricSpec, s, q, phi_w):
+    """|B(0; v(s), W)| = (4/N) [1 + 2 sqrt(1 - s) q kappa(s)] / phi_w.
 
-    s steps by +-step within [0, 1]; each W_j steps by +-step and +-i*step,
-    and W is renormalized.  Every candidate is feasible.
+    W is a unit tangent with q = Im(W_1 conj(W_2)) and phi_w = phi(s_W), and
+    kappa = 2 s phi'(s) / phi(s) - 1 (see _bisectional_sup_lie).  The
+    arguments broadcast.
     """
-    kicks = np.array([1.0, -1.0, 1j, -1j])
-    coords = np.arange(n)
-
-    def moves(y, step):
-        s, w = y[:, 0], y[:, 1:n + 1] + 1j * y[:, n + 1:]
-        wc = np.repeat(w[None, None], n * 4, axis=0).reshape((n, 4) + w.shape)
-        wc[coords, :, :, coords] += kicks[:, None] * step
-        wc /= np.linalg.norm(wc, axis=-1, keepdims=True)
-        cands_s = np.concatenate([np.clip(s + step, 0.0, 1.0)[None],
-                                  np.clip(s - step, 0.0, 1.0)[None],
-                                  np.broadcast_to(s, (n * 4,) + s.shape)])
-        cands_w = np.concatenate([w[None], w[None], wc.reshape((-1,) + w.shape)])
-        cands = _lie_rows(cands_s, cands_w)
-        return cands, np.ones(cands.shape[:2], dtype=bool)
-
-    return moves
+    phi = np.asarray(metric.family.value(s), dtype=float)
+    kappa = 2.0 * s * np.asarray(metric.family.d1(s), dtype=float) / phi - 1.0
+    return (4.0 / metric.normalization) \
+        * (1.0 + 2.0 * np.sqrt(1.0 - s) * q * kappa) / phi_w
 
 
-def _lie_rows(s, w):
-    """Pack s (...,) and complex W (..., n) into real rows (s, Re W, Im W)."""
-    return np.concatenate([s[..., None], w.real, w.imag], axis=-1)
+def _lie_sup_table(metric: MetricSpec, ticks):
+    """Best |B| of every (s, q) cell of ticks x (ticks - 1/2) over the t grid.
 
-
-def _bisectional_sup_lie(metric: MetricSpec, restarts: int = 12) -> float:
-    """sup |B(0;V,W)| on the Lie ball: V reduced by isotropy, W searched.
-
-    Pattern search over (s, W) from a V = W grid plus random restarts; the
-    structured seeds alone already reach the V = W extremum, so the search
-    can only push the bound up.  Each start halves its own step (0.25 down
-    to 1e-9) whenever none of its moves gains more than 1e-15, and stops on
-    its own.  It keeps one halving per round, not the halving ladder of the
-    matrix scans: it climbs for about 100 rounds, so a ladder evaluates
-    levels it never uses (4-9x the time on IV(3), IV(4) and IV(6)).
+    t runs over the ticks <= 1 - 4q^2 (t = 1 - 4q^2 itself on IV(2)); the
+    best t takes the least phi where the numerator is >= 0 and the largest
+    where it is < 0, read from running minima and maxima of phi(ticks).
     """
-    spec = metric.domain
-    n = spec.dims[0]
-    norm = metric.normalization
-    rng = np.random.default_rng(0)
+    q = ticks - 0.5
+    bound = 1.0 - 4.0 * q * q
+    num = _lie_ratio(metric, ticks[:, None], q, 1.0)
+    if metric.domain.dims[0] == 2:
+        low = high = np.asarray(metric.family.value(bound), dtype=float)
+    else:
+        phi = np.asarray(metric.family.value(ticks), dtype=float)
+        last = np.searchsorted(ticks, bound, side="right") - 1
+        low = np.minimum.accumulate(phi)[last]
+        high = np.maximum.accumulate(phi)[last]
+    return num / np.where(num >= 0.0, low, high)
+
+
+def _bisectional_sup_lie(metric: MetricSpec) -> float:
+    """sup |B(0;V,W)| on the Lie ball, reduced exactly to three invariants.
+
+    By isotropy V = v(s) = (a, ib, 0, ...) with a^2 + b^2 = 1 and
+    a^2 - b^2 = sqrt(s).  For a unit W = X + iY put D = |V.W|^2 - |<V,W>|^2;
+    _lie_contraction is then 2 N phi(s) [1 + D kappa(s)], so
+    |B| = (4/N) [1 + D kappa(s)] / phi(s_W).  Here D = 4ab Im(W_1 conj(W_2))
+    = 2 sqrt(1 - s) q, and s_W = |W.W|^2 = 1 - 4|X ^ Y|^2 with
+    |q| <= |X ^ Y| <= 1/2.  On IV(n >= 3) every t = s_W in [0, 1 - 4q^2] is
+    reached (X = alpha e_1, Y = beta (cos theta e_2 + sin theta e_3)); on
+    IV(2) |X ^ Y| = |q|, so t = 1 - 4q^2.  The search runs on the box
+    (s, q, tau) in [0, 1] x [-1/2, 1/2] x [0, 1] with t = tau (1 - 4q^2)
+    (tau = 1 on IV(2)): the best cell of _lie_sup_table, then one polish
+    in box coordinates with moves clipped to the box.  Writing the t range
+    as a constraint on (s, q, t) instead stalls on its curved boundary.
+    """
+    n = metric.domain.dims[0]
+    ticks = np.linspace(0.0, 1.0, LIE_SUP_TICKS)
+    table = _lie_sup_table(metric, ticks)
+    i, j = np.unravel_index(int(np.argmax(table)), table.shape)
+    s, q = ticks[i], ticks[j] - 0.5
+    bound = 1.0 - 4.0 * q * q
+    tau = 1.0
+    if n > 2 and bound > 0.0:
+        # the best cell is positive: cell (0, -1/2) alone reads 8 / (N phi(0))
+        tau = ticks[np.argmin(metric.family.value(ticks[ticks <= bound]))] \
+            / bound
 
     def value(rows):
-        svec, wmat = rows[:, 0], rows[:, 1:n + 1] + 1j * rows[:, n + 1:]
-        reps = lie_representative(svec)
-        if n > 2:
-            reps = np.concatenate(
-                [reps, np.zeros(svec.shape + (n - 2,))], axis=-1)
-        f2v = norms.eval_phi_norm_many(metric.family, reps, norm)
-        f2w = norms.eval_phi_norm_many(metric.family, wmat, norm)
-        # = |B| where B <= 0
-        return 2.0 * _lie_contraction(metric, reps, wmat) / (f2v * f2w)
+        s, q, tau = rows.T
+        t = tau * (1.0 - 4.0 * q * q)
+        return _lie_ratio(metric, s, q,
+                          np.asarray(metric.family.value(t), dtype=float))
 
-    s0 = np.linspace(0.0, 1.0, restarts)
-    w0 = lie_representative(s0)
-    if n > 2:
-        w0 = np.concatenate([w0, np.zeros((restarts, n - 2))], axis=-1)
-    wr = rng.standard_normal((restarts, n)) \
-        + 1j * rng.standard_normal((restarts, n))
-    wr /= np.linalg.norm(wr, axis=-1, keepdims=True)
-    s = np.concatenate([s0, rng.uniform(0.0, 1.0, restarts)])
-    w = np.concatenate([w0, wr])
-    _, best = norms.polish_many(value, _lie_rows(s, w), 1.0, 0.25,
-                                moves=_lie_moves(n), tol=1e-9, gain=1e-15)
-    return float(best.max())
+    axes = np.arange(2 if n == 2 else 3)
+    which = np.arange(2 * axes.size)
+    kicks = np.where(which % 2, -1.0, 1.0)[:, None]
+
+    def moves(y, step):
+        cands = np.repeat(y[None], which.size, axis=0)
+        cands[which, :, axes[which // 2]] += kicks * step
+        np.clip(cands, [0.0, -0.5, 0.0], [1.0, 0.5, 1.0], out=cands)
+        return cands, np.ones(cands.shape[:2], dtype=bool)
+
+    _, sup = norms.polish_many(value, np.array([[s, q, tau]]), 1.0, ticks[1],
+                               moves=moves)
+    return float(sup[0])
 
 
 def curvature_bounds(metric: MetricSpec, seed: int = 0,
@@ -307,7 +321,9 @@ def curvature_bounds(metric: MetricSpec, seed: int = 0,
     extremized supremum of |B| (it always dominates k1, attained at V = W),
     cross-checked against pair_draws sampled tangent pairs, and
     bisectional_search: what the fiber search alone found, before the max
-    with k1 and the sampled pairs.
+    with k1 and the sampled pairs.  The search is a table and one polish
+    on the matrix domains (_bisectional_sup_matrix) and on the Lie ball
+    (_bisectional_sup_lie, three invariants); neither samples.
     """
     spec = metric.domain
     if spec.kind == "IV":

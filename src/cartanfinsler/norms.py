@@ -366,28 +366,25 @@ def mass_moves(pairs) -> Callable:
 
 
 def polish_many(fn_batch: Callable, y0, sign, step, moves: Callable = None,
-                tol: float = POLISH_TOL, gain: float = 1e-18,
-                ladder: bool = False):
+                tol: float = POLISH_TOL, gain: float = 1e-18):
     """Row-wise pattern search: each row of y0 (R, d) climbs sign * fn alone.
 
-    In every round each active row tries the candidates moves(y, step)
-    proposes for it, and takes the best if that beats its value by more than
-    `gain`; otherwise it halves its own step.  A row stops once its step is
-    <= tol.  moves maps rows (A, d) and their steps (A,) to candidates
-    (C, A, d) and a feasibility mask (C, A); infeasible candidates are not
-    evaluated and never win.  The default moves shift mass between any two
-    coordinates (mass_moves).  sign and step are scalars or one per row.
-    Returns (y, fn(y)) row by row.
+    A row tries the candidates moves(y, step) proposes for it and takes the
+    best if that beats its value by more than `gain`; otherwise it halves
+    its own step, and it stops once its step is <= tol.  moves maps rows
+    (A, d) and their steps (A,) to candidates (C, A, d) and a feasibility
+    mask (C, A); infeasible candidates are not evaluated and never win.  The
+    default moves shift mass between any two coordinates (mass_moves).
+    sign and step are scalars or one per row.  Returns (y, fn(y)) row by row.
 
-    Without `ladder` each failed halving costs one fn_batch round.  With
-    `ladder` a round tries a row's step and every halving of it above tol in
-    one call, and resumes at the largest step that gains; a row that gains
-    at none stops.  The two accept the same moves in the same order, bit for
-    bit: y does not change across failed halvings, step * 2**-l is exactly l
-    halvings, argmax keeps the first of equal candidates at every step, and
-    fn_batch values each row independently of the others.  The ladder pays
-    where most halvings fail, as in a polish that stays at its grid point;
-    a search that keeps climbing evaluates levels it never uses.
+    Halving ladder: one round tries a row's step and every halving of it
+    above tol in one fn_batch call, and resumes at the largest step that
+    gains; a row that gains at none stops.  This accepts the same moves in
+    the same order as one round per halving, bit for bit: y does not change
+    across failed halvings, step * 2**-l is exactly l halvings, argmax keeps
+    the first of equal candidates at every step, and fn_batch values each
+    row independently of the others.  The failed halvings down to tol cost
+    one call instead of one each.
     """
     y = np.array(y0, dtype=float)
     rows = len(y)
@@ -400,16 +397,13 @@ def polish_many(fn_batch: Callable, y0, sign, step, moves: Callable = None,
     best = np.array(fn_batch(y), dtype=float)
     active = np.flatnonzero(step > tol)
     while active.size:
-        tried, steps, live = active, step[active], None
-        if ladder:
-            # (A, L): each row's step and its halvings, largest first
-            halvings = np.arange(int(np.log2(steps.max() / tol)) + 2)
-            levels = np.ldexp(steps[:, None], -halvings)
-            if levels[:, 1].max() > tol:
-                live = levels > tol
-                at_row, at_level = np.nonzero(live)
-                tried, steps = active[at_row], levels[at_row, at_level]
-        cands, feasible = moves(y[tried], steps)
+        # (A, L): each row's step and its halvings, largest first
+        halvings = np.arange(int(np.log2(step[active].max() / tol)) + 2)
+        levels = np.ldexp(step[active][:, None], -halvings)
+        live = levels > tol
+        at_row, at_level = np.nonzero(live)
+        tried = active[at_row]
+        cands, feasible = moves(y[tried], levels[at_row, at_level])
         if not len(cands):
             break  # no moves at all: no row can improve
         f = np.full(feasible.shape, -np.inf)
@@ -417,38 +411,20 @@ def polish_many(fn_batch: Callable, y0, sign, step, moves: Callable = None,
             f[feasible] = np.broadcast_to(sign[tried], f.shape)[feasible] \
                 * np.asarray(fn_batch(cands[feasible]), dtype=float)
         b = np.argmax(f, axis=0)
-        cols = np.arange(tried.size)
-        fb = f[b, cols]
-        up = fb > sign[tried] * best[tried] + gain
-        if live is not None:
-            gains = np.zeros(live.shape, dtype=bool)
-            gains[live] = up
-            depth = live.sum(axis=1)
-            up = gains.any(axis=1)
-            # resume at the first gaining level, or stop at the first <= tol
-            first = np.where(up, np.argmax(gains, axis=1), depth)
-            cols = np.cumsum(depth) - depth + np.minimum(first, depth - 1)
-            b, fb = b[cols], fb[cols]
-            step[active] = np.ldexp(levels[:, 0], -first)
+        fb = f[b, np.arange(tried.size)]
+        gains = np.zeros(live.shape, dtype=bool)
+        gains[live] = fb > sign[tried] * best[tried] + gain
+        depth = live.sum(axis=1)
+        up = gains.any(axis=1)
+        # resume at the first gaining level, or stop at the first <= tol
+        first = np.where(up, np.argmax(gains, axis=1), depth)
+        cols = (np.cumsum(depth) - depth + np.minimum(first, depth - 1))[up]
         moved = active[up]
-        y[moved] = cands[b[up], cols[up]]
-        best[moved] = sign[moved] * fb[up]
-        if live is None:
-            step[active[~up]] *= 0.5
+        y[moved] = cands[b[cols], cols]
+        best[moved] = sign[moved] * fb[cols]
+        step[active] = np.ldexp(levels[:, 0], -first)
         active = active[step[active] > tol]
     return y, best
-
-
-def polish(fn_batch: Callable, y0, sign: float, step: float):
-    """Mass-shuffling pattern search from one profile y0 (tolerance 1e-12).
-
-    Maximizes sign * fn: moves `step` of mass between two coordinates while
-    that improves, halves the step otherwise.  Returns (y, fn(y)); the
-    one-row case of polish_many.
-    """
-    y, best = polish_many(fn_batch, np.asarray(y0, dtype=float)[None], sign,
-                          step)
-    return y[0], float(best[0])
 
 
 def simplex_scan(fn_batch: Callable, dim: int, total: float = 1.0,
@@ -457,11 +433,9 @@ def simplex_scan(fn_batch: Callable, dim: int, total: float = 1.0,
 
     fn_batch maps an array (P, dim) of profiles to (P,) values.  Dense ordered
     grid (simplex_grid) plus a pattern-search polish of the best grid point
-    at each end, both ends as two rows of one polish_many call.  The polish
-    runs the halving ladder: on the matrix types it rarely leaves the grid
-    point, so the 30-odd failed halvings from the grid spacing down to
-    POLISH_TOL cost one fn_batch call instead of one each, with the same
-    result bit for bit.  Returns ((ymin, fmin), (ymax, fmax)).
+    at each end, both ends as two rows of one polish_many call.  On the
+    matrix types the polish rarely leaves the grid point, so its halving
+    ladder ends it in about one round.  Returns ((ymin, fmin), (ymax, fmax)).
     """
     if dim == 1:
         y = np.array([[total]])
@@ -470,8 +444,7 @@ def simplex_scan(fn_batch: Callable, dim: int, total: float = 1.0,
     y_grid, step = simplex_grid(dim, total, resolution)
     vals = np.asarray(fn_batch(y_grid), dtype=float)
     starts = y_grid[[int(np.argmin(vals)), int(np.argmax(vals))]]
-    y, f = polish_many(fn_batch, starts, np.array([-1.0, 1.0]), step,
-                       ladder=True)
+    y, f = polish_many(fn_batch, starts, np.array([-1.0, 1.0]), step)
     return (y[0], float(f[0])), (y[1], float(f[1]))
 
 

@@ -227,16 +227,30 @@ def test_bisectional_sup_matrix_pinned(metric, expected):
     assert curv._bisectional_sup_matrix(metric) == pytest.approx(expected, abs=1e-12)
 
 
-LIE_PROFILES = {"bergman": None, "affine0.5": 0.5, "affine2": 2.0}
+LIE_PROFILES = ("bergman", "affine0.5", "affine2")
 lie_metrics = pytest.mark.parametrize("n, profile", [
     (n, profile) for n in (2, 3, 4, 6) for profile in LIE_PROFILES])
 
 
+def _bowl_phi(c):
+    """phi(s) = 1 + c (s - 1/2)^2: not monotone, least at s = 1/2."""
+    return nrm.PhiFamilySpec(
+        value=lambda s: 1.0 + c * (np.asarray(s, dtype=float) - 0.5) ** 2,
+        d1=lambda s: 2.0 * c * (np.asarray(s, dtype=float) - 0.5),
+        d2=lambda s: np.full(np.shape(s), 2.0 * c),
+        label=f"bowl(c={c:g})")
+
+
 def _lie_metric(n, profile):
+    """bergman, or "affine<t>", "constant<c>", "bowl<c>" on IV(n)."""
     spec = dom.type_iv(n)
-    t = LIE_PROFILES[profile]
-    return met.bergman_metric(spec) if t is None else met.phi_metric(
-        spec, nrm.affine_phi(t))
+    if profile == "bergman":
+        return met.bergman_metric(spec)
+    for name, family in (("affine", nrm.affine_phi), ("constant", nrm.constant_phi),
+                         ("bowl", _bowl_phi)):
+        if profile.startswith(name):
+            return met.phi_metric(spec, family(float(profile[len(name):])))
+    raise ValueError(profile)
 
 
 def _unit_rows(rng, count, n):
@@ -299,7 +313,8 @@ def _nested_sup_matrix(metric):
 
     def scan_max(fn):
         grid, step = nrm.simplex_grid(dim, total)
-        return nrm.polish(fn, grid[int(np.argmax(fn(grid)))], +1.0, step)
+        y, f = nrm.polish_many(fn, grid[[int(np.argmax(fn(grid)))]], +1.0, step)
+        return y[0], float(f[0])
 
     def profile_f2(y):
         h = nrm.power_means(curv._profile_to_traces(spec, y, k))
@@ -322,15 +337,46 @@ def _nested_sup_matrix(metric):
     return float(scan_max(outer)[1])
 
 
-def _global_step_sup_lie(metric, restarts=12):
-    """Oracle: the Lie-ball search with one step for all 24 starts, halved
-    only in a round where no start gains more than 1e-15."""
+def _lie_rows(s, w):
+    """Pack s (...,) and complex W (..., n) into real rows (s, Re W, Im W)."""
+    return np.concatenate([s[..., None], w.real, w.imag], axis=-1)
+
+
+def _lie_moves(n):
+    """Moves on rows (s, Re W, Im W): s +- step within [0, 1], then each W_j
+    +- step and +- i*step with W renormalized."""
+    kicks = np.array([1.0, -1.0, 1j, -1j])
+    coords = np.arange(n)
+
+    def moves(y, step):
+        s, w = y[:, 0], y[:, 1:n + 1] + 1j * y[:, n + 1:]
+        wc = np.repeat(w[None, None], n * 4, axis=0).reshape((n, 4) + w.shape)
+        wc[coords, :, :, coords] += kicks[:, None] * step
+        wc /= np.linalg.norm(wc, axis=-1, keepdims=True)
+        cands_s = np.concatenate([np.clip(s + step, 0.0, 1.0)[None],
+                                  np.clip(s - step, 0.0, 1.0)[None],
+                                  np.broadcast_to(s, (n * 4,) + s.shape)])
+        cands_w = np.concatenate([w[None], w[None], wc.reshape((-1,) + w.shape)])
+        return _lie_rows(cands_s, cands_w)
+
+    return moves
+
+
+def _per_start_sup_lie(metric, restarts=12):
+    """Oracle: the Lie-ball search over (s, W) that the reduction replaced.
+
+    V = v(s) and a unit W in C^n; 24 starts, 12 with W = V on an s grid and
+    12 random.  Each start climbs by _lie_moves, halves its own step (0.25
+    down to 1e-9) whenever no move gains more than 1e-15, and stops on its
+    own.
+    """
     n = metric.domain.dims[0]
     norm = metric.normalization
     rng = np.random.default_rng(0)
 
-    def value(svec, wmat):
-        reps = _lie_reps(svec, n)
+    def value(rows):
+        reps = _lie_reps(rows[:, 0], n)
+        wmat = rows[:, 1:n + 1] + 1j * rows[:, n + 1:]
         f2v = nrm.eval_phi_norm_many(metric.family, reps, norm)
         f2w = nrm.eval_phi_norm_many(metric.family, wmat, norm)
         return 2.0 * curv._lie_contraction(metric, reps, wmat) / (f2v * f2w)
@@ -339,29 +385,21 @@ def _global_step_sup_lie(metric, restarts=12):
     wr = rng.standard_normal((restarts, n)) + 1j * rng.standard_normal((restarts, n))
     wr /= np.linalg.norm(wr, axis=-1, keepdims=True)
     s = np.concatenate([s0, rng.uniform(0.0, 1.0, restarts)])
-    w = np.concatenate([_lie_reps(s0, n), wr])
-    best = value(s, w)
-    step = 0.25
-    while step > 1e-9:
-        cands_s = [np.clip(s + step, 0.0, 1.0), np.clip(s - step, 0.0, 1.0)]
-        cands_w = [w, w]
-        for j in range(n):
-            for delta in (step, -step, 1j * step, -1j * step):
-                wc = w.copy()
-                wc[:, j] += delta
-                cands_s.append(s)
-                cands_w.append(wc / np.linalg.norm(wc, axis=-1, keepdims=True))
-        stack_s, stack_w = np.stack(cands_s), np.stack(cands_w)
-        vals = value(stack_s.reshape(-1), stack_w.reshape(-1, n))
-        vals = vals.reshape(len(cands_s), len(s))
-        vbest, which = vals.max(axis=0), vals.argmax(axis=0)
-        gain = np.where(vbest > best + 1e-15)[0]
-        if gain.size:
-            s[gain] = stack_s[which[gain], gain]
-            w[gain] = stack_w[which[gain], gain]
-            best[gain] = vbest[gain]
-        else:
-            step *= 0.5
+    y = _lie_rows(s, np.concatenate([_lie_reps(s0, n), wr]))
+    best = value(y)
+    step = np.full(len(y), 0.25)
+    moves = _lie_moves(n)
+    active = np.arange(len(y))
+    while active.size:
+        cands = moves(y[active], step[active])
+        f = value(cands.reshape(-1, cands.shape[-1])).reshape(cands.shape[:2])
+        b = np.argmax(f, axis=0)
+        fb = f[b, np.arange(active.size)]
+        up = fb > best[active] + 1e-15
+        y[active[up]] = cands[b[up], np.flatnonzero(up)]
+        best[active[up]] = fb[up]
+        step[active[~up]] *= 0.5
+        active = active[step[active] > 1e-9]
     return float(best.max())
 
 
@@ -379,13 +417,100 @@ def test_joint_sup_matches_nested_scan(metric):
     assert abs(joint - nested) <= 1e-15 * abs(nested)
 
 
-@pytest.mark.parametrize("n, profile", [(2, "affine2"), (3, "affine0.5"),
-                                        (4, "bergman")])
-def test_per_start_lie_search_matches_global_step(n, profile):
+@pytest.mark.parametrize("n, profile", [
+    (n, profile) for n in (2, 3, 4, 6, 8)
+    for profile in ("bergman", "affine0.5", "affine2", "affine20", "constant3")])
+def test_reduced_lie_search_matches_per_start_oracle(n, profile):
     metric = _lie_metric(n, profile)
-    per_start = curv._bisectional_sup_lie(metric)
-    oracle = _global_step_sup_lie(metric)
-    assert abs(per_start - oracle) <= 1e-15 * abs(oracle)
+    reduced = curv._bisectional_sup_lie(metric)
+    oracle = _per_start_sup_lie(metric)
+    assert abs(reduced - oracle) <= 1e-15 * oracle
+
+
+def _lie_invariants(ws):
+    """q = Im(W_1 conj(W_2)), s_W = |W.W|^2 and |X ^ Y|^2 of W = X + iY."""
+    x, y = ws.real, ws.imag
+    wedge2 = np.sum(x * x, -1) * np.sum(y * y, -1) - np.sum(x * y, -1) ** 2
+    return (np.imag(ws[:, 0] * np.conj(ws[:, 1])),
+            np.abs(np.sum(ws * ws, axis=-1)) ** 2, wedge2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_lie_reduction_identity_and_region(n):
+    rng = np.random.default_rng(40 + n)
+    ws = _unit_rows(rng, 600, n)
+    s = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 598)])
+    q, t, wedge2 = _lie_invariants(ws)
+    assert np.max(np.abs(t - (1.0 - 4.0 * wedge2))) < 1e-14
+    assert np.all(q * q <= wedge2 + 1e-15) and np.all(wedge2 <= 0.25 + 1e-15)
+    if n == 2:  # |X ^ Y| = |q|: t is pinned to 1 - 4q^2
+        assert np.max(np.abs(t - (1.0 - 4.0 * q * q))) < 1e-14
+    for profile in ("bergman", "affine0.5", "bowl0.8", "bowl20"):
+        metric = _lie_metric(n, profile)
+        exact = -curv.bisectional_origin_many(metric, _lie_reps(s, n), ws)
+        reduced = curv._lie_ratio(metric, s, q, metric.family.value(t))
+        # norm-wise: 1 + 2 sqrt(1 - s) q kappa cancels where |B| is small
+        assert np.max(np.abs(reduced - exact)) < 1e-14 * np.max(np.abs(exact)), \
+            profile
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_lie_reduction_reaches_every_t(n):
+    # X = alpha e_1, Y = beta (cos theta e_2 + sin theta e_3) hits any
+    # (q, t) with 0 <= t <= 1 - 4q^2
+    rng = np.random.default_rng(n)
+    q = np.concatenate([[-0.5, 0.5, 0.0, 0.3], rng.uniform(-0.5, 0.5, 300)])
+    tau = np.concatenate([[0.7, 0.2, 1.0, 0.0], rng.uniform(0.0, 1.0, 300)])
+    t = tau * (1.0 - 4.0 * q * q)
+    alpha, beta = np.sqrt((1.0 + np.sqrt(t)) / 2.0), np.sqrt((1.0 - np.sqrt(t)) / 2.0)
+    cos = np.clip(np.divide(-q, alpha * beta, out=np.zeros_like(q),
+                            where=alpha * beta > 0.0), -1.0, 1.0)
+    ws = np.zeros((len(q), n), dtype=complex)
+    ws[:, 0] = alpha
+    ws[:, 1] = 1j * beta * cos
+    ws[:, 2] = 1j * beta * np.sqrt(1.0 - cos * cos)
+    got_q, got_t, _ = _lie_invariants(ws)
+    assert np.allclose(np.linalg.norm(ws, axis=-1), 1.0, rtol=0.0, atol=1e-15)
+    assert np.max(np.abs(got_q - q)) < 1e-14 and np.max(np.abs(got_t - t)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("profile", ["bergman", "affine2", "bowl0.8", "bowl20"])
+def test_lie_sup_table_takes_the_best_t_of_each_cell(n, profile):
+    metric = _lie_metric(n, profile)
+    ticks = np.linspace(0.0, 1.0, 41)
+    table = curv._lie_sup_table(metric, ticks)
+    bound = 1.0 - 4.0 * (ticks - 0.5) ** 2
+    for j, q in enumerate(ticks - 0.5):
+        ts = ticks[ticks <= bound[j]] if n > 2 else bound[j:j + 1]
+        cells = curv._lie_ratio(metric, ticks[:, None], q,
+                                metric.family.value(ts)[None, :])
+        assert np.array_equal(table[:, j], cells.max(axis=1))
+    # phi' < 0 near s = 0 makes kappa < -1 on the bowls, so some cells have a
+    # negative numerator and take the largest phi
+    assert (table < 0.0).any() == profile.startswith("bowl")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("c", [0.2, 0.8, 2.0])
+def test_reduced_lie_search_on_a_non_monotone_profile(n, c, monkeypatch):
+    metric = _lie_metric(n, f"bowl{c}")
+    ends, shipped = [], nrm.polish_many
+
+    def recorded(*args, **kw):
+        y, best = shipped(*args, **kw)
+        ends.append(y[0])
+        return y, best
+
+    monkeypatch.setattr(nrm, "polish_many", recorded)
+    reduced = curv._bisectional_sup_lie(metric)
+    oracle = _per_start_sup_lie(metric)
+    assert oracle * (1.0 - 1e-12) <= reduced <= oracle * (1.0 + 1e-12)
+    (s, q, tau), = ends
+    if c < 0.8:  # at the V = W corner s = 0
+        assert (s, q) == (0.0, -0.5)
+    else:  # inside the box, on the tau = 1 face
+        assert 0.0 < s < 1.0 and -0.5 < q < 0.0 and tau == 1.0
 
 
 def test_joint_table_row_blocks_find_the_same_cell(monkeypatch):

@@ -304,9 +304,9 @@ def test_polish_many_rows_are_one_row_polishes(dim):
             steps = np.array([step, step, 4.0 * step])
             ys, fs = norms.polish_many(fn, grid[picks], signs, steps)
             for row, (i, sign, st) in enumerate(zip(picks, signs, steps)):
-                y, f = norms.polish(fn, grid[i], sign, st)
-                assert f == fs[row], name  # bit for bit
-                assert np.array_equal(y, ys[row]), name
+                y, f = norms.polish_many(fn, grid[[i]], sign, st)
+                assert f[0] == fs[row], name  # bit for bit
+                assert np.array_equal(y[0], ys[row]), name
             # simplex_scan polishes both ends as two rows of one call
             (ymin, fmin), (ymax, fmax) = norms.simplex_scan(fn, dim, total=total)
             if dim > 1:
@@ -341,11 +341,12 @@ def test_simplex_grid_is_ordered_and_cached():
 
 def test_polish_climbs_from_a_grid_point():
     fn = lambda y: -np.sum((y - np.array([0.55, 0.3, 0.15])) ** 2, axis=-1)
-    y, f = norms.polish(fn, np.array([1.0, 0.0, 0.0]), +1.0, 0.1)
-    np.testing.assert_allclose(y, [0.55, 0.3, 0.15], atol=1e-10)
-    assert f == pytest.approx(0.0, abs=1e-18)
-    y, f = norms.polish(lambda y: -fn(y), np.array([1.0, 0.0, 0.0]), -1.0, 0.1)
-    np.testing.assert_allclose(y, [0.55, 0.3, 0.15], atol=1e-10)
+    y, f = norms.polish_many(fn, np.array([[1.0, 0.0, 0.0]]), +1.0, 0.1)
+    np.testing.assert_allclose(y[0], [0.55, 0.3, 0.15], atol=1e-10)
+    assert f[0] == pytest.approx(0.0, abs=1e-18)
+    y, f = norms.polish_many(lambda y: -fn(y), np.array([[1.0, 0.0, 0.0]]),
+                             -1.0, 0.1)
+    np.testing.assert_allclose(y[0], [0.55, 0.3, 0.15], atol=1e-10)
 
 
 def _polish_one_halving(fn_batch, y0, sign, step, moves=None,
@@ -387,8 +388,7 @@ def _polish_one_halving(fn_batch, y0, sign, step, moves=None,
 
 
 def _assert_ladder_matches_oracle(fn, y0, sign, step, polish=None, **kw):
-    y, best = (polish or norms.polish_many)(fn, y0, sign, step, ladder=True,
-                                            **kw)
+    y, best = (polish or norms.polish_many)(fn, y0, sign, step, **kw)
     oy, obest = _polish_one_halving(fn, y0, sign, step, **kw)
     assert np.array_equal(y, oy) and np.array_equal(best, obest)  # bit for bit
     return y, best
@@ -403,24 +403,34 @@ _LADDER_METRICS = [
         lambda d: metrics.tk_metric(d, 2.0, 2),
         lambda d: metrics.tk_metric(d, 20.0, 2),
         lambda d: metrics.tk_metric(d, 1.0, 3))]
+_BOWL = norms.PhiFamilySpec(  # not monotone: the Lie sup lies inside the box
+    value=lambda s: 1.0 + 2.0 * (np.asarray(s, dtype=float) - 0.5) ** 2,
+    d1=lambda s: 4.0 * (np.asarray(s, dtype=float) - 0.5),
+    d2=lambda s: np.full(np.shape(s), 4.0), label="bowl(c=2)")
+_LADDER_METRICS += [
+    metrics.bergman_metric(domains.type_iv(3)),
+    metrics.phi_metric(domains.type_iv(5), norms.affine_phi(2.0)),
+    metrics.phi_metric(domains.type_iv(2), _BOWL),
+    metrics.phi_metric(domains.type_iv(4), _BOWL)]
 
 
 @pytest.mark.parametrize("metric", _LADDER_METRICS, ids=lambda m: m.label)
 def test_ladder_polish_matches_one_halving_oracle(metric, monkeypatch):
-    """simplex_scan's fn and the block-move joint fn of the bisectional sup."""
+    """simplex_scan's fn and the block-move joint fn of the bisectional sup;
+    on the Lie ball, the box polish of the bisectional sup."""
     shipped = norms.polish_many
-    laddered = []
+    calls = []
 
-    def checked(fn, y0, sign, step, ladder=False, **kw):
-        laddered.append(ladder)
+    def checked(fn, y0, sign, step, **kw):
+        calls.append(len(y0))
         return _assert_ladder_matches_oracle(fn, y0, sign, step, shipped,
                                              **kw)
 
     monkeypatch.setattr(norms, "polish_many", checked)
     report = curvature.curvature_bounds(metric, pair_draws=1)
-    assert laddered == [True, True]  # the K scan, then the joint sup
-    monkeypatch.setattr(norms, "polish_many", lambda *a, ladder=False, **kw:
-                        _polish_one_halving(*a, **kw))
+    # the K scan's two ends, then the joint sup; the Lie ball scans K on a grid
+    assert calls == ([1] if metric.domain.kind == "IV" else [2, 1])
+    monkeypatch.setattr(norms, "polish_many", _polish_one_halving)
     oracle = curvature.curvature_bounds(metric, pair_draws=1)
     assert (report.k1, report.k2, report.bisectional_search,
             report.bisectional_c) == (oracle.k1, oracle.k2,
@@ -445,7 +455,7 @@ def test_ladder_ends_a_grid_point_polish_in_one_round():
     vals = counted([])(grid)
     starts = grid[[int(np.argmin(vals)), int(np.argmax(vals))]]
     ladder, oracle = [], []
-    norms.polish_many(counted(ladder), starts, [-1.0, 1.0], step, ladder=True)
+    norms.polish_many(counted(ladder), starts, [-1.0, 1.0], step)
     _polish_one_halving(counted(oracle), starts, [-1.0, 1.0], step)
     # the start's own value, then one halving per round against one ladder
     assert len(oracle) >= 30 and len(ladder) == 2
