@@ -4,6 +4,9 @@ Every map is a HoloMap(source, target, body).  Bodies are small frozen
 dataclasses; apply/differential dispatch on the body type.  All formulas are
 written so that the point (and tangent) arguments may carry leading batch
 axes — matrix bodies accept (..., m, n) stacks, vector bodies (..., N).
+Automorphism bodies may carry leading map axes too: one body then holds a
+stack of maps, and its map axes broadcast against the points' batch axes, so
+K maps on S points (S, 1) + ambient give (S, K) + ambient in one call.
 
 The normalizing automorphism of a matrix domain at Z0 is
     Z  |->  A (Z - Z0) (I - Z0* Z)^{-1} D^{-1},
@@ -127,17 +130,19 @@ def _haar_orthogonal(g):
 
 
 def _x0_matrix(z0):
-    """Real 2xN parameter matrix of the Lie-ball normalizing map."""
-    a = z0 @ z0
-    denom = 1.0 - abs(a) ** 2  # >= 1 - gauge^4 > 0 at interior points
+    """Real 2xN parameter matrices of the Lie-ball normalizing maps at a
+    stack (...,) + (N,) of base points."""
+    a = np.sum(z0 * z0, axis=-1)[..., None]
+    denom = 1.0 - np.abs(a) ** 2  # >= 1 - gauge^4 > 0 at interior points
     row1 = (np.conj(a) - 1.0) * z0 + (a - 1.0) * np.conj(z0)
     row2 = 1j * (a + 1.0) * np.conj(z0) - 1j * (np.conj(a) + 1.0) * z0
-    x0 = (-1.0 / denom) * np.stack([row1, row2])
+    x0 = (-1.0 / denom)[..., None] * np.stack([row1, row2], axis=-2)
     return x0.real
 
 
 def _lie_ball_roots(z0, x0):
-    """A = (I - X0 X0')^{-1/2} and D = (I - X0' X0)^{-1/2} in closed form.
+    """A = (I - X0 X0')^{-1/2} and D = (I - X0' X0)^{-1/2} in closed form,
+    over a stack of base points.
 
     z0 = e^{i theta} (x + i y) with x, y orthogonal real vectors has spectral
     values l1, l2 = |x| +- |y|, and |x|, |y| are the singular values of
@@ -147,12 +152,14 @@ def _lie_ball_roots(z0, x0):
     Roots of the formed grams would lose (1 - l1^2)(1 - l2^2) to
     cancellation once both spectral values near 1.
     """
-    sig = np.linalg.svd(np.stack([z0.real, z0.imag]), compute_uv=False)
-    l1, l2 = sig[0] + sig[1], sig[0] - sig[1]
+    sig = np.linalg.svd(np.stack([z0.real, z0.imag], axis=-2), compute_uv=False)
+    l1, l2 = sig[..., 0] + sig[..., 1], sig[..., 0] - sig[..., 1]
     root = np.sqrt((1.0 - l1) * (1.0 + l1) * (1.0 - l2) * (1.0 + l2))
-    c = np.array([1.0 + l1 * l2, 1.0 - l1 * l2]) / root
+    c = np.stack([1.0 + l1 * l2, 1.0 - l1 * l2], axis=-1) / root[..., None]
     u, _, vt = np.linalg.svd(x0, full_matrices=False)
-    return (u * c) @ u.T, np.eye(z0.size) + (vt.T * (c - 1.0)) @ vt
+    v = np.swapaxes(vt, -1, -2)
+    return ((u * c[..., None, :]) @ np.swapaxes(u, -1, -2),
+            np.eye(z0.shape[-1]) + (v * (c - 1.0)[..., None, :]) @ vt)
 
 
 def identity_map(spec: DomainSpec) -> HoloMap:
@@ -165,26 +172,37 @@ def identity_map(spec: DomainSpec) -> HoloMap:
 
 
 def normalizing_automorphism(spec: DomainSpec, z0) -> HoloMap:
-    """The automorphism sending the interior point z0 to the origin."""
+    """The automorphism sending the interior point z0 to the origin.
+
+    z0 may be a stack (map...) + ambient shape of base points: the result is
+    one map with those map axes, built in one pass.  Raises DomainError if
+    any of the points is not interior.
+    """
     z0 = np.asarray(z0, dtype=np.complex128)
-    if not domains.contains(spec, z0):
+    shape = spec.ambient_shape
+    if z0.shape[z0.ndim - len(shape):] != shape:
+        raise StructureError(f"Z has shape {z0.shape}, expected {shape} for {spec}")
+    if not np.all(domains.contains_many(spec, z0.reshape((-1,) + shape))):
         raise DomainError(f"base point is not interior to {spec}")
     if spec.kind == "IV":
         x0 = _x0_matrix(z0)
         return HoloMap(spec, spec, LieBallMobius(z0, x0, *_lie_ball_roots(z0, x0)))
-    # contains puts its margin on the grams' smallest eigenvalue, so the
+    # contains_many puts its margin on the grams' smallest eigenvalue, so the
     # roots below cannot raise
-    m, n = spec.ambient_shape
-    a = numkernel.gram_inv_sqrt((np.eye(m) - z0 @ z0.conj().T)[None])[0]
+    m, n = shape
+    z0s = np.conj(np.swapaxes(z0, -1, -2))
+    a = numkernel.gram_inv_sqrt((np.eye(m) - z0 @ z0s).reshape(-1, m, m))
     if spec.kind == "I":
-        d = numkernel.gram_inv_sqrt((np.eye(n) - z0.conj().T @ z0)[None])[0]
+        d = numkernel.gram_inv_sqrt((np.eye(n) - z0s @ z0).reshape(-1, n, n))
     else:
         d = np.conj(a)
-    return HoloMap(spec, spec, MatrixMobius(z0, a, np.linalg.inv(d)))
+    stack = z0.shape[:-2]
+    return HoloMap(spec, spec, MatrixMobius(z0, a.reshape(stack + (m, m)),
+                                            np.linalg.inv(d).reshape(stack + (n, n))))
 
 
-def _isotropy_bodies(spec: DomainSpec, seeds):
-    """Haar rotation data, one origin-fixing body per seed.
+def _isotropy_body(spec: DomainSpec, seeds):
+    """Haar rotation data: one origin-fixing body with one map per seed.
 
     Each seed's normals (and, on the Lie ball, the uniform of its phase) are
     the domains.gaussian_draws of key (seed, 0) on ISOTROPY_STREAM, so they
@@ -199,39 +217,49 @@ def _isotropy_bodies(spec: DomainSpec, seeds):
     if spec.kind == "IV":
         n = spec.dims[0]
         normals, u = domains.gaussian_draws(keys, n * n, 1, stream=ISOTROPY_STREAM)
-        ds = _haar_orthogonal(normals.reshape(-1, n, n))
-        return [VectorLinear(np.exp(2j * np.pi * ui), d) for ui, d in zip(u[:, 0], ds)]
+        return VectorLinear(np.exp(2j * np.pi * u[:, 0]),
+                            _haar_orthogonal(normals.reshape(-1, n, n)))
     if spec.kind == "I":
         m, n = spec.dims
         normals, _ = domains.gaussian_draws(keys, 2 * (m * m + n * n),
                                             stream=ISOTROPY_STREAM)
         a = _haar_unitary(complex_gaussians(normals[:, :2 * m * m], m))
         d = _haar_unitary(complex_gaussians(normals[:, 2 * m * m:], n))
-        return [SandwichScale(ai, di.conj().T) for ai, di in zip(a, d)]
+        return SandwichScale(a, np.conj(np.swapaxes(d, -1, -2)))
     m = spec.dims[0]
     normals, _ = domains.gaussian_draws(keys, 2 * m * m, stream=ISOTROPY_STREAM)
     a = _haar_unitary(complex_gaussians(normals, m))
-    return [SandwichScale(ai, ai.T) for ai in a]
+    return SandwichScale(a, np.swapaxes(a, -1, -2))
+
+
+def _map_slice(m: HoloMap, i) -> HoloMap:
+    """Map i of a stacked map: index i on the leading map axis of every body."""
+    b = m.body
+    if isinstance(b, MapChain):
+        body = MapChain(tuple(_map_slice(f, i) for f in b.maps))
+    else:
+        body = type(b)(*(value[i] for value in vars(b).values()))
+    return HoloMap(m.source, m.target, body)
 
 
 def isotropy_element(spec: DomainSpec, seed: int) -> HoloMap:
     """A random origin-fixing automorphism (Haar rotation data)."""
-    return HoloMap(spec, spec, _isotropy_bodies(spec, [seed])[0])
+    return _map_slice(HoloMap(spec, spec, _isotropy_body(spec, [seed])), 0)
 
 
-def random_automorphisms(spec: DomainSpec, seeds) -> list:
+def random_automorphisms(spec: DomainSpec, seeds) -> HoloMap:
     """Isotropy composed with a normalizing map at a random interior point,
-    one automorphism per seed: isotropy_element(spec, seed) after the map
-    sending sample_point(spec, seed) to the origin.  The points and the
+    as one stacked map with one map axis over the 1-D sequence seeds: map i
+    is isotropy_element(spec, seeds[i]) after the map sending
+    sample_point(spec, seeds[i]) to the origin.  The points and the
     rotations are each drawn in one batch."""
-    z0s = domains.sample_points(spec, seeds)
-    return [compose(HoloMap(spec, spec, body), normalizing_automorphism(spec, z0))
-            for body, z0 in zip(_isotropy_bodies(spec, seeds), z0s)]
+    return compose(HoloMap(spec, spec, _isotropy_body(spec, seeds)),
+                   normalizing_automorphism(spec, domains.sample_points(spec, seeds)))
 
 
 def random_automorphism(spec: DomainSpec, seed: int) -> HoloMap:
-    """One automorphism of random_automorphisms."""
-    return random_automorphisms(spec, [seed])[0]
+    """The one map of random_automorphisms(spec, [seed])."""
+    return _map_slice(random_automorphisms(spec, [seed]), 0)
 
 
 def compose(*maps) -> HoloMap:
@@ -259,10 +287,37 @@ def compose(*maps) -> HoloMap:
 
 
 def _mobius_core(body: MatrixMobius, z):
-    z0s = body.z0.conj().T
-    n = body.z0.shape[1]
-    s = np.linalg.inv(np.eye(n) - z0s @ z)
-    return s
+    z0s = np.conj(np.swapaxes(body.z0, -1, -2))
+    n = body.z0.shape[-1]
+    return np.linalg.inv(np.eye(n) - z0s @ z)
+
+
+def _vecmat(x, m):
+    """Row vectors x (..., N) times matrices m (..., N, K); the leading axes
+    broadcast."""
+    return (x[..., None, :] @ m)[..., 0, :]
+
+
+def _u_step(da):
+    """Increment of u(z) = ((1 + a)/2, (1 - a)/(2i)) for an increment da of a = z.z."""
+    return np.stack([da / 2.0, -da / 2.0j], axis=-1)
+
+
+def _lie_mobius_parts(b: LieBallMobius, z):
+    """phi(z) = num / beta for the Lie-ball map; returns (num, beta, ae).
+
+    num = ((z - z0) - (u(z) - u(z0)) X0) D, with u(z) - u(z0) taken from
+    a - a0 = (z - z0).(z + z0).  It is exactly 0 at z0.  The form
+    (z - u(z) X0) D, equal in exact arithmetic, cancels there, and near the
+    boundary along a real direction it loses every digit.
+    """
+    a = np.sum(z * z, axis=-1)
+    u = np.stack([(1.0 + a) / 2.0, (1.0 - a) / 2.0j], axis=-1)
+    ae = b.a @ np.array([1.0, 1.0j])
+    beta = np.sum((u - _vecmat(z, np.swapaxes(b.x0, -1, -2))) * ae, axis=-1)
+    dz = z - b.z0
+    du = _u_step(np.sum(dz * (z + b.z0), axis=-1))
+    return _vecmat(dz - _vecmat(du, b.x0), b.d), beta, ae
 
 
 def apply(m: HoloMap, z):
@@ -274,20 +329,16 @@ def apply(m: HoloMap, z):
             s = _mobius_core(b, z)
             return b.a @ (z - b.z0) @ s @ b.d_inv
         if isinstance(b, MatrixMobiusInverse):
-            z0s = b.z0.conj().T
+            z0s = np.conj(np.swapaxes(b.z0, -1, -2))
             wd = z @ b.d
             return np.linalg.solve(b.a + wd @ z0s, wd + b.a @ b.z0)
         if isinstance(b, LieBallMobius):
-            a = np.sum(z * z, axis=-1)
-            u = np.stack([(1.0 + a) / 2.0, (1.0 - a) / 2.0j], axis=-1)
-            ae = b.a @ np.array([1.0, 1.0j])
-            beta = (u - z @ b.x0.T) @ ae
-            num = (z - u @ b.x0) @ b.d
+            num, beta, _ = _lie_mobius_parts(b, z)
             return num / beta[..., None]
         if isinstance(b, SandwichScale):
             return b.left @ z @ b.right
         if isinstance(b, VectorLinear):
-            return b.alpha * (z @ b.d)
+            return np.asarray(b.alpha)[..., None] * _vecmat(z, b.d)
         if isinstance(b, MapChain):
             out = z
             for f in reversed(b.maps):
@@ -327,31 +378,26 @@ def differential(m: HoloMap, z, v):
     try:
         if isinstance(b, MatrixMobius):
             s = _mobius_core(b, z)
-            z0s = b.z0.conj().T
+            z0s = np.conj(np.swapaxes(b.z0, -1, -2))
             inner = v + (z - b.z0) @ s @ z0s @ v
             return b.a @ inner @ s @ b.d_inv
         if isinstance(b, MatrixMobiusInverse):
-            z0s = b.z0.conj().T
+            z0s = np.conj(np.swapaxes(b.z0, -1, -2))
             wd = z @ b.d
             lhs = b.a + wd @ z0s
             out = np.linalg.solve(lhs, wd + b.a @ b.z0)  # = apply(m, z)
-            n = b.z0.shape[1]
+            n = b.z0.shape[-1]
             return np.linalg.solve(lhs, v @ b.d @ (np.eye(n) - z0s @ out))
         if isinstance(b, LieBallMobius):
-            a = np.sum(z * z, axis=-1)
-            da = 2.0 * np.sum(z * v, axis=-1)
-            u = np.stack([(1.0 + a) / 2.0, (1.0 - a) / 2.0j], axis=-1)
-            du = np.stack([da / 2.0, -da / 2.0j], axis=-1)
-            ae = b.a @ np.array([1.0, 1.0j])
-            beta = (u - z @ b.x0.T) @ ae
-            dbeta = (du - v @ b.x0.T) @ ae
-            num = (z - u @ b.x0) @ b.d
-            dnum = (v - du @ b.x0) @ b.d
+            num, beta, ae = _lie_mobius_parts(b, z)
+            du = _u_step(2.0 * np.sum(z * v, axis=-1))
+            dbeta = np.sum((du - _vecmat(v, np.swapaxes(b.x0, -1, -2))) * ae, axis=-1)
+            dnum = _vecmat(v - _vecmat(du, b.x0), b.d)
             return (dnum * beta[..., None] - num * dbeta[..., None]) / (beta**2)[..., None]
         if isinstance(b, SandwichScale):
             return b.left @ v @ b.right
         if isinstance(b, VectorLinear):
-            return b.alpha * (v @ b.d)
+            return np.asarray(b.alpha)[..., None] * _vecmat(v, b.d)
         if isinstance(b, MapChain):
             zc, vc = z, v
             for f in reversed(b.maps):
@@ -407,9 +453,10 @@ def invert(m: HoloMap) -> HoloMap:
             raise StructureError(f"non-invertible linear map: {exc}") from exc
         return HoloMap(m.target, m.source, SandwichScale(left, right))
     if isinstance(b, VectorLinear):
-        if abs(b.alpha) < 1e-300:
+        if np.any(np.abs(b.alpha) < 1e-300):
             raise StructureError("non-invertible vector scaling")
-        return HoloMap(m.target, m.source, VectorLinear(1.0 / b.alpha, b.d.T))
+        return HoloMap(m.target, m.source,
+                       VectorLinear(1.0 / b.alpha, np.swapaxes(b.d, -1, -2)))
     if isinstance(b, MapChain):
         return compose([invert(f) for f in reversed(b.maps)])
     raise StructureError(f"map body {type(b).__name__} is not invertible")

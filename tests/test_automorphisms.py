@@ -1,4 +1,6 @@
 """Automorphism tests: fixed points, round trips, differentials, corpus bodies."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -290,3 +292,55 @@ def test_batched_evaluation_agrees_with_loop():
     for k in range(5):
         np.testing.assert_allclose(wb[k], am.apply(phi, zs[k]), atol=1e-13)
         np.testing.assert_allclose(db[k], am.differential(phi, zs[k], vs[k]), atol=1e-13)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+def test_normalizing_refuses_a_stack_with_one_exterior_point(spec):
+    z0s = domains.sample_points(spec, range(4))
+    phi = am.normalizing_automorphism(spec, z0s)  # one stacked map
+    for k in range(4):
+        assert np.max(np.abs(am.apply(phi, z0s[:, None])[k, k])) <= 1e-10
+    z0s[2] *= 1.5 / domains.minkowski_gauge(spec, z0s[2])
+    with pytest.raises(DomainError):
+        am.normalizing_automorphism(spec, z0s)
+
+
+def _assert_same_maps(one, stack, i):
+    """Every body array of the map one equals slice i of stack bit for bit."""
+    if isinstance(one.body, am.MapChain):
+        assert len(one.body.maps) == len(stack.body.maps)
+        for f, g in zip(one.body.maps, stack.body.maps):
+            _assert_same_maps(f, g, i)
+        return
+    assert type(one.body) is type(stack.body)
+    for field in dataclasses.fields(one.body):
+        a = np.asarray(getattr(one.body, field.name))
+        b = np.asarray(getattr(stack.body, field.name))[i]
+        assert a.shape == b.shape and np.array_equal(a, b), field.name
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [domains.type_i(1, 3),
+                                              domains.type_iv(5)], ids=str)
+def test_random_automorphism_is_slice_zero_of_the_stack(spec):
+    for seed in (1, 7, 12345):
+        stack = am.random_automorphisms(spec, [seed, seed + 1, seed + 2])
+        _assert_same_maps(am.random_automorphism(spec, seed), stack, 0)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_lie_ball_map_kills_its_base_point_up_to_the_boundary(n):
+    # both real directions (spectral values l1 = l2 = gauge, and e^{i t} times
+    # a real unit vector) and one sampled direction
+    spec = domains.type_iv(n)
+    e1 = np.zeros(n, dtype=complex)
+    e1[0] = 1.0
+    tilted = np.zeros(n, dtype=complex)
+    tilted[:2] = np.exp(0.7j) * np.array([0.6, 0.8])
+    dirs = [e1, tilted, domains.sample_point(spec, seed=400)]
+    gauges = 1.0 - np.array([1e-3, 1e-4, 4e-6, 4e-7, 1e-8])
+    z0s = np.stack([g * d / domains.minkowski_gauge(spec, d) for d in dirs for g in gauges])
+    for z0 in z0s:
+        phi = am.normalizing_automorphism(spec, z0)
+        assert np.max(np.abs(am.apply(phi, z0))) <= 1e-15
+    stacked = am.normalizing_automorphism(spec, z0s)
+    assert np.max(np.abs(am.apply(stacked, z0s))) <= 1e-15

@@ -213,6 +213,130 @@ def test_connection_sample_matches_per_direction_oracle(metric):
         assert np.max(np.abs(got - _connection_oracle(metric, z, v))) <= 1e-8
 
 
+def _fundamental_tensor_oracle(metric, z, v):
+    """Per-fiber fundamental tensor: one (Z, V) pair, scalar family calls."""
+    spec = metric.domain
+    if spec.kind == "IV":
+        m, delta, q, p, s = met.lie_fiber(z, v)
+        phi = float(metric.family.value(s))
+        d1 = float(metric.family.d1(s))
+        d2 = float(metric.family.d2(s))
+        norm = metric.normalization
+        g_q = (norm / delta**2) * (phi - 2.0 * s * d1)
+        g_p2 = norm * d1 / q
+        g_qq = (norm / delta**2) * (2.0 * s / q) * (d1 + 2.0 * s * d2)
+        g_qp2 = -norm * (d1 + 2.0 * s * d2) / q**2
+        g_p2p2 = norm * d2 * delta**2 / q**3
+        dq_v = m @ np.conj(v)
+        dq_vb = v @ m
+        dp2_v = 2.0 * v * np.conj(p)
+        dp2_vb = 2.0 * p * np.conj(v)
+        return (
+            g_qq * np.outer(dq_v, dq_vb)
+            + g_qp2 * (np.outer(dq_v, dp2_vb) + np.outer(dp2_v, dq_vb))
+            + g_p2p2 * np.outer(dp2_v, dp2_vb)
+            + g_q * m
+            + g_p2 * 4.0 * np.outer(v, np.conj(v))
+        )
+    p, q, pvq, powers, s = met._matrix_fiber_parts(metric, z, v)
+    k = metric.family.k
+    h = nrm.power_means(s)
+    g_grad = np.atleast_1d(np.asarray(metric.family.grad(h), dtype=float))
+    g_hess = np.atleast_2d(np.asarray(metric.family.hess(h), dtype=float))
+    qvs = q @ v.conj().T
+    ds_vbar, ds_v, dh_vbar, dh_v = ([None] * (k + 1) for _ in range(4))
+    for a in range(1, k + 1):
+        ds_vbar[a] = a * (powers[a - 1] @ pvq)
+        ds_v[a] = a * (qvs @ powers[a - 1] @ p).T
+        coeff = s[a - 1] ** (1.0 / a - 1.0) / a
+        dh_vbar[a] = coeff * ds_vbar[a]
+        dh_v[a] = coeff * ds_v[a]
+    hess_amb = np.zeros(v.shape * 2, dtype=np.complex128)
+    for a in range(1, k + 1):
+        for b in range(1, k + 1):
+            if g_hess[a - 1, b - 1] != 0.0:
+                hess_amb += g_hess[a - 1, b - 1] * np.multiply.outer(dh_v[a], dh_vbar[b])
+    for a in range(1, k + 1):
+        ga = g_grad[a - 1]
+        if ga == 0.0:
+            continue
+        c1 = (1.0 / a) * (1.0 / a - 1.0) * s[a - 1] ** (1.0 / a - 2.0)
+        hess_amb += ga * c1 * np.multiply.outer(ds_v[a], ds_vbar[a])
+        c2 = (1.0 / a) * s[a - 1] ** (1.0 / a - 1.0)
+        block = np.zeros_like(hess_amb)
+        for u in range(a - 1):
+            right = qvs @ powers[a - 2 - u] @ pvq
+            block += np.einsum("ai,jb->ijab", powers[u] @ p, right)
+        block += np.einsum("ai,jb->ijab", powers[a - 1] @ p, q)
+        hess_amb += ga * c2 * a * block
+    hess_amb *= metric.normalization
+    basis = dom.tangent_basis(spec)
+    return np.einsum("sij,tab,ijab->st", basis, basis, hess_amb)
+
+
+def _curved_family(spec, k):
+    """g = c sqrt(xi_1^2 + ... + xi_k^2): a family whose Hessian is not 0."""
+    c = met.default_scale(spec)
+    return met.MetricSpec(spec, nrm.g_family_from_callable(
+        lambda xi: c * np.sqrt(np.sum(np.asarray(xi) ** 2, axis=-1)), k=k,
+        label=f"curved(k={k})"))
+
+
+@pytest.mark.parametrize("metric", _all_metrics() + [
+    met.tk_metric(dom.type_i(1, 3), 1.0, 2),
+    met.tk_metric(dom.type_i(2, 2), 1.0, 3),
+    met.tk_metric(dom.type_iii(4), 0.5, 3),
+    met.phi_metric(dom.type_iv(4), nrm.affine_phi(0.5)),
+    _curved_family(dom.type_i(2, 2), 2),
+    _curved_family(dom.type_iii(4), 3),
+], ids=lambda m: m.label)
+def test_fundamental_tensor_matches_per_fiber_oracle(metric):
+    spec = metric.domain
+    zs = dom.sample_points(spec, range(3))
+    vs = dom.sample_tangents(spec, range(10, 22)).reshape((3, 4) + spec.ambient_shape)
+    got = met.fundamental_tensor(metric, zs[:, None], vs)
+    assert got.shape == (3, 4, spec.dim, spec.dim)
+    for b in range(3):
+        for f in range(4):
+            ref = _fundamental_tensor_oracle(metric, zs[b], vs[b, f])
+            ulp = np.spacing(np.max(np.abs(ref)))
+            assert np.max(np.abs(got[b, f] - ref)) <= 4.0 * ulp
+    # one pair still gives one (dim, dim) matrix
+    one = met.fundamental_tensor(metric, zs[0], vs[0, 0])
+    assert one.shape == (spec.dim, spec.dim)
+    assert np.max(np.abs(one - got[0, 0])) <= 4.0 * np.spacing(np.max(np.abs(one)))
+
+
+@pytest.mark.parametrize("spec", [dom.type_i(2, 3), dom.type_ii(2), dom.type_iii(4),
+                                  dom.type_iv(3)], ids=str)
+def test_fundamental_tensor_rejects_a_zero_fiber_in_a_stack(spec):
+    metric = met.bergman_metric(spec)
+    zs = dom.sample_points(spec, range(2))
+    vs = dom.sample_tangents(spec, range(5, 11)).reshape((2, 3) + spec.ambient_shape)
+    met.fundamental_tensor(metric, zs[:, None], vs)  # all fibers nonzero
+    vs[1, 2] = 0.0
+    with pytest.raises(DomainError):
+        met.fundamental_tensor(metric, zs[:, None], vs)
+
+
+@pytest.mark.parametrize("metric", [
+    met.tk_metric(dom.type_i(1, 3), 1.0, 2),
+    met.tk_metric(dom.type_iii(4), 1.0, 2),
+    met.phi_metric(dom.type_iv(3), nrm.affine_phi(0.5)),
+], ids=lambda m: m.label)
+def test_connection_sample_over_base_points_matches_per_direction_oracle(metric):
+    # a stack of base points, each with its own fibers and its own step
+    spec = metric.domain
+    zs = dom.sample_points(spec, [65, 66])
+    vs = dom.sample_tangents(spec, range(67, 73)).reshape((2, 3) + spec.ambient_shape)
+    nonlinear = met.connection_sample(metric, zs, vs)
+    assert nonlinear.shape == (2, 3, spec.dim, spec.dim)
+    for b in range(2):
+        for f in range(3):
+            ref = _connection_oracle(metric, zs[b], vs[b, f])
+            assert np.max(np.abs(nonlinear[b, f] - ref)) <= 1e-8
+
+
 def test_fundamental_tensor_properties():
     for metric in _all_metrics():
         spec = metric.domain
@@ -270,6 +394,41 @@ def test_invariance_under_automorphisms():
         assert dev < 1e-9
 
 
+def _invariance_oracle(metric, n_maps, n_samples, seed):
+    """Per-map loop: one random_automorphism, apply, differential and
+    eval2_many per map, on the draws verify_invariance makes."""
+    spec = metric.domain
+    rng = np.random.default_rng(seed)
+    zs = dom.sample_points(spec, rng.integers(2**63, size=n_samples))
+    vs = dom.sample_tangents(spec, rng.integers(2**63, size=n_samples))
+    base = met.eval2_many(metric, zs, vs)
+    worst = 0.0
+    for s in rng.integers(2**63, size=n_maps):
+        phi = am.random_automorphism(spec, s)
+        moved = met.eval2_many(metric, am.apply(phi, zs), am.differential(phi, zs, vs))
+        worst = max(worst, float(np.max(np.abs(moved - base) / base)))
+    return worst
+
+
+@pytest.mark.parametrize("metric", [
+    met.tk_metric(dom.type_i(1, 3), 1.0, 2),
+    met.bergman_metric(dom.type_ii(2)),
+    met.tk_metric(dom.type_i(2, 3), 1.0, 2),
+    met.tk_metric(dom.type_iii(4), 1.0, 2),
+    met.bergman_metric(dom.type_iv(3)),
+    met.phi_metric(dom.type_iv(3), nrm.affine_phi(2.0)),
+    met.bergman_metric(dom.type_iv(5)),
+], ids=lambda m: m.label)
+@pytest.mark.parametrize("seed", [1, 7, 12345])
+def test_stacked_invariance_matches_per_map_oracle(metric, seed):
+    got = met.verify_invariance(metric, n_maps=12, n_samples=15, seed=seed)
+    ref = _invariance_oracle(metric, 12, 15, seed)
+    if metric.domain.kind == "IV":
+        assert abs(got - ref) <= 1e-14
+    else:
+        assert got == ref
+
+
 def test_disc_connection_oracle():
     disc = met.bergman_metric(dom.type_i(1, 1))
     z = np.array([[0.3 + 0.2j]])
@@ -298,12 +457,15 @@ def test_kahler_berwald_counts_one_fundamental_tensor_per_fiber(spec, monkeypatc
     real = met.fundamental_tensor
 
     def counted(metric, z, v):
-        calls.append(1)
-        return real(metric, z, v)
+        out = real(metric, z, v)
+        calls.append(out.shape[:-2])
+        return out
 
     monkeypatch.setattr(met, "fundamental_tensor", counted)
     rep = met.verify_kahler_berwald(met.tk_metric(spec, 1.0, 2))
-    assert len(calls) == rep.fibers == 3 * max(10, spec.dim + 1) == 30
+    # one call whose stack holds every fiber of the three base points
+    assert calls == [(3, max(10, spec.dim + 1))]
+    assert rep.fibers == 3 * max(10, spec.dim + 1) == 30
 
 
 def _hermitian_connection_stencil(metric, z):
@@ -384,11 +546,12 @@ def test_kahler_berwald_check_can_fail(monkeypatch):
     assert rep.gamma_vs_hermitian >= 1e-3
     real = met.connection_sample
 
-    def bent(metric, z, vs):
+    def bent(metric, zs, vs):
         # a term of degree 1 in v that is not linear: N is no longer Gamma v
-        c = np.stack([dom.pack(metric.domain, v) for v in vs])
-        quad = c[:, :, None] * c[:, None, :] / np.linalg.norm(c, axis=1)[:, None, None]
-        return real(metric, z, vs) + 1e-3 * quad
+        c = dom.pack(metric.domain, vs)                       # (base, fiber, dim)
+        quad = (c[..., :, None] * c[..., None, :]
+                / np.linalg.norm(c, axis=-1)[..., None, None])
+        return real(metric, zs, vs) + 1e-3 * quad
 
     monkeypatch.setattr(met, "connection_sample", bent)
     rep = met.verify_kahler_berwald(metric, seed=3)
