@@ -18,7 +18,6 @@ from . import domains
 from . import norms
 from .metrics import MetricSpec
 
-LIE_SCAN_POINTS = 10_000
 LIE_SUP_TICKS = 201  # ticks per axis of the Lie-ball (s, q) table and t grid
 PAIR_DRAWS = 10_000
 SUP_TABLE_CELLS = 1 << 20  # cells per row block of the joint grid table
@@ -29,8 +28,8 @@ class CurvatureReport:
     k1: float                   # -k1 = infimum of sectional curvature
     k2: float                   # -k2 = supremum, 0 < k2 <= k1
     lu: float                   # sqrt(k1 / k2)
-    argmin_profile: np.ndarray  # singular-value profile (or [s]) at -k1
-    argmax_profile: np.ndarray  # profile at -k2
+    argmin_profile: np.ndarray  # singular values at -k1; [s] on the Lie ball
+    argmax_profile: np.ndarray  # the same at -k2
     bisectional_c: float        # extremized bound C with -C <= B <= 0
     bisectional_search: float   # the fiber search's own sup |B| (0 if not run)
 
@@ -317,6 +316,11 @@ def curvature_bounds(metric: MetricSpec, seed: int = 0,
                      pair_draws: int = PAIR_DRAWS) -> CurvatureReport:
     """Extremize K over the fiber and bound the bisectional curvature.
 
+    K is extremized by one norms.simplex_scan on every type: over squared
+    singular values on the matrix domains, and on the Lie ball over rank-2
+    profiles y with s = (y_1 - y_2)^2, where K has the closed form
+    -(4/N) [1 - (1 - s) kappa(s)] / phi(s) (_lie_ratio with W = V).
+
     With pair_draws > 0 the report also carries bisectional_c: the
     extremized supremum of |B| (it always dominates k1, attained at V = W),
     cross-checked against pair_draws sampled tangent pairs, and
@@ -326,21 +330,18 @@ def curvature_bounds(metric: MetricSpec, seed: int = 0,
     (_bisectional_sup_lie, three invariants); neither samples.
     """
     spec = metric.domain
+    dim, total = _profile_dim_total(spec)
     if spec.kind == "IV":
-        # K depends only on s: scan unit representatives in a rank-2 slice
-        s_grid = np.linspace(0.0, 1.0, LIE_SCAN_POINTS)
-        reps = lie_representative(s_grid)
-        if spec.dims[0] > 2:
-            pad = np.zeros(s_grid.shape + (spec.dims[0] - 2,))
-            reps = np.concatenate([reps, pad], axis=-1)
-        vals = hsc_origin_many(metric, reps)
-        imin = int(np.argmin(vals))
-        imax = int(np.argmax(vals))
-        k1, k2 = -float(vals[imin]), -float(vals[imax])
-        argmin = np.array([s_grid[imin]])
-        argmax = np.array([s_grid[imax]])
+        def fn(y):
+            # y = (a^2, b^2) stands for v(s) = (a, ib, 0, ...), and K(v) is
+            # -|B(v, v)|, with q = Im(v_1 conj(v_2)) = -ab = -sqrt(1 - s) / 2
+            s = np.minimum((y[..., 0] - y[..., 1]) ** 2, 1.0)
+            return -_lie_ratio(metric, s, -0.5 * np.sqrt(1.0 - s),
+                               np.asarray(metric.family.value(s), dtype=float))
+
+        def profile(y):
+            return np.array([(y[0] - y[1]) ** 2])
     else:
-        dim, total = _profile_dim_total(spec)
         kmax = metric.family.k + 1
 
         def fn(y):
@@ -348,10 +349,12 @@ def curvature_bounds(metric: MetricSpec, seed: int = 0,
                 metric, _profile_to_traces(spec, y, kmax)
             )
 
-        (ymin, fmin), (ymax, fmax) = norms.simplex_scan(fn, dim, total=total)
-        k1, k2 = -fmin, -fmax
-        argmin = np.sort(np.sqrt(np.maximum(ymin, 0.0)))[::-1]
-        argmax = np.sort(np.sqrt(np.maximum(ymax, 0.0)))[::-1]
+        def profile(y):
+            return np.sort(np.sqrt(np.maximum(y, 0.0)))[::-1]
+
+    (ymin, fmin), (ymax, fmax) = norms.simplex_scan(fn, dim, total=total)
+    k1, k2 = -fmin, -fmax
+    argmin, argmax = profile(ymin), profile(ymax)
     if not (k1 >= k2 > 0.0):
         raise NumericError(
             f"curvature extremization stagnated: k1={k1:.6g}, k2={k2:.6g}"

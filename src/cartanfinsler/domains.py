@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StructureError
+from .errors import StructureError
 from . import numkernel
 
 MEMBERSHIP_MARGIN = 1e-12
@@ -411,18 +411,6 @@ def sample_tangents(spec: DomainSpec, seeds) -> np.ndarray:
     return _draw(spec, seed_keys(seeds), _max_abs, 0)[0]
 
 
-def sample_tangent(spec: DomainSpec, seed: int, unit_under=None, z=None) -> np.ndarray:
-    """Deterministic nonzero tangent draw in the domain's symmetry class.
-
-    unit_under: optional metric evaluator; when given (with the base point z)
-    the draw is rescaled so unit_under(z, V) == 1.
-    """
-    v = sample_tangents(spec, [seed])[0]
-    if unit_under is not None:
-        if z is None:
-            z = np.zeros(spec.ambient_shape, dtype=np.complex128)
-        f = float(unit_under(z, v))
-        if f <= 0.0:
-            raise DomainError("metric evaluator returned a nonpositive value")
-        v = v / f
-    return v
+def sample_tangent(spec: DomainSpec, seed: int) -> np.ndarray:
+    """Deterministic nonzero tangent draw; see sample_tangents."""
+    return sample_tangents(spec, [seed])[0]

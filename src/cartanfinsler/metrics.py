@@ -241,12 +241,6 @@ def grad_vbar_many(metric: MetricSpec, zs, vs) -> np.ndarray:
     return flat @ basis.reshape(spec.dim, -1).T
 
 
-def grad_vbar(metric: MetricSpec, z, v) -> np.ndarray:
-    """Packed dG/d(conj v) at one (Z, V): the fiber gradient entering the
-    connection; see grad_vbar_many."""
-    return grad_vbar_many(metric, z, v)
-
-
 def fundamental_tensor(metric: MetricSpec, z, v) -> np.ndarray:
     """Packed Hermitian matrices of second fiber derivatives of F^2.
 
@@ -290,8 +284,7 @@ def fundamental_tensor(metric: MetricSpec, z, v) -> np.ndarray:
     k = metric.family.k
     h = norms.power_means(s)
     g_grad = norms.grad_rows(metric.family, h)
-    g_hess = np.stack([np.atleast_2d(np.asarray(metric.family.hess(row), dtype=float))
-                       for row in h.reshape(-1, k)]).reshape(h.shape + (k,))
+    g_hess = norms.hess_rows(metric.family, h)
     qvs = q @ np.conj(np.swapaxes(v, -1, -2))  # Q V*
     col4 = lambda x: x[..., None, None, None, None]
 

@@ -4,13 +4,16 @@ Two families are shipped:
 
 * g-families on the matrix domains: f^2(V) = g(h_1, ..., h_k) where
   h_a = tr[(V V*)^a]^{1/a}.  Built-ins: the trace norm g = c*xi_1 and the
-  two-term family g = c/(1+t) * (xi_1 + t*xi_k).
+  two-term family g = c/(1+t) * (xi_1 + t*xi_k).  The metric evaluates
+  them through power_means, grad_rows and hess_rows.
 * phi-families on the Lie ball: f^2(xi) = r * phi(s) with r = xi xi* and
-  s = |xi xi'|^2 / r^2 in [0, 1].
+  s = |xi xi'|^2 / r^2 in [0, 1] (phi_invariants, eval_phi_norm_many).
 
 Certification checks the convexity/monotonicity conditions that make these
 genuine strongly pseudoconvex norms, on explicit sample grids, reporting
-worst margins and witnesses instead of silent booleans.
+worst margins and witnesses instead of silent booleans.  simplex_scan, a
+grid on an ordered simplex and a polish of its two ends, is the one
+extremizer of the curvature bounds on all four types.
 """
 import functools
 from dataclasses import dataclass
@@ -55,13 +58,16 @@ def grad_rows(family: GFamilySpec, h) -> np.ndarray:
     return np.broadcast_to(np.asarray(family.grad(h), dtype=float), h.shape)
 
 
-@dataclass(frozen=True)
-class NormBounds:
-    """Tightest constants with c1 * tr(VV*) <= f^2(V) <= c2 * tr(VV*)."""
-    c1: float
-    c2: float
-    argmin_profile: np.ndarray
-    argmax_profile: np.ndarray
+def hess_rows(family: GFamilySpec, h) -> np.ndarray:
+    """family.hess at every row of h (..., k), as (..., k, k).
+
+    family.hess takes the whole batch and returns either one Hessian per row
+    or, for a linear or quadratic g, the constant Hessian (k, k), broadcast
+    here.
+    """
+    h = np.asarray(h, dtype=float)
+    return np.broadcast_to(np.asarray(family.hess(h), dtype=float),
+                           h.shape + h.shape[-1:])
 
 
 @dataclass(frozen=True)
@@ -113,7 +119,7 @@ def g_family_from_callable(value: Callable, k: int, label="custom") -> GFamilySp
     """Wrap a user g(xi) with central-difference gradient and Hessian.
 
     value is only ever called on one point xi of shape (k,); the gradient
-    also takes a batch (..., k), row by row.
+    and the Hessian also take a batch (..., k), row by row.
     """
 
     def grad(xi):
@@ -130,6 +136,8 @@ def g_family_from_callable(value: Callable, k: int, label="custom") -> GFamilySp
 
     def hess(xi):
         xi = np.asarray(xi, dtype=float)
+        if xi.ndim > 1:
+            return np.apply_along_axis(hess, -1, xi)
         out = np.zeros((k, k))
         for a in range(k):
             ha = FD_STEP * max(xi[a], 1e-3)
@@ -186,39 +194,6 @@ def power_means(s) -> np.ndarray:
     return h
 
 
-def power_means_from_squares(y, k: int) -> np.ndarray:
-    """h_a = (sum_i y_i^a)^{1/a} for a = 1..k from squared singular values y.
-
-    y may carry leading batch axes; returns (..., k).
-    """
-    y = np.asarray(y, dtype=float)
-    return power_means(np.stack([np.sum(y**a, axis=-1) for a in range(1, k + 1)],
-                                axis=-1))
-
-
-def eval_g_norm(spec: GFamilySpec, v) -> float:
-    """f^2(V) = g(h_1(V), ..., h_k(V)) for a matrix tangent at the origin."""
-    v = np.asarray(v, dtype=np.complex128)
-    sv = numkernel.singular_values(v)
-    y = sv**2
-    if float(np.sum(y)) <= 0.0:
-        return 0.0
-    return float(spec.value(power_means_from_squares(y, spec.k)))
-
-
-def eval_g_norm_many(spec: GFamilySpec, vs) -> np.ndarray:
-    """Batched eval_g_norm over a stack of origin tangents (B, m, n)."""
-    vs = np.asarray(vs, dtype=np.complex128)
-    if vs.shape[-2] <= vs.shape[-1]:
-        gram = vs @ np.conj(np.swapaxes(vs, -1, -2))
-    else:
-        gram = np.conj(np.swapaxes(vs, -1, -2)) @ vs
-    y = numkernel.eigvalsh_batch(gram.reshape((-1,) + gram.shape[-2:]))
-    y = np.maximum(y, 0.0).reshape(gram.shape[:-1])
-    vals = spec.value(power_means_from_squares(y, spec.k))
-    return np.where(np.sum(y, axis=-1) > 0.0, vals, 0.0)
-
-
 def phi_invariants(xi) -> tuple:
     """(r, s) with r = xi xi* and s = |xi xi'|^2 / r^2 (s := 0 at xi = 0)."""
     xi = np.asarray(xi, dtype=np.complex128)
@@ -226,14 +201,6 @@ def phi_invariants(xi) -> tuple:
     p = np.abs(np.sum(xi * xi, axis=-1))
     s = np.divide(p * p, r * r, out=np.zeros_like(r), where=r > 0.0)
     return r, np.clip(s, 0.0, 1.0)
-
-
-def eval_phi_norm(spec: PhiFamilySpec, xi, normalization: float = 1.0) -> float:
-    """f^2(xi) = normalization * r * phi(s) on the Lie ball's origin fiber."""
-    r, s = phi_invariants(xi)
-    if np.ndim(r) == 0 and float(r) == 0.0:
-        return 0.0
-    return float(normalization * r * spec.value(s))
 
 
 def eval_phi_norm_many(spec: PhiFamilySpec, xis, normalization: float = 1.0) -> np.ndarray:
@@ -259,13 +226,12 @@ def certify_scc(spec: GFamilySpec, grid=None) -> Certificate:
     """Gradient strictly positive and Hessian PSD at every grid point.
 
     The worst margin is the first minimum in point order, the gradient check
-    before the Hessian check at each point.  spec.hess takes one point.
+    before the Hessian check at each point.
     """
     if grid is None:
         grid = orthant_grid(spec.k)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    hess = np.stack([np.atleast_2d(np.asarray(spec.hess(xi), dtype=float))
-                     for xi in grid])
+    hess = hess_rows(spec, grid)
     margins = np.stack([
         np.min(grad_rows(spec, grid), axis=-1) - STRICT_MARGIN,
         numkernel.eigvalsh_batch(hess.astype(np.complex128))[:, -1]
@@ -446,48 +412,3 @@ def simplex_scan(fn_batch: Callable, dim: int, total: float = 1.0,
     starts = y_grid[[int(np.argmin(vals)), int(np.argmax(vals))]]
     y, f = polish_many(fn_batch, starts, np.array([-1.0, 1.0]), step)
     return (y[0], float(f[0])), (y[1], float(f[1]))
-
-
-def _g_profile_batch(spec: GFamilySpec, doubled: bool):
-    """Map squared-singular-value profiles to f^2 values (III doubles traces)."""
-
-    def fn(y):
-        y = np.asarray(y, dtype=float)
-        if doubled:
-            h = np.empty(y.shape[:-1] + (spec.k,))
-            for a in range(1, spec.k + 1):
-                h[..., a - 1] = (2.0 * np.sum(y**a, axis=-1)) ** (1.0 / a)
-        else:
-            h = power_means_from_squares(y, spec.k)
-        return spec.value(h)
-
-    return fn
-
-
-def minkowski_bounds(spec, domain=None, normalization: float = 1.0,
-                     rank: int = None) -> NormBounds:
-    """Tight trace-comparison constants over the projectivized origin fiber.
-
-    For g-families pass the domain (or rank=m~ with doubled= inferred);
-    for phi-families the scan is one-dimensional in s.
-    """
-    if isinstance(spec, PhiFamilySpec):
-        s = np.linspace(0.0, 1.0, 10_001)
-        vals = normalization * np.asarray(spec.value(s), dtype=float)
-        imin, imax = int(np.argmin(vals)), int(np.argmax(vals))
-        return NormBounds(float(vals[imin]), float(vals[imax]),
-                          np.array([s[imin]]), np.array([s[imax]]))
-
-    if domain is not None:
-        doubled = domain.kind == "III"
-        mt = domain.rank
-    else:
-        if rank is None:
-            raise StructureError("need a domain or an explicit rank")
-        doubled, mt = False, rank
-    total = 0.5 if doubled else 1.0  # unit trace: skew spectra come in pairs
-    fn = _g_profile_batch(spec, doubled)
-    (ymin, fmin), (ymax, fmax) = simplex_scan(fn, mt, total=total)
-    lam_min = np.sort(np.sqrt(np.maximum(ymin, 0.0)))[::-1]
-    lam_max = np.sort(np.sqrt(np.maximum(ymax, 0.0)))[::-1]
-    return NormBounds(fmin, fmax, lam_min, lam_max)

@@ -28,7 +28,6 @@ from .curvature import CurvatureReport, lie_representative
 from .domains import DomainSpec
 from .metrics import MetricSpec, eval2_many, lie_fiber
 
-BISECTION_STEPS = 60
 PROBE_COUNT = 200
 RESCALE_CAP = 20
 CORPUS_RHO = 0.8
@@ -84,23 +83,6 @@ def caratheodory(spec: DomainSpec, z, v) -> float:
     if not domains.contains(spec, z):
         raise DomainError(f"base point is not interior to {spec}")
     return float(caratheodory_many(spec, z[None], v[None])[0])
-
-
-def bisection_gauge(spec: DomainSpec, w, steps: int = BISECTION_STEPS) -> float:
-    """Gauge by bisecting the ray boundary crossing; oracle for closed forms."""
-    w = np.asarray(w, dtype=np.complex128)
-    if float(np.max(np.abs(w))) == 0.0:
-        return 0.0
-    # gauge(w) <= sqrt(2)*frobenius on every type, so w/hi is interior
-    hi = 2.0 * float(np.linalg.norm(w)) + 1e-9
-    lo = 0.0
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if domains.contains(spec, w / mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,37 @@ def _lie_metric(n, profile):
     raise ValueError(profile)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("profile",
+                         ["bergman", "affine0.5", "affine2", "constant3"])
+def test_lie_k_extremes_are_the_closed_form(n, profile):
+    # K(v(s)) = -(4/N) [1 - (1 - s) kappa(s)] / phi(s): -(4/N) 2 / phi(0) at
+    # s = 0 and -(4/N) / phi(1) at s = 1, the extremes of these profiles
+    metric = _lie_metric(n, profile)
+    rep = curv.curvature_bounds(metric, pair_draws=0)
+    scale = 4.0 / metric.normalization
+    k1 = scale * 2.0 / float(metric.family.value(0.0))
+    k2 = scale / float(metric.family.value(1.0))
+    assert abs(rep.k1 - k1) <= 2.0 * np.spacing(k1)
+    assert abs(rep.k2 - k2) <= 2.0 * np.spacing(k2)
+    assert list(rep.argmin_profile) == [0.0]
+    assert list(rep.argmax_profile) == [1.0]
+
+
+def test_lie_k_scan_polishes_an_interior_extreme():
+    # phi = 1 + 0.3 (s - 1/2)^2 puts -k1 inside (0, 1); the reference is the
+    # least of hsc_origin_many over v(s) on a 2,000,001-point s grid
+    metric = _lie_metric(3, "bowl0.3")
+    rep = curv.curvature_bounds(metric, pair_draws=0)
+    reference = 1.2413349817052282
+    assert abs(rep.k1 - reference) <= 1e-12 * reference
+    s = rep.argmin_profile[0]
+    assert 0.0 < s < 0.1
+    # the closed form agrees with the complex-vector formula at its argmin
+    k = curv.hsc_origin_many(metric, _lie_reps(np.array([s]), 3))[0]
+    assert abs(k + rep.k1) <= 1e-14 * rep.k1
+
+
 def _unit_rows(rng, count, n):
     x = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
     return x / np.linalg.norm(x, axis=-1, keepdims=True)

@@ -364,10 +364,6 @@ def test_sample_tangent_symmetry_and_normalization():
     np.testing.assert_allclose(v, -v.T, atol=1e-14)
     assert np.max(np.abs(v)) > 0
 
-    frob = lambda z, w: float(np.linalg.norm(w))
-    v = domains.sample_tangent(spec, seed=5, unit_under=frob)
-    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
     v1 = domains.sample_tangent(spec, seed=9)
     v2 = domains.sample_tangent(spec, seed=9)
     np.testing.assert_array_equal(v1, v2)

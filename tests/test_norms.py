@@ -24,9 +24,23 @@ def test_family_constructors_validate():
         norms.affine_phi(-0.5)
 
 
+def _origin_f2(g, vs):
+    """F^2(0; V) of g on I(m, n) by metrics.eval2_many at the origin."""
+    vs = np.asarray(vs, dtype=complex)
+    metric = metrics.MetricSpec(domains.type_i(*vs.shape[-2:]), g)
+    return metrics.eval2_many(metric, np.zeros(vs.shape[-2:]), vs)
+
+
+def _svd_f2(g, v):
+    """Oracle: g at the power means of numpy's singular values of V."""
+    y = np.linalg.svd(v, compute_uv=False) ** 2
+    traces = np.array([np.sum(y**a) for a in range(1, g.k + 1)])
+    return float(g.value(norms.power_means(traces)))
+
+
 def test_g_norm_zero_vector():
     g = norms.tk_family(t=1.0, k=2, c=4.0)
-    assert norms.eval_g_norm(g, np.zeros((2, 2))) == 0.0
+    assert _origin_f2(g, np.zeros((2, 2))) == 0.0
 
 
 def test_g_norm_rank_one_frozen_value():
@@ -34,11 +48,11 @@ def test_g_norm_rank_one_frozen_value():
     g = norms.tk_family(t=1.0, k=2, c=4.0)
     v = np.zeros((2, 2), dtype=complex)
     v[0, 0] = 1.0
-    assert norms.eval_g_norm(g, v) == pytest.approx(4.0, abs=1e-12)
+    assert _origin_f2(g, v) == pytest.approx(4.0, abs=1e-12)
     # uniform two singular values 1/sqrt(2): h1 = 1, h2 = 1/sqrt(2)
     v = np.diag([1.0, 1.0]).astype(complex) / np.sqrt(2.0)
     want = 2.0 * (1.0 + 1.0 / np.sqrt(2.0))
-    assert norms.eval_g_norm(g, v) == pytest.approx(want, abs=1e-12)
+    assert _origin_f2(g, v) == pytest.approx(want, abs=1e-12)
 
 
 def test_g_norm_is_trace_for_bergman():
@@ -46,7 +60,7 @@ def test_g_norm_is_trace_for_bergman():
     rng = np.random.default_rng(0)
     v = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     want = 5.0 * float(np.sum(np.abs(v) ** 2))
-    assert norms.eval_g_norm(g, v) == pytest.approx(want, rel=1e-12)
+    assert _origin_f2(g, v) == pytest.approx(want, rel=1e-12)
 
 
 def test_g_norm_unitary_invariance():
@@ -55,8 +69,9 @@ def test_g_norm_unitary_invariance():
     v = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     b = haar_unitary(3, rng)
     c = haar_unitary(4, rng)
-    f1 = norms.eval_g_norm(g, v)
-    f2 = norms.eval_g_norm(g, b @ v @ c)
+    f1 = _origin_f2(g, v)
+    f2 = _origin_f2(g, b @ v @ c)
+    assert f1 == pytest.approx(_svd_f2(g, v), rel=1e-12)
     assert f2 == pytest.approx(f1, rel=1e-12)
 
 
@@ -65,30 +80,35 @@ def test_g_norm_absolute_homogeneity():
     rng = np.random.default_rng(2)
     v = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     lam = 1.3 - 0.4j
-    assert norms.eval_g_norm(g, lam * v) == pytest.approx(
-        abs(lam) ** 2 * norms.eval_g_norm(g, v), rel=1e-12
+    assert _origin_f2(g, v) == pytest.approx(_svd_f2(g, v), rel=1e-12)
+    assert _origin_f2(g, lam * v) == pytest.approx(
+        abs(lam) ** 2 * _origin_f2(g, v), rel=1e-12
     )
 
 
 def test_g_norm_triangle_inequality():
     g = norms.tk_family(t=1.0, k=2, c=4.0)
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        v = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        w = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        fv = np.sqrt(norms.eval_g_norm(g, v))
-        fw = np.sqrt(norms.eval_g_norm(g, w))
-        fvw = np.sqrt(norms.eval_g_norm(g, v + w))
-        assert fvw <= fv + fw + 1e-9
+    vs = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
+    ws = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
+    fv = np.sqrt(_origin_f2(g, vs))
+    fw = np.sqrt(_origin_f2(g, ws))
+    fvw = np.sqrt(_origin_f2(g, vs + ws))
+    np.testing.assert_allclose(fv**2, [_svd_f2(g, v) for v in vs], rtol=1e-12)
+    assert np.all(fvw <= fv + fw + 1e-9)
 
 
 def test_g_norm_batched_matches_loop():
     g = norms.tk_family(t=0.5, k=2, c=3.0)
     rng = np.random.default_rng(4)
     vs = rng.standard_normal((20, 2, 3)) + 1j * rng.standard_normal((20, 2, 3))
-    batch = norms.eval_g_norm_many(g, vs)
+    batch = _origin_f2(g, vs)
     for i in range(20):
-        assert batch[i] == pytest.approx(norms.eval_g_norm(g, vs[i]), rel=1e-11)
+        assert batch[i] == pytest.approx(_svd_f2(g, vs[i]), rel=1e-11)
+
+
+def _phi_f2(phi, xi, normalization=1.0):
+    return float(norms.eval_phi_norm_many(phi, xi, normalization))
 
 
 def test_phi_norm_constant_is_euclidean():
@@ -96,8 +116,8 @@ def test_phi_norm_constant_is_euclidean():
     rng = np.random.default_rng(5)
     xi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     want = float(np.sum(np.abs(xi) ** 2))
-    assert norms.eval_phi_norm(phi, xi) == pytest.approx(want, rel=1e-13)
-    assert norms.eval_phi_norm(phi, np.zeros(4)) == 0.0
+    assert _phi_f2(phi, xi) == pytest.approx(want, rel=1e-13)
+    assert _phi_f2(phi, np.zeros(4)) == 0.0
 
 
 def test_phi_norm_real_vectors_maximize_s():
@@ -105,7 +125,7 @@ def test_phi_norm_real_vectors_maximize_s():
     xi = np.array([0.3, -0.8, 0.1], dtype=complex)  # real entries: s = 1
     r = float(np.sum(xi.real**2))
     want = r * float(phi.value(1.0))
-    assert norms.eval_phi_norm(phi, xi) == pytest.approx(want, rel=1e-12)
+    assert _phi_f2(phi, xi) == pytest.approx(want, rel=1e-12)
 
 
 def test_phi_norm_rotation_invariance():
@@ -115,15 +135,15 @@ def test_phi_norm_rotation_invariance():
     q, r = np.linalg.qr(rng.standard_normal((5, 5)))
     q = q * np.sign(np.diagonal(r))
     for theta in (0.3, 1.9, 4.4):
-        out = norms.eval_phi_norm(phi, np.exp(1j * theta) * xi @ q)
-        assert out == pytest.approx(norms.eval_phi_norm(phi, xi), rel=1e-12)
+        out = _phi_f2(phi, np.exp(1j * theta) * xi @ q)
+        assert out == pytest.approx(_phi_f2(phi, xi), rel=1e-12)
 
 
 def test_phi_norm_normalization_factor():
     phi = norms.affine_phi(1.0)
     xi = np.array([0.2, 0.4j], dtype=complex)
-    assert norms.eval_phi_norm(phi, xi, normalization=6.0) == pytest.approx(
-        6.0 * norms.eval_phi_norm(phi, xi), rel=1e-13
+    assert _phi_f2(phi, xi, normalization=6.0) == pytest.approx(
+        6.0 * _phi_f2(phi, xi), rel=1e-13
     )
 
 
@@ -204,62 +224,6 @@ def test_certify_sn_rejects_steep_affine():
     assert cert.witness is not None and cert.witness[0] > 0.5
 
 
-def test_minkowski_bounds_bergman_degenerate():
-    b = norms.minkowski_bounds(norms.bergman_family(3.0), domains.type_i(2, 2))
-    assert b.c1 == pytest.approx(3.0, abs=1e-9)
-    assert b.c2 == pytest.approx(3.0, abs=1e-9)
-
-
-def test_minkowski_bounds_two_term_frozen():
-    # m~ = 2: c1 = c(1 + t/sqrt(2))/(1+t) at the uniform profile, c2 = c at rank 1
-    t, c = 1.0, 4.0
-    b = norms.minkowski_bounds(norms.tk_family(t, 2, c), domains.type_i(2, 2))
-    assert b.c1 == pytest.approx(c * (1 + t / np.sqrt(2)) / (1 + t), abs=1e-8)
-    assert b.c2 == pytest.approx(c, abs=1e-8)
-    np.testing.assert_allclose(b.argmin_profile, [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-5)
-    np.testing.assert_allclose(b.argmax_profile, [1.0, 0.0], atol=1e-5)
-
-
-def test_minkowski_bounds_skew_doubling():
-    # skew 4x4 tangents have paired singular values; unit trace means
-    # 2(y1+y2) = 1, and the two-term bound constants follow the same formula
-    t, c = 1.0, 4.0
-    spec = norms.tk_family(t, 2, c)
-    b = norms.minkowski_bounds(spec, domains.type_iii(4))
-    rng = np.random.default_rng(7)
-    worst_lo, worst_hi = np.inf, -np.inf
-    for _ in range(300):
-        v = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        v = 0.5 * (v - v.T)
-        v = v / np.linalg.norm(v)
-        val = norms.eval_g_norm(spec, v)
-        worst_lo = min(worst_lo, val)
-        worst_hi = max(worst_hi, val)
-    assert b.c1 <= worst_lo + 1e-9
-    assert worst_hi <= b.c2 + 1e-9
-
-
-def test_minkowski_bounds_sandwich_on_samples():
-    spec = norms.tk_family(t=0.8, k=3, c=2.0)
-    dom = domains.type_i(3, 4)
-    b = norms.minkowski_bounds(spec, dom)
-    rng = np.random.default_rng(8)
-    for _ in range(500):
-        v = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        v /= np.linalg.norm(v)
-        val = norms.eval_g_norm(spec, v)
-        assert b.c1 - 1e-9 <= val <= b.c2 + 1e-9
-
-
-def test_minkowski_bounds_phi_family():
-    # profile range of affine phi times the normalization
-    b = norms.minkowski_bounds(norms.affine_phi(0.5), normalization=6.0)
-    assert b.c1 == pytest.approx(6.0 / 1.5, rel=1e-9)
-    assert b.c2 == pytest.approx(6.0, rel=1e-9)
-    assert b.argmin_profile[0] == pytest.approx(0.0, abs=1e-12)
-    assert b.argmax_profile[0] == pytest.approx(1.0, abs=1e-12)
-
-
 def test_norm_equal_for_either_admissible_rotation():
     # two normalizing maps at the same base point differ by outer unitaries,
     # so every rotation-invariant norm pulls back identically
@@ -277,15 +241,20 @@ def test_norm_equal_for_either_admissible_rotation():
     assert np.max(np.abs(am.apply(phi2, z0))) < 1e-12
     for seed in range(5):
         v = domains.sample_tangent(spec, seed=20 + seed)
-        f1 = norms.eval_g_norm(g, am.differential(phi, z0, v))
-        f2 = norms.eval_g_norm(g, am.differential(phi2, z0, v))
+        f1 = _origin_f2(g, am.differential(phi, z0, v))
+        f2 = _origin_f2(g, am.differential(phi2, z0, v))
         assert f2 == pytest.approx(f1, rel=1e-11)
 
 
 def _profile_fns():
     rng = np.random.default_rng(11)
     weights = rng.uniform(0.5, 2.0, 4)
-    tk = norms._g_profile_batch(norms.tk_family(1.0, 3, 4.0), doubled=False)
+    family = norms.tk_family(1.0, 3, 4.0)
+
+    def tk(y):  # f^2 of the singular-value profile sqrt(y)
+        traces = np.stack([np.sum(y**a, axis=-1) for a in (1, 2, 3)], axis=-1)
+        return family.value(norms.power_means(traces))
+
     return [
         ("tk_profile", tk),
         ("weighted_squares", lambda y: np.sum(weights[: y.shape[-1]] * y**2, axis=-1)),
@@ -428,8 +397,8 @@ def test_ladder_polish_matches_one_halving_oracle(metric, monkeypatch):
 
     monkeypatch.setattr(norms, "polish_many", checked)
     report = curvature.curvature_bounds(metric, pair_draws=1)
-    # the K scan's two ends, then the joint sup; the Lie ball scans K on a grid
-    assert calls == ([1] if metric.domain.kind == "IV" else [2, 1])
+    # the K scan's two ends, then the bisectional sup
+    assert calls == [2, 1]
     monkeypatch.setattr(norms, "polish_many", _polish_one_halving)
     oracle = curvature.curvature_bounds(metric, pair_draws=1)
     assert (report.k1, report.k2, report.bisectional_search,
