@@ -201,14 +201,21 @@ def normalizing_automorphism(spec: DomainSpec, z0) -> HoloMap:
                                             np.linalg.inv(d).reshape(stack + (n, n))))
 
 
-def _isotropy_body(spec: DomainSpec, seeds):
-    """Haar rotation data: one origin-fixing body with one map per seed.
+def _isotropy_part(spec: DomainSpec, seeds) -> domains.Gaussians:
+    """The grid part of the Haar rotation data of each seed: its normals (and,
+    on the Lie ball, the uniform of its phase) come from key (seed, 0) on
+    ISOTROPY_STREAM, so they are independent of sample_point(spec, seed)."""
+    if spec.kind == "IV":
+        n = spec.dims[0]
+        return domains.Gaussians(seeds, n * n, 1, ISOTROPY_STREAM)
+    m, n = spec.ambient_shape
+    return domains.Gaussians(seeds, 2 * (m * m + n * n if spec.kind == "I" else m * m),
+                             0, ISOTROPY_STREAM)
 
-    Each seed's normals (and, on the Lie ball, the uniform of its phase) are
-    the domains.gaussian_draws of key (seed, 0) on ISOTROPY_STREAM, so they
-    are independent of sample_point(spec, seed).
-    """
-    keys = domains.seed_keys(seeds)
+
+def _isotropy_body(spec: DomainSpec, normals, u):
+    """One origin-fixing body with one map per row of an isotropy part's
+    draws (normals, u)."""
 
     def complex_gaussians(normals, k):
         half = normals.shape[1] // 2
@@ -216,19 +223,14 @@ def _isotropy_body(spec: DomainSpec, seeds):
 
     if spec.kind == "IV":
         n = spec.dims[0]
-        normals, u = domains.gaussian_draws(keys, n * n, 1, stream=ISOTROPY_STREAM)
         return VectorLinear(np.exp(2j * np.pi * u[:, 0]),
                             _haar_orthogonal(normals.reshape(-1, n, n)))
     if spec.kind == "I":
         m, n = spec.dims
-        normals, _ = domains.gaussian_draws(keys, 2 * (m * m + n * n),
-                                            stream=ISOTROPY_STREAM)
         a = _haar_unitary(complex_gaussians(normals[:, :2 * m * m], m))
         d = _haar_unitary(complex_gaussians(normals[:, 2 * m * m:], n))
         return SandwichScale(a, np.conj(np.swapaxes(d, -1, -2)))
-    m = spec.dims[0]
-    normals, _ = domains.gaussian_draws(keys, 2 * m * m, stream=ISOTROPY_STREAM)
-    a = _haar_unitary(complex_gaussians(normals, m))
+    a = _haar_unitary(complex_gaussians(normals, spec.dims[0]))
     return SandwichScale(a, np.swapaxes(a, -1, -2))
 
 
@@ -244,7 +246,22 @@ def _map_slice(m: HoloMap, i) -> HoloMap:
 
 def isotropy_element(spec: DomainSpec, seed: int) -> HoloMap:
     """A random origin-fixing automorphism (Haar rotation data)."""
-    return _map_slice(HoloMap(spec, spec, _isotropy_body(spec, [seed])), 0)
+    drawn = domains.draw_grid([_isotropy_part(spec, [seed])])[0]
+    return _map_slice(HoloMap(spec, spec, _isotropy_body(spec, *drawn)), 0)
+
+
+def automorphism_parts(spec: DomainSpec, seeds) -> list:
+    """The domains.draw_grid parts of random_automorphisms(spec, seeds): the
+    base points and the isotropy draws, for a caller that puts them into a
+    grid of its own."""
+    return [domains.Points(spec, seeds), _isotropy_part(spec, seeds)]
+
+
+def automorphisms_from(spec: DomainSpec, points, isotropy) -> HoloMap:
+    """The stacked map of random_automorphisms from the draws of its
+    automorphism_parts: points, then the isotropy pair (normals, u)."""
+    return compose(HoloMap(spec, spec, _isotropy_body(spec, *isotropy)),
+                   normalizing_automorphism(spec, points))
 
 
 def random_automorphisms(spec: DomainSpec, seeds) -> HoloMap:
@@ -252,9 +269,8 @@ def random_automorphisms(spec: DomainSpec, seeds) -> HoloMap:
     as one stacked map with one map axis over the 1-D sequence seeds: map i
     is isotropy_element(spec, seeds[i]) after the map sending
     sample_point(spec, seeds[i]) to the origin.  The points and the
-    rotations are each drawn in one batch."""
-    return compose(HoloMap(spec, spec, _isotropy_body(spec, seeds)),
-                   normalizing_automorphism(spec, domains.sample_points(spec, seeds)))
+    rotations of every seed come from one domains.draw_grid call."""
+    return automorphisms_from(spec, *domains.draw_grid(automorphism_parts(spec, seeds)))
 
 
 def random_automorphism(spec: DomainSpec, seed: int) -> HoloMap:

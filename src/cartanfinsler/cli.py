@@ -310,8 +310,9 @@ def _run_eval(cfg: RunConfig):
         rows.append({"index": i, "source": "config",
                      "f2": f2, "f": math.sqrt(f2)})
     rng = np.random.default_rng(cfg.seed)
-    zs = domains.sample_points(cfg.domain, rng.integers(2**63, size=cfg.samples))
-    vs = domains.sample_tangents(cfg.domain, rng.integers(2**63, size=cfg.samples))
+    zs, vs = domains.draw_grid([
+        domains.Points(cfg.domain, rng.integers(2**63, size=cfg.samples)),
+        domains.Tangents(cfg.domain, rng.integers(2**63, size=cfg.samples))])
     f2s = metrics.eval2_many(cfg.metric, zs, vs)
     for j, f2 in enumerate(f2s):
         rows.append({"index": len(cfg.points) + j, "source": "random",
@@ -485,22 +486,19 @@ def run(config: RunConfig) -> RunReport:
 # report emission
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
+def _json_default(obj):
+    """JSON form of the numpy values and complex numbers in a report."""
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+        return obj.tolist()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, np.floating):
         return float(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def emit_report(report: RunReport, format: str = "structured") -> str:
@@ -509,12 +507,14 @@ def emit_report(report: RunReport, format: str = "structured") -> str:
         doc = {"task": report.task, "verdict": report.verdict,
                "summary": report.summary, "table": report.table,
                "provenance": report.provenance}
-        return json.dumps(_jsonable(doc), indent=2, sort_keys=False) + "\n"
+        return json.dumps(doc, indent=2, default=_json_default) + "\n"
     if format != "tabular":
         raise StructureError(f"unknown report format {format!r}")
     rows = report.table or [{"key": k, "value": v}
                             for k, v in report.summary.items()]
-    rows = _jsonable(rows)
+    # csv writes a numpy float through repr, "np.float64(...)": the rows go
+    # through the JSON form, which holds only Python values
+    rows = json.loads(json.dumps(rows, default=_json_default))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     columns = list(rows[0].keys())

@@ -372,8 +372,9 @@ def curvature_bounds(metric: MetricSpec, seed: int = 0,
         drawn = 0
         while drawn < pair_draws:
             b = min(block, pair_draws - drawn)
-            vs = domains.sample_tangents(spec, rng.integers(2**63, size=b))
-            ws = domains.sample_tangents(spec, rng.integers(2**63, size=b))
+            vs, ws = domains.draw_grid([
+                domains.Tangents(spec, rng.integers(2**63, size=b)),
+                domains.Tangents(spec, rng.integers(2**63, size=b))])
             bv = bisectional_origin_many(metric, vs, ws)
             bisect_c = max(bisect_c, float(-np.min(bv)))
             drawn += b

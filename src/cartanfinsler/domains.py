@@ -7,10 +7,11 @@ matrices; the symmetry is an invariant, not a storage format.
 
 Sampling is counter-based (RNG_SCHEME): seed s is the key (s, 0) of
 Philox4x64-10, its counter blocks 1, 2, ... give the words, and normals come
-from them by Box-Muller on 53-bit uniforms.  Item i of a batch depends on
-seeds[i] only, and the whole (seeds x words) grid is one numpy computation.
-This scheme replaced one numpy Generator per seed, which changed every
-sampled stream.
+from them by Box-Muller on 53-bit uniforms.  Item i of a batch depends only
+on its seed, its stream and its counters, so one grid may mix the seeds,
+block counts and streams of several parts (draw_grid), and the whole grid is
+one numpy computation.  This scheme replaced one numpy Generator per seed,
+which changed every sampled stream.
 """
 import operator
 from dataclasses import dataclass
@@ -260,13 +261,12 @@ _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
 _SHIFT32 = _U64(32)
 _PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=_U64)
-_PHILOX_M_LO = (_PHILOX_M & _MASK32)[:, None, None]
-_PHILOX_M_HI = (_PHILOX_M >> _SHIFT32)[:, None, None]
-_PHILOX_M_FULL = _PHILOX_M[:, None, None]
-# round r uses key (k0 + r W0, k1 + r W1), kept in arrays so that the
+_PHILOX_M_LO = (_PHILOX_M & _MASK32)[:, None]
+_PHILOX_M_HI = (_PHILOX_M >> _SHIFT32)[:, None]
+_PHILOX_M_FULL = _PHILOX_M[:, None]
+# the key (k0, k1) grows by (W0, W1) each round; kept in arrays so that the
 # wrap-around is silent
-_PHILOX_BUMPS = np.arange(10, dtype=_U64)[:, None] * np.array(
-    [0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=_U64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=_U64)
 _UNIT53 = 2.0**-53
 RNG_SCHEME = "philox4x64-10/box-muller"
 NULL_DRAW = 1e-12
@@ -292,23 +292,32 @@ def seed_keys(seeds) -> np.ndarray:
     return np.array(vals, dtype=_U64)
 
 
-def philox_blocks(keys, first: int, count: int, stream: int = 0) -> np.ndarray:
-    """Philox4x64-10 output words, shape (len(keys), 4 * count).
+def philox_blocks(keys, first: int, count, stream=0) -> np.ndarray:
+    """Philox4x64-10 output words of the keys (keys[i], 0).
 
-    Row i holds the blocks of key (keys[i], 0) at the counters
-    (first + j, stream, 0, 0), j < count, four words per block in order.  At
-    stream 0 and first = 1 this is np.random.Philox(key=keys[i]).random_raw.
+    Key i gives its blocks at the counters (first + j, stream_i, 0, 0),
+    j < count_i, four words per block in order.  count and stream are one
+    value for every key or one per key, so one grid may mix the draws of
+    several parts; only the blocks asked for are computed.  With one count
+    the result has shape (len(keys), 4 * count); with per-key counts the
+    ragged rows come concatenated in key order.  At stream 0 and first = 1
+    key i's words are np.random.Philox(key=keys[i]).random_raw.
     """
-    n = keys.size
+    if np.ndim(count):
+        total = int(np.sum(count))
+        j = np.arange(total) - np.repeat(np.cumsum(count) - count, count)
+    else:
+        total = keys.size * count
+        j = np.arange(total) % count
     # lanes (c0, c2) are multiplied, lanes (c1, c3) are xored in
-    a = np.zeros((2, n, count), dtype=_U64)
-    a[0] = np.arange(first, first + count, dtype=_U64)
-    b = np.zeros((2, n, count), dtype=_U64)
-    b[0] = stream
-    key = np.empty((10, 2, n, 1), dtype=_U64)
-    key[:, 0, :, 0] = keys + _PHILOX_BUMPS[:, 0, None]
-    key[:, 1] = _PHILOX_BUMPS[:, 1, None, None]
-    for r in range(10):
+    a = np.zeros((2, total), dtype=_U64)
+    a[0] = j
+    a[0] += first
+    b = np.zeros((2, total), dtype=_U64)
+    b[0] = np.repeat(stream, count) if np.ndim(stream) else stream
+    key = np.zeros((2, total), dtype=_U64)
+    key[0] = np.repeat(keys, count)
+    for _ in range(10):
         # 64x64 -> 128-bit products from 32-bit halves; no partial sum overflows
         a_lo = a & _MASK32
         a_hi = a >> _SHIFT32
@@ -321,61 +330,138 @@ def philox_blocks(keys, first: int, count: int, stream: int = 0) -> np.ndarray:
         hi += p_lh >> _SHIFT32
         lo = _PHILOX_M_FULL * a
         a = hi[::-1] ^ b
-        a ^= key[r]
+        a ^= key
         b = lo[::-1]
-    return np.stack([a[0], b[0], a[1], b[1]], axis=-1).reshape(n, 4 * count)
+        key += _PHILOX_W
+    words = np.stack([a[0], b[0], a[1], b[1]], axis=-1)
+    return words.reshape(-1) if np.ndim(count) else words.reshape(keys.size, 4 * count)
 
 
-def gaussian_draws(keys, n_normals: int, n_uniforms: int = 0,
-                   stream: int = 0, attempt: int = 0):
-    """Standard normals (len(keys), n_normals) and uniforms (len(keys),
-    n_uniforms) from one run of counter blocks per key.
+@dataclass(frozen=True)
+class Points:
+    """Grid part: one interior point of spec per seed, as sample_points."""
+    spec: DomainSpec
+    seeds: object
 
-    The normals come first, by Box-Muller on consecutive word pairs
-    (u1, u2) -> sqrt(-2 log(1 - u1)) (cos 2 pi u2, sin 2 pi u2); the
-    uniforms take the words after them.  A run is B = ceil(words / 4) blocks
-    and attempt a reads counters a B + 1, ..., (a + 1) B, so a caller that
-    must redraw an item takes its next run.
+
+@dataclass(frozen=True)
+class Tangents:
+    """Grid part: one nonzero tangent of spec per seed, as sample_tangents."""
+    spec: DomainSpec
+    seeds: object
+
+
+@dataclass(frozen=True)
+class Gaussians:
+    """Grid part: per seed, n_normals standard normals and then n_uniforms
+    uniforms on counter word `stream`, as gaussian_draws."""
+    seeds: object
+    n_normals: int
+    n_uniforms: int = 0
+    stream: int = 0
+
+
+def _layout(part):
+    """(n_normals, n_uniforms, stream) of one item of a grid part."""
+    if isinstance(part, Gaussians):
+        return part.n_normals, part.n_uniforms, part.stream
+    return 2 * int(np.prod(part.spec.ambient_shape)), int(isinstance(part, Points)), 0
+
+
+def _run_blocks(n_normals: int, n_uniforms: int) -> int:
+    return -(-(2 * ((n_normals + 1) // 2) + n_uniforms) // 4)
+
+
+def _box_muller(words, n_normals: int, n_uniforms: int):
+    """Normals (rows, n_normals) and the uniforms after them from word rows.
+
+    Box-Muller on consecutive word pairs (u1, u2) of 53-bit uniforms:
+    sqrt(-2 log(1 - u1)) (cos 2 pi u2, sin 2 pi u2).
     """
     pairs = (n_normals + 1) // 2
     n_words = 2 * pairs + n_uniforms
-    blocks = -(-n_words // 4)
-    words = philox_blocks(keys, attempt * blocks + 1, blocks, stream)
     u = (words[:, :n_words] >> _U64(11)) * _UNIT53      # 53-bit uniforms on [0, 1)
     radius = np.sqrt(-2.0 * np.log1p(-u[:, 0:2 * pairs:2]))
     angle = (2.0 * np.pi) * u[:, 1:2 * pairs:2]
-    normals = np.empty((keys.size, 2 * pairs))
+    normals = np.empty((words.shape[0], 2 * pairs))
     normals[:, 0::2] = radius * np.cos(angle)
     normals[:, 1::2] = radius * np.sin(angle)
     return normals[:, :n_normals], u[:, 2 * pairs:]
 
 
-def _draw(spec: DomainSpec, keys, size, n_uniforms: int):
-    """Raw tangent-class draws, one per key, with n_uniforms uniforms each.
+def _max_abs(ws):
+    return np.max(np.abs(ws), axis=tuple(range(1, ws.ndim)), initial=0.0)
 
-    A draw with size(draw) <= NULL_DRAW is redrawn from its key's next run
-    of counter blocks.  Returns (draws, uniforms, sizes).
+
+def _finish(part, keys, normals, u, blocks: int):
+    """Turn a Points or Tangents part's normals into its draws.
+
+    A draw with size <= NULL_DRAW (gauge for points, largest entry for
+    tangents) is redrawn from its key's next run of counter blocks.
     """
+    spec = part.spec
     cells = int(np.prod(spec.ambient_shape))
+    size = (lambda ws: minkowski_gauge_many(spec, ws)) if isinstance(part, Points) \
+        else _max_abs
 
-    def raw(ks, attempt):
-        normals, u = gaussian_draws(ks, 2 * cells, n_uniforms, attempt=attempt)
+    def tangent_class(normals):
         ws = normals[:, :cells] + 1j * normals[:, cells:]
-        ws = project_tangent(spec, ws.reshape((-1,) + spec.ambient_shape))
-        return ws, u, size(ws)
+        return project_tangent(spec, ws.reshape((-1,) + spec.ambient_shape))
 
-    draws, uniforms, sizes = raw(keys, 0)
+    draws = tangent_class(normals)
+    sizes = size(draws)
     redo = np.flatnonzero(sizes <= NULL_DRAW)
     attempt = 0
     while redo.size:
         attempt += 1
-        draws[redo], uniforms[redo], sizes[redo] = raw(keys[redo], attempt)
+        words = philox_blocks(keys[redo], attempt * blocks + 1, blocks)
+        normals, u[redo] = _box_muller(words, 2 * cells, u.shape[1])
+        draws[redo] = tangent_class(normals)
+        sizes[redo] = size(draws[redo])
         redo = redo[sizes[redo] <= NULL_DRAW]
-    return draws, uniforms, sizes
+    if isinstance(part, Tangents):
+        return draws
+    rho = 0.9 * u[:, 0]
+    return (rho / sizes).reshape((-1,) + (1,) * len(spec.ambient_shape)) * draws
 
 
-def _max_abs(ws):
-    return np.max(np.abs(ws), axis=tuple(range(1, ws.ndim)), initial=0.0)
+def draw_grid(parts) -> list:
+    """The draws of every part from one philox_blocks call.
+
+    parts: Points, Tangents and Gaussians, each with its own seeds.  Returns
+    one entry per part, in order: the array sample_points or sample_tangents
+    returns, or the (normals, uniforms) pair of gaussian_draws.  A part's
+    item i reads the blocks 1, ..., B of key (seeds[i], 0) on the part's
+    stream, B = ceil(words / 4), and depends on nothing else, so each entry
+    equals its one-part call bit for bit.  A null point or tangent draw
+    takes its key's next run of B blocks, one further call per part and
+    attempt.
+    """
+    keys = [seed_keys(part.seeds) for part in parts]
+    layouts = [_layout(part) for part in parts]
+    blocks = [_run_blocks(n, m) for n, m, _ in layouts]
+    sizes = [k.size for k in keys]
+    streams = [s for _, _, s in layouts]
+    # a value all parts share goes as one scalar: the cheaper, row-shaped call
+    one = lambda values: values[0] if len(set(values)) == 1 else np.repeat(values, sizes)
+    words = philox_blocks(np.concatenate(keys), 1, one(blocks), one(streams)).reshape(-1)
+    out = []
+    start = 0
+    for part, k, (n_normals, n_uniforms, _), b in zip(parts, keys, layouts, blocks):
+        stop = start + 4 * b * k.size
+        normals, u = _box_muller(words[start:stop].reshape(k.size, 4 * b),
+                                 n_normals, n_uniforms)
+        start = stop
+        out.append((normals, u) if isinstance(part, Gaussians)
+                   else _finish(part, k, normals, u, b))
+    return out
+
+
+def gaussian_draws(keys, n_normals: int, n_uniforms: int = 0, stream: int = 0):
+    """Standard normals (len(keys), n_normals) and then uniforms (len(keys),
+    n_uniforms) from one run of counter blocks per key: the one-part
+    draw_grid call of Gaussians(keys, n_normals, n_uniforms, stream)."""
+    return draw_grid([Gaussians(keys, n_normals, n_uniforms, stream)])[0]
 
 
 def sample_points(spec: DomainSpec, seeds) -> np.ndarray:
@@ -386,12 +472,9 @@ def sample_points(spec: DomainSpec, seeds) -> np.ndarray:
     the real and then the imaginary parts of the ambient entries take the
     first normals, projected onto the symmetry class, and u takes the word
     after them.  A draw of gauge <= 1e-12 is redrawn from the next run of
-    counter blocks.  All seeds are computed in one batch.
+    counter blocks.  The one-part draw_grid call of Points(spec, seeds).
     """
-    keys = seed_keys(seeds)
-    zs, u, g = _draw(spec, keys, lambda ws: minkowski_gauge_many(spec, ws), 1)
-    rho = 0.9 * u[:, 0]
-    return (rho / g).reshape((-1,) + (1,) * len(spec.ambient_shape)) * zs
+    return draw_grid([Points(spec, seeds)])[0]
 
 
 def sample_point(spec: DomainSpec, seed: int) -> np.ndarray:
@@ -404,11 +487,12 @@ def sample_tangents(spec: DomainSpec, seeds) -> np.ndarray:
     one per seed; item i equals sample_tangent(spec, seeds[i]).
 
     Stream: Philox4x64-10 with key (seed, 0) and counter blocks 1, 2, ...,
-    turned into normals by Box-Muller on 53-bit uniforms (gaussian_draws);
-    a draw with every entry <= 1e-12 in modulus is redrawn from the next
-    run of blocks.  Seeds must be integers in [0, 2^64).
+    turned into normals by Box-Muller on 53-bit uniforms; a draw with every
+    entry <= 1e-12 in modulus is redrawn from the next run of blocks.  Seeds
+    must be integers in [0, 2^64).  The one-part draw_grid call of
+    Tangents(spec, seeds).
     """
-    return _draw(spec, seed_keys(seeds), _max_abs, 0)[0]
+    return draw_grid([Tangents(spec, seeds)])[0]
 
 
 def sample_tangent(spec: DomainSpec, seed: int) -> np.ndarray:

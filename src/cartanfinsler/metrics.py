@@ -461,9 +461,11 @@ def verify_kahler_berwald(metric: MetricSpec, n_base: int = 3, n_fiber: int = 10
     rng = np.random.default_rng(seed)
     ambient = tuple(range(-len(spec.ambient_shape), 0))
     unit = lambda w: w / np.linalg.norm(w, axis=ambient, keepdims=True)
-    v0s = unit(domains.sample_tangents(spec, rng.integers(2**63, size=n_base)))
-    zs = domains.sample_points(spec, rng.integers(2**63, size=n_base))
-    fibers = domains.sample_tangents(spec, rng.integers(2**63, size=n_base * n_fiber))
+    v0s, zs, fibers = domains.draw_grid([
+        domains.Tangents(spec, rng.integers(2**63, size=n_base)),
+        domains.Points(spec, rng.integers(2**63, size=n_base)),
+        domains.Tangents(spec, rng.integers(2**63, size=n_base * n_fiber))])
+    v0s = unit(v0s)
     fibers = unit(fibers.reshape((n_base, n_fiber) + spec.ambient_shape))
     origin = np.zeros(spec.ambient_shape, dtype=np.complex128)
     bmat = _wirtinger_base_fd(
@@ -490,16 +492,19 @@ def verify_invariance(metric: MetricSpec, n_maps: int = 100, n_samples: int = 10
 
     The n_maps automorphisms are one stacked map, so every map acts on every
     sampled (z, v) in one apply, one differential and one eval2_many call
-    over n_samples x n_maps points.
+    over n_samples x n_maps points.  The samples and the maps' draws come
+    from one domains.draw_grid call.
     """
     from . import automorphisms as am
 
     spec = metric.domain
     rng = np.random.default_rng(seed)
-    zs = domains.sample_points(spec, rng.integers(2**63, size=n_samples))
-    vs = domains.sample_tangents(spec, rng.integers(2**63, size=n_samples))
+    zs, vs, *maps = domains.draw_grid(
+        [domains.Points(spec, rng.integers(2**63, size=n_samples)),
+         domains.Tangents(spec, rng.integers(2**63, size=n_samples))]
+        + am.automorphism_parts(spec, rng.integers(2**63, size=n_maps)))
     base = eval2_many(metric, zs, vs)[:, None]
-    phi = am.random_automorphisms(spec, rng.integers(2**63, size=n_maps))
+    phi = am.automorphisms_from(spec, *maps)
     zs, vs = _inner_axis(spec, zs), _inner_axis(spec, vs)    # (sample, map) axes
     moved = eval2_many(metric, am.apply(phi, zs), am.differential(phi, zs, vs))
     return float(np.max(np.abs(moved - base) / base, initial=0.0))

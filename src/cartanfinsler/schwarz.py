@@ -121,8 +121,9 @@ def verify_sandwich(metric: MetricSpec, bounds: CurvatureReport,
     spec = metric.domain
     k1, k2 = bounds.k1, bounds.k2
     rng = np.random.default_rng(seed)
-    zs = domains.sample_points(spec, rng.integers(2**63, size=n_samples))
-    vs = domains.sample_tangents(spec, rng.integers(2**63, size=n_samples))
+    zs, vs = domains.draw_grid([
+        domains.Points(spec, rng.integers(2**63, size=n_samples)),
+        domains.Tangents(spec, rng.integers(2**63, size=n_samples))])
     f2 = eval2_many(metric, zs, vs)
     fc2 = caratheodory_many(spec, zs, vs) ** 2
     lower = (f2 - (4.0 / k1) * fc2) / f2
@@ -167,11 +168,6 @@ def _rescaled(body, factor: float):
             tuple((d, factor * c) for d, c in body.coeffs)
         )
     return None
-
-
-def _unit_gauge_tangent(spec: DomainSpec, seed: int) -> np.ndarray:
-    w = domains.sample_tangent(spec, seed=seed)
-    return w / domains.minkowski_gauge(spec, w)
 
 
 def _pad_compatible(source: DomainSpec, target: DomainSpec) -> bool:
@@ -233,9 +229,25 @@ def _polynomial_body(spec: DomainSpec, rng) -> object:
 
 def generate_maps(source: DomainSpec, target: DomainSpec, seed: int = 0,
                   count: int = 50):
-    """Corpus of holomorphic maps source -> target, probe-checked for range."""
+    """Corpus of holomorphic maps source -> target, probe-checked for range.
+
+    default_rng(seed) gives the seeds of PROBE_COUNT probe points of source,
+    then one seed per attempt; attempt a makes a map of kind
+    _corpus_kinds[a mod len], and its contraction or polynomial body (and a
+    slice's entry) draws from the rng too.  A candidate that sends a probe
+    out of target is halved up to RESCALE_CAP times, or rejected when its
+    body cannot be rescaled.  The attempts run in chunks of count - len(maps),
+    at most 20 count in all.  A chunk walks its attempts in order, which
+    consumes the rng as one attempt at a time would; then one
+    domains.draw_grid call draws the probes (first chunk), the constants and
+    slice tangents on target and the auto/chain automorphisms on source, with
+    their isotropy draws; then the candidates are admitted in attempt order.
+    No draw depends on admission, so the corpus equals the one-at-a-time
+    corpus bit for bit.  Raises NumericError with fewer than count maps.
+    """
     rng = np.random.default_rng(seed)
-    probes = domains.sample_points(source, rng.integers(2**63, size=PROBE_COUNT))
+    probe_seeds = rng.integers(2**63, size=PROBE_COUNT)
+    probes = None
 
     def admitted(m: am.HoloMap):
         body = m.body
@@ -253,44 +265,62 @@ def generate_maps(source: DomainSpec, target: DomainSpec, seed: int = 0,
     if source == target:
         maps.append(am.identity_map(source))
     kinds = _corpus_kinds(source, target)
-    ki = 0
     attempts = 0
     while len(maps) < count and attempts < 20 * count:
-        attempts += 1
-        kind = kinds[ki % len(kinds)]
-        ki += 1
-        s = int(rng.integers(2**63))
-        if kind == "constant":
-            cand = am.HoloMap(
-                source, target, am.ConstantMap(domains.sample_point(target, seed=s))
-            )
-        elif kind == "slice":
-            if source.kind == "IV":
-                entry = (int(rng.integers(source.dims[0])),)
-            else:
-                sm, sn = source.ambient_shape
-                entry = (int(rng.integers(sm)), int(rng.integers(sn)))
-            w1 = CORPUS_RHO * _unit_gauge_tangent(target, s)
-            cand = am.HoloMap(source, target, am.ScalarSlice(entry, w1))
-        elif kind == "auto":
-            cand = am.random_automorphism(source, seed=s)
-        elif kind == "chain":
-            inner = am.random_automorphism(source, seed=s)
-            outer = am.HoloMap(source, target, _contraction_body(source, rng))
-            cand = am.compose(outer, inner)
-        elif kind == "contract":
-            cand = am.HoloMap(source, target, _contraction_body(source, rng))
-        elif kind == "poly":
-            cand = am.HoloMap(source, target, _polynomial_body(source, rng))
-        elif kind == "pad":
-            cand = am.HoloMap(source, target, am.PadEmbed())
-        else:  # pad_contract
-            pad = am.HoloMap(source, target, am.PadEmbed())
-            outer = am.HoloMap(target, target, _contraction_body(target, rng))
-            cand = am.compose(outer, pad)
-        ok = admitted(cand)
-        if ok is not None:
-            maps.append(ok)
+        plan = []  # (kind, seed, slice entry or rng-drawn body)
+        for _ in range(min(count - len(maps), 20 * count - attempts)):
+            kind = kinds[attempts % len(kinds)]
+            attempts += 1
+            s = int(rng.integers(2**63))
+            extra = None
+            if kind == "slice":
+                if source.kind == "IV":
+                    extra = (int(rng.integers(source.dims[0])),)
+                else:
+                    sm, sn = source.ambient_shape
+                    extra = (int(rng.integers(sm)), int(rng.integers(sn)))
+            elif kind in ("chain", "contract"):
+                extra = _contraction_body(source, rng)
+            elif kind == "poly":
+                extra = _polynomial_body(source, rng)
+            elif kind == "pad_contract":
+                extra = _contraction_body(target, rng)
+            plan.append((kind, s, extra))
+
+        seeds_of = lambda *names: [s for kind, s, _ in plan if kind in names]
+        auto_seeds = seeds_of("auto", "chain")
+        constants, slices, drawn_probes, *auto_draws = domains.draw_grid(
+            [domains.Points(target, seeds_of("constant")),
+             domains.Tangents(target, seeds_of("slice")),
+             domains.Points(source, probe_seeds if probes is None else [])]
+            + am.automorphism_parts(source, auto_seeds))
+        if probes is None:
+            probes = drawn_probes
+        gauges = domains.minkowski_gauge_many(target, slices)
+        slices = CORPUS_RHO * (slices / gauges.reshape((-1,) + (1,) * (slices.ndim - 1)))
+        stack = am.automorphisms_from(source, *auto_draws) if auto_seeds else None
+        autos = (am._map_slice(stack, i) for i in range(len(auto_seeds)))
+        constants, slices = iter(constants), iter(slices)
+
+        for kind, _, extra in plan:
+            if kind == "constant":
+                cand = am.HoloMap(source, target, am.ConstantMap(next(constants)))
+            elif kind == "slice":
+                cand = am.HoloMap(source, target, am.ScalarSlice(extra, next(slices)))
+            elif kind == "auto":
+                cand = next(autos)
+            elif kind == "chain":
+                cand = am.compose(am.HoloMap(source, target, extra), next(autos))
+            elif kind in ("contract", "poly"):
+                cand = am.HoloMap(source, target, extra)
+            elif kind == "pad":
+                cand = am.HoloMap(source, target, am.PadEmbed())
+            else:  # pad_contract
+                cand = am.compose(am.HoloMap(target, target, extra),
+                                  am.HoloMap(source, target, am.PadEmbed()))
+            ok = admitted(cand)
+            if ok is not None:
+                maps.append(ok)
     if len(maps) < count:
         raise NumericError(
             f"could not assemble {count} admissible maps for {source}->{target}"
@@ -308,9 +338,9 @@ def draw_samples(spec: DomainSpec, seeds, n_samples: int = 100):
     items = np.array([np.random.default_rng(int(s)).integers(2**63, size=(2, n_samples))
                       for s in seeds], dtype=np.int64).reshape(-1, 2, n_samples)
     shape = (len(items), n_samples) + spec.ambient_shape
-    zs = domains.sample_points(spec, items[:, 0].reshape(-1)).reshape(shape)
-    vs = domains.sample_tangents(spec, items[:, 1].reshape(-1)).reshape(shape)
-    return zs, vs
+    zs, vs = domains.draw_grid([domains.Points(spec, items[:, 0].reshape(-1)),
+                                domains.Tangents(spec, items[:, 1].reshape(-1))])
+    return zs.reshape(shape), vs.reshape(shape)
 
 
 def schwarz_check(f: am.HoloMap, metric1: MetricSpec, metric2: MetricSpec,

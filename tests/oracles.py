@@ -21,3 +21,75 @@ def bisection_gauge(spec, w, steps: int = BISECTION_STEPS) -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def generate_maps_one_at_a_time(source, target, seed: int = 0, count: int = 50):
+    """schwarz.generate_maps drawn and admitted one attempt at a time, each
+    draw a one-seed call; oracle for the chunked corpus."""
+    from cartanfinsler import automorphisms as am
+    from cartanfinsler import schwarz as sw
+    from cartanfinsler.errors import NumericError
+
+    rng = np.random.default_rng(seed)
+    probes = domains.sample_points(source, rng.integers(2**63, size=sw.PROBE_COUNT))
+
+    def admitted(m):
+        body = m.body
+        for _ in range(sw.RESCALE_CAP + 1):
+            candidate = am.HoloMap(source, target, body)
+            images = am.apply(candidate, probes)
+            if np.all(domains.contains_many(target, images)):
+                return candidate
+            body = sw._rescaled(body, 0.5)
+            if body is None:
+                return None
+        return None
+
+    maps = []
+    if source == target:
+        maps.append(am.identity_map(source))
+    kinds = sw._corpus_kinds(source, target)
+    ki = 0
+    attempts = 0
+    while len(maps) < count and attempts < 20 * count:
+        attempts += 1
+        kind = kinds[ki % len(kinds)]
+        ki += 1
+        s = int(rng.integers(2**63))
+        if kind == "constant":
+            cand = am.HoloMap(
+                source, target, am.ConstantMap(domains.sample_point(target, seed=s))
+            )
+        elif kind == "slice":
+            if source.kind == "IV":
+                entry = (int(rng.integers(source.dims[0])),)
+            else:
+                sm, sn = source.ambient_shape
+                entry = (int(rng.integers(sm)), int(rng.integers(sn)))
+            w = domains.sample_tangent(target, seed=s)
+            w1 = sw.CORPUS_RHO * (w / domains.minkowski_gauge(target, w))
+            cand = am.HoloMap(source, target, am.ScalarSlice(entry, w1))
+        elif kind == "auto":
+            cand = am.random_automorphism(source, seed=s)
+        elif kind == "chain":
+            inner = am.random_automorphism(source, seed=s)
+            outer = am.HoloMap(source, target, sw._contraction_body(source, rng))
+            cand = am.compose(outer, inner)
+        elif kind == "contract":
+            cand = am.HoloMap(source, target, sw._contraction_body(source, rng))
+        elif kind == "poly":
+            cand = am.HoloMap(source, target, sw._polynomial_body(source, rng))
+        elif kind == "pad":
+            cand = am.HoloMap(source, target, am.PadEmbed())
+        else:  # pad_contract
+            pad = am.HoloMap(source, target, am.PadEmbed())
+            outer = am.HoloMap(target, target, sw._contraction_body(target, rng))
+            cand = am.compose(outer, pad)
+        ok = admitted(cand)
+        if ok is not None:
+            maps.append(ok)
+    if len(maps) < count:
+        raise NumericError(
+            f"could not assemble {count} admissible maps for {source}->{target}"
+        )
+    return maps[:count]

@@ -1,11 +1,13 @@
 import csv
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cartanfinsler import cli
+from cartanfinsler import cli, domains, schwarz
 from cartanfinsler.errors import ConfigError
 
 
@@ -416,3 +418,44 @@ def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.strip() == \
         "internal error: ValueError: operands could not be broadcast"
+
+
+def _benchmark_request_types():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [kind for mix in module.WORKLOADS.values() for kind in mix]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_one_philox_grid_per_sampling_pass(seed, monkeypatch):
+    blocks_of = domains.philox_blocks
+    rescaled_of = schwarz._rescaled
+    calls, rejected = [], []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return blocks_of(*args, **kwargs)
+
+    def recorded(body, factor):
+        out = rescaled_of(body, factor)
+        rejected.append(out is None)
+        return out
+
+    monkeypatch.setattr(domains, "philox_blocks", counted)
+    monkeypatch.setattr(schwarz, "_rescaled", recorded)
+    for kind in _benchmark_request_types():
+        calls.clear()
+        rejected.clear()
+        report = cli.run(cli.parse_config(json.dumps(dict(kind.config, seed=seed))))
+        if report.task == "certify":
+            # the connection pass draws only behind a passed certificate
+            expected = 2 if report.summary["certificate_passed"] else 1
+        elif report.task in ("curvature", "schwarz"):
+            expected = 2
+        else:
+            expected = 1
+        if report.task == "schwarz":
+            assert not any(rejected), kind.name  # one chunk admits the corpus
+        assert len(calls) == expected, (kind.name, len(calls))

@@ -304,6 +304,52 @@ def test_null_draw_takes_the_next_counter_blocks(spec, monkeypatch):
     np.testing.assert_allclose(vs[1], raw, rtol=1e-14, atol=0)
 
 
+def test_one_grid_mixes_parts_bit_for_bit(monkeypatch):
+    i23, iv3, ii3 = domains.type_i(2, 3), domains.type_iv(3), domains.type_ii(3)
+    nulled = 2**63 - 1
+    seeds = [[11, nulled, 12, 13], [11, 14, 15], [16, nulled, 11, 17, 18], [19, 11, 20]]
+    isotropy = domains.Gaussians(seeds[3], 18, 1, stream=automorphisms.ISOTROPY_STREAM)
+    parts = [domains.Points(i23, seeds[0]), domains.Points(iv3, seeds[1]),
+             domains.Tangents(ii3, seeds[2]), isotropy]
+    blocks_of = domains.philox_blocks
+    grids = []
+
+    def first_run_zero(keys, first, count, stream=0):
+        words = blocks_of(keys, first, count, stream)
+        grids.append((keys, first, count, stream, words.copy()))
+        if first == 1:
+            per_key = 4 * np.broadcast_to(count, keys.shape)
+            words.reshape(-1)[np.repeat(keys == np.uint64(nulled), per_key)] = 0
+        return words
+
+    monkeypatch.setattr(domains, "philox_blocks", first_run_zero)
+    zs, ws, vs, (normals, u) = domains.draw_grid(parts)
+    monkeypatch.undo()
+    # one grid, then one redraw call for each part holding the null draw
+    assert [first for _, first, *_ in grids] == [1, 5, 6]  # after 4 and 5 blocks
+    keys, _, count, stream, words = grids[0]
+    ends = np.cumsum(4 * count)
+    for key, c, s, end in zip(keys, count, stream, ends):
+        bitgen = np.random.Philox(key=int(key), counter=[0, s, 0, 0])
+        np.testing.assert_array_equal(words[end - 4 * c:end], bitgen.random_raw(4 * c))
+    # every other item equals its own one-part call
+    kept = [0, 2, 3]
+    np.testing.assert_array_equal(zs[kept], domains.sample_points(i23, seeds[0])[kept])
+    np.testing.assert_array_equal(ws, domains.sample_points(iv3, seeds[1]))
+    kept = [0, 2, 3, 4]
+    np.testing.assert_array_equal(vs[kept], domains.sample_tangents(ii3, seeds[2])[kept])
+    alone = domains.gaussian_draws(domains.seed_keys(seeds[3]), 18, 1,
+                                   stream=automorphisms.ISOTROPY_STREAM)
+    np.testing.assert_array_equal(normals, alone[0])
+    np.testing.assert_array_equal(u, alone[1])
+    # the null draws took their key's next run of blocks
+    raw, u1 = _oracle_draw(i23, nulled, first_block=5)
+    np.testing.assert_allclose(zs[1], (0.9 * u1 / domains.minkowski_gauge(i23, raw)) * raw,
+                               rtol=1e-13, atol=0)
+    raw, _ = _oracle_draw(ii3, nulled, first_block=6)
+    np.testing.assert_allclose(vs[1], raw, rtol=1e-14, atol=0)
+
+
 def _ks_statistic(sorted_x, cdf):
     n = sorted_x.size
     c = cdf(sorted_x)

@@ -7,8 +7,8 @@ import cartanfinsler.domains as dom
 import cartanfinsler.metrics as met
 import cartanfinsler.norms as nrm
 import cartanfinsler.schwarz as sw
-from cartanfinsler.errors import DomainError, StructureError
-from oracles import bisection_gauge
+from cartanfinsler.errors import DomainError, NumericError, StructureError
+from oracles import bisection_gauge, generate_maps_one_at_a_time
 
 ALL_SPECS = [dom.type_i(2, 3), dom.type_ii(2), dom.type_iii(4), dom.type_iv(3)]
 
@@ -138,6 +138,58 @@ def test_corpus_containment(src, tgt):
     for m in maps:
         imgs = am.apply(m, fresh)
         assert all(dom.contains(tgt, img) for img in imgs)
+
+
+def _body_fields(m):
+    """A map's endpoints, body types and every body field, arrays as bytes."""
+    if isinstance(m.body, am.MapChain):
+        return [_body_fields(f) for f in m.body.maps]
+    return [m.source, m.target, type(m.body).__name__] + [
+        (k, v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else (k, v)
+        for k, v in vars(m.body).items()]
+
+
+TEST_08_PAIRS = [(dom.type_i(2, 2), dom.type_i(2, 2)), (dom.type_ii(2), dom.type_ii(2)),
+                 (dom.type_i(1, 2), dom.type_i(2, 2)), (dom.type_ii(2), dom.type_i(2, 2))]
+
+
+def test_chunked_corpus_equals_one_attempt_at_a_time(monkeypatch):
+    rescaled_of = sw._rescaled
+    outcomes = []
+
+    def recorded(body, factor):
+        out = rescaled_of(body, factor)
+        outcomes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(sw, "_rescaled", recorded)
+    # at the shipped radius every candidate is admitted at once; at radius 2
+    # slices and contractions are rescaled and chains rejected, so the corpus
+    # takes several chunks
+    for rho in (sw.CORPUS_RHO, 2.0):
+        monkeypatch.setattr(sw, "CORPUS_RHO", rho)
+        for pi, (src, tgt) in enumerate(TEST_08_PAIRS):
+            maps = sw.generate_maps(src, tgt, seed=88 + pi, count=50)
+            oracle = generate_maps_one_at_a_time(src, tgt, seed=88 + pi, count=50)
+            assert len(maps) == len(oracle) == 50
+            for m, o in zip(maps, oracle):
+                assert _body_fields(m) == _body_fields(o)
+    assert any(outcomes) and not all(outcomes)  # rescaled and rejected both seen
+
+
+def test_corpus_attempt_cap_raises(monkeypatch):
+    # every probe image outside the target: no candidate is ever admitted
+    checked = []
+    monkeypatch.setattr(am, "apply", lambda f, zs: checked.append(f) or np.full(
+        zs.shape[:1] + f.target.ambient_shape, 2.0 + 0.0j))
+    src, tgt = TEST_08_PAIRS[2]
+    for generate in (sw.generate_maps, generate_maps_one_at_a_time):
+        checked.clear()
+        with pytest.raises(NumericError, match="could not assemble 3 admissible maps"):
+            generate(src, tgt, seed=4, count=3)
+        # 60 attempts cycling constant, slice, pad, pad_contract: the first two
+        # are checked at 1 + RESCALE_CAP scales, the other two once
+        assert len(checked) == 15 * (2 * (1 + sw.RESCALE_CAP) + 2)
 
 
 def test_schwarz_identity_and_constant():
