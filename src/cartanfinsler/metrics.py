@@ -8,6 +8,9 @@ and M(z) the Hermitian curvature matrix of the ball.
 
 Every formula reads one base-point frame: P, Q from _frame on the matrix
 types, and M, Delta with the fiber invariants from lie_fiber on the Lie ball.
+The matrix frame and its fiber parts run on numkernel's stack kernels
+(matmul, hpd_inv), so every matrix of a stack gets the same bits whatever
+the stack around it.
 Derivatives in the fiber variable V are analytic, and so is the Hermitian
 reference connection Gamma_H on all four types (hermitian_gamma).  The fiber
 derivatives (grad_vbar_many, fundamental_tensor) take batch axes in front
@@ -27,6 +30,7 @@ from .errors import DomainError, NumericError, StructureError
 from . import domains
 from .domains import DomainSpec
 from . import norms
+from . import numkernel
 from .norms import PhiFamilySpec, bergman_family, constant_phi, tk_family
 
 BASE_STEP = 1e-4
@@ -153,32 +157,42 @@ def lie_fiber(zs, vs):
 
 
 def _frame(zs):
-    """P = (I - Z Z*)^{-1} and Q = (I - Z* Z)^{-1} over a stack of points."""
+    """P = (I - Z Z*)^{-1} and Q = (I - Z* Z)^{-1} over a stack of points.
+
+    Only the m x m gram is inverted (numkernel.hpd_inv); Q = I + Z* P Z by
+    the push-through identity.  A point whose gram is not positive definite
+    raises DomainError.
+    """
     zc = np.conj(np.swapaxes(zs, -1, -2))
-    return (np.linalg.inv(np.eye(zs.shape[-2]) - zs @ zc),
-            np.linalg.inv(np.eye(zs.shape[-1]) - zc @ zs))
+    p = numkernel.hpd_inv(np.eye(zs.shape[-2]) - numkernel.matmul(zs, zc))
+    return p, np.eye(zs.shape[-1]) + numkernel.matmul(zc, numkernel.matmul(p, zs))
 
 
 def _matrix_fiber_parts(metric: MetricSpec, zs, vs):
     """P, Q, P V Q, the ladder M^0..M^k of M = P V Q V* and S_a = tr M^a.
 
     zs and vs may carry batch axes in front of the matrix axes, and those
-    axes broadcast against each other.
+    axes broadcast against each other.  Every product is a numkernel.matmul.
     """
     p, q = _frame(zs)
-    pvq = p @ vs @ q
-    m = pvq @ np.conj(np.swapaxes(vs, -1, -2))
+    pvq = numkernel.matmul(numkernel.matmul(p, vs), q)
+    m = numkernel.matmul(pvq, np.conj(np.swapaxes(vs, -1, -2)))
     k = metric.family.k
     powers = [np.broadcast_to(np.eye(m.shape[-1], dtype=np.complex128), m.shape), m]
     for _ in range(k - 1):
-        powers.append(powers[-1] @ m)
+        powers.append(numkernel.matmul(powers[-1], m))
     s_traces = np.stack([np.trace(powers[a], axis1=-2, axis2=-1).real
                          for a in range(1, k + 1)], axis=-1)
     return p, q, pvq, powers, s_traces
 
 
 def eval2_many(metric: MetricSpec, zs, vs) -> np.ndarray:
-    """Batched F^2 without membership checks (inputs assumed interior)."""
+    """Batched F^2 without membership checks.
+
+    The contract: inputs are interior.  A matrix point on or outside the
+    boundary, whose gram I - ZZ* is not positive definite, raises
+    DomainError from the frame; Lie-ball points are not checked.
+    """
     zs = np.asarray(zs, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
     if metric.domain.kind == "IV":
@@ -233,7 +247,7 @@ def grad_vbar_many(metric: MetricSpec, zs, vs) -> np.ndarray:
     for a in range(1, k + 1):
         # dS_a/dVbar = a [M^{a-1} P V Q] and dh_a = S_a^{1/a-1}/a dS_a
         dh = (s[..., a - 1] ** (1.0 / a - 1.0))[..., None, None] \
-            * (powers[a - 1] @ pvq)
+            * numkernel.matmul(powers[a - 1], pvq)
         grad_amb = grad_amb + g_grad[..., a - 1, None, None] * dh
     grad_amb = norm * grad_amb
     basis = domains.tangent_basis(spec)
@@ -285,7 +299,8 @@ def fundamental_tensor(metric: MetricSpec, z, v) -> np.ndarray:
     h = norms.power_means(s)
     g_grad = norms.grad_rows(metric.family, h)
     g_hess = norms.hess_rows(metric.family, h)
-    qvs = q @ np.conj(np.swapaxes(v, -1, -2))  # Q V*
+    mm = numkernel.matmul
+    qvs = mm(q, np.conj(np.swapaxes(v, -1, -2)))  # Q V*
     col4 = lambda x: x[..., None, None, None, None]
 
     # dS_a and dh_a as ambient matrices
@@ -294,8 +309,8 @@ def fundamental_tensor(metric: MetricSpec, z, v) -> np.ndarray:
     dh_vbar = [None] * (k + 1)
     dh_v = [None] * (k + 1)
     for a in range(1, k + 1):
-        ds_vbar[a] = a * (powers[a - 1] @ pvq)
-        ds_v[a] = a * np.swapaxes(qvs @ powers[a - 1] @ p, -1, -2)
+        ds_vbar[a] = a * mm(powers[a - 1], pvq)
+        ds_v[a] = a * np.swapaxes(mm(mm(qvs, powers[a - 1]), p), -1, -2)
         coeff = col(s[..., a - 1] ** (1.0 / a - 1.0) / a)
         dh_vbar[a] = coeff * ds_vbar[a]
         dh_v[a] = coeff * ds_v[a]
@@ -318,10 +333,10 @@ def fundamental_tensor(metric: MetricSpec, z, v) -> np.ndarray:
         # d2 S_a: sum over split products plus the bare PdVQ term
         block = np.zeros_like(hess_amb)
         for u in range(a - 1):
-            left = powers[u] @ p                    # (M^u P)
-            right = qvs @ powers[a - 2 - u] @ pvq   # (Q V* M^{a-2-u} P V Q)
+            left = mm(powers[u], p)                       # (M^u P)
+            right = mm(mm(qvs, powers[a - 2 - u]), pvq)   # (Q V* M^{a-2-u} P V Q)
             block += np.einsum("...ai,...jb->...ijab", left, right)
-        block += np.einsum("...ai,...jb->...ijab", powers[a - 1] @ p, q)
+        block += np.einsum("...ai,...jb->...ijab", mm(powers[a - 1], p), q)
         hess_amb += col4(ga * c2 * a) * block
 
     hess_amb *= norm
@@ -404,7 +419,8 @@ def hermitian_gamma(spec: DomainSpec, z, us, ws) -> np.ndarray:
     if spec.kind != "IV":
         zc = z.conj().T
         p, q = _frame(z)
-        return us @ zc @ p @ ws + ws @ q @ zc @ us
+        mm = numkernel.matmul
+        return mm(mm(mm(us, zc), p), ws) + mm(mm(mm(ws, q), zc), us)
     m, delta = _lie_ball_matrix(z)
     ac = np.conj(np.sum(z * z))
     r = np.sum(np.abs(z) ** 2)

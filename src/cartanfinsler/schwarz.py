@@ -241,24 +241,34 @@ def generate_maps(source: DomainSpec, target: DomainSpec, seed: int = 0,
     consumes the rng as one attempt at a time would; then one
     domains.draw_grid call draws the probes (first chunk), the constants and
     slice tangents on target and the auto/chain automorphisms on source, with
-    their isotropy draws; then the candidates are admitted in attempt order.
-    No draw depends on admission, so the corpus equals the one-at-a-time
-    corpus bit for bit.  Raises NumericError with fewer than count maps.
+    their isotropy draws.  One contains_many over the probe images of every
+    candidate of the chunk admits them; only a rejected candidate enters the
+    halving loop, at its first halving.  Maps join in attempt order.  No draw
+    depends on admission, so the corpus equals the one-at-a-time corpus bit
+    for bit.  Raises NumericError with fewer than count maps.
     """
     rng = np.random.default_rng(seed)
     probe_seeds = rng.integers(2**63, size=PROBE_COUNT)
     probes = None
 
-    def admitted(m: am.HoloMap):
+    def inside(candidates):
+        """Whether each candidate keeps every probe inside target, in one
+        contains_many over the probe images of all of them."""
+        images = np.concatenate([am.apply(c, probes) for c in candidates])
+        return np.all(domains.contains_many(target, images).reshape(len(candidates), -1),
+                      axis=1)
+
+    def halved(m: am.HoloMap):
+        """A rejected candidate, halved up to RESCALE_CAP times; None when no
+        halving is admitted or its body cannot be rescaled."""
         body = m.body
-        for _ in range(RESCALE_CAP + 1):
-            candidate = am.HoloMap(source, target, body)
-            images = am.apply(candidate, probes)
-            if np.all(domains.contains_many(target, images)):
-                return candidate
+        for _ in range(RESCALE_CAP):
             body = _rescaled(body, 0.5)
             if body is None:
                 return None
+            candidate = am.HoloMap(source, target, body)
+            if inside([candidate])[0]:
+                return candidate
         return None
 
     maps = []
@@ -302,6 +312,7 @@ def generate_maps(source: DomainSpec, target: DomainSpec, seed: int = 0,
         autos = (am._map_slice(stack, i) for i in range(len(auto_seeds)))
         constants, slices = iter(constants), iter(slices)
 
+        candidates = []
         for kind, _, extra in plan:
             if kind == "constant":
                 cand = am.HoloMap(source, target, am.ConstantMap(next(constants)))
@@ -318,9 +329,11 @@ def generate_maps(source: DomainSpec, target: DomainSpec, seed: int = 0,
             else:  # pad_contract
                 cand = am.compose(am.HoloMap(target, target, extra),
                                   am.HoloMap(source, target, am.PadEmbed()))
-            ok = admitted(cand)
-            if ok is not None:
-                maps.append(ok)
+            candidates.append(cand)
+        for cand, ok in zip(candidates, inside(candidates)):
+            cand = cand if ok else halved(cand)
+            if cand is not None:
+                maps.append(cand)
     if len(maps) < count:
         raise NumericError(
             f"could not assemble {count} admissible maps for {source}->{target}"
@@ -333,8 +346,12 @@ def generate_maps(source: DomainSpec, target: DomainSpec, seed: int = 0,
 
 
 def draw_samples(spec: DomainSpec, seeds, n_samples: int = 100):
-    """The (zs, vs) that schwarz_check draws at each seed, stacked: both of
-    shape (len(seeds), n_samples, *ambient_shape), drawn in one batch."""
+    """The (zs, vs) of n_samples points and tangents at each seed, stacked.
+
+    Both have shape (len(seeds), n_samples) + ambient shape: row i holds the
+    draws that schwarz_check makes at seed seeds[i], so a corpus passes one
+    row per map.  Every row comes from one domains.draw_grid call.
+    """
     items = np.array([np.random.default_rng(int(s)).integers(2**63, size=(2, n_samples))
                       for s in seeds], dtype=np.int64).reshape(-1, 2, n_samples)
     shape = (len(items), n_samples) + spec.ambient_shape
@@ -343,40 +360,54 @@ def draw_samples(spec: DomainSpec, seeds, n_samples: int = 100):
     return zs.reshape(shape), vs.reshape(shape)
 
 
-def schwarz_check(f: am.HoloMap, metric1: MetricSpec, metric2: MetricSpec,
+def schwarz_check(maps, metric1: MetricSpec, metric2: MetricSpec,
                   k1: float, k2: float, n_samples: int = 100,
-                  seed: int = 0, slack: float = 1e-8,
-                  samples=None) -> SchwarzReport:
-    """Margins of sqrt(K1/K2) * F1 - f*F2 over sampled (Z;V).
+                  seed: int = 0, slack: float = 1e-8, samples=None):
+    """Margins of sqrt(K1/K2) * F1 - f*F2 over sampled (Z;V), for many maps.
 
-    samples: precomputed (zs, vs) in place of the n_samples draws at seed,
-    so that a caller checking several metric pairs on one map (or many maps)
-    draws once; draw_samples gives the same draws in a batch.
-    A relative margin below -slack is a violation.
+    maps: one HoloMap, which gives one SchwarzReport, or a sequence of them,
+    which gives one report per map.  samples: precomputed (zs, vs) in place
+    of the n_samples draws at seed that every map shares; for a sequence
+    they are the (maps, n_samples) + ambient stacks of draw_samples, row i
+    for map i.  Each map makes its own apply and differential; F1 over every
+    sample and F2 over every image take one eval2_many call each.  An image
+    outside a matrix target raises DomainError from eval2_many, as a map
+    that is not into its target is no evidence.  A relative margin below
+    -slack is a violation.
     """
-    if f.source != metric1.domain or f.target != metric2.domain:
-        raise StructureError("map endpoints do not match the metric domains")
+    one = isinstance(maps, am.HoloMap)
+    maps = [maps] if one else list(maps)
+    for f in maps:
+        if f.source != metric1.domain or f.target != metric2.domain:
+            raise StructureError("map endpoints do not match the metric domains")
     bound = float(np.sqrt(k1 / k2))
     if samples is None:
         zs, vs = draw_samples(metric1.domain, [seed], n_samples)
-        zs, vs = zs[0], vs[0]
     else:
-        zs, vs = samples
+        zs, vs = (np.asarray(x, dtype=np.complex128) for x in samples)
+        if one:
+            zs, vs = zs[None], vs[None]
+    shape = (len(maps),) + zs.shape[1:]
+    zs, vs = np.broadcast_to(zs, shape), np.broadcast_to(vs, shape)
     f1 = np.sqrt(eval2_many(metric1, zs, vs))
-    imgs = am.apply(f, zs)
-    dvs = am.differential(f, zs, vs)
+    imgs = np.stack([am.apply(f, z) for f, z in zip(maps, zs)])
+    dvs = np.stack([am.differential(f, z, v) for f, z, v in zip(maps, zs, vs)])
     f2 = np.sqrt(np.maximum(eval2_many(metric2, imgs, dvs), 0.0))
     margins = bound * f1 - f2
     rel = margins / f1
-    i = int(np.argmin(rel))
-    min_rel = float(rel[i])
-    violation = min_rel < -slack
-    witness = (zs[i], vs[i], float(f1[i]), float(f2[i])) if violation else None
-    return SchwarzReport(
-        bound=bound,
-        min_margin=float(np.min(margins)),
-        min_margin_rel=min_rel,
-        sup_ratio=float(np.max(f2 / f1)),
-        violation=violation,
-        witness=witness,
-    )
+    reports = []
+    for row in range(len(maps)):
+        i = int(np.argmin(rel[row]))
+        min_rel = float(rel[row, i])
+        violation = min_rel < -slack
+        witness = ((zs[row, i], vs[row, i], float(f1[row, i]), float(f2[row, i]))
+                   if violation else None)
+        reports.append(SchwarzReport(
+            bound=bound,
+            min_margin=float(np.min(margins[row])),
+            min_margin_rel=min_rel,
+            sup_ratio=float(np.max(f2[row] / f1[row])),
+            violation=violation,
+            witness=witness,
+        ))
+    return reports[0] if one else reports

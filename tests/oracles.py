@@ -6,6 +6,40 @@ from cartanfinsler import domains
 BISECTION_STEPS = 60
 
 
+def lapack_frame(zs):
+    """P = (I - ZZ*)^{-1} and Q = (I - Z*Z)^{-1}, each gram inverted by
+    LAPACK; oracle for metrics._frame."""
+    zc = np.conj(np.swapaxes(zs, -1, -2))
+    return (np.linalg.inv(np.eye(zs.shape[-2]) - zs @ zc),
+            np.linalg.inv(np.eye(zs.shape[-1]) - zc @ zs))
+
+
+def schwarz_check_per_map(maps, metric1, metric2, k1, k2, zs, vs, slack=1e-8):
+    """schwarz.schwarz_check one map at a time, each with its own eval2_many
+    calls on its row of the (maps, samples) stacks; oracle for the one-call
+    pass."""
+    from cartanfinsler import automorphisms as am
+    from cartanfinsler import schwarz as sw
+    from cartanfinsler.metrics import eval2_many
+
+    bound = float(np.sqrt(k1 / k2))
+    reports = []
+    for f, z, v in zip(maps, zs, vs):
+        f1 = np.sqrt(eval2_many(metric1, z, v))
+        f2 = np.sqrt(np.maximum(eval2_many(metric2, am.apply(f, z),
+                                           am.differential(f, z, v)), 0.0))
+        margins = bound * f1 - f2
+        rel = margins / f1
+        i = int(np.argmin(rel))
+        violation = float(rel[i]) < -slack
+        reports.append(sw.SchwarzReport(
+            bound=bound, min_margin=float(np.min(margins)),
+            min_margin_rel=float(rel[i]), sup_ratio=float(np.max(f2 / f1)),
+            violation=violation,
+            witness=(z[i], v[i], float(f1[i]), float(f2[i])) if violation else None))
+    return reports
+
+
 def bisection_gauge(spec, w, steps: int = BISECTION_STEPS) -> float:
     """Gauge by bisecting the ray boundary crossing; oracle for closed forms."""
     w = np.asarray(w, dtype=np.complex128)

@@ -7,6 +7,12 @@ import cartanfinsler.domains as dom
 import cartanfinsler.metrics as met
 import cartanfinsler.norms as nrm
 from cartanfinsler.errors import DomainError, StructureError
+from oracles import lapack_frame
+
+# _frame's P and Q stay within FRAME_C * kappa * eps of the LAPACK frame,
+# relative to the largest entry, kappa = 1/(1 - gauge^2); measured at most
+# 1.12 on 200 points per type and gauge
+FRAME_C = 4.0
 
 
 def _wirt(f, x, h, conjugate=False):
@@ -103,6 +109,32 @@ def test_eval2_many_matches_loop():
             [met.eval2(metric, zs[i], vs[i]) for i in range(6)]
         )
         assert np.allclose(batched, single, rtol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "spec", [dom.type_i(1, 3), dom.type_i(2, 3), dom.type_ii(3), dom.type_iii(4)],
+    ids=str)
+def test_frame_matches_lapack_oracle_up_to_the_boundary(spec):
+    zs = dom.sample_points(spec, range(200))
+    zs = zs / dom.minkowski_gauge_many(spec, zs)[:, None, None]
+    for k in range(1, 9):
+        gauge = 1.0 - 10.0**-k
+        budget = FRAME_C * np.finfo(float).eps / (1.0 - gauge**2)
+        for got, want in zip(met._frame(gauge * zs), lapack_frame(gauge * zs)):
+            err = np.max(np.abs(got - want), axis=(-2, -1))
+            assert np.all(err <= budget * np.max(np.abs(want), axis=(-2, -1))), k
+
+
+def test_eval2_many_raises_at_a_point_that_is_not_interior():
+    # the contract: interior inputs; a matrix point whose gram I - ZZ* is not
+    # positive definite raises DomainError instead of giving a value
+    for metric in _all_metrics()[:6]:
+        spec = metric.domain
+        z = dom.sample_point(spec, seed=3)
+        v = dom.sample_tangent(spec, seed=4)
+        z_out = 1.5 * z / dom.minkowski_gauge(spec, z)
+        with pytest.raises(DomainError):
+            met.eval2_many(metric, np.stack([z, z_out]), np.stack([v, v]))
 
 
 def test_eval_checks_inputs():

@@ -1,9 +1,12 @@
-"""Eigensolver kernel tests: frozen values, oracle cross-checks, invariances."""
+"""Kernel tests: eigensolver values, oracle cross-checks and invariances, and
+the stack kernels against numpy's BLAS/LAPACK calls."""
+import itertools
+
 import numpy as np
 import pytest
 
 from cartanfinsler import domains, numkernel
-from cartanfinsler.errors import NumericError
+from cartanfinsler.errors import DomainError, NumericError
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -102,3 +105,46 @@ def test_membership_at_the_boundary(spec):
         eps = 10.0 ** -np.arange(2, 11)[:, None, None]
         assert domains.contains_many(spec, (1.0 - eps) * z).all(), i
         assert not domains.contains_many(spec, (1.0 + eps) * z).any(), i
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (3, 4)], ids=str)
+def test_matmul_matches_numpy(batch):
+    rng = np.random.default_rng(4)
+    for n, k, p in itertools.product(range(1, 5), repeat=3):
+        a, b = _complex(rng, batch + (n, k)), _complex(rng, batch + (k, p))
+        np.testing.assert_allclose(numkernel.matmul(a, b), a @ b, rtol=1e-14, atol=1e-14)
+    # batch axes broadcast as they do for @, a real factor included
+    a, b = _complex(rng, (3, 1, 2, 4)), rng.standard_normal((5, 4, 3))
+    np.testing.assert_allclose(numkernel.matmul(a, b), a @ b, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (3, 4)], ids=str)
+def test_hpd_inv_matches_lapack(batch):
+    rng = np.random.default_rng(5)
+    for m in range(1, 5):
+        for n in range(1, 5):
+            z = _complex(rng, batch + (m, n))
+            z = 0.9 * z / np.linalg.norm(z, ord=2, axis=(-2, -1), keepdims=True)
+            gram = np.eye(m) - z @ np.conj(np.swapaxes(z, -1, -2))
+            got = numkernel.hpd_inv(gram)
+            want = np.linalg.inv(gram)
+            # gauge 0.9: condition number 1/(1 - 0.81)
+            assert np.max(np.abs(got - want)) <= 8.0 * np.finfo(float).eps / 0.19 \
+                * np.max(np.abs(want))
+            np.testing.assert_allclose(got @ gram, np.broadcast_to(np.eye(m), got.shape),
+                                       atol=1e-13)
+
+
+def test_hpd_inv_rejects_a_gram_that_is_not_positive_definite():
+    ok = np.eye(2) - 0.25 * np.ones((2, 2))
+    for bad in (np.diag([1.0, -1.0]), np.diag([0.0, 1.0]), np.ones((2, 2)),
+                np.array([[1.0, 2.0], [2.0, 1.0]]), np.full((1, 1), np.nan)):
+        with pytest.raises(DomainError):
+            numkernel.hpd_inv(bad)
+        if bad.shape == ok.shape:  # one bad gram fails the whole stack
+            with pytest.raises(DomainError):
+                numkernel.hpd_inv(np.stack([ok, bad, ok]))

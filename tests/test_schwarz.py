@@ -8,7 +8,7 @@ import cartanfinsler.metrics as met
 import cartanfinsler.norms as nrm
 import cartanfinsler.schwarz as sw
 from cartanfinsler.errors import DomainError, NumericError, StructureError
-from oracles import bisection_gauge, generate_maps_one_at_a_time
+from oracles import bisection_gauge, generate_maps_one_at_a_time, schwarz_check_per_map
 
 ALL_SPECS = [dom.type_i(2, 3), dom.type_ii(2), dom.type_iii(4), dom.type_iv(3)]
 
@@ -190,6 +190,47 @@ def test_corpus_attempt_cap_raises(monkeypatch):
         # 60 attempts cycling constant, slice, pad, pad_contract: the first two
         # are checked at 1 + RESCALE_CAP scales, the other two once
         assert len(checked) == 15 * (2 * (1 + sw.RESCALE_CAP) + 2)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_one_call_schwarz_pass_equals_per_map_oracle(seed):
+    # every map's rows of the stacked eval2_many calls are the per-map calls'
+    # values bit for bit: the frame kernels give each matrix of a stack the
+    # same bits whatever the stack around it
+    for pi, (src, tgt) in enumerate(TEST_08_PAIRS):
+        maps = sw.generate_maps(src, tgt, seed=seed + pi, count=12)
+        seeds = np.random.default_rng(seed).integers(2**63, size=len(maps))
+        zs, vs = sw.draw_samples(src, seeds, n_samples=30)
+        for m1 in (met.bergman_metric(src), met.tk_metric(src, 1.0, 2)):
+            for m2 in (met.bergman_metric(tgt), met.tk_metric(tgt, 1.0, 2)):
+                # K1 > K2 x 3 makes some maps violate, so witnesses compare too
+                for k1, k2 in ((1.0, 0.5), (0.3, 1.0)):
+                    got = sw.schwarz_check(maps, m1, m2, k1, k2, samples=(zs, vs))
+                    want = schwarz_check_per_map(maps, m1, m2, k1, k2, zs, vs)
+                    assert len(got) == len(want) == len(maps)
+                    for g, w in zip(got, want):
+                        assert _report_bits(g) == _report_bits(w), (src, tgt, pi)
+
+
+def _report_bits(r):
+    witness = None if r.witness is None else tuple(
+        np.asarray(x).tobytes() for x in r.witness)
+    return (r.bound, r.min_margin, r.min_margin_rel, r.sup_ratio, r.violation,
+            witness)
+
+
+def test_map_out_of_the_target_raises_domain_error():
+    # 3 Z leaves I(2, 2) for 66 of the 100 samples: the check must not score
+    # the indefinite grams of the exterior images as a violation
+    spec = dom.type_i(2, 2)
+    bm = met.bergman_metric(spec)
+    outside = am.HoloMap(spec, spec, am.SandwichScale(3.0 * np.eye(2), np.eye(2)))
+    with pytest.raises(DomainError):
+        sw.schwarz_check(outside, bm, bm, 1.0, 0.5, n_samples=100, seed=2)
+    maps = [am.identity_map(spec), outside]
+    zs, vs = sw.draw_samples(spec, [2, 2], 100)
+    with pytest.raises(DomainError):
+        sw.schwarz_check(maps, bm, bm, 1.0, 0.5, samples=(zs, vs))
 
 
 def test_schwarz_identity_and_constant():
