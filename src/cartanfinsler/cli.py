@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -299,8 +300,23 @@ def parse_config(text: str, task: str = None, seed: int = None,
 
 
 # ---------------------------------------------------------------------------
-# task runners: each returns (verdict, summary, table rows, drawn), where
-# drawn maps each sampled check to the count it drew
+# task runners: each returns (passed, summary, table rows, drawn), where
+# drawn maps each sampled check to the count it drew.  The library returns
+# raw margins and witnesses; every tolerance is applied here, by holds.
+
+
+_SENSES = {"<=": operator.le, ">=": operator.ge}
+
+
+def holds(value, threshold, sense: str) -> bool:
+    """The one verdict rule: value <= or >= threshold, as sense says; NaN fails."""
+    return bool(_SENSES[sense](value, threshold))
+
+
+def _gate_row(check: str, value, threshold, sense: str) -> dict:
+    """A certify table row: the value, its threshold and the status holds gives."""
+    return {"check": check, "value": float(value), "threshold": threshold,
+            "status": "pass" if holds(value, threshold, sense) else "fail"}
 
 
 def _run_eval(cfg: RunConfig):
@@ -323,7 +339,7 @@ def _run_eval(cfg: RunConfig):
                "f_max": float(vals.max()), "f_mean": float(vals.mean()),
                "all_finite_positive": ok}
     drawn = {"eval_points": cfg.samples}
-    return ("pass" if ok else "violation"), summary, rows, drawn
+    return ok, summary, rows, drawn
 
 
 def _run_certify(cfg: RunConfig):
@@ -336,47 +352,45 @@ def _run_certify(cfg: RunConfig):
     n = min(cfg.samples, 100)
     deviation = metrics.verify_invariance(cfg.metric, n_maps=n, n_samples=n,
                                           seed=cfg.seed)
-    rows = [
-        {"check": f"{cert_kind}_certificate", "value": float(cert.worst_margin),
-         "threshold": 0.0, "status": "pass" if cert.passed else "fail"},
-        {"check": "invariance_deviation", "value": float(deviation),
-         "threshold": tol["invariance"],
-         "status": "pass" if deviation <= tol["invariance"] else "fail"},
-    ]
+    rows = [_gate_row(f"{cert_kind}_certificate", cert.worst_margin, 0.0, ">="),
+            _gate_row("invariance_deviation", deviation, tol["invariance"], "<=")]
+    cert_ok = rows[0]["status"] == "pass"
     fibers = 0
-    if cert.passed:
+    if cert_ok:
         # connection checks assume a positive definite fundamental tensor
         kb = metrics.verify_kahler_berwald(cfg.metric, seed=cfg.seed)
         fibers = kb.fibers
-        for name, value, limit in (
+        rows += [_gate_row(name, value, limit, "<=") for name, value, limit in (
             ("mixed_derivative", kb.mixed_residual, tol["mixed"]),
             ("connection_fiber_variation", kb.gamma_v_variation, tol["connection"]),
             ("connection_symmetry", kb.gamma_symmetry, tol["connection"]),
             ("connection_vs_hermitian", kb.gamma_vs_hermitian, tol["connection"]),
-        ):
-            rows.append({"check": name, "value": float(value), "threshold": limit,
-                         "status": "pass" if value <= limit else "fail"})
+        )]
     ok = all(row["status"] == "pass" for row in rows)
     summary = {
         "certificate": cert_kind,
-        "certificate_passed": cert.passed,
+        "certificate_passed": cert_ok,
         "failed_condition": cert.failed_condition,
         "witness": None if cert.witness is None else np.asarray(cert.witness).tolist(),
         "invariance_deviation": float(deviation),
-        "connection_checked": cert.passed,
+        "connection_checked": cert_ok,
     }
     drawn = {"invariance_points": n, "invariance_maps": n,
              "connection_fibers": fibers}
-    return ("pass" if ok else "violation"), summary, rows, drawn
+    return ok, summary, rows, drawn
 
 
 def _run_curvature(cfg: RunConfig):
     pair_draws = min(cfg.samples, curvature.PAIR_DRAWS)
     report = curvature.curvature_bounds(cfg.metric, seed=cfg.seed,
                                         pair_draws=pair_draws)
-    ok, worst_low, worst_high = curvature.verify_curvature_range(
-        cfg.metric, report, n_samples=cfg.samples, seed=cfg.seed,
-        slack=cfg.tolerances["curvature_slack"])
+    vmin, vmax = curvature.verify_curvature_range(cfg.metric, n_samples=cfg.samples,
+                                                  seed=cfg.seed)
+    slack = cfg.tolerances["curvature_slack"]
+    # signed excesses beyond [-K1 - slack, -K2 + slack], nonpositive inside
+    worst_low = float((-report.k1 - slack) - vmin)
+    worst_high = float(vmax - (-report.k2 + slack))
+    ok = holds(worst_low, 0.0, "<=") and holds(worst_high, 0.0, "<=")
     summary = {
         "K1": float(report.k1), "K2": float(report.k2), "lu": float(report.lu),
         "bisectional_C": float(report.bisectional_c),
@@ -384,14 +398,14 @@ def _run_curvature(cfg: RunConfig):
         "bisectional_excess": float(report.bisectional_c / report.k1 - 1.0),
         "argmin_profile": np.asarray(report.argmin_profile).tolist(),
         "argmax_profile": np.asarray(report.argmax_profile).tolist(),
-        "range_ok": bool(ok),
+        "range_ok": ok,
     }
     rows = [{"quantity": name, "value": float(value)} for name, value in (
         ("K1", report.k1), ("K2", report.k2), ("lu", report.lu),
         ("bisectional_C", report.bisectional_c),
         ("worst_low_excess", worst_low), ("worst_high_excess", worst_high))]
     drawn = {"bisectional_pairs": pair_draws, "range_tangents": cfg.samples}
-    return ("pass" if ok else "violation"), summary, rows, drawn
+    return ok, summary, rows, drawn
 
 
 def _run_sandwich(cfg: RunConfig):
@@ -399,9 +413,13 @@ def _run_sandwich(cfg: RunConfig):
     slack = cfg.tolerances["sandwich_slack"]
     eq_tol = cfg.tolerances["sandwich_equality"]
     report = schwarz.verify_sandwich(cfg.metric, bounds, n_samples=cfg.samples,
-                                     seed=cfg.seed, slack=slack)
-    ok = (report.worst_lower >= -slack and report.worst_upper >= -slack
-          and report.eq_lower <= eq_tol and report.eq_upper <= eq_tol)
+                                     seed=cfg.seed)
+    sides = (("lower", report.worst_lower, report.witness_lower),
+             ("upper", report.worst_upper, report.witness_upper))
+    failed = [(side, witness) for side, margin, witness in sides
+              if not holds(margin, -slack, ">=")]
+    ok = (not failed and holds(report.eq_lower, eq_tol, "<=")
+          and holds(report.eq_upper, eq_tol, "<="))
     summary = {
         "K1": float(bounds.k1), "K2": float(bounds.k2),
         "worst_lower_margin": float(report.worst_lower),
@@ -410,8 +428,8 @@ def _run_sandwich(cfg: RunConfig):
         "equality_upper": float(report.eq_upper),
         "passed": ok,
     }
-    if report.witness is not None:
-        side, z, v, f2, fc2 = report.witness
+    if failed:
+        side, (z, v, f2, fc2) = failed[0]  # the lower side first
         summary["witness"] = {"side": side, "f2": float(f2), "fc2": float(fc2),
                               "z": z, "v": v}
     rows = [{"quantity": name, "value": float(value)} for name, value in (
@@ -421,7 +439,7 @@ def _run_sandwich(cfg: RunConfig):
         ("equality_lower", report.eq_lower),
         ("equality_upper", report.eq_upper))]
     drawn = {"sandwich_points": cfg.samples}
-    return ("pass" if ok else "violation"), summary, rows, drawn
+    return ok, summary, rows, drawn
 
 
 def _run_schwarz(cfg: RunConfig):
@@ -435,15 +453,15 @@ def _run_schwarz(cfg: RunConfig):
     seeds = np.random.default_rng(cfg.seed).integers(2**63, size=len(maps))
     zs, vs = schwarz.draw_samples(source, seeds, cfg.samples)
     reports = schwarz.schwarz_check(maps, metric1, metric2, bounds1.k1, bounds2.k2,
-                                    samples=(zs, vs),
-                                    slack=cfg.tolerances["schwarz_slack"])
+                                    samples=(zs, vs))
+    slack = cfg.tolerances["schwarz_slack"]
     rows = [{"map_index": i, "kind": type(maps[i].body).__name__,
              "min_margin": float(r.min_margin),
              "min_margin_rel": float(r.min_margin_rel),
              "sup_ratio": float(r.sup_ratio)}
             for i, r in enumerate(reports)]
     worst = min(range(len(reports)), key=lambda i: reports[i].min_margin_rel)
-    violations = sum(r.violation for r in reports)
+    violations = sum(not holds(r.min_margin_rel, -slack, ">=") for r in reports)
     summary = {
         "bound": float(reports[0].bound),
         "maps": len(maps),
@@ -452,10 +470,10 @@ def _run_schwarz(cfg: RunConfig):
         "worst_map_index": worst,
         "worst_map_kind": type(maps[worst].body).__name__,
         "sup_ratio": float(max(r.sup_ratio for r in reports)),
-        "violations": int(violations),
+        "violations": violations,
     }
     drawn = {"points_per_map": cfg.samples}
-    return ("violation" if violations else "pass"), summary, rows, drawn
+    return violations == 0, summary, rows, drawn
 
 
 _RUNNERS = {"eval": _run_eval, "certify": _run_certify,
@@ -465,7 +483,7 @@ _RUNNERS = {"eval": _run_eval, "certify": _run_certify,
 
 def run(config: RunConfig) -> RunReport:
     """Dispatch a validated config and assemble the provenance-stamped report."""
-    verdict, summary, table, drawn = _RUNNERS[config.task](config)
+    passed, summary, table, drawn = _RUNNERS[config.task](config)
     provenance = {
         "seed": config.seed,
         "samples": config.samples,
@@ -478,7 +496,8 @@ def run(config: RunConfig) -> RunReport:
     }
     if config.target_metric is not None:
         provenance["target_metric"] = config.target_metric.label
-    return RunReport(config.task, verdict, summary, table, provenance)
+    return RunReport(config.task, "pass" if passed else "violation", summary,
+                     table, provenance)
 
 
 # ---------------------------------------------------------------------------

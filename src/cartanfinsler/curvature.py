@@ -388,23 +388,13 @@ def lu_constant(metric: MetricSpec) -> float:
     return report.lu
 
 
-def verify_curvature_range(metric: MetricSpec, report: CurvatureReport,
-                           n_samples: int = 100_000, seed: int = 0,
-                           slack: float = 1e-7):
-    """Sample sectional values and check them against the report's bounds.
+def verify_curvature_range(metric: MetricSpec, n_samples: int = 100_000,
+                           seed: int = 0):
+    """(min, max) of the sectional curvature over n_samples sampled tangents.
 
-    Returns (ok, worst_low, worst_high) where the worsts are signed excesses
-    beyond [-k1 - slack, -k2 + slack] (nonpositive when inside).
+    The tangents are one sample_tangents draw of the seeds default_rng(seed)
+    gives; the caller compares the extremes with its bounds.
     """
-    spec = metric.domain
-    rng = np.random.default_rng(seed)
-    vals = np.empty(n_samples)
-    block = 20_000
-    for lo in range(0, n_samples, block):
-        seeds = rng.integers(2**63, size=min(block, n_samples - lo))
-        vals[lo: lo + block] = hsc_origin_many(
-            metric, domains.sample_tangents(spec, seeds))
-    worst_low = float((-report.k1 - slack) - np.min(vals))
-    worst_high = float(np.max(vals) - (-report.k2 + slack))
-    ok = worst_low <= 0.0 and worst_high <= 0.0
-    return ok, worst_low, worst_high
+    seeds = np.random.default_rng(seed).integers(2**63, size=n_samples)
+    vals = hsc_origin_many(metric, domains.sample_tangents(metric.domain, seeds))
+    return float(np.min(vals)), float(np.max(vals))

@@ -191,12 +191,16 @@ def eval2_many(metric: MetricSpec, zs, vs) -> np.ndarray:
 
     The contract: inputs are interior.  A matrix point on or outside the
     boundary, whose gram I - ZZ* is not positive definite, raises
-    DomainError from the frame; Lie-ball points are not checked.
+    DomainError from the frame; a Lie-ball point with Delta <= 0 or
+    |z|^2 >= 1, which is exactly a point outside the ball, raises it here.
     """
     zs = np.asarray(zs, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
     if metric.domain.kind == "IV":
         _, delta, q, _, s = lie_fiber(zs, vs)
+        if np.any((delta <= 0.0) | (np.sum(np.abs(zs) ** 2, axis=-1) >= 1.0)):
+            raise DomainError("a point is not interior to the Lie ball "
+                              "(Delta <= 0 or |z|^2 >= 1)")
         phi = np.asarray(metric.family.value(s), dtype=float)
         return metric.normalization * q / delta**2 * phi
     h = norms.power_means(_matrix_fiber_parts(metric, zs, vs)[-1])
@@ -457,9 +461,8 @@ def verify_kahler_berwald(metric: MetricSpec, n_base: int = 3, n_fiber: int = 10
     is fitted to N_f[l, i] = sum_j Gamma[l, j, i] v_f[j] by least squares.
     The connection of every fiber of every base point is one
     connection_sample call; only the fit and the reference connection are
-    taken per base point.  Reports the worst over the base points, leaving
-    the thresholds to the caller (the CLI applies its "mixed" and
-    "connection" tolerances):
+    taken per base point.  Reports the worst over the base points; the
+    caller decides the verdict:
       * mixed fiber-base derivative of F^2 at the origin, one stencil over
         n_base unit fibers (should vanish); exactly 0 for every metric
         invariant under z -> -z, all shipped ones included, because the

@@ -16,7 +16,6 @@ module samples both statements and generates the map corpus used to probe
 the latter.
 """
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -39,7 +38,8 @@ class SandwichReport:
     worst_upper: float   # min over samples of ((4/K2) F_C^2 - F^2) / F^2
     eq_lower: float      # relative residual at the K1 extremizer
     eq_upper: float      # relative residual at the K2 extremizer
-    witness: Optional[tuple]
+    witness_lower: tuple  # (Z, V, F^2, F_C^2) at the worst lower sample
+    witness_upper: tuple  # the same at the worst upper sample
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,7 @@ class SchwarzReport:
     min_margin: float    # min of bound*F1 - f*F2
     min_margin_rel: float
     sup_ratio: float     # max of (f*F2)/F1 over the samples
-    violation: bool
-    witness: Optional[tuple]
+    witness: tuple       # (Z, V, F1, F2) at the worst relative margin
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +108,12 @@ def _profile_tangent(spec: DomainSpec, profile) -> np.ndarray:
 
 
 def verify_sandwich(metric: MetricSpec, bounds: CurvatureReport,
-                    n_samples: int = 10_000, seed: int = 0,
-                    slack: float = 1e-8) -> SandwichReport:
+                    n_samples: int = 10_000, seed: int = 0) -> SandwichReport:
     """Sample the two-sided gauge bound and probe tightness at extremizers.
 
     bounds: the metric's curvature report; K1, K2 and the extremizing
-    profiles are read from it.  slack only selects the witness: the caller
-    decides the verdict from the four residuals (the CLI applies its
-    "sandwich_slack" and "sandwich_equality" tolerances).
+    profiles are read from it.  Returns the four residuals and the worst
+    sample of each side; the caller decides the verdict.
     """
     spec = metric.domain
     k1, k2 = bounds.k1, bounds.k2
@@ -128,15 +125,7 @@ def verify_sandwich(metric: MetricSpec, bounds: CurvatureReport,
     fc2 = caratheodory_many(spec, zs, vs) ** 2
     lower = (f2 - (4.0 / k1) * fc2) / f2
     upper = ((4.0 / k2) * fc2 - f2) / f2
-    worst_lower = float(np.min(lower))
-    worst_upper = float(np.min(upper))
-    witness = None
-    if worst_lower < -slack:
-        i = int(np.argmin(lower))
-        witness = ("lower", zs[i], vs[i], float(f2[i]), float(fc2[i]))
-    elif worst_upper < -slack:
-        i = int(np.argmin(upper))
-        witness = ("upper", zs[i], vs[i], float(f2[i]), float(fc2[i]))
+    i, j = int(np.argmin(lower)), int(np.argmin(upper))
 
     origin = np.zeros(spec.ambient_shape, dtype=np.complex128)
     v_min = _profile_tangent(spec, bounds.argmin_profile)
@@ -147,7 +136,9 @@ def verify_sandwich(metric: MetricSpec, bounds: CurvatureReport,
     g_max = domains.minkowski_gauge(spec, v_max) ** 2
     eq_lower = float(abs(f2_min - (4.0 / k1) * g_min) / f2_min)
     eq_upper = float(abs(f2_max - (4.0 / k2) * g_max) / f2_max)
-    return SandwichReport(worst_lower, worst_upper, eq_lower, eq_upper, witness)
+    return SandwichReport(float(lower[i]), float(upper[j]), eq_lower, eq_upper,
+                          (zs[i], vs[i], float(f2[i]), float(fc2[i])),
+                          (zs[j], vs[j], float(f2[j]), float(fc2[j])))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +353,7 @@ def draw_samples(spec: DomainSpec, seeds, n_samples: int = 100):
 
 def schwarz_check(maps, metric1: MetricSpec, metric2: MetricSpec,
                   k1: float, k2: float, n_samples: int = 100,
-                  seed: int = 0, slack: float = 1e-8, samples=None):
+                  seed: int = 0, samples=None):
     """Margins of sqrt(K1/K2) * F1 - f*F2 over sampled (Z;V), for many maps.
 
     maps: one HoloMap, which gives one SchwarzReport, or a sequence of them,
@@ -371,9 +362,9 @@ def schwarz_check(maps, metric1: MetricSpec, metric2: MetricSpec,
     they are the (maps, n_samples) + ambient stacks of draw_samples, row i
     for map i.  Each map makes its own apply and differential; F1 over every
     sample and F2 over every image take one eval2_many call each.  An image
-    outside a matrix target raises DomainError from eval2_many, as a map
-    that is not into its target is no evidence.  A relative margin below
-    -slack is a violation.
+    outside the target raises DomainError from eval2_many, as a map that is
+    not into its target is no evidence.  Each report carries the
+    worst relative margin and its sample; the caller decides the verdict.
     """
     one = isinstance(maps, am.HoloMap)
     maps = [maps] if one else list(maps)
@@ -398,16 +389,11 @@ def schwarz_check(maps, metric1: MetricSpec, metric2: MetricSpec,
     reports = []
     for row in range(len(maps)):
         i = int(np.argmin(rel[row]))
-        min_rel = float(rel[row, i])
-        violation = min_rel < -slack
-        witness = ((zs[row, i], vs[row, i], float(f1[row, i]), float(f2[row, i]))
-                   if violation else None)
         reports.append(SchwarzReport(
             bound=bound,
             min_margin=float(np.min(margins[row])),
-            min_margin_rel=min_rel,
+            min_margin_rel=float(rel[row, i]),
             sup_ratio=float(np.max(f2[row] / f1[row])),
-            violation=violation,
-            witness=witness,
+            witness=(zs[row, i], vs[row, i], float(f1[row, i]), float(f2[row, i])),
         ))
     return reports[0] if one else reports

@@ -14,7 +14,7 @@ def lapack_frame(zs):
             np.linalg.inv(np.eye(zs.shape[-1]) - zc @ zs))
 
 
-def schwarz_check_per_map(maps, metric1, metric2, k1, k2, zs, vs, slack=1e-8):
+def schwarz_check_per_map(maps, metric1, metric2, k1, k2, zs, vs):
     """schwarz.schwarz_check one map at a time, each with its own eval2_many
     calls on its row of the (maps, samples) stacks; oracle for the one-call
     pass."""
@@ -31,12 +31,10 @@ def schwarz_check_per_map(maps, metric1, metric2, k1, k2, zs, vs, slack=1e-8):
         margins = bound * f1 - f2
         rel = margins / f1
         i = int(np.argmin(rel))
-        violation = float(rel[i]) < -slack
         reports.append(sw.SchwarzReport(
             bound=bound, min_margin=float(np.min(margins)),
             min_margin_rel=float(rel[i]), sup_ratio=float(np.max(f2 / f1)),
-            violation=violation,
-            witness=(z[i], v[i], float(f1[i]), float(f2[i])) if violation else None))
+            witness=(z[i], v[i], float(f1[i]), float(f2[i]))))
     return reports
 
 

@@ -1,13 +1,16 @@
 import csv
+import dataclasses
 import importlib.util
+import inspect
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cartanfinsler import cli, domains, schwarz
+from cartanfinsler import cli, curvature, domains, schwarz
 from cartanfinsler.errors import ConfigError
 
 
@@ -218,11 +221,16 @@ def test_sandwich_task(tmp_path, capsys):
     assert out["summary"]["equality_upper"] < 1e-4
 
 
-def _run_sandwich(tmp_path, capsys, doc):
+def _run_task(tmp_path, capsys, doc):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"task": "sandwich", "seed": 1, "samples": 100, **doc}))
-    rc = cli.main(["sandwich", "--config", str(path)])
+    path.write_text(json.dumps(doc))
+    rc = cli.main([doc["task"], "--config", str(path)])
     return rc, json.loads(capsys.readouterr().out)
+
+
+def _run_sandwich(tmp_path, capsys, doc):
+    return _run_task(tmp_path, capsys,
+                     {"task": "sandwich", "seed": 1, "samples": 100, **doc})
 
 
 def test_sandwich_equality_tolerance_drives_the_verdict(tmp_path, capsys):
@@ -241,6 +249,79 @@ def test_sandwich_equality_tolerance_drives_the_verdict(tmp_path, capsys):
     assert rc == 0
     assert out["summary"]["equality_lower"] <= 1e-14
     assert out["summary"]["equality_upper"] <= 1e-14
+
+
+def _scale_k1(monkeypatch, factor):
+    """Make every curvature_bounds call report factor * K1."""
+    bounds_of = curvature.curvature_bounds
+
+    def scaled(*args, **kwargs):
+        report = bounds_of(*args, **kwargs)
+        return dataclasses.replace(report, k1=factor * report.k1)
+
+    monkeypatch.setattr(curvature, "curvature_bounds", scaled)
+
+
+# No shipped config moves these margins above the 1e-14 tolerance floor (the
+# disc's sandwich margins are -9.7e-16 at worst, the ball's curvature excesses
+# -slack +- 6e-17), so each control reports K1 low by a known relative delta.
+
+
+def test_curvature_slack_drives_the_verdict(tmp_path, capsys, monkeypatch):
+    # the ball's sectional curvature is -K1 everywhere: a K1 reported delta
+    # low leaves every sample K1 * delta below the reported range
+    delta = 1e-6
+    _scale_k1(monkeypatch, 1.0 - delta)
+    doc = {"task": "curvature", "domain": {"type": "I", "m": 1, "n": 2},
+           "metric": {"family": "bergman"}, "seed": 1, "samples": 100}
+    rc, out = _run_task(tmp_path, capsys, doc)
+    assert rc == 1 and out["verdict"] == "violation"
+    assert out["summary"]["range_ok"] is False
+    rows = {row["quantity"]: row["value"] for row in out["table"]}
+    k1 = rows["K1"] / (1.0 - delta)
+    assert rows["worst_low_excess"] == pytest.approx(k1 * delta - 1e-7, rel=1e-6)
+    rc, out = _run_task(tmp_path, capsys,
+                        dict(doc, tolerances={"curvature_slack": 2.0 * k1 * delta}))
+    assert rc == 0 and out["verdict"] == "pass"
+    assert out["summary"]["range_ok"] is True
+
+
+def test_sandwich_slack_drives_the_verdict(tmp_path, capsys, monkeypatch):
+    # the disc is tight on its lower side: a K1 reported delta low moves every
+    # lower margin to 1 - 1/(1 - delta), about -delta
+    delta = 1e-6
+    _scale_k1(monkeypatch, 1.0 - delta)
+    doc = {"domain": {"type": "I", "m": 1, "n": 1}, "metric": {"family": "bergman"}}
+    rc, out = _run_sandwich(tmp_path, capsys, doc)
+    assert rc == 1 and out["verdict"] == "violation"
+    summary = out["summary"]
+    assert summary["passed"] is False
+    assert summary["worst_lower_margin"] == pytest.approx(-delta, rel=1e-5)
+    assert summary["witness"]["side"] == "lower"
+    rc, out = _run_sandwich(tmp_path, capsys,
+                            dict(doc, tolerances={"sandwich_slack": 2.0 * delta}))
+    assert rc == 0 and out["verdict"] == "pass"
+    assert out["summary"]["passed"] is True and "witness" not in out["summary"]
+
+
+def test_schwarz_slack_sets_the_violation_threshold(tmp_path, capsys, monkeypatch):
+    # on the disc sqrt(K1/K2) = 1; with K1 reported as (1 - delta)^2 K1 the
+    # identity and every automorphism have relative margin -delta
+    delta = 1e-3
+    _scale_k1(monkeypatch, (1.0 - delta) ** 2)
+    doc = {"task": "schwarz", "domain": {"type": "I", "m": 1, "n": 1},
+           "metric": {"family": "bergman"}, "seed": 4, "maps": 6, "samples": 20}
+    rc, out = _run_task(tmp_path, capsys,
+                        dict(doc, tolerances={"schwarz_slack": 0.5 * delta}))
+    assert rc == 1 and out["verdict"] == "violation"
+    tight = out["summary"]
+    assert tight["min_margin_rel"] == pytest.approx(-delta, rel=1e-9)
+    assert tight["violations"] >= 1
+    rc, out = _run_task(tmp_path, capsys,
+                        dict(doc, tolerances={"schwarz_slack": 2.0 * delta}))
+    assert rc == 0 and out["verdict"] == "pass"
+    assert out["summary"]["violations"] == 0
+    assert out["summary"]["min_margin_rel"] == tight["min_margin_rel"]
 
 
 def test_schwarz_task_reproducible_and_threads_retired(tmp_path, capsys):
@@ -459,3 +540,38 @@ def test_one_philox_grid_per_sampling_pass(seed, monkeypatch):
         if report.task == "schwarz":
             assert not any(rejected), kind.name  # one chunk admits the corpus
         assert len(calls) == expected, (kind.name, len(calls))
+
+
+# Each tolerance key and the test above in which a config value of it flips
+# both the verdict and the exit code.  "mixed" has none: its row reads exactly
+# 0.0 on every metric invariant under z -> -z, all shipped ones included.
+VERDICT_CONTROLS = {
+    "invariance": test_certify_invariance_tolerance_drives_the_verdict,
+    "connection": test_certify_connection_tolerance_drives_the_verdict,
+    "curvature_slack": test_curvature_slack_drives_the_verdict,
+    "sandwich_slack": test_sandwich_slack_drives_the_verdict,
+    "sandwich_equality": test_sandwich_equality_tolerance_drives_the_verdict,
+    "schwarz_slack": test_schwarz_slack_sets_the_violation_threshold,
+}
+UNCONTROLLED_TOLERANCES = {"mixed"}
+
+
+def test_every_tolerance_has_a_verdict_flipping_control():
+    assert set(VERDICT_CONTROLS) | UNCONTROLLED_TOLERANCES == set(cli.DEFAULT_TOLERANCES)
+    assert not set(VERDICT_CONTROLS) & UNCONTROLLED_TOLERANCES
+    for key, control in VERDICT_CONTROLS.items():
+        source = inspect.getsource(control)
+        assert f'"{key}"' in source, key  # sets the key in a config
+        assert "rc == 1" in source and "== 0" in source, key  # both exit codes
+
+
+def test_tolerances_are_applied_only_in_the_cli():
+    # the library returns raw margins: no module but cli names a slack or a
+    # tolerance key
+    words = re.compile(r"\bslack\b|[\"'](%s)[\"']" % "|".join(cli.DEFAULT_TOLERANCES))
+    package = Path(cli.__file__).parent
+    hits = [f"{path.name}:{i}: {line.strip()}"
+            for path in sorted(package.glob("*.py")) if path.name != "cli.py"
+            for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if words.search(line)]
+    assert hits == []
