@@ -1,9 +1,11 @@
 """Holomorphic automorphisms of the classical domains, plus corpus map bodies.
 
 Every map is a HoloMap(source, target, body).  Bodies are small frozen
-dataclasses; apply/differential dispatch on the body type.  All formulas are
-written so that the point (and tangent) arguments may carry leading batch
-axes — matrix bodies accept (..., m, n) stacks, vector bodies (..., N).
+dataclasses; push(m, z, v) holds each body's formula once and returns the
+image f(z) with the tangent df_z v (apply and differential are its two
+views).  All formulas are written so that the point (and tangent) arguments
+may carry leading batch axes — matrix bodies accept (..., m, n) stacks,
+vector bodies (..., N).
 Automorphism bodies may carry leading map axes too: one body then holds a
 stack of maps, and its map axes broadcast against the points' batch axes, so
 K maps on S points (S, 1) + ambient give (S, K) + ambient in one call.
@@ -106,9 +108,6 @@ class HoloMap:
     source: DomainSpec
     target: DomainSpec
     body: object
-
-    def __call__(self, z):
-        return apply(self, z)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +301,9 @@ def compose(*maps) -> HoloMap:
 # evaluation
 
 
-def _mobius_core(body: MatrixMobius, z):
-    z0s = np.conj(np.swapaxes(body.z0, -1, -2))
-    n = body.z0.shape[-1]
-    return np.linalg.inv(np.eye(n) - z0s @ z)
+def _mobius_core(z0s, z):
+    """(I - Z0* Z)^{-1}, the one inverse of a MatrixMobius push."""
+    return np.linalg.inv(np.eye(z0s.shape[-2]) - z0s @ z)
 
 
 def _vecmat(x, m):
@@ -319,133 +317,114 @@ def _u_step(da):
     return np.stack([da / 2.0, -da / 2.0j], axis=-1)
 
 
-def _lie_mobius_parts(b: LieBallMobius, z):
-    """phi(z) = num / beta for the Lie-ball map; returns (num, beta, ae).
-
-    num = ((z - z0) - (u(z) - u(z0)) X0) D, with u(z) - u(z0) taken from
-    a - a0 = (z - z0).(z + z0).  It is exactly 0 at z0.  The form
-    (z - u(z) X0) D, equal in exact arithmetic, cancels there, and near the
-    boundary along a real direction it loses every digit.
-    """
-    a = np.sum(z * z, axis=-1)
-    u = np.stack([(1.0 + a) / 2.0, (1.0 - a) / 2.0j], axis=-1)
-    ae = b.a @ np.array([1.0, 1.0j])
-    beta = np.sum((u - _vecmat(z, np.swapaxes(b.x0, -1, -2))) * ae, axis=-1)
-    dz = z - b.z0
-    du = _u_step(np.sum(dz * (z + b.z0), axis=-1))
-    return _vecmat(dz - _vecmat(du, b.x0), b.d), beta, ae
+def _linear(body, z, v):
+    """push for a linear body, which is its own differential."""
+    return body(z), None if v is None else body(v)
 
 
-def apply(m: HoloMap, z):
-    """Evaluate the map at a point (or a stack of points)."""
+def push(m: HoloMap, z, v=None):
+    """(f(z), df_z v): the map at a point (or a stack of points) and the
+    analytic push-forward of a tangent there, from one evaluation of the
+    body.  The tangent is None when v is None."""
     z = np.asarray(z, dtype=np.complex128)
+    if v is not None:
+        v = np.asarray(v, dtype=np.complex128)
     b = m.body
     try:
         if isinstance(b, MatrixMobius):
-            s = _mobius_core(b, z)
-            return b.a @ (z - b.z0) @ s @ b.d_inv
+            z0s = np.conj(np.swapaxes(b.z0, -1, -2))
+            s = _mobius_core(z0s, z)
+            dz = z - b.z0
+            if v is not None:
+                v = b.a @ (v + dz @ s @ z0s @ v) @ s @ b.d_inv
+            return b.a @ dz @ s @ b.d_inv, v
         if isinstance(b, MatrixMobiusInverse):
             z0s = np.conj(np.swapaxes(b.z0, -1, -2))
             wd = z @ b.d
-            return np.linalg.solve(b.a + wd @ z0s, wd + b.a @ b.z0)
+            lhs = b.a + wd @ z0s
+            w = np.linalg.solve(lhs, wd + b.a @ b.z0)
+            if v is not None:
+                v = np.linalg.solve(lhs, v @ b.d @ (np.eye(b.z0.shape[-1]) - z0s @ w))
+            return w, v
         if isinstance(b, LieBallMobius):
-            num, beta, _ = _lie_mobius_parts(b, z)
-            return num / beta[..., None]
+            # phi(z) = num / beta with num = ((z - z0) - (u(z) - u(z0)) X0) D,
+            # u(z) - u(z0) taken from a - a0 = (z - z0).(z + z0).  num is
+            # exactly 0 at z0.  The form (z - u(z) X0) D, equal in exact
+            # arithmetic, cancels there, and near the boundary along a real
+            # direction it loses every digit.
+            x0t = np.swapaxes(b.x0, -1, -2)
+            a = np.sum(z * z, axis=-1)
+            u = np.stack([(1.0 + a) / 2.0, (1.0 - a) / 2.0j], axis=-1)
+            ae = b.a @ np.array([1.0, 1.0j])
+            beta = np.sum((u - _vecmat(z, x0t)) * ae, axis=-1)
+            dz = z - b.z0
+            du = _u_step(np.sum(dz * (z + b.z0), axis=-1))
+            num = _vecmat(dz - _vecmat(du, b.x0), b.d)
+            if v is not None:
+                du = _u_step(2.0 * np.sum(z * v, axis=-1))
+                dbeta = np.sum((du - _vecmat(v, x0t)) * ae, axis=-1)
+                dnum = _vecmat(v - _vecmat(du, b.x0), b.d)
+                v = (dnum * beta[..., None] - num * dbeta[..., None]) / (beta**2)[..., None]
+            return num / beta[..., None], v
         if isinstance(b, SandwichScale):
-            return b.left @ z @ b.right
+            return _linear(lambda x: b.left @ x @ b.right, z, v)
         if isinstance(b, VectorLinear):
-            return np.asarray(b.alpha)[..., None] * _vecmat(z, b.d)
+            alpha = np.asarray(b.alpha)[..., None]
+            return _linear(lambda x: alpha * _vecmat(x, b.d), z, v)
         if isinstance(b, MapChain):
-            out = z
             for f in reversed(b.maps):
-                out = apply(f, out)
-            return out
+                z, v = push(f, z, v)
+            return z, v
         if isinstance(b, ConstantMap):
-            batch = z.shape[: z.ndim - len(m.source.ambient_shape)]
-            return np.broadcast_to(b.w0, batch + b.w0.shape).copy()
+            shape = z.shape[: z.ndim - len(m.source.ambient_shape)] + b.w0.shape
+            if v is not None:
+                v = np.zeros(shape, dtype=np.complex128)
+            return np.broadcast_to(b.w0, shape).copy(), v
         if isinstance(b, ScalarSlice):
-            c = z[(...,) + b.entry]
-            return c[(...,) + (None,) * b.w1.ndim] * b.w1
+            return _linear(
+                lambda x: x[(...,) + b.entry][(...,) + (None,) * b.w1.ndim] * b.w1, z, v)
         if isinstance(b, PadEmbed):
-            mt, nt = m.target.ambient_shape
-            out = np.zeros(z.shape[:-2] + (mt, nt), dtype=np.complex128)
-            out[..., : z.shape[-2], : z.shape[-1]] = z
-            return out
+            def pad(x):
+                out = np.zeros(x.shape[:-2] + m.target.ambient_shape, dtype=np.complex128)
+                out[..., : x.shape[-2], : x.shape[-1]] = x
+                return out
+
+            return _linear(pad, z, v)
         if isinstance(b, MatrixPolynomial):
-            out = np.zeros_like(z)
+            w = np.zeros_like(z)
             power = z
             last = 1
             for deg, coeff in sorted(b.coeffs):
                 for _ in range(deg - last):
                     power = power @ z
                 last = deg
-                out = out + coeff * power
-            return out
+                w = w + coeff * power
+            if v is not None:
+                dv = np.zeros_like(v)
+                for deg, coeff in b.coeffs:
+                    # d(Z^deg)[V] = sum_{j} Z^j V Z^{deg-1-j}
+                    for j in range(deg):
+                        term = v
+                        for _ in range(j):
+                            term = z @ term
+                        for _ in range(deg - 1 - j):
+                            term = term @ z
+                        dv = dv + coeff * term
+                v = dv
+            return w, v
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"singular intermediate inverse: {exc}") from exc
     raise StructureError(f"unknown map body {type(b).__name__}")
+
+
+def apply(m: HoloMap, z):
+    """Evaluate the map at a point (or a stack of points)."""
+    return push(m, z)[0]
 
 
 def differential(m: HoloMap, z, v):
     """Push a tangent vector forward through the map at z (analytic)."""
-    z = np.asarray(z, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    b = m.body
-    try:
-        if isinstance(b, MatrixMobius):
-            s = _mobius_core(b, z)
-            z0s = np.conj(np.swapaxes(b.z0, -1, -2))
-            inner = v + (z - b.z0) @ s @ z0s @ v
-            return b.a @ inner @ s @ b.d_inv
-        if isinstance(b, MatrixMobiusInverse):
-            z0s = np.conj(np.swapaxes(b.z0, -1, -2))
-            wd = z @ b.d
-            lhs = b.a + wd @ z0s
-            out = np.linalg.solve(lhs, wd + b.a @ b.z0)  # = apply(m, z)
-            n = b.z0.shape[-1]
-            return np.linalg.solve(lhs, v @ b.d @ (np.eye(n) - z0s @ out))
-        if isinstance(b, LieBallMobius):
-            num, beta, ae = _lie_mobius_parts(b, z)
-            du = _u_step(2.0 * np.sum(z * v, axis=-1))
-            dbeta = np.sum((du - _vecmat(v, np.swapaxes(b.x0, -1, -2))) * ae, axis=-1)
-            dnum = _vecmat(v - _vecmat(du, b.x0), b.d)
-            return (dnum * beta[..., None] - num * dbeta[..., None]) / (beta**2)[..., None]
-        if isinstance(b, SandwichScale):
-            return b.left @ v @ b.right
-        if isinstance(b, VectorLinear):
-            return np.asarray(b.alpha)[..., None] * _vecmat(v, b.d)
-        if isinstance(b, MapChain):
-            zc, vc = z, v
-            for f in reversed(b.maps):
-                vc = differential(f, zc, vc)
-                zc = apply(f, zc)
-            return vc
-        if isinstance(b, ConstantMap):
-            batch = z.shape[: z.ndim - len(m.source.ambient_shape)]
-            return np.zeros(batch + b.w0.shape, dtype=np.complex128)
-        if isinstance(b, ScalarSlice):
-            c = v[(...,) + b.entry]
-            return c[(...,) + (None,) * b.w1.ndim] * b.w1
-        if isinstance(b, PadEmbed):
-            mt, nt = m.target.ambient_shape
-            out = np.zeros(v.shape[:-2] + (mt, nt), dtype=np.complex128)
-            out[..., : v.shape[-2], : v.shape[-1]] = v
-            return out
-        if isinstance(b, MatrixPolynomial):
-            out = np.zeros_like(v)
-            for deg, coeff in b.coeffs:
-                # d(Z^deg)[V] = sum_{j} Z^j V Z^{deg-1-j}
-                for j in range(deg):
-                    term = v
-                    for _ in range(j):
-                        term = z @ term
-                    for _ in range(deg - 1 - j):
-                        term = term @ z
-                    out = out + coeff * term
-            return out
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"singular intermediate inverse: {exc}") from exc
-    raise StructureError(f"unknown map body {type(b).__name__}")
+    return push(m, z, v)[1]
 
 
 def invert(m: HoloMap) -> HoloMap:

@@ -510,9 +510,9 @@ def verify_invariance(metric: MetricSpec, n_maps: int = 100, n_samples: int = 10
     """Worst relative deviation of F under random automorphisms.
 
     The n_maps automorphisms are one stacked map, so every map acts on every
-    sampled (z, v) in one apply, one differential and one eval2_many call
-    over n_samples x n_maps points.  The samples and the maps' draws come
-    from one domains.draw_grid call.
+    sampled (z, v) in one push and one eval2_many call over n_samples x
+    n_maps points.  The samples and the maps' draws come from one
+    domains.draw_grid call.
     """
     from . import automorphisms as am
 
@@ -525,7 +525,7 @@ def verify_invariance(metric: MetricSpec, n_maps: int = 100, n_samples: int = 10
     base = eval2_many(metric, zs, vs)[:, None]
     phi = am.automorphisms_from(spec, *maps)
     zs, vs = _inner_axis(spec, zs), _inner_axis(spec, vs)    # (sample, map) axes
-    moved = eval2_many(metric, am.apply(phi, zs), am.differential(phi, zs, vs))
+    moved = eval2_many(metric, *am.push(phi, zs, vs))
     return float(np.max(np.abs(moved - base) / base, initial=0.0))
 
 

@@ -360,8 +360,8 @@ def schwarz_check(maps, metric1: MetricSpec, metric2: MetricSpec,
     which gives one report per map.  samples: precomputed (zs, vs) in place
     of the n_samples draws at seed that every map shares; for a sequence
     they are the (maps, n_samples) + ambient stacks of draw_samples, row i
-    for map i.  Each map makes its own apply and differential; F1 over every
-    sample and F2 over every image take one eval2_many call each.  An image
+    for map i.  Each map makes one push of its samples; F1 over every sample
+    and F2 over every image take one eval2_many call each.  An image
     outside the target raises DomainError from eval2_many, as a map that is
     not into its target is no evidence.  Each report carries the
     worst relative margin and its sample; the caller decides the verdict.
@@ -381,8 +381,8 @@ def schwarz_check(maps, metric1: MetricSpec, metric2: MetricSpec,
     shape = (len(maps),) + zs.shape[1:]
     zs, vs = np.broadcast_to(zs, shape), np.broadcast_to(vs, shape)
     f1 = np.sqrt(eval2_many(metric1, zs, vs))
-    imgs = np.stack([am.apply(f, z) for f, z in zip(maps, zs)])
-    dvs = np.stack([am.differential(f, z, v) for f, z, v in zip(maps, zs, vs)])
+    pushed = [am.push(f, z, v) for f, z, v in zip(maps, zs, vs)]
+    imgs, dvs = (np.stack(x) for x in zip(*pushed))
     f2 = np.sqrt(np.maximum(eval2_many(metric2, imgs, dvs), 0.0))
     margins = bound * f1 - f2
     rel = margins / f1

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cartanfinsler import cli, curvature, domains, schwarz
+from cartanfinsler import automorphisms as am, cli, curvature, domains, schwarz
 from cartanfinsler.errors import ConfigError
 
 
@@ -540,6 +540,30 @@ def test_one_philox_grid_per_sampling_pass(seed, monkeypatch):
         if report.task == "schwarz":
             assert not any(rejected), kind.name  # one chunk admits the corpus
         assert len(calls) == expected, (kind.name, len(calls))
+
+
+# Mobius cores (I - Z0* Z)^{-1} per request: certify pushes its stacked
+# invariance maps once, and each of the two maps of schwarz_I22_tk's corpus
+# that go through an automorphism takes one core at admission and one in
+# schwarz_check.  A push that solved the image again for the tangent would
+# raise these counts.
+MOBIUS_CORES = {"certify_I13_tk": 1, "certify_II2_bergman": 1, "schwarz_I22_tk": 4}
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_one_mobius_core_per_push(seed, monkeypatch):
+    core_of = am._mobius_core
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return core_of(*args, **kwargs)
+
+    monkeypatch.setattr(am, "_mobius_core", counted)
+    for kind in _benchmark_request_types():
+        calls.clear()
+        cli.run(cli.parse_config(json.dumps(dict(kind.config, seed=seed))))
+        assert len(calls) == MOBIUS_CORES.get(kind.name, 0), (kind.name, len(calls))
 
 
 # Each tolerance key and the test above in which a config value of it flips
