@@ -11,16 +11,15 @@ types, and M, Delta with the fiber invariants from lie_fiber on the Lie ball.
 The matrix frame and its fiber parts run on numkernel's stack kernels
 (matmul, hpd_inv), so every matrix of a stack gets the same bits whatever
 the stack around it.
-Derivatives in the fiber variable V are analytic, and so is the Hermitian
-reference connection Gamma_H on all four types (hermitian_gamma).  The fiber
-derivatives (grad_vbar_many, fundamental_tensor) take batch axes in front
-of the ambient shape.  Base derivatives of a general F^2 use 4-point central
-differences per realified coordinate, combined into Wirtinger derivatives
-(F^2 is not holomorphic in Z).  The Kaehler-Berwald check is one batched
-pass: every fiber of every base point goes through one fundamental_tensor
-call, the 8 dim stencil points of every base point, against its fibers,
-through one grad_vbar_many call, and one batched solve gives N(z, v).  Only
-the fit of one Gamma with N(z, v) = Gamma(z) v is made per base point.
+Every derivative is closed form; nothing is differenced numerically.  The
+fiber derivatives (grad_vbar_pair, fundamental_tensor) take batch axes in
+front of the ambient shape, and grad_vbar_pair also returns the holomorphic
+base derivative of the fiber gradient, from the same frame.  The Hermitian
+reference connection Gamma_H is closed form on all four types
+(hermitian_gamma).  The Kaehler-Berwald check is one batched pass: every
+fiber of every base point goes through one fundamental_tensor call and one
+grad_vbar_pair call, and one batched solve gives N(z, v).  Only the fit of
+one Gamma with N(z, v) = Gamma(z) v is made per base point.
 """
 from dataclasses import dataclass
 
@@ -33,7 +32,6 @@ from . import norms
 from . import numkernel
 from .norms import PhiFamilySpec, bergman_family, constant_phi, tk_family
 
-BASE_STEP = 1e-4
 SPEED_DRIFT_LIMIT = 1e-3
 
 
@@ -156,6 +154,28 @@ def lie_fiber(zs, vs):
     return m, delta, q, p, np.clip(s, 0.0, 1.0)
 
 
+def _lie_dm(z, us, ws):
+    """(d_U Delta, W d_U M) of the Lie-ball frame; z, us and ws broadcast.
+
+    d_U is the holomorphic derivative along U; with a = z.z and r = z.zbar,
+      d_U Delta = 2 (conj(a) (z.U) - zbar.U),
+      d_U M = (d_U Delta) I - 2 conj(a) (U z' + z U') + 4 (zbar.U) z zbar'
+              - 2 (1 - 2r) U zbar' + 2 zbar U' - 4 (z.U) zbar zbar'.
+    Both keep a trailing axis of length 1 and n.
+    """
+    ac = np.conj(np.sum(z * z, axis=-1))[..., None]
+    r = np.sum(np.abs(z) ** 2, axis=-1)[..., None]
+    zb = np.conj(z)
+    dot = lambda x, y: np.sum(x * y, axis=-1)[..., None]
+    zu, zbu = dot(us, z), dot(us, zb)
+    wu, wz, wzb = dot(ws, us), dot(ws, z), dot(ws, zb)
+    d_delta = 2.0 * (ac * zu - zbu)
+    w_dm = (d_delta * ws - 2.0 * ac * (wu * z + wz * us) + 4.0 * zbu * wz * zb
+            - 2.0 * (1.0 - 2.0 * r) * wu * zb + 2.0 * wzb * us
+            - 4.0 * zu * wzb * zb)
+    return d_delta, w_dm
+
+
 def _frame(zs):
     """P = (I - Z Z*)^{-1} and Q = (I - Z* Z)^{-1} over a stack of points.
 
@@ -208,55 +228,83 @@ def eval2_many(metric: MetricSpec, zs, vs) -> np.ndarray:
     return metric.normalization * np.where(h[..., 0] > 0.0, vals, 0.0)
 
 
-def eval2(metric: MetricSpec, z, v, checked: bool = True) -> float:
-    """F^2(Z;V)."""
-    if checked:
-        z, v = _check_pair(metric, z, v)
+def eval2(metric: MetricSpec, z, v) -> float:
+    """F^2(Z;V) at one checked pair."""
+    z, v = _check_pair(metric, z, v)
     return float(eval2_many(metric, z, v))
 
 
-def eval(metric: MetricSpec, z, v, checked: bool = True) -> float:
+def eval(metric: MetricSpec, z, v) -> float:
     """F(Z;V) = sqrt(F^2)."""
-    return float(np.sqrt(max(eval2(metric, z, v, checked=checked), 0.0)))
+    return float(np.sqrt(max(eval2(metric, z, v), 0.0)))
 
 
 # ---------------------------------------------------------------------------
-# fiber derivatives (analytic)
+# fiber derivatives and their base derivative
 
 
-def grad_vbar_many(metric: MetricSpec, zs, vs) -> np.ndarray:
-    """Packed dG/d(conj v) over batches of (Z, V); G = F^2, no membership checks.
+def grad_vbar_pair(metric: MetricSpec, zs, vs):
+    """Packed G_mbar = dG/d(conj v) and d_i G_mbar, G = F^2, from one frame.
 
-    zs and vs carry batch axes in front of the ambient shape, and those axes
-    broadcast against each other; returns (batch...) + (dim,).
+    d_i is the holomorphic derivative in z along tangent_basis[i] at fixed v;
+    no membership checks.  The batch axes of zs and vs broadcast; returns
+    (batch...) + (dim,) and, with the direction axis first, (dim, batch...,
+    dim).  Types I-III: d_U P = P U Z* P and d_U Q = Q Z* U Q.  Lie ball:
+    d_U q = (v d_U M) v*, d_U p = 0 and d_U s = 2 s (d_U Delta / Delta -
+    d_U q / q), with d_U M and d_U Delta from _lie_dm.
     """
     spec = metric.domain
     zs = np.asarray(zs, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
     norm = metric.normalization
+    # the direction axis leads, so the per-item values broadcast against it
+    us = domains.tangent_basis(spec).reshape((spec.dim,) + (1,) * (
+        max(zs.ndim, vs.ndim) - len(spec.ambient_shape)) + spec.ambient_shape)
     if spec.kind == "IV":
         # coordinates are the entries, so the ambient gradient is the packed one
         m, delta, q, p, s = lie_fiber(zs, vs)
         vm = np.einsum("...i,...ij->...j", vs, m)
-        phi = np.asarray(metric.family.value(s), dtype=float)
-        d1 = np.asarray(metric.family.d1(s), dtype=float)
+        vc = np.conj(vs)
+        phi, d1, d2 = (np.asarray(f(s), dtype=float) for f in
+                       (metric.family.value, metric.family.d1, metric.family.d2))
         g_q = (norm / delta**2) * (phi - 2.0 * s * d1)
         g_p2 = norm * d1 / q
-        return g_q[..., None] * vm + (g_p2 * 2.0 * p)[..., None] * np.conj(vs)
-    _, _, pvq, powers, s = _matrix_fiber_parts(metric, zs, vs)
+        d_delta, v_dm = _lie_dm(zs, us, vs)
+        log_d_delta = d_delta[..., 0] / delta
+        dq = np.sum(v_dm * vc, axis=-1)
+        ds = 2.0 * s * (log_d_delta - dq / q)
+        dg_q = -2.0 * log_d_delta * g_q - (norm / delta**2) * (d1 + 2.0 * s * d2) * ds
+        dg_p2 = norm * (d2 * ds - d1 * dq / q) / q
+        grad = g_q[..., None] * vm + (g_p2 * 2.0 * p)[..., None] * vc
+        dgrad = (dg_q[..., None] * vm + g_q[..., None] * v_dm
+                 + (dg_p2 * 2.0 * p)[..., None] * vc)
+        return grad, dgrad
+    p, q, pvq, powers, s = _matrix_fiber_parts(metric, zs, vs)
     k = metric.family.k
     h = norms.power_means(s)
     g_grad = norms.grad_rows(metric.family, h)
-    grad_amb = np.zeros(pvq.shape, dtype=np.complex128)
-    for a in range(1, k + 1):
-        # dS_a/dVbar = a [M^{a-1} P V Q] and dh_a = S_a^{1/a-1}/a dS_a
-        dh = (s[..., a - 1] ** (1.0 / a - 1.0))[..., None, None] \
-            * numkernel.matmul(powers[a - 1], pvq)
-        grad_amb = grad_amb + g_grad[..., a - 1, None, None] * dh
-    grad_amb = norm * grad_amb
-    basis = domains.tangent_basis(spec)
-    flat = grad_amb.reshape(grad_amb.shape[:-2] + (-1,))
-    return flat @ basis.reshape(spec.dim, -1).T
+    g_hess = norms.hess_rows(metric.family, h)
+    mm = numkernel.matmul
+    zc = np.conj(np.swapaxes(zs, -1, -2))
+    d_pvq = mm(p, mm(mm(us, zc), pvq)) + mm(pvq, mm(mm(zc, us), q))
+    d_m = mm(d_pvq, np.conj(np.swapaxes(vs, -1, -2)))
+    # 0-based a: X_a = M^a P V Q, and h_{a+1} has dh = c_a X_a along conj V
+    # and d_U h = c_a t_a, with c_a = S^{1/(a+1)-1} and t_a = tr(M^a d_U M)
+    xs = [mm(powers[a], pvq) for a in range(k)]
+    c = [s[..., a] ** (1.0 / (a + 1) - 1.0) for a in range(k)]
+    t = [np.einsum("...ij,...ji->...", powers[a], d_m) for a in range(k)]
+    grad_amb = dgrad_amb = 0.0
+    for a in range(k):
+        w = (g_grad[..., a] * c[a])[..., None, None]
+        dw = (c[a] * sum(g_hess[..., a, b] * c[b] * t[b] for b in range(k))
+              - a * g_grad[..., a] * s[..., a] ** (1.0 / (a + 1) - 2.0) * t[a])
+        dx = mm(powers[a], d_pvq) + sum(mm(mm(powers[u], d_m), xs[a - 1 - u])
+                                        for u in range(a))
+        grad_amb = grad_amb + w * xs[a]
+        dgrad_amb = dgrad_amb + dw[..., None, None] * xs[a] + w * dx
+    basis = us.reshape(spec.dim, -1).T
+    flat = lambda x: x.reshape(x.shape[:-2] + (-1,))
+    return norm * (flat(grad_amb) @ basis), norm * (flat(dgrad_amb) @ basis)
 
 
 def fundamental_tensor(metric: MetricSpec, z, v) -> np.ndarray:
@@ -277,9 +325,8 @@ def fundamental_tensor(metric: MetricSpec, z, v) -> np.ndarray:
 
     if spec.kind == "IV":
         m, delta, q, p, s = lie_fiber(z, v)
-        phi = np.asarray(metric.family.value(s), dtype=float)
-        d1 = np.asarray(metric.family.d1(s), dtype=float)
-        d2 = np.asarray(metric.family.d2(s), dtype=float)
+        phi, d1, d2 = (np.asarray(f(s), dtype=float) for f in
+                       (metric.family.value, metric.family.d1, metric.family.d2))
         g_q = (norm / delta**2) * (phi - 2.0 * s * d1)
         g_p2 = norm * d1 / q
         g_qq = (norm / delta**2) * (2.0 * s / q) * (d1 + 2.0 * s * d2)
@@ -308,10 +355,7 @@ def fundamental_tensor(metric: MetricSpec, z, v) -> np.ndarray:
     col4 = lambda x: x[..., None, None, None, None]
 
     # dS_a and dh_a as ambient matrices
-    ds_vbar = [None] * (k + 1)
-    ds_v = [None] * (k + 1)
-    dh_vbar = [None] * (k + 1)
-    dh_v = [None] * (k + 1)
+    ds_vbar, ds_v, dh_vbar, dh_v = ([None] * (k + 1) for _ in range(4))
     for a in range(1, k + 1):
         ds_vbar[a] = a * mm(powers[a - 1], pvq)
         ds_v[a] = a * np.swapaxes(mm(mm(qvs, powers[a - 1]), p), -1, -2)
@@ -349,35 +393,7 @@ def fundamental_tensor(metric: MetricSpec, z, v) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# base derivatives and the connection
-
-
-def _d4(f, h):
-    """4-point central difference from f at offsets (+h, -h, +2h, -2h) on axis 0."""
-    return (8.0 * (f[0] - f[1]) - (f[2] - f[3])) / (12.0 * h)
-
-
-def _wirtinger_base_fd(fn, spec: DomainSpec, z):
-    """d(fn)/dz_i per packed base coordinate, 4-point central differences.
-
-    z is one point or a stack (batch...) + ambient shape, and each point
-    takes its own step h = BASE_STEP (1 + |z|).  fn maps the stencil points,
-    (dim, 2, 4, batch...) + ambient shape, to (dim, 2, 4, batch...) +
-    fn-shape in one call.  Returns (dim, batch...) + fn-shape.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    n_amb = len(spec.ambient_shape)
-    batch = z.shape[:z.ndim - n_amb]
-    basis = domains.tangent_basis(spec)
-    h = BASE_STEP * (1.0 + np.linalg.norm(z.reshape(batch + (-1,)), axis=-1))
-    offsets = np.moveaxis(h[..., None] * np.array([1.0, -1.0, 2.0, -2.0]), -1, 0)
-    directions = np.stack([basis, 1j * basis], axis=1)        # (dim, 2) + ambient
-    points = (z + offsets.reshape((1, 1, 4) + batch + (1,) * n_amb)
-              * directions.reshape(directions.shape[:2] + (1,) * (1 + len(batch))
-                                   + spec.ambient_shape))
-    f = fn(points)                                           # (dim, 2, 4) + ...
-    d = _d4(np.moveaxis(f, 2, 0), h.reshape(batch + (1,) * (f.ndim - 3 - len(batch))))
-    return 0.5 * (d[:, 0] - 1j * d[:, 1])
+# the connection
 
 
 def _inner_axis(spec: DomainSpec, zs):
@@ -394,18 +410,14 @@ def connection_sample(metric: MetricSpec, zs, vs) -> np.ndarray:
     n_fiber, dim, dim): entry [..., f, l, i] is the coefficient N^l_i of
     base direction i, solving G_{l conj m} N^l_i = d_i G_{conj m} (G = F^2,
     fiber derivatives in v, d_i the base derivative d/dz_i).  All fibers
-    take one fundamental_tensor call, the base stencil of every base point
-    and fiber one grad_vbar_many call, and the Hermitian systems one
-    batched solve.
+    take one fundamental_tensor call, their d_i G_mbar one grad_vbar_pair
+    call, and the Hermitian systems one batched solve.
     """
     spec = metric.domain
-    zs = np.asarray(zs, dtype=np.complex128)
-    vs = np.asarray(vs, dtype=np.complex128)
-    hmats = fundamental_tensor(metric, _inner_axis(spec, zs), vs)
-    # stencil points (dim, 2, 4, batch..., 1) against the fibers (batch..., n_fiber)
-    bmats = _wirtinger_base_fd(
-        lambda zz: grad_vbar_many(metric, _inner_axis(spec, zz), vs), spec, zs)
-    return np.linalg.solve(np.swapaxes(hmats, -1, -2), np.moveaxis(bmats, 0, -1))
+    zs = _inner_axis(spec, zs)
+    hmats = fundamental_tensor(metric, zs, vs)
+    dgrad = grad_vbar_pair(metric, zs, vs)[1]          # (dim, batch..., n_fiber, dim)
+    return np.linalg.solve(np.swapaxes(hmats, -1, -2), np.moveaxis(dgrad, 0, -1))
 
 
 def hermitian_gamma(spec: DomainSpec, z, us, ws) -> np.ndarray:
@@ -415,9 +427,7 @@ def hermitian_gamma(spec: DomainSpec, z, us, ws) -> np.ndarray:
     cancels.  z is one point, and the stacks us and ws broadcast.
       * types I-III: U Z* P W + W Q Z* U;
       * Lie ball, H = M/Delta^2: (W d_U M) M^{-1} - 2 (d_U Delta / Delta) W,
-        with a = z.z, r = z.zbar, d_U Delta = 2 (conj(a) (z.U) - zbar.U) and
-        d_U M = (d_U Delta) I - 2 conj(a) (U z' + z U') + 4 (zbar.U) z zbar'
-                - 2 (1 - 2r) U zbar' + 2 zbar U' - 4 (z.U) zbar zbar'.
+        with d_U Delta and W d_U M from _lie_dm.
     """
     z, us, ws = (np.asarray(a, dtype=np.complex128) for a in (z, us, ws))
     if spec.kind != "IV":
@@ -426,16 +436,7 @@ def hermitian_gamma(spec: DomainSpec, z, us, ws) -> np.ndarray:
         mm = numkernel.matmul
         return mm(mm(mm(us, zc), p), ws) + mm(mm(mm(ws, q), zc), us)
     m, delta = _lie_ball_matrix(z)
-    ac = np.conj(np.sum(z * z))
-    r = np.sum(np.abs(z) ** 2)
-    zb = np.conj(z)
-    dot = lambda x, y: np.sum(x * y, axis=-1)[..., None]
-    zu, zbu = dot(us, z), dot(us, zb)
-    wu, wz, wzb = dot(ws, us), dot(ws, z), dot(ws, zb)
-    d_delta = 2.0 * (ac * zu - zbu)
-    w_dm = (d_delta * ws - 2.0 * ac * (wu * z + wz * us) + 4.0 * zbu * wz * zb
-            - 2.0 * (1.0 - 2.0 * r) * wu * zb + 2.0 * wzb * us
-            - 4.0 * zu * wzb * zb)
+    d_delta, w_dm = _lie_dm(z, us, ws)
     return w_dm @ np.linalg.inv(m) - 2.0 * (d_delta / delta) * ws
 
 
@@ -463,11 +464,11 @@ def verify_kahler_berwald(metric: MetricSpec, n_base: int = 3, n_fiber: int = 10
     connection_sample call; only the fit and the reference connection are
     taken per base point.  Reports the worst over the base points; the
     caller decides the verdict:
-      * mixed fiber-base derivative of F^2 at the origin, one stencil over
-        n_base unit fibers (should vanish); exactly 0 for every metric
-        invariant under z -> -z, all shipped ones included, because the
-        stencil pairs each z with -z, so this row is a consistency check
-        and not evidence,
+      * mixed fiber-base derivative of F^2 at the origin over n_base unit
+        fibers (should vanish); exactly 0 for every metric, because each
+        term of grad_vbar_pair's base derivative carries Z* (types I-III)
+        or z, zbar (Lie ball), so this row is a consistency check and not
+        evidence,
       * gamma_v_variation: worst entry of the fit residual N_f - Gamma v_f
         (zero exactly when the metric is Berwald),
       * gamma_symmetry: asymmetry of the fitted Gamma in its two lower slots
@@ -486,9 +487,7 @@ def verify_kahler_berwald(metric: MetricSpec, n_base: int = 3, n_fiber: int = 10
         domains.Tangents(spec, rng.integers(2**63, size=n_base * n_fiber))])
     v0s = unit(v0s)
     fibers = unit(fibers.reshape((n_base, n_fiber) + spec.ambient_shape))
-    origin = np.zeros(spec.ambient_shape, dtype=np.complex128)
-    bmat = _wirtinger_base_fd(
-        lambda zz: grad_vbar_many(metric, _inner_axis(spec, zz), v0s), spec, origin)
+    bmat = grad_vbar_pair(metric, np.zeros(spec.ambient_shape), v0s)[1]
     mixed = float(np.max(np.abs(bmat), initial=0.0))
     packed = domains.pack(spec, fibers)                              # (b, f, j)
     nonlinear = connection_sample(metric, zs, fibers).reshape(n_base, n_fiber, -1)

@@ -4,6 +4,7 @@ import numpy as np
 from cartanfinsler import domains
 
 BISECTION_STEPS = 60
+BASE_STEP = 1e-4
 
 
 def lapack_frame(zs):
@@ -12,6 +13,31 @@ def lapack_frame(zs):
     zc = np.conj(np.swapaxes(zs, -1, -2))
     return (np.linalg.inv(np.eye(zs.shape[-2]) - zs @ zc),
             np.linalg.inv(np.eye(zs.shape[-1]) - zc @ zs))
+
+
+def wirtinger_base_fd(fn, spec, z):
+    """d(fn)/dz_i per packed base coordinate, 4-point central differences;
+    oracle for the closed-form base derivatives of metrics.
+
+    z is one point or a stack (batch...) + ambient shape, and each point
+    takes its own step h = BASE_STEP (1 + |z|).  fn maps the stencil points,
+    (dim, 2, 4, batch...) + ambient shape, to (dim, 2, 4, batch...) +
+    fn-shape in one call.  Returns (dim, batch...) + fn-shape.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    n_amb = len(spec.ambient_shape)
+    batch = z.shape[:z.ndim - n_amb]
+    basis = domains.tangent_basis(spec)
+    h = BASE_STEP * (1.0 + np.linalg.norm(z.reshape(batch + (-1,)), axis=-1))
+    offsets = np.moveaxis(h[..., None] * np.array([1.0, -1.0, 2.0, -2.0]), -1, 0)
+    directions = np.stack([basis, 1j * basis], axis=1)        # (dim, 2) + ambient
+    points = (z + offsets.reshape((1, 1, 4) + batch + (1,) * n_amb)
+              * directions.reshape(directions.shape[:2] + (1,) * (1 + len(batch))
+                                   + spec.ambient_shape))
+    f = np.moveaxis(fn(points), 2, 0)                        # (4, dim, 2) + ...
+    step = h.reshape(batch + (1,) * (f.ndim - 3 - len(batch)))
+    d = (8.0 * (f[0] - f[1]) - (f[2] - f[3])) / (12.0 * step)
+    return 0.5 * (d[:, 0] - 1j * d[:, 1])
 
 
 def schwarz_check_per_map(maps, metric1, metric2, k1, k2, zs, vs):

@@ -68,18 +68,33 @@ def test_04_invariance_under_automorphisms():
         assert deviation <= 1e-9, (metric.label, deviation)
 
 
-def test_05_kahler_berwald_connection_structure():
+def _connection_metrics():
     metrics = []
     for spec in CONNECTION_DOMAINS:
         metrics.append(met.bergman_metric(spec))
         metrics.append(met.tk_metric(spec, 1.0, 2))
     metrics.append(met.phi_metric(dom.type_iv(3), nrm.affine_phi(0.5)))
-    for metric in metrics:
+    return metrics
+
+
+def test_05_kahler_berwald_connection_structure():
+    for metric in _connection_metrics():
         rep = met.verify_kahler_berwald(metric, seed=5)
         assert rep.mixed_residual <= 1e-6, metric.label
-        assert rep.gamma_v_variation <= 1e-10, metric.label
-        assert rep.gamma_symmetry <= 1e-10, metric.label
-        assert rep.gamma_vs_hermitian <= 1e-10, metric.label
+        assert rep.gamma_v_variation <= 1e-12, metric.label
+        assert rep.gamma_symmetry <= 1e-12, metric.label
+        assert rep.gamma_vs_hermitian <= 1e-12, metric.label
+
+
+def test_05_connection_rows_hold_over_seeds():
+    # the gate of test_05 at every seed 0-19, not only at seed 5; the rows
+    # read at most 2.9e-14 over seeds 0-99
+    for metric in _connection_metrics():
+        for seed in range(20):
+            rep = met.verify_kahler_berwald(metric, seed=seed)
+            worst = max(rep.gamma_v_variation, rep.gamma_symmetry,
+                        rep.gamma_vs_hermitian)
+            assert worst <= 1e-12, (metric.label, seed, worst)
 
 
 def test_06_curvature_sign_and_pinching():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cartanfinsler import automorphisms as am, cli, curvature, domains, schwarz
+from cartanfinsler import automorphisms as am, cli, curvature, domains, metrics, schwarz
 from cartanfinsler.errors import ConfigError
 
 
@@ -156,7 +156,8 @@ def test_certify_pass(tmp_path, capsys):
     assert checks["connection_vs_hermitian"] == "pass"
 
 
-def test_certify_connection_tolerance_drives_the_verdict(tmp_path, capsys):
+def test_certify_connection_tolerance_drives_the_verdict(tmp_path, capsys,
+                                                        monkeypatch):
     doc = {
         "task": "certify",
         "domain": {"type": "II", "m": 2},
@@ -164,19 +165,28 @@ def test_certify_connection_tolerance_drives_the_verdict(tmp_path, capsys):
         "seed": 1,
         "samples": 20,
     }
+    real = metrics.connection_sample
+
+    def bent(metric, zs, vs):
+        # a fault of 1e-6 times a term of degree 1 in v that is not linear
+        c = domains.pack(metric.domain, vs)
+        quad = (c[..., :, None] * c[..., None, :]
+                / np.linalg.norm(c, axis=-1)[..., None, None])
+        return real(metric, zs, vs) + 1e-6 * quad
+
+    monkeypatch.setattr(metrics, "connection_sample", bent)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(dict(doc, tolerances={"connection": 1e-3})))
     assert cli.main(["certify", "--config", str(path)]) == 0
     capsys.readouterr()
-    # the connection rows are rounding-level but not zero: at the floor they fail
-    path.write_text(json.dumps(dict(doc, tolerances={"connection": 1e-14})))
+    path.write_text(json.dumps(dict(doc, tolerances={"connection": 1e-9})))
     rc = cli.main(["certify", "--config", str(path)])
     out = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert out["verdict"] == "violation"
     rows = {row["check"]: row for row in out["table"]}
-    assert rows["connection_vs_hermitian"]["status"] == "fail"
-    assert rows["connection_vs_hermitian"]["threshold"] == 1e-14
+    assert rows["connection_fiber_variation"]["status"] == "fail"
+    assert rows["connection_fiber_variation"]["threshold"] == 1e-9
     assert rows["invariance_deviation"]["status"] == "pass"
 
 
