@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, StructureError
+from .errors import DomainError, StructureError
 from . import domains
 from .domains import DomainSpec
 from . import numkernel
+from .numkernel import matmul
 
 ISOTROPY_STREAM = 1  # counter word 1 of the isotropy draws; sampling uses 0
 
@@ -186,8 +187,10 @@ def normalizing_automorphism(spec: DomainSpec, z0) -> HoloMap:
     if spec.kind == "IV":
         x0 = _x0_matrix(z0)
         return HoloMap(spec, spec, LieBallMobius(z0, x0, *_lie_ball_roots(z0, x0)))
-    # contains_many puts its margin on the grams' smallest eigenvalue, so the
-    # roots below cannot raise
+    # contains_many admits z0 only when every pivot of I - Z0 Z0* - 1e-12 I is
+    # > 0, so the grams' smallest eigenvalue exceeds the margin up to rounding
+    # of order eps, far below it (I - Z0* Z0 has the same spectrum plus ones),
+    # and the roots below cannot raise
     m, n = shape
     z0s = np.conj(np.swapaxes(z0, -1, -2))
     a = numkernel.gram_inv_sqrt((np.eye(m) - z0 @ z0s).reshape(-1, m, m))
@@ -303,7 +306,8 @@ def compose(*maps) -> HoloMap:
 
 def _mobius_core(z0s, z):
     """(I - Z0* Z)^{-1}, the one inverse of a MatrixMobius push."""
-    return np.linalg.inv(np.eye(z0s.shape[-2]) - z0s @ z)
+    eye = np.eye(z0s.shape[-2])
+    return numkernel.solve(eye - matmul(z0s, z), eye)
 
 
 def _vecmat(x, m):
@@ -325,95 +329,95 @@ def _linear(body, z, v):
 def push(m: HoloMap, z, v=None):
     """(f(z), df_z v): the map at a point (or a stack of points) and the
     analytic push-forward of a tangent there, from one evaluation of the
-    body.  The tangent is None when v is None."""
+    body.  The tangent is None when v is None.  A singular intermediate
+    matrix of a Mobius body raises NumericError (numkernel.solve)."""
     z = np.asarray(z, dtype=np.complex128)
     if v is not None:
         v = np.asarray(v, dtype=np.complex128)
     b = m.body
-    try:
-        if isinstance(b, MatrixMobius):
-            z0s = np.conj(np.swapaxes(b.z0, -1, -2))
-            s = _mobius_core(z0s, z)
-            dz = z - b.z0
-            if v is not None:
-                v = b.a @ (v + dz @ s @ z0s @ v) @ s @ b.d_inv
-            return b.a @ dz @ s @ b.d_inv, v
-        if isinstance(b, MatrixMobiusInverse):
-            z0s = np.conj(np.swapaxes(b.z0, -1, -2))
-            wd = z @ b.d
-            lhs = b.a + wd @ z0s
-            w = np.linalg.solve(lhs, wd + b.a @ b.z0)
-            if v is not None:
-                v = np.linalg.solve(lhs, v @ b.d @ (np.eye(b.z0.shape[-1]) - z0s @ w))
-            return w, v
-        if isinstance(b, LieBallMobius):
-            # phi(z) = num / beta with num = ((z - z0) - (u(z) - u(z0)) X0) D,
-            # u(z) - u(z0) taken from a - a0 = (z - z0).(z + z0).  num is
-            # exactly 0 at z0.  The form (z - u(z) X0) D, equal in exact
-            # arithmetic, cancels there, and near the boundary along a real
-            # direction it loses every digit.
-            x0t = np.swapaxes(b.x0, -1, -2)
-            a = np.sum(z * z, axis=-1)
-            u = np.stack([(1.0 + a) / 2.0, (1.0 - a) / 2.0j], axis=-1)
-            ae = b.a @ np.array([1.0, 1.0j])
-            beta = np.sum((u - _vecmat(z, x0t)) * ae, axis=-1)
-            dz = z - b.z0
-            du = _u_step(np.sum(dz * (z + b.z0), axis=-1))
-            num = _vecmat(dz - _vecmat(du, b.x0), b.d)
-            if v is not None:
-                du = _u_step(2.0 * np.sum(z * v, axis=-1))
-                dbeta = np.sum((du - _vecmat(v, x0t)) * ae, axis=-1)
-                dnum = _vecmat(v - _vecmat(du, b.x0), b.d)
-                v = (dnum * beta[..., None] - num * dbeta[..., None]) / (beta**2)[..., None]
-            return num / beta[..., None], v
-        if isinstance(b, SandwichScale):
-            return _linear(lambda x: b.left @ x @ b.right, z, v)
-        if isinstance(b, VectorLinear):
-            alpha = np.asarray(b.alpha)[..., None]
-            return _linear(lambda x: alpha * _vecmat(x, b.d), z, v)
-        if isinstance(b, MapChain):
-            for f in reversed(b.maps):
-                z, v = push(f, z, v)
-            return z, v
-        if isinstance(b, ConstantMap):
-            shape = z.shape[: z.ndim - len(m.source.ambient_shape)] + b.w0.shape
-            if v is not None:
-                v = np.zeros(shape, dtype=np.complex128)
-            return np.broadcast_to(b.w0, shape).copy(), v
-        if isinstance(b, ScalarSlice):
-            return _linear(
-                lambda x: x[(...,) + b.entry][(...,) + (None,) * b.w1.ndim] * b.w1, z, v)
-        if isinstance(b, PadEmbed):
-            def pad(x):
-                out = np.zeros(x.shape[:-2] + m.target.ambient_shape, dtype=np.complex128)
-                out[..., : x.shape[-2], : x.shape[-1]] = x
-                return out
+    if isinstance(b, MatrixMobius):
+        z0s = np.conj(np.swapaxes(b.z0, -1, -2))
+        s = _mobius_core(z0s, z)
+        dz = z - b.z0
+        sd = matmul(s, b.d_inv)
+        if v is not None:
+            v = matmul(matmul(b.a, v + matmul(matmul(dz, s), matmul(z0s, v))), sd)
+        return matmul(matmul(b.a, dz), sd), v
+    if isinstance(b, MatrixMobiusInverse):
+        z0s = np.conj(np.swapaxes(b.z0, -1, -2))
+        wd = matmul(z, b.d)
+        lhs = b.a + matmul(wd, z0s)
+        w = numkernel.solve(lhs, wd + matmul(b.a, b.z0))
+        if v is not None:
+            right = np.eye(b.z0.shape[-1]) - matmul(z0s, w)
+            v = numkernel.solve(lhs, matmul(matmul(v, b.d), right))
+        return w, v
+    if isinstance(b, LieBallMobius):
+        # phi(z) = num / beta with num = ((z - z0) - (u(z) - u(z0)) X0) D,
+        # u(z) - u(z0) taken from a - a0 = (z - z0).(z + z0).  num is
+        # exactly 0 at z0.  The form (z - u(z) X0) D, equal in exact
+        # arithmetic, cancels there, and near the boundary along a real
+        # direction it loses every digit.
+        x0t = np.swapaxes(b.x0, -1, -2)
+        a = np.sum(z * z, axis=-1)
+        u = np.stack([(1.0 + a) / 2.0, (1.0 - a) / 2.0j], axis=-1)
+        ae = b.a @ np.array([1.0, 1.0j])
+        beta = np.sum((u - _vecmat(z, x0t)) * ae, axis=-1)
+        dz = z - b.z0
+        du = _u_step(np.sum(dz * (z + b.z0), axis=-1))
+        num = _vecmat(dz - _vecmat(du, b.x0), b.d)
+        if v is not None:
+            du = _u_step(2.0 * np.sum(z * v, axis=-1))
+            dbeta = np.sum((du - _vecmat(v, x0t)) * ae, axis=-1)
+            dnum = _vecmat(v - _vecmat(du, b.x0), b.d)
+            v = (dnum * beta[..., None] - num * dbeta[..., None]) / (beta**2)[..., None]
+        return num / beta[..., None], v
+    if isinstance(b, SandwichScale):
+        return _linear(lambda x: matmul(matmul(b.left, x), b.right), z, v)
+    if isinstance(b, VectorLinear):
+        alpha = np.asarray(b.alpha)[..., None]
+        return _linear(lambda x: alpha * _vecmat(x, b.d), z, v)
+    if isinstance(b, MapChain):
+        for f in reversed(b.maps):
+            z, v = push(f, z, v)
+        return z, v
+    if isinstance(b, ConstantMap):
+        shape = z.shape[: z.ndim - len(m.source.ambient_shape)] + b.w0.shape
+        if v is not None:
+            v = np.zeros(shape, dtype=np.complex128)
+        return np.broadcast_to(b.w0, shape).copy(), v
+    if isinstance(b, ScalarSlice):
+        return _linear(
+            lambda x: x[(...,) + b.entry][(...,) + (None,) * b.w1.ndim] * b.w1, z, v)
+    if isinstance(b, PadEmbed):
+        def pad(x):
+            out = np.zeros(x.shape[:-2] + m.target.ambient_shape, dtype=np.complex128)
+            out[..., : x.shape[-2], : x.shape[-1]] = x
+            return out
 
-            return _linear(pad, z, v)
-        if isinstance(b, MatrixPolynomial):
-            w = np.zeros_like(z)
-            power = z
-            last = 1
-            for deg, coeff in sorted(b.coeffs):
-                for _ in range(deg - last):
-                    power = power @ z
-                last = deg
-                w = w + coeff * power
-            if v is not None:
-                dv = np.zeros_like(v)
-                for deg, coeff in b.coeffs:
-                    # d(Z^deg)[V] = sum_{j} Z^j V Z^{deg-1-j}
-                    for j in range(deg):
-                        term = v
-                        for _ in range(j):
-                            term = z @ term
-                        for _ in range(deg - 1 - j):
-                            term = term @ z
-                        dv = dv + coeff * term
-                v = dv
-            return w, v
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"singular intermediate inverse: {exc}") from exc
+        return _linear(pad, z, v)
+    if isinstance(b, MatrixPolynomial):
+        w = np.zeros_like(z)
+        power = z
+        last = 1
+        for deg, coeff in sorted(b.coeffs):
+            for _ in range(deg - last):
+                power = power @ z
+            last = deg
+            w = w + coeff * power
+        if v is not None:
+            dv = np.zeros_like(v)
+            for deg, coeff in b.coeffs:
+                # d(Z^deg)[V] = sum_{j} Z^j V Z^{deg-1-j}
+                for j in range(deg):
+                    term = v
+                    for _ in range(j):
+                        term = z @ term
+                    for _ in range(deg - 1 - j):
+                        term = term @ z
+                    dv = dv + coeff * term
+            v = dv
+        return w, v
     raise StructureError(f"unknown map body {type(b).__name__}")
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import NumericError, StructureError
 from . import numkernel
 
 MEMBERSHIP_MARGIN = 1e-12
@@ -105,9 +105,17 @@ def type_iv(n: int) -> DomainSpec:
     return DomainSpec("IV", (n,))
 
 
+def _finite(ws):
+    """ws, after a check that every entry is finite (NumericError if not)."""
+    if not np.isfinite(ws).all():
+        raise NumericError("a point or tangent has a non-finite entry")
+    return ws
+
+
 def _as_points(spec: DomainSpec, zs):
-    """Validate a stack (batch, *ambient_shape) of points; return a complex array."""
-    zs = np.asarray(zs, dtype=np.complex128)
+    """Validate a stack (batch, *ambient_shape) of finite points; return a
+    complex array."""
+    zs = _finite(np.asarray(zs, dtype=np.complex128))
     if zs.ndim != len(spec.ambient_shape) + 1 or zs.shape[1:] != spec.ambient_shape:
         raise StructureError(
             f"Z has shape {zs.shape[1:]}, expected {spec.ambient_shape} for {spec}"
@@ -139,14 +147,16 @@ def _lie_gauge2(ws):
 def contains_many(spec: DomainSpec, zs) -> np.ndarray:
     """Strict interior membership of each point of a stack (batch, *ambient_shape).
 
-    1 - gauge^2 must exceed the margin 1e-12, as 1 - |Z|^2 does on the
-    matrix types; type IV takes gauge^2 from _lie_gauge2.
+    1 - gauge^2 must exceed the margin 1e-12: on the matrix types the
+    smallest eigenvalue of I - ZZ*, decided by the pivots of
+    I - ZZ* - 1e-12 I (numkernel.smallest_eig_exceeds); type IV takes
+    gauge^2 from _lie_gauge2.  A non-finite point raises NumericError.
     """
     zs = _as_points(spec, zs)
     if spec.kind == "IV":
         return 1.0 - _lie_gauge2(zs) > MEMBERSHIP_MARGIN
-    gram = np.eye(zs.shape[1]) - zs @ np.conj(np.swapaxes(zs, 1, 2))
-    return numkernel.eigvalsh_batch(gram)[:, -1] > MEMBERSHIP_MARGIN
+    gram = np.eye(zs.shape[1]) - numkernel.matmul(zs, np.conj(np.swapaxes(zs, 1, 2)))
+    return numkernel.smallest_eig_exceeds(gram, MEMBERSHIP_MARGIN)
 
 
 def contains(spec: DomainSpec, z) -> bool:
@@ -172,15 +182,16 @@ def project_tangent(spec: DomainSpec, w):
 def minkowski_gauge_many(spec: DomainSpec, ws) -> np.ndarray:
     """Minkowski gauge of each array of a stack (..., *ambient_shape).
 
-    The domain is {gauge < 1}.  Types I-III: largest singular value.
-    Type IV: sqrt(r + 2 |x ^ y|), the same formula contains_many reads.
+    The domain is {gauge < 1}.  Types I-III: largest singular value, from
+    numkernel.gram_top (a closed form up to two rows, LAPACK from three).
+    Type IV: sqrt(r + 2 |x ^ y|), the same formula contains_many reads.  A
+    non-finite array raises NumericError.
     """
-    ws = np.asarray(ws, dtype=np.complex128)
+    ws = _finite(np.asarray(ws, dtype=np.complex128))
     if spec.kind == "IV":
         return np.sqrt(_lie_gauge2(ws))
     # m <= n on every matrix type, so W W* is the smaller gram
-    gram = ws @ np.conj(np.swapaxes(ws, -1, -2))
-    return np.sqrt(np.maximum(numkernel.eigvalsh_batch(gram)[..., 0], 0.0))
+    return np.sqrt(numkernel.gram_top(ws))
 
 
 def minkowski_gauge(spec: DomainSpec, w) -> float:

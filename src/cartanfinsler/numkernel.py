@@ -2,14 +2,18 @@
 
 One Hermitian eigensolver (LAPACK through ``numpy.linalg.eigh``) over
 stacks of matrices, and the inverse gram roots of base points built on it.
+It serves what needs eigenvectors, or a gram with three or more rows.
 
-Two stack kernels for the small matrices of the formulas: ``matmul`` and
-``hpd_inv``.  numpy's stacked ``@`` and ``linalg.inv`` make one BLAS or
-LAPACK call per matrix, which costs about 0.3 and 0.8 us for a 2x2 matrix
-on a 2-vCPU x86 host, more than the arithmetic.  Both kernels instead loop
-in Python over the inner (or pivot) axis and act on the whole stack at
-once, so their cost grows with the stack in whole-array operations, and
-every matrix of a stack gets the same bits whatever the stack around it.
+Five stack kernels for the small matrices of the formulas: ``matmul``,
+``hpd_inv``, ``solve``, ``smallest_eig_exceeds`` and ``gram_top``.  numpy's
+stacked ``@``, ``linalg.inv``, ``linalg.solve`` and ``linalg.eigvalsh`` make
+one BLAS or LAPACK call per matrix, which costs about 0.3 to 0.8 us for a
+2x2 matrix on a 2-vCPU x86 host, more than the arithmetic.  These kernels
+instead loop in Python over the inner (or pivot) axis, or use a closed
+form, and act on the whole stack at once, so their cost grows with the
+stack in whole-array operations, and every matrix of a stack gets the same
+bits whatever the stack around it.  ``hpd_inv``, ``solve`` and
+``smallest_eig_exceeds`` share one Gauss-Jordan loop.
 """
 from __future__ import annotations
 
@@ -80,6 +84,39 @@ def matmul(a, b) -> np.ndarray:
     return out
 
 
+def _gauss_jordan(aug, n: int, divisor, partial: bool = False):
+    """Gauss-Jordan elimination on the first n columns of each matrix of the
+    stack aug (N, n, w), in place; the last w - n columns come out as the
+    inverse of the leading n x n block times their input.
+
+    divisor(pivots) gets the N pivots of a step and returns what their rows
+    are divided by, or raises.  partial swaps into the pivot row the row of
+    largest modulus at or below it (partial pivoting, Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 9); without it the elimination is
+    the one that is stable on Hermitian positive definite matrices (ch. 10).
+    """
+    rows = np.arange(aug.shape[0])
+    for k in range(n):
+        if partial and k < n - 1:
+            best = k + np.argmax(np.abs(aug[:, k:, k]), axis=1)
+            swap = aug[rows, best]
+            aug[rows, best] = aug[:, k]
+            aug[:, k] = swap
+        row = aug[:, k:k + 1, :] / divisor(aug[:, k, k])[:, None, None]
+        aug -= aug[:, :, k:k + 1] * row
+        aug[:, k:k + 1, :] = row
+    return aug
+
+
+def _not_interior(pivots):
+    """hpd_inv's divisor: real pivots, all > 0 or DomainError."""
+    pivots = pivots.real
+    if not np.all(pivots > 0.0):
+        raise DomainError("base point is not interior: a gram I - ZZ* or I - Z*Z "
+                          "is not positive definite")
+    return pivots
+
+
 def hpd_inv(grams) -> np.ndarray:
     """Inverse of a stack of Hermitian positive definite grams I - ZZ*.
 
@@ -94,12 +131,73 @@ def hpd_inv(grams) -> np.ndarray:
     n = grams.shape[-1]
     aug = np.concatenate(
         [grams, np.broadcast_to(np.eye(n, dtype=np.complex128), grams.shape)], axis=-1)
-    for k in range(n):
-        pivot = aug[..., k, k].real
-        if not np.all(pivot > 0.0):
-            raise DomainError("base point is not interior: a gram I - ZZ* or I - Z*Z "
-                              "is not positive definite")
-        row = aug[..., k:k + 1, :] / pivot[..., None, None]
-        aug -= aug[..., :, k:k + 1] * row
-        aug[..., k:k + 1, :] = row
-    return aug[..., n:]
+    inv = _gauss_jordan(aug.reshape(-1, n, 2 * n), n, _not_interior)[:, :, n:]
+    return inv.reshape(grams.shape)
+
+
+def _nonzero(pivots):
+    """solve's divisor: the pivots, none 0 or NumericError."""
+    if not np.all(pivots != 0.0):
+        raise NumericError("singular matrix: a zero pivot in the elimination")
+    return pivots
+
+
+def solve(a, b) -> np.ndarray:
+    """a^{-1} b over stacks (..., n, n) and (..., n, p) whose batch axes
+    broadcast.
+
+    Gauss-Jordan elimination with partial pivoting, for matrices that are
+    not Hermitian (I - Z0* Z of a Mobius map).  A zero pivot, which with
+    partial pivoting means a singular matrix, raises NumericError.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    n, p = b.shape[-2:]
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    aug = np.concatenate([np.broadcast_to(a, batch + (n, n)),
+                          np.broadcast_to(b, batch + (n, p))], axis=-1)
+    x = _gauss_jordan(aug.reshape(-1, n, n + p), n, _nonzero, partial=True)[:, :, n:]
+    return x.reshape(batch + (n, p))
+
+
+def smallest_eig_exceeds(grams, margin: float) -> np.ndarray:
+    """Whether each Hermitian matrix G of a stack (..., n, n) has smallest
+    eigenvalue > margin.
+
+    That holds exactly when G - margin I is positive definite, that is, when
+    every pivot of its unpivoted elimination is > 0 (the rule of hpd_inv).  A
+    matrix whose pivot fails is marked and then divided by 1, so it cannot
+    disturb the others.  In floating point the verdict can differ from an
+    eigensolver's only where rounding of order eps |G| straddles the margin.
+    """
+    grams = np.asarray(grams, dtype=np.complex128)
+    n = grams.shape[-1]
+    ok = np.ones(grams.shape[:-2], dtype=bool).reshape(-1)
+
+    def marked(pivots):
+        pivots = pivots.real
+        np.logical_and(ok, pivots > 0.0, out=ok)
+        return np.where(ok, pivots, 1.0)
+
+    _gauss_jordan((grams - margin * np.eye(n)).reshape(-1, n, n), n, marked)
+    return ok.reshape(grams.shape[:-2])
+
+
+def gram_top(ws) -> np.ndarray:
+    """Largest eigenvalue of W W* for each W of a stack (..., m, n).
+
+    Closed forms up to two rows: |w|^2 for one, and for two with W W* =
+    [[a, b], [b*, d]] the value (a + d)/2 + sqrt((a - d)^2/4 + |b|^2), a sum
+    of nonnegative terms, so it keeps full relative precision.  From three
+    rows on, the LAPACK eigensolver on the formed gram, clipped at 0.
+    """
+    ws = np.asarray(ws)
+    if ws.shape[-2] > 2:
+        gram = ws @ np.conj(np.swapaxes(ws, -1, -2))
+        return np.maximum(eigvalsh_batch(gram)[..., 0], 0.0)
+    sq = np.sum(ws.real**2 + ws.imag**2, axis=-1)
+    if ws.shape[-2] == 1:
+        return sq[..., 0]
+    a, d = sq[..., 0], sq[..., 1]
+    b = np.sum(ws[..., 0, :] * np.conj(ws[..., 1, :]), axis=-1)
+    return 0.5 * (a + d) + np.sqrt(0.25 * (a - d)**2 + b.real**2 + b.imag**2)

@@ -71,8 +71,7 @@ def caratheodory_many(spec: DomainSpec, zs, vs) -> np.ndarray:
     a = numkernel.gram_inv_sqrt(np.eye(mdim) - flat_z @ zc)
     b = numkernel.gram_inv_sqrt(np.eye(ndim) - zc @ flat_z)
     w = a @ flat_v @ b  # m x n with m <= n, so W W* is the smaller gram
-    top = numkernel.eigvalsh_batch(w @ np.conj(np.swapaxes(w, -1, -2)))[:, 0]
-    return np.sqrt(np.maximum(top, 0.0)).reshape(zs.shape[: zs.ndim - 2])
+    return np.sqrt(numkernel.gram_top(w)).reshape(zs.shape[: zs.ndim - 2])
 
 
 def caratheodory(spec: DomainSpec, z, v) -> float:

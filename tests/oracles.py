@@ -15,6 +15,38 @@ def lapack_frame(zs):
             np.linalg.inv(np.eye(zs.shape[-1]) - zc @ zs))
 
 
+def lapack_solve(a, b):
+    """a^{-1} b by LAPACK, a singular matrix as NumericError; oracle for
+    numkernel.solve."""
+    from cartanfinsler.errors import NumericError
+
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(str(exc)) from exc
+
+
+def lapack_smallest_eig_exceeds(grams, margin):
+    """LAPACK smallest eigenvalue > margin; oracle for
+    numkernel.smallest_eig_exceeds."""
+    return np.linalg.eigvalsh(grams)[..., 0] > margin
+
+
+def lapack_gram_top(ws):
+    """Largest LAPACK eigenvalue of W W*, clipped at 0; oracle for
+    numkernel.gram_top."""
+    ws = np.asarray(ws)
+    return np.maximum(np.linalg.eigvalsh(ws @ np.conj(np.swapaxes(ws, -1, -2)))[..., -1],
+                      0.0)
+
+
+# the stack kernels of numkernel that replaced a per-matrix LAPACK call, and
+# that call as their oracle
+LAPACK_KERNELS = {"solve": lapack_solve,
+                  "smallest_eig_exceeds": lapack_smallest_eig_exceeds,
+                  "gram_top": lapack_gram_top}
+
+
 def wirtinger_base_fd(fn, spec, z):
     """d(fn)/dz_i per packed base coordinate, 4-point central differences;
     oracle for the closed-form base derivatives of metrics.

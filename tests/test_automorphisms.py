@@ -7,7 +7,7 @@ import pytest
 from cartanfinsler import automorphisms as am
 from cartanfinsler import domains
 from cartanfinsler import schwarz
-from cartanfinsler.errors import DomainError, StructureError
+from cartanfinsler.errors import DomainError, NumericError, StructureError
 
 ALL_SPECS = [
     domains.type_i(2, 3),
@@ -306,6 +306,40 @@ def test_corpus_bodies_evaluate():
     dv = am.differential(poly, z, v)
     fdv = fd_differential(lambda x: am.apply(poly, x), z, v)
     np.testing.assert_allclose(dv, fdv, atol=1e-9)
+
+
+def test_corpus_layers_make_no_lapack_call(monkeypatch):
+    # push of the matrix Mobius and sandwich bodies, membership and the gauge
+    # up to two rows run on numkernel's stack kernels only
+    spec = domains.type_i(2, 2)
+    phi = am.normalizing_automorphism(spec, domains.sample_points(spec, range(3)))
+    bodies = [phi, am.invert(phi), am.HoloMap(spec, spec, am.SandwichScale(
+        *(am._haar_unitary(domains.sample_tangents(spec, range(k, k + 3)))
+          for k in (10, 20))))]
+    zs = domains.sample_points(spec, range(30, 35))[:, None]
+    vs = domains.sample_tangents(spec, range(40, 45))[:, None]
+    before = [am.push(f, zs, vs) for f in bodies]
+    samples = {s: (domains.sample_points(s, range(50, 60)),
+                   domains.sample_tangents(s, range(60, 70)))
+               for s in (spec, domains.type_ii(2))}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK call on the corpus path")
+
+    for name in ("inv", "solve", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for f, (w, dv) in zip(bodies, before):
+        got = am.push(f, zs, vs)
+        assert got[0].shape == (5, 3, 2, 2)
+        assert np.array_equal(got[0], w) and np.array_equal(got[1], dv)
+    for s, (points, tangents) in samples.items():
+        assert domains.contains_many(s, points).all()
+        assert np.all(domains.minkowski_gauge_many(s, tangents) > 0.0)
+    # a singular I - Z0* Z still raises NumericError, as LAPACK's did
+    mobius = am.HoloMap(spec, spec, am.MatrixMobius(np.diag([0.5, 0.0]).astype(complex),
+                                                    np.eye(2), np.eye(2)))
+    with pytest.raises(NumericError):
+        am.push(mobius, np.diag([2.0, 0.0]))
 
 
 def test_batched_evaluation_agrees_with_loop():

@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cartanfinsler import automorphisms as am, cli, curvature, domains, metrics, schwarz
+from cartanfinsler import (automorphisms as am, cli, curvature, domains, metrics, numkernel,
+                           schwarz)
 from cartanfinsler.errors import ConfigError
+from oracles import LAPACK_KERNELS
 
 
 def _config(**overrides):
@@ -574,6 +576,29 @@ def test_one_mobius_core_per_push(seed, monkeypatch):
         calls.clear()
         cli.run(cli.parse_config(json.dumps(dict(kind.config, seed=seed))))
         assert len(calls) == MOBIUS_CORES.get(kind.name, 0), (kind.name, len(calls))
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_corpus_reports_match_the_lapack_kernels(seed, monkeypatch):
+    # the corpus requests on numkernel's stack kernels and on the LAPACK calls
+    # they replaced: sampled points scale by 0.9 u / gauge, so the reports
+    # move at rounding level and no verdict moves
+    kinds = [kind for kind in _benchmark_request_types()
+             if kind.name in ("schwarz_I22_tk", "schwarz_II2_bergman_to_I22_tk")]
+    run = lambda kind: cli.run(cli.parse_config(json.dumps(dict(kind.config, seed=seed))))
+    fast = [run(kind) for kind in kinds]
+    for name, oracle in LAPACK_KERNELS.items():
+        monkeypatch.setattr(numkernel, name, oracle)
+    close = lambda a, b: a == pytest.approx(b, rel=1e-13, abs=1e-13)
+    for kind, ours, lapack in zip(kinds, fast, [run(kind) for kind in kinds]):
+        assert ours.verdict == lapack.verdict, kind.name
+        assert ours.summary["violations"] == lapack.summary["violations"], kind.name
+        for key in ("min_margin_rel", "sup_ratio"):
+            assert close(ours.summary[key], lapack.summary[key]), (kind.name, key)
+        for row, row_lapack in zip(ours.table, lapack.table, strict=True):
+            assert row["kind"] == row_lapack["kind"]
+            for key in ("min_margin", "min_margin_rel", "sup_ratio"):
+                assert close(row[key], row_lapack[key]), (kind.name, row["map_index"], key)
 
 
 # Each tolerance key and the test above in which a config value of it flips

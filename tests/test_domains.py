@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cartanfinsler import automorphisms, domains
-from cartanfinsler.errors import StructureError
+from cartanfinsler.errors import NumericError, StructureError
 
 ALL_SPECS = [
     domains.type_i(1, 1),
@@ -118,6 +118,22 @@ def test_contains_rejects_wrong_symmetry():
         domains.contains(spec, np.array([[0.0, 0.2], [0.1, 0.0]]))
     with pytest.raises(StructureError):
         domains.contains(domains.type_i(2, 3), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+def test_non_finite_point_is_a_numeric_error(spec):
+    # membership and gauge decide nothing about a NaN or infinite array: the
+    # error class is NumericError on every type, not "not inside"
+    z = domains.sample_point(spec, seed=3)
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        w = z.copy()
+        w[(0,) * w.ndim] = bad
+        for call in (domains.contains_many, domains.minkowski_gauge_many):
+            with pytest.raises(NumericError):
+                call(spec, np.stack([z, w, z]))
+        for call in (domains.contains, domains.minkowski_gauge):
+            with pytest.raises(NumericError):
+                call(spec, w)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)

@@ -148,3 +148,105 @@ def test_hpd_inv_rejects_a_gram_that_is_not_positive_definite():
         if bad.shape == ok.shape:  # one bad gram fails the whole stack
             with pytest.raises(DomainError):
                 numkernel.hpd_inv(np.stack([ok, bad, ok]))
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (3, 4)], ids=str)
+def test_solve_matches_lapack(batch):
+    rng = np.random.default_rng(6)
+    for n in range(1, 5):
+        a, b = _complex(rng, batch + (n, n)), _complex(rng, batch + (n, 3))
+        if n > 1:
+            a[..., 0, 0] = 0.0  # the first pivot needs a row swap
+        cond = np.linalg.cond(a)[..., None, None]
+
+        def close(got, want):
+            size = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
+            return np.all(np.abs(got - want) <= 16.0 * EPS * cond * size)
+
+        assert close(numkernel.solve(a, b), np.linalg.solve(a, b)), n
+        eye = np.broadcast_to(np.eye(n), a.shape)
+        assert close(numkernel.solve(a, eye), np.linalg.inv(a)), n
+    # batch axes broadcast as in np.linalg.solve
+    a, b = _complex(rng, (4, 2, 2)), _complex(rng, (3, 1, 2, 5))
+    np.testing.assert_allclose(numkernel.solve(a, b), np.linalg.solve(a, b),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_solve_raises_on_a_singular_matrix():
+    ok = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for bad in (np.zeros((1, 1)), np.zeros((2, 2)), np.diag([0.0, 1.0]),
+                np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[0.0, 1.0], [0.0, 3.0]])):
+        n = bad.shape[-1]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(bad, np.eye(n))
+        with pytest.raises(NumericError):
+            numkernel.solve(bad, np.eye(n))
+        if bad.shape == ok.shape:  # one singular matrix fails the whole stack
+            with pytest.raises(NumericError):
+                numkernel.solve(np.stack([ok, bad, ok]), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "spec", [domains.type_i(2, 2), domains.type_ii(2), domains.type_i(2, 3),
+             domains.type_ii(3), domains.type_iii(4)], ids=str)
+def test_pivot_test_matches_eigvalsh(spec):
+    # grams I - ZZ* whose smallest eigenvalue sits from far above down to
+    # within rounding of the membership margin, on both sides
+    rng = np.random.default_rng(7)
+    count = 4000
+    ws = domains.sample_tangents(spec, range(count))
+    ws = ws / domains.minkowski_gauge_many(spec, ws)[:, None, None]
+    margin = domains.MEMBERSHIP_MARGIN
+    gap = margin * (1.0 + np.sign(rng.standard_normal(count))
+                    * 10.0 ** rng.uniform(-5.0, 0.5, count))
+    gap[:count // 4] = rng.uniform(0.0, 1.0, count // 4)
+    zs = np.sqrt(1.0 - gap)[:, None, None] * ws
+    grams = np.eye(zs.shape[1]) - zs @ np.conj(np.swapaxes(zs, 1, 2))
+    smallest = np.linalg.eigvalsh(grams)[:, 0]
+    got = numkernel.smallest_eig_exceeds(grams, margin)
+    assert got.any() and not got.all()
+    differ = got != (smallest > margin)
+    assert np.all(np.abs(smallest[differ] - margin) <= 1e-15)
+    # the whole stack at once equals each matrix alone
+    alone = [numkernel.smallest_eig_exceeds(g, margin) for g in grams[:50]]
+    assert alone == list(got[:50])
+
+
+def _exact_gram_top(w):
+    """Largest eigenvalue of W W* (two rows) in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        rows = [[mpmath.mpc(complex(x)) for x in row] for row in w]
+        a, d = (mpmath.fsum(abs(x) ** 2 for x in row) for row in rows)
+        b = mpmath.fsum(x * mpmath.conj(y) for x, y in zip(*rows))
+        return float((a + d) / 2 + mpmath.sqrt((a - d) ** 2 / 4 + abs(b) ** 2))
+
+
+def test_gram_top_matches_lapack():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3, 5):
+        w = _complex(rng, (5000, 2, n))
+        w[:500, 1] = _complex(rng, (500, 1)) * w[:500, 0]            # rank 1
+        w[500:1000, 1] = 0.0                                          # b = 0, d = 0
+        w[1000:1500, 1] = 1j * w[1000:1500, 0]                        # a = d, rank 1
+        if n > 1:
+            w[1500:2000] = 0.0                                        # a = d, b = 0
+            w[1500:2000, 0, 0] = w[1500:2000, 1, 1] = rng.standard_normal(500)
+        want = np.linalg.eigvalsh(w @ np.conj(np.swapaxes(w, -1, -2)))[:, -1]
+        got = numkernel.gram_top(w)
+        # both carry rounding: LAPACK's reaches 4.7 eps against 40 digits,
+        # the closed form's stays within 2 eps (below)
+        assert np.all(np.abs(got - want) <= 6.0 * EPS * want), n
+        exact = np.array([_exact_gram_top(x) for x in w[::50]])
+        assert np.all(np.abs(got[::50] - exact) <= 2.0 * EPS * exact), n
+        # one row: the squared vector norm
+        one = w[:, :1]
+        want = np.linalg.eigvalsh(one @ np.conj(np.swapaxes(one, -1, -2)))[:, -1]
+        assert np.all(np.abs(numkernel.gram_top(one) - want) <= 6.0 * EPS * want), n
+    # from three rows on, the LAPACK eigensolver itself
+    w = _complex(rng, (50, 3, 4))
+    want = np.linalg.eigvalsh(w @ np.conj(np.swapaxes(w, -1, -2)))[:, -1]
+    assert np.array_equal(numkernel.gram_top(w), want)
