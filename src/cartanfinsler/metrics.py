@@ -11,15 +11,16 @@ types, and M, Delta with the fiber invariants from lie_fiber on the Lie ball.
 The matrix frame and its fiber parts run on numkernel's stack kernels
 (matmul, hpd_inv), so every matrix of a stack gets the same bits whatever
 the stack around it.
-Every derivative is closed form; nothing is differenced numerically.  The
-fiber derivatives (grad_vbar_pair, fundamental_tensor) take batch axes in
-front of the ambient shape, and grad_vbar_pair also returns the holomorphic
-base derivative of the fiber gradient, from the same frame.  The Hermitian
-reference connection Gamma_H is closed form on all four types
-(hermitian_gamma).  The Kaehler-Berwald check is one batched pass: every
-fiber of every base point goes through one fundamental_tensor call and one
-grad_vbar_pair call, and one batched solve gives N(z, v).  Only the fit of
-one Gamma with N(z, v) = Gamma(z) v is made per base point.
+Every derivative is closed form; nothing is differenced numerically.  One
+private _fiber_jet gives the fiber gradient of F^2, its holomorphic base
+derivative and the fundamental tensor from one frame, over batch axes in
+front of the ambient shape; grad_vbar_pair and fundamental_tensor are its
+views.  The Hermitian reference connection Gamma_H is closed form on all
+four types (hermitian_gamma) and takes stacks of points.  The
+Kaehler-Berwald check is one batched pass: every fiber of every base point
+goes through one _fiber_jet call and one batched solve gives N(z, v); the
+fits of Gamma with N(z, v) = Gamma(z) v are one stacked pinv, and Gamma_H
+of every base point one hermitian_connection call.
 """
 from dataclasses import dataclass
 
@@ -243,27 +244,35 @@ def eval(metric: MetricSpec, z, v) -> float:
 # fiber derivatives and their base derivative
 
 
-def grad_vbar_pair(metric: MetricSpec, zs, vs):
-    """Packed G_mbar = dG/d(conj v) and d_i G_mbar, G = F^2, from one frame.
+def _fiber_jet(metric: MetricSpec, zs, vs):
+    """(G_mbar, d_i G_mbar, G_{l mbar}) of G = F^2 over stacks, from one frame.
 
-    d_i is the holomorphic derivative in z along tangent_basis[i] at fixed v;
-    no membership checks.  The batch axes of zs and vs broadcast; returns
-    (batch...) + (dim,) and, with the direction axis first, (dim, batch...,
-    dim).  Types I-III: d_U P = P U Z* P and d_U Q = Q Z* U Q.  Lie ball:
-    d_U q = (v d_U M) v*, d_U p = 0 and d_U s = 2 s (d_U Delta / Delta -
-    d_U q / q), with d_U M and d_U Delta from _lie_dm.
+    G_mbar = dG/d(conj v) is packed, d_i is the holomorphic derivative in z
+    along tangent_basis[i] at fixed v, and G_{l mbar} is the packed Hermitian
+    matrix of second fiber derivatives; no membership checks.  The batch
+    axes of zs and vs broadcast; the three values are (batch...) + (dim,),
+    with the direction axis first (dim, batch..., dim), and (batch...) +
+    (dim, dim).  A zero fiber anywhere in the stack raises DomainError.
+    Types I-III: d_U P = P U Z* P and d_U Q = Q Z* U Q.  Lie ball: d_U q =
+    (v d_U M) v*, d_U p = 0 and d_U s = 2 s (d_U Delta / Delta - d_U q / q),
+    with d_U M and d_U Delta from _lie_dm.
     """
     spec = metric.domain
     zs = np.asarray(zs, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
+    ambient = tuple(range(-len(spec.ambient_shape), 0))
+    if np.any(np.max(np.abs(vs), axis=ambient) == 0.0):
+        raise DomainError("fiber derivatives of F^2 are undefined at V = 0")
     norm = metric.normalization
+    col = lambda x: x[..., None, None]
     # the direction axis leads, so the per-item values broadcast against it
-    us = domains.tangent_basis(spec).reshape((spec.dim,) + (1,) * (
+    basis = domains.tangent_basis(spec)
+    us = basis.reshape((spec.dim,) + (1,) * (
         max(zs.ndim, vs.ndim) - len(spec.ambient_shape)) + spec.ambient_shape)
     if spec.kind == "IV":
         # coordinates are the entries, so the ambient gradient is the packed one
         m, delta, q, p, s = lie_fiber(zs, vs)
-        vm = np.einsum("...i,...ij->...j", vs, m)
+        vm = np.einsum("...i,...ij->...j", vs, m)        # dq/dvbar_b
         vc = np.conj(vs)
         phi, d1, d2 = (np.asarray(f(s), dtype=float) for f in
                        (metric.family.value, metric.family.d1, metric.family.d2))
@@ -278,7 +287,18 @@ def grad_vbar_pair(metric: MetricSpec, zs, vs):
         grad = g_q[..., None] * vm + (g_p2 * 2.0 * p)[..., None] * vc
         dgrad = (dg_q[..., None] * vm + g_q[..., None] * v_dm
                  + (dg_p2 * 2.0 * p)[..., None] * vc)
-        return grad, dgrad
+        g_qq = (norm / delta**2) * (2.0 * s / q) * (d1 + 2.0 * s * d2)
+        g_qp2 = -norm * (d1 + 2.0 * s * d2) / q**2
+        g_p2p2 = norm * d2 * delta**2 / q**3
+        dq_v = np.einsum("...ij,...j->...i", m, vc)      # dq/dv_i
+        dp2_v = 2.0 * vs * np.conj(p)[..., None]
+        dp2_vb = 2.0 * p[..., None] * vc
+        hess = (col(g_qq) * _outer(dq_v, vm)
+                + col(g_qp2) * (_outer(dq_v, dp2_vb) + _outer(dp2_v, vm))
+                + col(g_p2p2) * _outer(dp2_v, dp2_vb)
+                + col(g_q) * m
+                + col(g_p2) * 4.0 * _outer(vs, vc))
+        return grad, dgrad, hess
     p, q, pvq, powers, s = _matrix_fiber_parts(metric, zs, vs)
     k = metric.family.k
     h = norms.power_means(s)
@@ -286,8 +306,9 @@ def grad_vbar_pair(metric: MetricSpec, zs, vs):
     g_hess = norms.hess_rows(metric.family, h)
     mm = numkernel.matmul
     zc = np.conj(np.swapaxes(zs, -1, -2))
+    vsc = np.conj(np.swapaxes(vs, -1, -2))
     d_pvq = mm(p, mm(mm(us, zc), pvq)) + mm(pvq, mm(mm(zc, us), q))
-    d_m = mm(d_pvq, np.conj(np.swapaxes(vs, -1, -2)))
+    d_m = mm(d_pvq, vsc)
     # 0-based a: X_a = M^a P V Q, and h_{a+1} has dh = c_a X_a along conj V
     # and d_U h = c_a t_a, with c_a = S^{1/(a+1)-1} and t_a = tr(M^a d_U M)
     xs = [mm(powers[a], pvq) for a in range(k)]
@@ -302,67 +323,17 @@ def grad_vbar_pair(metric: MetricSpec, zs, vs):
                                         for u in range(a))
         grad_amb = grad_amb + w * xs[a]
         dgrad_amb = dgrad_amb + dw[..., None, None] * xs[a] + w * dx
-    basis = us.reshape(spec.dim, -1).T
-    flat = lambda x: x.reshape(x.shape[:-2] + (-1,))
-    return norm * (flat(grad_amb) @ basis), norm * (flat(dgrad_amb) @ basis)
 
-
-def fundamental_tensor(metric: MetricSpec, z, v) -> np.ndarray:
-    """Packed Hermitian matrices of second fiber derivatives of F^2.
-
-    z and v carry batch axes in front of the ambient shape, and those axes
-    broadcast against each other; returns (batch...) + (dim, dim).  A zero
-    fiber anywhere in the stack raises DomainError.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    spec = metric.domain
-    ambient = tuple(range(-len(spec.ambient_shape), 0))
-    if np.any(np.max(np.abs(v), axis=ambient) == 0.0):
-        raise DomainError("fundamental tensor is undefined at V = 0")
-    norm = metric.normalization
-    col = lambda x: x[..., None, None]
-
-    if spec.kind == "IV":
-        m, delta, q, p, s = lie_fiber(z, v)
-        phi, d1, d2 = (np.asarray(f(s), dtype=float) for f in
-                       (metric.family.value, metric.family.d1, metric.family.d2))
-        g_q = (norm / delta**2) * (phi - 2.0 * s * d1)
-        g_p2 = norm * d1 / q
-        g_qq = (norm / delta**2) * (2.0 * s / q) * (d1 + 2.0 * s * d2)
-        g_qp2 = -norm * (d1 + 2.0 * s * d2) / q**2
-        g_p2p2 = norm * d2 * delta**2 / q**3
-        vc = np.conj(v)
-        dq_v = np.einsum("...ij,...j->...i", m, vc)    # dq/dv_i
-        dq_vb = np.einsum("...i,...ij->...j", v, m)    # dq/dvbar_b
-        dp2_v = 2.0 * v * np.conj(p)[..., None]
-        dp2_vb = 2.0 * p[..., None] * vc
-        return (
-            col(g_qq) * _outer(dq_v, dq_vb)
-            + col(g_qp2) * (_outer(dq_v, dp2_vb) + _outer(dp2_v, dq_vb))
-            + col(g_p2p2) * _outer(dp2_v, dp2_vb)
-            + col(g_q) * m
-            + col(g_p2) * 4.0 * _outer(v, vc)
-        )
-
-    p, q, pvq, powers, s = _matrix_fiber_parts(metric, z, v)
-    k = metric.family.k
-    h = norms.power_means(s)
-    g_grad = norms.grad_rows(metric.family, h)
-    g_hess = norms.hess_rows(metric.family, h)
-    mm = numkernel.matmul
-    qvs = mm(q, np.conj(np.swapaxes(v, -1, -2)))  # Q V*
+    # 1-based a below: dS_a and dh_a as ambient matrices, dS_a = a X_{a-1}
+    qvs = mm(q, vsc)  # Q V*
     col4 = lambda x: x[..., None, None, None, None]
-
-    # dS_a and dh_a as ambient matrices
     ds_vbar, ds_v, dh_vbar, dh_v = ([None] * (k + 1) for _ in range(4))
     for a in range(1, k + 1):
-        ds_vbar[a] = a * mm(powers[a - 1], pvq)
+        ds_vbar[a] = a * xs[a - 1]
         ds_v[a] = a * np.swapaxes(mm(mm(qvs, powers[a - 1]), p), -1, -2)
         coeff = col(s[..., a - 1] ** (1.0 / a - 1.0) / a)
         dh_vbar[a] = coeff * ds_vbar[a]
         dh_v[a] = coeff * ds_v[a]
-
     hess_amb = np.zeros(pvq.shape + pvq.shape[-2:], dtype=np.complex128)
     # first-derivative cross terms through g's Hessian and the h_a chain
     for a in range(1, k + 1):
@@ -386,10 +357,22 @@ def fundamental_tensor(metric: MetricSpec, z, v) -> np.ndarray:
             block += np.einsum("...ai,...jb->...ijab", left, right)
         block += np.einsum("...ai,...jb->...ijab", mm(powers[a - 1], p), q)
         hess_amb += col4(ga * c2 * a) * block
-
     hess_amb *= norm
-    basis = domains.tangent_basis(spec)
-    return np.einsum("sij,tab,...ijab->...st", basis, basis, hess_amb)
+    flat = lambda x: x.reshape(x.shape[:-2] + (-1,)) @ basis.reshape(spec.dim, -1).T
+    return (norm * flat(grad_amb), norm * flat(dgrad_amb),
+            np.einsum("sij,tab,...ijab->...st", basis, basis, hess_amb))
+
+
+def grad_vbar_pair(metric: MetricSpec, zs, vs):
+    """G_mbar and d_i G_mbar of _fiber_jet: (batch...) + (dim,) and, with
+    the direction axis first, (dim, batch..., dim)."""
+    return _fiber_jet(metric, zs, vs)[:2]
+
+
+def fundamental_tensor(metric: MetricSpec, z, v) -> np.ndarray:
+    """G_{l mbar} of _fiber_jet: packed Hermitian matrices of second fiber
+    derivatives of F^2, (batch...) + (dim, dim)."""
+    return _fiber_jet(metric, z, v)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +393,9 @@ def connection_sample(metric: MetricSpec, zs, vs) -> np.ndarray:
     n_fiber, dim, dim): entry [..., f, l, i] is the coefficient N^l_i of
     base direction i, solving G_{l conj m} N^l_i = d_i G_{conj m} (G = F^2,
     fiber derivatives in v, d_i the base derivative d/dz_i).  All fibers
-    take one fundamental_tensor call, their d_i G_mbar one grad_vbar_pair
-    call, and the Hermitian systems one batched solve.
+    take one _fiber_jet call and the Hermitian systems one batched solve.
     """
-    spec = metric.domain
-    zs = _inner_axis(spec, zs)
-    hmats = fundamental_tensor(metric, zs, vs)
-    dgrad = grad_vbar_pair(metric, zs, vs)[1]          # (dim, batch..., n_fiber, dim)
+    _, dgrad, hmats = _fiber_jet(metric, _inner_axis(metric.domain, zs), vs)
     return np.linalg.solve(np.swapaxes(hmats, -1, -2), np.moveaxis(dgrad, 0, -1))
 
 
@@ -424,33 +403,37 @@ def hermitian_gamma(spec: DomainSpec, z, us, ws) -> np.ndarray:
     """Gamma_z(U, W) = W (d_U H) H^{-1} of the Hermitian reference tensor H.
 
     Closed form; d_U is the holomorphic derivative along U, and H's scale
-    cancels.  z is one point, and the stacks us and ws broadcast.
+    cancels.  The stacks z (batch axes in front of the ambient shape), us
+    and ws broadcast.
       * types I-III: U Z* P W + W Q Z* U;
       * Lie ball, H = M/Delta^2: (W d_U M) M^{-1} - 2 (d_U Delta / Delta) W,
         with d_U Delta and W d_U M from _lie_dm.
     """
     z, us, ws = (np.asarray(a, dtype=np.complex128) for a in (z, us, ws))
     if spec.kind != "IV":
-        zc = z.conj().T
+        zc = np.conj(np.swapaxes(z, -1, -2))
         p, q = _frame(z)
         mm = numkernel.matmul
         return mm(mm(mm(us, zc), p), ws) + mm(mm(mm(ws, q), zc), us)
     m, delta = _lie_ball_matrix(z)
     d_delta, w_dm = _lie_dm(z, us, ws)
-    return w_dm @ np.linalg.inv(m) - 2.0 * (d_delta / delta) * ws
+    return (np.einsum("...j,...jk->...k", w_dm, np.linalg.inv(m))
+            - 2.0 * (d_delta / delta[..., None]) * ws)
 
 
-def hermitian_connection(metric: MetricSpec, z) -> np.ndarray:
+def hermitian_connection(metric: MetricSpec, zs) -> np.ndarray:
     """Horizontal coefficients of the Hermitian (quadratic) reference metric.
 
-    Entry [l, j, i] is coordinate l of hermitian_gamma(e_i, e_j), packed
-    over every pair of basis directions in one call.  Closed form on all
-    four types; nothing is differentiated numerically.
+    zs is (batch...) + ambient; entry [..., l, j, i] is coordinate l of
+    hermitian_gamma(e_i, e_j), packed over every pair of basis directions
+    at every point in one call.  Closed form on all four types; nothing is
+    differentiated numerically.
     """
     spec = metric.domain
     basis = domains.tangent_basis(spec)
-    gamma = hermitian_gamma(spec, z, basis[:, None], basis[None])
-    return np.transpose(domains.pack(spec, gamma), (2, 1, 0))
+    zs = _inner_axis(spec, _inner_axis(spec, zs))                # (batch..., i, j)
+    gamma = hermitian_gamma(spec, zs, basis[:, None], basis[None])
+    return np.swapaxes(domains.pack(spec, gamma), -1, -3)
 
 
 def verify_kahler_berwald(metric: MetricSpec, n_base: int = 3, n_fiber: int = 10,
@@ -461,9 +444,9 @@ def verify_kahler_berwald(metric: MetricSpec, n_base: int = 3, n_fiber: int = 10
     computed at max(n_fiber, dim + 1) unit fibers v_f, and one Gamma[l, j, i]
     is fitted to N_f[l, i] = sum_j Gamma[l, j, i] v_f[j] by least squares.
     The connection of every fiber of every base point is one
-    connection_sample call; only the fit and the reference connection are
-    taken per base point.  Reports the worst over the base points; the
-    caller decides the verdict:
+    connection_sample call, the fits of all base points one stacked pinv,
+    and their reference connections one hermitian_connection call.  Reports
+    the worst over the base points; the caller decides the verdict:
       * mixed fiber-base derivative of F^2 at the origin over n_base unit
         fibers (should vanish); exactly 0 for every metric, because each
         term of grad_vbar_pair's base derivative carries Z* (types I-III)
@@ -491,17 +474,13 @@ def verify_kahler_berwald(metric: MetricSpec, n_base: int = 3, n_fiber: int = 10
     mixed = float(np.max(np.abs(bmat), initial=0.0))
     packed = domains.pack(spec, fibers)                              # (b, f, j)
     nonlinear = connection_sample(metric, zs, fibers).reshape(n_base, n_fiber, -1)
-    v_var = 0.0
-    symm = 0.0
-    vs_herm = 0.0
-    for z, c, n in zip(zs, packed, nonlinear):
-        fit = np.linalg.lstsq(c, n, rcond=None)[0]                   # (j, l i)
-        v_var = max(v_var, float(np.max(np.abs(n - c @ fit))))
-        gamma = np.swapaxes(fit.reshape((spec.dim,) * 3), 0, 1)      # [l, j, i]
-        symm = max(symm, float(np.max(np.abs(gamma - np.swapaxes(gamma, 1, 2)))))
-        ref = hermitian_connection(metric, z)
-        vs_herm = max(vs_herm, float(np.max(np.abs(gamma - ref))))
-    return KahlerBerwaldReport(mixed, v_var, symm, vs_herm, n_base * n_fiber)
+    fit = np.linalg.pinv(packed) @ nonlinear                         # (b, j, l i)
+    gamma = np.swapaxes(fit.reshape((n_base,) + (spec.dim,) * 3), 1, 2)  # [b, l, j, i]
+    worst = lambda x: float(np.max(np.abs(x), initial=0.0))
+    return KahlerBerwaldReport(mixed, worst(nonlinear - packed @ fit),
+                               worst(gamma - np.swapaxes(gamma, -1, -2)),
+                               worst(gamma - hermitian_connection(metric, zs)),
+                               n_base * n_fiber)
 
 
 def verify_invariance(metric: MetricSpec, n_maps: int = 100, n_samples: int = 100,

@@ -25,7 +25,6 @@ from .errors import StructureError
 from . import numkernel
 
 STRICT_MARGIN = 1e-10
-FD_STEP = 1e-5
 POLISH_TOL = 1e-12
 
 
@@ -113,49 +112,6 @@ def tk_family(t: float, k: int, c: float) -> GFamilySpec:
         hess=lambda xi: np.zeros((k, k)),
         label=f"two-term(t={t:g},k={k},c={c:g})",
     )
-
-
-def g_family_from_callable(value: Callable, k: int, label="custom") -> GFamilySpec:
-    """Wrap a user g(xi) with central-difference gradient and Hessian.
-
-    value is only ever called on one point xi of shape (k,); the gradient
-    and the Hessian also take a batch (..., k), row by row.
-    """
-
-    def grad(xi):
-        xi = np.asarray(xi, dtype=float)
-        if xi.ndim > 1:
-            return np.apply_along_axis(grad, -1, xi)
-        out = np.zeros(k)
-        for a in range(k):
-            h = FD_STEP * max(xi[a], 1e-3)
-            e = np.zeros(k)
-            e[a] = h
-            out[a] = (value(xi + e) - value(xi - e)) / (2.0 * h)
-        return out
-
-    def hess(xi):
-        xi = np.asarray(xi, dtype=float)
-        if xi.ndim > 1:
-            return np.apply_along_axis(hess, -1, xi)
-        out = np.zeros((k, k))
-        for a in range(k):
-            ha = FD_STEP * max(xi[a], 1e-3)
-            ea = np.zeros(k)
-            ea[a] = ha
-            for b in range(a, k):
-                hb = FD_STEP * max(xi[b], 1e-3)
-                eb = np.zeros(k)
-                eb[b] = hb
-                val = (
-                    value(xi + ea + eb) - value(xi + ea - eb)
-                    - value(xi - ea + eb) + value(xi - ea - eb)
-                ) / (4.0 * ha * hb)
-                out[a, b] = val
-                out[b, a] = val
-        return out
-
-    return GFamilySpec(k=k, value=value, grad=grad, hess=hess, label=label)
 
 
 def constant_phi(c: float) -> PhiFamilySpec:

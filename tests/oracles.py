@@ -5,6 +5,7 @@ from cartanfinsler import domains
 
 BISECTION_STEPS = 60
 BASE_STEP = 1e-4
+FD_STEP = 1e-5
 
 
 def lapack_frame(zs):
@@ -70,6 +71,82 @@ def wirtinger_base_fd(fn, spec, z):
     step = h.reshape(batch + (1,) * (f.ndim - 3 - len(batch)))
     d = (8.0 * (f[0] - f[1]) - (f[2] - f[3])) / (12.0 * step)
     return 0.5 * (d[:, 0] - 1j * d[:, 1])
+
+
+def g_family_from_callable(value, k: int, label="custom"):
+    """A norms.GFamilySpec around a user g(xi), with central-difference
+    gradient and Hessian; a g-family that no closed form describes.
+
+    value is only ever called on one point xi of shape (k,); the gradient
+    and the Hessian also take a batch (..., k), row by row.
+    """
+    from cartanfinsler.norms import GFamilySpec
+
+    def grad(xi):
+        xi = np.asarray(xi, dtype=float)
+        if xi.ndim > 1:
+            return np.apply_along_axis(grad, -1, xi)
+        out = np.zeros(k)
+        for a in range(k):
+            h = FD_STEP * max(xi[a], 1e-3)
+            e = np.zeros(k)
+            e[a] = h
+            out[a] = (value(xi + e) - value(xi - e)) / (2.0 * h)
+        return out
+
+    def hess(xi):
+        xi = np.asarray(xi, dtype=float)
+        if xi.ndim > 1:
+            return np.apply_along_axis(hess, -1, xi)
+        out = np.zeros((k, k))
+        for a in range(k):
+            ha = FD_STEP * max(xi[a], 1e-3)
+            ea = np.zeros(k)
+            ea[a] = ha
+            for b in range(a, k):
+                hb = FD_STEP * max(xi[b], 1e-3)
+                eb = np.zeros(k)
+                eb[b] = hb
+                val = (
+                    value(xi + ea + eb) - value(xi + ea - eb)
+                    - value(xi - ea + eb) + value(xi - ea - eb)
+                ) / (4.0 * ha * hb)
+                out[a, b] = val
+                out[b, a] = val
+        return out
+
+    return GFamilySpec(k=k, value=value, grad=grad, hess=hess, label=label)
+
+
+def kahler_berwald_per_base(metric, n_base: int = 3, n_fiber: int = 10, seed: int = 0):
+    """metrics.verify_kahler_berwald with one least-squares fit and one
+    hermitian_connection call per base point; oracle for the stacked fit."""
+    from cartanfinsler import metrics as met
+
+    spec = metric.domain
+    n_fiber = max(n_fiber, spec.dim + 1)
+    rng = np.random.default_rng(seed)
+    ambient = tuple(range(-len(spec.ambient_shape), 0))
+    unit = lambda w: w / np.linalg.norm(w, axis=ambient, keepdims=True)
+    v0s, zs, fibers = domains.draw_grid([
+        domains.Tangents(spec, rng.integers(2**63, size=n_base)),
+        domains.Points(spec, rng.integers(2**63, size=n_base)),
+        domains.Tangents(spec, rng.integers(2**63, size=n_base * n_fiber))])
+    v0s = unit(v0s)
+    fibers = unit(fibers.reshape((n_base, n_fiber) + spec.ambient_shape))
+    bmat = met.grad_vbar_pair(metric, np.zeros(spec.ambient_shape), v0s)[1]
+    mixed = float(np.max(np.abs(bmat), initial=0.0))
+    packed = domains.pack(spec, fibers)                              # (b, f, j)
+    nonlinear = met.connection_sample(metric, zs, fibers).reshape(n_base, n_fiber, -1)
+    v_var = symm = vs_herm = 0.0
+    for z, c, n in zip(zs, packed, nonlinear):
+        fit = np.linalg.lstsq(c, n, rcond=None)[0]                   # (j, l i)
+        v_var = max(v_var, float(np.max(np.abs(n - c @ fit))))
+        gamma = np.swapaxes(fit.reshape((spec.dim,) * 3), 0, 1)      # [l, j, i]
+        symm = max(symm, float(np.max(np.abs(gamma - np.swapaxes(gamma, 1, 2)))))
+        ref = met.hermitian_connection(metric, z)
+        vs_herm = max(vs_herm, float(np.max(np.abs(gamma - ref))))
+    return met.KahlerBerwaldReport(mixed, v_var, symm, vs_herm, n_base * n_fiber)
 
 
 def schwarz_check_per_map(maps, metric1, metric2, k1, k2, zs, vs):

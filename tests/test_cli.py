@@ -578,6 +578,35 @@ def test_one_mobius_core_per_push(seed, monkeypatch):
         assert len(calls) == MOBIUS_CORES.get(kind.name, 0), (kind.name, len(calls))
 
 
+# Base-point frames per certify request, as (_frame, _lie_ball_matrix)
+# calls: two for the invariance pass (the samples and their images), one for
+# the mixed row at the origin, one for the fiber jet of every fiber and one
+# for the reference connection of every base point.  certify_IV3_affine_t2
+# fails its certificate, so its connection pass does not run.  A formula
+# that built the frame again for itself would raise these counts.
+CERTIFY_FRAMES = {"certify_I13_tk": (5, 0), "certify_II2_bergman": (5, 0),
+                  "certify_IV3_bergman": (0, 5), "certify_IV3_affine_t2": (0, 2)}
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_one_frame_per_formula_in_certify(seed, monkeypatch):
+    calls = dict.fromkeys(("_frame", "_lie_ball_matrix"), 0)
+    for name in calls:
+        def counted(*args, _real=getattr(metrics, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, name, counted)
+    kinds = [kind for kind in _benchmark_request_types()
+             if kind.name.startswith("certify")]
+    assert {kind.name for kind in kinds} == set(CERTIFY_FRAMES)
+    for kind in kinds:
+        calls.update(dict.fromkeys(calls, 0))
+        cli.run(cli.parse_config(json.dumps(dict(kind.config, seed=seed))))
+        got = (calls["_frame"], calls["_lie_ball_matrix"])
+        assert got == CERTIFY_FRAMES[kind.name], (kind.name, got)
+
+
 @pytest.mark.parametrize("seed", [1, 7])
 def test_corpus_reports_match_the_lapack_kernels(seed, monkeypatch):
     # the corpus requests on numkernel's stack kernels and on the LAPACK calls

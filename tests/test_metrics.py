@@ -7,7 +7,8 @@ import cartanfinsler.domains as dom
 import cartanfinsler.metrics as met
 import cartanfinsler.norms as nrm
 from cartanfinsler.errors import DomainError, StructureError
-from oracles import lapack_frame, wirtinger_base_fd
+from oracles import (g_family_from_callable, kahler_berwald_per_base, lapack_frame,
+                     wirtinger_base_fd)
 
 # _frame's P and Q stay within FRAME_C * kappa * eps of the LAPACK frame,
 # relative to the largest entry, kappa = 1/(1 - gauge^2); measured at most
@@ -238,7 +239,7 @@ def test_wrapped_callable_family_runs_the_batched_paths():
     spec = dom.type_i(2, 2)
     tk = met.tk_metric(spec, 1.0, 2)
     w = 4.0 / 2.0
-    custom = met.MetricSpec(spec, nrm.g_family_from_callable(
+    custom = met.MetricSpec(spec, g_family_from_callable(
         lambda xi: w * (xi[..., 0] + xi[..., 1]), k=2))
     z = dom.sample_point(spec, seed=71)
     v = dom.sample_tangent(spec, seed=72)
@@ -349,7 +350,7 @@ def _fundamental_tensor_oracle(metric, z, v):
 def _curved_family(spec, k):
     """g = c sqrt(xi_1^2 + ... + xi_k^2): a family whose Hessian is not 0."""
     c = met.default_scale(spec)
-    return met.MetricSpec(spec, nrm.g_family_from_callable(
+    return met.MetricSpec(spec, g_family_from_callable(
         lambda xi: c * np.sqrt(np.sum(np.asarray(xi) ** 2, axis=-1)), k=k,
         label=f"curved(k={k})"))
 
@@ -382,13 +383,20 @@ def test_fundamental_tensor_matches_per_fiber_oracle(metric):
 @pytest.mark.parametrize("spec", [dom.type_i(2, 3), dom.type_ii(2), dom.type_iii(4),
                                   dom.type_iv(3)], ids=str)
 def test_fundamental_tensor_rejects_a_zero_fiber_in_a_stack(spec):
+    # every view of the fiber jet rejects it, the gradient included
     metric = met.bergman_metric(spec)
     zs = dom.sample_points(spec, range(2))
     vs = dom.sample_tangents(spec, range(5, 11)).reshape((2, 3) + spec.ambient_shape)
     met.fundamental_tensor(metric, zs[:, None], vs)  # all fibers nonzero
+    met.grad_vbar_pair(metric, zs[:, None], vs)
+    met.connection_sample(metric, zs, vs)
     vs[1, 2] = 0.0
     with pytest.raises(DomainError):
         met.fundamental_tensor(metric, zs[:, None], vs)
+    with pytest.raises(DomainError):
+        met.grad_vbar_pair(metric, zs[:, None], vs)
+    with pytest.raises(DomainError):
+        met.connection_sample(metric, zs, vs)
 
 
 @pytest.mark.parametrize("metric", [
@@ -526,18 +534,40 @@ def test_kahler_berwald_report():
 @pytest.mark.parametrize("spec", [dom.type_i(1, 3), dom.type_iii(4)], ids=str)
 def test_kahler_berwald_counts_one_fundamental_tensor_per_fiber(spec, monkeypatch):
     calls = []
-    real = met.fundamental_tensor
+    real = met._matrix_fiber_parts
 
-    def counted(metric, z, v):
-        out = real(metric, z, v)
-        calls.append(out.shape[:-2])
+    def counted(metric, zs, vs):
+        out = real(metric, zs, vs)
+        calls.append(out[-1].shape[:-1])
         return out
 
-    monkeypatch.setattr(met, "fundamental_tensor", counted)
+    monkeypatch.setattr(met, "_matrix_fiber_parts", counted)
     rep = met.verify_kahler_berwald(met.tk_metric(spec, 1.0, 2))
-    # one call whose stack holds every fiber of the three base points
-    assert calls == [(3, max(10, spec.dim + 1))]
+    # one frame for the mixed row at the origin, then one whose stack holds
+    # every fiber of the three base points
+    assert calls == [(3,), (3, max(10, spec.dim + 1))]
     assert rep.fibers == 3 * max(10, spec.dim + 1) == 30
+
+
+def _kahler_berwald_metrics():
+    # the seven metrics of test_05
+    out = []
+    for spec in [dom.type_i(2, 2), dom.type_ii(2), dom.type_iii(4)]:
+        out += [met.bergman_metric(spec), met.tk_metric(spec, 1.0, 2)]
+    return out + [met.phi_metric(dom.type_iv(3), nrm.affine_phi(0.5))]
+
+
+@pytest.mark.parametrize("metric", _kahler_berwald_metrics(), ids=lambda m: m.label)
+def test_kahler_berwald_matches_per_base_oracle(metric):
+    # one stacked pinv fit and one hermitian_connection call against a
+    # least-squares fit and a reference connection per base point
+    for seed in range(20):
+        got = met.verify_kahler_berwald(metric, seed=seed)
+        ref = kahler_berwald_per_base(metric, seed=seed)
+        assert got.fibers == ref.fibers
+        assert got.mixed_residual == ref.mixed_residual
+        for row in ("gamma_v_variation", "gamma_symmetry", "gamma_vs_hermitian"):
+            assert abs(getattr(got, row) - getattr(ref, row)) <= 1e-13, (seed, row)
 
 
 def _hermitian_connection_stencil(metric, z):
@@ -567,10 +597,13 @@ def _hermitian_connection_pair_loop(metric, z):
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_lie_ball_hermitian_connection_matches_stencil_oracle(n):
     metric = met.bergman_metric(dom.type_iv(n))
-    for z in dom.sample_points(metric.domain, range(20)):
+    zs = dom.sample_points(metric.domain, range(20))
+    stacked = met.hermitian_connection(metric, zs)
+    for z, got_stacked in zip(zs, stacked):
         ref = _hermitian_connection_stencil(metric, z)
         got = met.hermitian_connection(metric, z)
         assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+        assert np.array_equal(got_stacked, got)
 
 
 @pytest.mark.parametrize("spec", [dom.type_i(2, 3), dom.type_ii(3), dom.type_iii(4),
@@ -589,21 +622,25 @@ def test_hermitian_gamma_is_symmetric(spec):
                          ids=str)
 def test_hermitian_connection_matches_pair_loop(spec):
     metric = met.bergman_metric(spec)
-    for z in dom.sample_points(spec, range(5)):
+    zs = dom.sample_points(spec, range(5))
+    stacked = met.hermitian_connection(metric, zs)
+    for z, got_stacked in zip(zs, stacked):
         ref = _hermitian_connection_pair_loop(metric, z)
         got = met.hermitian_connection(metric, z)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.array_equal(got_stacked, got)
 
 
-def _hermitian_connection_without_second_term(metric, z):
-    # Gamma(U)V = U Z* P V only: the V Q Z* U term is dropped
+def _hermitian_connection_without_second_term(metric, zs):
+    # Gamma(U)V = U Z* P V only: the V Q Z* U term is dropped; zs is a stack
     spec = metric.domain
     basis = dom.tangent_basis(spec)
-    p = np.linalg.inv(np.eye(z.shape[0]) - z @ z.conj().T)
-    gamma = np.empty((spec.dim,) * 3, dtype=np.complex128)
-    for i, u in enumerate(basis):
-        for j, w in enumerate(basis):
-            gamma[:, j, i] = dom.pack(spec, u @ z.conj().T @ p @ w)
+    gamma = np.empty((len(zs),) + (spec.dim,) * 3, dtype=np.complex128)
+    for b, z in enumerate(zs):
+        p = np.linalg.inv(np.eye(z.shape[0]) - z @ z.conj().T)
+        for i, u in enumerate(basis):
+            for j, w in enumerate(basis):
+                gamma[b, :, j, i] = dom.pack(spec, u @ z.conj().T @ p @ w)
     return gamma
 
 

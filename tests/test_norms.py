@@ -4,6 +4,7 @@ import pytest
 
 from cartanfinsler import curvature, domains, metrics, norms, numkernel
 from cartanfinsler.errors import StructureError
+from oracles import g_family_from_callable
 
 
 def haar_unitary(n, rng):
@@ -155,7 +156,7 @@ def test_certify_scc_passes_builtins():
 
 
 def test_certify_scc_rejects_decreasing_direction():
-    bad = norms.g_family_from_callable(
+    bad = g_family_from_callable(
         lambda xi: xi[0] - 0.5 * xi[1], k=2, label="decreasing"
     )
     cert = norms.certify_scc(bad)
@@ -187,12 +188,12 @@ def _certify_scc_loop(spec, grid=None):
     norms.bergman_family(4.0),
     norms.tk_family(t=1.0, k=2, c=4.0),
     norms.tk_family(t=0.5, k=3, c=2.0),
-    norms.g_family_from_callable(lambda xi: xi[0] - 0.5 * xi[1], k=2,
-                                 label="decreasing"),
-    norms.g_family_from_callable(lambda xi: xi[0] + xi[1] - 2.0 * xi[0] * xi[1],
-                                 k=2, label="saddle"),
-    norms.g_family_from_callable(lambda xi: xi[0] + 0.3 * xi[1] - xi[1] ** 2,
-                                 k=2, label="concave"),
+    g_family_from_callable(lambda xi: xi[0] - 0.5 * xi[1], k=2,
+                           label="decreasing"),
+    g_family_from_callable(lambda xi: xi[0] + xi[1] - 2.0 * xi[0] * xi[1],
+                           k=2, label="saddle"),
+    g_family_from_callable(lambda xi: xi[0] + 0.3 * xi[1] - xi[1] ** 2,
+                           k=2, label="concave"),
 ], ids=lambda spec: spec.label)
 def test_certify_scc_matches_the_point_loop(spec):
     cert = norms.certify_scc(spec)
@@ -205,7 +206,7 @@ def test_certify_scc_matches_the_point_loop(spec):
 
 
 def test_certify_scc_reports_a_non_psd_hessian():
-    cert = norms.certify_scc(norms.g_family_from_callable(
+    cert = norms.certify_scc(g_family_from_callable(
         lambda xi: xi[0] + xi[1] - 2.0 * xi[0] * xi[1], k=2, label="saddle"))
     assert not cert.passed
     assert cert.failed_condition == "hessian_psd"
@@ -485,7 +486,7 @@ def test_grad_rows_any_batch_shape(shape):
         label="quadratic")
     assert np.array_equal(norms.grad_rows(quad, h), 2.0 * h)
     # a wrapped callable that only understands one point at a time
-    custom = norms.g_family_from_callable(
+    custom = g_family_from_callable(
         lambda xi: xi[0] + 0.5 * xi[1] ** 2 + xi[2] ** 3, k=3)
     rows = np.array([custom.grad(row) for row in h.reshape(-1, 3)])
     assert np.array_equal(norms.grad_rows(custom, h), rows.reshape(h.shape))
