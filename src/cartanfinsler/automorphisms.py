@@ -129,37 +129,48 @@ def _haar_orthogonal(g):
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
-def _x0_matrix(z0):
-    """Real 2xN parameter matrices of the Lie-ball normalizing maps at a
-    stack (...,) + (N,) of base points."""
-    a = np.sum(z0 * z0, axis=-1)[..., None]
-    denom = 1.0 - np.abs(a) ** 2  # >= 1 - gauge^4 > 0 at interior points
-    row1 = (np.conj(a) - 1.0) * z0 + (a - 1.0) * np.conj(z0)
-    row2 = 1j * (a + 1.0) * np.conj(z0) - 1j * (np.conj(a) + 1.0) * z0
-    x0 = (-1.0 / denom)[..., None] * np.stack([row1, row2], axis=-2)
-    return x0.real
-
-
-def _lie_ball_roots(z0, x0):
-    """A = (I - X0 X0')^{-1/2} and D = (I - X0' X0)^{-1/2} in closed form,
-    over a stack of base points.
+def _lie_ball_roots(z0):
+    """X0, A = (I - X0 X0')^{-1/2} and D = (I - X0' X0)^{-1/2} of the Lie-ball
+    normalizing maps at a stack (...,) + (N,) of base points, in closed form
+    from one real SVD U diag(sigma) V' of [Re z0; Im z0].
 
     z0 = e^{i theta} (x + i y) with x, y orthogonal real vectors has spectral
-    values l1, l2 = |x| +- |y|, and |x|, |y| are the singular values of
-    [Re z0; Im z0].  With tanh t_i = l_i, X0 = U diag(tanh(t1 +- t2)) V', so
-    A = U diag(c) U' and D = I + V (diag(c) - I) V' with
+    values l1, l2 = |x| +- |y| = sigma_1 +- sigma_2.  With tanh t_i = l_i,
+    X0 = J U diag(tanh(t1 +- t2)) V' with J = diag(1, -1), where
+    tanh(t1 +- t2) = 2 sigma_{1,2} / (1 +- l1 l2), and so A = J U diag(c) U' J
+    and D = I + V (diag(c) - I) V' with
     c = cosh(t1 +- t2) = (1 +- l1 l2) / sqrt((1 - l1^2)(1 - l2^2)).
-    Roots of the formed grams would lose (1 - l1^2)(1 - l2^2) to
-    cancellation once both spectral values near 1.
+    1 - l1 l2 is taken as (1 - l1) + l1 (1 - l2).  Neither X0 nor the roots
+    divide by 1 - |z0.z0|^2 or take roots of formed grams, which cancel once
+    both spectral values near 1.
     """
-    sig = np.linalg.svd(np.stack([z0.real, z0.imag], axis=-2), compute_uv=False)
+    u, sig, vt = np.linalg.svd(np.stack([z0.real, z0.imag], axis=-2),
+                               full_matrices=False)
     l1, l2 = sig[..., 0] + sig[..., 1], sig[..., 0] - sig[..., 1]
+    plus_minus = np.stack([1.0 + l1 * l2, (1.0 - l1) + l1 * (1.0 - l2)], axis=-1)
     root = np.sqrt((1.0 - l1) * (1.0 + l1) * (1.0 - l2) * (1.0 + l2))
-    c = np.stack([1.0 + l1 * l2, 1.0 - l1 * l2], axis=-1) / root[..., None]
-    u, _, vt = np.linalg.svd(x0, full_matrices=False)
+    x, c = 2.0 * sig / plus_minus, plus_minus / root[..., None]
+    ju = u * np.array([1.0, -1.0])[:, None]
     v = np.swapaxes(vt, -1, -2)
-    return ((u * c[..., None, :]) @ np.swapaxes(u, -1, -2),
+    return ((ju * x[..., None, :]) @ vt,
+            (ju * c[..., None, :]) @ np.swapaxes(ju, -1, -2),
             np.eye(z0.shape[-1]) + (v * (c - 1.0)[..., None, :]) @ vt)
+
+
+def _matrix_roots(spec: DomainSpec, z0):
+    """A = (I - Z0 Z0*)^{-1/2} and D = (I - Z0* Z0)^{-1/2} over a stack
+    (...,) + (m, n) of matrix points, from numkernel.gram_inv_sqrt; on the
+    symmetric and skew types D = conj(A).  A point whose gram is not
+    positive definite raises DomainError."""
+    m, n = spec.ambient_shape
+    z0s = np.conj(np.swapaxes(z0, -1, -2))
+    stack = z0.shape[:-2]
+    a = numkernel.gram_inv_sqrt((np.eye(m) - matmul(z0, z0s)).reshape(-1, m, m))
+    if spec.kind == "I":
+        d = numkernel.gram_inv_sqrt((np.eye(n) - matmul(z0s, z0)).reshape(-1, n, n))
+    else:
+        d = np.conj(a)
+    return a.reshape(stack + (m, m)), d.reshape(stack + (n, n))
 
 
 def identity_map(spec: DomainSpec) -> HoloMap:
@@ -185,22 +196,13 @@ def normalizing_automorphism(spec: DomainSpec, z0) -> HoloMap:
     if not np.all(domains.contains_many(spec, z0.reshape((-1,) + shape))):
         raise DomainError(f"base point is not interior to {spec}")
     if spec.kind == "IV":
-        x0 = _x0_matrix(z0)
-        return HoloMap(spec, spec, LieBallMobius(z0, x0, *_lie_ball_roots(z0, x0)))
+        return HoloMap(spec, spec, LieBallMobius(z0, *_lie_ball_roots(z0)))
     # contains_many admits z0 only when every pivot of I - Z0 Z0* - 1e-12 I is
     # > 0, so the grams' smallest eigenvalue exceeds the margin up to rounding
     # of order eps, far below it (I - Z0* Z0 has the same spectrum plus ones),
     # and the roots below cannot raise
-    m, n = shape
-    z0s = np.conj(np.swapaxes(z0, -1, -2))
-    a = numkernel.gram_inv_sqrt((np.eye(m) - z0 @ z0s).reshape(-1, m, m))
-    if spec.kind == "I":
-        d = numkernel.gram_inv_sqrt((np.eye(n) - z0s @ z0).reshape(-1, n, n))
-    else:
-        d = np.conj(a)
-    stack = z0.shape[:-2]
-    return HoloMap(spec, spec, MatrixMobius(z0, a.reshape(stack + (m, m)),
-                                            np.linalg.inv(d).reshape(stack + (n, n))))
+    a, d = _matrix_roots(spec, z0)
+    return HoloMap(spec, spec, MatrixMobius(z0, a, np.linalg.inv(d)))
 
 
 def _isotropy_part(spec: DomainSpec, seeds) -> domains.Gaussians:
@@ -246,12 +248,6 @@ def _map_slice(m: HoloMap, i) -> HoloMap:
     return HoloMap(m.source, m.target, body)
 
 
-def isotropy_element(spec: DomainSpec, seed: int) -> HoloMap:
-    """A random origin-fixing automorphism (Haar rotation data)."""
-    drawn = domains.draw_grid([_isotropy_part(spec, [seed])])[0]
-    return _map_slice(HoloMap(spec, spec, _isotropy_body(spec, *drawn)), 0)
-
-
 def automorphism_parts(spec: DomainSpec, seeds) -> list:
     """The domains.draw_grid parts of random_automorphisms(spec, seeds): the
     base points and the isotropy draws, for a caller that puts them into a
@@ -269,7 +265,7 @@ def automorphisms_from(spec: DomainSpec, points, isotropy) -> HoloMap:
 def random_automorphisms(spec: DomainSpec, seeds) -> HoloMap:
     """Isotropy composed with a normalizing map at a random interior point,
     as one stacked map with one map axis over the 1-D sequence seeds: map i
-    is isotropy_element(spec, seeds[i]) after the map sending
+    is the Haar rotation of seeds[i] (_isotropy_part) after the map sending
     sample_point(spec, seeds[i]) to the origin.  The points and the
     rotations of every seed come from one domains.draw_grid call."""
     return automorphisms_from(spec, *domains.draw_grid(automorphism_parts(spec, seeds)))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from . import automorphisms as am
 from . import domains
 from . import norms
 from .metrics import MetricSpec
@@ -107,13 +106,6 @@ def hsc_origin(metric: MetricSpec, v) -> float:
     return float(hsc_origin_many(metric, v[None])[0])
 
 
-def hsc(metric: MetricSpec, z, v) -> float:
-    """K_F(Z;V): pull back to the origin with a normalizing automorphism."""
-    z = np.asarray(z, dtype=np.complex128)
-    phi = am.normalizing_automorphism(metric.domain, z)
-    return hsc_origin(metric, am.differential(phi, z, v))
-
-
 def bisectional_origin_many(metric: MetricSpec, vs, ws) -> np.ndarray:
     """B(0;V,W) over paired stacks of tangents."""
     vs = np.asarray(vs, dtype=np.complex128)
@@ -141,14 +133,6 @@ def bisectional_origin_many(metric: MetricSpec, vs, ws) -> np.ndarray:
         cross = np.einsum("...ij,...ji->...", gram_w, power).real
         acc += grads[..., a - 1] * h[..., a - 1] ** (1 - a) * cross
     return -4.0 * metric.normalization * acc / (f2v * f2w)
-
-
-def bisectional_origin(metric: MetricSpec, v, w) -> float:
-    v = np.asarray(v, dtype=np.complex128)
-    w = np.asarray(w, dtype=np.complex128)
-    if np.max(np.abs(v)) == 0.0 or np.max(np.abs(w)) == 0.0:
-        raise DomainError("bisectional curvature needs two nonzero tangents")
-    return float(bisectional_origin_many(metric, v[None], w[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +352,10 @@ def curvature_bounds(metric: MetricSpec, seed: int = 0,
             search = _bisectional_sup_matrix(metric)
         bisect_c = max(search, k1)  # B(V,V) = K(V) reaches -k1
         rng = np.random.default_rng(seed)
-        block = 2000
-        drawn = 0
-        while drawn < pair_draws:
-            b = min(block, pair_draws - drawn)
-            vs, ws = domains.draw_grid([
-                domains.Tangents(spec, rng.integers(2**63, size=b)),
-                domains.Tangents(spec, rng.integers(2**63, size=b))])
-            bv = bisectional_origin_many(metric, vs, ws)
-            bisect_c = max(bisect_c, float(-np.min(bv)))
-            drawn += b
+        vs, ws = domains.draw_grid([
+            domains.Tangents(spec, rng.integers(2**63, size=pair_draws)),
+            domains.Tangents(spec, rng.integers(2**63, size=pair_draws))])
+        bisect_c = max(bisect_c, float(-np.min(bisectional_origin_many(metric, vs, ws))))
     return CurvatureReport(k1, k2, float(np.sqrt(k1 / k2)), argmin, argmax,
                            bisect_c, search)
 

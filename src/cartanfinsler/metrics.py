@@ -155,6 +155,17 @@ def lie_fiber(zs, vs):
     return m, delta, q, p, np.clip(s, 0.0, 1.0)
 
 
+def interior_lie_fiber(zs, vs):
+    """lie_fiber at points that must be interior: one with Delta <= 0 or
+    |z|^2 >= 1, which is exactly a point outside the ball, raises
+    DomainError."""
+    fiber = lie_fiber(zs, vs)
+    if np.any((fiber[1] <= 0.0) | (np.sum(np.abs(zs) ** 2, axis=-1) >= 1.0)):
+        raise DomainError("a point is not interior to the Lie ball "
+                          "(Delta <= 0 or |z|^2 >= 1)")
+    return fiber
+
+
 def _lie_dm(z, us, ws):
     """(d_U Delta, W d_U M) of the Lie-ball frame; z, us and ws broadcast.
 
@@ -218,10 +229,7 @@ def eval2_many(metric: MetricSpec, zs, vs) -> np.ndarray:
     zs = np.asarray(zs, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
     if metric.domain.kind == "IV":
-        _, delta, q, _, s = lie_fiber(zs, vs)
-        if np.any((delta <= 0.0) | (np.sum(np.abs(zs) ** 2, axis=-1) >= 1.0)):
-            raise DomainError("a point is not interior to the Lie ball "
-                              "(Delta <= 0 or |z|^2 >= 1)")
+        _, delta, q, _, s = interior_lie_fiber(zs, vs)
         phi = np.asarray(metric.family.value(s), dtype=float)
         return metric.normalization * q / delta**2 * phi
     h = norms.power_means(_matrix_fiber_parts(metric, zs, vs)[-1])

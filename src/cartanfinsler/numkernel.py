@@ -1,8 +1,11 @@
 """Dense complex-matrix kernels shared by every other module.
 
 One Hermitian eigensolver (LAPACK through ``numpy.linalg.eigh``) over
-stacks of matrices, and the inverse gram roots of base points built on it.
-It serves what needs eigenvectors, or a gram with three or more rows.
+stacks of matrices, and the inverse gram roots of base points built on it;
+``gram_inv_sqrt`` has one caller, ``automorphisms._matrix_roots``, which
+gives the normalizing map and the Carathéodory gauge the same roots.  The
+eigensolver serves what needs eigenvectors, or a gram with three or more
+rows.
 
 Five stack kernels for the small matrices of the formulas: ``matmul``,
 ``hpd_inv``, ``solve``, ``smallest_eig_exceeds`` and ``gram_top``.  numpy's

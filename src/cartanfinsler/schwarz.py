@@ -2,9 +2,11 @@
 
 The gauge metric F_C pulls a tangent back to the origin with a normalizing
 automorphism and measures it with the domain's Minkowski gauge.  For the
-matrix domains the pullback at the base point is V -> P^{1/2} V Q^{1/2}, so
-F_C^2 is the top eigenvalue of M = P V Q V*; on the Lie ball it has a closed
-form in the two invariants (r, s).  Both reduce to the plain gauge at 0.
+matrix domains the pullback at the base point is V -> A V D, with A and D
+the roots of the normalizing map itself (automorphisms._matrix_roots), so
+F_C^2 is the top eigenvalue of W W* for W = A V D; on the Lie ball it has a
+closed form in the two invariants (r, s).  Both reduce to the plain gauge
+at 0.
 
 Against any invariant metric F with curvature pinched in [-K1, -K2] the
 gauge satisfies the two-sided bound
@@ -19,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, StructureError
+from .errors import NumericError, StructureError
 from . import automorphisms as am
 from . import domains
 from . import numkernel
+from .numkernel import matmul
 from .curvature import CurvatureReport, lie_representative
 from .domains import DomainSpec
-from .metrics import MetricSpec, eval2_many, lie_fiber
+from .metrics import MetricSpec, eval2_many, interior_lie_fiber
 
 PROBE_COUNT = 200
 RESCALE_CAP = 20
@@ -56,31 +59,22 @@ class SchwarzReport:
 
 
 def caratheodory_many(spec: DomainSpec, zs, vs) -> np.ndarray:
-    """F_C(Z;V) over stacks of interior points and tangents (unchecked)."""
+    """F_C(Z;V) over stacks of points and tangents.
+
+    No membership test: a point whose gram (matrix types) or whose Lie-ball
+    invariants (metrics.interior_lie_fiber) say it is not interior raises
+    DomainError.
+    """
     zs = np.asarray(zs, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
     if spec.kind == "IV":
-        _, delta, q, _, s = lie_fiber(zs, vs)
+        _, delta, q, _, s = interior_lie_fiber(zs, vs)
         r = q / delta**2
         return np.sqrt(r * (1.0 + np.sqrt(1.0 - s)))
-    flat_z = zs.reshape((-1,) + spec.ambient_shape)
-    flat_v = vs.reshape((-1,) + spec.ambient_shape)
-    zc = np.conj(np.swapaxes(flat_z, -1, -2))
-    mdim, ndim = spec.ambient_shape
-    # P^{1/2} = (I - ZZ*)^{-1/2} and Q^{1/2} = (I - Z*Z)^{-1/2}
-    a = numkernel.gram_inv_sqrt(np.eye(mdim) - flat_z @ zc)
-    b = numkernel.gram_inv_sqrt(np.eye(ndim) - zc @ flat_z)
-    w = a @ flat_v @ b  # m x n with m <= n, so W W* is the smaller gram
-    return np.sqrt(numkernel.gram_top(w)).reshape(zs.shape[: zs.ndim - 2])
-
-
-def caratheodory(spec: DomainSpec, z, v) -> float:
-    """Carathéodory (= Kobayashi) metric of the domain at (Z; V)."""
-    z = np.asarray(z, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    if not domains.contains(spec, z):
-        raise DomainError(f"base point is not interior to {spec}")
-    return float(caratheodory_many(spec, z[None], v[None])[0])
+    # the normalizing map's roots A = P^{1/2} and D = Q^{1/2}; W = A V D is
+    # m x n with m <= n, so W W* is the smaller gram
+    a, d = am._matrix_roots(spec, zs)
+    return np.sqrt(numkernel.gram_top(matmul(matmul(a, vs), d)))
 
 
 # ---------------------------------------------------------------------------

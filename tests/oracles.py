@@ -173,6 +173,36 @@ def schwarz_check_per_map(maps, metric1, metric2, k1, k2, zs, vs):
     return reports
 
 
+def lie_ball_roots_mp(z0, dps: int = 50):
+    """X0, A = (I - X0 X0')^{-1/2} and D = (I - X0' X0)^{-1/2} of the Lie-ball
+    normalizing map at one base point z0, from the defining formulas in
+    dps-digit arithmetic; oracle for automorphisms._lie_ball_roots.
+
+    With a = z0.z0, X0 = -[(conj(a) - 1) z0 + (a - 1) conj(z0);
+    i (a + 1) conj(z0) - i (conj(a) + 1) z0] / (1 - |a|^2), a real 2 x N
+    matrix, and each root comes from the eigenpairs of its formed gram.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        z = [mpmath.mpc(complex(x)) for x in z0]
+        a = mpmath.fsum(x * x for x in z)
+        ac = mpmath.conj(a)
+        scale = -1 / (1 - abs(a) ** 2)
+        x0 = mpmath.matrix(
+            [[mpmath.re(scale * ((ac - 1) * x + (a - 1) * mpmath.conj(x))) for x in z],
+             [mpmath.re(scale * 1j * ((a + 1) * mpmath.conj(x) - (ac + 1) * x))
+              for x in z]])
+
+        def inv_sqrt(gram):
+            w, u = mpmath.eigsy(gram)
+            return u * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * u.T
+
+        roots = (x0, inv_sqrt(mpmath.eye(2) - x0 * x0.T),
+                 inv_sqrt(mpmath.eye(len(z)) - x0.T * x0))
+        return tuple(np.array(m.tolist(), dtype=float) for m in roots)
+
+
 def bisection_gauge(spec, w, steps: int = BISECTION_STEPS) -> float:
     """Gauge by bisecting the ray boundary crossing; oracle for closed forms."""
     w = np.asarray(w, dtype=np.complex128)

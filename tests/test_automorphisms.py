@@ -8,6 +8,7 @@ from cartanfinsler import automorphisms as am
 from cartanfinsler import domains
 from cartanfinsler import schwarz
 from cartanfinsler.errors import DomainError, NumericError, StructureError
+from oracles import lie_ball_roots_mp
 
 ALL_SPECS = [
     domains.type_i(2, 3),
@@ -15,6 +16,12 @@ ALL_SPECS = [
     domains.type_iii(4),
     domains.type_iv(3),
 ]
+
+
+def _isotropy(spec, seed):
+    """The origin-fixing Haar rotation of a seed: the isotropy link of its
+    random automorphism, which acts after the normalizing map."""
+    return am.random_automorphism(spec, seed).body.maps[0]
 
 
 def fd_differential(fn, z, v, h=1e-5):
@@ -80,7 +87,7 @@ def _maps_of_every_kind(spec, phi):
     matrix types a zero-padding into a larger domain, and on the square ones
     a matrix polynomial with its degrees out of order."""
     w = domains.sample_point(spec, seed=4)
-    maps = [phi, am.invert(phi), am.isotropy_element(spec, seed=14),
+    maps = [phi, am.invert(phi), _isotropy(spec, 14),
             am.random_automorphism(spec, seed=10),
             am.HoloMap(spec, spec, am.ConstantMap(w)),
             # an off-diagonal entry: the diagonal of a type III point is 0
@@ -151,7 +158,7 @@ def test_chain_rule_on_compositions(spec):
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
 def test_isotropy_fixes_origin(spec):
-    iso = am.isotropy_element(spec, seed=14)
+    iso = _isotropy(spec, 14)
     zero = np.zeros(spec.ambient_shape)
     assert np.max(np.abs(am.apply(iso, zero))) <= 1e-14
     # differential at any point is the map's own linear action
@@ -163,17 +170,17 @@ def test_isotropy_fixes_origin(spec):
 
 
 def test_isotropy_preserves_symmetry_classes():
-    iso2 = am.isotropy_element(domains.type_ii(3), seed=17)
+    iso2 = _isotropy(domains.type_ii(3), 17)
     w = am.apply(iso2, domains.sample_point(domains.type_ii(3), seed=18))
     np.testing.assert_allclose(w, w.T, atol=1e-13)
-    iso3 = am.isotropy_element(domains.type_iii(4), seed=19)
+    iso3 = _isotropy(domains.type_iii(4), 19)
     w = am.apply(iso3, domains.sample_point(domains.type_iii(4), seed=20))
     np.testing.assert_allclose(w, -w.T, atol=1e-13)
 
 
 def test_lie_ball_isotropy_preserves_invariants():
     spec = domains.type_iv(4)
-    iso = am.isotropy_element(spec, seed=21)
+    iso = _isotropy(spec, 21)
     z = domains.sample_point(spec, seed=22)
     w = am.apply(iso, z)
     assert np.vdot(w, w).real == pytest.approx(np.vdot(z, z).real, rel=1e-12)
@@ -182,7 +189,7 @@ def test_lie_ball_isotropy_preserves_invariants():
 
 def test_isotropy_round_trip():
     spec = domains.type_i(2, 3)
-    iso = am.isotropy_element(spec, seed=23)
+    iso = _isotropy(spec, 23)
     inv = am.invert(iso)
     z = domains.sample_point(spec, seed=24)
     np.testing.assert_allclose(am.apply(inv, am.apply(iso, z)), z, atol=1e-13)
@@ -387,16 +394,21 @@ def test_random_automorphism_is_slice_zero_of_the_stack(spec):
         _assert_same_maps(am.random_automorphism(spec, seed), stack, 0)
 
 
-@pytest.mark.parametrize("n", [3, 5])
-def test_lie_ball_map_kills_its_base_point_up_to_the_boundary(n):
-    # both real directions (spectral values l1 = l2 = gauge, and e^{i t} times
-    # a real unit vector) and one sampled direction
-    spec = domains.type_iv(n)
+def _real_directions(n):
+    """The two real directions of IV(n): e_1, with spectral values
+    l1 = l2, and e^{i t} times a real unit vector."""
     e1 = np.zeros(n, dtype=complex)
     e1[0] = 1.0
     tilted = np.zeros(n, dtype=complex)
     tilted[:2] = np.exp(0.7j) * np.array([0.6, 0.8])
-    dirs = [e1, tilted, domains.sample_point(spec, seed=400)]
+    return [e1, tilted]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_lie_ball_map_kills_its_base_point_up_to_the_boundary(n):
+    # both real directions and one sampled direction
+    spec = domains.type_iv(n)
+    dirs = _real_directions(n) + [domains.sample_point(spec, seed=400)]
     gauges = 1.0 - np.array([1e-3, 1e-4, 4e-6, 4e-7, 1e-8])
     z0s = np.stack([g * d / domains.minkowski_gauge(spec, d) for d in dirs for g in gauges])
     for z0 in z0s:
@@ -404,3 +416,49 @@ def test_lie_ball_map_kills_its_base_point_up_to_the_boundary(n):
         assert np.max(np.abs(am.apply(phi, z0))) <= 1e-15
     stacked = am.normalizing_automorphism(spec, z0s)
     assert np.max(np.abs(am.apply(stacked, z0s))) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_lie_ball_roots_match_mpmath_oracle_up_to_the_boundary(n):
+    # X0, A and D from one SVD of z0 against 50-digit arithmetic on the
+    # defining formulas, at gauge 0.9, 0.99, ..., 1 - 1e-8 along the real
+    # directions, near-real ones (spectral ratio l2/l1 = r) and sampled ones.
+    # X0 is within 8 kappa_2 eps of its largest entry, with
+    # kappa_2 = 1/(1 - l2^2) the condition of its smaller singular value
+    # (measured 5.0); A and D within 4 kappa eps of theirs, with
+    # kappa = 1/(1 - gauge^2) (measured 2.1)
+    pytest.importorskip("mpmath")
+    spec = domains.type_iv(n)
+    near_real = []
+    for r in (0.5, 0.966, 0.999):
+        d = np.zeros(n, dtype=complex)
+        d[:2] = [(1.0 + r) / 2.0, 0.5j * (1.0 - r)]
+        near_real.append(d)
+    dirs = np.stack(_real_directions(n) + near_real
+                    + list(domains.sample_points(spec, range(400, 404))))
+    dirs = dirs / domains.minkowski_gauge_many(spec, dirs)[:, None]
+    eps = np.finfo(float).eps
+    for k in range(1, 9):
+        gauge = 1.0 - 10.0**-k
+        z0s = gauge * dirs
+        sig = np.linalg.svd(np.stack([z0s.real, z0s.imag], axis=-2), compute_uv=False)
+        kappa_2 = 1.0 / (1.0 - (sig[:, 0] - sig[:, 1]) ** 2)
+        budgets = (8.0 * kappa_2, np.full(len(z0s), 4.0 / (1.0 - gauge**2)),
+                   np.full(len(z0s), 4.0 / (1.0 - gauge**2)))
+        for i, (z0, *got) in enumerate(zip(z0s, *am._lie_ball_roots(z0s))):
+            for name, g, want, budget in zip("XAD", got, lie_ball_roots_mp(z0), budgets):
+                err = np.max(np.abs(g - want))
+                assert err <= budget[i] * eps * np.max(np.abs(want)), (name, k, i)
+
+
+def test_lie_ball_normalizing_map_takes_one_svd(monkeypatch):
+    # X0, A and D of a whole stack of base points come from one SVD of z0
+    svd = np.linalg.svd
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    spec = domains.type_iv(4)
+    am.normalizing_automorphism(spec, domains.sample_point(spec, seed=1))
+    assert len(calls) == 1
+    am.normalizing_automorphism(spec, domains.sample_points(spec, range(20)))
+    assert len(calls) == 2

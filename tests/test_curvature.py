@@ -149,7 +149,7 @@ def test_bisectional_orthogonal_directions_vanish():
     e11[0, 0] = 1.0
     e22 = np.zeros((2, 2), dtype=complex)
     e22[1, 1] = 1.0
-    assert abs(curv.bisectional_origin(metric, e11, e22)) < 1e-14
+    assert abs(curv.bisectional_origin_many(metric, e11, e22)) < 1e-14
 
 
 def test_bisectional_sign_and_diagonal():
@@ -173,12 +173,11 @@ def test_bisectional_simultaneous_unitary_invariance():
     rng = np.random.default_rng(5)
     v = dom.sample_tangent(metric.domain, seed=8)
     w = dom.sample_tangent(metric.domain, seed=9)
-    b0 = curv.bisectional_origin(metric, v, w)
     qu, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     qv, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    assert curv.bisectional_origin(metric, qu @ v @ qv, qu @ w @ qv) == pytest.approx(
-        b0, abs=1e-10
-    )
+    b0, b1 = curv.bisectional_origin_many(metric, np.stack([v, qu @ v @ qv]),
+                                          np.stack([w, qu @ w @ qv]))
+    assert b1 == pytest.approx(b0, abs=1e-10)
 
 
 def test_transport_invariance():
@@ -187,9 +186,12 @@ def test_transport_invariance():
         spec = metric.domain
         z = dom.sample_point(spec, seed=4)
         v = dom.sample_tangent(spec, seed=5)
-        k0 = curv.hsc(metric, z, v)
         phi = am.random_automorphism(spec, seed=6)
-        k1 = curv.hsc(metric, am.apply(phi, z), am.differential(phi, z, v))
+        # K_F(Z; V) is K at the origin of the tangent pulled back by the
+        # normalizing map at Z; (Z; V) and its image under phi agree
+        zs, vs = (np.stack(pair) for pair in zip((z, v), am.push(phi, z, v)))
+        _, ws = am.push(am.normalizing_automorphism(spec, zs), zs, vs)
+        k0, k1 = curv.hsc_origin_many(metric, ws)
         assert k1 == pytest.approx(k0, abs=1e-8)
 
 
@@ -212,8 +214,6 @@ def test_zero_vector_rejected():
     metric = met.bergman_metric(dom.type_i(2, 2))
     with pytest.raises(DomainError):
         curv.hsc_origin(metric, np.zeros((2, 2)))
-    with pytest.raises(DomainError):
-        curv.bisectional_origin(metric, np.zeros((2, 2)), np.eye(2))
 
 
 @pytest.mark.parametrize("metric, expected", [

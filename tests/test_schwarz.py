@@ -6,6 +6,7 @@ import cartanfinsler.curvature as curv
 import cartanfinsler.domains as dom
 import cartanfinsler.metrics as met
 import cartanfinsler.norms as nrm
+import cartanfinsler.numkernel as numkernel
 import cartanfinsler.schwarz as sw
 from cartanfinsler.errors import DomainError, NumericError, StructureError
 from oracles import bisection_gauge, generate_maps_one_at_a_time, schwarz_check_per_map
@@ -18,38 +19,35 @@ def test_disc_closed_form():
     z = np.array([[0.3 + 0.4j]])
     v = np.array([[1.0 - 2.0j]])
     expected = abs(v[0, 0]) / (1.0 - abs(z[0, 0]) ** 2)
-    assert sw.caratheodory(disc, z, v) == pytest.approx(expected, rel=1e-12)
+    assert sw.caratheodory_many(disc, z, v) == pytest.approx(expected, rel=1e-12)
 
 
 def test_origin_gauge_agreement():
     for spec in ALL_SPECS:
         v = dom.sample_tangent(spec, seed=1)
         z0 = np.zeros(spec.ambient_shape, dtype=complex)
-        assert sw.caratheodory(spec, z0, v) == pytest.approx(
+        assert sw.caratheodory_many(spec, z0, v) == pytest.approx(
             dom.minkowski_gauge(spec, v), rel=1e-12
         )
 
 
 def test_closed_form_vs_bisection_oracle():
     for spec in ALL_SPECS:
-        for i in range(20):
-            z = dom.sample_point(spec, seed=200 + i)
-            v = dom.sample_tangent(spec, seed=300 + i)
-            direct = sw.caratheodory(spec, z, v)
-            phi = am.normalizing_automorphism(spec, z)
-            oracle = bisection_gauge(spec, am.differential(phi, z, v))
-            assert direct == pytest.approx(oracle, rel=1e-9)
+        zs = dom.sample_points(spec, range(200, 220))
+        vs = dom.sample_tangents(spec, range(300, 320))
+        _, ws = am.push(am.normalizing_automorphism(spec, zs), zs, vs)
+        for direct, w in zip(sw.caratheodory_many(spec, zs, vs), ws):
+            assert direct == pytest.approx(bisection_gauge(spec, w), rel=1e-9)
 
 
 def test_gauge_invariance_under_automorphisms():
     for spec in ALL_SPECS:
-        for i in range(5):
-            z = dom.sample_point(spec, seed=400 + i)
-            v = dom.sample_tangent(spec, seed=500 + i)
-            phi = am.random_automorphism(spec, seed=600 + i)
-            a = sw.caratheodory(spec, z, v)
-            b = sw.caratheodory(spec, am.apply(phi, z), am.differential(phi, z, v))
-            assert b == pytest.approx(a, rel=1e-8)
+        zs = dom.sample_points(spec, range(400, 405))
+        vs = dom.sample_tangents(spec, range(500, 505))
+        # map i of the stack moves sample i
+        imgs, dvs = am.push(am.random_automorphisms(spec, range(600, 605)), zs, vs)
+        a = sw.caratheodory_many(spec, zs, vs)
+        assert sw.caratheodory_many(spec, imgs, dvs) == pytest.approx(a, rel=1e-8)
 
 
 def _inverse_then_sqrt_gauge(z, v):
@@ -69,11 +67,10 @@ def test_gauge_near_the_boundary():
     # Hermitian only to about 1e-11 relative; they must not raise
     # StructureError
     spec = dom.type_i(2, 3)
-    for i in range(50):
-        z = dom.sample_point(spec, seed=i)
-        z = 0.99999 * z / np.linalg.svd(z, compute_uv=False)[0]
-        v = dom.sample_tangent(spec, seed=1000 + i)
-        assert sw.caratheodory(spec, z, v) > 0.0
+    zs = dom.sample_points(spec, range(50))
+    zs = 0.99999 * zs / np.linalg.svd(zs, compute_uv=False)[:, :1, None]
+    vs = dom.sample_tangents(spec, range(1000, 1050))
+    assert np.all(sw.caratheodory_many(spec, zs, vs) > 0.0)
     for spec in (dom.type_i(2, 3), dom.type_ii(3), dom.type_iii(4), dom.type_i(3, 3)):
         zs = np.stack([dom.sample_point(spec, seed=i) for i in range(100)])
         vs = np.stack([dom.sample_tangent(spec, seed=5000 + i) for i in range(100)])
@@ -81,11 +78,41 @@ def test_gauge_near_the_boundary():
         np.testing.assert_allclose(sw.caratheodory_many(spec, zs, vs), want, rtol=1e-12)
 
 
+@pytest.mark.parametrize("spec, roots", [(dom.type_i(2, 3), 2), (dom.type_ii(3), 1),
+                                         (dom.type_iii(4), 1)], ids=str)
+def test_gauge_takes_the_normalizing_roots(monkeypatch, spec, roots):
+    # the gauge takes the normalizing map's own A and D: one eigendecomposition
+    # each over the stack, and none for D = conj(A) on types II and III (the
+    # top eigenvalue of a W W* with three or more rows solves for values only)
+    eigh_batch = numkernel.eigh_batch
+    calls = []
+
+    def counted(ms, want_vectors=True):
+        calls.append(want_vectors)
+        return eigh_batch(ms, want_vectors)
+
+    monkeypatch.setattr(numkernel, "eigh_batch", counted)
+    zs = dom.sample_points(spec, range(20))
+    vs = dom.sample_tangents(spec, range(100, 120))
+    sw.caratheodory_many(spec, zs, vs)
+    assert calls.count(True) == roots
+    a, d = am._matrix_roots(spec, zs)
+    phi = am.normalizing_automorphism(spec, zs).body
+    assert np.array_equal(phi.a, a) and np.array_equal(phi.d_inv, np.linalg.inv(d))
+
+
 def test_outside_point_rejected():
     with pytest.raises(DomainError):
-        sw.caratheodory(dom.type_i(2, 2), 1.5 * np.eye(2), np.eye(2))
-    with pytest.raises(DomainError):
         sw.caratheodory_many(dom.type_i(2, 2), 1.5 * np.eye(2)[None], np.eye(2)[None])
+    # the Lie ball takes the rule of eval2_many, Delta <= 0 or |z|^2 >= 1: an
+    # exterior point raises beside an interior one, on a real axis and at
+    # gauge 1.4 along a sampled direction
+    ball = dom.type_iv(3)
+    z = dom.sample_point(ball, seed=3)
+    v = dom.sample_tangent(ball, seed=4)
+    for z_out in (np.array([1.5, 0.0, 0.0]), 1.4 * z / dom.minkowski_gauge(ball, z)):
+        with pytest.raises(DomainError):
+            sw.caratheodory_many(ball, np.stack([z, z_out]), np.stack([v, v]))
 
 
 @pytest.mark.parametrize(
