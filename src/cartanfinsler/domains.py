@@ -120,14 +120,25 @@ def _as_points(spec: DomainSpec, zs):
         raise StructureError(
             f"Z has shape {zs.shape[1:]}, expected {spec.ambient_shape} for {spec}"
         )
-    if spec.kind in ("II", "III"):
-        sign = 1.0 if spec.kind == "II" else -1.0
-        scale = np.maximum(1.0, np.max(np.abs(zs), axis=(1, 2)))
-        asym = np.max(np.abs(zs - sign * np.swapaxes(zs, 1, 2)), axis=(1, 2))
-        if np.any(asym > SYMMETRY_ATOL * scale):
-            kind = "symmetric" if spec.kind == "II" else "skew-symmetric"
-            raise StructureError(f"Z must be {kind} for {spec}")
+    broken = broken_symmetry(spec, zs)
+    if broken:
+        raise StructureError(f"Z must be {broken} for {spec}")
     return zs
+
+
+def broken_symmetry(spec: DomainSpec, ws):
+    """The class, "symmetric" (type II) or "skew-symmetric" (type III), that
+    some matrix of ws (..., m, m) breaks by differing from its transpose
+    (negated on type III) by more than SYMMETRY_ATOL max(1, its largest
+    entry); None when every matrix keeps it, and on types I and IV."""
+    if spec.kind not in ("II", "III"):
+        return None
+    sign = 1.0 if spec.kind == "II" else -1.0
+    scale = np.maximum(1.0, np.max(np.abs(ws), axis=(-2, -1)))
+    asym = np.max(np.abs(ws - sign * np.swapaxes(ws, -1, -2)), axis=(-2, -1))
+    if np.any(asym > SYMMETRY_ATOL * scale):
+        return "symmetric" if spec.kind == "II" else "skew-symmetric"
+    return None
 
 
 def _lie_gauge2(ws):

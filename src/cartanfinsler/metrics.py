@@ -104,11 +104,9 @@ def _check_pair(metric: MetricSpec, z, v):
         raise StructureError(
             f"tangent has shape {v.shape}, expected {spec.ambient_shape}"
         )
-    scale = max(1.0, float(np.max(np.abs(v))))
-    if spec.kind == "II" and np.max(np.abs(v - v.T)) > 1e-10 * scale:
-        raise StructureError("tangent must be symmetric")
-    if spec.kind == "III" and np.max(np.abs(v + v.T)) > 1e-10 * scale:
-        raise StructureError("tangent must be skew-symmetric")
+    broken = domains.broken_symmetry(spec, v)
+    if broken:
+        raise StructureError(f"tangent must be {broken}")
     return z, v
 
 

@@ -103,8 +103,8 @@ def _maps_of_every_kind(spec, phi):
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
 def test_differential_matches_finite_differences(spec):
-    # corpus admission pushes images alone and schwarz_check pushes images
-    # with tangents, so the two images must agree bit for bit
+    # apply pushes images alone and schwarz_check pushes images with
+    # tangents, so the two images must agree bit for bit
     z0 = domains.sample_point(spec, seed=3)
     phi = am.normalizing_automorphism(spec, z0)
     for seed in range(5):

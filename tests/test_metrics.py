@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,24 @@ def test_eval_checks_inputs():
         met.eval2(metric, z, np.ones((2, 3)))
     with pytest.raises(DomainError):
         met.fundamental_tensor(metric, z, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("spec, word", [(dom.type_ii(2), "symmetric"),
+                                        (dom.type_iii(4), "skew-symmetric")], ids=str)
+def test_points_and_tangents_share_one_symmetry_rule(spec, word):
+    # a base point and a tangent both break their class past SYMMETRY_ATOL
+    # times max(1, largest entry), each with its own message
+    metric = met.bergman_metric(spec)
+    z = dom.sample_point(spec, seed=1)
+    v = dom.sample_tangent(spec, seed=2)
+    v = 0.5 * v / np.max(np.abs(v))
+    bump = np.zeros(spec.ambient_shape)
+    bump[0, 1] = dom.SYMMETRY_ATOL
+    met.eval2(metric, z + 0.5 * bump, v + 0.5 * bump)
+    with pytest.raises(StructureError, match=re.escape(f"Z must be {word} for {spec}")):
+        met.eval2(metric, z + 2.0 * bump, v)
+    with pytest.raises(StructureError, match=f"^tangent must be {word}$"):
+        met.eval2(metric, z, v + 2.0 * bump)
 
 
 def test_grad_vbar_matches_fd():
