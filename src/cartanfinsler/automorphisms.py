@@ -278,10 +278,8 @@ def random_automorphism(spec: DomainSpec, seed: int) -> HoloMap:
 
 def compose(*maps) -> HoloMap:
     """Function composition: compose(f, g) applies g first, then f."""
-    if len(maps) == 1 and isinstance(maps[0], (list, tuple)):
-        maps = tuple(maps[0])
     if not maps:
-        raise StructureError("cannot compose an empty list of maps")
+        raise StructureError("compose needs at least one map")
     for f, g in zip(maps[:-1], maps[1:]):
         if f.source != g.target:
             raise StructureError(
@@ -453,6 +451,6 @@ def invert(m: HoloMap) -> HoloMap:
         return HoloMap(m.target, m.source,
                        VectorLinear(1.0 / b.alpha, np.swapaxes(b.d, -1, -2)))
     if isinstance(b, MapChain):
-        return compose([invert(f) for f in reversed(b.maps)])
+        return compose(*(invert(f) for f in reversed(b.maps)))
     raise StructureError(f"map body {type(b).__name__} is not invertible")
 

@@ -350,8 +350,7 @@ def _run_certify(cfg: RunConfig):
         cert, cert_kind = norms.certify_sn(family), "sn"
     tol = cfg.tolerances
     n = min(cfg.samples, 100)
-    deviation = metrics.verify_invariance(cfg.metric, n_maps=n, n_samples=n,
-                                          seed=cfg.seed)
+    deviation = metrics.verify_invariance(cfg.metric, n, cfg.seed)
     rows = [_gate_row(f"{cert_kind}_certificate", cert.worst_margin, 0.0, ">="),
             _gate_row("invariance_deviation", deviation, tol["invariance"], "<=")]
     cert_ok = rows[0]["status"] == "pass"
@@ -382,8 +381,9 @@ def _run_certify(cfg: RunConfig):
 
 def _run_curvature(cfg: RunConfig):
     pair_draws = min(cfg.samples, curvature.PAIR_DRAWS)
-    report = curvature.curvature_bounds(cfg.metric, seed=cfg.seed,
-                                        pair_draws=pair_draws)
+    report = curvature.curvature_bounds(cfg.metric)
+    bisect_c, search = curvature.bisectional_bound(cfg.metric, report.k1,
+                                                   pair_draws, cfg.seed)
     vmin, vmax = curvature.verify_curvature_range(cfg.metric, n_samples=cfg.samples,
                                                   seed=cfg.seed)
     slack = cfg.tolerances["curvature_slack"]
@@ -393,23 +393,23 @@ def _run_curvature(cfg: RunConfig):
     ok = holds(worst_low, 0.0, "<=") and holds(worst_high, 0.0, "<=")
     summary = {
         "K1": float(report.k1), "K2": float(report.k2), "lu": float(report.lu),
-        "bisectional_C": float(report.bisectional_c),
-        "bisectional_search": float(report.bisectional_search),
-        "bisectional_excess": float(report.bisectional_c / report.k1 - 1.0),
+        "bisectional_C": float(bisect_c),
+        "bisectional_search": float(search),
+        "bisectional_excess": float(bisect_c / report.k1 - 1.0),
         "argmin_profile": np.asarray(report.argmin_profile).tolist(),
         "argmax_profile": np.asarray(report.argmax_profile).tolist(),
         "range_ok": ok,
     }
     rows = [{"quantity": name, "value": float(value)} for name, value in (
         ("K1", report.k1), ("K2", report.k2), ("lu", report.lu),
-        ("bisectional_C", report.bisectional_c),
+        ("bisectional_C", bisect_c),
         ("worst_low_excess", worst_low), ("worst_high_excess", worst_high))]
     drawn = {"bisectional_pairs": pair_draws, "range_tangents": cfg.samples}
     return ok, summary, rows, drawn
 
 
 def _run_sandwich(cfg: RunConfig):
-    bounds = curvature.curvature_bounds(cfg.metric, seed=cfg.seed, pair_draws=0)
+    bounds = curvature.curvature_bounds(cfg.metric)
     slack = cfg.tolerances["sandwich_slack"]
     eq_tol = cfg.tolerances["sandwich_equality"]
     report = schwarz.verify_sandwich(cfg.metric, bounds, n_samples=cfg.samples,
@@ -446,14 +446,13 @@ def _run_schwarz(cfg: RunConfig):
     source, metric1 = cfg.domain, cfg.metric
     target = cfg.target_domain if cfg.target_domain is not None else source
     metric2 = cfg.target_metric if cfg.target_metric is not None else metric1
-    bounds1 = curvature.curvature_bounds(metric1, pair_draws=0)
-    bounds2 = bounds1 if metric2 is metric1 else \
-        curvature.curvature_bounds(metric2, pair_draws=0)
+    bounds1 = curvature.curvature_bounds(metric1)
+    bounds2 = bounds1 if metric2 is metric1 else curvature.curvature_bounds(metric2)
     maps = schwarz.generate_maps(source, target, seed=cfg.seed, count=cfg.maps)
     seeds = np.random.default_rng(cfg.seed).integers(2**63, size=len(maps))
     zs, vs = schwarz.draw_samples(source, seeds, cfg.samples)
     reports = schwarz.schwarz_check(maps, metric1, metric2, bounds1.k1, bounds2.k2,
-                                    samples=(zs, vs))
+                                    zs, vs)
     slack = cfg.tolerances["schwarz_slack"]
     rows = [{"map_index": i, "kind": type(maps[i].body).__name__,
              "min_margin": float(r.min_margin),

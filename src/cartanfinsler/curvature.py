@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import NumericError
 from . import domains
 from . import norms
-from .metrics import MetricSpec
+from .metrics import MetricSpec, require_nonzero
 
 LIE_SUP_TICKS = 201  # ticks per axis of the Lie-ball (s, q) table and t grid
 PAIR_DRAWS = 10_000
@@ -29,8 +29,6 @@ class CurvatureReport:
     lu: float                   # sqrt(k1 / k2)
     argmin_profile: np.ndarray  # singular values at -k1; [s] on the Lie ball
     argmax_profile: np.ndarray  # the same at -k2
-    bisectional_c: float        # extremized bound C with -C <= B <= 0
-    bisectional_search: float   # the fiber search's own sup |B| (0 if not run)
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +88,10 @@ def _lie_contraction(metric: MetricSpec, vs, ws):
 
 
 def hsc_origin_many(metric: MetricSpec, vs) -> np.ndarray:
-    """Holomorphic sectional curvature at the origin, batched over tangents."""
+    """Holomorphic sectional curvature at the origin, batched over tangents;
+    a zero tangent raises DomainError."""
     vs = np.asarray(vs, dtype=np.complex128)
+    require_nonzero(metric.domain, vs, "curvature is undefined along V = 0")
     if metric.domain.kind == "IV":
         f2 = norms.eval_phi_norm_many(metric.family, vs, metric.normalization)
         return -2.0 * _lie_contraction(metric, vs, vs) / f2**2
@@ -99,17 +99,13 @@ def hsc_origin_many(metric: MetricSpec, vs) -> np.ndarray:
     return _matrix_hsc_from_traces(metric, traces)
 
 
-def hsc_origin(metric: MetricSpec, v) -> float:
-    v = np.asarray(v, dtype=np.complex128)
-    if np.max(np.abs(v)) == 0.0:
-        raise DomainError("sectional curvature is undefined along V = 0")
-    return float(hsc_origin_many(metric, v[None])[0])
-
-
 def bisectional_origin_many(metric: MetricSpec, vs, ws) -> np.ndarray:
-    """B(0;V,W) over paired stacks of tangents."""
+    """B(0;V,W) over paired stacks of tangents; a zero tangent in either
+    raises DomainError."""
     vs = np.asarray(vs, dtype=np.complex128)
     ws = np.asarray(ws, dtype=np.complex128)
+    for x in (vs, ws):
+        require_nonzero(metric.domain, x, "curvature is undefined along V = 0")
     if metric.domain.kind == "IV":
         norm = metric.normalization
         f2v = norms.eval_phi_norm_many(metric.family, vs, norm)
@@ -296,22 +292,14 @@ def _bisectional_sup_lie(metric: MetricSpec) -> float:
     return float(sup[0])
 
 
-def curvature_bounds(metric: MetricSpec, seed: int = 0,
-                     pair_draws: int = PAIR_DRAWS) -> CurvatureReport:
-    """Extremize K over the fiber and bound the bisectional curvature.
+def curvature_bounds(metric: MetricSpec) -> CurvatureReport:
+    """Extremize K over the fiber: K1, K2, the lu constant and the argmins.
 
     K is extremized by one norms.simplex_scan on every type: over squared
     singular values on the matrix domains, and on the Lie ball over rank-2
     profiles y with s = (y_1 - y_2)^2, where K has the closed form
-    -(4/N) [1 - (1 - s) kappa(s)] / phi(s) (_lie_ratio with W = V).
-
-    With pair_draws > 0 the report also carries bisectional_c: the
-    extremized supremum of |B| (it always dominates k1, attained at V = W),
-    cross-checked against pair_draws sampled tangent pairs, and
-    bisectional_search: what the fiber search alone found, before the max
-    with k1 and the sampled pairs.  The search is a table and one polish
-    on the matrix domains (_bisectional_sup_matrix) and on the Lie ball
-    (_bisectional_sup_lie, three invariants); neither samples.
+    -(4/N) [1 - (1 - s) kappa(s)] / phi(s) (_lie_ratio with W = V).  The
+    report depends on the metric alone; nothing is sampled.
     """
     spec = metric.domain
     dim, total = _profile_dim_total(spec)
@@ -343,27 +331,29 @@ def curvature_bounds(metric: MetricSpec, seed: int = 0,
         raise NumericError(
             f"curvature extremization stagnated: k1={k1:.6g}, k2={k2:.6g}"
         )
-
-    bisect_c = search = 0.0
-    if pair_draws > 0:
-        if spec.kind == "IV":
-            search = _bisectional_sup_lie(metric)
-        else:
-            search = _bisectional_sup_matrix(metric)
-        bisect_c = max(search, k1)  # B(V,V) = K(V) reaches -k1
-        rng = np.random.default_rng(seed)
-        vs, ws = domains.draw_grid([
-            domains.Tangents(spec, rng.integers(2**63, size=pair_draws)),
-            domains.Tangents(spec, rng.integers(2**63, size=pair_draws))])
-        bisect_c = max(bisect_c, float(-np.min(bisectional_origin_many(metric, vs, ws))))
-    return CurvatureReport(k1, k2, float(np.sqrt(k1 / k2)), argmin, argmax,
-                           bisect_c, search)
+    return CurvatureReport(k1, k2, float(np.sqrt(k1 / k2)), argmin, argmax)
 
 
-def lu_constant(metric: MetricSpec) -> float:
-    """sqrt(K1/K2): the distortion constant of the metric's Schwarz bound."""
-    report = curvature_bounds(metric, pair_draws=0)
-    return report.lu
+def bisectional_bound(metric: MetricSpec, k1: float, pair_draws: int, seed: int):
+    """(C, search): the bound C with -C <= B <= 0 and the fiber search's sup.
+
+    search is the extremized supremum of |B|: a table and one polish on the
+    matrix domains (_bisectional_sup_matrix) and on the Lie ball
+    (_bisectional_sup_lie, three invariants); neither samples.  C is its max
+    with k1 (B(V,V) = K(V) reaches -k1) and with -B over pair_draws tangent
+    pairs drawn at the seeds default_rng(seed) gives.
+    """
+    spec = metric.domain
+    if spec.kind == "IV":
+        search = _bisectional_sup_lie(metric)
+    else:
+        search = _bisectional_sup_matrix(metric)
+    rng = np.random.default_rng(seed)
+    vs, ws = domains.draw_grid([
+        domains.Tangents(spec, rng.integers(2**63, size=pair_draws)),
+        domains.Tangents(spec, rng.integers(2**63, size=pair_draws))])
+    sampled = float(-np.min(bisectional_origin_many(metric, vs, ws)))
+    return max(search, k1, sampled), search
 
 
 def verify_curvature_range(metric: MetricSpec, n_samples: int = 100_000,

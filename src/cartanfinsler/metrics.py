@@ -34,6 +34,8 @@ from . import numkernel
 from .norms import PhiFamilySpec, bergman_family, constant_phi, tk_family
 
 SPEED_DRIFT_LIMIT = 1e-3
+N_BASE = 3    # base points of the Kaehler-Berwald check
+N_FIBER = 10  # fibers per base point, raised to dim + 1 for the fit
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,13 @@ def _check_pair(metric: MetricSpec, z, v):
     if broken:
         raise StructureError(f"tangent must be {broken}")
     return z, v
+
+
+def require_nonzero(spec: DomainSpec, vs, message: str):
+    """Raise DomainError(message) if any tangent of the stack vs is zero."""
+    ambient = tuple(range(-len(spec.ambient_shape), 0))
+    if np.any(np.max(np.abs(vs), axis=ambient) == 0.0):
+        raise DomainError(message)
 
 
 def _outer(x, y):
@@ -266,9 +275,7 @@ def _fiber_jet(metric: MetricSpec, zs, vs):
     spec = metric.domain
     zs = np.asarray(zs, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
-    ambient = tuple(range(-len(spec.ambient_shape), 0))
-    if np.any(np.max(np.abs(vs), axis=ambient) == 0.0):
-        raise DomainError("fiber derivatives of F^2 are undefined at V = 0")
+    require_nonzero(spec, vs, "fiber derivatives of F^2 are undefined at V = 0")
     norm = metric.normalization
     col = lambda x: x[..., None, None]
     # the direction axis leads, so the per-item values broadcast against it
@@ -442,18 +449,17 @@ def hermitian_connection(metric: MetricSpec, zs) -> np.ndarray:
     return np.swapaxes(domains.pack(spec, gamma), -1, -3)
 
 
-def verify_kahler_berwald(metric: MetricSpec, n_base: int = 3, n_fiber: int = 10,
-                          seed: int = 0) -> KahlerBerwaldReport:
+def verify_kahler_berwald(metric: MetricSpec, seed: int = 0) -> KahlerBerwaldReport:
     """Numerical check of the Berwald/Kaehler structure of the metric.
 
-    At each of n_base sampled base points z the nonlinear connection is
-    computed at max(n_fiber, dim + 1) unit fibers v_f, and one Gamma[l, j, i]
+    At each of N_BASE sampled base points z the nonlinear connection is
+    computed at max(N_FIBER, dim + 1) unit fibers v_f, and one Gamma[l, j, i]
     is fitted to N_f[l, i] = sum_j Gamma[l, j, i] v_f[j] by least squares.
     The connection of every fiber of every base point is one
     connection_sample call, the fits of all base points one stacked pinv,
     and their reference connections one hermitian_connection call.  Reports
     the worst over the base points; the caller decides the verdict:
-      * mixed fiber-base derivative of F^2 at the origin over n_base unit
+      * mixed fiber-base derivative of F^2 at the origin over N_BASE unit
         fibers (should vanish); exactly 0 for every metric, because each
         term of grad_vbar_pair's base derivative carries Z* (types I-III)
         or z, zbar (Lie ball), so this row is a consistency check and not
@@ -466,7 +472,7 @@ def verify_kahler_berwald(metric: MetricSpec, n_base: int = 3, n_fiber: int = 10
         reference connection at the same base.
     """
     spec = metric.domain
-    n_fiber = max(n_fiber, spec.dim + 1)
+    n_base, n_fiber = N_BASE, max(N_FIBER, spec.dim + 1)
     rng = np.random.default_rng(seed)
     ambient = tuple(range(-len(spec.ambient_shape), 0))
     unit = lambda w: w / np.linalg.norm(w, axis=ambient, keepdims=True)
@@ -489,23 +495,22 @@ def verify_kahler_berwald(metric: MetricSpec, n_base: int = 3, n_fiber: int = 10
                                n_base * n_fiber)
 
 
-def verify_invariance(metric: MetricSpec, n_maps: int = 100, n_samples: int = 100,
-                      seed: int = 0) -> float:
-    """Worst relative deviation of F under random automorphisms.
+def verify_invariance(metric: MetricSpec, n: int, seed: int) -> float:
+    """Worst relative deviation of F under n random automorphisms at n
+    sampled (z, v).
 
-    The n_maps automorphisms are one stacked map, so every map acts on every
-    sampled (z, v) in one push and one eval2_many call over n_samples x
-    n_maps points.  The samples and the maps' draws come from one
-    domains.draw_grid call.
+    The n automorphisms are one stacked map, so every map acts on every
+    sampled (z, v) in one push and one eval2_many call over n x n points.
+    The samples and the maps' draws come from one domains.draw_grid call.
     """
     from . import automorphisms as am
 
     spec = metric.domain
     rng = np.random.default_rng(seed)
     zs, vs, *maps = domains.draw_grid(
-        [domains.Points(spec, rng.integers(2**63, size=n_samples)),
-         domains.Tangents(spec, rng.integers(2**63, size=n_samples))]
-        + am.automorphism_parts(spec, rng.integers(2**63, size=n_maps)))
+        [domains.Points(spec, rng.integers(2**63, size=n)),
+         domains.Tangents(spec, rng.integers(2**63, size=n))]
+        + am.automorphism_parts(spec, rng.integers(2**63, size=n)))
     base = eval2_many(metric, zs, vs)[:, None]
     phi = am.automorphisms_from(spec, *maps)
     zs, vs = _inner_axis(spec, zs), _inner_axis(spec, vs)    # (sample, map) axes

@@ -25,7 +25,10 @@ from .errors import StructureError
 from . import numkernel
 
 STRICT_MARGIN = 1e-10
-POLISH_TOL = 1e-12
+POLISH_TOL = 1e-12    # a polish row stops once its step is <= this
+POLISH_GAIN = 1e-18   # a move must beat the row's value by more than this
+ORTHANT_TICKS = 25    # ticks per axis of the certify_scc grid
+SN_TICKS = 1001       # points of the certify_sn grid on [0, 1]
 
 
 @dataclass(frozen=True)
@@ -168,25 +171,23 @@ def eval_phi_norm_many(spec: PhiFamilySpec, xis, normalization: float = 1.0) -> 
 # certification
 
 
-def orthant_grid(k: int, resolution: int = 25) -> np.ndarray:
+def orthant_grid(k: int) -> np.ndarray:
     """Strictly positive sample points covering the unit simplex in R^k."""
     if k == 1:
-        return np.linspace(0.05, 1.0, resolution)[:, None]
-    ticks = np.linspace(0.02, 1.0, resolution)
+        return np.linspace(0.05, 1.0, ORTHANT_TICKS)[:, None]
+    ticks = np.linspace(0.02, 1.0, ORTHANT_TICKS)
     mesh = np.meshgrid(*([ticks] * k), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     return pts / np.sum(pts, axis=-1, keepdims=True)
 
 
-def certify_scc(spec: GFamilySpec, grid=None) -> Certificate:
-    """Gradient strictly positive and Hessian PSD at every grid point.
+def certify_scc(spec: GFamilySpec) -> Certificate:
+    """Gradient strictly positive and Hessian PSD at every orthant_grid point.
 
     The worst margin is the first minimum in point order, the gradient check
     before the Hessian check at each point.
     """
-    if grid is None:
-        grid = orthant_grid(spec.k)
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    grid = orthant_grid(spec.k)
     hess = hess_rows(spec, grid)
     margins = np.stack([
         np.min(grad_rows(spec, grid), axis=-1) - STRICT_MARGIN,
@@ -203,11 +204,9 @@ def certify_scc(spec: GFamilySpec, grid=None) -> Certificate:
                        ("gradient_positivity", "hessian_psd")[i % 2])
 
 
-def certify_sn(spec: PhiFamilySpec, s_grid=None) -> Certificate:
-    """Two positivity conditions on phi over s in [0, 1]."""
-    if s_grid is None:
-        s_grid = np.linspace(0.0, 1.0, 1001)
-    s = np.asarray(s_grid, dtype=float)
+def certify_sn(spec: PhiFamilySpec) -> Certificate:
+    """Two positivity conditions on phi over SN_TICKS points of [0, 1]."""
+    s = np.linspace(0.0, 1.0, SN_TICKS)
     phi = np.asarray(spec.value(s), dtype=float)
     d1 = np.asarray(spec.d1(s), dtype=float)
     d2 = np.asarray(spec.d2(s), dtype=float)
@@ -253,14 +252,14 @@ def _composition_units(dim: int, resolution: int) -> np.ndarray:
     return units
 
 
-def simplex_grid(dim: int, total: float = 1.0, resolution: int = None):
+def simplex_grid(dim: int, total: float = 1.0):
     """Dense ordered grid on {y_1 >= ... >= y_dim >= 0, sum y = total}.
 
-    Returns the (P, dim) profiles and their spacing total / resolution; the
-    integer compositions behind them are built once per (dim, resolution).
+    Returns the (P, dim) profiles and their spacing total / resolution, with
+    a resolution of 200 units up to dim 2 and 60 above; the integer
+    compositions behind them are built once per dim.
     """
-    if resolution is None:
-        resolution = 200 if dim <= 2 else 60
+    resolution = 200 if dim <= 2 else 60
     step = total / resolution
     if dim == 1:
         return np.array([[float(total)]]), step
@@ -287,26 +286,26 @@ def mass_moves(pairs) -> Callable:
     return moves
 
 
-def polish_many(fn_batch: Callable, y0, sign, step, moves: Callable = None,
-                tol: float = POLISH_TOL, gain: float = 1e-18):
+def polish_many(fn_batch: Callable, y0, sign, step, moves: Callable = None):
     """Row-wise pattern search: each row of y0 (R, d) climbs sign * fn alone.
 
     A row tries the candidates moves(y, step) proposes for it and takes the
-    best if that beats its value by more than `gain`; otherwise it halves
-    its own step, and it stops once its step is <= tol.  moves maps rows
-    (A, d) and their steps (A,) to candidates (C, A, d) and a feasibility
-    mask (C, A); infeasible candidates are not evaluated and never win.  The
-    default moves shift mass between any two coordinates (mass_moves).
+    best if that beats its value by more than POLISH_GAIN; otherwise it
+    halves its own step, and it stops once its step is <= POLISH_TOL.  moves
+    maps rows (A, d) and their steps (A,) to candidates (C, A, d) and a
+    feasibility mask (C, A); infeasible candidates are not evaluated and
+    never win.  The default moves shift mass between any two coordinates
+    (mass_moves).
     sign and step are scalars or one per row.  Returns (y, fn(y)) row by row.
 
     Halving ladder: one round tries a row's step and every halving of it
-    above tol in one fn_batch call, and resumes at the largest step that
+    above POLISH_TOL in one fn_batch call, and resumes at the largest step that
     gains; a row that gains at none stops.  This accepts the same moves in
     the same order as one round per halving, bit for bit: y does not change
     across failed halvings, step * 2**-l is exactly l halvings, argmax keeps
     the first of equal candidates at every step, and fn_batch values each
-    row independently of the others.  The failed halvings down to tol cost
-    one call instead of one each.
+    row independently of the others.  The failed halvings down to POLISH_TOL
+    cost one call instead of one each.
     """
     y = np.array(y0, dtype=float)
     rows = len(y)
@@ -317,12 +316,12 @@ def polish_many(fn_batch: Callable, y0, sign, step, moves: Callable = None,
     sign = np.broadcast_to(np.asarray(sign, dtype=float), (rows,))
     step = np.array(np.broadcast_to(np.asarray(step, dtype=float), (rows,)))
     best = np.array(fn_batch(y), dtype=float)
-    active = np.flatnonzero(step > tol)
+    active = np.flatnonzero(step > POLISH_TOL)
     while active.size:
         # (A, L): each row's step and its halvings, largest first
-        halvings = np.arange(int(np.log2(step[active].max() / tol)) + 2)
+        halvings = np.arange(int(np.log2(step[active].max() / POLISH_TOL)) + 2)
         levels = np.ldexp(step[active][:, None], -halvings)
-        live = levels > tol
+        live = levels > POLISH_TOL
         at_row, at_level = np.nonzero(live)
         tried = active[at_row]
         cands, feasible = moves(y[tried], levels[at_row, at_level])
@@ -335,22 +334,21 @@ def polish_many(fn_batch: Callable, y0, sign, step, moves: Callable = None,
         b = np.argmax(f, axis=0)
         fb = f[b, np.arange(tried.size)]
         gains = np.zeros(live.shape, dtype=bool)
-        gains[live] = fb > sign[tried] * best[tried] + gain
+        gains[live] = fb > sign[tried] * best[tried] + POLISH_GAIN
         depth = live.sum(axis=1)
         up = gains.any(axis=1)
-        # resume at the first gaining level, or stop at the first <= tol
+        # resume at the first gaining level, or stop at the first <= POLISH_TOL
         first = np.where(up, np.argmax(gains, axis=1), depth)
         cols = (np.cumsum(depth) - depth + np.minimum(first, depth - 1))[up]
         moved = active[up]
         y[moved] = cands[b[cols], cols]
         best[moved] = sign[moved] * fb[cols]
         step[active] = np.ldexp(levels[:, 0], -first)
-        active = active[step[active] > tol]
+        active = active[step[active] > POLISH_TOL]
     return y, best
 
 
-def simplex_scan(fn_batch: Callable, dim: int, total: float = 1.0,
-                 resolution: int = None):
+def simplex_scan(fn_batch: Callable, dim: int, total: float = 1.0):
     """Extremize fn over {y_1 >= ... >= y_dim >= 0, sum y = total}.
 
     fn_batch maps an array (P, dim) of profiles to (P,) values.  Dense ordered
@@ -363,7 +361,7 @@ def simplex_scan(fn_batch: Callable, dim: int, total: float = 1.0,
         y = np.array([[total]])
         f = float(fn_batch(y)[0])
         return (y[0], f), (y[0], f)
-    y_grid, step = simplex_grid(dim, total, resolution)
+    y_grid, step = simplex_grid(dim, total)
     vals = np.asarray(fn_batch(y_grid), dtype=float)
     starts = y_grid[[int(np.argmin(vals)), int(np.argmax(vals))]]
     y, f = polish_many(fn_batch, starts, np.array([-1.0, 1.0]), step)

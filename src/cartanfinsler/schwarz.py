@@ -274,8 +274,9 @@ def draw_samples(spec: DomainSpec, seeds, n_samples: int = 100):
     """The (zs, vs) of n_samples points and tangents at each seed, stacked.
 
     Both have shape (len(seeds), n_samples) + ambient shape: row i holds the
-    draws that schwarz_check makes at seed seeds[i], so a corpus passes one
-    row per map.  Every row comes from one domains.draw_grid call.
+    n_samples points and tangents at seed seeds[i], so a corpus passes one
+    row per map to schwarz_check.  Every row comes from one
+    domains.draw_grid call.
     """
     items = np.array([np.random.default_rng(int(s)).integers(2**63, size=(2, n_samples))
                       for s in seeds], dtype=np.int64).reshape(-1, 2, n_samples)
@@ -286,36 +287,24 @@ def draw_samples(spec: DomainSpec, seeds, n_samples: int = 100):
 
 
 def schwarz_check(maps, metric1: MetricSpec, metric2: MetricSpec,
-                  k1: float, k2: float, n_samples: int = 100,
-                  seed: int = 0, samples=None):
-    """Margins of sqrt(K1/K2) * F1 - f*F2 over sampled (Z;V), for many maps.
+                  k1: float, k2: float, zs, vs):
+    """Margins of sqrt(K1/K2) * F1 - f*F2 over sampled (Z;V), one report per map.
 
-    maps: one HoloMap, which gives one SchwarzReport, or a sequence of them,
-    which gives one report per map.  samples: precomputed (zs, vs) in place
-    of the n_samples draws at seed that every map shares; for a sequence
-    they are the (maps, n_samples) + ambient stacks of draw_samples, row i
-    for map i.  Each map makes one push of its samples; F1 over every sample
-    and F2 over every image take one eval2_many call each.  An image
+    zs and vs are the (maps, n_samples) + ambient stacks of draw_samples,
+    row i for map i.  Each map makes one push of its samples; F1 over every
+    sample and F2 over every image take one eval2_many call each.  An image
     outside the target raises DomainError from eval2_many, as a map that is
-    not into its target is no evidence.  Each report carries the
-    worst relative margin and its sample; the caller decides the verdict.
+    not into its target is no evidence.  Each report carries the worst
+    relative margin and its sample; the caller decides the verdict.
     """
-    one = isinstance(maps, am.HoloMap)
-    maps = [maps] if one else list(maps)
     for f in maps:
         if f.source != metric1.domain or f.target != metric2.domain:
             raise StructureError("map endpoints do not match the metric domains")
     bound = float(np.sqrt(k1 / k2))
-    if samples is None:
-        zs, vs = draw_samples(metric1.domain, [seed], n_samples)
-    else:
-        zs, vs = (np.asarray(x, dtype=np.complex128) for x in samples)
-        if one:
-            zs, vs = zs[None], vs[None]
-    shape = (len(maps),) + zs.shape[1:]
-    zs, vs = np.broadcast_to(zs, shape), np.broadcast_to(vs, shape)
+    zs = np.asarray(zs, dtype=np.complex128)
+    vs = np.asarray(vs, dtype=np.complex128)
     f1 = np.sqrt(eval2_many(metric1, zs, vs))
-    pushed = [am.push(f, z, v) for f, z, v in zip(maps, zs, vs)]
+    pushed = [am.push(f, z, v) for f, z, v in zip(maps, zs, vs, strict=True)]
     imgs, dvs = (np.stack(x) for x in zip(*pushed))
     f2 = np.sqrt(np.maximum(eval2_many(metric2, imgs, dvs), 0.0))
     margins = bound * f1 - f2
@@ -330,4 +319,4 @@ def schwarz_check(maps, metric1: MetricSpec, metric2: MetricSpec,
             sup_ratio=float(np.max(f2[row] / f1[row])),
             witness=(zs[row, i], vs[row, i], float(f1[row, i]), float(f2[row, i])),
         ))
-    return reports[0] if one else reports
+    return reports

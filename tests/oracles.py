@@ -118,13 +118,13 @@ def g_family_from_callable(value, k: int, label="custom"):
     return GFamilySpec(k=k, value=value, grad=grad, hess=hess, label=label)
 
 
-def kahler_berwald_per_base(metric, n_base: int = 3, n_fiber: int = 10, seed: int = 0):
+def kahler_berwald_per_base(metric, seed: int = 0):
     """metrics.verify_kahler_berwald with one least-squares fit and one
     hermitian_connection call per base point; oracle for the stacked fit."""
     from cartanfinsler import metrics as met
 
     spec = metric.domain
-    n_fiber = max(n_fiber, spec.dim + 1)
+    n_base, n_fiber = met.N_BASE, max(met.N_FIBER, spec.dim + 1)
     rng = np.random.default_rng(seed)
     ambient = tuple(range(-len(spec.ambient_shape), 0))
     unit = lambda w: w / np.linalg.norm(w, axis=ambient, keepdims=True)

@@ -42,29 +42,27 @@ def _gaussian_tangents(spec, n, rng):
 
 def test_01_bergman_lu_equals_sqrt_rank():
     for m, n in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3)]:
-        lu = curv.lu_constant(met.bergman_metric(dom.type_i(m, n)))
+        lu = curv.curvature_bounds(met.bergman_metric(dom.type_i(m, n))).lu
         assert lu == pytest.approx(np.sqrt(m), abs=1e-12), (m, n)
 
 
 def test_02_two_term_lu_value_and_strict_window():
-    lu = curv.lu_constant(met.tk_metric(dom.type_i(2, 3), 1.0, 2))
+    lu = curv.curvature_bounds(met.tk_metric(dom.type_i(2, 3), 1.0, 2)).lu
     assert lu == pytest.approx(np.sqrt((2.0 + np.sqrt(2.0)) / 2.0), abs=1e-12)
     for t in (0.5, 1.0, 2.0):
-        lu_t = curv.lu_constant(met.tk_metric(dom.type_i(2, 3), t, 2))
+        lu_t = curv.curvature_bounds(met.tk_metric(dom.type_i(2, 3), t, 2)).lu
         assert 1.0 < lu_t < np.sqrt(2.0), t
 
 
 def test_03_lie_ball_curvature_ratio_is_two():
     for n in range(2, 7):
-        rep = curv.curvature_bounds(met.bergman_metric(dom.type_iv(n)),
-                                    pair_draws=0)
+        rep = curv.curvature_bounds(met.bergman_metric(dom.type_iv(n)))
         assert rep.k1 / rep.k2 == pytest.approx(2.0, abs=1e-12), n
 
 
 def test_04_invariance_under_automorphisms():
     for metric in SHIPPED:
-        deviation = met.verify_invariance(metric, n_maps=100, n_samples=100,
-                                          seed=41)
+        deviation = met.verify_invariance(metric, 100, 41)
         assert deviation <= 1e-9, (metric.label, deviation)
 
 
@@ -102,7 +100,9 @@ def test_06_curvature_sign_and_pinching():
     rng = np.random.default_rng(66)
     for metric in SHIPPED:
         spec = metric.domain
-        report = curv.curvature_bounds(metric, seed=660)
+        report = curv.curvature_bounds(metric)
+        bisectional_c, _ = curv.bisectional_bound(metric, report.k1,
+                                                  curv.PAIR_DRAWS, 660)
         assert report.k2 > 0.0, metric.label
         vmin, vmax = curv.verify_curvature_range(metric, n_samples=100_000, seed=661)
         worst_low = (-report.k1 - 1e-7) - vmin
@@ -113,7 +113,7 @@ def test_06_curvature_sign_and_pinching():
         vs = _gaussian_tangents(spec, 10_000, rng)
         ws = _gaussian_tangents(spec, 10_000, rng)
         pairs = curv.bisectional_origin_many(metric, vs, ws)
-        assert np.min(pairs) >= -report.bisectional_c - 1e-7, metric.label
+        assert np.min(pairs) >= -bisectional_c - 1e-7, metric.label
         assert np.max(pairs) <= 1e-9, metric.label
         diag = curv.bisectional_origin_many(metric, vs[:1000], vs[:1000])
         sect = curv.hsc_origin_many(metric, vs[:1000])
@@ -122,7 +122,7 @@ def test_06_curvature_sign_and_pinching():
 
 def test_07_gauge_comparison_sandwich():
     for metric in SHIPPED:
-        bounds = curv.curvature_bounds(metric, pair_draws=0)
+        bounds = curv.curvature_bounds(metric)
         rep = sw.verify_sandwich(metric, bounds, n_samples=10_000, seed=77)
         assert rep.worst_lower >= -1e-8, (metric.label, rep.worst_lower)
         assert rep.worst_upper >= -1e-8, (metric.label, rep.worst_upper)
@@ -141,8 +141,7 @@ def test_08_schwarz_margins_over_map_corpus():
 
     def bounds(metric):
         if metric.label not in bounds_cache:
-            bounds_cache[metric.label] = curv.curvature_bounds(metric,
-                                                               pair_draws=0)
+            bounds_cache[metric.label] = curv.curvature_bounds(metric)
         return bounds_cache[metric.label]
 
     worst_rel = np.inf
@@ -157,7 +156,7 @@ def test_08_schwarz_margins_over_map_corpus():
                 k1 = bounds(f1).k1
                 k2 = bounds(f2).k2
                 # one call checks every map on its own row of samples
-                reps = sw.schwarz_check(maps, f1, f2, k1, k2, samples=(zs, vs))
+                reps = sw.schwarz_check(maps, f1, f2, k1, k2, zs, vs)
                 for i, rep in enumerate(reps):
                     assert rep.min_margin_rel >= -1e-8, (
                         src, tgt, f1.label, f2.label, i, rep.min_margin_rel)

@@ -41,7 +41,7 @@ def _lie_reps(s_grid, n):
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3)])
 def test_rank_one_sectional_value(m, n):
     metric = met.bergman_metric(dom.type_i(m, n))
-    assert curv.hsc_origin(metric, _rank_one(m, n)) == pytest.approx(
+    assert curv.hsc_origin_many(metric, _rank_one(m, n)[None])[0] == pytest.approx(
         -4.0 / (m + n), abs=1e-12
     )
 
@@ -49,7 +49,7 @@ def test_rank_one_sectional_value(m, n):
 def test_rank_one_ball_constant_curvature():
     metric = met.bergman_metric(dom.type_i(1, 3))
     vals = [
-        curv.hsc_origin(metric, dom.sample_tangent(dom.type_i(1, 3), seed=i))
+        curv.hsc_origin_many(metric, dom.sample_tangent(metric.domain, seed=i)[None])[0]
         for i in range(20)
     ]
     assert max(vals) - min(vals) < 1e-12
@@ -59,19 +59,21 @@ def test_rank_one_ball_constant_curvature():
 def test_scale_invariance():
     metric = met.tk_metric(dom.type_i(2, 2), 1.0, 2)
     v = dom.sample_tangent(metric.domain, seed=3)
-    k0 = curv.hsc_origin(metric, v)
-    assert curv.hsc_origin(metric, (0.3 - 1.7j) * v) == pytest.approx(k0, abs=1e-10)
+    k0 = curv.hsc_origin_many(metric, v[None])[0]
+    k = curv.hsc_origin_many(metric, (0.3 - 1.7j) * v[None])[0]
+    assert k == pytest.approx(k0, abs=1e-10)
 
 
 def test_unitary_invariance_matrix():
     metric = met.tk_metric(dom.type_i(2, 3), 0.5, 2)
     rng = np.random.default_rng(0)
     v = dom.sample_tangent(metric.domain, seed=4)
-    k0 = curv.hsc_origin(metric, v)
+    k0 = curv.hsc_origin_many(metric, v[None])[0]
     for _ in range(5):
         qu, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         qv, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        assert curv.hsc_origin(metric, qu @ v @ qv) == pytest.approx(k0, abs=1e-10)
+        k = curv.hsc_origin_many(metric, (qu @ v @ qv)[None])[0]
+        assert k == pytest.approx(k0, abs=1e-10)
 
 
 def test_lie_curvature_depends_only_on_s():
@@ -80,19 +82,21 @@ def test_lie_curvature_depends_only_on_s():
     r = float(np.sum(np.abs(v) ** 2))
     s = abs(np.sum(v * v)) ** 2 / r**2
     rep = _lie_reps(np.array([s]), 3)[0]
-    assert curv.hsc_origin(metric, v) == pytest.approx(
-        curv.hsc_origin(metric, rep), abs=1e-9
+    assert curv.hsc_origin_many(metric, v[None])[0] == pytest.approx(
+        curv.hsc_origin_many(metric, rep[None])[0], abs=1e-9
     )
 
 
 def test_bergman_bounds_square_case():
-    rep = curv.curvature_bounds(met.bergman_metric(dom.type_i(2, 2)), pair_draws=500)
+    metric = met.bergman_metric(dom.type_i(2, 2))
+    rep = curv.curvature_bounds(metric)
     assert rep.k1 == pytest.approx(1.0, abs=1e-9)
     assert rep.k2 == pytest.approx(0.5, abs=1e-9)
     assert rep.lu == pytest.approx(np.sqrt(2.0), abs=1e-9)
     assert rep.k1 >= rep.k2 > 0 and rep.lu >= 1.0
     # Bergman closed form: B = -(4/c) |<V,W>|^2 / (|V|^2 |W|^2), sup = 4/c = k1
-    assert rep.bisectional_c == pytest.approx(1.0, abs=1e-9)
+    c, _ = curv.bisectional_bound(metric, rep.k1, 500, 0)
+    assert c == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -108,11 +112,11 @@ def test_bergman_bounds_square_case():
 )
 def test_bisectional_bound_attained_on_diagonal(metric):
     # the extremized sup of |B| coincides with k1 (reached at V = W)
-    rep = curv.curvature_bounds(metric, pair_draws=500)
-    assert rep.bisectional_c == pytest.approx(rep.k1, abs=1e-8)
+    k1 = curv.curvature_bounds(metric).k1
+    c, search = curv.bisectional_bound(metric, k1, 500, 0)
+    assert c == pytest.approx(k1, abs=1e-8)
     # so does the search alone, before the max with k1 and the sampled pairs
-    assert rep.bisectional_search == pytest.approx(rep.k1, rel=1e-14)
-    assert curv.curvature_bounds(metric, pair_draws=0).bisectional_search == 0.0
+    assert search == pytest.approx(k1, rel=1e-14)
 
 
 def test_two_term_frozen_values():
@@ -120,15 +124,15 @@ def test_two_term_frozen_values():
     e11 = np.zeros((2, 2), dtype=complex)
     e11[0, 0] = 1.0
     uniform = np.eye(2, dtype=complex) / np.sqrt(2.0)
-    assert curv.hsc_origin(metric, e11) == pytest.approx(-1.0, abs=1e-12)
-    assert curv.hsc_origin(metric, uniform) == pytest.approx(
+    assert curv.hsc_origin_many(metric, e11[None])[0] == pytest.approx(-1.0, abs=1e-12)
+    assert curv.hsc_origin_many(metric, uniform[None])[0] == pytest.approx(
         -(2.0 - np.sqrt(2.0)), abs=1e-9
     )
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_two_term_ratio_formula(t):
-    rep = curv.curvature_bounds(met.tk_metric(dom.type_i(2, 2), t, 2), pair_draws=0)
+    rep = curv.curvature_bounds(met.tk_metric(dom.type_i(2, 2), t, 2))
     assert rep.k1 / rep.k2 == pytest.approx((2 + t * np.sqrt(2)) / (1 + t), abs=1e-6)
     assert 1.0 < rep.lu < np.sqrt(2.0)
 
@@ -139,7 +143,7 @@ def test_lie_ball_closed_form(n):
     s_grid = np.linspace(0.0, 1.0, 21)
     ks = curv.hsc_origin_many(metric, _lie_reps(s_grid, n))
     assert np.max(np.abs(ks + 2.0 * (2.0 - s_grid) / n)) < 1e-12
-    rep = curv.curvature_bounds(metric, pair_draws=0)
+    rep = curv.curvature_bounds(metric)
     assert rep.k1 / rep.k2 == pytest.approx(2.0, abs=1e-12)
 
 
@@ -197,7 +201,7 @@ def test_transport_invariance():
 
 def test_range_verification():
     metric = met.tk_metric(dom.type_i(2, 2), 1.0, 2)
-    rep = curv.curvature_bounds(metric, pair_draws=0)
+    rep = curv.curvature_bounds(metric)
     vmin, vmax = curv.verify_curvature_range(metric, n_samples=5000, seed=1)
     assert -rep.k1 - 1e-7 <= vmin <= vmax <= -rep.k2 + 1e-7
 
@@ -205,15 +209,32 @@ def test_range_verification():
 def test_lu_constants():
     for m in [1, 2, 3]:
         metric = met.bergman_metric(dom.type_i(m, m))
-        assert curv.lu_constant(metric) == pytest.approx(np.sqrt(m), abs=1e-6)
+        assert curv.curvature_bounds(metric).lu == pytest.approx(np.sqrt(m), abs=1e-6)
     tk = met.tk_metric(dom.type_i(2, 2), 1.0, 2)
-    assert curv.lu_constant(tk) == pytest.approx(1.306562965, abs=1e-4)
+    assert curv.curvature_bounds(tk).lu == pytest.approx(1.306562965, abs=1e-4)
+
+
+@pytest.mark.parametrize("spec", [dom.type_i(2, 2), dom.type_iv(3)], ids=str)
+def test_zero_tangent_in_a_stack_raises(spec):
+    # one zero row makes K and B 0/0; a min over the stack must not read NaN
+    metric = met.bergman_metric(spec)
+    vs = np.stack([dom.sample_tangent(spec, seed=1), np.zeros(spec.ambient_shape)])
+    ws = np.stack([dom.sample_tangent(spec, seed=2), dom.sample_tangent(spec, seed=3)])
+    with pytest.raises(DomainError):
+        curv.hsc_origin_many(metric, vs)
+    with pytest.raises(DomainError):
+        curv.bisectional_origin_many(metric, vs, ws)
+    with pytest.raises(DomainError):
+        curv.bisectional_origin_many(metric, ws, vs)
+    # the nonzero rows alone are finite
+    assert np.all(np.isfinite(curv.hsc_origin_many(metric, ws)))
+    assert np.all(np.isfinite(curv.bisectional_origin_many(metric, ws, ws[::-1])))
 
 
 def test_zero_vector_rejected():
     metric = met.bergman_metric(dom.type_i(2, 2))
     with pytest.raises(DomainError):
-        curv.hsc_origin(metric, np.zeros((2, 2)))
+        curv.hsc_origin_many(metric, np.zeros((1, 2, 2)))
 
 
 @pytest.mark.parametrize("metric, expected", [
@@ -258,7 +279,7 @@ def test_lie_k_extremes_are_the_closed_form(n, profile):
     # K(v(s)) = -(4/N) [1 - (1 - s) kappa(s)] / phi(s): -(4/N) 2 / phi(0) at
     # s = 0 and -(4/N) / phi(1) at s = 1, the extremes of these profiles
     metric = _lie_metric(n, profile)
-    rep = curv.curvature_bounds(metric, pair_draws=0)
+    rep = curv.curvature_bounds(metric)
     scale = 4.0 / metric.normalization
     k1 = scale * 2.0 / float(metric.family.value(0.0))
     k2 = scale / float(metric.family.value(1.0))
@@ -272,7 +293,7 @@ def test_lie_k_scan_polishes_an_interior_extreme():
     # phi = 1 + 0.3 (s - 1/2)^2 puts -k1 inside (0, 1); the reference is the
     # least of hsc_origin_many over v(s) on a 2,000,001-point s grid
     metric = _lie_metric(3, "bowl0.3")
-    rep = curv.curvature_bounds(metric, pair_draws=0)
+    rep = curv.curvature_bounds(metric)
     reference = 1.2413349817052282
     assert abs(rep.k1 - reference) <= 1e-12 * reference
     s = rep.argmin_profile[0]
@@ -324,7 +345,7 @@ def test_lie_origin_curvature_never_builds_the_matrix(monkeypatch):
     vs = _unit_rows(np.random.default_rng(0), 20, 3)
     curv.hsc_origin_many(metric, vs)
     curv.bisectional_origin_many(metric, vs, vs[::-1])
-    curv.curvature_bounds(metric, pair_draws=100)
+    curv.bisectional_bound(metric, curv.curvature_bounds(metric).k1, 100, 0)
 
 
 def _nested_sup_matrix(metric):

@@ -489,20 +489,20 @@ def test_two_term_tensor_depends_on_fiber():
 
 def test_invariance_under_automorphisms():
     for metric in _all_metrics():
-        dev = met.verify_invariance(metric, n_maps=5, n_samples=10, seed=5)
+        dev = met.verify_invariance(metric, 10, 5)
         assert dev < 1e-9
 
 
-def _invariance_oracle(metric, n_maps, n_samples, seed):
+def _invariance_oracle(metric, n, seed):
     """Per-map loop: one random_automorphism, apply, differential and
     eval2_many per map, on the draws verify_invariance makes."""
     spec = metric.domain
     rng = np.random.default_rng(seed)
-    zs = dom.sample_points(spec, rng.integers(2**63, size=n_samples))
-    vs = dom.sample_tangents(spec, rng.integers(2**63, size=n_samples))
+    zs = dom.sample_points(spec, rng.integers(2**63, size=n))
+    vs = dom.sample_tangents(spec, rng.integers(2**63, size=n))
     base = met.eval2_many(metric, zs, vs)
     worst = 0.0
-    for s in rng.integers(2**63, size=n_maps):
+    for s in rng.integers(2**63, size=n):
         phi = am.random_automorphism(spec, s)
         moved = met.eval2_many(metric, am.apply(phi, zs), am.differential(phi, zs, vs))
         worst = max(worst, float(np.max(np.abs(moved - base) / base)))
@@ -520,8 +520,8 @@ def _invariance_oracle(metric, n_maps, n_samples, seed):
 ], ids=lambda m: m.label)
 @pytest.mark.parametrize("seed", [1, 7, 12345])
 def test_stacked_invariance_matches_per_map_oracle(metric, seed):
-    got = met.verify_invariance(metric, n_maps=12, n_samples=15, seed=seed)
-    ref = _invariance_oracle(metric, 12, 15, seed)
+    got = met.verify_invariance(metric, 12, seed)
+    ref = _invariance_oracle(metric, 12, seed)
     if metric.domain.kind == "IV":
         assert abs(got - ref) <= 1e-14
     else:
@@ -541,13 +541,14 @@ def test_disc_connection_oracle():
 
 
 def test_kahler_berwald_report():
-    metric = met.tk_metric(dom.type_ii(2), 1.0, 2)
-    rep = met.verify_kahler_berwald(metric, n_base=1, n_fiber=3, seed=2)
+    # dim 10 > N_FIBER: the fit needs dim + 1 = 11 fibers per base point
+    metric = met.tk_metric(dom.type_i(2, 5), 1.0, 2)
+    rep = met.verify_kahler_berwald(metric, seed=2)
     assert rep.mixed_residual <= 1e-6
     assert rep.gamma_v_variation <= 1e-12
     assert rep.gamma_symmetry <= 1e-12
     assert rep.gamma_vs_hermitian <= 1e-12
-    assert rep.fibers == 4  # n_fiber is raised to dim + 1 = 4
+    assert rep.fibers == met.N_BASE * 11 == 33
 
 
 @pytest.mark.parametrize("spec", [dom.type_i(1, 3), dom.type_iii(4)], ids=str)

@@ -166,9 +166,9 @@ def test_certify_scc_rejects_decreasing_direction():
     assert cert.worst_margin < -0.4  # gradient entry is -0.5
 
 
-def _certify_scc_loop(spec, grid=None):
+def _certify_scc_loop(spec):
     """Oracle: the per-point certify_scc, gradient check before Hessian check."""
-    grid = norms.orthant_grid(spec.k) if grid is None else np.atleast_2d(grid)
+    grid = norms.orthant_grid(spec.k)
     worst, witness, failed = np.inf, None, None
     for xi in grid:
         margin = float(np.min(np.atleast_1d(spec.grad(xi)))) - norms.STRICT_MARGIN
@@ -305,7 +305,7 @@ def test_simplex_grid_is_ordered_and_cached():
         again, _ = norms.simplex_grid(dim, total)
         assert np.all(again >= 0.0) and len(again) == len(y)
     # ordered compositions of 6 units into 3 parts: 600, 510, 420, 411, 330, 321, 222
-    assert len(norms.simplex_grid(3, 1.0, resolution=6)[0]) == 7
+    assert len(norms._composition_units(3, 6)) == 7
     assert np.array_equal(norms.simplex_grid(1, 0.5)[0], [[0.5]])
 
 
@@ -319,14 +319,14 @@ def test_polish_climbs_from_a_grid_point():
     np.testing.assert_allclose(y[0], [0.55, 0.3, 0.15], atol=1e-10)
 
 
-def _polish_one_halving(fn_batch, y0, sign, step, moves=None,
-                        tol=norms.POLISH_TOL, gain=1e-18):
+def _polish_one_halving(fn_batch, y0, sign, step, moves=None):
     """Oracle: the pattern search with one fn_batch round per halving.
 
     Each active row tries its candidates at its own step, moves to the best
-    if it gains more than `gain`, and halves its step otherwise; a row stops
-    once its step is <= tol.
+    if it gains more than POLISH_GAIN, and halves its step otherwise; a row
+    stops once its step is <= POLISH_TOL.
     """
+    tol, gain = norms.POLISH_TOL, norms.POLISH_GAIN
     y = np.array(y0, dtype=float)
     rows = len(y)
     if moves is None:
@@ -396,16 +396,18 @@ def test_ladder_polish_matches_one_halving_oracle(metric, monkeypatch):
         return _assert_ladder_matches_oracle(fn, y0, sign, step, shipped,
                                              **kw)
 
+    def bounds():
+        report = curvature.curvature_bounds(metric)
+        return report, curvature.bisectional_bound(metric, report.k1, 1, 0)
+
     monkeypatch.setattr(norms, "polish_many", checked)
-    report = curvature.curvature_bounds(metric, pair_draws=1)
+    report, bisectional = bounds()
     # the K scan's two ends, then the bisectional sup
     assert calls == [2, 1]
     monkeypatch.setattr(norms, "polish_many", _polish_one_halving)
-    oracle = curvature.curvature_bounds(metric, pair_draws=1)
-    assert (report.k1, report.k2, report.bisectional_search,
-            report.bisectional_c) == (oracle.k1, oracle.k2,
-                                      oracle.bisectional_search,
-                                      oracle.bisectional_c)
+    oracle, oracle_bisectional = bounds()
+    assert (report.k1, report.k2) == (oracle.k1, oracle.k2)
+    assert bisectional == oracle_bisectional
     assert np.array_equal(report.argmin_profile, oracle.argmin_profile)
     assert np.array_equal(report.argmax_profile, oracle.argmax_profile)
 

@@ -154,7 +154,7 @@ def test_outside_point_rejected():
     ids=lambda m: m.label,
 )
 def test_sandwich(metric):
-    rep = curv.curvature_bounds(metric, pair_draws=0)
+    rep = curv.curvature_bounds(metric)
     sr = sw.verify_sandwich(metric, rep, n_samples=400, seed=3)
     assert sr.worst_lower >= -1e-8 and sr.worst_upper >= -1e-8
     assert sr.eq_lower <= 1e-4 and sr.eq_upper <= 1e-4
@@ -167,7 +167,7 @@ def test_sandwich(metric):
 
 def test_sandwich_tight_on_disc():
     metric = met.bergman_metric(dom.type_i(1, 1))
-    rep = curv.curvature_bounds(metric, pair_draws=0)
+    rep = curv.curvature_bounds(metric)
     assert (rep.k1, rep.k2) == pytest.approx((2.0, 2.0))
     sr = sw.verify_sandwich(metric, rep, n_samples=200, seed=1)
     assert sr.worst_lower >= -1e-8 and sr.worst_upper >= -1e-8
@@ -266,7 +266,7 @@ def test_one_call_schwarz_pass_equals_per_map_oracle(seed):
             for m2 in (met.bergman_metric(tgt), met.tk_metric(tgt, 1.0, 2)):
                 # K1 > K2 x 3 gives some maps negative margins
                 for k1, k2 in ((1.0, 0.5), (0.3, 1.0)):
-                    got = sw.schwarz_check(maps, m1, m2, k1, k2, samples=(zs, vs))
+                    got = sw.schwarz_check(maps, m1, m2, k1, k2, zs, vs)
                     want = schwarz_check_per_map(maps, m1, m2, k1, k2, zs, vs)
                     assert len(got) == len(want) == len(maps)
                     for g, w in zip(got, want):
@@ -290,23 +290,23 @@ def test_map_out_of_the_target_raises_domain_error():
         images = am.apply(outside, zs[0])
         assert np.sum(~dom.contains_many(spec, images)) == exterior, spec
         with pytest.raises(DomainError):
-            sw.schwarz_check(outside, bm, bm, 1.0, 0.5, n_samples=100, seed=2)
+            sw.schwarz_check([outside], bm, bm, 1.0, 0.5, zs[:1], vs[:1])
         with pytest.raises(DomainError):
             sw.schwarz_check([am.identity_map(spec), outside], bm, bm, 1.0, 0.5,
-                             samples=(zs, vs))
+                             zs, vs)
 
 
 def test_schwarz_identity_and_constant():
-    bm = met.bergman_metric(dom.type_i(2, 2))
-    sr = sw.schwarz_check(
-        am.identity_map(dom.type_i(2, 2)), bm, bm, 1.0, 0.5, n_samples=50, seed=2
-    )
-    assert sr.min_margin_rel >= -1e-8
-    assert sr.bound == pytest.approx(np.sqrt(2.0))
-    assert sr.sup_ratio == pytest.approx(1.0, abs=1e-10)
-    w0 = dom.sample_point(dom.type_i(2, 2), seed=3)
-    const = am.HoloMap(dom.type_i(2, 2), dom.type_i(2, 2), am.ConstantMap(w0))
-    sr = sw.schwarz_check(const, bm, bm, 1.0, 0.5, n_samples=50, seed=2)
+    spec = dom.type_i(2, 2)
+    bm = met.bergman_metric(spec)
+    w0 = dom.sample_point(spec, seed=3)
+    const = am.HoloMap(spec, spec, am.ConstantMap(w0))
+    # both maps on the 50 samples of seed 2
+    ident, sr = sw.schwarz_check([am.identity_map(spec), const], bm, bm, 1.0, 0.5,
+                                 *sw.draw_samples(spec, [2, 2], 50))
+    assert ident.min_margin_rel >= -1e-8
+    assert ident.bound == pytest.approx(np.sqrt(2.0))
+    assert ident.sup_ratio == pytest.approx(1.0, abs=1e-10)
     assert sr.min_margin_rel >= -1e-8
     assert sr.sup_ratio == pytest.approx(0.0, abs=1e-12)
 
@@ -314,9 +314,9 @@ def test_schwarz_identity_and_constant():
 def test_schwarz_corpus_no_violations():
     bm = met.bergman_metric(dom.type_i(2, 2))
     maps = sw.generate_maps(dom.type_i(2, 2), dom.type_i(2, 2), seed=5, count=30)
-    for i, m in enumerate(maps):
-        sr = sw.schwarz_check(m, bm, bm, 1.0, 0.5, n_samples=30, seed=100 + i)
-        assert sr.min_margin_rel >= -1e-8, (i, type(m.body).__name__)
+    zs, vs = sw.draw_samples(bm.domain, range(100, 130), 30)
+    for i, sr in enumerate(sw.schwarz_check(maps, bm, bm, 1.0, 0.5, zs, vs)):
+        assert sr.min_margin_rel >= -1e-8, (i, type(maps[i].body).__name__)
 
 
 def test_canonical_probe_attains_bound():
@@ -357,9 +357,10 @@ def test_bound_monotonicity():
     spec = dom.type_i(2, 2)
     bm = met.bergman_metric(spec)
     m0 = sw.generate_maps(spec, spec, seed=5, count=10)[3]
-    base = sw.schwarz_check(m0, bm, bm, 1.0, 0.5, n_samples=40, seed=9)
-    bigger_k1 = sw.schwarz_check(m0, bm, bm, 2.0, 0.5, n_samples=40, seed=9)
-    smaller_k2 = sw.schwarz_check(m0, bm, bm, 1.0, 0.25, n_samples=40, seed=9)
+    zs, vs = sw.draw_samples(spec, [9], 40)
+    base, = sw.schwarz_check([m0], bm, bm, 1.0, 0.5, zs, vs)
+    bigger_k1, = sw.schwarz_check([m0], bm, bm, 2.0, 0.5, zs, vs)
+    smaller_k2, = sw.schwarz_check([m0], bm, bm, 1.0, 0.25, zs, vs)
     assert bigger_k1.min_margin >= base.min_margin
     assert smaller_k2.min_margin >= base.min_margin
 
@@ -368,4 +369,5 @@ def test_schwarz_endpoint_mismatch():
     bm = met.bergman_metric(dom.type_i(2, 2))
     other = met.bergman_metric(dom.type_ii(2))
     with pytest.raises(StructureError):
-        sw.schwarz_check(am.identity_map(dom.type_i(2, 2)), bm, other, 1.0, 0.5)
+        sw.schwarz_check([am.identity_map(dom.type_i(2, 2))], bm, other, 1.0, 0.5,
+                         *sw.draw_samples(dom.type_i(2, 2), [0], 1))
