@@ -29,8 +29,6 @@ from .domains import DomainSpec
 from . import numkernel
 from .numkernel import matmul
 
-ISOTROPY_STREAM = 1  # counter word 1 of the isotropy draws; sampling uses 0
-
 
 # ---------------------------------------------------------------------------
 # map bodies
@@ -205,16 +203,13 @@ def normalizing_automorphism(spec: DomainSpec, z0) -> HoloMap:
     return HoloMap(spec, spec, MatrixMobius(z0, a, np.linalg.inv(d)))
 
 
-def _isotropy_part(spec: DomainSpec, seeds) -> domains.Gaussians:
-    """The grid part of the Haar rotation data of each seed: its normals (and,
-    on the Lie ball, the uniform of its phase) come from key (seed, 0) on
-    ISOTROPY_STREAM, so they are independent of sample_point(spec, seed)."""
+def _isotropy_part(spec: DomainSpec, n: int) -> domains.Gaussians:
+    """The grid part of the Haar rotation data of n maps: the normals of each
+    (and, on the Lie ball, the uniform of its phase)."""
     if spec.kind == "IV":
-        n = spec.dims[0]
-        return domains.Gaussians(seeds, n * n, 1, ISOTROPY_STREAM)
-    m, n = spec.ambient_shape
-    return domains.Gaussians(seeds, 2 * (m * m + n * n if spec.kind == "I" else m * m),
-                             0, ISOTROPY_STREAM)
+        return domains.Gaussians(n, spec.dims[0] ** 2, 1)
+    m, k = spec.ambient_shape
+    return domains.Gaussians(n, 2 * (m * m + k * k if spec.kind == "I" else m * m))
 
 
 def _isotropy_body(spec: DomainSpec, normals, u):
@@ -248,11 +243,11 @@ def _map_slice(m: HoloMap, i) -> HoloMap:
     return HoloMap(m.source, m.target, body)
 
 
-def automorphism_parts(spec: DomainSpec, seeds) -> list:
-    """The domains.draw_grid parts of random_automorphisms(spec, seeds): the
-    base points and the isotropy draws, for a caller that puts them into a
-    grid of its own."""
-    return [domains.Points(spec, seeds), _isotropy_part(spec, seeds)]
+def automorphism_parts(spec: DomainSpec, n: int) -> list:
+    """The domains.draw_grid parts of n random automorphisms: the base points
+    and the isotropy draws, for a caller that puts them into a grid of its
+    own."""
+    return [domains.Points(spec, n), _isotropy_part(spec, n)]
 
 
 def automorphisms_from(spec: DomainSpec, points, isotropy) -> HoloMap:
@@ -262,18 +257,19 @@ def automorphisms_from(spec: DomainSpec, points, isotropy) -> HoloMap:
                    normalizing_automorphism(spec, points))
 
 
-def random_automorphisms(spec: DomainSpec, seeds) -> HoloMap:
+def random_automorphisms(spec: DomainSpec, seed: int, n: int) -> HoloMap:
     """Isotropy composed with a normalizing map at a random interior point,
-    as one stacked map with one map axis over the 1-D sequence seeds: map i
-    is the Haar rotation of seeds[i] (_isotropy_part) after the map sending
-    sample_point(spec, seeds[i]) to the origin.  The points and the
-    rotations of every seed come from one domains.draw_grid call."""
-    return automorphisms_from(spec, *domains.draw_grid(automorphism_parts(spec, seeds)))
+    as one stacked map with one map axis of n maps: map i is the Haar
+    rotation of item i of part 1 (_isotropy_part) after the map sending
+    sample_points(spec, seed, n)[i] to the origin.  Both parts come from one
+    domains.draw_grid(seed, "api", ...) call."""
+    return automorphisms_from(spec, *domains.draw_grid(seed, "api",
+                                                       automorphism_parts(spec, n)))
 
 
 def random_automorphism(spec: DomainSpec, seed: int) -> HoloMap:
-    """The one map of random_automorphisms(spec, [seed])."""
-    return _map_slice(random_automorphisms(spec, [seed]), 0)
+    """The one map of random_automorphisms(spec, seed, 1)."""
+    return _map_slice(random_automorphisms(spec, seed, 1), 0)
 
 
 def compose(*maps) -> HoloMap:

@@ -260,7 +260,10 @@ def parse_config(text: str, task: str = None, seed: int = None,
             target_dom = _parse_domain(doc["target_domain"], "target_domain", errs)
         tspec = target_dom if target_dom is not None else dom_spec
         tnode = doc.get("target_metric", doc.get("metric"))
-        if tnode is not None:
+        if "target_metric" not in doc and tspec == dom_spec:
+            # the same metric: _run_schwarz then computes its bounds once
+            target_metric = metric
+        elif tnode is not None:
             target_metric = _parse_metric(tnode, tspec, "target_metric", errs)
 
     seed_val = seed if seed is not None else doc.get("seed", 0)
@@ -325,10 +328,8 @@ def _run_eval(cfg: RunConfig):
         f2 = metrics.eval2(cfg.metric, z, v)
         rows.append({"index": i, "source": "config",
                      "f2": f2, "f": math.sqrt(f2)})
-    rng = np.random.default_rng(cfg.seed)
-    zs, vs = domains.draw_grid([
-        domains.Points(cfg.domain, rng.integers(2**63, size=cfg.samples)),
-        domains.Tangents(cfg.domain, rng.integers(2**63, size=cfg.samples))])
+    zs, vs = domains.draw_grid(cfg.seed, "eval", [
+        domains.Points(cfg.domain, cfg.samples), domains.Tangents(cfg.domain, cfg.samples)])
     f2s = metrics.eval2_many(cfg.metric, zs, vs)
     for j, f2 in enumerate(f2s):
         rows.append({"index": len(cfg.points) + j, "source": "random",
@@ -449,8 +450,7 @@ def _run_schwarz(cfg: RunConfig):
     bounds1 = curvature.curvature_bounds(metric1)
     bounds2 = bounds1 if metric2 is metric1 else curvature.curvature_bounds(metric2)
     maps = schwarz.generate_maps(source, target, seed=cfg.seed, count=cfg.maps)
-    seeds = np.random.default_rng(cfg.seed).integers(2**63, size=len(maps))
-    zs, vs = schwarz.draw_samples(source, seeds, cfg.samples)
+    zs, vs = schwarz.draw_samples(source, cfg.seed, len(maps), cfg.samples)
     reports = schwarz.schwarz_check(maps, metric1, metric2, bounds1.k1, bounds2.k2,
                                     zs, vs)
     slack = cfg.tolerances["schwarz_slack"]

@@ -341,17 +341,15 @@ def bisectional_bound(metric: MetricSpec, k1: float, pair_draws: int, seed: int)
     matrix domains (_bisectional_sup_matrix) and on the Lie ball
     (_bisectional_sup_lie, three invariants); neither samples.  C is its max
     with k1 (B(V,V) = K(V) reaches -k1) and with -B over pair_draws tangent
-    pairs drawn at the seeds default_rng(seed) gives.
+    pairs, the two parts of one domains.draw_grid(seed, "bisectional") call.
     """
     spec = metric.domain
     if spec.kind == "IV":
         search = _bisectional_sup_lie(metric)
     else:
         search = _bisectional_sup_matrix(metric)
-    rng = np.random.default_rng(seed)
-    vs, ws = domains.draw_grid([
-        domains.Tangents(spec, rng.integers(2**63, size=pair_draws)),
-        domains.Tangents(spec, rng.integers(2**63, size=pair_draws))])
+    vs, ws = domains.draw_grid(seed, "bisectional", [
+        domains.Tangents(spec, pair_draws), domains.Tangents(spec, pair_draws)])
     sampled = float(-np.min(bisectional_origin_many(metric, vs, ws)))
     return max(search, k1, sampled), search
 
@@ -360,9 +358,10 @@ def verify_curvature_range(metric: MetricSpec, n_samples: int = 100_000,
                            seed: int = 0):
     """(min, max) of the sectional curvature over n_samples sampled tangents.
 
-    The tangents are one sample_tangents draw of the seeds default_rng(seed)
-    gives; the caller compares the extremes with its bounds.
+    The tangents are one domains.draw_grid(seed, "curvature_range") part; the
+    caller compares the extremes with its bounds.
     """
-    seeds = np.random.default_rng(seed).integers(2**63, size=n_samples)
-    vals = hsc_origin_many(metric, domains.sample_tangents(metric.domain, seeds))
+    vs, = domains.draw_grid(seed, "curvature_range",
+                            [domains.Tangents(metric.domain, n_samples)])
+    vals = hsc_origin_many(metric, vs)
     return float(np.min(vals)), float(np.max(vals))

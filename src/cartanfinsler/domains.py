@@ -5,13 +5,12 @@ types (rectangular, symmetric, skew-symmetric) and complex row vectors of
 shape (N,) for the Lie ball.  Symmetric/skew points are stored as full
 matrices; the symmetry is an invariant, not a storage format.
 
-Sampling is counter-based (RNG_SCHEME): seed s is the key (s, 0) of
-Philox4x64-10, its counter blocks 1, 2, ... give the words, and normals come
-from them by Box-Muller on 53-bit uniforms.  Item i of a batch depends only
-on its seed, its stream and its counters, so one grid may mix the seeds,
-block counts and streams of several parts (draw_grid), and the whole grid is
-one numpy computation.  This scheme replaced one numpy Generator per seed,
-which changed every sampled stream.
+Sampling is counter-based (RNG_SCHEME): a check that samples draws from the
+Philox4x64-10 key (seed, check id), where the id comes from CHECKS, and
+normals come from its words by Box-Muller on 53-bit uniforms.  The counter
+names the words: item i of part p of a draw_grid call reads blocks
+i B + 1, ..., (i + 1) B with counter word 1 = p and word 2 = the redraw
+attempt, so each part is one call of numpy's C generator.
 """
 import operator
 from dataclasses import dataclass
@@ -277,117 +276,56 @@ def unpack(spec: DomainSpec, c) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# counter-based sampling: Philox4x64-10 (Salmon et al., SC'11) keyed by seed
+# counter-based sampling: Philox4x64-10 (Salmon et al., SC'11)
 
-_U64 = np.uint64
-_MASK32 = _U64(0xFFFFFFFF)
-_SHIFT32 = _U64(32)
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=_U64)
-_PHILOX_M_LO = (_PHILOX_M & _MASK32)[:, None]
-_PHILOX_M_HI = (_PHILOX_M >> _SHIFT32)[:, None]
-_PHILOX_M_FULL = _PHILOX_M[:, None]
-# the key (k0, k1) grows by (W0, W1) each round; kept in arrays so that the
-# wrap-around is silent
-_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=_U64)
 _UNIT53 = 2.0**-53
-RNG_SCHEME = "philox4x64-10/box-muller"
+RNG_SCHEME = "philox4x64-10/key(seed,check)/counter(block,part,attempt)/box-muller"
 NULL_DRAW = 1e-12
+# word 1 of the Philox key: one id per sampled check, so that no two checks
+# of one request read the same words; 0 is the bare sampling API
+CHECKS = {"api": 0, "eval": 1, "sandwich": 2, "automorphism_invariance": 3,
+          "kahler_berwald": 4, "bisectional": 5, "curvature_range": 6, "corpus": 7,
+          "schwarz_samples": 8}
 
 
-def seed_keys(seeds) -> np.ndarray:
-    """Validate a 1-D sequence of seeds and return them as uint64 keys.
-
-    Every seed must be an integer in [0, 2^64); a silent wrap would give two
-    seeds the same stream.
-    """
-    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
-        if seeds.ndim != 1:
-            raise ValueError(f"seeds must be a 1-D sequence, got shape {seeds.shape}")
-        if seeds.dtype.kind == "i" and seeds.size and seeds.min() < 0:
-            raise ValueError("seeds must lie in [0, 2^64)")
-        return seeds.astype(_U64)
-    # element by element: numpy would turn a list mixing ints above 2^63
-    # with numpy integers into floats
-    vals = [operator.index(s) for s in seeds]
-    if any(v < 0 or v >= 2**64 for v in vals):
-        raise ValueError("seeds must lie in [0, 2^64)")
-    return np.array(vals, dtype=_U64)
-
-
-def philox_blocks(keys, first: int, count, stream=0) -> np.ndarray:
-    """Philox4x64-10 output words of the keys (keys[i], 0).
-
-    Key i gives its blocks at the counters (first + j, stream_i, 0, 0),
-    j < count_i, four words per block in order.  count and stream are one
-    value for every key or one per key, so one grid may mix the draws of
-    several parts; only the blocks asked for are computed.  With one count
-    the result has shape (len(keys), 4 * count); with per-key counts the
-    ragged rows come concatenated in key order.  At stream 0 and first = 1
-    key i's words are np.random.Philox(key=keys[i]).random_raw.
-    """
-    if np.ndim(count):
-        total = int(np.sum(count))
-        j = np.arange(total) - np.repeat(np.cumsum(count) - count, count)
-    else:
-        total = keys.size * count
-        j = np.arange(total) % count
-    # lanes (c0, c2) are multiplied, lanes (c1, c3) are xored in
-    a = np.zeros((2, total), dtype=_U64)
-    a[0] = j
-    a[0] += first
-    b = np.zeros((2, total), dtype=_U64)
-    b[0] = np.repeat(stream, count) if np.ndim(stream) else stream
-    key = np.zeros((2, total), dtype=_U64)
-    key[0] = np.repeat(keys, count)
-    for _ in range(10):
-        # 64x64 -> 128-bit products from 32-bit halves; no partial sum overflows
-        a_lo = a & _MASK32
-        a_hi = a >> _SHIFT32
-        p_lh = _PHILOX_M_LO * a_hi
-        t = _PHILOX_M_HI * a_lo
-        t += (_PHILOX_M_LO * a_lo) >> _SHIFT32
-        p_lh += t & _MASK32
-        hi = _PHILOX_M_HI * a_hi
-        hi += t >> _SHIFT32
-        hi += p_lh >> _SHIFT32
-        lo = _PHILOX_M_FULL * a
-        a = hi[::-1] ^ b
-        a ^= key
-        b = lo[::-1]
-        key += _PHILOX_W
-    words = np.stack([a[0], b[0], a[1], b[1]], axis=-1)
-    return words.reshape(-1) if np.ndim(count) else words.reshape(keys.size, 4 * count)
+def _philox_words(seed: int, check: str, part: int, attempt: int, n_words: int):
+    """The first n_words words of Philox4x64-10 with key (seed, CHECKS[check])
+    at the counters (1, part, attempt, 0), (2, part, attempt, 0), ..., four
+    words per block in order."""
+    # numpy's Philox increments the counter before each block
+    return np.random.Philox(key=np.array([seed, CHECKS[check]], dtype=np.uint64),
+                            counter=np.array([0, part, attempt, 0], dtype=np.uint64)
+                            ).random_raw(n_words)
 
 
 @dataclass(frozen=True)
 class Points:
-    """Grid part: one interior point of spec per seed, as sample_points."""
+    """Grid part: n interior points of spec, as sample_points."""
     spec: DomainSpec
-    seeds: object
+    n: int
 
 
 @dataclass(frozen=True)
 class Tangents:
-    """Grid part: one nonzero tangent of spec per seed, as sample_tangents."""
+    """Grid part: n nonzero tangents of spec, as sample_tangents."""
     spec: DomainSpec
-    seeds: object
+    n: int
 
 
 @dataclass(frozen=True)
 class Gaussians:
-    """Grid part: per seed, n_normals standard normals and then n_uniforms
-    uniforms on counter word `stream`, as gaussian_draws."""
-    seeds: object
+    """Grid part: per item, n_normals standard normals and then n_uniforms
+    uniforms on [0, 1)."""
+    n: int
     n_normals: int
     n_uniforms: int = 0
-    stream: int = 0
 
 
 def _layout(part):
-    """(n_normals, n_uniforms, stream) of one item of a grid part."""
+    """(n_normals, n_uniforms) of one item of a grid part."""
     if isinstance(part, Gaussians):
-        return part.n_normals, part.n_uniforms, part.stream
-    return 2 * int(np.prod(part.spec.ambient_shape)), int(isinstance(part, Points)), 0
+        return part.n_normals, part.n_uniforms
+    return 2 * int(np.prod(part.spec.ambient_shape)), int(isinstance(part, Points))
 
 
 def _run_blocks(n_normals: int, n_uniforms: int) -> int:
@@ -402,7 +340,7 @@ def _box_muller(words, n_normals: int, n_uniforms: int):
     """
     pairs = (n_normals + 1) // 2
     n_words = 2 * pairs + n_uniforms
-    u = (words[:, :n_words] >> _U64(11)) * _UNIT53      # 53-bit uniforms on [0, 1)
+    u = (words[:, :n_words] >> np.uint64(11)) * _UNIT53      # 53-bit uniforms on [0, 1)
     radius = np.sqrt(-2.0 * np.log1p(-u[:, 0:2 * pairs:2]))
     angle = (2.0 * np.pi) * u[:, 1:2 * pairs:2]
     normals = np.empty((words.shape[0], 2 * pairs))
@@ -415,11 +353,12 @@ def _max_abs(ws):
     return np.max(np.abs(ws), axis=tuple(range(1, ws.ndim)), initial=0.0)
 
 
-def _finish(part, keys, normals, u, blocks: int):
+def _finish(part, normals, u, redraw):
     """Turn a Points or Tangents part's normals into its draws.
 
     A draw with size <= NULL_DRAW (gauge for points, largest entry for
-    tangents) is redrawn from its key's next run of counter blocks.
+    tangents) is redrawn: redraw(attempt, n) gives the (normals, uniforms)
+    of the part's first n items at that attempt.
     """
     spec = part.spec
     cells = int(np.prod(spec.ambient_shape))
@@ -436,9 +375,9 @@ def _finish(part, keys, normals, u, blocks: int):
     attempt = 0
     while redo.size:
         attempt += 1
-        words = philox_blocks(keys[redo], attempt * blocks + 1, blocks)
-        normals, u[redo] = _box_muller(words, 2 * cells, u.shape[1])
-        draws[redo] = tangent_class(normals)
+        normals, again = redraw(attempt, redo[-1] + 1)
+        u[redo] = again[redo]
+        draws[redo] = tangent_class(normals[redo])
         sizes[redo] = size(draws[redo])
         redo = redo[sizes[redo] <= NULL_DRAW]
     if isinstance(part, Tangents):
@@ -447,76 +386,66 @@ def _finish(part, keys, normals, u, blocks: int):
     return (rho / sizes).reshape((-1,) + (1,) * len(spec.ambient_shape)) * draws
 
 
-def draw_grid(parts) -> list:
-    """The draws of every part from one philox_blocks call.
+def draw_grid(seed: int, check: str, parts) -> list:
+    """The draws of every part under the Philox key (seed, CHECKS[check]).
 
-    parts: Points, Tangents and Gaussians, each with its own seeds.  Returns
-    one entry per part, in order: the array sample_points or sample_tangents
-    returns, or the (normals, uniforms) pair of gaussian_draws.  A part's
-    item i reads the blocks 1, ..., B of key (seeds[i], 0) on the part's
-    stream, B = ceil(words / 4), and depends on nothing else, so each entry
-    equals its one-part call bit for bit.  A null point or tangent draw
-    takes its key's next run of B blocks, one further call per part and
-    attempt.
+    parts: Points, Tangents and Gaussians.  Returns one entry per part, in
+    order: the array sample_points or sample_tangents returns, or the
+    (normals, uniforms) pair of a Gaussians part.  Item i of part p reads the
+    counter blocks (i B + 1, p, 0, 0), ..., ((i + 1) B, p, 0, 0),
+    B = ceil(words / 4), one C generator call per part, so it depends on
+    (seed, check, p, i) only.  A null point or tangent draw reads its blocks
+    again with the attempt in counter word 2, one further call per part and
+    attempt.  seed must be an integer in [0, 2^64); a silent wrap would give
+    two seeds the same words.
     """
-    keys = [seed_keys(part.seeds) for part in parts]
-    layouts = [_layout(part) for part in parts]
-    blocks = [_run_blocks(n, m) for n, m, _ in layouts]
-    sizes = [k.size for k in keys]
-    streams = [s for _, _, s in layouts]
-    # a value all parts share goes as one scalar: the cheaper, row-shaped call
-    one = lambda values: values[0] if len(set(values)) == 1 else np.repeat(values, sizes)
-    words = philox_blocks(np.concatenate(keys), 1, one(blocks), one(streams)).reshape(-1)
+    seed = operator.index(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     out = []
-    start = 0
-    for part, k, (n_normals, n_uniforms, _), b in zip(parts, keys, layouts, blocks):
-        stop = start + 4 * b * k.size
-        normals, u = _box_muller(words[start:stop].reshape(k.size, 4 * b),
-                                 n_normals, n_uniforms)
-        start = stop
+    for index, part in enumerate(parts):
+        n_normals, n_uniforms = _layout(part)
+        width = 4 * _run_blocks(n_normals, n_uniforms)
+
+        def draw(attempt, n):
+            words = _philox_words(seed, check, index, attempt, n * width)
+            return _box_muller(words.reshape(n, width), n_normals, n_uniforms)
+
+        normals, u = draw(0, part.n)
         out.append((normals, u) if isinstance(part, Gaussians)
-                   else _finish(part, k, normals, u, b))
+                   else _finish(part, normals, u, draw))
     return out
 
 
-def gaussian_draws(keys, n_normals: int, n_uniforms: int = 0, stream: int = 0):
-    """Standard normals (len(keys), n_normals) and then uniforms (len(keys),
-    n_uniforms) from one run of counter blocks per key: the one-part
-    draw_grid call of Gaussians(keys, n_normals, n_uniforms, stream)."""
-    return draw_grid([Gaussians(keys, n_normals, n_uniforms, stream)])[0]
+def sample_points(spec: DomainSpec, seed: int, n: int) -> np.ndarray:
+    """n deterministic interior points: Gaussian draws rescaled to gauge
+    0.9 u, u uniform on [0, 1).
 
-
-def sample_points(spec: DomainSpec, seeds) -> np.ndarray:
-    """Deterministic interior points, one per seed: a Gaussian draw rescaled
-    to gauge 0.9 u, u uniform on [0, 1).
-
-    Item i depends on seeds[i] only (see sample_tangents for the stream):
-    the real and then the imaginary parts of the ambient entries take the
-    first normals, projected onto the symmetry class, and u takes the word
-    after them.  A draw of gauge <= 1e-12 is redrawn from the next run of
-    counter blocks.  The one-part draw_grid call of Points(spec, seeds).
+    The real and then the imaginary parts of the ambient entries take an
+    item's first normals, projected onto the symmetry class, and u takes the
+    word after them.  A draw of gauge <= 1e-12 is redrawn.  The one-part
+    draw_grid(seed, "api", [Points(spec, n)]) call, so the first k items do
+    not depend on n.
     """
-    return draw_grid([Points(spec, seeds)])[0]
+    return draw_grid(seed, "api", [Points(spec, n)])[0]
 
 
 def sample_point(spec: DomainSpec, seed: int) -> np.ndarray:
-    """Deterministic interior point; see sample_points."""
-    return sample_points(spec, [seed])[0]
+    """Deterministic interior point: item 0 of sample_points."""
+    return sample_points(spec, seed, 1)[0]
 
 
-def sample_tangents(spec: DomainSpec, seeds) -> np.ndarray:
-    """Deterministic nonzero tangent draws in the domain's symmetry class,
-    one per seed; item i equals sample_tangent(spec, seeds[i]).
+def sample_tangents(spec: DomainSpec, seed: int, n: int) -> np.ndarray:
+    """n deterministic nonzero tangent draws in the domain's symmetry class.
 
-    Stream: Philox4x64-10 with key (seed, 0) and counter blocks 1, 2, ...,
-    turned into normals by Box-Muller on 53-bit uniforms; a draw with every
-    entry <= 1e-12 in modulus is redrawn from the next run of blocks.  Seeds
-    must be integers in [0, 2^64).  The one-part draw_grid call of
-    Tangents(spec, seeds).
+    Box-Muller normals as in sample_points; a draw with every entry <= 1e-12
+    in modulus is redrawn.  The one-part draw_grid(seed, "api",
+    [Tangents(spec, n)]) call: item i reads the same words as item i of
+    sample_points(spec, seed, n).
     """
-    return draw_grid([Tangents(spec, seeds)])[0]
+    return draw_grid(seed, "api", [Tangents(spec, n)])[0]
 
 
 def sample_tangent(spec: DomainSpec, seed: int) -> np.ndarray:
-    """Deterministic nonzero tangent draw; see sample_tangents."""
-    return sample_tangents(spec, [seed])[0]
+    """Deterministic nonzero tangent draw: item 0 of sample_tangents."""
+    return sample_tangents(spec, seed, 1)[0]

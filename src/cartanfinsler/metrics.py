@@ -473,13 +473,11 @@ def verify_kahler_berwald(metric: MetricSpec, seed: int = 0) -> KahlerBerwaldRep
     """
     spec = metric.domain
     n_base, n_fiber = N_BASE, max(N_FIBER, spec.dim + 1)
-    rng = np.random.default_rng(seed)
     ambient = tuple(range(-len(spec.ambient_shape), 0))
     unit = lambda w: w / np.linalg.norm(w, axis=ambient, keepdims=True)
-    v0s, zs, fibers = domains.draw_grid([
-        domains.Tangents(spec, rng.integers(2**63, size=n_base)),
-        domains.Points(spec, rng.integers(2**63, size=n_base)),
-        domains.Tangents(spec, rng.integers(2**63, size=n_base * n_fiber))])
+    v0s, zs, fibers = domains.draw_grid(seed, "kahler_berwald", [
+        domains.Tangents(spec, n_base), domains.Points(spec, n_base),
+        domains.Tangents(spec, n_base * n_fiber)])
     v0s = unit(v0s)
     fibers = unit(fibers.reshape((n_base, n_fiber) + spec.ambient_shape))
     bmat = grad_vbar_pair(metric, np.zeros(spec.ambient_shape), v0s)[1]
@@ -506,11 +504,9 @@ def verify_invariance(metric: MetricSpec, n: int, seed: int) -> float:
     from . import automorphisms as am
 
     spec = metric.domain
-    rng = np.random.default_rng(seed)
     zs, vs, *maps = domains.draw_grid(
-        [domains.Points(spec, rng.integers(2**63, size=n)),
-         domains.Tangents(spec, rng.integers(2**63, size=n))]
-        + am.automorphism_parts(spec, rng.integers(2**63, size=n)))
+        seed, "automorphism_invariance",
+        [domains.Points(spec, n), domains.Tangents(spec, n)] + am.automorphism_parts(spec, n))
     base = eval2_many(metric, zs, vs)[:, None]
     phi = am.automorphisms_from(spec, *maps)
     zs, vs = _inner_axis(spec, zs), _inner_axis(spec, vs)    # (sample, map) axes

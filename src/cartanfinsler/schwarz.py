@@ -109,10 +109,8 @@ def verify_sandwich(metric: MetricSpec, bounds: CurvatureReport,
     """
     spec = metric.domain
     k1, k2 = bounds.k1, bounds.k2
-    rng = np.random.default_rng(seed)
-    zs, vs = domains.draw_grid([
-        domains.Points(spec, rng.integers(2**63, size=n_samples)),
-        domains.Tangents(spec, rng.integers(2**63, size=n_samples))])
+    zs, vs = domains.draw_grid(seed, "sandwich", [
+        domains.Points(spec, n_samples), domains.Tangents(spec, n_samples)])
     f2 = eval2_many(metric, zs, vs)
     fc2 = caratheodory_many(spec, zs, vs) ** 2
     lower = (f2 - (4.0 / k1) * fc2) / f2
@@ -162,39 +160,49 @@ def _corpus_kinds(source: DomainSpec, target: DomainSpec):
     return kinds
 
 
-def _random_unitary(n, rng):
-    return am._haar_unitary(rng.standard_normal((n, n))
-                            + 1j * rng.standard_normal((n, n)))
-
-
-def _contraction_body(spec: DomainSpec, rng) -> object:
-    rho = CORPUS_RHO * float(rng.uniform(0.5, 1.0))
+def _contractions(spec: DomainSpec, isotropy, u) -> object:
+    """One stacked contraction body: the Haar rotations of an isotropy part's
+    draws (automorphisms._isotropy_body) scaled by rho = CORPUS_RHO (1 + u) / 2
+    for the uniforms u, so each map multiplies the gauge by rho < CORPUS_RHO."""
+    rho = CORPUS_RHO * 0.5 * (1.0 + u[:, 0])
+    body = am._isotropy_body(spec, *isotropy)
     if spec.kind == "IV":
-        theta = float(rng.uniform(0.0, 2 * np.pi))
-        d = am._haar_orthogonal(rng.standard_normal((spec.dims[0],) * 2))
-        return am.VectorLinear(rho * np.exp(1j * theta), d)
-    mdim, ndim = spec.ambient_shape
-    if spec.kind == "I":
-        return am.SandwichScale(
-            rho * _random_unitary(mdim, rng), _random_unitary(ndim, rng)
-        )
-    a = np.sqrt(rho) * _random_unitary(mdim, rng)
-    return am.SandwichScale(a, a.T)  # A Z A' keeps the symmetry class
+        return am.VectorLinear(rho * body.alpha, body.d)
+    root = np.sqrt(rho)[:, None, None]
+    # root A Z D root keeps the symmetry class of types II and III
+    return am.SandwichScale(root * body.left, root * body.right)
 
 
-def _polynomial_body(spec: DomainSpec, rng) -> object:
-    """sum_d c_d Z^d, its coefficients divided by max(1, sum |c_d|): then
-    ||p(Z)|| <= sum |c_d| ||Z||^d <= ||Z|| < 1, so p maps into the domain."""
+def _polynomial_body(spec: DomainSpec, normals, u) -> object:
+    """sum_d c_d Z^d from one item of a Gaussians(n, 6, 3) part: the k-th
+    degree is kept when u[k] < 0.7, with c = 0.2 (normals[2k] + i
+    normals[2k+1]) / sqrt 2.  The coefficients are divided by
+    max(1, sum |c_d|): then ||p(Z)|| <= sum |c_d| ||Z||^d <= ||Z|| < 1, so p
+    maps into the domain."""
     degrees = (1, 3) if spec.kind == "III" else (1, 2, 3)
-    coeffs = []
-    for d in degrees:
-        if rng.uniform() < 0.7:
-            c = 0.2 * (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
-            coeffs.append((d, complex(c)))
+    coeffs = [(d, complex(0.2 * (normals[2 * k] + 1j * normals[2 * k + 1]) / np.sqrt(2)))
+              for k, d in enumerate(degrees) if u[k] < 0.7]
     if not coeffs:
         coeffs = [(1, 0.5 + 0.0j)]
     total = max(1.0, sum(abs(c) for _, c in coeffs))
     return am.MatrixPolynomial(tuple((d, c / total) for d, c in coeffs))
+
+
+def _corpus_parts(source: DomainSpec, target: DomainSpec, plan) -> list:
+    """The domains.draw_grid parts of the corpus attempts whose kinds plan
+    lists, in order: constant points and slice tangents on target, a uniform
+    per axis of each slice entry, the auto and chain automorphisms on
+    source, the isotropy draws and a uniform of each contraction (chain,
+    contract and pad_contract; on source when it is target, on target
+    else), and six normals and three uniforms per polynomial."""
+    count = lambda *names: sum(kind in names for kind in plan)
+    n_slice, n_contract = count("slice"), count("chain", "contract", "pad_contract")
+    contracted = source if source == target else target
+    return ([domains.Points(target, count("constant")), domains.Tangents(target, n_slice),
+             domains.Gaussians(n_slice, 0, len(source.ambient_shape))]
+            + am.automorphism_parts(source, count("auto", "chain"))
+            + [am._isotropy_part(contracted, n_contract), domains.Gaussians(n_contract, 0, 1),
+               domains.Gaussians(count("poly"), 6, 3)])
 
 
 def generate_maps(source: DomainSpec, target: DomainSpec, seed: int = 0,
@@ -203,64 +211,49 @@ def generate_maps(source: DomainSpec, target: DomainSpec, seed: int = 0,
     construction.
 
     The identity leads when source == target; attempt a makes the next map,
-    of kind _corpus_kinds[a mod len].  default_rng(seed) gives one seed per
-    attempt, and a contraction or polynomial body (and a slice's entry)
-    draws from the rng too, in attempt order.  Then one domains.draw_grid
-    call draws the constants and slice tangents on target and the auto/chain
-    automorphisms on source, with their isotropy draws.  No kind leaves
-    target: constants are target points, slices and contractions have gauge
+    of kind _corpus_kinds[a mod len].  One domains.draw_grid(seed, "corpus")
+    call draws the data of every attempt (_corpus_parts), and the k-th
+    attempt that draws from a part reads its item k.  No kind leaves target:
+    constants are target points, slices and contractions have gauge
     < CORPUS_RHO, paddings keep the gauge, automorphisms and chains keep the
     domain, and polynomials have sum |c_d| <= 1 (_polynomial_body).
     """
-    rng = np.random.default_rng(seed)
     maps = [am.identity_map(source)] if source == target else []
     kinds = _corpus_kinds(source, target)
-    plan = []  # (kind, seed, slice entry or rng-drawn body)
-    for a in range(count - len(maps)):
-        kind = kinds[a % len(kinds)]
-        s = int(rng.integers(2**63))
-        extra = None
-        if kind == "slice":
-            if source.kind == "IV":
-                extra = (int(rng.integers(source.dims[0])),)
-            else:
-                sm, sn = source.ambient_shape
-                extra = (int(rng.integers(sm)), int(rng.integers(sn)))
-        elif kind in ("chain", "contract"):
-            extra = _contraction_body(source, rng)
-        elif kind == "poly":
-            extra = _polynomial_body(source, rng)
-        elif kind == "pad_contract":
-            extra = _contraction_body(target, rng)
-        plan.append((kind, s, extra))
-
-    seeds_of = lambda *names: [s for kind, s, _ in plan if kind in names]
-    auto_seeds = seeds_of("auto", "chain")
-    constants, slices, *auto_draws = domains.draw_grid(
-        [domains.Points(target, seeds_of("constant")),
-         domains.Tangents(target, seeds_of("slice"))]
-        + am.automorphism_parts(source, auto_seeds))
+    plan = [kinds[a % len(kinds)] for a in range(count - len(maps))]
+    (constants, slices, (_, entries), *auto_draws, contract_isotropy, (_, rho_u),
+     (poly_normals, poly_u)) = domains.draw_grid(seed, "corpus",
+                                                 _corpus_parts(source, target, plan))
     gauges = domains.minkowski_gauge_many(target, slices)
     slices = CORPUS_RHO * (slices / gauges.reshape((-1,) + (1,) * (slices.ndim - 1)))
-    stack = am.automorphisms_from(source, *auto_draws) if auto_seeds else None
-    autos = (am._map_slice(stack, i) for i in range(len(auto_seeds)))
-    constants, slices = iter(constants), iter(slices)
+    entries = (entries * source.ambient_shape).astype(int).tolist()
+    n_auto, n_contract = len(auto_draws[0]), len(rho_u)
+    auto_stack = am.automorphisms_from(source, *auto_draws) if n_auto else None
+    autos = (am._map_slice(auto_stack, i) for i in range(n_auto))
+    contracted = source if source == target else target
+    contract_stack = am.HoloMap(contracted, contracted, _contractions(
+        contracted, contract_isotropy, rho_u)) if n_contract else None
+    contractions = (am._map_slice(contract_stack, i).body for i in range(n_contract))
+    polys = (_polynomial_body(source, x, u) for x, u in zip(poly_normals, poly_u))
+    constants, slices, entries = iter(constants), iter(slices), iter(entries)
 
-    for kind, _, extra in plan:
+    for kind in plan:
         if kind == "constant":
             m = am.HoloMap(source, target, am.ConstantMap(next(constants)))
         elif kind == "slice":
-            m = am.HoloMap(source, target, am.ScalarSlice(extra, next(slices)))
+            m = am.HoloMap(source, target, am.ScalarSlice(tuple(next(entries)), next(slices)))
         elif kind == "auto":
             m = next(autos)
         elif kind == "chain":
-            m = am.compose(am.HoloMap(source, target, extra), next(autos))
-        elif kind in ("contract", "poly"):
-            m = am.HoloMap(source, target, extra)
+            m = am.compose(am.HoloMap(source, target, next(contractions)), next(autos))
+        elif kind == "contract":
+            m = am.HoloMap(source, target, next(contractions))
+        elif kind == "poly":
+            m = am.HoloMap(source, target, next(polys))
         elif kind == "pad":
             m = am.HoloMap(source, target, am.PadEmbed())
         else:  # pad_contract
-            m = am.compose(am.HoloMap(target, target, extra),
+            m = am.compose(am.HoloMap(target, target, next(contractions)),
                            am.HoloMap(source, target, am.PadEmbed()))
         maps.append(m)
     return maps[:count]  # count 0 drops the identity
@@ -270,19 +263,16 @@ def generate_maps(source: DomainSpec, target: DomainSpec, seed: int = 0,
 # the Schwarz inequality harness
 
 
-def draw_samples(spec: DomainSpec, seeds, n_samples: int = 100):
-    """The (zs, vs) of n_samples points and tangents at each seed, stacked.
+def draw_samples(spec: DomainSpec, seed: int, n_maps: int, n_samples: int = 100):
+    """The (zs, vs) of n_samples points and tangents for each of n_maps maps.
 
-    Both have shape (len(seeds), n_samples) + ambient shape: row i holds the
-    n_samples points and tangents at seed seeds[i], so a corpus passes one
-    row per map to schwarz_check.  Every row comes from one
-    domains.draw_grid call.
+    Both have shape (n_maps, n_samples) + ambient shape, so a corpus passes
+    one row per map to schwarz_check.  They are the two parts of one
+    domains.draw_grid(seed, "schwarz_samples") call, reshaped.
     """
-    items = np.array([np.random.default_rng(int(s)).integers(2**63, size=(2, n_samples))
-                      for s in seeds], dtype=np.int64).reshape(-1, 2, n_samples)
-    shape = (len(items), n_samples) + spec.ambient_shape
-    zs, vs = domains.draw_grid([domains.Points(spec, items[:, 0].reshape(-1)),
-                                domains.Tangents(spec, items[:, 1].reshape(-1))])
+    shape = (n_maps, n_samples) + spec.ambient_shape
+    zs, vs = domains.draw_grid(seed, "schwarz_samples", [
+        domains.Points(spec, n_maps * n_samples), domains.Tangents(spec, n_maps * n_samples)])
     return zs.reshape(shape), vs.reshape(shape)
 
 

@@ -125,13 +125,11 @@ def kahler_berwald_per_base(metric, seed: int = 0):
 
     spec = metric.domain
     n_base, n_fiber = met.N_BASE, max(met.N_FIBER, spec.dim + 1)
-    rng = np.random.default_rng(seed)
     ambient = tuple(range(-len(spec.ambient_shape), 0))
     unit = lambda w: w / np.linalg.norm(w, axis=ambient, keepdims=True)
-    v0s, zs, fibers = domains.draw_grid([
-        domains.Tangents(spec, rng.integers(2**63, size=n_base)),
-        domains.Points(spec, rng.integers(2**63, size=n_base)),
-        domains.Tangents(spec, rng.integers(2**63, size=n_base * n_fiber))])
+    v0s, zs, fibers = domains.draw_grid(seed, "kahler_berwald", [
+        domains.Tangents(spec, n_base), domains.Points(spec, n_base),
+        domains.Tangents(spec, n_base * n_fiber)])
     v0s = unit(v0s)
     fibers = unit(fibers.reshape((n_base, n_fiber) + spec.ambient_shape))
     bmat = met.grad_vbar_pair(metric, np.zeros(spec.ambient_shape), v0s)[1]
@@ -246,45 +244,46 @@ def bisection_gauge(spec, w, steps: int = BISECTION_STEPS) -> float:
 
 
 def generate_maps_one_at_a_time(source, target, seed: int = 0, count: int = 50):
-    """schwarz.generate_maps built one attempt at a time, each draw a
-    one-seed call; oracle for the corpus's one draw_grid call."""
+    """schwarz.generate_maps built one attempt at a time: attempt a draws the
+    grid of the attempts up to a alone and reads the last item of each part
+    it needs; oracle for the corpus's one draw_grid call."""
     from cartanfinsler import automorphisms as am
     from cartanfinsler import schwarz as sw
 
-    rng = np.random.default_rng(seed)
     maps = [am.identity_map(source)] if source == target else []
     kinds = sw._corpus_kinds(source, target)
-    for a in range(count - len(maps)):
-        kind = kinds[a % len(kinds)]
-        s = int(rng.integers(2**63))
+    plan = [kinds[a % len(kinds)] for a in range(count - len(maps))]
+    contracted = source if source == target else target
+    last = lambda draws: tuple(x[-1:] for x in draws)
+    for a, kind in enumerate(plan):
+        (constants, slices, (_, entries), points, isotropy, contraction, (_, rho_u),
+         (poly_normals, poly_u)) = domains.draw_grid(
+            seed, "corpus", sw._corpus_parts(source, target, plan[:a + 1]))
+        if kind in ("auto", "chain"):
+            inner = am._map_slice(
+                am.automorphisms_from(source, points[-1:], last(isotropy)), 0)
+        if kind in ("chain", "contract", "pad_contract"):
+            body = sw._contractions(contracted, last(contraction), rho_u[-1:])
+            outer = am._map_slice(am.HoloMap(contracted, contracted, body), 0).body
         if kind == "constant":
-            m = am.HoloMap(
-                source, target, am.ConstantMap(domains.sample_point(target, seed=s))
-            )
+            m = am.HoloMap(source, target, am.ConstantMap(constants[-1]))
         elif kind == "slice":
-            if source.kind == "IV":
-                entry = (int(rng.integers(source.dims[0])),)
-            else:
-                sm, sn = source.ambient_shape
-                entry = (int(rng.integers(sm)), int(rng.integers(sn)))
-            w = domains.sample_tangent(target, seed=s)
-            w1 = sw.CORPUS_RHO * (w / domains.minkowski_gauge(target, w))
+            entry = tuple(int(u * size) for u, size in zip(entries[-1], source.ambient_shape))
+            w1 = sw.CORPUS_RHO * (slices[-1] / domains.minkowski_gauge(target, slices[-1]))
             m = am.HoloMap(source, target, am.ScalarSlice(entry, w1))
         elif kind == "auto":
-            m = am.random_automorphism(source, seed=s)
+            m = inner
         elif kind == "chain":
-            inner = am.random_automorphism(source, seed=s)
-            outer = am.HoloMap(source, target, sw._contraction_body(source, rng))
-            m = am.compose(outer, inner)
+            m = am.compose(am.HoloMap(source, target, outer), inner)
         elif kind == "contract":
-            m = am.HoloMap(source, target, sw._contraction_body(source, rng))
+            m = am.HoloMap(source, target, outer)
         elif kind == "poly":
-            m = am.HoloMap(source, target, sw._polynomial_body(source, rng))
+            m = am.HoloMap(source, target,
+                           sw._polynomial_body(source, poly_normals[-1], poly_u[-1]))
         elif kind == "pad":
             m = am.HoloMap(source, target, am.PadEmbed())
         else:  # pad_contract
             pad = am.HoloMap(source, target, am.PadEmbed())
-            outer = am.HoloMap(target, target, sw._contraction_body(target, rng))
-            m = am.compose(outer, pad)
+            m = am.compose(am.HoloMap(target, target, outer), pad)
         maps.append(m)
     return maps[:count]

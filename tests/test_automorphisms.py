@@ -266,7 +266,7 @@ def test_boundary_base_point_raises():
 @pytest.mark.parametrize("spec", [domains.type_i(2, 3), domains.type_ii(3),
                                   domains.type_iii(4)], ids=str)
 def test_gram_root_accepts_every_interior_point(spec):
-    ws = domains.sample_tangents(spec, range(10))
+    ws = domains.sample_tangents(spec, 0, 10)
     z0s = (1.0 - 1e-9) * ws / domains.minkowski_gauge_many(spec, ws)[:, None, None]
     for z0 in z0s:
         phi = am.normalizing_automorphism(spec, z0)  # does not raise
@@ -319,15 +319,15 @@ def test_corpus_layers_make_no_lapack_call(monkeypatch):
     # push of the matrix Mobius and sandwich bodies, membership and the gauge
     # up to two rows run on numkernel's stack kernels only
     spec = domains.type_i(2, 2)
-    phi = am.normalizing_automorphism(spec, domains.sample_points(spec, range(3)))
+    phi = am.normalizing_automorphism(spec, domains.sample_points(spec, 0, 3))
     bodies = [phi, am.invert(phi), am.HoloMap(spec, spec, am.SandwichScale(
-        *(am._haar_unitary(domains.sample_tangents(spec, range(k, k + 3)))
+        *(am._haar_unitary(domains.sample_tangents(spec, k, 3))
           for k in (10, 20))))]
-    zs = domains.sample_points(spec, range(30, 35))[:, None]
-    vs = domains.sample_tangents(spec, range(40, 45))[:, None]
+    zs = domains.sample_points(spec, 30, 5)[:, None]
+    vs = domains.sample_tangents(spec, 40, 5)[:, None]
     before = [am.push(f, zs, vs) for f in bodies]
-    samples = {s: (domains.sample_points(s, range(50, 60)),
-                   domains.sample_tangents(s, range(60, 70)))
+    samples = {s: (domains.sample_points(s, 50, 10),
+                   domains.sample_tangents(s, 60, 10))
                for s in (spec, domains.type_ii(2))}
 
     def refuse(*args, **kwargs):
@@ -363,7 +363,7 @@ def test_batched_evaluation_agrees_with_loop():
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
 def test_normalizing_refuses_a_stack_with_one_exterior_point(spec):
-    z0s = domains.sample_points(spec, range(4))
+    z0s = domains.sample_points(spec, 0, 4)
     phi = am.normalizing_automorphism(spec, z0s)  # one stacked map
     for k in range(4):
         assert np.max(np.abs(am.apply(phi, z0s[:, None])[k, k])) <= 1e-10
@@ -390,7 +390,7 @@ def _assert_same_maps(one, stack, i):
                                               domains.type_iv(5)], ids=str)
 def test_random_automorphism_is_slice_zero_of_the_stack(spec):
     for seed in (1, 7, 12345):
-        stack = am.random_automorphisms(spec, [seed, seed + 1, seed + 2])
+        stack = am.random_automorphisms(spec, seed, 3)
         _assert_same_maps(am.random_automorphism(spec, seed), stack, 0)
 
 
@@ -435,7 +435,7 @@ def test_lie_ball_roots_match_mpmath_oracle_up_to_the_boundary(n):
         d[:2] = [(1.0 + r) / 2.0, 0.5j * (1.0 - r)]
         near_real.append(d)
     dirs = np.stack(_real_directions(n) + near_real
-                    + list(domains.sample_points(spec, range(400, 404))))
+                    + list(domains.sample_points(spec, 400, 4)))
     dirs = dirs / domains.minkowski_gauge_many(spec, dirs)[:, None]
     eps = np.finfo(float).eps
     for k in range(1, 9):
@@ -460,5 +460,5 @@ def test_lie_ball_normalizing_map_takes_one_svd(monkeypatch):
     spec = domains.type_iv(4)
     am.normalizing_automorphism(spec, domains.sample_point(spec, seed=1))
     assert len(calls) == 1
-    am.normalizing_automorphism(spec, domains.sample_points(spec, range(20)))
+    am.normalizing_automorphism(spec, domains.sample_points(spec, 0, 20))
     assert len(calls) == 2

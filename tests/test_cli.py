@@ -381,7 +381,8 @@ def test_certify_reports_capped_sample_count(tmp_path, capsys):
     assert prov["effective_samples"] == {"invariance_points": 100,
                                          "invariance_maps": 100,
                                          "connection_fibers": 30}
-    assert prov["rng_scheme"] == "philox4x64-10/box-muller"
+    assert prov["rng_scheme"] == \
+        "philox4x64-10/key(seed,check)/counter(block,part,attempt)/box-muller"
 
 
 def test_structured_output_deterministic(tmp_path, capsys):
@@ -520,27 +521,40 @@ def _benchmark_request_types():
     return [kind for mix in module.WORKLOADS.values() for kind in mix]
 
 
+# the checks each task samples for; certify's connection pass draws only
+# behind a passed certificate
+TASK_CHECKS = {"eval": {"eval"},
+               "certify": {"automorphism_invariance", "kahler_berwald"},
+               "curvature": {"bisectional", "curvature_range"},
+               "sandwich": {"sandwich"}, "schwarz": {"corpus", "schwarz_samples"}}
+
+
 @pytest.mark.parametrize("seed", [1, 7])
-def test_one_philox_grid_per_sampling_pass(seed, monkeypatch):
-    blocks_of = domains.philox_blocks
+def test_no_two_checks_of_a_request_share_a_key(seed, monkeypatch):
+    words_of = domains._philox_words
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return blocks_of(*args, **kwargs)
+    def recorded(key_seed, check, part, attempt, n_words):
+        calls.append((key_seed, check, part, attempt))
+        return words_of(key_seed, check, part, attempt, n_words)
 
-    monkeypatch.setattr(domains, "philox_blocks", counted)
-    for kind in _benchmark_request_types():
+    monkeypatch.setattr(domains, "_philox_words", recorded)
+    kinds = _benchmark_request_types()
+    assert len(kinds) == 12
+    for kind in kinds:
         calls.clear()
         report = cli.run(cli.parse_config(json.dumps(dict(kind.config, seed=seed))))
-        if report.task == "certify":
-            # the connection pass draws only behind a passed certificate
-            expected = 2 if report.summary["certificate_passed"] else 1
-        elif report.task in ("curvature", "schwarz"):
-            expected = 2
-        else:
-            expected = 1
-        assert len(calls) == expected, (kind.name, len(calls))
+        # every (key, part) pair is read once, under the request's seed and
+        # the task's own checks
+        pairs = [(s, check, part) for s, check, part, _ in calls]
+        assert len(set(pairs)) == len(pairs), (kind.name, calls)
+        checks = {check for _, check, _ in pairs}
+        if report.task == "certify" and not report.summary["certificate_passed"]:
+            checks.add("kahler_berwald")
+        assert checks == TASK_CHECKS[report.task], kind.name
+        assert {s for s, *_ in calls} == {seed}, kind.name
+    # and no two library checks share an id
+    assert len(set(domains.CHECKS.values())) == len(domains.CHECKS)
 
 
 # Mobius cores (I - Z0* Z)^{-1} per request: certify pushes its stacked
@@ -639,6 +653,45 @@ def test_every_tolerance_has_a_verdict_flipping_control():
         source = inspect.getsource(control)
         assert f'"{key}"' in source, key  # sets the key in a config
         assert "rc == 1" in source and "== 0" in source, key  # both exit codes
+
+
+def test_the_only_random_source_is_the_one_philox_call():
+    # every sampled check draws through domains._philox_words: no other line
+    # of the package names numpy's random module, a Generator or the
+    # standard library's random
+    words = re.compile(r"np\.random|numpy\.random|default_rng|^\s*(import|from) random\b")
+    lines, first = inspect.getsourcelines(domains._philox_words)
+    allowed = {("domains.py", first + i) for i in range(len(lines))}
+    package = Path(cli.__file__).parent
+    hits = [f"{path.name}:{i}: {line.strip()}"
+            for path in sorted(package.glob("*.py"))
+            for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if words.search(line) and (path.name, i) not in allowed]
+    assert hits == []
+    assert sum(line.count("np.random.Philox(") for line in lines) == 1
+
+
+def test_schwarz_onto_its_own_domain_computes_the_bounds_once(monkeypatch):
+    # with no target_metric and target_domain == domain the target metric is
+    # the source metric: its curvature bounds are computed once, and the
+    # report equals the one of an explicit, separately parsed target_metric
+    bounds_of = curvature.curvature_bounds
+    calls = []
+
+    def counted(metric):
+        calls.append(metric.label)
+        return bounds_of(metric)
+
+    monkeypatch.setattr(curvature, "curvature_bounds", counted)
+    doc = {"task": "schwarz", "domain": {"type": "I", "m": 2, "n": 2},
+           "metric": {"family": "bergman"}, "seed": 3, "samples": 10, "maps": 6}
+    doc["target_domain"] = doc["domain"]
+    run = lambda doc: cli.emit_report(cli.run(cli.parse_config(json.dumps(doc))))
+    same = run(doc)
+    assert len(calls) == 1
+    explicit = run({**doc, "target_metric": doc["metric"]})
+    assert len(calls) == 3
+    assert same == explicit
 
 
 def test_tolerances_are_applied_only_in_the_cli():

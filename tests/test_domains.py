@@ -82,7 +82,7 @@ def test_type_iv_membership_near_the_boundary():
     phases = np.exp(1j * np.linspace(0.0, np.pi, 13))[:, None]
     for real in ([1.0, 0.0, 0.0], [0.6, 0.8, 0.0]):
         assert domains.contains_many(spec, (1.0 - 1e-9) * phases * real).all()
-    w = domains.sample_tangents(spec, np.arange(200))
+    w = domains.sample_tangents(spec, 0, 200)
     w = w / domains.minkowski_gauge_many(spec, w)[:, None]
     for scale in (1.0 - 1e-9, 1.0 - 4e-7):
         assert domains.contains_many(spec, scale * w).all()
@@ -231,14 +231,16 @@ ORACLE_SEEDS = [0, 1, 2**62 + 17, 2**63 - 1] + [
     int(s) for s in np.random.default_rng(12).integers(2**63, size=50)]
 
 
-def _oracle_draw(spec, seed, first_block=1):
-    """The documented stream, rebuilt from numpy's own Philox4x64-10: the
-    raw tangent-class draw and the uniform after its normals."""
+def _oracle_draw(spec, seed, item=0, points=True, part=0, attempt=0, check=0):
+    """Item `item` of part `part` of the documented stream, rebuilt from
+    numpy's own Philox4x64-10 with key (seed, check): the raw tangent-class
+    draw and the uniform after its normals.  A point item reads 2 cells + 1
+    words, a tangent item 2 cells, each rounded up to whole blocks."""
     cells = int(np.prod(spec.ambient_shape))
-    n_words = 2 * cells + 1
-    blocks = -(-n_words // 4)
-    bitgen = np.random.Philox(key=seed, counter=[first_block - 1, 0, 0, 0])
-    u = (bitgen.random_raw(4 * blocks)[:n_words] >> np.uint64(11)) * 2.0**-53
+    blocks = -(-(2 * cells + points) // 4)
+    bitgen = np.random.Philox(key=seed + 2**64 * check,
+                              counter=[item * blocks, part, attempt, 0])
+    u = (bitgen.random_raw(2 * cells + 1) >> np.uint64(11)) * 2.0**-53
     radius = np.sqrt(-2.0 * np.log1p(-u[0:2 * cells:2]))
     angle = 2.0 * np.pi * u[1:2 * cells:2]
     normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1).ravel()
@@ -246,124 +248,196 @@ def _oracle_draw(spec, seed, first_block=1):
     return domains.project_tangent(spec, raw), u[2 * cells]
 
 
-def test_philox_blocks_match_numpy_bit_for_bit():
-    keys = domains.seed_keys(ORACLE_SEEDS)
-    words = domains.philox_blocks(keys, 1, 3)
-    for seed, row in zip(ORACLE_SEEDS, words):
-        np.testing.assert_array_equal(row, np.random.Philox(key=seed).random_raw(12))
-    # a later counter run on another stream (counter word 1)
-    words = domains.philox_blocks(keys, 5, 2, stream=1)
-    for seed, row in zip(ORACLE_SEEDS, words):
-        bitgen = np.random.Philox(key=seed, counter=[4, 1, 0, 0])
-        np.testing.assert_array_equal(row, bitgen.random_raw(8))
+def _assert_oracle_point(spec, z, raw, u):
+    assert domains.minkowski_gauge(spec, z) == pytest.approx(0.9 * u, rel=1e-13)
+    np.testing.assert_allclose(z, (0.9 * u / domains.minkowski_gauge(spec, raw)) * raw,
+                               rtol=1e-13, atol=0)
+
+
+# Random123 known answers for philox4x64-10: key, the counter argument of
+# numpy's Philox (which increments its counter before each block) and the
+# four words of the block
+PHILOX_KAT = [
+    (0, [2**64 - 1] * 4,
+     "16554d9eca36314c db20fe9d672d0fdc d7e772cee186176b 7e68b68aec7ba23b"),
+    (2**128 - 1, [2**64 - 2] + [2**64 - 1] * 3,
+     "87b092c3013fe90b 438c3c67be8d0224 9cc7d7c69cd777b6 a09caebf594f0ba0"),
+]
+
+
+def test_philox_matches_random123_known_answers():
+    for key, counter, words in PHILOX_KAT:
+        bitgen = np.random.Philox(key=key, counter=np.array(counter, dtype=np.uint64))
+        assert [f"{w:016x}" for w in bitgen.random_raw(4)] == words.split()
+    # the draw function's key is (seed, check id) and its counter starts at
+    # block (1, part, attempt, 0)
+    seed, check = 2**64 - 1, domains.CHECKS["corpus"]
+    bitgen = np.random.Philox(key=seed + 2**64 * check, counter=[0, 3, 2, 0])
+    np.testing.assert_array_equal(domains._philox_words(seed, "corpus", 3, 2, 10),
+                                  bitgen.random_raw(10))
+
+
+# sum_k (k + 1) x_k over the flat entries of sample_point, sample_tangent and
+# the image of the origin under random_automorphism at three ORACLE_SEEDS:
+# a change of the words a one-item draw reads, of Box-Muller or of the
+# isotropy layout moves them
+PINNED_DRAWS = {
+    ("I", 0): ((0.8218889823137783+3.5379107096328246j),
+               (4.1692990566970805+17.947202239923925j),
+               (2.7888931671655626-0.6905794637417975j)),
+    ("I", 2**62 + 17): ((0.11688874363524701-0.1580606226905804j),
+                        (3.2890409063673665-4.447544199272702j),
+                        (-0.02257239485534676+0.5447070936298513j)),
+    ("I", 2**63 - 1): ((0.0022156411695972546+0.002005506305067072j),
+                       (11.16765494947999+10.108497134518746j),
+                       (0.0011326601995710712+0.0010966399050317257j)),
+    ("II", 0): ((7.633456344707103+6.970416210510434j),
+                (17.687619292502415+16.151277045984944j),
+                (-6.69724042926046+1.8481888542769145j)),
+    ("II", 2**62 + 17): ((-5.352368058051576-2.260296709640381j),
+                         (-12.353114777038382-5.2167011650753645j),
+                         (-6.990725861908583+2.829212204686696j)),
+    ("II", 2**63 - 1): ((0.22413833161652508+3.005857797614974j),
+                        (0.8098153214432255+10.860211553429497j),
+                        (-3.365783128682599-2.286630068552301j)),
+    ("III", 0): ((0.4208873494614882+0.8562303648636174j),
+                 (2.7249069128493577+5.543402630641161j),
+                 (-0.8434666491661953+1.4770075159147806j)),
+    ("III", 2**62 + 17): ((0.24668787754582988-1.8143023705057626j),
+                          (1.1481134463750209-8.443969635195206j),
+                          (6.763152165327492-2.5579897555172533j)),
+    ("III", 2**63 - 1): ((0.6225523541506286-1.180164531944647j),
+                         (2.3504292483804115-4.455678651425885j),
+                         (-4.384032484174208+3.779536814656984j)),
+    ("IV", 0): ((-0.6367272113134921+1.791324031747125j),
+                (-1.027956299120063+2.8919807249968335j),
+                (-0.13392976537975657+0.6415650071773761j)),
+    ("IV", 2**62 + 17): ((1.3194342908304566-0.22987330894505897j),
+                         (6.370441327010818-1.1098653699220098j),
+                         (0.3156188497036801-0.34871598372917123j)),
+    ("IV", 2**63 - 1): ((0.0670895159452141+0.280980178163186j),
+                        (0.9431639848926605+3.950101305376087j),
+                        (0.037648253316600294-0.02732136050032892j)),
+}
+
+
+@pytest.mark.parametrize("spec", CLASSICAL, ids=str)
+def test_one_item_draws_are_pinned(spec):
+    weighted = lambda x: complex(np.dot(np.arange(1, x.size + 1), x.ravel()))
+    origin = np.zeros(spec.ambient_shape, dtype=complex)
+    for seed in (0, 2**62 + 17, 2**63 - 1):
+        got = (weighted(domains.sample_point(spec, seed)),
+               weighted(domains.sample_tangent(spec, seed)),
+               weighted(automorphisms.apply(automorphisms.random_automorphism(spec, seed),
+                                            origin)))
+        assert got == pytest.approx(PINNED_DRAWS[spec.kind, seed], rel=1e-13), seed
 
 
 @pytest.mark.parametrize("spec", CLASSICAL, ids=str)
 def test_batched_sampling_and_gauge_match_single_items(spec):
-    seeds = np.random.default_rng(8).integers(2**63, size=25)
-    zs = domains.sample_points(spec, seeds)
-    vs = domains.sample_tangents(spec, seeds)
-    gs = domains.minkowski_gauge_many(spec, zs)
-    for i, seed in enumerate(seeds):
-        np.testing.assert_array_equal(zs[i], domains.sample_points(spec, [seed])[0])
-        np.testing.assert_array_equal(vs[i], domains.sample_tangents(spec, [seed])[0])
-        assert gs[i] == domains.minkowski_gauge(spec, zs[i])
-        # Philox key (seed, 0), Box-Muller normals, then a U[0, 0.9) gauge
-        raw, u = _oracle_draw(spec, int(seed))
-        np.testing.assert_allclose(vs[i], raw, rtol=1e-14, atol=0)
-        assert gs[i] == pytest.approx(0.9 * u, rel=1e-13)
-        np.testing.assert_allclose(zs[i], (0.9 * u / domains.minkowski_gauge(spec, raw)) * raw,
-                                   rtol=1e-13, atol=0)
-    assert domains.sample_points(spec, []).shape == (0,) + spec.ambient_shape
-    assert domains.sample_tangents(spec, []).shape == (0,) + spec.ambient_shape
+    for seed in ORACLE_SEEDS[::10]:
+        zs = domains.sample_points(spec, seed, 25)
+        vs = domains.sample_tangents(spec, seed, 25)
+        gs = domains.minkowski_gauge_many(spec, zs)
+        for i in range(25):
+            assert gs[i] == domains.minkowski_gauge(spec, zs[i])
+            # key (seed, 0), item i's counter blocks, Box-Muller normals,
+            # then a U[0, 0.9) gauge
+            _assert_oracle_point(spec, zs[i], *_oracle_draw(spec, seed, i))
+            raw, _ = _oracle_draw(spec, seed, i, points=False)
+            np.testing.assert_allclose(vs[i], raw, rtol=1e-14, atol=0)
+    assert domains.sample_points(spec, 0, 0).shape == (0,) + spec.ambient_shape
+    assert domains.sample_tangents(spec, 0, 0).shape == (0,) + spec.ambient_shape
 
 
 @pytest.mark.parametrize("spec", CLASSICAL, ids=str)
 def test_items_depend_on_their_own_seed_only(spec):
-    seeds = np.arange(40, dtype=np.uint64) * np.uint64(2**57 + 3)
-    zs = domains.sample_points(spec, seeds)
-    vs = domains.sample_tangents(spec, seeds)
-    order = np.random.default_rng(2).permutation(40)
-    others = np.concatenate([seeds[order], np.arange(7, dtype=np.uint64)])
-    np.testing.assert_array_equal(domains.sample_points(spec, others)[:40], zs[order])
-    np.testing.assert_array_equal(domains.sample_tangents(spec, others)[:40], vs[order])
-    # distinct seeds give distinct draws
-    flat = vs.reshape(40, -1)
-    assert len({row.tobytes() for row in flat}) == 40
+    # item i depends on (seed, i) only: a shorter draw is a prefix
+    for seed in (3, 2**64 - 1):
+        zs = domains.sample_points(spec, seed, 40)
+        vs = domains.sample_tangents(spec, seed, 40)
+        for k in (1, 17):
+            np.testing.assert_array_equal(domains.sample_points(spec, seed, k), zs[:k])
+            np.testing.assert_array_equal(domains.sample_tangents(spec, seed, k), vs[:k])
+        np.testing.assert_array_equal(domains.sample_point(spec, seed), zs[0])
+        # distinct items give distinct draws
+        assert len({row.tobytes() for row in vs.reshape(40, -1)}) == 40
+    # and distinct seeds
+    assert not np.array_equal(domains.sample_tangents(spec, 4, 40)[0], vs[0])
+
+
+def _null_words(monkeypatch, nulled):
+    """Zero the words of the (part, item) pairs in nulled at attempt 0, and
+    record each call's (part, attempt)."""
+    words_of = domains._philox_words
+    calls = []
+
+    def patched(seed, check, part, attempt, n_words):
+        calls.append((part, attempt))
+        words = words_of(seed, check, part, attempt, n_words)
+        for (p, item), width in nulled.items():
+            if (p, attempt) == (part, 0):
+                words[item * width:(item + 1) * width] = 0  # all-zero normals
+        return words
+
+    monkeypatch.setattr(domains, "_philox_words", patched)
+    return calls
+
+
+def _widths(spec):
+    """Words per point item and per tangent item."""
+    cells = int(np.prod(spec.ambient_shape))
+    return 4 * -(-(2 * cells + 1) // 4), 4 * -(-2 * cells // 4)
 
 
 @pytest.mark.parametrize("spec", CLASSICAL, ids=str)
 def test_null_draw_takes_the_next_counter_blocks(spec, monkeypatch):
-    blocks_of = domains.philox_blocks
-    nulled = 2**63 - 1
-
-    def first_run_zero(keys, first, count, stream=0):
-        words = blocks_of(keys, first, count, stream)
-        if first == 1:
-            words[keys == np.uint64(nulled)] = 0  # zero words: all-zero normals
-        return words
-
-    monkeypatch.setattr(domains, "philox_blocks", first_run_zero)
-    seeds = [5, nulled, 6]
-    zs = domains.sample_points(spec, seeds)
-    vs = domains.sample_tangents(spec, seeds)
+    # a null draw reads its own blocks again with the attempt in counter
+    # word 2; the other items keep their draws
+    point_width, tangent_width = _widths(spec)
+    calls = _null_words(monkeypatch, {(0, 1): point_width})
+    zs = domains.sample_points(spec, 5, 3)
     monkeypatch.undo()
-    np.testing.assert_array_equal(zs[[0, 2]], domains.sample_points(spec, [5, 6]))
-    np.testing.assert_array_equal(vs[[0, 2]], domains.sample_tangents(spec, [5, 6]))
-    cells = int(np.prod(spec.ambient_shape))
-    raw, u = _oracle_draw(spec, nulled, first_block=1 + -(-(2 * cells + 1) // 4))
-    assert domains.minkowski_gauge(spec, zs[1]) == pytest.approx(0.9 * u, rel=1e-13)
-    np.testing.assert_allclose(zs[1], (0.9 * u / domains.minkowski_gauge(spec, raw)) * raw,
-                               rtol=1e-13, atol=0)
-    tangent_blocks = -(-2 * cells // 4)
-    raw, _ = _oracle_draw(spec, nulled, first_block=1 + tangent_blocks)
+    assert calls == [(0, 0), (0, 1)]
+    _null_words(monkeypatch, {(0, 1): tangent_width})
+    vs = domains.sample_tangents(spec, 5, 3)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(zs[[0, 2]], domains.sample_points(spec, 5, 3)[[0, 2]])
+    np.testing.assert_array_equal(vs[[0, 2]], domains.sample_tangents(spec, 5, 3)[[0, 2]])
+    _assert_oracle_point(spec, zs[1], *_oracle_draw(spec, 5, 1, attempt=1))
+    raw, _ = _oracle_draw(spec, 5, 1, points=False, attempt=1)
     np.testing.assert_allclose(vs[1], raw, rtol=1e-14, atol=0)
 
 
 def test_one_grid_mixes_parts_bit_for_bit(monkeypatch):
+    # part p of a grid reads counter word 1 = p: it equals the same grid with
+    # every other part empty, whatever the other parts hold
     i23, iv3, ii3 = domains.type_i(2, 3), domains.type_iv(3), domains.type_ii(3)
-    nulled = 2**63 - 1
-    seeds = [[11, nulled, 12, 13], [11, 14, 15], [16, nulled, 11, 17, 18], [19, 11, 20]]
-    isotropy = domains.Gaussians(seeds[3], 18, 1, stream=automorphisms.ISOTROPY_STREAM)
-    parts = [domains.Points(i23, seeds[0]), domains.Points(iv3, seeds[1]),
-             domains.Tangents(ii3, seeds[2]), isotropy]
-    blocks_of = domains.philox_blocks
-    grids = []
-
-    def first_run_zero(keys, first, count, stream=0):
-        words = blocks_of(keys, first, count, stream)
-        grids.append((keys, first, count, stream, words.copy()))
-        if first == 1:
-            per_key = 4 * np.broadcast_to(count, keys.shape)
-            words.reshape(-1)[np.repeat(keys == np.uint64(nulled), per_key)] = 0
-        return words
-
-    monkeypatch.setattr(domains, "philox_blocks", first_run_zero)
-    zs, ws, vs, (normals, u) = domains.draw_grid(parts)
+    seed = 2**63 - 1
+    parts = [domains.Points(i23, 4), domains.Points(iv3, 3), domains.Tangents(ii3, 5),
+             domains.Gaussians(3, 18, 1)]
+    calls = _null_words(monkeypatch, {(0, 1): _widths(i23)[0], (2, 3): _widths(ii3)[1]})
+    zs, ws, vs, (normals, u) = domains.draw_grid(seed, "sandwich", parts)
     monkeypatch.undo()
-    # one grid, then one redraw call for each part holding the null draw
-    assert [first for _, first, *_ in grids] == [1, 5, 6]  # after 4 and 5 blocks
-    keys, _, count, stream, words = grids[0]
-    ends = np.cumsum(4 * count)
-    for key, c, s, end in zip(keys, count, stream, ends):
-        bitgen = np.random.Philox(key=int(key), counter=[0, s, 0, 0])
-        np.testing.assert_array_equal(words[end - 4 * c:end], bitgen.random_raw(4 * c))
-    # every other item equals its own one-part call
-    kept = [0, 2, 3]
-    np.testing.assert_array_equal(zs[kept], domains.sample_points(i23, seeds[0])[kept])
-    np.testing.assert_array_equal(ws, domains.sample_points(iv3, seeds[1]))
-    kept = [0, 2, 3, 4]
-    np.testing.assert_array_equal(vs[kept], domains.sample_tangents(ii3, seeds[2])[kept])
-    alone = domains.gaussian_draws(domains.seed_keys(seeds[3]), 18, 1,
-                                   stream=automorphisms.ISOTROPY_STREAM)
-    np.testing.assert_array_equal(normals, alone[0])
-    np.testing.assert_array_equal(u, alone[1])
-    # the null draws took their key's next run of blocks
-    raw, u1 = _oracle_draw(i23, nulled, first_block=5)
-    np.testing.assert_allclose(zs[1], (0.9 * u1 / domains.minkowski_gauge(i23, raw)) * raw,
-                               rtol=1e-13, atol=0)
-    raw, _ = _oracle_draw(ii3, nulled, first_block=6)
-    np.testing.assert_allclose(vs[1], raw, rtol=1e-14, atol=0)
+    # one call per part, then one redraw call for each part holding a null draw
+    assert calls == [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (3, 0)]
+    empty = lambda part: domains.Gaussians(0, 1) if isinstance(part, domains.Gaussians) \
+        else type(part)(part.spec, 0)
+    alone = [domains.draw_grid(seed, "sandwich", [empty(q) if q is not p else p
+                                                  for q in parts])[i]
+             for i, p in enumerate(parts)]
+    np.testing.assert_array_equal(zs[[0, 2, 3]], alone[0][[0, 2, 3]])
+    np.testing.assert_array_equal(ws, alone[1])
+    np.testing.assert_array_equal(vs[[0, 1, 2, 4]], alone[2][[0, 1, 2, 4]])
+    np.testing.assert_array_equal(normals, alone[3][0])
+    np.testing.assert_array_equal(u, alone[3][1])
+    check = domains.CHECKS["sandwich"]
+    for i in range(3):
+        _assert_oracle_point(iv3, ws[i], *_oracle_draw(iv3, seed, i, part=1, check=check))
+    # the null draws read their blocks again at attempt 1
+    _assert_oracle_point(i23, zs[1], *_oracle_draw(i23, seed, 1, attempt=1, check=check))
+    raw, _ = _oracle_draw(ii3, seed, 3, points=False, part=2, attempt=1, check=check)
+    np.testing.assert_allclose(vs[3], raw, rtol=1e-14, atol=0)
 
 
 def _ks_statistic(sorted_x, cdf):
@@ -373,9 +447,8 @@ def _ks_statistic(sorted_x, cdf):
     return max(np.max(i / n - c), np.max(c - (i - 1) / n))
 
 
-def test_sampler_distributions_on_20000_seeds():
-    keys = domains.seed_keys(np.arange(20_000) * 7919 + 3)
-    normals, u = domains.gaussian_draws(keys, 8, 1)
+def test_sampler_distributions_on_20000_items():
+    normals, u = domains.draw_grid(3, "api", [domains.Gaussians(20_000, 8, 1)])[0]
     x = normals.ravel()
     n = x.size
     assert abs(np.mean(x)) < 5.0 / np.sqrt(n)
@@ -385,31 +458,32 @@ def test_sampler_distributions_on_20000_seeds():
     assert d < 1.95 / np.sqrt(n)          # KS critical value at p = 0.001
     assert 0.0 <= u.min() and u.max() < 1.0
     spec = domains.type_i(2, 2)
-    g = np.sort(domains.minkowski_gauge_many(spec, domains.sample_points(spec, keys)))
+    g = np.sort(domains.minkowski_gauge_many(spec, domains.sample_points(spec, 3, 20_000)))
     assert 0.0 <= g[0] and g[-1] < 0.9
     assert _ks_statistic(g, lambda t: t / 0.9) < 1.95 / np.sqrt(g.size)
 
 
 def test_seeds_outside_uint64_are_rejected():
     spec = domains.type_ii(2)
-    for bad in ([-1], [2**64], [3, 2**70], np.array([4, -2])):
+    for bad in (-1, 2**64, 2**70, np.int64(-2)):
         with pytest.raises(ValueError):
-            domains.sample_points(spec, bad)
+            domains.sample_points(spec, bad, 2)
         with pytest.raises(ValueError):
-            domains.sample_tangents(spec, bad)
+            domains.sample_tangents(spec, bad, 2)
     with pytest.raises(ValueError):
         domains.sample_point(spec, -5)
+    with pytest.raises(TypeError):
+        domains.sample_point(spec, 1.5)
     # the top of the range is a valid key, and the key schedule wraps silently
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        top = domains.sample_points(spec, [2**64 - 1, 2**63, np.uint64(2**64 - 1)])
-        np.testing.assert_array_equal(top[0], top[2])
-        assert not np.array_equal(top[0], top[1])
+        top = domains.sample_points(spec, 2**64 - 1, 3)
+        np.testing.assert_array_equal(top, domains.sample_points(spec, np.uint64(2**64 - 1), 3))
+        assert not np.array_equal(top[0], domains.sample_point(spec, 2**63))
         assert np.all(domains.contains_many(spec, top))
-        # uint64 and int64 arrays name the same stream
-        np.testing.assert_array_equal(
-            domains.sample_tangents(spec, np.array([9, 2**62], dtype=np.uint64)),
-            domains.sample_tangents(spec, np.array([9, 2**62], dtype=np.int64)))
+        # numpy unsigned and signed integers name the same stream
+        np.testing.assert_array_equal(domains.sample_tangents(spec, np.uint64(2**62), 2),
+                                      domains.sample_tangents(spec, np.int64(2**62), 2))
 
 
 def test_sample_point_batch_membership():

@@ -126,7 +126,7 @@ def test_eval2_many_matches_loop():
     "spec", [dom.type_i(1, 3), dom.type_i(2, 3), dom.type_ii(3), dom.type_iii(4)],
     ids=str)
 def test_frame_matches_lapack_oracle_up_to_the_boundary(spec):
-    zs = dom.sample_points(spec, range(200))
+    zs = dom.sample_points(spec, 0, 200)
     zs = zs / dom.minkowski_gauge_many(spec, zs)[:, None, None]
     for k in range(1, 9):
         gauge = 1.0 - 10.0**-k
@@ -145,9 +145,9 @@ def test_frame_matches_lapack_oracle_up_to_the_boundary(spec):
 ], ids=lambda m: m.label)
 def test_invariance_identity_up_to_the_boundary(metric):
     spec = metric.domain
-    ds = dom.sample_points(spec, range(200))
+    ds = dom.sample_points(spec, 0, 200)
     ds = ds / dom.minkowski_gauge_many(spec, ds).reshape((-1,) + (1,) * (ds.ndim - 1))
-    vs = dom.sample_tangents(spec, range(1000, 1200))
+    vs = dom.sample_tangents(spec, 1000, 200)
     for k in range(1, 9):
         gauge = 1.0 - 10.0**-k
         zs = gauge * ds
@@ -234,8 +234,8 @@ def test_grad_vbar_many_matches_single_items(metric):
     # both values of grad_vbar_pair; the base derivative's direction axis
     # leads, and is moved next to the packed axis here
     spec = metric.domain
-    zs = dom.sample_points(spec, range(5))
-    vs = dom.sample_tangents(spec, range(10, 15))
+    zs = dom.sample_points(spec, 0, 5)
+    vs = dom.sample_tangents(spec, 10, 5)
     pairs = [[met.grad_vbar_pair(metric, z, v) for v in vs] for z in zs]
     single = [np.array([[pair[i] for pair in row] for row in pairs]) for i in (0, 1)]
     assert single[0].shape == (5, 5, spec.dim)
@@ -268,7 +268,7 @@ def test_wrapped_callable_family_runs_the_batched_paths():
     got = met.connection_sample(custom, z, v[None])
     ref = met.connection_sample(tk, z, v[None])
     assert np.max(np.abs(got - ref)) <= 1e-5
-    vs = dom.sample_tangents(spec, range(5))
+    vs = dom.sample_tangents(spec, 0, 5)
     np.testing.assert_allclose(curv.hsc_origin_many(custom, vs),
                                curv.hsc_origin_many(tk, vs), rtol=1e-8)
 
@@ -297,7 +297,7 @@ def _connection_metrics():
 def test_connection_sample_matches_per_direction_oracle(metric):
     spec = metric.domain
     z = dom.sample_point(spec, seed=61)
-    vs = dom.sample_tangents(spec, [62, 63, 64])
+    vs = dom.sample_tangents(spec, 62, 3)
     vs = np.stack([v / np.linalg.norm(v) for v in vs])
     nonlinear = met.connection_sample(metric, z, vs)
     assert nonlinear.shape == (3, spec.dim, spec.dim)
@@ -384,8 +384,8 @@ def _curved_family(spec, k):
 ], ids=lambda m: m.label)
 def test_fundamental_tensor_matches_per_fiber_oracle(metric):
     spec = metric.domain
-    zs = dom.sample_points(spec, range(3))
-    vs = dom.sample_tangents(spec, range(10, 22)).reshape((3, 4) + spec.ambient_shape)
+    zs = dom.sample_points(spec, 0, 3)
+    vs = dom.sample_tangents(spec, 10, 12).reshape((3, 4) + spec.ambient_shape)
     got = met.fundamental_tensor(metric, zs[:, None], vs)
     assert got.shape == (3, 4, spec.dim, spec.dim)
     for b in range(3):
@@ -404,8 +404,8 @@ def test_fundamental_tensor_matches_per_fiber_oracle(metric):
 def test_fundamental_tensor_rejects_a_zero_fiber_in_a_stack(spec):
     # every view of the fiber jet rejects it, the gradient included
     metric = met.bergman_metric(spec)
-    zs = dom.sample_points(spec, range(2))
-    vs = dom.sample_tangents(spec, range(5, 11)).reshape((2, 3) + spec.ambient_shape)
+    zs = dom.sample_points(spec, 0, 2)
+    vs = dom.sample_tangents(spec, 5, 6).reshape((2, 3) + spec.ambient_shape)
     met.fundamental_tensor(metric, zs[:, None], vs)  # all fibers nonzero
     met.grad_vbar_pair(metric, zs[:, None], vs)
     met.connection_sample(metric, zs, vs)
@@ -426,8 +426,8 @@ def test_fundamental_tensor_rejects_a_zero_fiber_in_a_stack(spec):
 def test_connection_sample_over_base_points_matches_per_direction_oracle(metric):
     # a stack of base points, each with its own fibers and its own step
     spec = metric.domain
-    zs = dom.sample_points(spec, [65, 66])
-    vs = dom.sample_tangents(spec, range(67, 73)).reshape((2, 3) + spec.ambient_shape)
+    zs = dom.sample_points(spec, 65, 2)
+    vs = dom.sample_tangents(spec, 67, 6).reshape((2, 3) + spec.ambient_shape)
     nonlinear = met.connection_sample(metric, zs, vs)
     assert nonlinear.shape == (2, 3, spec.dim, spec.dim)
     for b in range(2):
@@ -494,16 +494,18 @@ def test_invariance_under_automorphisms():
 
 
 def _invariance_oracle(metric, n, seed):
-    """Per-map loop: one random_automorphism, apply, differential and
-    eval2_many per map, on the draws verify_invariance makes."""
+    """Per-map loop: one automorphism built from its own draws, apply,
+    differential and eval2_many per map, on the draws verify_invariance
+    makes."""
     spec = metric.domain
-    rng = np.random.default_rng(seed)
-    zs = dom.sample_points(spec, rng.integers(2**63, size=n))
-    vs = dom.sample_tangents(spec, rng.integers(2**63, size=n))
+    zs, vs, points, (normals, u) = dom.draw_grid(
+        seed, "automorphism_invariance",
+        [dom.Points(spec, n), dom.Tangents(spec, n)] + am.automorphism_parts(spec, n))
     base = met.eval2_many(metric, zs, vs)
     worst = 0.0
-    for s in rng.integers(2**63, size=n):
-        phi = am.random_automorphism(spec, s)
+    for i in range(n):
+        phi = am.automorphisms_from(spec, points[i:i + 1], (normals[i:i + 1], u[i:i + 1]))
+        phi = am._map_slice(phi, 0)
         moved = met.eval2_many(metric, am.apply(phi, zs), am.differential(phi, zs, vs))
         worst = max(worst, float(np.max(np.abs(moved - base) / base)))
     return worst
@@ -617,7 +619,7 @@ def _hermitian_connection_pair_loop(metric, z):
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_lie_ball_hermitian_connection_matches_stencil_oracle(n):
     metric = met.bergman_metric(dom.type_iv(n))
-    zs = dom.sample_points(metric.domain, range(20))
+    zs = dom.sample_points(metric.domain, 0, 20)
     stacked = met.hermitian_connection(metric, zs)
     for z, got_stacked in zip(zs, stacked):
         ref = _hermitian_connection_stencil(metric, z)
@@ -630,8 +632,8 @@ def test_lie_ball_hermitian_connection_matches_stencil_oracle(n):
                                   dom.type_iv(3)], ids=str)
 def test_hermitian_gamma_is_symmetric(spec):
     z = dom.sample_point(spec, seed=81)
-    us = dom.sample_tangents(spec, range(82, 88))
-    ws = dom.sample_tangents(spec, range(88, 94))
+    us = dom.sample_tangents(spec, 82, 6)
+    ws = dom.sample_tangents(spec, 88, 6)
     uw = met.hermitian_gamma(spec, z, us[:, None], ws[None])
     wu = met.hermitian_gamma(spec, z, ws[None], us[:, None])
     assert uw.shape == (6, 6) + spec.ambient_shape
@@ -642,7 +644,7 @@ def test_hermitian_gamma_is_symmetric(spec):
                          ids=str)
 def test_hermitian_connection_matches_pair_loop(spec):
     metric = met.bergman_metric(spec)
-    zs = dom.sample_points(spec, range(5))
+    zs = dom.sample_points(spec, 0, 5)
     stacked = met.hermitian_connection(metric, zs)
     for z, got_stacked in zip(zs, stacked):
         ref = _hermitian_connection_pair_loop(metric, z)

@@ -197,7 +197,7 @@ def test_pivot_test_matches_eigvalsh(spec):
     # within rounding of the membership margin, on both sides
     rng = np.random.default_rng(7)
     count = 4000
-    ws = domains.sample_tangents(spec, range(count))
+    ws = domains.sample_tangents(spec, 0, count)
     ws = ws / domains.minkowski_gauge_many(spec, ws)[:, None, None]
     margin = domains.MEMBERSHIP_MARGIN
     gap = margin * (1.0 + np.sign(rng.standard_normal(count))
