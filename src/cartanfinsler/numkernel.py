@@ -2,21 +2,21 @@
 
 One Hermitian eigensolver (LAPACK through ``numpy.linalg.eigh``) over
 stacks of matrices, and the inverse gram roots of base points built on it;
-``gram_inv_sqrt`` has one caller, ``automorphisms._matrix_roots``, which
-gives the normalizing map and the Carathéodory gauge the same roots.  The
-eigensolver serves what needs eigenvectors, or a gram with three or more
-rows.
+``gram_inv_sqrt`` has one caller, ``automorphisms._matrix_roots``, the
+roots of the normalizing map.  The eigensolver serves what needs
+eigenvectors, or a gram with three or more rows.
 
-Five stack kernels for the small matrices of the formulas: ``matmul``,
-``hpd_inv``, ``solve``, ``smallest_eig_exceeds`` and ``gram_top``.  numpy's
-stacked ``@``, ``linalg.inv``, ``linalg.solve`` and ``linalg.eigvalsh`` make
-one BLAS or LAPACK call per matrix, which costs about 0.3 to 0.8 us for a
-2x2 matrix on a 2-vCPU x86 host, more than the arithmetic.  These kernels
-instead loop in Python over the inner (or pivot) axis, or use a closed
-form, and act on the whole stack at once, so their cost grows with the
-stack in whole-array operations, and every matrix of a stack gets the same
-bits whatever the stack around it.  ``hpd_inv``, ``solve`` and
-``smallest_eig_exceeds`` share one Gauss-Jordan loop.
+Six stack kernels for the small matrices of the formulas: ``matmul``,
+``hpd_inv``, ``solve``, ``smallest_eig_exceeds``, ``cholesky`` and
+``gram_top``.  numpy's stacked ``@``, ``linalg.inv``, ``linalg.solve``,
+``linalg.cholesky`` and ``linalg.eigvalsh`` make one BLAS or LAPACK call per
+matrix, which costs about 0.3 to 0.8 us for a 2x2 matrix on a 2-vCPU x86
+host, more than the arithmetic.  These kernels instead loop in Python over
+the inner (or pivot) axis, or use a closed form, and act on the whole stack
+at once, so their cost grows with the stack in whole-array operations, and
+every matrix of a stack gets the same bits whatever the stack around it.
+``hpd_inv``, ``solve`` and ``smallest_eig_exceeds`` share one Gauss-Jordan
+loop.
 """
 from __future__ import annotations
 
@@ -184,6 +184,28 @@ def smallest_eig_exceeds(grams, margin: float) -> np.ndarray:
 
     _gauss_jordan((grams - margin * np.eye(n)).reshape(-1, n, n), n, marked)
     return ok.reshape(grams.shape[:-2])
+
+
+def cholesky(ms) -> np.ndarray:
+    """Lower factor L with L L* = M over a stack (..., n, n) of Hermitian
+    positive definite matrices; only the lower triangles are read.
+
+    Outer-product elimination, one whole-stack step per column: column k of
+    L is column k of the remaining block divided by the square root of its
+    real pivot, and the block loses the outer product of that column.  No
+    pivot is checked: the callers factor frames P, Q >= I, and every
+    remaining block of a matrix >= I is a Schur complement, itself >= I, so
+    every pivot is >= 1.
+    """
+    work = np.array(ms, dtype=np.complex128)
+    low = np.zeros_like(work)
+    for k in range(work.shape[-1]):
+        root = np.sqrt(work[..., k, k].real)
+        col = work[..., k + 1:, k] / root[..., None]
+        low[..., k, k] = root
+        low[..., k + 1:, k] = col
+        work[..., k + 1:, k + 1:] -= col[..., :, None] * np.conj(col[..., None, :])
+    return low
 
 
 def gram_top(ws) -> np.ndarray:

@@ -2,11 +2,11 @@
 
 The gauge metric F_C(Z; V) = gauge(dphi_Z V) pulls a tangent back to the
 origin with the normalizing automorphism phi_Z and measures it with the
-domain's Minkowski gauge.  For the matrix domains the pullback at the base
-point is V -> A V D, with A and D the roots of the normalizing map itself
-(automorphisms._matrix_roots), so F_C^2 is the top eigenvalue of W W* for
-W = A V D; on the Lie ball it pushes V through phi_Z and takes the gauge.
-Both reduce to the plain gauge at 0.
+domain's Minkowski gauge.  On the matrix domains F_C^2 is the top
+eigenvalue of M = P V Q V*, read from the metrics' own frame P, Q
+(metrics._frame) through Cholesky factors P = C C*, Q = R R*: it is the
+top eigenvalue of W W* for W = C* V R.  On the Lie ball it pushes V
+through phi_Z and takes the gauge.  Both reduce to the plain gauge at 0.
 
 Against any invariant metric F with curvature pinched in [-K1, -K2] the
 gauge satisfies the two-sided bound
@@ -29,7 +29,7 @@ from . import numkernel
 from .numkernel import matmul
 from .curvature import CurvatureReport, lie_representative
 from .domains import DomainSpec
-from .metrics import MetricSpec, eval2_many
+from .metrics import MetricSpec, _frame, eval2_many
 
 CORPUS_RHO = 0.8
 
@@ -60,20 +60,24 @@ class SchwarzReport:
 def caratheodory_many(spec: DomainSpec, zs, vs) -> np.ndarray:
     """F_C(Z;V) over stacks of points and tangents.
 
-    No membership test of its own: on the matrix types a point whose gram
-    is not positive definite raises DomainError from the roots, and on the
-    Lie ball a point that contains_many does not admit raises DomainError
-    from normalizing_automorphism.
+    A non-finite point or tangent raises NumericError.  No membership test
+    of its own: on the matrix types a point whose gram is not positive
+    definite raises DomainError from the frame, and on the Lie ball a point
+    that contains_many does not admit raises DomainError from
+    normalizing_automorphism.
     """
-    zs = np.asarray(zs, dtype=np.complex128)
-    vs = np.asarray(vs, dtype=np.complex128)
+    zs = domains._finite(np.asarray(zs, dtype=np.complex128))
+    vs = domains._finite(np.asarray(vs, dtype=np.complex128))
     if spec.kind == "IV":
         _, ws = am.push(am.normalizing_automorphism(spec, zs), zs, vs)
         return domains.minkowski_gauge_many(spec, ws)
-    # the normalizing map's roots A = P^{1/2} and D = Q^{1/2}; W = A V D is
-    # m x n with m <= n, so W W* is the smaller gram
-    a, d = am._matrix_roots(spec, zs)
-    return np.sqrt(numkernel.gram_top(matmul(matmul(a, vs), d)))
+    # P = C C* and Q = R R*, with R = conj(C) where Q = conj(P) (types II
+    # and III); W = C* V R has W W* = C* V Q V* C, whose spectrum is that of
+    # M = P V Q V*, and it is m x n with m <= n, so W W* is the smaller gram
+    p, q = _frame(zs)
+    c = numkernel.cholesky(p)
+    r = numkernel.cholesky(q) if spec.kind == "I" else np.conj(c)
+    return np.sqrt(numkernel.gram_top(matmul(matmul(np.conj(np.swapaxes(c, -1, -2)), vs), r)))
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +121,13 @@ def verify_sandwich(metric: MetricSpec, bounds: CurvatureReport,
     upper = ((4.0 / k2) * fc2 - f2) / f2
     i, j = int(np.argmin(lower)), int(np.argmin(upper))
 
-    origin = np.zeros(spec.ambient_shape, dtype=np.complex128)
-    v_min = _profile_tangent(spec, bounds.argmin_profile)
-    v_max = _profile_tangent(spec, bounds.argmax_profile)
-    f2_min = eval2_many(metric, origin, v_min)
-    f2_max = eval2_many(metric, origin, v_max)
-    g_min = domains.minkowski_gauge(spec, v_min) ** 2
-    g_max = domains.minkowski_gauge(spec, v_max) ** 2
-    eq_lower = float(abs(f2_min - (4.0 / k1) * g_min) / f2_min)
-    eq_upper = float(abs(f2_max - (4.0 / k2) * g_max) / f2_max)
+    # the two equality probes at the origin, the K1 and the K2 extremizer,
+    # as one stack of two
+    probes = np.stack([_profile_tangent(spec, bounds.argmin_profile),
+                       _profile_tangent(spec, bounds.argmax_profile)])
+    f2_eq = eval2_many(metric, np.zeros(probes.shape, dtype=np.complex128), probes)
+    g_eq = domains.minkowski_gauge_many(spec, probes) ** 2
+    eq_lower, eq_upper = (abs(f2_eq - (4.0 / np.array([k1, k2])) * g_eq) / f2_eq).tolist()
     return SandwichReport(float(lower[i]), float(upper[j]), eq_lower, eq_upper,
                           (zs[i], vs[i], float(f2[i]), float(fc2[i])),
                           (zs[j], vs[j], float(f2[j]), float(fc2[j])))

@@ -226,6 +226,26 @@ def lie_ball_caratheodory_mp(z, v, dps: int = 50) -> float:
         return float(mpmath.sqrt(q / delta**2 * (1 + mpmath.sqrt(1 - s))))
 
 
+def caratheodory_mp(z, v, dps: int = 40) -> float:
+    """F_C(Z; V) on types I-III in dps-digit arithmetic: with G = I - ZZ*
+    = L L* (mpmath Cholesky) and Q = (I - Z*Z)^{-1}, F_C^2 is the top
+    eigenvalue of L^{-1} V Q V* L^{-*} (mpmath eighe), whose spectrum is that
+    of P V Q V*; oracle for schwarz.caratheodory_many on the matrix types."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        z = mpmath.matrix(np.asarray(z, dtype=complex).tolist())
+        v = mpmath.matrix(np.asarray(v, dtype=complex).tolist())
+        zh, vh = z.transpose_conj(), v.transpose_conj()
+        low = mpmath.cholesky(mpmath.eye(z.rows) - z * zh)
+        q = mpmath.inverse(mpmath.eye(z.cols) - zh * z)
+        x = mpmath.inverse(low) * v
+        # L^{-1} V Q V* L^{-*} = X Q X* with X = L^{-1} V
+        gram = x * q * x.transpose_conj()
+        gram = (gram + gram.transpose_conj()) / 2
+        return float(mpmath.sqrt(max(mpmath.eighe(gram, eigvals_only=True))))
+
+
 def bisection_gauge(spec, w, steps: int = BISECTION_STEPS) -> float:
     """Gauge by bisecting the ray boundary crossing; oracle for closed forms."""
     w = np.asarray(w, dtype=np.complex128)

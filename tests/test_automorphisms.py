@@ -271,7 +271,11 @@ def test_gram_root_accepts_every_interior_point(spec):
     for z0 in z0s:
         phi = am.normalizing_automorphism(spec, z0)  # does not raise
         assert np.max(np.abs(am.apply(phi, z0))) <= 1e-12
-    # the gram root is also the one place an exterior point is refused
+    # the normalizing map takes the roots A and D^{-1} of _matrix_roots
+    a, d = am._matrix_roots(spec, z0s)
+    phi = am.normalizing_automorphism(spec, z0s).body
+    assert np.array_equal(phi.a, a) and np.array_equal(phi.d_inv, np.linalg.inv(d))
+    # the gauge refuses an exterior point from the frame of its gram
     with pytest.raises(DomainError):
         schwarz.caratheodory_many(spec, 1.5 * z0s, ws)
 

@@ -189,6 +189,26 @@ def test_solve_raises_on_a_singular_matrix():
                 numkernel.solve(np.stack([ok, bad, ok]), np.eye(2))
 
 
+
+@pytest.mark.parametrize("batch", [(), (5,), (3, 4)], ids=str)
+def test_cholesky_matches_lapack(batch):
+    # frames P = (I - ZZ*)^{-1} >= I at gauge 0.9, the matrices the gauge
+    # factors; only the lower triangle is read
+    rng = np.random.default_rng(9)
+    for m in range(1, 5):
+        z = _complex(rng, batch + (m, m + 1))
+        z = 0.9 * z / np.linalg.norm(z, ord=2, axis=(-2, -1), keepdims=True)
+        frame = np.linalg.inv(np.eye(m) - z @ np.conj(np.swapaxes(z, -1, -2)))
+        frame = 0.5 * (frame + np.conj(np.swapaxes(frame, -1, -2)))
+        want = np.linalg.cholesky(frame)
+        got = numkernel.cholesky(np.tril(frame) + np.triu(np.full((m, m), np.nan), 1))
+        assert np.all(np.diagonal(got, axis1=-2, axis2=-1).imag == 0.0)
+        assert np.max(np.abs(got - want)) <= 8.0 * EPS / 0.19 * np.max(np.abs(want)), m
+        # the whole stack at once equals each matrix alone
+        flat = frame.reshape((-1, m, m))
+        assert np.array_equal(numkernel.cholesky(flat),
+                              np.stack([numkernel.cholesky(f) for f in flat]))
+
 @pytest.mark.parametrize(
     "spec", [domains.type_i(2, 2), domains.type_ii(2), domains.type_i(2, 3),
              domains.type_ii(3), domains.type_iii(4)], ids=str)
