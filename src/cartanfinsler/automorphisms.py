@@ -12,8 +12,11 @@ K maps on S points (S, 1) + ambient give (S, K) + ambient in one call.
 
 The normalizing automorphism of a matrix domain at Z0 is
     Z  |->  A (Z - Z0) (I - Z0* Z)^{-1} D^{-1},
-with A, D the Hermitian positive roots of (I - Z0 Z0*)^{-1} and
-(I - Z0* Z0)^{-1}; for the symmetric/skew domains D = conj(A).  The Lie-ball
+with A = C* and D = R* from the Cholesky factors C C* = (I - Z0 Z0*)^{-1}
+and R R* = (I - Z0* Z0)^{-1} of the metrics' frame (metrics.frame_roots),
+the roots the gauge reads too; for the symmetric/skew domains D = conj(A).
+Any roots with A (I - Z0 Z0*) A* = I and D^{-1} D^{-*} = I - Z0* Z0 give a
+normalizing map, unique up to isotropy.  The Lie-ball
 version goes through the real 2xN matrix X0 and the auxiliary map
 u(z) = ((1+zz')/2, (1-zz')/(2i)).  Every automorphism body inverts in closed
 form; on the Lie ball the inverse of the map at z0 is the map at -z0 (Loos,
@@ -25,6 +28,7 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 from . import domains
+from . import metrics
 from .domains import DomainSpec
 from . import numkernel
 from .numkernel import matmul
@@ -155,22 +159,6 @@ def _lie_ball_roots(z0):
             np.eye(z0.shape[-1]) + (v * (c - 1.0)[..., None, :]) @ vt)
 
 
-def _matrix_roots(spec: DomainSpec, z0):
-    """A = (I - Z0 Z0*)^{-1/2} and D = (I - Z0* Z0)^{-1/2} over a stack
-    (...,) + (m, n) of matrix points, from numkernel.gram_inv_sqrt; on the
-    symmetric and skew types D = conj(A).  A point whose gram is not
-    positive definite raises DomainError."""
-    m, n = spec.ambient_shape
-    z0s = np.conj(np.swapaxes(z0, -1, -2))
-    stack = z0.shape[:-2]
-    a = numkernel.gram_inv_sqrt((np.eye(m) - matmul(z0, z0s)).reshape(-1, m, m))
-    if spec.kind == "I":
-        d = numkernel.gram_inv_sqrt((np.eye(n) - matmul(z0s, z0)).reshape(-1, n, n))
-    else:
-        d = np.conj(a)
-    return a.reshape(stack + (m, m)), d.reshape(stack + (n, n))
-
-
 def identity_map(spec: DomainSpec) -> HoloMap:
     if spec.kind == "IV":
         body = VectorLinear(1.0 + 0.0j, np.eye(spec.dims[0]))
@@ -196,10 +184,8 @@ def normalizing_automorphism(spec: DomainSpec, z0) -> HoloMap:
     if spec.kind == "IV":
         return HoloMap(spec, spec, LieBallMobius(z0, *_lie_ball_roots(z0)))
     # contains_many admits z0 only when every pivot of I - Z0 Z0* - 1e-12 I is
-    # > 0, so the grams' smallest eigenvalue exceeds the margin up to rounding
-    # of order eps, far below it (I - Z0* Z0 has the same spectrum plus ones),
-    # and the roots below cannot raise
-    a, d = _matrix_roots(spec, z0)
+    # > 0, so the frame's inverse gram below cannot raise
+    a, d = metrics.frame_roots(spec, z0)
     return HoloMap(spec, spec, MatrixMobius(z0, a, np.linalg.inv(d)))
 
 

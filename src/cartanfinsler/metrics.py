@@ -207,6 +207,29 @@ def _frame(zs):
     return p, np.eye(zs.shape[-1]) + numkernel.matmul(zc, numkernel.matmul(p, zs))
 
 
+def frame_roots(spec: DomainSpec, zs):
+    """A = C* and D = R* over a stack of points, from the Cholesky factors
+    P = C C* and Q = R R* of the frame; R = conj(C) on types II and III,
+    where Q = conj(P).
+
+    A (I - Z Z*) A* = I and D^{-1} D^{-*} = I - Z* Z, so A and D are roots of
+    P and Q up to a unitary factor, and A V D* = C* V R is the differential
+    at Z of the normalizing map A (. - Z) (I - Z* .)^{-1} D^{-1}.
+
+    The factors read the Hermitian parts (P + P*)/2 and (Q + Q*)/2.  The
+    frame is Hermitian only up to rounding of order kappa^2 eps, kappa =
+    1/(1 - gauge^2), that lies in the top eigenspace of P; where that space
+    has two or more dimensions (always on type III) the lower triangle alone
+    carries the rounding into the small eigenvalues, and near the boundary
+    into a negative pivot.
+    """
+    herm = lambda x: 0.5 * (x + np.conj(np.swapaxes(x, -1, -2)))
+    p, q = _frame(zs)
+    c = numkernel.cholesky(herm(p))
+    r = numkernel.cholesky(herm(q)) if spec.kind == "I" else np.conj(c)
+    return np.conj(np.swapaxes(c, -1, -2)), np.conj(np.swapaxes(r, -1, -2))
+
+
 def _matrix_fiber_parts(metric: MetricSpec, zs, vs):
     """P, Q, P V Q, the ladder M^0..M^k of M = P V Q V* and S_a = tr M^a.
 
@@ -521,11 +544,15 @@ def verify_invariance(metric: MetricSpec, n: int, seed: int) -> float:
 def geodesic(metric: MetricSpec, z0, v0, t_end: float, steps: int):
     """Integrate the connection's geodesic flow with classical RK4.
 
-    Returns (times, points, velocities).  Raises when the metric speed
-    drifts beyond 1e-3 (step size too coarse) or the path exits the domain.
+    Returns (times, points, velocities).  Raises StructureError when steps
+    is not a positive count, and NumericError when the metric speed drifts
+    beyond 1e-3 (step size too coarse) or the path exits the domain.
     """
     z0, v0 = _check_pair(metric, z0, v0)
-    dt = float(t_end) / int(steps)
+    steps = int(steps)
+    if steps < 1:
+        raise StructureError(f"geodesic needs at least one step, got {steps}")
+    dt = float(t_end) / steps
     zs = [z0]
     ws = [v0]
     z, w = z0, v0

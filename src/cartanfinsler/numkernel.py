@@ -1,10 +1,10 @@
 """Dense complex-matrix kernels shared by every other module.
 
-One Hermitian eigensolver (LAPACK through ``numpy.linalg.eigh``) over
-stacks of matrices, and the inverse gram roots of base points built on it;
-``gram_inv_sqrt`` has one caller, ``automorphisms._matrix_roots``, the
-roots of the normalizing map.  The eigensolver serves what needs
-eigenvectors, or a gram with three or more rows.
+One Hermitian eigensolver, values only (LAPACK through
+``numpy.linalg.eigvalsh``) over stacks of matrices: ``eigvalsh_batch``
+serves the top eigenvalue of a gram with three or more rows (``gram_top``)
+and the Hessian check of ``norms.certify_scc``.  No formula takes
+eigenvectors.
 
 Six stack kernels for the small matrices of the formulas: ``matmul``,
 ``hpd_inv``, ``solve``, ``smallest_eig_exceeds``, ``cholesky`` and
@@ -25,52 +25,20 @@ import numpy as np
 from .errors import DomainError, NumericError
 
 
-def _lapack_eigh(ms, want_vectors: bool):
-    """LAPACK eigensolve of a (..., n, n) stack, reordered to descending.
+def eigvalsh_batch(ms) -> np.ndarray:
+    """Descending eigenvalues of a batch (..., n, n) of Hermitian matrices
+    (hot path; no Hermiticity check, only the lower triangles are read).
 
     LAPACK returns NaN rather than failing on non-finite input; both that
     and a failed convergence raise NumericError.
     """
     try:
-        if want_vectors:
-            w, u = np.linalg.eigh(ms)
-        else:
-            w, u = np.linalg.eigvalsh(ms), None
+        w = np.linalg.eigvalsh(np.asarray(ms, dtype=np.complex128))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Hermitian eigensolver did not converge: {exc}") from exc
     if not np.isfinite(w).all():
         raise NumericError("Hermitian eigensolver got a non-finite matrix")
-    return w[..., ::-1], None if u is None else u[..., ::-1]
-
-
-def eigh_batch(ms, want_vectors: bool = True):
-    """Batched Hermitian eigendecomposition (hot path; no Hermiticity check).
-
-    Args: ms (batch, n, n); only the lower triangles are read.
-    Returns (w, u) with w descending per matrix and u[k][:, j] the unit
-    eigenvector of w[k, j]; u is None when want_vectors is False.
-    """
-    return _lapack_eigh(np.asarray(ms, dtype=np.complex128), want_vectors)
-
-
-def eigvalsh_batch(ms) -> np.ndarray:
-    """Descending eigenvalues of a batch of Hermitian matrices."""
-    return eigh_batch(ms, want_vectors=False)[0]
-
-
-def gram_inv_sqrt(grams) -> np.ndarray:
-    """G^{-1/2} = U diag(w^{-1/2}) U* over a stack of grams I - ZZ* or I - Z*Z.
-
-    The one rule: a gram whose smallest eigenvalue is not > 0 raises
-    DomainError, as its point is not interior.  The root uses the gram's own
-    eigenpairs, so it stays accurate up to the boundary, where inverting the
-    gram first would amplify its rounding by 1/(1 - gauge^2).
-    """
-    w, u = eigh_batch(grams)
-    if not np.all(w[..., -1] > 0.0):
-        raise DomainError("base point is not interior: a gram I - ZZ* or I - Z*Z "
-                          "is not positive definite")
-    return (u / np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+    return w[..., ::-1]
 
 
 def matmul(a, b) -> np.ndarray:
@@ -126,9 +94,9 @@ def hpd_inv(grams) -> np.ndarray:
     Gauss-Jordan elimination without pivoting, which is stable on Hermitian
     positive definite matrices (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 10 and 14).  The pivots of a Hermitian matrix are real
-    and all > 0 exactly when it is positive definite, so the rule of
-    gram_inv_sqrt holds: a pivot whose real part is not > 0 raises
-    DomainError, as the gram's point is not interior.
+    and all > 0 exactly when it is positive definite, so the one rule of a
+    gram holds: a pivot whose real part is not > 0 raises DomainError, as
+    the gram's point is not interior.
     """
     grams = np.asarray(grams, dtype=np.complex128)
     n = grams.shape[-1]

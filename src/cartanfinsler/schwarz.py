@@ -3,9 +3,10 @@
 The gauge metric F_C(Z; V) = gauge(dphi_Z V) pulls a tangent back to the
 origin with the normalizing automorphism phi_Z and measures it with the
 domain's Minkowski gauge.  On the matrix domains F_C^2 is the top
-eigenvalue of M = P V Q V*, read from the metrics' own frame P, Q
-(metrics._frame) through Cholesky factors P = C C*, Q = R R*: it is the
-top eigenvalue of W W* for W = C* V R.  On the Lie ball it pushes V
+eigenvalue of M = P V Q V*, read from the roots A = C*, D = R* of the
+Cholesky factors P = C C*, Q = R R* of the metrics' own frame
+(metrics.frame_roots), the roots the normalizing map takes: it is the top
+eigenvalue of W W* for W = A V D* = dphi_Z V.  On the Lie ball it pushes V
 through phi_Z and takes the gauge.  Both reduce to the plain gauge at 0.
 
 Against any invariant metric F with curvature pinched in [-K1, -K2] the
@@ -29,7 +30,7 @@ from . import numkernel
 from .numkernel import matmul
 from .curvature import CurvatureReport, lie_representative
 from .domains import DomainSpec
-from .metrics import MetricSpec, _frame, eval2_many
+from .metrics import MetricSpec, eval2_many, frame_roots
 
 CORPUS_RHO = 0.8
 
@@ -71,13 +72,11 @@ def caratheodory_many(spec: DomainSpec, zs, vs) -> np.ndarray:
     if spec.kind == "IV":
         _, ws = am.push(am.normalizing_automorphism(spec, zs), zs, vs)
         return domains.minkowski_gauge_many(spec, ws)
-    # P = C C* and Q = R R*, with R = conj(C) where Q = conj(P) (types II
-    # and III); W = C* V R has W W* = C* V Q V* C, whose spectrum is that of
-    # M = P V Q V*, and it is m x n with m <= n, so W W* is the smaller gram
-    p, q = _frame(zs)
-    c = numkernel.cholesky(p)
-    r = numkernel.cholesky(q) if spec.kind == "I" else np.conj(c)
-    return np.sqrt(numkernel.gram_top(matmul(matmul(np.conj(np.swapaxes(c, -1, -2)), vs), r)))
+    # W = A V D* = dphi_Z V for the roots A = C*, D = R* of the normalizing
+    # map; W W* = C* V Q V* C has the spectrum of M = P V Q V*, and W is
+    # m x n with m <= n, so W W* is the smaller gram
+    a, d = frame_roots(spec, zs)
+    return np.sqrt(numkernel.gram_top(matmul(matmul(a, vs), np.conj(np.swapaxes(d, -1, -2)))))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import re
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -582,11 +583,12 @@ def test_one_mobius_core_per_push(seed, monkeypatch):
 
 # Base-point frames per certify request, as (_frame, _lie_ball_matrix)
 # calls: two for the invariance pass (the samples and their images), one for
-# the mixed row at the origin, one for the fiber jet of every fiber and one
-# for the reference connection of every base point.  certify_IV3_affine_t2
-# fails its certificate, so its connection pass does not run.  A formula
-# that built the frame again for itself would raise these counts.
-CERTIFY_FRAMES = {"certify_I13_tk": (5, 0), "certify_II2_bergman": (5, 0),
+# the roots of its normalizing maps on the matrix types, one for the mixed
+# row at the origin, one for the fiber jet of every fiber and one for the
+# reference connection of every base point.  certify_IV3_affine_t2 fails
+# its certificate, so its connection pass does not run.  A formula that
+# built the frame again for itself would raise these counts.
+CERTIFY_FRAMES = {"certify_I13_tk": (6, 0), "certify_II2_bergman": (6, 0),
                   "certify_IV3_bergman": (0, 5), "certify_IV3_affine_t2": (0, 2)}
 
 
@@ -669,6 +671,23 @@ def test_the_only_random_source_is_the_one_philox_call():
             if words.search(line) and (path.name, i) not in allowed]
     assert hits == []
     assert sum(line.count("np.random.Philox(") for line in lines) == 1
+
+
+def test_the_only_eigensolver_is_the_one_values_call():
+    # no code of the package names an eigh (no formula takes eigenvectors),
+    # and eigvalsh is named only in numkernel.eigvalsh_batch; names in
+    # strings and comments do not count
+    lines, first = inspect.getsourcelines(numkernel.eigvalsh_batch)
+    allowed = {("numkernel.py", first + i) for i in range(len(lines))}
+    package = Path(cli.__file__).parent
+    names = [(path.name, tok.start[0], tok.string)
+             for path in sorted(package.glob("*.py"))
+             for tok in tokenize.generate_tokens(
+                 io.StringIO(path.read_text(encoding="utf-8")).readline)
+             if tok.type == tokenize.NAME and tok.string in ("eigh", "eigvalsh")]
+    assert [f"{name}:{i}: {word}" for name, i, word in names
+            if word == "eigh" or (name, i) not in allowed] == []
+    assert sum(line.count("np.linalg.eigvalsh(") for line in lines) == 1
 
 
 def test_schwarz_onto_its_own_domain_computes_the_bounds_once(monkeypatch):

@@ -280,35 +280,36 @@ def test_philox_matches_random123_known_answers():
 # sum_k (k + 1) x_k over the flat entries of sample_point, sample_tangent and
 # the image of the origin under random_automorphism at three ORACLE_SEEDS:
 # a change of the words a one-item draw reads, of Box-Muller or of the
-# isotropy layout moves them
+# isotropy layout moves them, and so does a change of the roots of the
+# normalizing map, which moves its image of the origin by an isotropy
 PINNED_DRAWS = {
     ("I", 0): ((0.8218889823137783+3.5379107096328246j),
                (4.1692990566970805+17.947202239923925j),
-               (2.7888931671655626-0.6905794637417975j)),
+               (2.808165250326078-0.6752492115735691j)),
     ("I", 2**62 + 17): ((0.11688874363524701-0.1580606226905804j),
                         (3.2890409063673665-4.447544199272702j),
-                        (-0.02257239485534676+0.5447070936298513j)),
+                        (-0.02007962436229767+0.5421231467173145j)),
     ("I", 2**63 - 1): ((0.0022156411695972546+0.002005506305067072j),
                        (11.16765494947999+10.108497134518746j),
-                       (0.0011326601995710712+0.0010966399050317257j)),
+                       (0.001132660162717503+0.0010966400585505289j)),
     ("II", 0): ((7.633456344707103+6.970416210510434j),
                 (17.687619292502415+16.151277045984944j),
-                (-6.69724042926046+1.8481888542769145j)),
+                (-7.112939392414056+0.6813336132877198j)),
     ("II", 2**62 + 17): ((-5.352368058051576-2.260296709640381j),
                          (-12.353114777038382-5.2167011650753645j),
-                         (-6.990725861908583+2.829212204686696j)),
+                         (-2.4722332762294297+2.2817868669515335j)),
     ("II", 2**63 - 1): ((0.22413833161652508+3.005857797614974j),
                         (0.8098153214432255+10.860211553429497j),
-                        (-3.365783128682599-2.286630068552301j)),
+                        (-0.027976628102772017-1.3191551129631491j)),
     ("III", 0): ((0.4208873494614882+0.8562303648636174j),
                  (2.7249069128493577+5.543402630641161j),
-                 (-0.8434666491661953+1.4770075159147806j)),
+                 (-0.8076732382285647+1.4884002038772466j)),
     ("III", 2**62 + 17): ((0.24668787754582988-1.8143023705057626j),
                           (1.1481134463750209-8.443969635195206j),
-                          (6.763152165327492-2.5579897555172533j)),
+                          (6.003314250012539-3.7735634777064853j)),
     ("III", 2**63 - 1): ((0.6225523541506286-1.180164531944647j),
                          (2.3504292483804115-4.455678651425885j),
-                         (-4.384032484174208+3.779536814656984j)),
+                         (-4.63149467220266+3.2010868005945268j)),
     ("IV", 0): ((-0.6367272113134921+1.791324031747125j),
                 (-1.027956299120063+2.8919807249968335j),
                 (-0.13392976537975657+0.6415650071773761j)),
@@ -326,11 +327,18 @@ def test_one_item_draws_are_pinned(spec):
     weighted = lambda x: complex(np.dot(np.arange(1, x.size + 1), x.ravel()))
     origin = np.zeros(spec.ambient_shape, dtype=complex)
     for seed in (0, 2**62 + 17, 2**63 - 1):
-        got = (weighted(domains.sample_point(spec, seed)),
-               weighted(domains.sample_tangent(spec, seed)),
-               weighted(automorphisms.apply(automorphisms.random_automorphism(spec, seed),
-                                            origin)))
+        z0 = domains.sample_point(spec, seed)
+        w = automorphisms.apply(automorphisms.random_automorphism(spec, seed), origin)
+        got = (weighted(z0), weighted(domains.sample_tangent(spec, seed)), weighted(w))
         assert got == pytest.approx(PINNED_DRAWS[spec.kind, seed], rel=1e-13), seed
+        # the map sends its drawn base point z0 to 0, so it sends 0 to an
+        # isotropy image of -z0: the singular values of z0 (on the Lie ball
+        # the invariants |z|^2 and |z.z|)
+        if spec.kind == "IV":
+            inv = lambda x: np.array([np.vdot(x, x).real, abs(np.sum(x * x))])
+        else:
+            inv = lambda x: np.linalg.svd(x, compute_uv=False)
+        np.testing.assert_allclose(inv(w), inv(z0), rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("spec", CLASSICAL, ids=str)

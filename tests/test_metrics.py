@@ -19,11 +19,11 @@ FRAME_C = 4.0
 
 # F(Z; V) = F(0; dphi_Z V) for the normalizing map phi at Z holds within
 # INVARIANCE_C[type] * kappa * eps relative to F at 200 sampled directions
-# scaled to each gauge 0.9, ..., 1 - 1e-8.  Measured at most 1.38 (I),
-# 0.36 (II), 0.38 (III) and 64.3 (IV).  The Lie-ball maximum is on IV(3) at
-# a near-real direction (spectral values l2/l1 = 0.966); IV(5) bergman reads
-# at most 20.8, and the median over the directions is about 1 on both.
-INVARIANCE_C = {"I": 3.0, "II": 2.0, "III": 1.2, "IV": 100.0}
+# scaled to each gauge 0.9, ..., 1 - 1e-8.  Measured at most 0.82 (I),
+# 0.30 (II), 0.26 (III) and 26.8 (IV).  The Lie-ball maximum is on IV(3) at
+# a direction with spectral ratio l2/l1 = 0.90; IV(5) bergman reads at most
+# 7.6.
+INVARIANCE_C = {"I": 2.0, "II": 2.0, "III": 1.2, "IV": 100.0}
 
 
 def _wirt(f, x, h, conjugate=False):
@@ -697,6 +697,13 @@ def test_geodesic_disc_oracle():
     assert np.max(np.abs(zs[:, 0, 0] - oracle)) < 1e-8
     speeds = np.sqrt(met.eval2_many(disc, zs, ws))
     assert np.max(np.abs(speeds - speeds[0]) / speeds[0]) < 1e-6
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_geodesic_without_a_step_is_a_structure_error(steps):
+    disc = met.bergman_metric(dom.type_i(1, 1))
+    with pytest.raises(StructureError):
+        met.geodesic(disc, np.zeros((1, 1)), np.full((1, 1), 0.5), 1.0, steps)
 
 
 def test_geodesic_speed_constant_matrix_domain():

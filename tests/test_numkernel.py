@@ -14,50 +14,43 @@ def random_hermitian(rng, n, scale=1.0):
     return scale * 0.5 * (b + b.conj().T)
 
 
-def _eigh(m):
-    """eigh_batch on one matrix."""
-    w, u = numkernel.eigh_batch(np.asarray(m)[None])
-    return w[0], u[0]
+def _eigvals(m):
+    """eigvalsh_batch on one matrix."""
+    return numkernel.eigvalsh_batch(np.asarray(m)[None])[0]
 
 
 def test_eigs_diagonal_matrix():
-    w, u = _eigh(np.diag([3.0, 1.0]))
-    np.testing.assert_allclose(w, [3.0, 1.0], atol=1e-14)
-    # eigenvectors of a diagonal matrix are coordinate axes up to phase
-    np.testing.assert_allclose(np.abs(u), np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(_eigvals(np.diag([1.0, 3.0])), [3.0, 1.0], atol=1e-14)
 
 
 def test_eigs_identity():
-    w, u = _eigh(np.eye(3))
-    np.testing.assert_allclose(w, [1.0, 1.0, 1.0], atol=1e-15)
-    np.testing.assert_allclose(u @ u.conj().T, np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(_eigvals(np.eye(3)), [1.0, 1.0, 1.0], atol=1e-15)
 
 
 def test_eigs_known_two_by_two():
     # [[0,1],[1,0]] has eigenvalues +-1
-    w, _ = _eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    w = _eigvals(np.array([[0.0, 1.0], [1.0, 0.0]]))
     np.testing.assert_allclose(w, [1.0, -1.0], atol=1e-14)
 
 
 def test_eigs_reconstruction_random():
+    # descending values that give back the trace and the Frobenius norm
     rng = np.random.default_rng(0)
     for n in (2, 3, 5, 8):
         m = random_hermitian(rng, n)
-        w, u = _eigh(m)
+        w = _eigvals(m)
         scale = np.linalg.norm(m)
         assert np.all(np.diff(w) <= 1e-13 * scale)  # descending
-        rec = (u * w) @ u.conj().T
-        assert np.max(np.abs(rec - m)) <= 1e-10 * scale
-        assert np.max(np.abs(u.conj().T @ u - np.eye(n))) <= 1e-12
+        assert abs(np.sum(w) - np.trace(m).real) <= 1e-12 * scale
+        assert abs(np.sum(w**2) - scale**2) <= 1e-12 * scale**2
 
 
 def test_eigs_match_numpy_oracle():
     rng = np.random.default_rng(1)
     for n in (2, 4, 7):
         m = random_hermitian(rng, n)
-        w, _ = _eigh(m)
-        ref = np.sort(np.linalg.eigvalsh(m))[::-1]
-        np.testing.assert_allclose(w, ref, atol=1e-12)
+        ref = np.sort(np.linalg.eigvals(m).real)[::-1]
+        np.testing.assert_allclose(_eigvals(m), ref, atol=1e-12)
 
 
 def test_eigs_unitary_invariance():
@@ -65,26 +58,19 @@ def test_eigs_unitary_invariance():
     rng = np.random.default_rng(2)
     m = random_hermitian(rng, 4)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    w1, _ = _eigh(m)
-    w2, _ = _eigh(q @ m @ q.conj().T)
-    np.testing.assert_allclose(w1, w2, atol=1e-12)
+    np.testing.assert_allclose(_eigvals(m), _eigvals(q @ m @ q.conj().T), atol=1e-12)
 
 
 def test_batch_matches_single():
     rng = np.random.default_rng(3)
     mats = np.stack([random_hermitian(rng, 3) for _ in range(6)])
-    w, u = numkernel.eigh_batch(mats)
+    w = numkernel.eigvalsh_batch(mats)
     for k in range(6):
-        wk, _ = _eigh(mats[k])
-        np.testing.assert_allclose(w[k], wk, atol=1e-12)
-        rec = (u[k] * w[k]) @ u[k].conj().T
-        assert np.max(np.abs(rec - mats[k])) < 1e-12
+        np.testing.assert_allclose(w[k], _eigvals(mats[k]), atol=1e-12)
 
 
 def test_non_finite_matrix_is_a_numeric_error():
     bad = np.array([[[1.0, np.nan], [np.nan, 1.0]]])
-    with pytest.raises(NumericError):
-        numkernel.eigh_batch(bad)
     with pytest.raises(NumericError):
         numkernel.eigvalsh_batch(bad)
 
