@@ -36,12 +36,10 @@ class CurvatureReport:
 
 
 def _origin_traces(vs, kmax: int):
-    """tr[(V V*)^a] for a = 1..kmax over a stack of matrix tangents."""
+    """tr[(V V*)^a] for a = 1..kmax over a stack of matrix tangents; V V* is
+    the smaller gram, as m <= n on every matrix type."""
     vs = np.asarray(vs, dtype=np.complex128)
-    if vs.shape[-2] <= vs.shape[-1]:
-        gram = vs @ np.conj(np.swapaxes(vs, -1, -2))
-    else:
-        gram = np.conj(np.swapaxes(vs, -1, -2)) @ vs
+    gram = vs @ np.conj(np.swapaxes(vs, -1, -2))
     out = np.empty(vs.shape[:-2] + (kmax,))
     power = gram
     out[..., 0] = np.trace(power, axis1=-2, axis2=-1).real
@@ -100,8 +98,8 @@ def hsc_origin_many(metric: MetricSpec, vs) -> np.ndarray:
 
 
 def bisectional_origin_many(metric: MetricSpec, vs, ws) -> np.ndarray:
-    """B(0;V,W) over paired stacks of tangents; a zero tangent in either
-    raises DomainError."""
+    """B(0;V,W) over stacks of tangents whose batch axes broadcast against
+    each other; a zero tangent in either raises DomainError."""
     vs = np.asarray(vs, dtype=np.complex128)
     ws = np.asarray(ws, dtype=np.complex128)
     for x in (vs, ws):
@@ -120,7 +118,7 @@ def bisectional_origin_many(metric: MetricSpec, vs, ws) -> np.ndarray:
     f2w = metric.normalization * np.asarray(metric.family.value(hw), dtype=float)
     gram_v = vs @ np.conj(np.swapaxes(vs, -1, -2))
     gram_w = ws @ np.conj(np.swapaxes(ws, -1, -2))
-    acc = np.zeros(s.shape[:-1])
+    acc = 0.0
     power = np.broadcast_to(
         np.eye(gram_v.shape[-1]), gram_v.shape
     ).astype(np.complex128)

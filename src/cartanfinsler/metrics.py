@@ -14,13 +14,15 @@ the stack around it.
 Every derivative is closed form; nothing is differenced numerically.  One
 private _fiber_jet gives the fiber gradient of F^2, its holomorphic base
 derivative and the fundamental tensor from one frame, over batch axes in
-front of the ambient shape; grad_vbar_pair and fundamental_tensor are its
-views.  The Hermitian reference connection Gamma_H is closed form on all
-four types (hermitian_gamma) and takes stacks of points.  The
-Kaehler-Berwald check is one batched pass: every fiber of every base point
-goes through one _fiber_jet call and one batched solve gives N(z, v); the
-fits of Gamma with N(z, v) = Gamma(z) v are one stacked pinv, and Gamma_H
-of every base point one hermitian_connection call.
+front of the ambient shape; the last two are one directional derivative of
+the fiber gradient, taken along the base and along the fiber.
+grad_vbar_pair and fundamental_tensor are its views.  The Hermitian
+reference connection Gamma_H is closed form on all four types
+(hermitian_gamma) and takes stacks of points.  The Kaehler-Berwald check is
+one batched pass: every fiber of every base point goes through one
+_fiber_jet call and one batched solve gives N(z, v); the fits of Gamma with
+N(z, v) = Gamma(z) v are one stacked pinv, and Gamma_H of every base point
+one hermitian_connection call.
 """
 from dataclasses import dataclass
 
@@ -122,11 +124,6 @@ def require_nonzero(spec: DomainSpec, vs, message: str):
 def _outer(x, y):
     """x_i y_j over stacks: (..., i) and (..., j) give (..., i, j)."""
     return x[..., :, None] * y[..., None, :]
-
-
-def _outer4(x, y):
-    """x_ij y_ab over stacks of matrices: (..., i, j, a, b)."""
-    return x[..., :, :, None, None] * y[..., None, None, :, :]
 
 
 def _lie_ball_matrix(z):
@@ -286,21 +283,28 @@ def _fiber_jet(metric: MetricSpec, zs, vs):
     """(G_mbar, d_i G_mbar, G_{l mbar}) of G = F^2 over stacks, from one frame.
 
     G_mbar = dG/d(conj v) is packed, d_i is the holomorphic derivative in z
-    along tangent_basis[i] at fixed v, and G_{l mbar} is the packed Hermitian
-    matrix of second fiber derivatives; no membership checks.  The batch
-    axes of zs and vs broadcast; the three values are (batch...) + (dim,),
-    with the direction axis first (dim, batch..., dim), and (batch...) +
-    (dim, dim).  A zero fiber anywhere in the stack raises DomainError.
-    Types I-III: d_U P = P U Z* P and d_U Q = Q Z* U Q.  Lie ball: d_U q =
-    (v d_U M) v*, d_U p = 0 and d_U s = 2 s (d_U Delta / Delta - d_U q / q),
-    with d_U M and d_U Delta from _lie_dm.
+    along tangent_basis[i] at fixed v, and G_{l mbar} = d G_mbar / d v_l is
+    the packed Hermitian matrix of second fiber derivatives; no membership
+    checks.  The batch axes of zs and vs broadcast; the three values are
+    (batch...) + (dim,), with the direction axis first (dim, batch..., dim),
+    and (batch...) + (dim, dim).  A zero fiber anywhere in the stack raises
+    DomainError.
+
+    Both derivatives vary G_mbar holomorphically at fixed conj v, so one
+    local along(variation) gives them, called once along the base and once
+    along the fiber.  Types I-III: the variation is d(P V Q), which is
+    P U Z* P V Q + P V Q Z* U Q along the base (d_U P = P U Z* P, d_U Q =
+    Q Z* U Q) and P T Q along the fiber.  Lie ball: the variation is
+    (d Delta, d(v M), dp), with dq = d(v M) v* and
+    ds = 2 s (d Delta / Delta - dq / q) + Delta^2 conj(p) dp / q^2; it is
+    (d_U Delta, v d_U M, 0) along the base, from _lie_dm, and (0, T M, 2 T.v)
+    along the fiber.
     """
     spec = metric.domain
     zs = np.asarray(zs, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
     require_nonzero(spec, vs, "fiber derivatives of F^2 are undefined at V = 0")
     norm = metric.normalization
-    col = lambda x: x[..., None, None]
     # the direction axis leads, so the per-item values broadcast against it
     basis = domains.tangent_basis(spec)
     us = basis.reshape((spec.dim,) + (1,) * (
@@ -314,89 +318,52 @@ def _fiber_jet(metric: MetricSpec, zs, vs):
                        (metric.family.value, metric.family.d1, metric.family.d2))
         g_q = (norm / delta**2) * (phi - 2.0 * s * d1)
         g_p2 = norm * d1 / q
-        d_delta, v_dm = _lie_dm(zs, us, vs)
-        log_d_delta = d_delta[..., 0] / delta
-        dq = np.sum(v_dm * vc, axis=-1)
-        ds = 2.0 * s * (log_d_delta - dq / q)
-        dg_q = -2.0 * log_d_delta * g_q - (norm / delta**2) * (d1 + 2.0 * s * d2) * ds
-        dg_p2 = norm * (d2 * ds - d1 * dq / q) / q
         grad = g_q[..., None] * vm + (g_p2 * 2.0 * p)[..., None] * vc
-        dgrad = (dg_q[..., None] * vm + g_q[..., None] * v_dm
-                 + (dg_p2 * 2.0 * p)[..., None] * vc)
-        g_qq = (norm / delta**2) * (2.0 * s / q) * (d1 + 2.0 * s * d2)
-        g_qp2 = -norm * (d1 + 2.0 * s * d2) / q**2
-        g_p2p2 = norm * d2 * delta**2 / q**3
-        dq_v = np.einsum("...ij,...j->...i", m, vc)      # dq/dv_i
-        dp2_v = 2.0 * vs * np.conj(p)[..., None]
-        dp2_vb = 2.0 * p[..., None] * vc
-        hess = (col(g_qq) * _outer(dq_v, vm)
-                + col(g_qp2) * (_outer(dq_v, dp2_vb) + _outer(dp2_v, vm))
-                + col(g_p2p2) * _outer(dp2_v, dp2_vb)
-                + col(g_q) * m
-                + col(g_p2) * 4.0 * _outer(vs, vc))
-        return grad, dgrad, hess
+
+        def along(d_delta, d_vm, dp):
+            log_d_delta = d_delta / delta
+            dq = np.sum(d_vm * vc, axis=-1)
+            ds = 2.0 * s * (log_d_delta - dq / q) + delta**2 * np.conj(p) * dp / q**2
+            dg_q = -2.0 * log_d_delta * g_q - (norm / delta**2) * (d1 + 2.0 * s * d2) * ds
+            dg_p2 = norm * (d2 * ds - d1 * dq / q) / q
+            return (dg_q[..., None] * vm + g_q[..., None] * d_vm
+                    + (dg_p2 * 2.0 * p + g_p2 * 2.0 * dp)[..., None] * vc)
+
+        d_delta, v_dm = _lie_dm(zs, us, vs)
+        hess = np.moveaxis(along(0.0, np.einsum("...i,...ij->...j", us, m),
+                                 2.0 * np.sum(us * vs, axis=-1)), 0, -2)
+        return grad, along(d_delta[..., 0], v_dm, 0.0), hess
     p, q, pvq, powers, s = _matrix_fiber_parts(metric, zs, vs)
     k = metric.family.k
     h = norms.power_means(s)
     g_grad = norms.grad_rows(metric.family, h)
     g_hess = norms.hess_rows(metric.family, h)
     mm = numkernel.matmul
+    flat = lambda x: x.reshape(x.shape[:-2] + (-1,)) @ basis.reshape(spec.dim, -1).T
     zc = np.conj(np.swapaxes(zs, -1, -2))
     vsc = np.conj(np.swapaxes(vs, -1, -2))
-    d_pvq = mm(p, mm(mm(us, zc), pvq)) + mm(pvq, mm(mm(zc, us), q))
-    d_m = mm(d_pvq, vsc)
     # 0-based a: X_a = M^a P V Q, and h_{a+1} has dh = c_a X_a along conj V
-    # and d_U h = c_a t_a, with c_a = S^{1/(a+1)-1} and t_a = tr(M^a d_U M)
+    # and d h = c_a t_a along a variation, with c_a = S^{1/(a+1)-1} and
+    # t_a = tr(M^a dM)
     xs = [mm(powers[a], pvq) for a in range(k)]
     c = [s[..., a] ** (1.0 / (a + 1) - 1.0) for a in range(k)]
-    t = [np.einsum("...ij,...ji->...", powers[a], d_m) for a in range(k)]
-    grad_amb = dgrad_amb = 0.0
-    for a in range(k):
-        w = (g_grad[..., a] * c[a])[..., None, None]
-        dw = (c[a] * sum(g_hess[..., a, b] * c[b] * t[b] for b in range(k))
-              - a * g_grad[..., a] * s[..., a] ** (1.0 / (a + 1) - 2.0) * t[a])
-        dx = mm(powers[a], d_pvq) + sum(mm(mm(powers[u], d_m), xs[a - 1 - u])
-                                        for u in range(a))
-        grad_amb = grad_amb + w * xs[a]
-        dgrad_amb = dgrad_amb + dw[..., None, None] * xs[a] + w * dx
+    w = [(g_grad[..., a] * c[a])[..., None, None] for a in range(k)]
 
-    # 1-based a below: dS_a and dh_a as ambient matrices, dS_a = a X_{a-1}
-    qvs = mm(q, vsc)  # Q V*
-    col4 = lambda x: x[..., None, None, None, None]
-    ds_vbar, ds_v, dh_vbar, dh_v = ([None] * (k + 1) for _ in range(4))
-    for a in range(1, k + 1):
-        ds_vbar[a] = a * xs[a - 1]
-        ds_v[a] = a * np.swapaxes(mm(mm(qvs, powers[a - 1]), p), -1, -2)
-        coeff = col(s[..., a - 1] ** (1.0 / a - 1.0) / a)
-        dh_vbar[a] = coeff * ds_vbar[a]
-        dh_v[a] = coeff * ds_v[a]
-    hess_amb = np.zeros(pvq.shape + pvq.shape[-2:], dtype=np.complex128)
-    # first-derivative cross terms through g's Hessian and the h_a chain
-    for a in range(1, k + 1):
-        for b in range(1, k + 1):
-            g_ab = g_hess[..., a - 1, b - 1]
-            if np.any(g_ab != 0.0):
-                hess_amb += col4(g_ab) * _outer4(dh_v[a], dh_vbar[b])
-    for a in range(1, k + 1):
-        ga = g_grad[..., a - 1]
-        if not np.any(ga != 0.0):
-            continue
-        # second derivative of h_a = S_a^{1/a}
-        c1 = (1.0 / a) * (1.0 / a - 1.0) * s[..., a - 1] ** (1.0 / a - 2.0)
-        hess_amb += col4(ga * c1) * _outer4(ds_v[a], ds_vbar[a])
-        c2 = (1.0 / a) * s[..., a - 1] ** (1.0 / a - 1.0)
-        # d2 S_a: sum over split products plus the bare PdVQ term
-        block = np.zeros_like(hess_amb)
-        for u in range(a - 1):
-            left = mm(powers[u], p)                       # (M^u P)
-            right = mm(mm(qvs, powers[a - 2 - u]), pvq)   # (Q V* M^{a-2-u} P V Q)
-            block += np.einsum("...ai,...jb->...ijab", left, right)
-        block += np.einsum("...ai,...jb->...ijab", mm(powers[a - 1], p), q)
-        hess_amb += col4(ga * c2 * a) * block
-    hess_amb *= norm
-    flat = lambda x: x.reshape(x.shape[:-2] + (-1,)) @ basis.reshape(spec.dim, -1).T
-    return (norm * flat(grad_amb), norm * flat(dgrad_amb),
-            np.einsum("sij,tab,...ijab->...st", basis, basis, hess_amb))
+    def along(d_pvq):
+        d_m = mm(d_pvq, vsc)
+        t = [np.einsum("...ij,...ji->...", powers[a], d_m) for a in range(k)]
+        out = 0.0
+        for a in range(k):
+            dw = (c[a] * sum(g_hess[..., a, b] * c[b] * t[b] for b in range(k))
+                  - a * g_grad[..., a] * s[..., a] ** (1.0 / (a + 1) - 2.0) * t[a])
+            dx = mm(powers[a], d_pvq) + sum(mm(mm(powers[u], d_m), xs[a - 1 - u])
+                                            for u in range(a))
+            out = out + dw[..., None, None] * xs[a] + w[a] * dx
+        return norm * flat(out)
+
+    dgrad = along(mm(p, mm(mm(us, zc), pvq)) + mm(pvq, mm(mm(zc, us), q)))
+    hess = np.moveaxis(along(mm(mm(p, us), q)), 0, -2)
+    return norm * flat(sum(w[a] * xs[a] for a in range(k))), dgrad, hess
 
 
 def grad_vbar_pair(metric: MetricSpec, zs, vs):

@@ -1,4 +1,6 @@
 """Reference computations that the tests check the package against."""
+import functools
+
 import numpy as np
 
 from cartanfinsler import domains
@@ -201,6 +203,25 @@ def lie_ball_roots_mp(z0, dps: int = 50):
         return tuple(np.array(m.tolist(), dtype=float) for m in roots)
 
 
+def _lie_invariants_mp(z, v):
+    """(Delta, q, v.v) of metrics.lie_fiber at mpmath vectors z, v, with
+    q = v M(z) v* and M = Delta I - 2 conj(a) z z' - 2 (1 - 2 r0) z zbar'
+    + 2 zbar z' - 2 a zbar zbar' (metrics._lie_ball_matrix), a = z.z and
+    r0 = z.zbar."""
+    import mpmath
+
+    dot = lambda x, y: mpmath.fsum(a * b for a, b in zip(x, y))
+    zc, vc = [mpmath.conj(x) for x in z], [mpmath.conj(x) for x in v]
+    a, r0 = dot(z, z), mpmath.re(dot(z, zc))
+    delta = 1 + abs(a) ** 2 - 2 * r0
+    vz, vzc = dot(v, z), dot(v, zc)
+    q = mpmath.re(delta * dot(v, vc)
+                  - 2 * mpmath.conj(a) * vz * dot(z, vc)
+                  - 2 * (1 - 2 * r0) * vz * dot(zc, vc)
+                  + 2 * vzc * dot(z, vc) - 2 * a * vzc * dot(zc, vc))
+    return delta, q, dot(v, v)
+
+
 def lie_ball_caratheodory_mp(z, v, dps: int = 50) -> float:
     """F_C(z; v) on the Lie ball from its closed form in the invariants,
     F_C^2 = r (1 + sqrt(1 - s)) with r = q / Delta^2, q = v M(z) v* and
@@ -209,21 +230,101 @@ def lie_ball_caratheodory_mp(z, v, dps: int = 50) -> float:
     import mpmath
 
     with mpmath.workdps(dps):
-        z = [mpmath.mpc(complex(x)) for x in z]
-        v = [mpmath.mpc(complex(x)) for x in v]
-        dot = lambda x, y: mpmath.fsum(a * b for a, b in zip(x, y))
-        zc, vc = [mpmath.conj(x) for x in z], [mpmath.conj(x) for x in v]
-        a, r0 = dot(z, z), mpmath.re(dot(z, zc))
-        delta = 1 + abs(a) ** 2 - 2 * r0
-        # v M v* with M = Delta I - 2 conj(a) z z' - 2 (1 - 2 r0) z zbar'
-        #                 + 2 zbar z' - 2 a zbar zbar' (metrics._lie_ball_matrix)
-        vz, vzc = dot(v, z), dot(v, zc)
-        q = mpmath.re(delta * dot(v, vc)
-                      - 2 * mpmath.conj(a) * vz * dot(z, vc)
-                      - 2 * (1 - 2 * r0) * vz * dot(zc, vc)
-                      + 2 * vzc * dot(z, vc) - 2 * a * vzc * dot(zc, vc))
-        s = delta**2 * abs(dot(v, v)) ** 2 / q**2
+        delta, q, p = _lie_invariants_mp([mpmath.mpc(complex(x)) for x in z],
+                                         [mpmath.mpc(complex(x)) for x in v])
+        s = delta**2 * abs(p) ** 2 / q**2
         return float(mpmath.sqrt(q / delta**2 * (1 + mpmath.sqrt(1 - s))))
+
+
+def _hpd_inverse_mp(a):
+    """Inverse of a Hermitian positive definite object array of mpmath
+    numbers, by Gauss-Jordan elimination; every pivot is positive."""
+    n = a.shape[0]
+    aug = np.concatenate([a, np.eye(n, dtype=object)], axis=1)
+    for k in range(n):
+        aug[k] = aug[k] / aug[k, k]
+        for i in range(n):
+            if i != k:
+                aug[i] = aug[i] - aug[k] * aug[i, k]
+    return aug[:, n:]
+
+
+def fiber_jet_mp(metric, g, z, v, dps: int = 40):
+    """(G_mbar, d_i G_mbar, G_{l mbar}) of G = F^2 at one (z, v) in
+    dps-digit arithmetic; oracle for metrics._fiber_jet.
+
+    F^2 is evaluated from its definition: N g(h_1, ..., h_k) with h_a =
+    tr[M^a]^{1/a}, M = (I - ZZ*)^{-1} V (I - Z*Z)^{-1} V*, on types I-III,
+    and N q / Delta^2 g(s) on the Lie ball.  g is the family's value on the
+    list of h_a, or the profile phi, written for mpmath numbers.  Every
+    derivative is mpmath.diff of F^2 in the real and imaginary parts of the
+    packed coordinates, z = z0 + sum (a_i + i b_i) T_i and v = v0 +
+    sum (x_m + i y_m) T_m: a mixed second partial by polarization,
+    (D_{a+b}^2 - D_a^2 - D_b^2) / 2, of second derivatives along lines, and
+    the partials combined by the Wirtinger rules d/dz = (d/da - i d/db) / 2
+    and d/dconj(v) = (d/dx + i d/dy) / 2; no derivative is taken in closed
+    form.  Returns complex arrays (dim,), (dim, dim) with
+    [i, m] = d_i G_mbar and (dim, dim) with [l, m] = G_{l mbar}.
+    """
+    import mpmath
+
+    spec = metric.domain
+    dim, norm = spec.dim, metric.normalization
+    basis = domains.tangent_basis(spec).astype(object)
+    as_mp = np.vectorize(lambda x: mpmath.mpc(complex(x)), otypes=[object])
+    origin = (as_mp(z), as_mp(v))
+
+    def f2(zz, vv):
+        if spec.kind == "IV":
+            delta, q, p = _lie_invariants_mp(zz, vv)
+            return norm * q / delta**2 * g(delta**2 * abs(p) ** 2 / q**2)
+        zh, vh = np.conj(zz.T), np.conj(vv.T)
+        m = (_hpd_inverse_mp(np.eye(zz.shape[0], dtype=object) - zz @ zh) @ vv
+             @ _hpd_inverse_mp(np.eye(zz.shape[1], dtype=object) - zh @ zz) @ vh)
+        h, power = [], m
+        for a in range(1, metric.family.k + 1):
+            h.append(mpmath.re(mpmath.fsum(np.diagonal(power))) ** (mpmath.mpf(1) / a))
+            power = power @ m
+        return norm * g(h)
+
+    center = {}
+
+    def value(steps):
+        # steps are (coordinate, complex step); coordinates below dim move z.
+        # The point (z, v) itself is on every line: it is evaluated once per
+        # working precision
+        point = list(origin)
+        steps = [(c, t) for c, t in steps if t != 0]
+        if not steps and mpmath.mp.prec in center:
+            return center[mpmath.mp.prec]
+        for c, t in steps:
+            point[c // dim] = point[c // dim] + basis[c % dim] * t
+        out = f2(*point)
+        if not steps:
+            center[mpmath.mp.prec] = out
+        return out
+
+    @functools.lru_cache(maxsize=None)
+    def second(*dirs):
+        # second derivative along the sum of real directions (coordinate, 1 or 1j)
+        return mpmath.diff(lambda t: value([(c, u * t) for c, u in dirs]), 0, 2)
+
+    def mixed(a, b):
+        # the real Hessian entry of directions a and b, by polarization
+        return (second(*sorted((a, b), key=repr)) - second(a) - second(b)) / 2
+
+    def wirtinger(c, m):
+        # d/d(coordinate c) of d/dconj(v_m); coordinate c moves holomorphically
+        d = lambda u, w: mixed((c, u), (dim + m, w))
+        return (d(1, 1) + d(1j, 1j) + 1j * (d(1, 1j) - d(1j, 1))) / 4
+
+    with mpmath.workdps(dps):
+        grad = [(mpmath.diff(lambda t: value([(dim + m, t)]), 0)
+                 + 1j * mpmath.diff(lambda t: value([(dim + m, 1j * t)]), 0)) / 2
+                for m in range(dim)]
+        dgrad = [[wirtinger(i, m) for m in range(dim)] for i in range(dim)]
+        hess = [[wirtinger(dim + l, m) for m in range(dim)] for l in range(dim)]
+        return tuple(np.array(x, dtype=complex) for x in (grad, dgrad, hess))
 
 
 def caratheodory_mp(z, v, dps: int = 40) -> float:

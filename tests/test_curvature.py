@@ -172,6 +172,24 @@ def test_bisectional_sign_and_diagonal():
         assert np.max(np.abs(diag - curv.hsc_origin_many(metric, vs))) < 1e-9
 
 
+@pytest.mark.parametrize("metric", [
+    met.tk_metric(dom.type_i(2, 2), 1.0, 2), met.tk_metric(dom.type_ii(2), 0.5, 3),
+    met.bergman_metric(dom.type_iii(4)), met.phi_metric(dom.type_iv(3), nrm.affine_phi(0.5)),
+], ids=lambda m: m.label)
+def test_bisectional_batch_axes_broadcast(metric):
+    spec = metric.domain
+    vs = dom.sample_tangents(spec, 40, 5)
+    ws = dom.sample_tangents(spec, 41, 7)
+    grid = curv.bisectional_origin_many(metric, vs[:, None], ws[None])
+    loop = np.array([[curv.bisectional_origin_many(metric, v, w) for w in ws]
+                     for v in vs])
+    assert grid.shape == (5, 7)
+    assert np.max(np.abs(grid - loop)) <= 4.0 * np.spacing(np.max(np.abs(loop)))
+    one = curv.bisectional_origin_many(metric, vs[:1], ws)
+    assert one.shape == (7,)
+    assert np.max(np.abs(one - loop[0])) <= 4.0 * np.spacing(np.max(np.abs(loop)))
+
+
 def test_bisectional_simultaneous_unitary_invariance():
     metric = met.tk_metric(dom.type_i(2, 2), 1.0, 2)
     rng = np.random.default_rng(5)
