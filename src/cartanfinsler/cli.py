@@ -85,7 +85,11 @@ _METRIC_KEYS = {
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A JSON number with a finite float value; json also reads NaN,
+    Infinity and integers too large for a float."""
+    if _is_int(x):
+        return abs(x) <= sys.float_info.max
+    return isinstance(x, float) and math.isfinite(x)
 
 
 def _is_int(x) -> bool:
@@ -175,6 +179,9 @@ def _complex_array(node, shape, path, errs):
         return None
     if data.shape != shape + (2,):
         errs.append(f"{path}: expected shape {shape + (2,)}, got {data.shape}")
+        return None
+    if not np.all(np.isfinite(data)):
+        errs.append(f"{path}: finite numbers required")
         return None
     return data[..., 0] + 1j * data[..., 1]
 

@@ -2,9 +2,13 @@
 
 Everything is computed at the origin and extended by homogeneity: pulling
 (Z;V) back with a normalizing automorphism leaves the curvature unchanged.
-Every type has an analytic origin formula: the matrix domains in the power
-traces of V V*, the Lie ball in |V|^2, |W|^2, |V.W|^2, |<V,W>|^2 and the
-profile phi at s_V.  The supremum of |B| is a table and one polish on both:
+One tangent-level formula, bisectional_origin_many, gives B(0;V,W) on every
+type, and K(V) is B(V,V): the matrix domains read one power ladder of
+G = V V* and the cross grams W W*, U U* with U = V W*; the Lie ball reads
+|V|^2, |W|^2, |V.W|^2, |<V,W>|^2 and the profile phi at s_V.  On the
+matrix domains _trace_weights forms F^2 and the weights c_a from power
+traces, for that formula, for the profile objective of the K scan and for
+the sup search.  The supremum of |B| is a table and one polish on both:
 over two eigenvalue profiles on the matrix domains, over three invariants
 (s_V, Im(W_1 conj(W_2)), s_W) on the Lie ball.
 """
@@ -15,7 +19,8 @@ import numpy as np
 from .errors import NumericError
 from . import domains
 from . import norms
-from .metrics import MetricSpec, require_nonzero
+from . import numkernel
+from .metrics import MetricSpec, power_ladder, require_nonzero
 
 LIE_SUP_TICKS = 201  # ticks per axis of the Lie-ball (s, q) table and t grid
 PAIR_DRAWS = 10_000
@@ -35,30 +40,14 @@ class CurvatureReport:
 # origin formulas
 
 
-def _origin_traces(vs, kmax: int):
-    """tr[(V V*)^a] for a = 1..kmax over a stack of matrix tangents; V V* is
-    the smaller gram, as m <= n on every matrix type."""
-    vs = np.asarray(vs, dtype=np.complex128)
-    gram = vs @ np.conj(np.swapaxes(vs, -1, -2))
-    out = np.empty(vs.shape[:-2] + (kmax,))
-    power = gram
-    out[..., 0] = np.trace(power, axis1=-2, axis2=-1).real
-    for a in range(2, kmax + 1):
-        power = power @ gram
-        out[..., a - 1] = np.trace(power, axis1=-2, axis2=-1).real
-    return out
-
-
-def _matrix_hsc_from_traces(metric: MetricSpec, s_traces):
-    """K(0;V) from tr[(VV*)^a], a = 1..k+1 (shape (B, k+1))."""
+def _trace_weights(metric: MetricSpec, s_traces):
+    """(F^2, c) from power traces S_1..S_k (the first k of the last axis):
+    F^2 = N g(h) and the list c of the arrays c_a = g_a(h) h_a^(1-a), a = 1..k."""
     k = metric.family.k
     h = norms.power_means(s_traces[..., :k])
     grads = norms.grad_rows(metric.family, h)
     f2 = metric.normalization * np.asarray(metric.family.value(h), dtype=float)
-    acc = np.zeros(h.shape[:-1])
-    for a in range(1, k + 1):
-        acc += grads[..., a - 1] * h[..., a - 1] ** (1 - a) * s_traces[..., a]
-    return -4.0 * metric.normalization * acc / f2**2
+    return f2, [grads[..., a - 1] * h[..., a - 1] ** (1 - a) for a in range(1, k + 1)]
 
 
 def _lie_contraction(metric: MetricSpec, vs, ws):
@@ -86,47 +75,42 @@ def _lie_contraction(metric: MetricSpec, vs, ws):
 
 
 def hsc_origin_many(metric: MetricSpec, vs) -> np.ndarray:
-    """Holomorphic sectional curvature at the origin, batched over tangents;
-    a zero tangent raises DomainError."""
-    vs = np.asarray(vs, dtype=np.complex128)
-    require_nonzero(metric.domain, vs, "curvature is undefined along V = 0")
-    if metric.domain.kind == "IV":
-        f2 = norms.eval_phi_norm_many(metric.family, vs, metric.normalization)
-        return -2.0 * _lie_contraction(metric, vs, vs) / f2**2
-    traces = _origin_traces(vs, metric.family.k + 1)
-    return _matrix_hsc_from_traces(metric, traces)
+    """Holomorphic sectional curvature K(V) = B(0;V,V) at the origin, batched
+    over tangents; a zero tangent raises DomainError."""
+    return bisectional_origin_many(metric, vs, vs)
 
 
 def bisectional_origin_many(metric: MetricSpec, vs, ws) -> np.ndarray:
     """B(0;V,W) over stacks of tangents whose batch axes broadcast against
-    each other; a zero tangent in either raises DomainError."""
+    each other; a zero tangent in either raises DomainError.
+
+    Matrix types: with G = V V*, U = V W* and c_a from _trace_weights at V,
+        B = -2N sum_a c_a [tr(W W* G^a) + tr(U* G^(a-1) U)] / (F^2_V F^2_W),
+    the two halves of (1/4) Laplacian of zeta -> F^2(zeta W; V) at 0, from
+    the left gram V V* and the right gram V* V (tr(W* W (V* V)^a) is the
+    second).  They agree on types II and III and at W = V.
+    """
     vs = np.asarray(vs, dtype=np.complex128)
     ws = np.asarray(ws, dtype=np.complex128)
     for x in (vs, ws):
         require_nonzero(metric.domain, x, "curvature is undefined along V = 0")
     if metric.domain.kind == "IV":
-        norm = metric.normalization
-        f2v = norms.eval_phi_norm_many(metric.family, vs, norm)
-        f2w = norms.eval_phi_norm_many(metric.family, ws, norm)
+        f2v, f2w = (norms.eval_phi_norm_many(metric.family, x, metric.normalization)
+                    for x in (vs, ws))
         return -2.0 * _lie_contraction(metric, vs, ws) / (f2v * f2w)
     k = metric.family.k
-    s = _origin_traces(vs, k)
-    h = norms.power_means(s)
-    grads = norms.grad_rows(metric.family, h)
-    f2v = metric.normalization * np.asarray(metric.family.value(h), dtype=float)
-    hw = norms.power_means(_origin_traces(ws, k))
-    f2w = metric.normalization * np.asarray(metric.family.value(hw), dtype=float)
-    gram_v = vs @ np.conj(np.swapaxes(vs, -1, -2))
-    gram_w = ws @ np.conj(np.swapaxes(ws, -1, -2))
-    acc = 0.0
-    power = np.broadcast_to(
-        np.eye(gram_v.shape[-1]), gram_v.shape
-    ).astype(np.complex128)
-    for a in range(1, k + 1):
-        power = power @ gram_v
-        cross = np.einsum("...ij,...ji->...", gram_w, power).real
-        acc += grads[..., a - 1] * h[..., a - 1] ** (1 - a) * cross
-    return -4.0 * metric.normalization * acc / (f2v * f2w)
+    mm = numkernel.matmul
+    adj = lambda x: np.conj(np.swapaxes(x, -1, -2))
+    powers, sv = power_ladder(mm(vs, adj(vs)), k)
+    powers_w, sw = power_ladder(mm(ws, adj(ws)), k)
+    f2v, c = _trace_weights(metric, sv)
+    f2w, _ = _trace_weights(metric, sw)
+    u = mm(vs, adj(ws))
+    uu = mm(u, adj(u))
+    tr = lambda x, y: np.einsum("...ij,...ji->...", x, y).real
+    acc = sum(c[a - 1] * (tr(powers_w[1], powers[a]) + tr(uu, powers[a - 1]))
+              for a in range(1, k + 1))
+    return -2.0 * metric.normalization * acc / (f2v * f2w)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +134,16 @@ def _profile_to_traces(spec, y, kmax):
     )
 
 
+def _profile_hsc(metric: MetricSpec, y):
+    """K at a tangent of squared singular profile y (the rows of y):
+    -4N sum_a c_a S_(a+1) / F^4, the diagonal W = V of the tangent formula."""
+    k = metric.family.k
+    s_traces = _profile_to_traces(metric.domain, y, k + 1)
+    f2, c = _trace_weights(metric, s_traces)
+    acc = sum(c[a - 1] * s_traces[..., a] for a in range(1, k + 1))
+    return -4.0 * metric.normalization * acc / f2**2
+
+
 def _profile_dim_total(spec):
     if spec.kind == "III":
         return spec.dims[0] // 2, 0.5
@@ -159,9 +153,12 @@ def _profile_dim_total(spec):
 def _bisectional_sup_matrix(metric: MetricSpec) -> float:
     """sup |B(0;V,W)| over matrix tangents, exact up to the scan tolerance.
 
-    For fixed spectra the trace inequality puts the extremum at simultaneously
-    diagonal VV*, WW* aligned in descending order (every coefficient
-    g_a h_a^(1-a) is positive), so |B| reduces to the joint objective
+    For fixed spectra the trace inequality puts the extremum of each half
+    of bisectional_origin_many at simultaneously diagonal grams aligned in
+    descending order, VV* with WW* and V*V with W*W (every c_a of
+    _trace_weights is positive).  V and W with common singular vectors and
+    equally ordered singular values align both pairs, and the halves are
+    then equal, so |B| reduces to the joint objective
     J(x, y) = (y . w(x)) / (F^2(x) F^2(y)) of two ordered eigenvalue
     profiles.  sup over x of [sup over y of J] is the sup of J over the pair,
     so one table of J on a simplex_grid squared, scanned in row blocks for
@@ -175,15 +172,8 @@ def _bisectional_sup_matrix(metric: MetricSpec) -> float:
     scale = 4.0 * metric.normalization * (2.0 if spec.kind == "III" else 1.0)
 
     def f2_weights(x):
-        h = norms.power_means(_profile_to_traces(spec, x, k))
-        f2 = metric.normalization * np.asarray(metric.family.value(h),
-                                               dtype=float)
-        grads = norms.grad_rows(metric.family, h)
-        weights = np.zeros_like(x)
-        for a in range(1, k + 1):
-            weights += (grads[..., a - 1] * h[..., a - 1] ** (1 - a))[..., None] \
-                * x**a
-        return f2, scale * weights
+        f2, c = _trace_weights(metric, _profile_to_traces(spec, x, k))
+        return f2, scale * sum(c[a - 1][..., None] * x**a for a in range(1, k + 1))
 
     def joint(xy):
         f2x, wx = f2_weights(xy[:, :dim])
@@ -312,12 +302,8 @@ def curvature_bounds(metric: MetricSpec) -> CurvatureReport:
         def profile(y):
             return np.array([(y[0] - y[1]) ** 2])
     else:
-        kmax = metric.family.k + 1
-
         def fn(y):
-            return _matrix_hsc_from_traces(
-                metric, _profile_to_traces(spec, y, kmax)
-            )
+            return _profile_hsc(metric, y)
 
         def profile(y):
             return np.sort(np.sqrt(np.maximum(y, 0.0)))[::-1]

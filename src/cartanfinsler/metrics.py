@@ -236,13 +236,18 @@ def _matrix_fiber_parts(metric: MetricSpec, zs, vs):
     p, q = _frame(zs)
     pvq = numkernel.matmul(numkernel.matmul(p, vs), q)
     m = numkernel.matmul(pvq, np.conj(np.swapaxes(vs, -1, -2)))
-    k = metric.family.k
+    return (p, q, pvq) + power_ladder(m, metric.family.k)
+
+
+def power_ladder(m, k: int):
+    """(M^0..M^k, S) with S_a = tr M^a for a = 1..k over a stack of square
+    matrices M; every product is a numkernel.matmul."""
     powers = [np.broadcast_to(np.eye(m.shape[-1], dtype=np.complex128), m.shape), m]
     for _ in range(k - 1):
         powers.append(numkernel.matmul(powers[-1], m))
     s_traces = np.stack([np.trace(powers[a], axis1=-2, axis2=-1).real
                          for a in range(1, k + 1)], axis=-1)
-    return p, q, pvq, powers, s_traces
+    return powers, s_traces
 
 
 def eval2_many(metric: MetricSpec, zs, vs) -> np.ndarray:

@@ -439,7 +439,17 @@ def test_invalid_json_is_config_error(tmp_path, capsys):
     ({"task": "schwarz", "maps": 0}, "maps"),
     ({"domain": {"type": "IV", "n": 1}}, "domain"),
     ({"domain": {"type": "I", "m": 3, "n": 2}}, "domain"),
-], ids=["samples-0", "maps-0", "IV(1)", "I(3,2)"])
+    # json reads NaN and Infinity; a config number must be finite
+    ({"task": "certify", "tolerances": {"invariance": float("nan")}},
+     "tolerances.invariance"),
+    ({"metric": {"family": "bergman", "scale": float("inf")}}, "metric.scale"),
+    ({"metric": {"family": "bergman", "scale": 10**400}}, "metric.scale"),
+    ({"metric": {"family": "tk", "t": float("inf"), "k": 2}}, "metric.t"),
+    ({"points": [{"z": [[[0.0, 0.0]] * 2] * 2,
+                  "v": [[[float("nan"), 0.0], [1.0, 0.0]], [[0.0, 0.0]] * 2]}]},
+     "points[0].v"),
+], ids=["samples-0", "maps-0", "IV(1)", "I(3,2)", "tolerance-NaN", "scale-inf",
+        "scale-1e400-int", "t-inf", "tangent-NaN"])
 def test_degenerate_config_exits_2_naming_the_field(tmp_path, capsys, overrides,
                                                      field):
     doc = json.loads(_config(**overrides))

@@ -15,15 +15,15 @@ def _rank_one(m, n):
     return v
 
 
-def _lie_stencil(metric, vs, ws, h=1e-3):
+def _laplacian_stencil(metric, vs, ws, h=1e-3):
     """Nine-point oracle: (1/4) Laplacian of zeta -> F^2(zeta*W; V) at 0.
 
     Fourth-order second differences along zeta real and imaginary; the step
     balances truncation ~h^4 against roundoff ~eps/h^2 (about 1e-9 for
-    order-one data).
+    order-one data).  vs and ws are stacks of tangents of any domain type.
     """
     offsets = np.array([0.0, h, -h, 2 * h, -2 * h, 1j * h, -1j * h, 2j * h, -2j * h])
-    zs = offsets[:, None, None] * ws[None, :, :]
+    zs = offsets.reshape((-1,) + (1,) * ws.ndim) * ws[None]
     f = met.eval2_many(metric, zs, np.broadcast_to(vs, zs.shape))
     d2x = (-f[3] + 16 * f[1] - 30 * f[0] + 16 * f[2] - f[4]) / (12 * h * h)
     d2y = (-f[7] + 16 * f[5] - 30 * f[0] + 16 * f[6] - f[8]) / (12 * h * h)
@@ -154,6 +154,57 @@ def test_bisectional_orthogonal_directions_vanish():
     e22 = np.zeros((2, 2), dtype=complex)
     e22[1, 1] = 1.0
     assert abs(curv.bisectional_origin_many(metric, e11, e22)) < 1e-14
+
+
+@pytest.mark.parametrize("metric", [
+    met.bergman_metric(dom.type_i(1, 3)), met.tk_metric(dom.type_i(2, 3), 1.0, 3),
+    met.tk_metric(dom.type_i(3, 4), 1.0, 4), met.tk_metric(dom.type_ii(3), 0.5, 2),
+    met.tk_metric(dom.type_iii(4), 1.0, 2),
+    met.phi_metric(dom.type_iv(3), nrm.affine_phi(0.5)),
+], ids=lambda m: m.label)
+def test_bisectional_matches_stencil(metric):
+    # B(0; V, W) = -2 (1/4) Laplacian of F^2(zeta W; V) / (F^2(V) F^2(W)); on
+    # type I both the left gram V V* and the right gram V* V contribute
+    spec = metric.domain
+    axes = tuple(range(-len(spec.ambient_shape), 0))
+    vs, ws = (x / np.sqrt(np.sum(np.abs(x) ** 2, axis=axes, keepdims=True))
+              for x in (dom.sample_tangents(spec, seed, 100) for seed in (60, 61)))
+    f2v, f2w = (met.eval2_many(metric, np.zeros_like(x), x) for x in (vs, ws))
+    oracle = -2.0 * _laplacian_stencil(metric, vs, ws) / (f2v * f2w)
+    assert np.max(np.abs(curv.bisectional_origin_many(metric, vs, ws) - oracle)) \
+        <= 1e-9
+
+
+def test_ball_bisectional_of_orthogonal_directions_is_half_of_k():
+    # constant holomorphic curvature -kappa on the ball: B(v, w) =
+    # -(kappa / 2) (1 + |<v, w>|^2) for unit v, w
+    metric = met.bergman_metric(dom.type_i(1, 3))
+    e = np.eye(3, dtype=complex)[:, None, :]
+    k = curv.hsc_origin_many(metric, e[0])
+    assert curv.bisectional_origin_many(metric, e[0], e[1]) == 0.5 * k
+
+
+@pytest.mark.parametrize("metric", [
+    met.tk_metric(dom.type_i(2, 3), 1.0, 3), met.tk_metric(dom.type_ii(3), 0.5, 2),
+    met.tk_metric(dom.type_iii(4), 1.0, 2),
+], ids=lambda m: m.label)
+def test_tangent_and_profile_curvature_agree(metric):
+    # K at V = diag(sqrt(y)) (2x2 blocks [[0, r], [-r, 0]] on the skew type)
+    # is the profile objective of curvature_bounds at y
+    spec = metric.domain
+    dim, total = curv._profile_dim_total(spec)
+    ys, _ = nrm.simplex_grid(dim, total)
+    vs = np.zeros((len(ys),) + spec.ambient_shape, dtype=complex)
+    roots = np.sqrt(ys)
+    for i in range(dim):
+        if spec.kind == "III":
+            vs[:, 2 * i, 2 * i + 1], vs[:, 2 * i + 1, 2 * i] = roots[:, i], -roots[:, i]
+        else:
+            vs[:, i, i] = roots[:, i]
+    profile = curv._profile_hsc(metric, ys)
+    tangent = curv.hsc_origin_many(metric, vs)
+    assert np.all(np.abs(tangent - profile)
+                  <= 4.0 * np.finfo(float).eps * np.abs(profile))
 
 
 def test_bisectional_sign_and_diagonal():
@@ -336,7 +387,7 @@ def test_lie_contraction_matches_stencil(n, profile):
     vs = np.concatenate([vs, reps, reps, np.repeat(reps, 2, axis=0)])
     ws = np.concatenate([ws, reps, reps[::-1], _unit_rows(rng, 4, n)])
     exact = curv._lie_contraction(metric, vs, ws)
-    oracle = _lie_stencil(metric, vs, ws)
+    oracle = _laplacian_stencil(metric, vs, ws)
     assert np.max(np.abs(exact - oracle) / np.abs(oracle)) < 1e-7
     # the batch axes of V and W broadcast
     grid = curv._lie_contraction(metric, vs[:5, None], ws[None, :7])

@@ -419,8 +419,7 @@ def test_ladder_ends_a_grid_point_polish_in_one_round():
     def counted(calls):
         def fn(y):
             calls.append(len(y))
-            return curvature._matrix_hsc_from_traces(
-                metric, curvature._profile_to_traces(metric.domain, y, 3))
+            return curvature._profile_hsc(metric, y)
         return fn
 
     grid, step = norms.simplex_grid(dim, total)
