@@ -338,10 +338,10 @@ def _run_eval(cfg: RunConfig):
     zs, vs = domains.draw_grid(cfg.seed, "eval", [
         domains.Points(cfg.domain, cfg.samples), domains.Tangents(cfg.domain, cfg.samples)])
     f2s = metrics.eval2_many(cfg.metric, zs, vs)
-    for j, f2 in enumerate(f2s):
-        rows.append({"index": len(cfg.points) + j, "source": "random",
-                     "f2": float(f2), "f": float(np.sqrt(f2))})
-    vals = np.array([row["f"] for row in rows])
+    fs = np.sqrt(f2s)
+    vals = np.concatenate(([row["f"] for row in rows], fs))
+    rows += [{"index": i, "source": "random", "f2": f2, "f": f}
+             for i, (f2, f) in enumerate(zip(f2s.tolist(), fs.tolist()), len(rows))]
     ok = bool(np.all(np.isfinite(vals)) and np.all(vals > 0))
     summary = {"count": len(rows), "f_min": float(vals.min()),
                "f_max": float(vals.max()), "f_mean": float(vals.mean()),
@@ -525,27 +525,97 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+# The text json.dumps writes for a cell of each flat type.  A column of a type
+# without an entry (bool, None, complex, arrays, lists, numpy scalars other
+# than float64), of mixed types or with a non-finite float declines the fast
+# path for the whole table.
+_JSON_CELL = {float: float.__repr__, np.float64: float.__repr__,
+              int: int.__repr__, str: json.encoder.encode_basestring_ascii}
+_CSV_CELL = {**_JSON_CELL, str: str}
+
+
+def _column_text(rows, cell_text):
+    """The table as (keys, one list of cell texts per column), or None.
+
+    None unless every row is a dict with the first row's string keys in the
+    same order, and every column holds finite values of one type that
+    cell_text formats.
+    """
+    if not rows or type(rows[0]) is not dict or not rows[0]:
+        return None
+    keys = list(rows[0])
+    if not all(type(key) is str for key in keys) or any(
+            type(row) is not dict or list(row) != keys for row in rows):
+        return None
+    columns = []
+    for key in keys:
+        values = [row[key] for row in rows]
+        kind, *others = set(map(type, values))
+        if others or kind not in cell_text or (
+                issubclass(kind, float) and not all(map(math.isfinite, values))):
+            return None
+        columns.append(list(map(cell_text[kind], values)))
+    return keys, columns
+
+
+def _table_json(rows):
+    """The table as json.dumps(indent=2) writes it one level deep, from one
+    row template; None where _column_text declines the table."""
+    cells = _column_text(rows, _JSON_CELL)
+    if cells is None:
+        return None
+    keys, columns = cells
+    fields = ",".join("\n      " + json.encoder.encode_basestring_ascii(key)
+                      .replace("%", "%%") + ": %s" for key in keys)
+    row = "\n    {" + fields + "\n    }"
+    return "[" + ",".join(map(row.__mod__, zip(*columns))) + "\n  ]"
+
+
 def emit_report(report: RunReport, format: str = "structured") -> str:
-    """Serialize a report: one JSON document, or the table as CSV."""
+    """Serialize a report: one JSON document, or the table as CSV.
+
+    The structured document is exactly the text of json.dumps(doc, indent=2)
+    with the keys task, verdict, summary, table and provenance.  json's C
+    encoder serves no indented output, so a table of flat, finite,
+    single-typed columns is written from one row template with the cell
+    texts json itself uses, and spliced between the json.dumps text of the
+    keys before it and of the provenance.  Any other table, and the whole
+    document with it, goes through json.dumps.  The tabular form writes
+    report.table, or the summary as key/value rows when the table is empty:
+    floats by repr, everything else by str.
+    """
     if format == "structured":
-        doc = {"task": report.task, "verdict": report.verdict,
-               "summary": report.summary, "table": report.table,
-               "provenance": report.provenance}
-        return json.dumps(doc, indent=2, default=_json_default) + "\n"
+        head = {"task": report.task, "verdict": report.verdict,
+                "summary": report.summary}
+        table = _table_json(report.table)
+        if table is None:
+            doc = {**head, "table": report.table, "provenance": report.provenance}
+            return json.dumps(doc, indent=2, default=_json_default) + "\n"
+        # both pieces are top-level objects: drop the head's closing "\n}"
+        # and the provenance object's opening "{"
+        head = json.dumps(head, indent=2, default=_json_default)
+        tail = json.dumps({"provenance": report.provenance}, indent=2,
+                          default=_json_default)
+        return f'{head[:-2]},\n  "table": {table},{tail[1:]}\n'
     if format != "tabular":
         raise StructureError(f"unknown report format {format!r}")
     rows = report.table or [{"key": k, "value": v}
                             for k, v in report.summary.items()]
-    # csv writes a numpy float through repr, "np.float64(...)": the rows go
-    # through the JSON form, which holds only Python values
-    rows = json.loads(json.dumps(rows, default=_json_default))
+    cells = _column_text(rows, _CSV_CELL)
+    if cells is None:
+        # csv writes a numpy float through repr, "np.float64(...)": the rows
+        # go through the JSON form, which holds only Python values
+        rows = json.loads(json.dumps(rows, default=_json_default))
+        columns = list(rows[0].keys())
+        lines = [[repr(v) if isinstance(v, float) else str(v)
+                  for v in (row[c] for c in columns)] for row in rows]
+    else:
+        columns, texts = cells
+        lines = zip(*texts)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    columns = list(rows[0].keys())
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else str(v)
-                         for v in (row[c] for c in columns)])
+    writer.writerows(lines)
     return buf.getvalue()
 
 

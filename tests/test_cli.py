@@ -733,3 +733,132 @@ def test_tolerances_are_applied_only_in_the_cli():
             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if words.search(line)]
     assert hits == []
+
+
+# ---------------------------------------------------------------------------
+# report emission: byte identity with the plain json.dumps and CSV forms
+
+
+def _structured_oracle(report):
+    doc = {"task": report.task, "verdict": report.verdict,
+           "summary": report.summary, "table": report.table,
+           "provenance": report.provenance}
+    return json.dumps(doc, indent=2, default=cli._json_default) + "\n"
+
+
+def _tabular_oracle(report):
+    rows = report.table or [{"key": k, "value": v}
+                            for k, v in report.summary.items()]
+    rows = json.loads(json.dumps(rows, default=cli._json_default))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    columns = list(rows[0].keys())
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else str(v)
+                         for v in (row[c] for c in columns)])
+    return buf.getvalue()
+
+
+def _assert_emits_like_the_oracles(report):
+    """Both formats equal their oracle's text, or raise what the oracle raises."""
+    for fmt, oracle in (("structured", _structured_oracle),
+                        ("tabular", _tabular_oracle)):
+        try:
+            expected = oracle(report)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                cli.emit_report(report, fmt)
+        else:
+            assert cli.emit_report(report, fmt) == expected
+
+
+EMIT_CONFIGS = {
+    "eval": {"task": "eval", "domain": {"type": "I", "m": 2, "n": 3},
+             "metric": {"family": "tk", "t": 1, "k": 3}, "samples": 40,
+             "points": [{"z": [[[0.1, 0.2], [0, 0], [0, -0.3]],
+                               [[0, 0], [0.2, 0], [0, 0]]],
+                         "v": [[[1, 0], [0, 1], [0, 0]],
+                               [[0, 0], [0.5, 0], [0, 0]]]}]},
+    "certify": {"task": "certify", "domain": {"type": "II", "m": 2},
+                "metric": {"family": "bergman"}, "samples": 10},
+    "curvature": {"task": "curvature", "domain": {"type": "IV", "n": 4},
+                  "metric": {"family": "bergman"}, "samples": 100},
+    "sandwich": {"task": "sandwich", "domain": {"type": "II", "m": 3},
+                 "metric": {"family": "tk", "t": 1, "k": 2}, "samples": 50},
+    "schwarz": {"task": "schwarz", "domain": {"type": "II", "m": 2},
+                "metric": {"family": "bergman"},
+                "target_domain": {"type": "I", "m": 2, "n": 2},
+                "target_metric": {"family": "tk", "t": 1, "k": 2},
+                "maps": 4, "samples": 20},
+}
+
+
+@pytest.mark.parametrize("seed", [2, 9])
+@pytest.mark.parametrize("task", sorted(EMIT_CONFIGS))
+def test_every_task_table_is_written_by_the_row_template(task, seed):
+    report = cli.run(cli.parse_config(json.dumps({**EMIT_CONFIGS[task],
+                                                  "seed": seed})))
+    assert cli._column_text(report.table, cli._JSON_CELL) is not None
+    assert cli._column_text(report.table, cli._CSV_CELL) is not None
+    _assert_emits_like_the_oracles(report)
+
+
+def _certify_report():
+    return cli.run(cli.parse_config(json.dumps({**EMIT_CONFIGS["certify"],
+                                                "seed": 4})))
+
+
+@pytest.mark.parametrize("cell", [
+    float("nan"), float("inf"), -float("inf"), np.array([1.0, 2.5]),
+    complex(1.0, -2.0), np.int64(3), np.float32(0.1), True, np.bool_(False),
+    None, [1.0, [2, 3]], {"a": 1.0}, 2])
+def test_a_column_not_flat_finite_and_of_one_type_falls_back(cell):
+    # one certify row's value is replaced: the column is no longer flat,
+    # finite and of one type (2 makes it int among floats)
+    report = _certify_report()
+    table = [dict(row) for row in report.table]
+    table[1]["value"] = cell
+    report = dataclasses.replace(report, table=table)
+    assert cli._column_text(report.table, cli._JSON_CELL) is None
+    _assert_emits_like_the_oracles(report)
+
+
+@pytest.mark.parametrize("text", ["Kähler–Berwald", 'say "pass"', "100% pass",
+                                  "%s %(x)s %%", "tab\there\nnewline\\", "\u0000\x7f",
+                                  "\U0001d4d5"])
+def test_any_string_cell_or_key_keeps_the_row_template(text):
+    report = _certify_report()
+    table = [{**row, "check": row["check"] + text, text: text}
+             for row in report.table]
+    report = dataclasses.replace(report, table=table)
+    assert cli._column_text(report.table, cli._JSON_CELL) is not None
+    _assert_emits_like_the_oracles(report)
+
+
+@pytest.mark.parametrize("reshape", [
+    lambda t: t[:1] + [dict(reversed(list(t[1].items())))] + t[2:],
+    lambda t: t[:1] + [{k: v for k, v in t[1].items() if k != "status"}] + t[2:],
+    lambda t: t + [{**t[0], "extra": 1.0}],
+    lambda t: t[:1] + [list(t[1].values())] + t[2:],
+    lambda t: [dict(enumerate(row.values())) for row in t],
+    lambda t: [{} for _ in t],
+    lambda t: [],
+], ids=["key_order", "missing_key", "extra_key", "row_not_dict", "int_key",
+        "empty_rows", "empty_table"])
+def test_rows_that_cannot_share_one_template_fall_back(reshape):
+    report = _certify_report()
+    report = dataclasses.replace(report, table=reshape([dict(row)
+                                                        for row in report.table]))
+    assert cli._column_text(report.table, cli._JSON_CELL) is None
+    _assert_emits_like_the_oracles(report)
+
+
+def test_summary_rows_of_an_empty_table_keep_their_csv_text():
+    # an empty table writes the summary as key/value rows; their values are
+    # of mixed types and nested, so they take the JSON round trip
+    for task in ("eval", "curvature", "certify"):
+        report = cli.run(cli.parse_config(json.dumps({**EMIT_CONFIGS[task],
+                                                      "seed": 5})))
+        report = dataclasses.replace(report, table=[])
+        _assert_emits_like_the_oracles(report)
