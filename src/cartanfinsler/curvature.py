@@ -3,12 +3,12 @@
 Everything is computed at the origin and extended by homogeneity: pulling
 (Z;V) back with a normalizing automorphism leaves the curvature unchanged.
 One tangent-level formula, bisectional_origin_many, gives B(0;V,W) on every
-type, and K(V) is B(V,V): the matrix domains read one power ladder of
-G = V V* and the cross grams W W*, U U* with U = V W*; the Lie ball reads
-|V|^2, |W|^2, |V.W|^2, |<V,W>|^2 and the profile phi at s_V.  On the
-matrix domains _trace_weights forms F^2 and the weights c_a from power
-traces, for that formula, for the profile objective of the K scan and for
-the sup search.  The supremum of |B| is a table and one polish on both:
+type, and K(V) is B(V,V) from one _side of V; the matrix domains read one
+power ladder of G = V V* and the cross grams W W*, U U* with U = V W*; the
+Lie ball reads |V|^2, |W|^2, |V.W|^2, |<V,W>|^2 and the profile phi at s_V.
+On the matrix domains _trace_weights forms F^2 and the weights c_a from
+power traces, for that formula, for the profile objective of the K scan and
+for the sup search.  The supremum of |B| is a table and one polish on both:
 over two eigenvalue profiles on the matrix domains, over three invariants
 (s_V, Im(W_1 conj(W_2)), s_W) on the Lie ball.
 """
@@ -20,7 +20,7 @@ from .errors import NumericError
 from . import domains
 from . import norms
 from . import numkernel
-from .metrics import MetricSpec, power_ladder, require_nonzero
+from .metrics import MetricSpec, power_ladder, require_nonzero, trace_f2
 
 LIE_SUP_TICKS = 201  # ticks per axis of the Lie-ball (s, q) table and t grid
 PAIR_DRAWS = 10_000
@@ -44,13 +44,12 @@ def _trace_weights(metric: MetricSpec, s_traces):
     """(F^2, c) from power traces S_1..S_k (the first k of the last axis):
     F^2 = N g(h) and the list c of the arrays c_a = g_a(h) h_a^(1-a), a = 1..k."""
     k = metric.family.k
-    h = norms.power_means(s_traces[..., :k])
+    f2, h = trace_f2(metric, s_traces[..., :k])
     grads = norms.grad_rows(metric.family, h)
-    f2 = metric.normalization * np.asarray(metric.family.value(h), dtype=float)
     return f2, [grads[..., a - 1] * h[..., a - 1] ** (1 - a) for a in range(1, k + 1)]
 
 
-def _lie_contraction(metric: MetricSpec, vs, ws):
+def _lie_contraction(metric: MetricSpec, side_v, side_w):
     """(1/4) Laplacian of zeta -> F^2(zeta*W; V) at zeta = 0, batched.
 
     Delta(zeta W) and M(zeta W) depend on zeta only through |zeta|^2 up to
@@ -59,19 +58,30 @@ def _lie_contraction(metric: MetricSpec, vs, ws):
     and s_V = |V.V|^2 / |V|^4:
         c = N [2 (|V|^2 |W|^2 - |V.W|^2 + |<V,W>|^2) phi(s_V)
                + 4 s_V phi'(s_V) (|V.W|^2 - |<V,W>|^2)].
-    vs and ws are stacks whose batch axes broadcast against each other.
+    side_v and side_w are the _side of V and W; their batch axes broadcast.
     """
-    vs = np.asarray(vs, dtype=np.complex128)
-    ws = np.asarray(ws, dtype=np.complex128)
-    rv, s = norms.phi_invariants(vs)
-    rw = np.sum(np.abs(ws) ** 2, axis=-1)
+    (vs, _, (rv, s, phi)), (ws, _, (rw, _, _)) = side_v, side_w
     bilinear = np.abs(np.sum(vs * ws, axis=-1)) ** 2
     hermitian = np.abs(np.sum(vs * np.conj(ws), axis=-1)) ** 2
-    phi = np.asarray(metric.family.value(s), dtype=float)
     d1 = np.asarray(metric.family.d1(s), dtype=float)
     return metric.normalization * (
         2.0 * (rv * rw - bilinear + hermitian) * phi
         + 4.0 * s * d1 * (bilinear - hermitian))
+
+
+def _side(metric: MetricSpec, xs):
+    """What B(0;V,W) reads of one argument X: (X, F^2, (|X|^2, s_X, phi(s_X))) on
+    the Lie ball, (X, F^2, (ladder of X X*, c_a)) on types I-III; X = 0 raises DomainError."""
+    xs = np.asarray(xs, dtype=np.complex128)
+    require_nonzero(metric.domain, xs, "curvature is undefined along V = 0")
+    if metric.domain.kind == "IV":
+        r, s = norms.phi_invariants(xs)
+        phi = np.asarray(metric.family.value(s), dtype=float)
+        return xs, metric.normalization * r * phi, (r, s, phi)
+    powers, s_traces = power_ladder(
+        numkernel.matmul(xs, np.conj(np.swapaxes(xs, -1, -2))), metric.family.k)
+    f2, c = _trace_weights(metric, s_traces)
+    return xs, f2, (powers, c)
 
 
 def hsc_origin_many(metric: MetricSpec, vs) -> np.ndarray:
@@ -88,28 +98,19 @@ def bisectional_origin_many(metric: MetricSpec, vs, ws) -> np.ndarray:
         B = -2N sum_a c_a [tr(W W* G^a) + tr(U* G^(a-1) U)] / (F^2_V F^2_W),
     the two halves of (1/4) Laplacian of zeta -> F^2(zeta W; V) at 0, from
     the left gram V V* and the right gram V* V (tr(W* W (V* V)^a) is the
-    second).  They agree on types II and III and at W = V.
+    second).  They agree on types II and III and at W = V; vs as ws builds one _side.
     """
-    vs = np.asarray(vs, dtype=np.complex128)
-    ws = np.asarray(ws, dtype=np.complex128)
-    for x in (vs, ws):
-        require_nonzero(metric.domain, x, "curvature is undefined along V = 0")
+    side_v = _side(metric, vs)
+    side_w = side_v if ws is vs else _side(metric, ws)
+    (vs, f2v, parts_v), (ws, f2w, parts_w) = side_v, side_w
     if metric.domain.kind == "IV":
-        f2v, f2w = (norms.eval_phi_norm_many(metric.family, x, metric.normalization)
-                    for x in (vs, ws))
-        return -2.0 * _lie_contraction(metric, vs, ws) / (f2v * f2w)
-    k = metric.family.k
-    mm = numkernel.matmul
-    adj = lambda x: np.conj(np.swapaxes(x, -1, -2))
-    powers, sv = power_ladder(mm(vs, adj(vs)), k)
-    powers_w, sw = power_ladder(mm(ws, adj(ws)), k)
-    f2v, c = _trace_weights(metric, sv)
-    f2w, _ = _trace_weights(metric, sw)
-    u = mm(vs, adj(ws))
-    uu = mm(u, adj(u))
+        return -2.0 * _lie_contraction(metric, side_v, side_w) / (f2v * f2w)
+    (powers, c), (powers_w, _) = parts_v, parts_w
+    u = numkernel.matmul(vs, np.conj(np.swapaxes(ws, -1, -2)))
+    uu = numkernel.matmul(u, np.conj(np.swapaxes(u, -1, -2)))
     tr = lambda x, y: np.einsum("...ij,...ji->...", x, y).real
     acc = sum(c[a - 1] * (tr(powers_w[1], powers[a]) + tr(uu, powers[a - 1]))
-              for a in range(1, k + 1))
+              for a in range(1, metric.family.k + 1))
     return -2.0 * metric.normalization * acc / (f2v * f2w)
 
 

@@ -250,6 +250,13 @@ def power_ladder(m, k: int):
     return powers, s_traces
 
 
+def trace_f2(metric: MetricSpec, s_traces):
+    """(F^2, h): F^2 = N g(h), 0 at V = 0, h = norms.power_means(S) of traces S."""
+    h = norms.power_means(s_traces)
+    vals = np.asarray(metric.family.value(h), dtype=float)
+    return metric.normalization * np.where(h[..., 0] > 0.0, vals, 0.0), h
+
+
 def eval2_many(metric: MetricSpec, zs, vs) -> np.ndarray:
     """Batched F^2 without membership checks.
 
@@ -264,9 +271,7 @@ def eval2_many(metric: MetricSpec, zs, vs) -> np.ndarray:
         _, delta, q, _, s = interior_lie_fiber(zs, vs)
         phi = np.asarray(metric.family.value(s), dtype=float)
         return metric.normalization * q / delta**2 * phi
-    h = norms.power_means(_matrix_fiber_parts(metric, zs, vs)[-1])
-    vals = np.asarray(metric.family.value(h), dtype=float)
-    return metric.normalization * np.where(h[..., 0] > 0.0, vals, 0.0)
+    return trace_f2(metric, _matrix_fiber_parts(metric, zs, vs)[-1])[0]
 
 
 def eval2(metric: MetricSpec, z, v) -> float:

@@ -2,12 +2,12 @@
 
 The gauge metric F_C(Z; V) = gauge(dphi_Z V) pulls a tangent back to the
 origin with the normalizing automorphism phi_Z and measures it with the
-domain's Minkowski gauge.  On the matrix domains F_C^2 is the top
-eigenvalue of M = P V Q V*, read from the roots A = C*, D = R* of the
-Cholesky factors P = C C*, Q = R R* of the metrics' own frame
-(metrics.frame_roots), the roots the normalizing map takes: it is the top
-eigenvalue of W W* for W = A V D* = dphi_Z V.  On the Lie ball it pushes V
-through phi_Z and takes the gauge.  Both reduce to the plain gauge at 0.
+domain's Minkowski gauge.  On the matrix domains W = dphi_Z V = A V D* for
+the roots A = C*, D = R* (the normalizing map's) of the Cholesky factors
+P = C C*, Q = R R* of the metrics' own frame (metrics.frame_roots); F_C^2 is
+the top eigenvalue of W W*, whose spectrum is that of M = P V Q V*, and the
+sandwich reads F^2 from the same W.  On the Lie ball it pushes V through
+phi_Z and takes the gauge.  Both reduce to the plain gauge at 0.
 
 Against any invariant metric F with curvature pinched in [-K1, -K2] the
 gauge satisfies the two-sided bound
@@ -30,7 +30,7 @@ from . import numkernel
 from .numkernel import matmul
 from .curvature import CurvatureReport, lie_representative
 from .domains import DomainSpec
-from .metrics import MetricSpec, eval2_many, frame_roots
+from .metrics import MetricSpec, eval2_many, frame_roots, power_ladder, trace_f2
 
 CORPUS_RHO = 0.8
 
@@ -58,8 +58,16 @@ class SchwarzReport:
 # gauge metric
 
 
+def _pulled_back(spec: DomainSpec, zs, vs) -> np.ndarray:
+    """W = dphi_Z V: A V D* (frame_roots) on types I-III, pushed on the Lie ball."""
+    if spec.kind == "IV":
+        return am.push(am.normalizing_automorphism(spec, zs), zs, vs)[1]
+    a, d = frame_roots(spec, zs)
+    return matmul(matmul(a, vs), np.conj(np.swapaxes(d, -1, -2)))
+
+
 def caratheodory_many(spec: DomainSpec, zs, vs) -> np.ndarray:
-    """F_C(Z;V) over stacks of points and tangents.
+    """F_C(Z;V) = gauge(dphi_Z V) over stacks of points and tangents.
 
     A non-finite point or tangent raises NumericError.  No membership test
     of its own: on the matrix types a point whose gram is not positive
@@ -69,14 +77,19 @@ def caratheodory_many(spec: DomainSpec, zs, vs) -> np.ndarray:
     """
     zs = domains._finite(np.asarray(zs, dtype=np.complex128))
     vs = domains._finite(np.asarray(vs, dtype=np.complex128))
+    return domains.minkowski_gauge_many(spec, _pulled_back(spec, zs, vs))
+
+
+def _gauge_sides(metric: MetricSpec, zs, vs):
+    """(F^2, F_C^2) at (Z;V), or at 0 (W = V) for zs None.  Types I-III: F^2 from
+    the power traces of W W* (those of M) and gram_top(W); Lie ball: eval2_many, gauge(W)."""
+    spec = metric.domain
+    ws = vs if zs is None else _pulled_back(spec, zs, vs)
     if spec.kind == "IV":
-        _, ws = am.push(am.normalizing_automorphism(spec, zs), zs, vs)
-        return domains.minkowski_gauge_many(spec, ws)
-    # W = A V D* = dphi_Z V for the roots A = C*, D = R* of the normalizing
-    # map; W W* = C* V Q V* C has the spectrum of M = P V Q V*, and W is
-    # m x n with m <= n, so W W* is the smaller gram
-    a, d = frame_roots(spec, zs)
-    return np.sqrt(numkernel.gram_top(matmul(matmul(a, vs), np.conj(np.swapaxes(d, -1, -2)))))
+        f2 = eval2_many(metric, np.zeros_like(vs) if zs is None else zs, vs)
+        return f2, domains.minkowski_gauge_many(spec, ws) ** 2
+    gram = matmul(ws, np.conj(np.swapaxes(ws, -1, -2)))
+    return trace_f2(metric, power_ladder(gram, metric.family.k)[1])[0], numkernel.gram_top(ws)
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +120,16 @@ def verify_sandwich(metric: MetricSpec, bounds: CurvatureReport,
     """Sample the two-sided gauge bound and probe tightness at extremizers.
 
     bounds: the metric's curvature report; K1, K2 and the extremizing
-    profiles are read from it.  Returns the four residuals and the worst
-    sample of each side; the caller decides the verdict.
+    profiles are read from it.  Both sides come from one W = dphi_Z V
+    (_gauge_sides): one frame for the samples and none for the probes at 0.
+    Returns the four residuals and the worst sample of each side; the caller
+    decides the verdict.
     """
     spec = metric.domain
     k1, k2 = bounds.k1, bounds.k2
     zs, vs = domains.draw_grid(seed, "sandwich", [
         domains.Points(spec, n_samples), domains.Tangents(spec, n_samples)])
-    f2 = eval2_many(metric, zs, vs)
-    fc2 = caratheodory_many(spec, zs, vs) ** 2
+    f2, fc2 = _gauge_sides(metric, zs, vs)
     lower = (f2 - (4.0 / k1) * fc2) / f2
     upper = ((4.0 / k2) * fc2 - f2) / f2
     i, j = int(np.argmin(lower)), int(np.argmin(upper))
@@ -124,8 +138,7 @@ def verify_sandwich(metric: MetricSpec, bounds: CurvatureReport,
     # as one stack of two
     probes = np.stack([_profile_tangent(spec, bounds.argmin_profile),
                        _profile_tangent(spec, bounds.argmax_profile)])
-    f2_eq = eval2_many(metric, np.zeros(probes.shape, dtype=np.complex128), probes)
-    g_eq = domains.minkowski_gauge_many(spec, probes) ** 2
+    f2_eq, g_eq = _gauge_sides(metric, None, probes)
     eq_lower, eq_upper = (abs(f2_eq - (4.0 / np.array([k1, k2])) * g_eq) / f2_eq).tolist()
     return SandwichReport(float(lower[i]), float(upper[j]), eq_lower, eq_upper,
                           (zs[i], vs[i], float(f2[i]), float(fc2[i])),

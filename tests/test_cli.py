@@ -602,8 +602,9 @@ CERTIFY_FRAMES = {"certify_I13_tk": (6, 0), "certify_II2_bergman": (6, 0),
                   "certify_IV3_bergman": (0, 5), "certify_IV3_affine_t2": (0, 2)}
 
 
-@pytest.mark.parametrize("seed", [1, 7])
-def test_one_frame_per_formula_in_certify(seed, monkeypatch):
+def _frame_counts(monkeypatch):
+    """A function of a run config that runs it and returns its counts of
+    metrics._frame and metrics._lie_ball_matrix calls."""
     calls = dict.fromkeys(("_frame", "_lie_ball_matrix"), 0)
     for name in calls:
         def counted(*args, _real=getattr(metrics, name), _name=name, **kwargs):
@@ -611,14 +612,45 @@ def test_one_frame_per_formula_in_certify(seed, monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(metrics, name, counted)
+
+    def run(config):
+        calls.update(dict.fromkeys(calls, 0))
+        cli.run(cli.parse_config(json.dumps(config)))
+        return calls["_frame"], calls["_lie_ball_matrix"]
+    return run
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_one_frame_per_formula_in_certify(seed, monkeypatch):
+    counts = _frame_counts(monkeypatch)
     kinds = [kind for kind in _benchmark_request_types()
              if kind.name.startswith("certify")]
     assert {kind.name for kind in kinds} == set(CERTIFY_FRAMES)
     for kind in kinds:
-        calls.update(dict.fromkeys(calls, 0))
-        cli.run(cli.parse_config(json.dumps(dict(kind.config, seed=seed))))
-        got = (calls["_frame"], calls["_lie_ball_matrix"])
+        got = counts(dict(kind.config, seed=seed))
         assert got == CERTIFY_FRAMES[kind.name], (kind.name, got)
+
+
+# (_frame, _lie_ball_matrix) calls per sandwich request.  On types I-III the
+# samples take one frame, whose roots give W = dphi_Z V for both sides, and
+# the origin probes take none (W = V there).  On the Lie ball F^2 reads
+# lie_fiber once on the samples and once on the probes.
+SANDWICH_FRAMES = {"sandwich_II3_tk": (1, 0), "sandwich_I23_tk": (1, 0),
+                   "sandwich_IV3_bergman": (0, 2)}
+SANDWICH_IV3 = {"task": "sandwich", "domain": {"type": "IV", "n": 3},
+                "metric": {"family": "bergman"}, "samples": 100}
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_one_frame_per_sandwich(seed, monkeypatch):
+    counts = _frame_counts(monkeypatch)
+    configs = {kind.name: kind.config for kind in _benchmark_request_types()
+               if kind.name.startswith("sandwich")}
+    configs["sandwich_IV3_bergman"] = SANDWICH_IV3
+    assert set(configs) == set(SANDWICH_FRAMES)
+    for name, config in configs.items():
+        got = counts(dict(config, seed=seed))
+        assert got == SANDWICH_FRAMES[name], (name, got)
 
 
 @pytest.mark.parametrize("seed", [1, 7])

@@ -224,6 +224,29 @@ def test_bisectional_sign_and_diagonal():
 
 
 @pytest.mark.parametrize("metric", [
+    met.tk_metric(dom.type_i(2, 3), 1.0, 2), met.tk_metric(dom.type_ii(3), 0.5, 3),
+    met.bergman_metric(dom.type_iii(4)), met.phi_metric(dom.type_iv(4), nrm.affine_phi(0.5)),
+], ids=lambda m: m.label)
+def test_sectional_is_bisectional_on_the_diagonal_from_one_side(metric, monkeypatch):
+    # K(V) builds V's side (ladder, F^2 and weights; on the Lie ball F^2 and
+    # the invariants) once, B(V, W) once per argument, and K is B(V, V) to
+    # the last bit also when B builds the side of each argument
+    vs = dom.sample_tangents(metric.domain, 3, 50)
+    sides = []
+    real = curv._side
+
+    def counted(metric, xs):
+        sides.append(np.shape(xs))
+        return real(metric, xs)
+
+    monkeypatch.setattr(curv, "_side", counted)
+    k = curv.hsc_origin_many(metric, vs)
+    assert sides == [vs.shape]
+    assert np.array_equal(k, curv.bisectional_origin_many(metric, vs, vs.copy()))
+    assert sides == [vs.shape] * 3
+
+
+@pytest.mark.parametrize("metric", [
     met.tk_metric(dom.type_i(2, 2), 1.0, 2), met.tk_metric(dom.type_ii(2), 0.5, 3),
     met.bergman_metric(dom.type_iii(4)), met.phi_metric(dom.type_iv(3), nrm.affine_phi(0.5)),
 ], ids=lambda m: m.label)
@@ -386,12 +409,14 @@ def test_lie_contraction_matches_stencil(n, profile):
     reps = _lie_reps(np.array([0.0, 1.0]), n)  # s = 0 and s = 1
     vs = np.concatenate([vs, reps, reps, np.repeat(reps, 2, axis=0)])
     ws = np.concatenate([ws, reps, reps[::-1], _unit_rows(rng, 4, n)])
-    exact = curv._lie_contraction(metric, vs, ws)
+    contraction = lambda v, w: curv._lie_contraction(
+        metric, curv._side(metric, v), curv._side(metric, w))
+    exact = contraction(vs, ws)
     oracle = _laplacian_stencil(metric, vs, ws)
     assert np.max(np.abs(exact - oracle) / np.abs(oracle)) < 1e-7
     # the batch axes of V and W broadcast
-    grid = curv._lie_contraction(metric, vs[:5, None], ws[None, :7])
-    loop = [[curv._lie_contraction(metric, v, w) for w in ws[:7]] for v in vs[:5]]
+    grid = contraction(vs[:5, None], ws[None, :7])
+    loop = [[contraction(v, w) for w in ws[:7]] for v in vs[:5]]
     assert np.allclose(grid, loop, rtol=1e-15, atol=0.0)
 
 
@@ -498,7 +523,8 @@ def _per_start_sup_lie(metric, restarts=12):
         wmat = rows[:, 1:n + 1] + 1j * rows[:, n + 1:]
         f2v = nrm.eval_phi_norm_many(metric.family, reps, norm)
         f2w = nrm.eval_phi_norm_many(metric.family, wmat, norm)
-        return 2.0 * curv._lie_contraction(metric, reps, wmat) / (f2v * f2w)
+        return 2.0 * curv._lie_contraction(
+            metric, curv._side(metric, reps), curv._side(metric, wmat)) / (f2v * f2w)
 
     s0 = np.linspace(0.0, 1.0, restarts)
     wr = rng.standard_normal((restarts, n)) + 1j * rng.standard_normal((restarts, n))

@@ -157,6 +157,76 @@ def test_gauge_takes_no_eigenvectors(monkeypatch, spec, values_calls):
     assert calls == [(20, m, m)] * values_calls
 
 
+SHARED_GRAM_SPECS = [dom.type_i(1, 3), dom.type_i(2, 3), dom.type_ii(3), dom.type_iii(4),
+                     dom.type_i(3, 3)]
+
+
+@pytest.mark.parametrize("spec", SHARED_GRAM_SPECS, ids=str)
+def test_sandwich_sides_from_one_gram_match_eval2_and_the_gauge(spec):
+    # the sandwich reads F^2 from the power traces of W W*, W = dphi_Z V, and
+    # F_C^2 from gram_top(W); eval2_many reads F^2 from M = P V Q V* and
+    # caratheodory_many the same W.  At 200 sampled points and 200 points each
+    # at gauge 1 - 1e-2, 1 - 1e-5 and 1 - 1e-8 they agree within C kappa eps,
+    # kappa = 1/(1 - gauge^2), with C = 4 for F^2 and C = 1.5 for F_C^2 (the
+    # largest values measured are 3.2 and 0.99, at the sampled points)
+    eps = np.finfo(float).eps
+    vs = dom.sample_tangents(spec, 8, 200)
+    stacks = [dom.sample_points(spec, 5, 200)]
+    for gap in (1e-2, 1e-5, 1e-8):
+        zs = dom.sample_tangents(spec, 7, 200)
+        stacks.append((1.0 - gap) * zs / dom.minkowski_gauge_many(spec, zs)[:, None, None])
+    for metric in (met.tk_metric(spec, 1.0, 2), met.bergman_metric(spec),
+                   met.tk_metric(spec, 0.5, 3)):
+        for zs in stacks:
+            kappa = 1.0 / (1.0 - dom.minkowski_gauge_many(spec, zs) ** 2)
+            f2, fc2 = sw._gauge_sides(metric, zs, vs)
+            want_f2 = met.eval2_many(metric, zs, vs)
+            want_fc2 = sw.caratheodory_many(spec, zs, vs) ** 2
+            assert np.all(np.abs(f2 - want_f2) <= 4.0 * kappa * eps * want_f2)
+            assert np.all(np.abs(fc2 - want_fc2) <= 1.5 * kappa * eps * want_fc2)
+    # each witness is its side's worst sample, and the sides at its (Z, V)
+    # alone give its F^2 and F_C^2 to the last bit
+    metric = met.tk_metric(spec, 1.0, 2)
+    bounds = curv.curvature_bounds(metric)
+    rep = sw.verify_sandwich(metric, bounds, n_samples=300, seed=4)
+    margins = ((lambda f2, fc2: (f2 - (4.0 / bounds.k1) * fc2) / f2, rep.worst_lower,
+                rep.witness_lower),
+               (lambda f2, fc2: ((4.0 / bounds.k2) * fc2 - f2) / f2, rep.worst_upper,
+                rep.witness_upper))
+    for margin, worst, (z, v, f2, fc2) in margins:
+        assert margin(f2, fc2) == worst
+        assert [x[0] for x in sw._gauge_sides(metric, z[None], v[None])] == [f2, fc2]
+
+
+@pytest.mark.parametrize("spec, values_calls", [
+    (dom.type_i(2, 3), []), (dom.type_ii(2), []),
+    (dom.type_ii(3), [(50, 3, 3), (50, 3, 3), (2, 3, 3)])], ids=str)
+def test_sandwich_makes_no_lapack_call_up_to_two_rows(monkeypatch, spec, values_calls):
+    # one frame's Cholesky roots give both sides, and the origin probes none;
+    # on II(3) the three values-only eigensolves are the sampler's gauge of
+    # its points, gram_top of the samples' W and gram_top of the two probes
+    metric = met.tk_metric(spec, 1.0, 2)
+    bounds = curv.curvature_bounds(metric)
+    eigvalsh_batch = numkernel.eigvalsh_batch
+    calls = []
+
+    def counted(ms):
+        calls.append(np.shape(ms))
+        return eigvalsh_batch(ms)
+
+    def refused(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"numpy.linalg.{name} called")
+        return call
+
+    monkeypatch.setattr(numkernel, "eigvalsh_batch", counted)
+    if not values_calls:
+        for name in ("eigh", "eigvalsh", "inv", "solve", "cholesky", "svd"):
+            monkeypatch.setattr(np.linalg, name, refused(name))
+    sw.verify_sandwich(metric, bounds, n_samples=50, seed=2)
+    assert calls == values_calls
+
+
 @pytest.mark.parametrize("spec", [dom.type_i(2, 3), dom.type_ii(3), dom.type_iii(4),
                                   dom.type_iv(3)], ids=str)
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
