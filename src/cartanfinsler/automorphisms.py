@@ -134,25 +134,22 @@ def _haar_orthogonal(g):
 def _lie_ball_roots(z0):
     """X0, A = (I - X0 X0')^{-1/2} and D = (I - X0' X0)^{-1/2} of the Lie-ball
     normalizing maps at a stack (...,) + (N,) of base points, in closed form
-    from one real SVD U diag(sigma) V' of [Re z0; Im z0].
+    on the plane basis [Re z0; Im z0] = U diag(sigma) V' of domains.lie_frame.
 
-    z0 = e^{i theta} (x + i y) with x, y orthogonal real vectors has spectral
-    values l1, l2 = |x| +- |y| = sigma_1 +- sigma_2.  With tanh t_i = l_i,
+    With tanh t_i = l_i for the spectral values l1, l2 = sigma_1 +- sigma_2,
     X0 = J U diag(tanh(t1 +- t2)) V' with J = diag(1, -1), where
     tanh(t1 +- t2) = 2 sigma_{1,2} / (1 +- l1 l2), and so A = J U diag(c) U' J
-    and D = I + V (diag(c) - I) V' with
-    c = cosh(t1 +- t2) = (1 +- l1 l2) / sqrt((1 - l1^2)(1 - l2^2)).
-    1 - l1 l2 is taken as (1 - l1) + l1 (1 - l2).  Neither X0 nor the roots
-    divide by 1 - |z0.z0|^2 or take roots of formed grams, which cancel once
-    both spectral values near 1.
+    and D = I + V (diag(c) - I) V' with c = cosh(t1 +- t2) = (1 +- l1 l2) /
+    sqrt(Delta), Delta = (1 - l1^2)(1 - l2^2).  1 - l1 l2 is taken as
+    (1 - l1) + l1 (1 - l2).  Neither X0 nor the roots divide by
+    1 - |z0.z0|^2 or take roots of formed grams, which cancel once both
+    spectral values near 1.
     """
-    u, sig, vt = np.linalg.svd(np.stack([z0.real, z0.imag], axis=-2),
-                               full_matrices=False)
-    l1, l2 = sig[..., 0] + sig[..., 1], sig[..., 0] - sig[..., 1]
+    frame = domains.lie_frame(z0)
+    l1, l2, vt = frame.l1, frame.l2, frame.vt
     plus_minus = np.stack([1.0 + l1 * l2, (1.0 - l1) + l1 * (1.0 - l2)], axis=-1)
-    root = np.sqrt((1.0 - l1) * (1.0 + l1) * (1.0 - l2) * (1.0 + l2))
-    x, c = 2.0 * sig / plus_minus, plus_minus / root[..., None]
-    ju = u * np.array([1.0, -1.0])[:, None]
+    x, c = 2.0 * frame.sigma / plus_minus, plus_minus / np.sqrt(frame.delta)[..., None]
+    ju = frame.u * np.array([1.0, -1.0])[:, None]
     v = np.swapaxes(vt, -1, -2)
     return ((ju * x[..., None, :]) @ vt,
             (ju * c[..., None, :]) @ np.swapaxes(ju, -1, -2),

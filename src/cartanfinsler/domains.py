@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, StructureError
+from .errors import DomainError, NumericError, StructureError
 from . import numkernel
 
 MEMBERSHIP_MARGIN = 1e-12
@@ -140,18 +140,89 @@ def broken_symmetry(spec: DomainSpec, ws):
     return None
 
 
-def _lie_gauge2(ws):
-    """Squared type IV gauge r + 2 |x ^ y| of z = x + iy, r = z z*.
-
-    The wedge norm |x ^ y| = sqrt(r^2 - |z z'|^2) / 2 is summed from its 2x2
-    minors, which keeps full precision where the two spectral values of z
-    meet (phase-rotated real directions).
+def _lie_spectrum(ws):
+    """(l1, l2, |x ^ y|, a = z.z) over a stack of z = x + iy: the spectral
+    values l1 >= l2 >= 0, with l1^2 = r + 2 |x ^ y| (r = z z*) the squared
+    type IV gauge and l1 l2 = |a|.  The wedge norm |x ^ y| is summed from its
+    2x2 minors, which keeps full precision where l1 and l2 meet
+    (phase-rotated real directions), and l2 = |a| / l1 keeps it where a = 0.
     """
     x, y = ws.real, ws.imag
     i, j = np.triu_indices(ws.shape[-1], 1)
     wedge = np.sqrt(np.sum((x[..., i] * y[..., j] - x[..., j] * y[..., i]) ** 2,
                            axis=-1))
-    return np.sum(x**2 + y**2, axis=-1) + 2.0 * wedge
+    l1 = np.sqrt(np.sum(x**2 + y**2, axis=-1) + 2.0 * wedge)
+    a = np.sum(ws * ws, axis=-1)
+    l2 = np.divide(np.abs(a), l1, out=np.zeros_like(l1), where=l1 > 0.0)
+    return l1, np.minimum(l2, l1), wedge, a
+
+
+@dataclass(frozen=True)
+class LieFrame:
+    """The Peirce frame of a stack of Lie-ball points z (lie_frame).
+
+    [Re z; Im z] = u diag(sigma) vt, u a rotation and vt = [u_1; u_2]
+    orthonormal (a row is 0 where it is arbitrary: it drops out); l1, l2 =
+    sigma_1 +- sigma_2, a_i = (1 - l_i)(1 + l_i), Delta = a1 a2.  M(z) is
+    diagonal in it: with f = (u_1 + i u_2) / sqrt(2) and bilinear dots,
+    x M = a1^2 (x.f) conj(f) + a2^2 (x.conj(f)) f + Delta x_perp, where the
+    residual x_perp = x - (x.u_1) u_1 - (x.u_2) u_2 is formed explicitly.
+    """
+    l1: np.ndarray      # (batch...)
+    l2: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    delta: np.ndarray
+    u: np.ndarray       # (batch..., 2, 2)
+    sigma: np.ndarray   # (batch..., 2)
+    vt: np.ndarray      # (batch..., 2, n)
+
+    def _parts(self, x):
+        # (sqrt(2) x.f, sqrt(2) x.conj(f), x_perp) of a stack of rows x
+        u1, u2 = self.vt[..., 0, :], self.vt[..., 1, :]
+        alpha, beta = np.sum(x * u1, axis=-1), np.sum(x * u2, axis=-1)
+        return (alpha + 1j * beta, alpha - 1j * beta,
+                x - alpha[..., None] * u1 - beta[..., None] * u2)
+
+    def times_m(self, x, power=1):
+        """x M^power, power 1 or -1, over rows x that broadcast against it."""
+        (plus, minus, perp), b1, b2 = self._parts(x), self.a1**power, self.a2**power
+        g1, g2 = 0.5 * b1 * b1 * plus, 0.5 * b2 * b2 * minus
+        return ((g1 + g2)[..., None] * self.vt[..., 0, :] + (b1 * b2)[..., None] * perp
+                - 1j * (g1 - g2)[..., None] * self.vt[..., 1, :])
+
+    def quad(self, x):
+        """q = x M x* = a1^2 |x.f|^2 + a2^2 |x.conj(f)|^2 + Delta |x_perp|^2."""
+        (plus, minus, perp), sq = self._parts(x), lambda w: w.real**2 + w.imag**2
+        return (0.5 * (self.a1**2 * sq(plus) + self.a2**2 * sq(minus))
+                + self.delta * np.sum(sq(perp), axis=-1))
+
+
+def lie_frame(zs) -> LieFrame:
+    """The Peirce frame of a stack (batch...) + (n,) of Lie-ball points, in
+    closed form on _lie_spectrum: e^{2 i phi} = a / |a|, u_1 and u_2 the unit
+    real and imaginary parts of e^{-i phi} z (the second made orthogonal to
+    the first), sigma_1 = (l1 + l2) / 2 and sigma_2 = |x ^ y| / sigma_1.  No
+    LAPACK call, and no division by the cancelling 1 - |z.z|^2.  A point
+    with l1 >= 1, exactly a point outside the ball, raises DomainError."""
+    zs = np.asarray(zs, dtype=np.complex128)
+    l1, l2, wedge, a = _lie_spectrum(zs)
+    if not np.all(l1 < 1.0):
+        raise DomainError("a point is not interior to the Lie ball (gauge >= 1)")
+    phase = np.exp(-0.5j * np.angle(a))
+    w = phase[..., None] * zs
+    dot = lambda x, y: np.sum(x * y, axis=-1, keepdims=True)
+    unit = lambda t: np.divide(t, np.sqrt(dot(t, t)), out=np.zeros_like(t),
+                               where=dot(t, t) > 0.0)
+    u1 = unit(w.real)
+    u2 = unit(w.imag - dot(w.imag, u1) * u1)
+    s1 = 0.5 * (l1 + l2)
+    s2 = np.divide(wedge, s1, out=np.zeros_like(s1), where=s1 > 0.0)
+    c, s = phase.real, -phase.imag
+    a1, a2 = (1.0 - l1) * (1.0 + l1), (1.0 - l2) * (1.0 + l2)
+    return LieFrame(l1, l2, a1, a2, a1 * a2,
+                    np.stack([c, -s, s, c], axis=-1).reshape(c.shape + (2, 2)),
+                    np.stack([s1, s2], axis=-1), np.stack([u1, u2], axis=-2))
 
 
 def contains_many(spec: DomainSpec, zs) -> np.ndarray:
@@ -160,11 +231,11 @@ def contains_many(spec: DomainSpec, zs) -> np.ndarray:
     1 - gauge^2 must exceed the margin 1e-12: on the matrix types the
     smallest eigenvalue of I - ZZ*, decided by the pivots of
     I - ZZ* - 1e-12 I (numkernel.smallest_eig_exceeds); type IV takes
-    gauge^2 from _lie_gauge2.  A non-finite point raises NumericError.
+    gauge^2 = l1^2 from _lie_spectrum.  A non-finite point raises NumericError.
     """
     zs = _as_points(spec, zs)
     if spec.kind == "IV":
-        return 1.0 - _lie_gauge2(zs) > MEMBERSHIP_MARGIN
+        return 1.0 - _lie_spectrum(zs)[0] ** 2 > MEMBERSHIP_MARGIN
     gram = np.eye(zs.shape[1]) - numkernel.matmul(zs, np.conj(np.swapaxes(zs, 1, 2)))
     return numkernel.smallest_eig_exceeds(gram, MEMBERSHIP_MARGIN)
 
@@ -194,12 +265,12 @@ def minkowski_gauge_many(spec: DomainSpec, ws) -> np.ndarray:
 
     The domain is {gauge < 1}.  Types I-III: largest singular value, from
     numkernel.gram_top (a closed form up to two rows, LAPACK from three).
-    Type IV: sqrt(r + 2 |x ^ y|), the same formula contains_many reads.  A
-    non-finite array raises NumericError.
+    Type IV: the spectral value l1 = sqrt(r + 2 |x ^ y|) of _lie_spectrum,
+    which contains_many reads too.  A non-finite array raises NumericError.
     """
     ws = _finite(np.asarray(ws, dtype=np.complex128))
     if spec.kind == "IV":
-        return np.sqrt(_lie_gauge2(ws))
+        return _lie_spectrum(ws)[0]
     # m <= n on every matrix type, so W W* is the smaller gram
     return np.sqrt(numkernel.gram_top(ws))
 

@@ -4,10 +4,12 @@ Matrix domains (types I-III): F^2(Z;V) = g(h_1, ..., h_k) with
     h_a = tr[M^a]^{1/a},   M = (I - Z Z*)^{-1} V (I - Z* Z)^{-1} V*.
 Lie ball (type IV): F^2(z;v) = norm * (v M(z) v*) / Delta^2 * phi(s) with
     Delta = 1 + |zz'|^2 - 2 zz*,  s = Delta^2 |vv'|^2 / (v M v*)^2,
-and M(z) the Hermitian curvature matrix of the ball.
+and M(z)/Delta^2 the Bergman metric's matrix, the inverse of the Bergman
+operator B(z, z).
 
 Every formula reads one base-point frame: P, Q from _frame on the matrix
-types, and M, Delta with the fiber invariants from lie_fiber on the Lie ball.
+types, and on the Lie ball the Peirce frame domains.lie_frame, in which M
+is diagonal, so v M, v M^{-1} and q = v M v* need no n x n matrix.
 The matrix frame and its fiber parts run on numkernel's stack kernels
 (matmul, hpd_inv), so every matrix of a stack gets the same bits whatever
 the stack around it.
@@ -121,53 +123,15 @@ def require_nonzero(spec: DomainSpec, vs, message: str):
         raise DomainError(message)
 
 
-def _outer(x, y):
-    """x_i y_j over stacks: (..., i) and (..., j) give (..., i, j)."""
-    return x[..., :, None] * y[..., None, :]
-
-
-def _lie_ball_matrix(z):
-    """Hermitian M(z) of the Lie-ball metric; z may carry batch axes."""
-    z = np.asarray(z, dtype=np.complex128)
-    n = z.shape[-1]
-    a = np.sum(z * z, axis=-1)
-    r0 = np.sum(np.abs(z) ** 2, axis=-1).real
-    delta = 1.0 + np.abs(a) ** 2 - 2.0 * r0
-    zc = np.conj(z)
-    eye = np.eye(n)
-    m = (
-        delta[..., None, None] * eye
-        - 2.0 * np.conj(a)[..., None, None] * _outer(z, z)
-        - 2.0 * (1.0 - 2.0 * r0)[..., None, None] * _outer(z, zc)
-        + 2.0 * _outer(zc, z)
-        - 2.0 * a[..., None, None] * _outer(zc, zc)
-    )
-    return m, delta
-
-
 def lie_fiber(zs, vs):
-    """Lie-ball frame and fiber invariants (M, Delta, q, p, s) over stacks.
-
-    q = v M v*, p = v.v and s = Delta^2 |p|^2 / q^2 clipped to [0, 1], with
-    s = 0 where q = 0; the batch axes of zs and vs broadcast.
-    """
-    m, delta = _lie_ball_matrix(zs)
-    q = np.einsum("...i,...ij,...j->...", vs, m, np.conj(vs)).real
-    p = np.sum(vs * vs, axis=-1)
-    s = np.divide(delta**2 * np.abs(p) ** 2, q * q, out=np.zeros_like(q),
+    """(frame, q, p, s) over stacks: the domains.lie_frame of zs, q = v M v*,
+    p = v.v and s = Delta^2 |p|^2 / q^2 clipped to [0, 1], with s = 0 where
+    q = 0; the batch axes of zs and vs broadcast."""
+    frame = domains.lie_frame(zs)
+    q, p = frame.quad(vs), np.sum(vs * vs, axis=-1)
+    s = np.divide(frame.delta**2 * np.abs(p) ** 2, q * q, out=np.zeros_like(q),
                   where=q > 0.0)
-    return m, delta, q, p, np.clip(s, 0.0, 1.0)
-
-
-def interior_lie_fiber(zs, vs):
-    """lie_fiber at points that must be interior: one with Delta <= 0 or
-    |z|^2 >= 1, which is exactly a point outside the ball, raises
-    DomainError."""
-    fiber = lie_fiber(zs, vs)
-    if np.any((fiber[1] <= 0.0) | (np.sum(np.abs(zs) ** 2, axis=-1) >= 1.0)):
-        raise DomainError("a point is not interior to the Lie ball "
-                          "(Delta <= 0 or |z|^2 >= 1)")
-    return fiber
+    return frame, q, p, np.clip(s, 0.0, 1.0)
 
 
 def _lie_dm(z, us, ws):
@@ -262,15 +226,15 @@ def eval2_many(metric: MetricSpec, zs, vs) -> np.ndarray:
 
     The contract: inputs are interior.  A matrix point on or outside the
     boundary, whose gram I - ZZ* is not positive definite, raises
-    DomainError from the frame; a Lie-ball point with Delta <= 0 or
-    |z|^2 >= 1, which is exactly a point outside the ball, raises it here.
+    DomainError from the frame, and so does a Lie-ball point with gauge
+    >= 1 (domains.lie_frame).
     """
     zs = np.asarray(zs, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
     if metric.domain.kind == "IV":
-        _, delta, q, _, s = interior_lie_fiber(zs, vs)
+        frame, q, _, s = lie_fiber(zs, vs)
         phi = np.asarray(metric.family.value(s), dtype=float)
-        return metric.normalization * q / delta**2 * phi
+        return metric.normalization * q / frame.delta**2 * phi
     return trace_f2(metric, _matrix_fiber_parts(metric, zs, vs)[-1])[0]
 
 
@@ -308,7 +272,7 @@ def _fiber_jet(metric: MetricSpec, zs, vs):
     (d Delta, d(v M), dp), with dq = d(v M) v* and
     ds = 2 s (d Delta / Delta - dq / q) + Delta^2 conj(p) dp / q^2; it is
     (d_U Delta, v d_U M, 0) along the base, from _lie_dm, and (0, T M, 2 T.v)
-    along the fiber.
+    along the fiber, with v M and T M from the frame.
     """
     spec = metric.domain
     zs = np.asarray(zs, dtype=np.complex128)
@@ -321,8 +285,9 @@ def _fiber_jet(metric: MetricSpec, zs, vs):
         max(zs.ndim, vs.ndim) - len(spec.ambient_shape)) + spec.ambient_shape)
     if spec.kind == "IV":
         # coordinates are the entries, so the ambient gradient is the packed one
-        m, delta, q, p, s = lie_fiber(zs, vs)
-        vm = np.einsum("...i,...ij->...j", vs, m)        # dq/dvbar_b
+        frame, q, p, s = lie_fiber(zs, vs)
+        delta = frame.delta
+        vm = frame.times_m(vs)                        # dq/dvbar_b
         vc = np.conj(vs)
         phi, d1, d2 = (np.asarray(f(s), dtype=float) for f in
                        (metric.family.value, metric.family.d1, metric.family.d2))
@@ -340,8 +305,8 @@ def _fiber_jet(metric: MetricSpec, zs, vs):
                     + (dg_p2 * 2.0 * p + g_p2 * 2.0 * dp)[..., None] * vc)
 
         d_delta, v_dm = _lie_dm(zs, us, vs)
-        hess = np.moveaxis(along(0.0, np.einsum("...i,...ij->...j", us, m),
-                                 2.0 * np.sum(us * vs, axis=-1)), 0, -2)
+        hess = np.moveaxis(along(0.0, frame.times_m(us), 2.0 * np.sum(us * vs, axis=-1)),
+                           0, -2)
         return grad, along(d_delta[..., 0], v_dm, 0.0), hess
     p, q, pvq, powers, s = _matrix_fiber_parts(metric, zs, vs)
     k = metric.family.k
@@ -420,7 +385,7 @@ def hermitian_gamma(spec: DomainSpec, z, us, ws) -> np.ndarray:
     and ws broadcast.
       * types I-III: U Z* P W + W Q Z* U;
       * Lie ball, H = M/Delta^2: (W d_U M) M^{-1} - 2 (d_U Delta / Delta) W,
-        with d_U Delta and W d_U M from _lie_dm.
+        with d_U Delta and W d_U M from _lie_dm and M^{-1} from the frame.
     """
     z, us, ws = (np.asarray(a, dtype=np.complex128) for a in (z, us, ws))
     if spec.kind != "IV":
@@ -428,10 +393,9 @@ def hermitian_gamma(spec: DomainSpec, z, us, ws) -> np.ndarray:
         p, q = _frame(z)
         mm = numkernel.matmul
         return mm(mm(mm(us, zc), p), ws) + mm(mm(mm(ws, q), zc), us)
-    m, delta = _lie_ball_matrix(z)
+    frame = domains.lie_frame(z)
     d_delta, w_dm = _lie_dm(z, us, ws)
-    return (np.einsum("...j,...jk->...k", w_dm, np.linalg.inv(m))
-            - 2.0 * (d_delta / delta[..., None]) * ws)
+    return frame.times_m(w_dm, -1) - 2.0 * (d_delta / frame.delta[..., None]) * ws
 
 
 def hermitian_connection(metric: MetricSpec, zs) -> np.ndarray:

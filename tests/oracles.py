@@ -203,10 +203,27 @@ def lie_ball_roots_mp(z0, dps: int = 50):
         return tuple(np.array(m.tolist(), dtype=float) for m in roots)
 
 
+def lie_ball_matrix(z):
+    """The Hermitian n x n M(z) of the Lie-ball metric and Delta, from the
+    defining formula M = Delta I - 2 conj(a) z z' - 2 (1 - 2 r) z zbar'
+    + 2 zbar z' - 2 a zbar zbar', Delta = 1 + |a|^2 - 2 r with a = z.z and
+    r = z.zbar; z may carry batch axes.  Oracle for domains.lie_frame."""
+    z = np.asarray(z, dtype=np.complex128)
+    outer = lambda x, y: x[..., :, None] * y[..., None, :]
+    a = np.sum(z * z, axis=-1)[..., None, None]
+    r = np.sum(np.abs(z) ** 2, axis=-1)[..., None, None]
+    delta = 1.0 + np.abs(a) ** 2 - 2.0 * r
+    zc = np.conj(z)
+    m = (delta * np.eye(z.shape[-1]) - 2.0 * np.conj(a) * outer(z, z)
+         - 2.0 * (1.0 - 2.0 * r) * outer(z, zc) + 2.0 * outer(zc, z)
+         - 2.0 * a * outer(zc, zc))
+    return m, delta[..., 0, 0]
+
+
 def _lie_invariants_mp(z, v):
     """(Delta, q, v.v) of metrics.lie_fiber at mpmath vectors z, v, with
     q = v M(z) v* and M = Delta I - 2 conj(a) z z' - 2 (1 - 2 r0) z zbar'
-    + 2 zbar z' - 2 a zbar zbar' (metrics._lie_ball_matrix), a = z.z and
+    + 2 zbar z' - 2 a zbar zbar' (lie_ball_matrix), a = z.z and
     r0 = z.zbar."""
     import mpmath
 
@@ -220,6 +237,32 @@ def _lie_invariants_mp(z, v):
                   - 2 * (1 - 2 * r0) * vz * dot(zc, vc)
                   + 2 * vzc * dot(z, vc) - 2 * a * vzc * dot(zc, vc))
     return delta, q, dot(v, v)
+
+
+def lie_ball_directions(n: int):
+    """Base directions of IV(n) where the Peirce frame degenerates or nearly
+    does: the real e_1 and e^{0.7i} (0.6, 0.8, 0, ...) (l1 = l2), the
+    near-real ones with spectral ratio l2/l1 = 0.5, 0.966 and 0.999, and
+    e_1 + i e_2 (z.z = 0, l2 = 0)."""
+    out = np.zeros((6, n), dtype=complex)
+    out[0, 0] = 1.0
+    out[1, :2] = np.exp(0.7j) * np.array([0.6, 0.8])
+    for row, r in zip(out[2:5], (0.5, 0.966, 0.999)):
+        row[:2] = [(1.0 + r) / 2.0, 0.5j * (1.0 - r)]
+    out[5, :2] = [1.0, 1.0j]
+    return out
+
+
+def lie_ball_f2_mp(norm, g, z, v, dps: int = 60) -> float:
+    """F^2(z; v) = norm q / Delta^2 g(s) on the Lie ball from the invariants
+    of _lie_invariants_mp in dps-digit arithmetic, with the profile g written
+    for mpmath numbers; oracle for metrics.eval2_many on type IV."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        delta, q, p = _lie_invariants_mp([mpmath.mpc(complex(x)) for x in z],
+                                         [mpmath.mpc(complex(x)) for x in v])
+        return float(norm * q / delta**2 * g(delta**2 * abs(p) ** 2 / q**2))
 
 
 def lie_ball_caratheodory_mp(z, v, dps: int = 50) -> float:

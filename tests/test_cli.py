@@ -591,32 +591,32 @@ def test_one_mobius_core_per_push(seed, monkeypatch):
         assert len(calls) == MOBIUS_CORES.get(kind.name, 0), (kind.name, len(calls))
 
 
-# Base-point frames per certify request, as (_frame, _lie_ball_matrix)
+# Base-point frames per certify request, as (metrics._frame, domains.lie_frame)
 # calls: two for the invariance pass (the samples and their images), one for
-# the roots of its normalizing maps on the matrix types, one for the mixed
-# row at the origin, one for the fiber jet of every fiber and one for the
-# reference connection of every base point.  certify_IV3_affine_t2 fails
-# its certificate, so its connection pass does not run.  A formula that
-# built the frame again for itself would raise these counts.
+# the roots of its normalizing maps, one for the mixed row at the origin, one
+# for the fiber jet of every fiber and one for the reference connection of
+# every base point.  certify_IV3_affine_t2 fails its certificate, so its
+# connection pass does not run.  A formula that built the frame again for
+# itself would raise these counts.
 CERTIFY_FRAMES = {"certify_I13_tk": (6, 0), "certify_II2_bergman": (6, 0),
-                  "certify_IV3_bergman": (0, 5), "certify_IV3_affine_t2": (0, 2)}
+                  "certify_IV3_bergman": (0, 6), "certify_IV3_affine_t2": (0, 3)}
 
 
 def _frame_counts(monkeypatch):
     """A function of a run config that runs it and returns its counts of
-    metrics._frame and metrics._lie_ball_matrix calls."""
-    calls = dict.fromkeys(("_frame", "_lie_ball_matrix"), 0)
-    for name in calls:
-        def counted(*args, _real=getattr(metrics, name), _name=name, **kwargs):
-            calls[_name] += 1
+    metrics._frame and domains.lie_frame calls."""
+    calls = {(metrics, "_frame"): 0, (domains, "lie_frame"): 0}
+    for module, name in calls:
+        def counted(*args, _real=getattr(module, name), _key=(module, name), **kwargs):
+            calls[_key] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(metrics, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     def run(config):
         calls.update(dict.fromkeys(calls, 0))
         cli.run(cli.parse_config(json.dumps(config)))
-        return calls["_frame"], calls["_lie_ball_matrix"]
+        return tuple(calls.values())
     return run
 
 
@@ -631,12 +631,13 @@ def test_one_frame_per_formula_in_certify(seed, monkeypatch):
         assert got == CERTIFY_FRAMES[kind.name], (kind.name, got)
 
 
-# (_frame, _lie_ball_matrix) calls per sandwich request.  On types I-III the
+# (_frame, lie_frame) calls per sandwich request.  On types I-III the
 # samples take one frame, whose roots give W = dphi_Z V for both sides, and
-# the origin probes take none (W = V there).  On the Lie ball F^2 reads
-# lie_fiber once on the samples and once on the probes.
+# the origin probes take none (W = V there).  On the Lie ball F^2 reads the
+# frame once on the samples and once on the probes, and the normalizing
+# roots that push V read it once more.
 SANDWICH_FRAMES = {"sandwich_II3_tk": (1, 0), "sandwich_I23_tk": (1, 0),
-                   "sandwich_IV3_bergman": (0, 2)}
+                   "sandwich_IV3_bergman": (0, 3)}
 SANDWICH_IV3 = {"task": "sandwich", "domain": {"type": "IV", "n": 3},
                 "metric": {"family": "bergman"}, "samples": 100}
 
@@ -715,21 +716,33 @@ def test_the_only_random_source_is_the_one_philox_call():
     assert sum(line.count("np.random.Philox(") for line in lines) == 1
 
 
+def _package_names(words):
+    """(file, line, name) of every code token of the package that is one of
+    words; names in strings and comments do not count."""
+    package = Path(cli.__file__).parent
+    return [(path.name, tok.start[0], tok.string)
+            for path in sorted(package.glob("*.py"))
+            for tok in tokenize.generate_tokens(
+                io.StringIO(path.read_text(encoding="utf-8")).readline)
+            if tok.type == tokenize.NAME and tok.string in words]
+
+
 def test_the_only_eigensolver_is_the_one_values_call():
     # no code of the package names an eigh (no formula takes eigenvectors),
-    # and eigvalsh is named only in numkernel.eigvalsh_batch; names in
-    # strings and comments do not count
+    # and eigvalsh is named only in numkernel.eigvalsh_batch
     lines, first = inspect.getsourcelines(numkernel.eigvalsh_batch)
     allowed = {("numkernel.py", first + i) for i in range(len(lines))}
-    package = Path(cli.__file__).parent
-    names = [(path.name, tok.start[0], tok.string)
-             for path in sorted(package.glob("*.py"))
-             for tok in tokenize.generate_tokens(
-                 io.StringIO(path.read_text(encoding="utf-8")).readline)
-             if tok.type == tokenize.NAME and tok.string in ("eigh", "eigvalsh")]
-    assert [f"{name}:{i}: {word}" for name, i, word in names
+    assert [f"{name}:{i}: {word}" for name, i, word in _package_names(("eigh", "eigvalsh"))
             if word == "eigh" or (name, i) not in allowed] == []
     assert sum(line.count("np.linalg.eigvalsh(") for line in lines) == 1
+
+
+def test_no_code_takes_singular_vectors():
+    # no code of the package names an svd, and metrics.py names no inv: the
+    # Lie-ball frame (domains.lie_frame) is closed form, so no formula takes
+    # singular vectors and none inverts M(z)
+    assert [f"{name}:{i}: {word}" for name, i, word in _package_names(("svd", "inv"))
+            if word == "svd" or name == "metrics.py"] == []
 
 
 def test_schwarz_onto_its_own_domain_computes_the_bounds_once(monkeypatch):

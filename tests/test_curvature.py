@@ -432,9 +432,9 @@ def test_lie_origin_f2_matches_eval2_many(n, profile):
 
 def test_lie_origin_curvature_never_builds_the_matrix(monkeypatch):
     def refuse(z):
-        raise AssertionError("origin curvature built M(z)")
+        raise AssertionError("origin curvature built the frame of z")
 
-    monkeypatch.setattr(met, "_lie_ball_matrix", refuse)
+    monkeypatch.setattr(dom, "lie_frame", refuse)
     metric = met.bergman_metric(dom.type_iv(3))
     vs = _unit_rows(np.random.default_rng(0), 20, 3)
     curv.hsc_origin_many(metric, vs)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cartanfinsler import automorphisms, domains
-from cartanfinsler.errors import NumericError, StructureError
+from cartanfinsler.errors import DomainError, NumericError, StructureError
+from oracles import lie_ball_directions, lie_ball_matrix
 
 ALL_SPECS = [
     domains.type_i(1, 1),
@@ -110,6 +111,76 @@ def test_type_iv_gauge_and_membership_agree_at_the_boundary():
             inside = domains.minkowski_gauge_many(spec, zs) < 1.0
             np.testing.assert_array_equal(domains.contains_many(spec, zs), inside)
             assert inside.all() == (scale < 1.0) and inside.any() == (scale < 1.0)
+
+
+# x M, x M^{-1} (times M), q = x M x* and Delta of domains.lie_frame stay
+# within LIE_FRAME_C * eps of the n x n M(z) of tests/oracles.lie_ball_matrix,
+# relative to max|M| (unit rows x; the inverse relative to x), at gauge 0 and
+# 0.5, where that formula is itself within about 2 eps of 40 digits.  Measured
+# at most 3.6 (x M on IV(3)).  Nearer the boundary the n x n formula cancels:
+# on IV(3) at gauge 0.999 its x M reads 7.6e5 eps of 40 digits and the
+# frame's 125 (0.25 kappa eps).
+LIE_FRAME_C = 4.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_lie_frame_matches_the_matrix_oracle(n):
+    # along the directions where the frame degenerates (l1 = l2, z.z = 0),
+    # near-real ones and sampled ones, and at z = 0
+    spec = domains.type_iv(n)
+    dirs = np.concatenate([lie_ball_directions(n), domains.sample_points(spec, 5, 20)])
+    dirs = dirs / domains.minkowski_gauge_many(spec, dirs)[:, None]
+    xs = domains.sample_tangents(spec, 6, n + 3)
+    xs = xs / np.linalg.norm(xs, axis=-1, keepdims=True)
+    eps = np.finfo(float).eps
+    for gauge in (0.0, 0.5):
+        zs = (gauge * dirs)[:, None]                   # (point, 1, n) against (k, n)
+        frame = domains.lie_frame(zs)
+        m, delta = lie_ball_matrix(zs)
+        xm = (xs[:, None, :] @ m)[..., 0, :]
+        budget = LIE_FRAME_C * eps * np.max(np.abs(m), axis=(-2, -1))
+        assert np.all(np.max(np.abs(frame.times_m(xs) - xm), axis=-1) <= budget[..., None])
+        assert np.max(np.abs(frame.times_m(xm, -1) - xs)) <= LIE_FRAME_C * eps
+        q = np.sum(xm * np.conj(xs), axis=-1).real
+        assert np.all(np.abs(frame.quad(xs) - q) <= budget)
+        assert np.max(np.abs(frame.delta - delta)) <= LIE_FRAME_C * eps
+
+
+def test_lie_frame_is_a_plane_basis_up_to_the_boundary():
+    # u diag(sigma) vt = [Re z; Im z] with u a rotation and the rows of vt
+    # orthonormal, or 0 where they are arbitrary: the second row at real
+    # directions and both at z = 0; l1 is the gauge.  Measured at most 1.0 eps
+    # (the basis) and 2.5 eps (the gram of vt)
+    spec = domains.type_iv(5)
+    dirs = np.concatenate([lie_ball_directions(5), domains.sample_points(spec, 5, 20)])
+    dirs = dirs / domains.minkowski_gauge_many(spec, dirs)[:, None]
+    eps = np.finfo(float).eps
+    for gauge in [0.0] + [1.0 - 10.0**-k for k in range(1, 9)]:
+        zs = gauge * dirs
+        frame = domains.lie_frame(zs)
+        rows = (frame.u * frame.sigma[..., None, :]) @ frame.vt
+        assert np.max(np.abs(rows - np.stack([zs.real, zs.imag], axis=-2))) <= 2.0 * eps
+        np.testing.assert_allclose(frame.u @ np.swapaxes(frame.u, -1, -2),
+                                   np.broadcast_to(np.eye(2), frame.u.shape), atol=2.0 * eps)
+        gram = frame.vt @ np.swapaxes(frame.vt, -1, -2)
+        diag = np.diagonal(gram, axis1=-2, axis2=-1)
+        assert np.all((np.abs(diag - 1.0) <= 4.0 * eps) | (diag == 0.0))
+        assert np.max(np.abs(gram[..., 0, 1])) <= 4.0 * eps
+        assert np.all(diag[:, 1] == 0.0) == (gauge == 0.0)
+        np.testing.assert_array_equal(frame.l1, domains.minkowski_gauge_many(spec, zs))
+        assert np.all(frame.l2 <= frame.l1)
+
+
+def test_lie_frame_raises_outside_the_ball():
+    # l1 >= 1 is exactly a point that is not interior: the frame raises
+    # DomainError there, at a sampled and at a real direction
+    spec = domains.type_iv(3)
+    for z in (domains.sample_point(spec, seed=3), lie_ball_directions(3)[1]):
+        z = z / domains.minkowski_gauge(spec, z)
+        domains.lie_frame(np.stack([(1.0 - 1e-12) * z, 0.0 * z]))
+        for bad in ((1.0 + 1e-12) * z, 1.5 * z):
+            with pytest.raises(DomainError):
+                domains.lie_frame(np.stack([0.5 * z, bad]))
 
 
 def test_contains_rejects_wrong_symmetry():

@@ -10,7 +10,8 @@ import cartanfinsler.metrics as met
 import cartanfinsler.norms as nrm
 from cartanfinsler.errors import DomainError, StructureError
 from oracles import (fiber_jet_mp, g_family_from_callable, kahler_berwald_per_base,
-                     lapack_frame, wirtinger_base_fd)
+                     lapack_frame, lie_ball_directions, lie_ball_f2_mp, lie_ball_matrix,
+                     wirtinger_base_fd)
 
 # _frame's P and Q stay within FRAME_C * kappa * eps of the LAPACK frame,
 # relative to the largest entry, kappa = 1/(1 - gauge^2); measured at most
@@ -20,9 +21,8 @@ FRAME_C = 4.0
 # F(Z; V) = F(0; dphi_Z V) for the normalizing map phi at Z holds within
 # INVARIANCE_C[type] * kappa * eps relative to F at 200 sampled directions
 # scaled to each gauge 0.9, ..., 1 - 1e-8.  Measured at most 0.82 (I),
-# 0.30 (II), 0.26 (III) and 26.8 (IV).  The Lie-ball maximum is on IV(3) at
-# a direction with spectral ratio l2/l1 = 0.90; IV(5) bergman reads at most
-# 7.6.
+# 0.30 (II), 0.26 (III) and 9.5 (IV).  The Lie-ball maximum is on IV(3), in
+# the pushed side F(0; dphi_Z V); IV(5) bergman reads at most 4.3.
 INVARIANCE_C = {"I": 2.0, "II": 2.0, "III": 1.2, "IV": 100.0}
 
 
@@ -158,17 +158,64 @@ def test_invariance_identity_up_to_the_boundary(metric):
         assert np.max(np.abs(f0 - f) / f) <= budget, k
 
 
+# F on the Lie ball, read off the frame of domains.lie_frame, stays within
+# LIE_F_MP_C * kappa * eps of F from its invariants in 60-digit arithmetic
+# (tests/oracles.lie_ball_f2_mp), relative to F, kappa = 1/(1 - gauge^2), at
+# gauge 0.9, ..., 1 - 1e-8.  Measured at most 1.37 (IV(5) bergman), on the
+# test's points and on 100 sampled directions with 16 tangents each.  Along
+# real directions the n x n form Delta = 1 + |a|^2 - 2r cancels: F from it
+# reads up to 6.3e7 kappa eps there, and F^2 < 0 at some points.
+LIE_F_MP_C = 2.0
+
+
+@pytest.mark.parametrize("metric, profile", [
+    (met.phi_metric(dom.type_iv(2), nrm.affine_phi(0.5)), lambda s: (1 + 0.5 * s) / 1.5),
+    (met.phi_metric(dom.type_iv(3), nrm.affine_phi(0.5)), lambda s: (1 + 0.5 * s) / 1.5),
+    (met.bergman_metric(dom.type_iv(5)), lambda s: 1),
+], ids=["IV(2) affine 0.5", "IV(3) affine 0.5", "IV(5) bergman"])
+def test_lie_ball_f_matches_60_digits_up_to_the_boundary(metric, profile):
+    # along the real, near-real (l2/l1 = 0.5, 0.966, 0.999) and z.z = 0
+    # directions of oracles.lie_ball_directions and 12 sampled ones
+    pytest.importorskip("mpmath")
+    spec = metric.domain
+    n = spec.dims[0]
+    dirs = np.concatenate([lie_ball_directions(n), dom.sample_points(spec, 0, 12)])
+    dirs = dirs / dom.minkowski_gauge_many(spec, dirs)[:, None]
+    vs = dom.sample_tangents(spec, 1000, 4 * len(dirs)).reshape(len(dirs), 4, n)
+    for k in range(1, 9):
+        gauge = 1.0 - 10.0**-k
+        zs = np.broadcast_to((gauge * dirs)[:, None], vs.shape)
+        f = np.sqrt(met.eval2_many(metric, zs, vs))
+        want = np.sqrt([[lie_ball_f2_mp(metric.normalization, profile, z, v)
+                         for z, v in zip(zr, vr)] for zr, vr in zip(zs, vs)])
+        budget = LIE_F_MP_C * np.finfo(float).eps / (1.0 - gauge**2)
+        assert np.max(np.abs(f - want) / want) <= budget, k
+
+
 def test_eval2_many_raises_at_a_point_that_is_not_interior():
     # the contract: interior inputs; a matrix point whose gram I - ZZ* is not
-    # positive definite, or a Lie-ball point with Delta <= 0 or |z|^2 >= 1,
-    # raises DomainError instead of giving a value
+    # positive definite (_frame), or a Lie-ball point of gauge >= 1
+    # (domains.lie_frame), raises DomainError instead of giving a value, in
+    # F^2 and in every formula that reads the frame
+    entries = {
+        "eval2_many": lambda metric, zs, vs: met.eval2_many(metric, zs, vs),
+        "fundamental_tensor": lambda metric, zs, vs: met.fundamental_tensor(metric, zs, vs),
+        "grad_vbar_pair": lambda metric, zs, vs: met.grad_vbar_pair(metric, zs, vs),
+        "connection_sample": lambda metric, zs, vs: met.connection_sample(
+            metric, zs, vs[:, None]),
+        "hermitian_gamma": lambda metric, zs, vs: met.hermitian_gamma(
+            metric.domain, zs, vs, vs),
+        "hermitian_connection": lambda metric, zs, vs: met.hermitian_connection(metric, zs),
+    }
     for metric in _all_metrics():
         spec = metric.domain
         z = dom.sample_point(spec, seed=3)
         v = dom.sample_tangent(spec, seed=4)
         z_out = 1.5 * z / dom.minkowski_gauge(spec, z)
-        with pytest.raises(DomainError):
-            met.eval2_many(metric, np.stack([z, z_out]), np.stack([v, v]))
+        for name, entry in entries.items():
+            with pytest.raises(DomainError):
+                entry(metric, np.stack([z, z_out]), np.stack([v, v]))
+                pytest.fail(f"{name} gave a value on {metric.label}")
 
 
 def test_eval_checks_inputs():
@@ -313,7 +360,8 @@ def _fundamental_tensor_oracle(metric, z, v):
     derivative of G_mbar that the package takes."""
     spec = metric.domain
     if spec.kind == "IV":
-        m, delta, q, p, s = met.lie_fiber(z, v)
+        frame, q, p, s = met.lie_fiber(z, v)
+        m, delta = frame.times_m(np.eye(spec.dim)), frame.delta
         phi = float(metric.family.value(s))
         d1 = float(metric.family.d1(s))
         d2 = float(metric.family.d2(s))
@@ -324,7 +372,7 @@ def _fundamental_tensor_oracle(metric, z, v):
         g_qp2 = -norm * (d1 + 2.0 * s * d2) / q**2
         g_p2p2 = norm * d2 * delta**2 / q**3
         dq_v = m @ np.conj(v)
-        dq_vb = v @ m
+        dq_vb = frame.times_m(v)
         dp2_v = 2.0 * v * np.conj(p)
         dp2_vb = 2.0 * p * np.conj(v)
         return (
@@ -438,8 +486,10 @@ def _bowl_mp(spec, c):
 # each value of _fiber_jet (G_mbar, d_i G_mbar, G_{l mbar}) stays within
 # JET_MP_C[type] * eps * max|value| of the 40-digit oracle; measured at most
 # 2.31 on the matrix types (d_i G_mbar on II(2); 2.50 over 8 pairs of each
-# matrix case) and 16.9 on the Lie ball (G_{l mbar}, bowl c = 2)
-JET_MP_C = {"I": 2.6, "II": 2.6, "III": 2.6, "IV": 17.0}
+# matrix case) and 16.0 on the Lie ball (G_mbar, bowl c = 8, at s = 0.54 near
+# the bowl's minimum, where one ulp of s moves G_mbar by 5.8 eps; the pairs
+# at s >= 0.88 read at most 9.8)
+JET_MP_C = {"I": 2.6, "II": 2.6, "III": 2.6, "IV": 16.5}
 
 
 @pytest.mark.parametrize("metric, g, pairs", [
@@ -659,7 +709,7 @@ def test_kahler_berwald_matches_per_base_oracle(metric):
 def _hermitian_connection_stencil(metric, z):
     """Oracle: Gamma_H from the 4-point base stencil of H = norm M / Delta^2."""
     def hmat_at(zz):
-        m, delta = met._lie_ball_matrix(zz)
+        m, delta = lie_ball_matrix(zz)
         return metric.normalization * m / np.asarray(delta**2)[..., None, None]
 
     dh = wirtinger_base_fd(hmat_at, metric.domain, z)
