@@ -185,7 +185,7 @@ class LieFrame:
                 x - alpha[..., None] * u1 - beta[..., None] * u2)
 
     def times_m(self, x, power=1):
-        """x M^power, power 1 or -1, over rows x that broadcast against it."""
+        """x M^power, any real power, over rows x that broadcast against it."""
         (plus, minus, perp), b1, b2 = self._parts(x), self.a1**power, self.a2**power
         g1, g2 = 0.5 * b1 * b1 * plus, 0.5 * b2 * b2 * minus
         return ((g1 + g2)[..., None] * self.vt[..., 0, :] + (b1 * b2)[..., None] * perp

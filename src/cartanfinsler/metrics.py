@@ -3,9 +3,9 @@
 Matrix domains (types I-III): F^2(Z;V) = g(h_1, ..., h_k) with
     h_a = tr[M^a]^{1/a},   M = (I - Z Z*)^{-1} V (I - Z* Z)^{-1} V*.
 Lie ball (type IV): F^2(z;v) = norm * (v M(z) v*) / Delta^2 * phi(s) with
-    Delta = 1 + |zz'|^2 - 2 zz*,  s = Delta^2 |vv'|^2 / (v M v*)^2,
-and M(z)/Delta^2 the Bergman metric's matrix, the inverse of the Bergman
-operator B(z, z).
+    Delta = a1 a2,  a_i = (1 - l_i)(1 + l_i),  s = Delta^2 |vv'|^2 / (v M v*)^2,
+l1 >= l2 the spectral values of z, and M(z)/Delta^2 the Bergman metric's
+matrix, the inverse of the Bergman operator B(z, z).
 
 Every formula reads one base-point frame: P, Q from _frame on the matrix
 types, and on the Lie ball the Peirce frame domains.lie_frame, in which M

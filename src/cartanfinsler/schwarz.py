@@ -5,9 +5,10 @@ origin with the normalizing automorphism phi_Z and measures it with the
 domain's Minkowski gauge.  On the matrix domains W = dphi_Z V = A V D* for
 the roots A = C*, D = R* (the normalizing map's) of the Cholesky factors
 P = C C*, Q = R R* of the metrics' own frame (metrics.frame_roots); F_C^2 is
-the top eigenvalue of W W*, whose spectrum is that of M = P V Q V*, and the
-sandwich reads F^2 from the same W.  On the Lie ball it pushes V through
-phi_Z and takes the gauge.  Both reduce to the plain gauge at 0.
+the top eigenvalue of W W*, whose spectrum is that of M = P V Q V*.  On the
+Lie ball dphi_Z is B(Z, Z)^(-1/2) up to isotropy, so W = V M^(1/2) / Delta in
+the Peirce frame (domains.lie_frame).  On every type the sandwich reads F^2
+from the same W, and both reduce to the plain gauge at 0.
 
 Against any invariant metric F with curvature pinched in [-K1, -K2] the
 gauge satisfies the two-sided bound
@@ -26,6 +27,7 @@ import numpy as np
 from .errors import StructureError
 from . import automorphisms as am
 from . import domains
+from . import norms
 from . import numkernel
 from .numkernel import matmul
 from .curvature import CurvatureReport, lie_representative
@@ -59,9 +61,11 @@ class SchwarzReport:
 
 
 def _pulled_back(spec: DomainSpec, zs, vs) -> np.ndarray:
-    """W = dphi_Z V: A V D* (frame_roots) on types I-III, pushed on the Lie ball."""
+    """W = dphi_Z V: A V D* (frame_roots) on types I-III, V M^(1/2) / Delta
+    (domains.lie_frame) on the Lie ball."""
     if spec.kind == "IV":
-        return am.push(am.normalizing_automorphism(spec, zs), zs, vs)[1]
+        frame = domains.lie_frame(zs)
+        return frame.times_m(vs, 0.5) / frame.delta[..., None]
     a, d = frame_roots(spec, zs)
     return matmul(matmul(a, vs), np.conj(np.swapaxes(d, -1, -2)))
 
@@ -70,10 +74,9 @@ def caratheodory_many(spec: DomainSpec, zs, vs) -> np.ndarray:
     """F_C(Z;V) = gauge(dphi_Z V) over stacks of points and tangents.
 
     A non-finite point or tangent raises NumericError.  No membership test
-    of its own: on the matrix types a point whose gram is not positive
-    definite raises DomainError from the frame, and on the Lie ball a point
-    that contains_many does not admit raises DomainError from
-    normalizing_automorphism.
+    of its own: a point that is not interior raises DomainError from its
+    frame, on the matrix types where the gram is not positive definite and
+    on the Lie ball where l1 >= 1 (domains.lie_frame).
     """
     zs = domains._finite(np.asarray(zs, dtype=np.complex128))
     vs = domains._finite(np.asarray(vs, dtype=np.complex128))
@@ -82,12 +85,13 @@ def caratheodory_many(spec: DomainSpec, zs, vs) -> np.ndarray:
 
 def _gauge_sides(metric: MetricSpec, zs, vs):
     """(F^2, F_C^2) at (Z;V), or at 0 (W = V) for zs None.  Types I-III: F^2 from
-    the power traces of W W* (those of M) and gram_top(W); Lie ball: eval2_many, gauge(W)."""
+    the power traces of W W* (those of M) and gram_top(W); Lie ball: the origin
+    norm of W (norms.eval_phi_norm_many) and gauge(W)^2."""
     spec = metric.domain
     ws = vs if zs is None else _pulled_back(spec, zs, vs)
     if spec.kind == "IV":
-        f2 = eval2_many(metric, np.zeros_like(vs) if zs is None else zs, vs)
-        return f2, domains.minkowski_gauge_many(spec, ws) ** 2
+        return (norms.eval_phi_norm_many(metric.family, ws, metric.normalization),
+                domains.minkowski_gauge_many(spec, ws) ** 2)
     gram = matmul(ws, np.conj(np.swapaxes(ws, -1, -2)))
     return trace_f2(metric, power_ladder(gram, metric.family.k)[1])[0], numkernel.gram_top(ws)
 

@@ -631,13 +631,12 @@ def test_one_frame_per_formula_in_certify(seed, monkeypatch):
         assert got == CERTIFY_FRAMES[kind.name], (kind.name, got)
 
 
-# (_frame, lie_frame) calls per sandwich request.  On types I-III the
-# samples take one frame, whose roots give W = dphi_Z V for both sides, and
-# the origin probes take none (W = V there).  On the Lie ball F^2 reads the
-# frame once on the samples and once on the probes, and the normalizing
-# roots that push V read it once more.
+# (_frame, lie_frame) calls per sandwich request.  On every type the samples
+# take one frame, which gives W = dphi_Z V for both sides (the Cholesky roots
+# on types I-III, V M^(1/2) / Delta on the Lie ball), and the origin probes
+# take none (W = V there).
 SANDWICH_FRAMES = {"sandwich_II3_tk": (1, 0), "sandwich_I23_tk": (1, 0),
-                   "sandwich_IV3_bergman": (0, 3)}
+                   "sandwich_IV3_bergman": (0, 1)}
 SANDWICH_IV3 = {"task": "sandwich", "domain": {"type": "IV", "n": 3},
                 "metric": {"family": "bergman"}, "samples": 100}
 
