@@ -268,7 +268,7 @@ def parse_config(text: str, task: str = None, seed: int = None,
         tspec = target_dom if target_dom is not None else dom_spec
         tnode = doc.get("target_metric", doc.get("metric"))
         if "target_metric" not in doc and tspec == dom_spec:
-            # the same metric: _run_schwarz then computes its bounds once
+            # the same metric, parsed once so that its errors show once
             target_metric = metric
         elif tnode is not None:
             target_metric = _parse_metric(tnode, tspec, "target_metric", errs)
@@ -455,7 +455,7 @@ def _run_schwarz(cfg: RunConfig):
     target = cfg.target_domain if cfg.target_domain is not None else source
     metric2 = cfg.target_metric if cfg.target_metric is not None else metric1
     bounds1 = curvature.curvature_bounds(metric1)
-    bounds2 = bounds1 if metric2 is metric1 else curvature.curvature_bounds(metric2)
+    bounds2 = curvature.curvature_bounds(metric2)
     maps = schwarz.generate_maps(source, target, seed=cfg.seed, count=cfg.maps)
     zs, vs = schwarz.draw_samples(source, cfg.seed, len(maps), cfg.samples)
     reports = schwarz.schwarz_check(maps, metric1, metric2, bounds1.k1, bounds2.k2,

@@ -11,7 +11,10 @@ power traces, for that formula, for the profile objective of the K scan and
 for the sup search.  The supremum of |B| is a table and one polish on both:
 over two eigenvalue profiles on the matrix domains, over three invariants
 (s_V, Im(W_1 conj(W_2)), s_W) on the Lie ball.
+The bounds and the sup search depend on the metric alone, so each is
+memoized on the MetricSpec (norms.METRIC_MEMO metrics per process).
 """
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +154,7 @@ def _profile_dim_total(spec):
     return spec.rank, 1.0
 
 
+@functools.lru_cache(maxsize=norms.METRIC_MEMO)
 def _bisectional_sup_matrix(metric: MetricSpec) -> float:
     """sup |B(0;V,W)| over matrix tangents, exact up to the scan tolerance.
 
@@ -232,6 +236,7 @@ def _lie_sup_table(metric: MetricSpec, ticks):
     return num / np.where(num >= 0.0, low, high)
 
 
+@functools.lru_cache(maxsize=norms.METRIC_MEMO)
 def _bisectional_sup_lie(metric: MetricSpec) -> float:
     """sup |B(0;V,W)| on the Lie ball, reduced exactly to three invariants.
 
@@ -281,6 +286,7 @@ def _bisectional_sup_lie(metric: MetricSpec) -> float:
     return float(sup[0])
 
 
+@functools.lru_cache(maxsize=norms.METRIC_MEMO)
 def curvature_bounds(metric: MetricSpec) -> CurvatureReport:
     """Extremize K over the fiber: K1, K2, the lu constant and the argmins.
 
@@ -288,7 +294,9 @@ def curvature_bounds(metric: MetricSpec) -> CurvatureReport:
     singular values on the matrix domains, and on the Lie ball over rank-2
     profiles y with s = (y_1 - y_2)^2, where K has the closed form
     -(4/N) [1 - (1 - s) kappa(s)] / phi(s) (_lie_ratio with W = V).  The
-    report depends on the metric alone; nothing is sampled.
+    report depends on the metric alone; nothing is sampled.  So it is
+    memoized on the metric (MetricSpec equality), and its profiles are
+    read-only: every caller in the process shares one report.
     """
     spec = metric.domain
     dim, total = _profile_dim_total(spec)
@@ -312,6 +320,7 @@ def curvature_bounds(metric: MetricSpec) -> CurvatureReport:
     (ymin, fmin), (ymax, fmax) = norms.simplex_scan(fn, dim, total=total)
     k1, k2 = -fmin, -fmax
     argmin, argmax = profile(ymin), profile(ymax)
+    argmin.flags.writeable = argmax.flags.writeable = False
     if not (k1 >= k2 > 0.0):
         raise NumericError(
             f"curvature extremization stagnated: k1={k1:.6g}, k2={k2:.6g}"
@@ -324,9 +333,10 @@ def bisectional_bound(metric: MetricSpec, k1: float, pair_draws: int, seed: int)
 
     search is the extremized supremum of |B|: a table and one polish on the
     matrix domains (_bisectional_sup_matrix) and on the Lie ball
-    (_bisectional_sup_lie, three invariants); neither samples.  C is its max
-    with k1 (B(V,V) = K(V) reaches -k1) and with -B over pair_draws tangent
-    pairs, the two parts of one domains.draw_grid(seed, "bisectional") call.
+    (_bisectional_sup_lie, three invariants); neither samples, and both are
+    memoized on the metric.  C is its max with k1 (B(V,V) = K(V) reaches
+    -k1) and with -B over pair_draws tangent pairs, the two parts of one
+    domains.draw_grid(seed, "bisectional") call.
     """
     spec = metric.domain
     if spec.kind == "IV":

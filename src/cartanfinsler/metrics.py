@@ -44,6 +44,12 @@ N_FIBER = 10  # fibers per base point, raised to dim + 1 for the fit
 
 @dataclass(frozen=True)
 class MetricSpec:
+    """An invariant metric: a domain, a norm family and its normalization.
+
+    Two parses of one config give equal, hash-equal specs (a family compares
+    by its label and params), so a MetricSpec keys the memos of the
+    metric-only invariants in curvature.
+    """
     domain: DomainSpec
     family: object  # GFamilySpec (matrix types) or PhiFamilySpec (Lie ball)
     normalization: float = 1.0

@@ -11,12 +11,13 @@ Two families are shipped:
 
 Certification checks the convexity/monotonicity conditions that make these
 genuine strongly pseudoconvex norms, on explicit sample grids, reporting
-worst margins and witnesses instead of silent booleans.  simplex_scan, a
+worst margins and witnesses instead of silent booleans; a certificate
+depends on the family alone and is memoized on it.  simplex_scan, a
 grid on an ordered simplex and a polish of its two ends, is the one
 extremizer of the curvature bounds on all four types.
 """
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,25 +30,36 @@ POLISH_TOL = 1e-12    # a polish row stops once its step is <= this
 POLISH_GAIN = 1e-18   # a move must beat the row's value by more than this
 ORTHANT_TICKS = 25    # ticks per axis of the certify_scc grid
 SN_TICKS = 1001       # points of the certify_sn grid on [0, 1]
+METRIC_MEMO = 128     # metrics (and families) whose invariants a process keeps
 
 
 @dataclass(frozen=True)
 class GFamilySpec:
-    """Symmetric norm family on power-trace coordinates xi_1..xi_k."""
+    """Symmetric norm family on power-trace coordinates xi_1..xi_k.
+
+    Two families are equal when their k, label and params are: params holds
+    the constructor's name and its exact arguments, so two builds of one
+    family are one memo key (certify_scc, curvature.curvature_bounds).  The
+    callables are not compared, and a family built directly gets a fresh
+    object() as params, so it equals only itself.
+    """
     k: int
-    value: Callable
-    grad: Callable
-    hess: Callable
+    value: Callable = field(compare=False)
+    grad: Callable = field(compare=False)
+    hess: Callable = field(compare=False)
     label: str
+    params: object = field(default_factory=object)
 
 
 @dataclass(frozen=True)
 class PhiFamilySpec:
-    """Profile function phi(s) on [0, 1] with two derivatives."""
-    value: Callable
-    d1: Callable
-    d2: Callable
+    """Profile function phi(s) on [0, 1] with two derivatives; equal as
+    GFamilySpec is, by label and params."""
+    value: Callable = field(compare=False)
+    d1: Callable = field(compare=False)
+    d2: Callable = field(compare=False)
     label: str
+    params: object = field(default_factory=object)
 
 
 def grad_rows(family: GFamilySpec, h) -> np.ndarray:
@@ -90,6 +102,7 @@ def bergman_family(c: float) -> GFamilySpec:
         grad=lambda xi: np.array([c]),
         hess=lambda xi: np.zeros((1, 1)),
         label=f"bergman(c={c:g})",
+        params=("bergman_family", c),
     )
 
 
@@ -114,6 +127,7 @@ def tk_family(t: float, k: int, c: float) -> GFamilySpec:
         grad=grad,
         hess=lambda xi: np.zeros((k, k)),
         label=f"two-term(t={t:g},k={k},c={c:g})",
+        params=("tk_family", t, k, c),
     )
 
 
@@ -125,6 +139,7 @@ def constant_phi(c: float) -> PhiFamilySpec:
         d1=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         d2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         label=f"constant(c={c:g})",
+        params=("constant_phi", c),
     )
 
 
@@ -137,6 +152,7 @@ def affine_phi(t: float) -> PhiFamilySpec:
         d1=lambda s: (t / (1.0 + t)) * np.ones_like(np.asarray(s, dtype=float)),
         d2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         label=f"affine(t={t:g})",
+        params=("affine_phi", t),
     )
 
 
@@ -181,11 +197,14 @@ def orthant_grid(k: int) -> np.ndarray:
     return pts / np.sum(pts, axis=-1, keepdims=True)
 
 
+@functools.lru_cache(maxsize=METRIC_MEMO)
 def certify_scc(spec: GFamilySpec) -> Certificate:
     """Gradient strictly positive and Hessian PSD at every orthant_grid point.
 
     The worst margin is the first minimum in point order, the gradient check
-    before the Hessian check at each point.
+    before the Hessian check at each point.  The certificate depends on the
+    family alone, so it is memoized on it (GFamilySpec equality); its
+    witness is read-only.
     """
     grid = orthant_grid(spec.k)
     hess = hess_rows(spec, grid)
@@ -200,12 +219,18 @@ def certify_scc(spec: GFamilySpec) -> Certificate:
     passed = worst >= 0.0
     if passed:
         return Certificate(True, worst, None, None)
-    return Certificate(False, worst, grid[i // 2],
+    witness = grid[i // 2]
+    witness.flags.writeable = False  # the memo hands it to every caller
+    return Certificate(False, worst, witness,
                        ("gradient_positivity", "hessian_psd")[i % 2])
 
 
+@functools.lru_cache(maxsize=METRIC_MEMO)
 def certify_sn(spec: PhiFamilySpec) -> Certificate:
-    """Two positivity conditions on phi over SN_TICKS points of [0, 1]."""
+    """Two positivity conditions on phi over SN_TICKS points of [0, 1].
+
+    Memoized on the family as certify_scc is; the witness is read-only.
+    """
     s = np.linspace(0.0, 1.0, SN_TICKS)
     phi = np.asarray(spec.value(s), dtype=float)
     d1 = np.asarray(spec.d1(s), dtype=float)
@@ -222,9 +247,10 @@ def certify_sn(spec: PhiFamilySpec) -> Certificate:
         margin = float(vals[i]) - STRICT_MARGIN
         if margin < worst:
             worst, witness, failed = margin, np.array([s[i]]), name
-    passed = worst >= 0.0
-    return Certificate(passed, worst, None if passed else witness,
-                       None if passed else failed)
+    if worst >= 0.0:
+        return Certificate(True, worst, None, None)
+    witness.flags.writeable = False  # the memo hands it to every caller
+    return Certificate(False, worst, witness, failed)
 
 
 # ---------------------------------------------------------------------------

@@ -137,13 +137,6 @@ def test_08_schwarz_margins_over_map_corpus():
         (dom.type_i(1, 2), dom.type_i(2, 2)),
         (dom.type_ii(2), dom.type_i(2, 2)),
     ]
-    bounds_cache = {}
-
-    def bounds(metric):
-        if metric.label not in bounds_cache:
-            bounds_cache[metric.label] = curv.curvature_bounds(metric)
-        return bounds_cache[metric.label]
-
     worst_rel = np.inf
     sup_bergman_self = 0.0
     for pi, (src, tgt) in enumerate(pairs):
@@ -152,8 +145,8 @@ def test_08_schwarz_margins_over_map_corpus():
         zs, vs = sw.draw_samples(src, 880 + pi, len(maps), n_samples=100)
         for f1 in (met.bergman_metric(src), met.tk_metric(src, 1.0, 2)):
             for f2 in (met.bergman_metric(tgt), met.tk_metric(tgt, 1.0, 2)):
-                k1 = bounds(f1).k1
-                k2 = bounds(f2).k2
+                k1 = curv.curvature_bounds(f1).k1
+                k2 = curv.curvature_bounds(f2).k2
                 # one call checks every map on its own row of samples
                 reps = sw.schwarz_check(maps, f1, f2, k1, k2, zs, vs)
                 for i, rep in enumerate(reps):

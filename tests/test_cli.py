@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cartanfinsler import automorphisms as am, cli, curvature, domains, metrics, numkernel
+from cartanfinsler import (automorphisms as am, cli, curvature, domains, metrics, norms,
+                           numkernel)
 from cartanfinsler.errors import ConfigError
 from oracles import LAPACK_KERNELS
 
@@ -654,16 +655,18 @@ def test_one_frame_per_sandwich(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-def test_corpus_reports_match_the_lapack_kernels(seed, monkeypatch):
+def test_corpus_reports_match_the_lapack_kernels(seed, monkeypatch, clear_memos):
     # the corpus requests on numkernel's stack kernels and on the LAPACK calls
     # they replaced: sampled points scale by 0.9 u / gauge, so the reports
-    # move at rounding level and no verdict moves
+    # move at rounding level and no verdict moves.  The LAPACK side recomputes
+    # the curvature bounds too, with the memos emptied
     kinds = [kind for kind in _benchmark_request_types()
              if kind.name in ("schwarz_I22_tk", "schwarz_II2_bergman_to_I22_tk")]
     run = lambda kind: cli.run(cli.parse_config(json.dumps(dict(kind.config, seed=seed))))
     fast = [run(kind) for kind in kinds]
     for name, oracle in LAPACK_KERNELS.items():
         monkeypatch.setattr(numkernel, name, oracle)
+    clear_memos()
     close = lambda a, b: a == pytest.approx(b, rel=1e-13, abs=1e-13)
     for kind, ours, lapack in zip(kinds, fast, [run(kind) for kind in kinds]):
         assert ours.verdict == lapack.verdict, kind.name
@@ -744,18 +747,20 @@ def test_no_code_takes_singular_vectors():
             if word == "svd" or name == "metrics.py"] == []
 
 
-def test_schwarz_onto_its_own_domain_computes_the_bounds_once(monkeypatch):
+def test_schwarz_onto_its_own_domain_computes_the_bounds_once(monkeypatch,
+                                                              clear_memos):
     # with no target_metric and target_domain == domain the target metric is
-    # the source metric: its curvature bounds are computed once, and the
-    # report equals the one of an explicit, separately parsed target_metric
-    bounds_of = curvature.curvature_bounds
+    # the source metric, and an explicit, separately parsed target_metric is
+    # an equal one: the bounds take one simplex_scan per distinct metric, and
+    # the two reports are equal
+    scan = norms.simplex_scan
     calls = []
 
-    def counted(metric):
-        calls.append(metric.label)
-        return bounds_of(metric)
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return scan(*args, **kwargs)
 
-    monkeypatch.setattr(curvature, "curvature_bounds", counted)
+    monkeypatch.setattr(norms, "simplex_scan", counted)
     doc = {"task": "schwarz", "domain": {"type": "I", "m": 2, "n": 2},
            "metric": {"family": "bergman"}, "seed": 3, "samples": 10, "maps": 6}
     doc["target_domain"] = doc["domain"]
@@ -763,8 +768,66 @@ def test_schwarz_onto_its_own_domain_computes_the_bounds_once(monkeypatch):
     same = run(doc)
     assert len(calls) == 1
     explicit = run({**doc, "target_metric": doc["metric"]})
-    assert len(calls) == 3
+    assert len(calls) == 1
     assert same == explicit
+    run({**doc, "target_metric": {"family": "tk", "t": 1, "k": 2}})
+    assert len(calls) == 2
+
+
+def test_two_parses_of_one_metric_are_one_memo_key():
+    doc = {"task": "curvature", "domain": {"type": "I", "m": 2, "n": 3},
+           "metric": {"family": "tk", "t": 1, "k": 2}}
+    parse = lambda metric: cli.parse_config(json.dumps({**doc, "metric": metric})).metric
+    one, other = parse(doc["metric"]), parse({**doc["metric"], "t": 1.0})
+    assert one is not other and one.family.value is not other.family.value
+    assert one == other and hash(one) == hash(other)
+    assert parse({**doc["metric"], "t": 2}) != one
+    assert parse({**doc["metric"], "scale": 5.0}) == parse({**doc["metric"], "scale": 5})
+    assert parse({**doc["metric"], "scale": 5.0}) != parse({**doc["metric"], "scale": 5.1})
+
+
+# One request of each task whose bounds or certificate are metric-only work,
+# on domains of up to two rows, where no other step calls the eigensolver
+REPEATED = {
+    "sandwich": {"domain": {"type": "I", "m": 2, "n": 3},
+                 "metric": {"family": "tk", "t": 1, "k": 2}, "samples": 100},
+    "schwarz": {"domain": {"type": "II", "m": 2}, "metric": {"family": "bergman"},
+                "target_domain": {"type": "I", "m": 2, "n": 2},
+                "target_metric": {"family": "tk", "t": 1, "k": 2},
+                "maps": 3, "samples": 20},
+    "curvature": {"domain": {"type": "IV", "n": 4}, "metric": {"family": "bergman"},
+                  "samples": 100},
+    "certify": {"domain": {"type": "I", "m": 1, "n": 3},
+                "metric": {"family": "tk", "t": 1, "k": 2}, "samples": 10},
+}
+
+
+@pytest.mark.parametrize("task", sorted(REPEATED))
+def test_a_repeated_request_does_no_metric_only_work(task, monkeypatch, clear_memos):
+    # the curvature bounds, the bisectional search and the certificate are
+    # computed once per metric: the second run of a request scans, polishes
+    # and eigensolves nothing, and every run writes the same text
+    counts = {}
+    for module, name in ((norms, "simplex_scan"), (norms, "polish_many"),
+                         (numkernel, "eigvalsh_batch")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def run():
+        counts.update(simplex_scan=0, polish_many=0, eigvalsh_batch=0)
+        config = cli.parse_config(json.dumps({**REPEATED[task], "seed": 5}), task=task)
+        return cli.emit_report(cli.run(config)), dict(counts)
+
+    first, work = run()
+    assert sum(work.values()) > 0
+    second, repeated = run()
+    assert repeated == {"simplex_scan": 0, "polish_many": 0, "eigvalsh_batch": 0}
+    assert second == first
+    clear_memos()
+    assert run() == (first, work)
 
 
 def test_tolerances_are_applied_only_in_the_cli():

@@ -430,7 +430,7 @@ def test_lie_origin_f2_matches_eval2_many(n, profile):
     assert np.max(np.abs(origin - ref) / ref) < 1e-14
 
 
-def test_lie_origin_curvature_never_builds_the_matrix(monkeypatch):
+def test_lie_origin_curvature_never_builds_the_matrix(monkeypatch, clear_memos):
     def refuse(z):
         raise AssertionError("origin curvature built the frame of z")
 
@@ -658,8 +658,21 @@ def test_reduced_lie_search_on_a_non_monotone_profile(n, c, monkeypatch):
         assert 0.0 < s < 1.0 and -0.5 < q < 0.0 and tau == 1.0
 
 
-def test_joint_table_row_blocks_find_the_same_cell(monkeypatch):
+def test_a_memoized_report_is_read_only(clear_memos):
+    # every caller shares the report of a metric: a write into its profiles
+    # would change every later report of that metric
+    for metric in (met.tk_metric(dom.type_i(2, 3), 1.0, 2),
+                   met.bergman_metric(dom.type_iv(3))):
+        report = curv.curvature_bounds(metric)
+        for profile in (report.argmin_profile, report.argmax_profile):
+            with pytest.raises(ValueError):
+                profile[0] = 0.0
+        assert curv.curvature_bounds(metric) is report
+
+
+def test_joint_table_row_blocks_find_the_same_cell(monkeypatch, clear_memos):
     metric = met.tk_metric(dom.type_iii(6), 2.0, 3)  # rank 3
     whole = curv._bisectional_sup_matrix(metric)
     monkeypatch.setattr(curv, "SUP_TABLE_CELLS", 1000)  # about 3 rows a block
+    clear_memos()  # or the second call reads the first from the memo
     assert curv._bisectional_sup_matrix(metric) == whole

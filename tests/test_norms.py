@@ -1,4 +1,6 @@
 """Origin-norm families: evaluation, certification, and comparison bounds."""
+import math
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,42 @@ def test_certify_sn_rejects_steep_affine():
     assert cert.witness is not None and cert.witness[0] > 0.5
 
 
+def test_a_memoized_witness_is_read_only(clear_memos):
+    # every caller shares the certificate of a family: a write into its
+    # witness would change every later certificate of that family
+    bad = g_family_from_callable(lambda xi: xi[0] - 0.5 * xi[1], k=2,
+                                 label="decreasing")
+    for certify, family in ((norms.certify_scc, bad),
+                            (norms.certify_sn, norms.affine_phi(2.0))):
+        cert = certify(family)
+        with pytest.raises(ValueError):
+            cert.witness[0] = 0.0
+        assert certify(family) is cert
+
+
+def test_family_equality_is_exact():
+    # a family compares by its label and by its constructor's name and exact
+    # arguments (its params), never by its callables
+    assert norms.tk_family(1, 2, 4.0) == norms.tk_family(1.0, 2, 4.0)
+    assert hash(norms.affine_phi(2)) == hash(norms.affine_phi(2.0))
+    # -0.0 == 0.0, but the labels differ
+    assert norms.tk_family(-0.0, 2, 4.0) != norms.tk_family(0.0, 2, 4.0)
+    assert norms.affine_phi(-0.0) != norms.affine_phi(0.0)
+    # one ulp of c: the labels agree, the params do not
+    up = math.nextafter(4.0, 5.0)
+    assert norms.bergman_family(up).label == norms.bergman_family(4.0).label
+    assert norms.bergman_family(up) != norms.bergman_family(4.0)
+    assert norms.tk_family(1.0, 2, up) != norms.tk_family(1.0, 2, 4.0)
+    assert norms.constant_phi(math.nextafter(1.0, 0.0)) != norms.constant_phi(1.0)
+    # a family built directly equals only itself, whatever its label
+    built = [norms.PhiFamilySpec(value=lambda s: 1.0 + 0.0 * s,
+                                 d1=lambda s: 0.0 * s, d2=lambda s: 0.0 * s,
+                                 label="flat") for _ in range(2)]
+    assert built[0] == built[0] and built[0] != built[1]
+    assert metrics.phi_metric(domains.type_iv(3), built[0]) != \
+        metrics.phi_metric(domains.type_iv(3), built[1])
+
+
 def test_norm_equal_for_either_admissible_rotation():
     # two normalizing maps at the same base point differ by outer unitaries,
     # so every rotation-invariant norm pulls back identically
@@ -385,9 +423,11 @@ _LADDER_METRICS += [
 
 
 @pytest.mark.parametrize("metric", _LADDER_METRICS, ids=lambda m: m.label)
-def test_ladder_polish_matches_one_halving_oracle(metric, monkeypatch):
+def test_ladder_polish_matches_one_halving_oracle(metric, monkeypatch,
+                                                 clear_memos):
     """simplex_scan's fn and the block-move joint fn of the bisectional sup;
-    on the Lie ball, the box polish of the bisectional sup."""
+    on the Lie ball, the box polish of the bisectional sup.  Each side
+    recomputes the bounds: the memos are emptied before it."""
     shipped = norms.polish_many
     calls = []
 
@@ -405,6 +445,7 @@ def test_ladder_polish_matches_one_halving_oracle(metric, monkeypatch):
     # the K scan's two ends, then the bisectional sup
     assert calls == [2, 1]
     monkeypatch.setattr(norms, "polish_many", _polish_one_halving)
+    clear_memos()
     oracle, oracle_bisectional = bounds()
     assert (report.k1, report.k2) == (oracle.k1, oracle.k2)
     assert bisectional == oracle_bisectional
