@@ -21,10 +21,10 @@ the fiber gradient, taken along the base and along the fiber.
 grad_vbar_pair and fundamental_tensor are its views.  The Hermitian
 reference connection Gamma_H is closed form on all four types
 (hermitian_gamma) and takes stacks of points.  The Kaehler-Berwald check is
-one batched pass: every fiber of every base point goes through one
-_fiber_jet call and one batched solve gives N(z, v); the fits of Gamma with
-N(z, v) = Gamma(z) v are one stacked pinv, and Gamma_H of every base point
-one hermitian_connection call.
+one batched pass: every fiber of every base point and the origin's fibers
+go through one _fiber_jet call, and one batched solve gives N(z, v); the
+fits of Gamma with N(z, v) = Gamma(z) v are one stacked pinv, and Gamma_H
+of every base point one hermitian_connection call.
 """
 from dataclasses import dataclass
 
@@ -383,6 +383,22 @@ def connection_sample(metric: MetricSpec, zs, vs) -> np.ndarray:
     return np.linalg.solve(np.swapaxes(hmats, -1, -2), np.moveaxis(dgrad, 0, -1))
 
 
+def _connection_jet(metric: MetricSpec, zs, fibers, v0s):
+    """The connection pass of verify_kahler_berwald: d_i G_mbar at the origin
+    along each v0, (dim, n_v0, dim), and N(z, v) of every fiber, (base,
+    fiber, dim, dim) as connection_sample gives it, for zs (base) + ambient
+    and fibers (base, fiber) + ambient.  One _fiber_jet call takes the pairs
+    flattened to one batch axis, each base point once per fiber and then the
+    origin with each v0, and N is one batched solve over the base pairs."""
+    n_pairs = fibers.shape[0] * fibers.shape[1]
+    points = np.concatenate([np.repeat(zs, fibers.shape[1], axis=0), np.zeros_like(v0s)])
+    tangents = np.concatenate([fibers.reshape((n_pairs,) + v0s.shape[1:]), v0s])
+    _, dgrad, hmats = _fiber_jet(metric, points, tangents)
+    nonlinear = np.linalg.solve(np.swapaxes(hmats[:n_pairs], -1, -2),
+                                np.moveaxis(dgrad[:, :n_pairs], 0, -1))
+    return dgrad[:, n_pairs:], nonlinear.reshape(fibers.shape[:2] + nonlinear.shape[-2:])
+
+
 def hermitian_gamma(spec: DomainSpec, z, us, ws) -> np.ndarray:
     """Gamma_z(U, W) = W (d_U H) H^{-1} of the Hermitian reference tensor H.
 
@@ -425,13 +441,14 @@ def verify_kahler_berwald(metric: MetricSpec, seed: int = 0) -> KahlerBerwaldRep
     At each of N_BASE sampled base points z the nonlinear connection is
     computed at max(N_FIBER, dim + 1) unit fibers v_f, and one Gamma[l, j, i]
     is fitted to N_f[l, i] = sum_j Gamma[l, j, i] v_f[j] by least squares.
-    The connection of every fiber of every base point is one
-    connection_sample call, the fits of all base points one stacked pinv,
-    and their reference connections one hermitian_connection call.  Reports
-    the worst over the base points; the caller decides the verdict:
-      * mixed fiber-base derivative of F^2 at the origin over N_BASE unit
-        fibers (should vanish); exactly 0 for every metric, because each
-        term of grad_vbar_pair's base derivative carries Z* (types I-III)
+    _connection_jet takes the fiber jet of every fiber of every base point
+    and of the origin along N_BASE unit fibers v0 in one _fiber_jet call,
+    and N in one batched solve; the fits of all base points are one stacked
+    pinv, and their reference connections one hermitian_connection call.
+    Reports the worst over the base points; the caller decides the verdict:
+      * mixed fiber-base derivative d_i G_mbar of F^2 at the origin over
+        the v0 (should vanish); exactly 0 for every metric, because each
+        term of the closed-form base derivative carries Z* (types I-III)
         or z, zbar (Lie ball), so this row is a consistency check and not
         evidence,
       * gamma_v_variation: worst entry of the fit residual N_f - Gamma v_f
@@ -450,14 +467,13 @@ def verify_kahler_berwald(metric: MetricSpec, seed: int = 0) -> KahlerBerwaldRep
         domains.Tangents(spec, n_base * n_fiber)])
     v0s = unit(v0s)
     fibers = unit(fibers.reshape((n_base, n_fiber) + spec.ambient_shape))
-    bmat = grad_vbar_pair(metric, np.zeros(spec.ambient_shape), v0s)[1]
-    mixed = float(np.max(np.abs(bmat), initial=0.0))
+    mixed, nonlinear = _connection_jet(metric, zs, fibers, v0s)
     packed = domains.pack(spec, fibers)                              # (b, f, j)
-    nonlinear = connection_sample(metric, zs, fibers).reshape(n_base, n_fiber, -1)
+    nonlinear = nonlinear.reshape(n_base, n_fiber, -1)
     fit = np.linalg.pinv(packed) @ nonlinear                         # (b, j, l i)
     gamma = np.swapaxes(fit.reshape((n_base,) + (spec.dim,) * 3), 1, 2)  # [b, l, j, i]
     worst = lambda x: float(np.max(np.abs(x), initial=0.0))
-    return KahlerBerwaldReport(mixed, worst(nonlinear - packed @ fit),
+    return KahlerBerwaldReport(worst(mixed), worst(nonlinear - packed @ fit),
                                worst(gamma - np.swapaxes(gamma, -1, -2)),
                                worst(gamma - hermitian_connection(metric, zs)),
                                n_base * n_fiber)
@@ -468,7 +484,8 @@ def verify_invariance(metric: MetricSpec, n: int, seed: int) -> float:
     sampled (z, v).
 
     The n automorphisms are one stacked map, so every map acts on every
-    sampled (z, v) in one push and one eval2_many call over n x n points.
+    sampled (z, v) in one push, and one eval2_many call over an (n, n + 1)
+    stack, whose column 0 holds the unmoved (z, v), gives F^2 of both.
     The samples and the maps' draws come from one domains.draw_grid call.
     """
     from . import automorphisms as am
@@ -477,11 +494,12 @@ def verify_invariance(metric: MetricSpec, n: int, seed: int) -> float:
     zs, vs, *maps = domains.draw_grid(
         seed, "automorphism_invariance",
         [domains.Points(spec, n), domains.Tangents(spec, n)] + am.automorphism_parts(spec, n))
-    base = eval2_many(metric, zs, vs)[:, None]
     phi = am.automorphisms_from(spec, *maps)
     zs, vs = _inner_axis(spec, zs), _inner_axis(spec, vs)    # (sample, map) axes
-    moved = eval2_many(metric, *am.push(phi, zs, vs))
-    return float(np.max(np.abs(moved - base) / base, initial=0.0))
+    zs, vs = (np.concatenate([x, moved], axis=1)       # column 0 unmoved
+              for x, moved in zip((zs, vs), am.push(phi, zs, vs)))
+    f2 = eval2_many(metric, zs, vs)
+    return float(np.max(np.abs(f2[:, 1:] - f2[:, :1]) / f2[:, :1], initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,52 @@ def kahler_berwald_per_base(metric, seed: int = 0):
     return met.KahlerBerwaldReport(mixed, v_var, symm, vs_herm, n_base * n_fiber)
 
 
+def kahler_berwald_two_pass(metric, seed: int = 0):
+    """metrics.verify_kahler_berwald with the mixed row from its own
+    grad_vbar_pair call at the origin and N from a second _fiber_jet call
+    (connection_sample); oracle for the one-pass check."""
+    from cartanfinsler import metrics as met
+
+    spec = metric.domain
+    n_base, n_fiber = met.N_BASE, max(met.N_FIBER, spec.dim + 1)
+    ambient = tuple(range(-len(spec.ambient_shape), 0))
+    unit = lambda w: w / np.linalg.norm(w, axis=ambient, keepdims=True)
+    v0s, zs, fibers = domains.draw_grid(seed, "kahler_berwald", [
+        domains.Tangents(spec, n_base), domains.Points(spec, n_base),
+        domains.Tangents(spec, n_base * n_fiber)])
+    v0s = unit(v0s)
+    fibers = unit(fibers.reshape((n_base, n_fiber) + spec.ambient_shape))
+    bmat = met.grad_vbar_pair(metric, np.zeros(spec.ambient_shape), v0s)[1]
+    mixed = float(np.max(np.abs(bmat), initial=0.0))
+    packed = domains.pack(spec, fibers)                              # (b, f, j)
+    nonlinear = met.connection_sample(metric, zs, fibers).reshape(n_base, n_fiber, -1)
+    fit = np.linalg.pinv(packed) @ nonlinear                         # (b, j, l i)
+    gamma = np.swapaxes(fit.reshape((n_base,) + (spec.dim,) * 3), 1, 2)  # [b, l, j, i]
+    worst = lambda x: float(np.max(np.abs(x), initial=0.0))
+    return met.KahlerBerwaldReport(mixed, worst(nonlinear - packed @ fit),
+                                   worst(gamma - np.swapaxes(gamma, -1, -2)),
+                                   worst(gamma - met.hermitian_connection(metric, zs)),
+                                   n_base * n_fiber)
+
+
+def invariance_two_pass(metric, n: int, seed: int) -> float:
+    """metrics.verify_invariance with F^2 of the samples from one eval2_many
+    call and F^2 of their images from a second; oracle for the one-pass
+    check."""
+    from cartanfinsler import automorphisms as am
+    from cartanfinsler import metrics as met
+
+    spec = metric.domain
+    zs, vs, *maps = domains.draw_grid(
+        seed, "automorphism_invariance",
+        [domains.Points(spec, n), domains.Tangents(spec, n)] + am.automorphism_parts(spec, n))
+    base = met.eval2_many(metric, zs, vs)[:, None]
+    phi = am.automorphisms_from(spec, *maps)
+    zs, vs = met._inner_axis(spec, zs), met._inner_axis(spec, vs)  # (sample, map) axes
+    moved = met.eval2_many(metric, *am.push(phi, zs, vs))
+    return float(np.max(np.abs(moved - base) / base, initial=0.0))
+
+
 def schwarz_check_per_map(maps, metric1, metric2, k1, k2, zs, vs):
     """schwarz.schwarz_check one map at a time, each with its own eval2_many
     calls on its row of the (maps, samples) stacks; oracle for the one-call

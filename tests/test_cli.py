@@ -168,16 +168,18 @@ def test_certify_connection_tolerance_drives_the_verdict(tmp_path, capsys,
         "seed": 1,
         "samples": 20,
     }
-    real = metrics.connection_sample
+    real = metrics._connection_jet
 
-    def bent(metric, zs, vs):
-        # a fault of 1e-6 times a term of degree 1 in v that is not linear
+    def bent(metric, zs, vs, v0s):
+        # a fault of 1e-6 times a term of degree 1 in v that is not linear,
+        # in N only: the origin's derivative (the mixed row) is left as it is
         c = domains.pack(metric.domain, vs)
         quad = (c[..., :, None] * c[..., None, :]
                 / np.linalg.norm(c, axis=-1)[..., None, None])
-        return real(metric, zs, vs) + 1e-6 * quad
+        mixed, nonlinear = real(metric, zs, vs, v0s)
+        return mixed, nonlinear + 1e-6 * quad
 
-    monkeypatch.setattr(metrics, "connection_sample", bent)
+    monkeypatch.setattr(metrics, "_connection_jet", bent)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(doc, tolerances={"connection": 1e-3})))
     assert cli.main(["certify", "--config", str(path)]) == 0
@@ -191,6 +193,7 @@ def test_certify_connection_tolerance_drives_the_verdict(tmp_path, capsys,
     assert rows["connection_fiber_variation"]["status"] == "fail"
     assert rows["connection_fiber_variation"]["threshold"] == 1e-9
     assert rows["invariance_deviation"]["status"] == "pass"
+    assert rows["mixed_derivative"]["value"] == 0.0
 
 
 def test_certify_invariance_tolerance_drives_the_verdict(tmp_path, capsys):
@@ -593,14 +596,14 @@ def test_one_mobius_core_per_push(seed, monkeypatch):
 
 
 # Base-point frames per certify request, as (metrics._frame, domains.lie_frame)
-# calls: two for the invariance pass (the samples and their images), one for
-# the roots of its normalizing maps, one for the mixed row at the origin, one
-# for the fiber jet of every fiber and one for the reference connection of
-# every base point.  certify_IV3_affine_t2 fails its certificate, so its
-# connection pass does not run.  A formula that built the frame again for
-# itself would raise these counts.
-CERTIFY_FRAMES = {"certify_I13_tk": (6, 0), "certify_II2_bergman": (6, 0),
-                  "certify_IV3_bergman": (0, 6), "certify_IV3_affine_t2": (0, 3)}
+# calls: one for the invariance pass (the samples and their images in one
+# stack), one for the roots of its normalizing maps, one for the fiber jet of
+# every fiber of every base point and of the origin's fibers, and one for the
+# reference connection of every base point.  certify_IV3_affine_t2 fails its
+# certificate, so its connection pass does not run.  A formula that built the
+# frame again for itself would raise these counts.
+CERTIFY_FRAMES = {"certify_I13_tk": (4, 0), "certify_II2_bergman": (4, 0),
+                  "certify_IV3_bergman": (0, 4), "certify_IV3_affine_t2": (0, 2)}
 
 
 def _frame_counts(monkeypatch):
@@ -630,6 +633,39 @@ def test_one_frame_per_formula_in_certify(seed, monkeypatch):
     for kind in kinds:
         got = counts(dict(kind.config, seed=seed))
         assert got == CERTIFY_FRAMES[kind.name], (kind.name, got)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_one_evaluation_pass_per_certify_check(seed, monkeypatch):
+    # the invariance check makes one eval2_many call and the connection check
+    # one _fiber_jet call; the failed certificate of affine(2) skips the
+    # connection check
+    calls, check = [], [None]
+    for name in ("eval2_many", "_fiber_jet"):
+        def counted(*args, _real=getattr(metrics, name), _name=name):
+            calls.append((check[0], _name))
+            return _real(*args)
+
+        monkeypatch.setattr(metrics, name, counted)
+    for name in ("verify_invariance", "verify_kahler_berwald"):
+        def within(*args, _real=getattr(metrics, name), _name=name, **kwargs):
+            check[0] = _name
+            try:
+                return _real(*args, **kwargs)
+            finally:
+                check[0] = None
+
+        monkeypatch.setattr(metrics, name, within)
+    kinds = [kind for kind in _benchmark_request_types()
+             if kind.name.startswith("certify")]
+    for kind in kinds:
+        calls.clear()
+        cli.run(cli.parse_config(json.dumps(dict(kind.config, seed=seed))))
+        within_checks = [call for call in calls if call[0] is not None]
+        expected = [("verify_invariance", "eval2_many")]
+        if kind.verdict == "pass":
+            expected.append(("verify_kahler_berwald", "_fiber_jet"))
+        assert within_checks == expected, (kind.name, calls)
 
 
 # (_frame, lie_frame) calls per sandwich request.  On every type the samples

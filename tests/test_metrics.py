@@ -9,8 +9,9 @@ import cartanfinsler.domains as dom
 import cartanfinsler.metrics as met
 import cartanfinsler.norms as nrm
 from cartanfinsler.errors import DomainError, StructureError
-from oracles import (fiber_jet_mp, g_family_from_callable, kahler_berwald_per_base,
-                     lapack_frame, lie_ball_directions, lie_ball_f2_mp, lie_ball_matrix,
+from oracles import (fiber_jet_mp, g_family_from_callable, invariance_two_pass,
+                     kahler_berwald_per_base, kahler_berwald_two_pass, lapack_frame,
+                     lie_ball_directions, lie_ball_f2_mp, lie_ball_matrix,
                      wirtinger_base_fd)
 
 # _frame's P and Q stay within FRAME_C * kappa * eps of the LAPACK frame,
@@ -679,9 +680,9 @@ def test_kahler_berwald_counts_one_fundamental_tensor_per_fiber(spec, monkeypatc
 
     monkeypatch.setattr(met, "_matrix_fiber_parts", counted)
     rep = met.verify_kahler_berwald(met.tk_metric(spec, 1.0, 2))
-    # one frame for the mixed row at the origin, then one whose stack holds
-    # every fiber of the three base points
-    assert calls == [(3,), (3, max(10, spec.dim + 1))]
+    # one frame whose stack holds every fiber of the three base points and
+    # the origin with each of its three fibers
+    assert calls == [(3 * max(10, spec.dim + 1) + 3,)]
     assert rep.fibers == 3 * max(10, spec.dim + 1) == 30
 
 
@@ -704,6 +705,23 @@ def test_kahler_berwald_matches_per_base_oracle(metric):
         assert got.mixed_residual == ref.mixed_residual
         for row in ("gamma_v_variation", "gamma_symmetry", "gamma_vs_hermitian"):
             assert abs(getattr(got, row) - getattr(ref, row)) <= 1e-13, (seed, row)
+
+
+@pytest.mark.parametrize("metric", _kahler_berwald_metrics(), ids=lambda m: m.label)
+def test_one_pass_kahler_berwald_equals_two_passes(metric):
+    # the origin's fibers ride in the base points' _fiber_jet stack; every
+    # kernel gives each matrix the same bits whatever stack it sits in
+    for seed in range(20):
+        assert met.verify_kahler_berwald(metric, seed) == kahler_berwald_two_pass(metric, seed)
+
+
+@pytest.mark.parametrize("metric", _kahler_berwald_metrics() + [
+    met.phi_metric(dom.type_iv(3), nrm.affine_phi(2.0)),
+    met.tk_metric(dom.type_i(1, 3), 1.0, 2)], ids=lambda m: m.label)
+def test_one_pass_invariance_equals_two_passes(metric):
+    # the unmoved samples are column 0 of the images' eval2_many stack
+    for seed in range(20):
+        assert met.verify_invariance(metric, 10, seed) == invariance_two_pass(metric, 10, seed)
 
 
 def _hermitian_connection_stencil(metric, z):
@@ -789,18 +807,21 @@ def test_kahler_berwald_check_can_fail(monkeypatch):
                       _hermitian_connection_without_second_term)
         rep = met.verify_kahler_berwald(metric, seed=3)
     assert rep.gamma_vs_hermitian >= 1e-3
-    real = met.connection_sample
+    real = met._connection_jet
 
-    def bent(metric, zs, vs):
-        # a term of degree 1 in v that is not linear: N is no longer Gamma v
+    def bent(metric, zs, vs, v0s):
+        # a term of degree 1 in v that is not linear: N is no longer Gamma v;
+        # the origin's derivative, the mixed row, is left as it is
         c = dom.pack(metric.domain, vs)                       # (base, fiber, dim)
         quad = (c[..., :, None] * c[..., None, :]
                 / np.linalg.norm(c, axis=-1)[..., None, None])
-        return real(metric, zs, vs) + 1e-3 * quad
+        mixed, nonlinear = real(metric, zs, vs, v0s)
+        return mixed, nonlinear + 1e-3 * quad
 
-    monkeypatch.setattr(met, "connection_sample", bent)
+    monkeypatch.setattr(met, "_connection_jet", bent)
     rep = met.verify_kahler_berwald(metric, seed=3)
     assert rep.gamma_v_variation >= 1e-5
+    assert rep.mixed_residual == clean.mixed_residual == 0.0
 
 
 def test_geodesic_disc_oracle():
