@@ -384,19 +384,15 @@ def connection_sample(metric: MetricSpec, zs, vs) -> np.ndarray:
 
 
 def _connection_jet(metric: MetricSpec, zs, fibers, v0s):
-    """The connection pass of verify_kahler_berwald: d_i G_mbar at the origin
-    along each v0, (dim, n_v0, dim), and N(z, v) of every fiber, (base,
-    fiber, dim, dim) as connection_sample gives it, for zs (base) + ambient
-    and fibers (base, fiber) + ambient.  One _fiber_jet call takes the pairs
-    flattened to one batch axis, each base point once per fiber and then the
-    origin with each v0, and N is one batched solve over the base pairs."""
-    n_pairs = fibers.shape[0] * fibers.shape[1]
-    points = np.concatenate([np.repeat(zs, fibers.shape[1], axis=0), np.zeros_like(v0s)])
-    tangents = np.concatenate([fibers.reshape((n_pairs,) + v0s.shape[1:]), v0s])
+    """d_i G_mbar at the origin along the v0, (dim, fiber, dim), and N of
+    connection_sample at every fiber, for zs (base) + ambient and fibers
+    (base, fiber) + ambient: the origin joins zs as one more row, whose
+    fibers repeat the v0 up to fiber, in one _fiber_jet call."""
+    points = _inner_axis(metric.domain, np.concatenate([zs, np.zeros_like(zs[:1])]))
+    tangents = np.concatenate([fibers, v0s[None, np.arange(fibers.shape[1]) % len(v0s)]])
     _, dgrad, hmats = _fiber_jet(metric, points, tangents)
-    nonlinear = np.linalg.solve(np.swapaxes(hmats[:n_pairs], -1, -2),
-                                np.moveaxis(dgrad[:, :n_pairs], 0, -1))
-    return dgrad[:, n_pairs:], nonlinear.reshape(fibers.shape[:2] + nonlinear.shape[-2:])
+    return dgrad[:, -1], np.linalg.solve(np.swapaxes(hmats[:-1], -1, -2),
+                                         np.moveaxis(dgrad[:, :-1], 0, -1))
 
 
 def hermitian_gamma(spec: DomainSpec, z, us, ws) -> np.ndarray:

@@ -317,10 +317,14 @@ def schwarz_check(maps, metric1: MetricSpec, metric2: MetricSpec,
     f2 = np.sqrt(np.maximum(eval2_many(metric2, imgs, dvs), 0.0))
     margins = bound * f1 - f2
     rel = margins / f1
-    worst = (np.arange(len(maps)), np.argmin(rel, axis=1))   # each map's sample
-    return [SchwarzReport(bound=bound, min_margin=low, min_margin_rel=r,
-                          sup_ratio=sup, witness=(z, v, a, b))
-            for low, r, sup, z, v, a, b in zip(
-                np.min(margins, axis=1).tolist(), rel[worst].tolist(),
-                np.max(f2 / f1, axis=1).tolist(), zs[worst], vs[worst],
-                f1[worst].tolist(), f2[worst].tolist())]
+    reports = []
+    for row in range(len(maps)):
+        i = int(np.argmin(rel[row]))
+        reports.append(SchwarzReport(
+            bound=bound,
+            min_margin=float(np.min(margins[row])),
+            min_margin_rel=float(rel[row, i]),
+            sup_ratio=float(np.max(f2[row] / f1[row])),
+            witness=(zs[row, i], vs[row, i], float(f1[row, i]), float(f2[row, i])),
+        ))
+    return reports

@@ -680,9 +680,9 @@ def test_kahler_berwald_counts_one_fundamental_tensor_per_fiber(spec, monkeypatc
 
     monkeypatch.setattr(met, "_matrix_fiber_parts", counted)
     rep = met.verify_kahler_berwald(met.tk_metric(spec, 1.0, 2))
-    # one frame whose stack holds every fiber of the three base points and
-    # the origin with each of its three fibers
-    assert calls == [(3 * max(10, spec.dim + 1) + 3,)]
+    # one call whose stack holds the fibers of the three base points and of
+    # the origin, the origin's three fibers repeated up to the same count
+    assert calls == [(3 + 1, max(10, spec.dim + 1))]
     assert rep.fibers == 3 * max(10, spec.dim + 1) == 30
 
 

@@ -59,22 +59,16 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
     parser.add_argument("--requests", type=int, default=150,
                         help="requests per workload stream after the warm-up")
-    parser.add_argument("--workloads", nargs="+", default=None,
-                        help="workload names (default: all of them)")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory that holds the cartanfinsler package")
     args = parser.parse_args(argv)
     workloads = _workloads()
-    names = args.workloads or list(workloads.WORKLOADS)
-    unknown = sorted(set(names) - set(workloads.WORKLOADS))
-    if unknown:
-        parser.error(f"unknown workloads: {', '.join(unknown)}")
     if not (args.src / "cartanfinsler" / "cli.py").is_file():
         parser.error(f"no cartanfinsler package under {args.src}")
     sys.path.insert(0, str(args.src.resolve()))
     from cartanfinsler import cli
 
-    for workload in names:
+    for workload in workloads.WORKLOADS:
         for seed in args.seeds:
             for index, kind, digest in digests(cli, workloads, workload, seed,
                                                args.requests):
