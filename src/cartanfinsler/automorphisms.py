@@ -143,9 +143,11 @@ def _lie_ball_roots(z0):
     sqrt(Delta), Delta = (1 - l1^2)(1 - l2^2).  1 - l1 l2 is taken as
     (1 - l1) + l1 (1 - l2).  Neither X0 nor the roots divide by
     1 - |z0.z0|^2 or take roots of formed grams, which cancel once both
-    spectral values near 1.
+    spectral values near 1.  Its l1 decides membership as domains.contains_many does.
     """
     frame = domains.lie_frame(z0)
+    if not np.all(1.0 - frame.l1**2 > domains.MEMBERSHIP_MARGIN):
+        raise DomainError("a base point is not interior to the Lie ball")
     l1, l2, vt = frame.l1, frame.l2, frame.vt
     plus_minus = np.stack([1.0 + l1 * l2, (1.0 - l1) + l1 * (1.0 - l2)], axis=-1)
     x, c = 2.0 * frame.sigma / plus_minus, plus_minus / np.sqrt(frame.delta)[..., None]
@@ -176,10 +178,10 @@ def normalizing_automorphism(spec: DomainSpec, z0) -> HoloMap:
     shape = spec.ambient_shape
     if z0.shape[z0.ndim - len(shape):] != shape:
         raise StructureError(f"Z has shape {z0.shape}, expected {shape} for {spec}")
+    if spec.kind == "IV":
+        return HoloMap(spec, spec, LieBallMobius(z0, *_lie_ball_roots(domains._finite(z0))))
     if not np.all(domains.contains_many(spec, z0.reshape((-1,) + shape))):
         raise DomainError(f"base point is not interior to {spec}")
-    if spec.kind == "IV":
-        return HoloMap(spec, spec, LieBallMobius(z0, *_lie_ball_roots(z0)))
     # contains_many admits z0 only when every pivot of I - Z0 Z0* - 1e-12 I is
     # > 0, so the frame's inverse gram below cannot raise
     a, d = metrics.frame_roots(spec, z0)

@@ -10,9 +10,11 @@ Philox4x64-10 key (seed, check id), where the id comes from CHECKS, and
 normals come from its words by Box-Muller on 53-bit uniforms.  The counter
 names the words: item i of part p of a draw_grid call reads blocks
 i B + 1, ..., (i + 1) B with counter word 1 = p and word 2 = the redraw
-attempt, so each part is one call of numpy's C generator.
+attempt, so each part is one call of the process's one C generator.
 """
+import functools
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +142,15 @@ def broken_symmetry(spec: DomainSpec, ws):
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(order: int, offset: int):
+    """np.triu_indices(order, offset), built once per shape (read-only)."""
+    pairs = np.triu_indices(order, offset)
+    for index in pairs:
+        index.flags.writeable = False  # the cache hands them to every caller
+    return pairs
+
+
 def _lie_spectrum(ws):
     """(l1, l2, |x ^ y|, a = z.z) over a stack of z = x + iy: the spectral
     values l1 >= l2 >= 0, with l1^2 = r + 2 |x ^ y| (r = z z*) the squared
@@ -148,7 +159,7 @@ def _lie_spectrum(ws):
     (phase-rotated real directions), and l2 = |a| / l1 keeps it where a = 0.
     """
     x, y = ws.real, ws.imag
-    i, j = np.triu_indices(ws.shape[-1], 1)
+    i, j = _pairs(ws.shape[-1], 1)
     wedge = np.sqrt(np.sum((x[..., i] * y[..., j] - x[..., j] * y[..., i]) ** 2,
                            axis=-1))
     l1 = np.sqrt(np.sum(x**2 + y**2, axis=-1) + 2.0 * wedge)
@@ -280,35 +291,22 @@ def minkowski_gauge(spec: DomainSpec, w) -> float:
     return float(minkowski_gauge_many(spec, w))
 
 
+@functools.lru_cache(maxsize=None)
 def tangent_basis(spec: DomainSpec) -> np.ndarray:
-    """Basis matrices T_s of the tangent class: Z = sum_s pack(Z)_s T_s.
+    """Basis matrices T_s of the tangent class: Z = sum_s pack(Z)_s T_s,
+    built once per spec (read-only).
 
     Ordering matches pack/unpack: row-major entries (type I), upper triangle
     row-major (II), strict upper triangle row-major (III), coordinates (IV).
     """
-    shape = spec.ambient_shape
-    out = np.zeros((spec.dim,) + shape, dtype=np.complex128)
-    if spec.kind == "I":
-        flat = out.reshape(spec.dim, -1)
-        np.fill_diagonal(flat, 1.0)
-    elif spec.kind == "II":
-        m = shape[0]
-        s = 0
-        for i in range(m):
-            for j in range(i, m):
-                out[s, i, j] = 1.0
-                out[s, j, i] = 1.0
-                s += 1
-    elif spec.kind == "III":
-        m = shape[0]
-        s = 0
-        for i in range(m):
-            for j in range(i + 1, m):
-                out[s, i, j] = 1.0
-                out[s, j, i] = -1.0
-                s += 1
+    out = np.zeros((spec.dim,) + spec.ambient_shape, dtype=np.complex128)
+    if spec.kind in ("I", "IV"):
+        np.fill_diagonal(out.reshape(spec.dim, -1), 1.0)
     else:
-        np.fill_diagonal(out, 1.0)
+        (i, j), s = _pairs(spec.dims[0], 0 if spec.kind == "II" else 1), np.arange(spec.dim)
+        out[s, i, j] = 1.0
+        out[s, j, i] = 1.0 if spec.kind == "II" else -1.0
+    out.flags.writeable = False  # the cache hands it to every caller
     return out
 
 
@@ -319,31 +317,18 @@ def pack(spec: DomainSpec, z) -> np.ndarray:
     if spec.kind == "I":
         return z.reshape(z.shape[:-2] + (-1,)).copy()
     if spec.kind in ("II", "III"):
-        i, j = np.triu_indices(z.shape[-1], k=0 if spec.kind == "II" else 1)
+        i, j = _pairs(z.shape[-1], 0 if spec.kind == "II" else 1)
         return z[..., i, j]
     return z.copy()
 
 
 def unpack(spec: DomainSpec, c) -> np.ndarray:
-    """Inverse of pack: rebuild the full matrix/vector from coordinates."""
+    """Inverse of pack: rebuild the full matrix/vector sum_s c_s T_s from
+    coordinates."""
     c = np.asarray(c, dtype=np.complex128)
     if c.shape != (spec.dim,):
         raise StructureError(f"expected {spec.dim} coordinates, got shape {c.shape}")
-    if spec.kind == "I":
-        return c.reshape(spec.dims).copy()
-    if spec.kind == "IV":
-        return c.copy()
-    m = spec.dims[0]
-    z = np.zeros((m, m), dtype=np.complex128)
-    if spec.kind == "II":
-        iu = np.triu_indices(m)
-        z[iu] = c
-        z = z + np.triu(z, k=1).T
-    else:
-        iu = np.triu_indices(m, k=1)
-        z[iu] = c
-        z = z - z.T
-    return z
+    return np.tensordot(c, tangent_basis(spec), axes=1)
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +344,24 @@ CHECKS = {"api": 0, "eval": 1, "sandwich": 2, "automorphism_invariance": 3,
           "schwarz_samples": 8}
 
 
+_GENERATOR = []  # the process's one Philox generator, built on the first draw
+_GENERATOR_LOCK = threading.Lock()
+
+
 def _philox_words(seed: int, check: str, part: int, attempt: int, n_words: int):
     """The first n_words words of Philox4x64-10 with key (seed, CHECKS[check])
     at the counters (1, part, attempt, 0), (2, part, attempt, 0), ..., four
-    words per block in order."""
-    # numpy's Philox increments the counter before each block
-    return np.random.Philox(key=np.array([seed, CHECKS[check]], dtype=np.uint64),
-                            counter=np.array([0, part, attempt, 0], dtype=np.uint64)
-                            ).random_raw(n_words)
+    words per block in order; each call sets the one generator's whole state
+    under a lock, so none inherits a word or a counter from another."""
+    with _GENERATOR_LOCK:
+        if not _GENERATOR:
+            _GENERATOR.append(np.random.Philox(0))
+        # Philox increments the counter before each block; buffer_pos 4: no buffered word
+        _GENERATOR[0].state = {
+            "bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+            "uinteger": 0, "state": {"key": [seed, CHECKS[check]],
+                                     "counter": [0, part, attempt, 0]}}
+        return _GENERATOR[0].random_raw(n_words)
 
 
 @dataclass(frozen=True)
@@ -465,7 +460,8 @@ def draw_grid(seed: int, check: str, parts) -> list:
     (normals, uniforms) pair of a Gaussians part.  Item i of part p reads the
     counter blocks (i B + 1, p, 0, 0), ..., ((i + 1) B, p, 0, 0),
     B = ceil(words / 4), one C generator call per part, so it depends on
-    (seed, check, p, i) only.  A null point or tangent draw reads its blocks
+    (seed, check, p, i) only; each call sets the whole state of the
+    process's one generator.  A null point or tangent draw reads its blocks
     again with the attempt in counter word 2, one further call per part and
     attempt.  seed must be an integer in [0, 2^64); a silent wrap would give
     two seeds the same words.

@@ -24,7 +24,7 @@ reference connection Gamma_H is closed form on all four types
 one batched pass: every fiber of every base point and the origin's fibers
 go through one _fiber_jet call, and one batched solve gives N(z, v); the
 fits of Gamma with N(z, v) = Gamma(z) v are one stacked pinv, and Gamma_H
-of every base point one hermitian_connection call.
+of every base point reads the frame that call read.
 """
 from dataclasses import dataclass
 
@@ -134,10 +134,15 @@ def lie_fiber(zs, vs):
     p = v.v and s = Delta^2 |p|^2 / q^2 clipped to [0, 1], with s = 0 where
     q = 0; the batch axes of zs and vs broadcast."""
     frame = domains.lie_frame(zs)
+    return (frame,) + _lie_invariants(frame, vs)
+
+
+def _lie_invariants(frame, vs):
+    """(q, p, s) of lie_fiber in a given frame."""
     q, p = frame.quad(vs), np.sum(vs * vs, axis=-1)
     s = np.divide(frame.delta**2 * np.abs(p) ** 2, q * q, out=np.zeros_like(q),
                   where=q > 0.0)
-    return frame, q, p, np.clip(s, 0.0, 1.0)
+    return q, p, np.clip(s, 0.0, 1.0)
 
 
 def _lie_dm(z, us, ws):
@@ -174,6 +179,12 @@ def _frame(zs):
     return p, np.eye(zs.shape[-1]) + numkernel.matmul(zc, numkernel.matmul(p, zs))
 
 
+def _base_frame(spec: DomainSpec, zs):
+    """The frame every formula reads at a stack of points zs: (P, Q) of
+    _frame on the matrix types, domains.lie_frame on the Lie ball."""
+    return domains.lie_frame(zs) if spec.kind == "IV" else _frame(zs)
+
+
 def frame_roots(spec: DomainSpec, zs):
     """A = C* and D = R* over a stack of points, from the Cholesky factors
     P = C C* and Q = R R* of the frame; R = conj(C) on types II and III,
@@ -197,13 +208,13 @@ def frame_roots(spec: DomainSpec, zs):
     return np.conj(np.swapaxes(c, -1, -2)), np.conj(np.swapaxes(r, -1, -2))
 
 
-def _matrix_fiber_parts(metric: MetricSpec, zs, vs):
+def _matrix_fiber_parts(metric: MetricSpec, zs, vs, frame=None):
     """P, Q, P V Q, the ladder M^0..M^k of M = P V Q V* and S_a = tr M^a.
 
     zs and vs may carry batch axes in front of the matrix axes, and those
     axes broadcast against each other.  Every product is a numkernel.matmul.
     """
-    p, q = _frame(zs)
+    p, q = _frame(zs) if frame is None else frame
     pvq = numkernel.matmul(numkernel.matmul(p, vs), q)
     m = numkernel.matmul(pvq, np.conj(np.swapaxes(vs, -1, -2)))
     return (p, q, pvq) + power_ladder(m, metric.family.k)
@@ -259,16 +270,16 @@ def eval(metric: MetricSpec, z, v) -> float:
 # fiber derivatives and their base derivative
 
 
-def _fiber_jet(metric: MetricSpec, zs, vs):
+def _fiber_jet(metric: MetricSpec, zs, vs, frame=None):
     """(G_mbar, d_i G_mbar, G_{l mbar}) of G = F^2 over stacks, from one frame.
 
     G_mbar = dG/d(conj v) is packed, d_i is the holomorphic derivative in z
     along tangent_basis[i] at fixed v, and G_{l mbar} = d G_mbar / d v_l is
     the packed Hermitian matrix of second fiber derivatives; no membership
-    checks.  The batch axes of zs and vs broadcast; the three values are
-    (batch...) + (dim,), with the direction axis first (dim, batch..., dim),
-    and (batch...) + (dim, dim).  A zero fiber anywhere in the stack raises
-    DomainError.
+    checks, and the frame is _base_frame(zs) unless given.  The batch axes
+    of zs and vs broadcast; the three values are (batch...) + (dim,), with
+    the direction axis first (dim, batch..., dim), and (batch...) +
+    (dim, dim).  A zero fiber anywhere in the stack raises DomainError.
 
     Both derivatives vary G_mbar holomorphically at fixed conj v, so one
     local along(variation) gives them, called once along the base and once
@@ -284,6 +295,7 @@ def _fiber_jet(metric: MetricSpec, zs, vs):
     zs = np.asarray(zs, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
     require_nonzero(spec, vs, "fiber derivatives of F^2 are undefined at V = 0")
+    frame = _base_frame(spec, zs) if frame is None else frame
     norm = metric.normalization
     # the direction axis leads, so the per-item values broadcast against it
     basis = domains.tangent_basis(spec)
@@ -291,7 +303,7 @@ def _fiber_jet(metric: MetricSpec, zs, vs):
         max(zs.ndim, vs.ndim) - len(spec.ambient_shape)) + spec.ambient_shape)
     if spec.kind == "IV":
         # coordinates are the entries, so the ambient gradient is the packed one
-        frame, q, p, s = lie_fiber(zs, vs)
+        q, p, s = _lie_invariants(frame, vs)
         delta = frame.delta
         vm = frame.times_m(vs)                        # dq/dvbar_b
         vc = np.conj(vs)
@@ -314,7 +326,7 @@ def _fiber_jet(metric: MetricSpec, zs, vs):
         hess = np.moveaxis(along(0.0, frame.times_m(us), 2.0 * np.sum(us * vs, axis=-1)),
                            0, -2)
         return grad, along(d_delta[..., 0], v_dm, 0.0), hess
-    p, q, pvq, powers, s = _matrix_fiber_parts(metric, zs, vs)
+    p, q, pvq, powers, s = _matrix_fiber_parts(metric, zs, vs, frame)
     k = metric.family.k
     h = norms.power_means(s)
     g_grad = norms.grad_rows(metric.family, h)
@@ -384,15 +396,18 @@ def connection_sample(metric: MetricSpec, zs, vs) -> np.ndarray:
 
 
 def _connection_jet(metric: MetricSpec, zs, fibers, v0s):
-    """d_i G_mbar at the origin along the v0, (dim, fiber, dim), and N of
-    connection_sample at every fiber, for zs (base) + ambient and fibers
-    (base, fiber) + ambient: the origin joins zs as one more row, whose
-    fibers repeat the v0 up to fiber, in one _fiber_jet call."""
+    """d_i G_mbar at the origin along the v0, (dim, fiber, dim), N of
+    connection_sample at every fiber and Gamma_H of hermitian_connection at
+    zs, for zs (base) + ambient and fibers (base, fiber) + ambient: the
+    origin joins zs as one more row, whose fibers repeat the v0 up to fiber,
+    and the one frame of these rows serves one _fiber_jet call and Gamma_H."""
     points = _inner_axis(metric.domain, np.concatenate([zs, np.zeros_like(zs[:1])]))
+    frame = _base_frame(metric.domain, points)
     tangents = np.concatenate([fibers, v0s[None, np.arange(fibers.shape[1]) % len(v0s)]])
-    _, dgrad, hmats = _fiber_jet(metric, points, tangents)
-    return dgrad[:, -1], np.linalg.solve(np.swapaxes(hmats[:-1], -1, -2),
-                                         np.moveaxis(dgrad[:, :-1], 0, -1))
+    _, dgrad, hmats = _fiber_jet(metric, points, tangents, frame)
+    return (dgrad[:, -1], np.linalg.solve(np.swapaxes(hmats[:-1], -1, -2),
+                                          np.moveaxis(dgrad[:, :-1], 0, -1)),
+            _hermitian_connection(metric.domain, points, frame)[:-1])
 
 
 def hermitian_gamma(spec: DomainSpec, z, us, ws) -> np.ndarray:
@@ -406,12 +421,16 @@ def hermitian_gamma(spec: DomainSpec, z, us, ws) -> np.ndarray:
         with d_U Delta and W d_U M from _lie_dm and M^{-1} from the frame.
     """
     z, us, ws = (np.asarray(a, dtype=np.complex128) for a in (z, us, ws))
+    return _hermitian_gamma(spec, z, us, ws, _base_frame(spec, z))
+
+
+def _hermitian_gamma(spec: DomainSpec, z, us, ws, frame):
+    """hermitian_gamma in a given frame of z (_base_frame)."""
     if spec.kind != "IV":
         zc = np.conj(np.swapaxes(z, -1, -2))
-        p, q = _frame(z)
+        p, q = frame
         mm = numkernel.matmul
         return mm(mm(mm(us, zc), p), ws) + mm(mm(mm(ws, q), zc), us)
-    frame = domains.lie_frame(z)
     d_delta, w_dm = _lie_dm(z, us, ws)
     return frame.times_m(w_dm, -1) - 2.0 * (d_delta / frame.delta[..., None]) * ws
 
@@ -424,11 +443,19 @@ def hermitian_connection(metric: MetricSpec, zs) -> np.ndarray:
     at every point in one call.  Closed form on all four types; nothing is
     differentiated numerically.
     """
-    spec = metric.domain
-    basis = domains.tangent_basis(spec)
-    zs = _inner_axis(spec, _inner_axis(spec, zs))                # (batch..., i, j)
-    gamma = hermitian_gamma(spec, zs, basis[:, None], basis[None])
-    return np.swapaxes(domains.pack(spec, gamma), -1, -3)
+    zs = _inner_axis(metric.domain, np.asarray(zs, dtype=np.complex128))
+    return _hermitian_connection(metric.domain, zs, _base_frame(metric.domain, zs))
+
+
+def _hermitian_connection(spec: DomainSpec, zs, frame):
+    """hermitian_connection at points zs (batch..., 1) + ambient in their
+    frame; the pair (i, j) of basis directions is entry i dim + j of the
+    last batch axis, which the frame broadcasts against."""
+    basis, dim = domains.tangent_basis(spec), spec.dim
+    gamma = _hermitian_gamma(spec, zs, np.repeat(basis, dim, axis=0),
+                             np.concatenate([basis] * dim), frame)
+    packed = domains.pack(spec, gamma)                            # (batch..., i j, l)
+    return np.swapaxes(packed.reshape(packed.shape[:-2] + (dim,) * 3), -1, -3)
 
 
 def verify_kahler_berwald(metric: MetricSpec, seed: int = 0) -> KahlerBerwaldReport:
@@ -439,8 +466,8 @@ def verify_kahler_berwald(metric: MetricSpec, seed: int = 0) -> KahlerBerwaldRep
     is fitted to N_f[l, i] = sum_j Gamma[l, j, i] v_f[j] by least squares.
     _connection_jet takes the fiber jet of every fiber of every base point
     and of the origin along N_BASE unit fibers v0 in one _fiber_jet call,
-    and N in one batched solve; the fits of all base points are one stacked
-    pinv, and their reference connections one hermitian_connection call.
+    N in one batched solve and the reference connections from the frame of
+    that call; the fits of all base points are one stacked pinv.
     Reports the worst over the base points; the caller decides the verdict:
       * mixed fiber-base derivative d_i G_mbar of F^2 at the origin over
         the v0 (should vanish); exactly 0 for every metric, because each
@@ -463,7 +490,7 @@ def verify_kahler_berwald(metric: MetricSpec, seed: int = 0) -> KahlerBerwaldRep
         domains.Tangents(spec, n_base * n_fiber)])
     v0s = unit(v0s)
     fibers = unit(fibers.reshape((n_base, n_fiber) + spec.ambient_shape))
-    mixed, nonlinear = _connection_jet(metric, zs, fibers, v0s)
+    mixed, nonlinear, hermitian = _connection_jet(metric, zs, fibers, v0s)
     packed = domains.pack(spec, fibers)                              # (b, f, j)
     nonlinear = nonlinear.reshape(n_base, n_fiber, -1)
     fit = np.linalg.pinv(packed) @ nonlinear                         # (b, j, l i)
@@ -471,7 +498,7 @@ def verify_kahler_berwald(metric: MetricSpec, seed: int = 0) -> KahlerBerwaldRep
     worst = lambda x: float(np.max(np.abs(x), initial=0.0))
     return KahlerBerwaldReport(worst(mixed), worst(nonlinear - packed @ fit),
                                worst(gamma - np.swapaxes(gamma, -1, -2)),
-                               worst(gamma - hermitian_connection(metric, zs)),
+                               worst(gamma - hermitian),
                                n_base * n_fiber)
 
 

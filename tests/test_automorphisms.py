@@ -284,6 +284,23 @@ def test_boundary_base_point_raises():
         am.normalizing_automorphism(spec, z0)
 
 
+def test_lie_ball_base_point_errors_keep_their_classes():
+    # membership comes from the roots' own frame, with the margin of
+    # domains.contains_many: the error classes are those of the check it replaced
+    spec = domains.type_iv(3)
+    z0 = np.array([0.6, 0.8j, 0.0])
+    z0 = z0 / domains.minkowski_gauge(spec, z0)
+    for gauge in (1.0 - 1e-13, 1.5):
+        assert not domains.contains(spec, gauge * z0)
+        with pytest.raises(DomainError):
+            am.normalizing_automorphism(spec, np.stack([0.5 * z0, gauge * z0]))
+    with pytest.raises(NumericError):
+        am.normalizing_automorphism(spec, np.array([0.1, np.nan, 0.0]))
+    with pytest.raises(StructureError):
+        am.normalizing_automorphism(spec, np.zeros(4))
+    am.normalizing_automorphism(spec, (1.0 - 1e-9) * z0)  # does not raise
+
+
 @pytest.mark.parametrize("spec", [domains.type_i(2, 3), domains.type_ii(3),
                                   domains.type_iii(4)], ids=str)
 def test_gram_root_accepts_every_interior_point(spec):

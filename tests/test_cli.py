@@ -4,7 +4,10 @@ import importlib.util
 import inspect
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -176,8 +179,8 @@ def test_certify_connection_tolerance_drives_the_verdict(tmp_path, capsys,
         c = domains.pack(metric.domain, vs)
         quad = (c[..., :, None] * c[..., None, :]
                 / np.linalg.norm(c, axis=-1)[..., None, None])
-        mixed, nonlinear = real(metric, zs, vs, v0s)
-        return mixed, nonlinear + 1e-6 * quad
+        mixed, nonlinear, hermitian = real(metric, zs, vs, v0s)
+        return mixed, nonlinear + 1e-6 * quad, hermitian
 
     monkeypatch.setattr(metrics, "_connection_jet", bent)
     path = tmp_path / "cfg.json"
@@ -572,6 +575,50 @@ def test_no_two_checks_of_a_request_share_a_key(seed, monkeypatch):
     assert len(set(domains.CHECKS.values())) == len(domains.CHECKS)
 
 
+# Lie spectral stages (domains._lie_spectrum) per certify request on IV(3):
+# the invariance check's two point draws (samples and map base points), the
+# frame of its stacked normalizing map, whose l1 decides membership too, and
+# the frame of its one eval2_many; behind a passed certificate, the
+# connection check's point draw and the one frame of its pass.
+LIE_SPECTRA = {"certify_IV3_bergman": 6, "certify_IV3_affine_t2": 4}
+
+
+def test_a_repeated_request_builds_no_generator_and_no_index_pairs(monkeypatch):
+    # the Philox generator is built once per process and the index pairs
+    # once per shape: the first run of each request type may build them, a
+    # second run (at another seed) builds none
+    calls = dict.fromkeys(["Philox", "triu_indices", "_lie_spectrum"], 0)
+    for module, name in ((np.random, "Philox"), (np, "triu_indices"),
+                         (domains, "_lie_spectrum")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(domains, "_GENERATOR", [])
+    domains._pairs.cache_clear()
+    built = 0
+    for kind in _benchmark_request_types():
+        for seed in (1, 7):
+            calls.update(dict.fromkeys(calls, 0))
+            cli.run(cli.parse_config(json.dumps(dict(kind.config, seed=seed))))
+            built += calls["Philox"]
+        assert calls["Philox"] == calls["triu_indices"] == 0, (kind.name, calls)
+        if kind.name in LIE_SPECTRA:
+            assert calls["_lie_spectrum"] == LIE_SPECTRA[kind.name], (kind.name, calls)
+    assert built == 1
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # the generator and the shape caches are built on first use, so none of
+    # their cost (numpy.random pulls in secrets and hashlib) moves into import
+    code = "import sys; from cartanfinsler import cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+    assert out.stdout.split() == ["False"]
+
+
 # Mobius cores (I - Z0* Z)^{-1} per request: certify pushes its stacked
 # invariance maps once, and each of the two maps of schwarz_I22_tk's corpus
 # that go through an automorphism takes one core in schwarz_check.  A push
@@ -597,13 +644,13 @@ def test_one_mobius_core_per_push(seed, monkeypatch):
 
 # Base-point frames per certify request, as (metrics._frame, domains.lie_frame)
 # calls: one for the invariance pass (the samples and their images in one
-# stack), one for the roots of its normalizing maps, one for the fiber jet of
-# every fiber of every base point and of the origin's fibers, and one for the
-# reference connection of every base point.  certify_IV3_affine_t2 fails its
+# stack), one for the roots of its normalizing maps, and one for the base
+# points and the origin of the connection pass, which its fiber jet and the
+# reference connection both read.  certify_IV3_affine_t2 fails its
 # certificate, so its connection pass does not run.  A formula that built the
 # frame again for itself would raise these counts.
-CERTIFY_FRAMES = {"certify_I13_tk": (4, 0), "certify_II2_bergman": (4, 0),
-                  "certify_IV3_bergman": (0, 4), "certify_IV3_affine_t2": (0, 2)}
+CERTIFY_FRAMES = {"certify_I13_tk": (3, 0), "certify_II2_bergman": (3, 0),
+                  "certify_IV3_bergman": (0, 3), "certify_IV3_affine_t2": (0, 2)}
 
 
 def _frame_counts(monkeypatch):

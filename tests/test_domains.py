@@ -348,6 +348,41 @@ def test_philox_matches_random123_known_answers():
                                   bitgen.random_raw(10))
 
 
+def test_philox_words_match_a_fresh_generator_in_any_call_order():
+    # the process's one generator takes its whole state on every call: no
+    # call inherits a buffered word or a counter from the call before, even
+    # when that call read 1 or 3 words of a 4-word block
+    cases = [(seed, check, part, attempt, n_words)
+             for seed in (0, 1, 2**63 + 5, 2**64 - 1) for check in domains.CHECKS
+             for part in (0, 3) for attempt in (0, 2) for n_words in (1, 3, 4, 4001)]
+    for i in np.random.default_rng(5).permutation(len(cases)):
+        seed, check, part, attempt, n_words = cases[i]
+        fresh = np.random.Philox(
+            key=np.array([seed, domains.CHECKS[check]], dtype=np.uint64),
+            counter=np.array([0, part, attempt, 0], dtype=np.uint64))
+        np.testing.assert_array_equal(
+            domains._philox_words(seed, check, part, attempt, n_words),
+            fresh.random_raw(n_words), err_msg=str(cases[i]))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+def test_shared_index_pairs_and_bases_are_read_only(spec):
+    # one array serves every caller of a shape: a write into it would change
+    # every later pack, gauge and fiber jet of that shape
+    for order, offset in ((3, 1), (4, 0)):
+        pairs = domains._pairs(order, offset)
+        for index in pairs:
+            with pytest.raises(ValueError):
+                index[0] = 1
+        assert domains._pairs(order, offset) is pairs
+    basis = domains.tangent_basis(spec)
+    with pytest.raises(ValueError):
+        basis[0] = 0.0
+    assert domains.tangent_basis(spec) is basis
+    # unpack hands out a fresh array
+    assert domains.unpack(spec, np.ones(spec.dim)).flags.writeable
+
+
 # sum_k (k + 1) x_k over the flat entries of sample_point, sample_tangent and
 # the image of the origin under random_automorphism at three ORACLE_SEEDS:
 # a change of the words a one-item draw reads, of Box-Muller or of the

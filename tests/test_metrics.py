@@ -673,8 +673,8 @@ def test_kahler_berwald_counts_one_fundamental_tensor_per_fiber(spec, monkeypatc
     calls = []
     real = met._matrix_fiber_parts
 
-    def counted(metric, zs, vs):
-        out = real(metric, zs, vs)
+    def counted(metric, zs, vs, frame=None):
+        out = real(metric, zs, vs, frame)
         calls.append(out[-1].shape[:-1])
         return out
 
@@ -785,12 +785,12 @@ def test_hermitian_connection_matches_pair_loop(spec):
         assert np.array_equal(got_stacked, got)
 
 
-def _hermitian_connection_without_second_term(metric, zs):
+def _hermitian_connection_without_second_term(spec, zs, frame):
     # Gamma(U)V = U Z* P V only: the V Q Z* U term is dropped; zs is a stack
-    spec = metric.domain
+    # (base, 1) + ambient, as _connection_jet hands it over with its frame
     basis = dom.tangent_basis(spec)
     gamma = np.empty((len(zs),) + (spec.dim,) * 3, dtype=np.complex128)
-    for b, z in enumerate(zs):
+    for b, z in enumerate(zs[:, 0]):
         p = np.linalg.inv(np.eye(z.shape[0]) - z @ z.conj().T)
         for i, u in enumerate(basis):
             for j, w in enumerate(basis):
@@ -803,7 +803,7 @@ def test_kahler_berwald_check_can_fail(monkeypatch):
     clean = met.verify_kahler_berwald(metric, seed=3)
     assert max(clean.gamma_v_variation, clean.gamma_vs_hermitian) <= 1e-10
     with monkeypatch.context() as patch:
-        patch.setattr(met, "hermitian_connection",
+        patch.setattr(met, "_hermitian_connection",
                       _hermitian_connection_without_second_term)
         rep = met.verify_kahler_berwald(metric, seed=3)
     assert rep.gamma_vs_hermitian >= 1e-3
@@ -815,8 +815,8 @@ def test_kahler_berwald_check_can_fail(monkeypatch):
         c = dom.pack(metric.domain, vs)                       # (base, fiber, dim)
         quad = (c[..., :, None] * c[..., None, :]
                 / np.linalg.norm(c, axis=-1)[..., None, None])
-        mixed, nonlinear = real(metric, zs, vs, v0s)
-        return mixed, nonlinear + 1e-3 * quad
+        mixed, nonlinear, hermitian = real(metric, zs, vs, v0s)
+        return mixed, nonlinear + 1e-3 * quad, hermitian
 
     monkeypatch.setattr(met, "_connection_jet", bent)
     rep = met.verify_kahler_berwald(metric, seed=3)
