@@ -68,7 +68,7 @@ class RunReport:
     task: str
     verdict: str            # "pass" or "violation"
     summary: dict
-    table: list             # rows with a common key set
+    table: dict             # equal-length column lists keyed by column name
     provenance: dict
 
 
@@ -310,7 +310,7 @@ def parse_config(text: str, task: str = None, seed: int = None,
 
 
 # ---------------------------------------------------------------------------
-# task runners: each returns (passed, summary, table rows, drawn), where
+# task runners: each returns (passed, summary, table columns, drawn), where
 # drawn maps each sampled check to the count it drew.  The library returns
 # raw margins and witnesses; every tolerance is applied here, by holds.
 
@@ -323,31 +323,38 @@ def holds(value, threshold, sense: str) -> bool:
     return bool(_SENSES[sense](value, threshold))
 
 
-def _gate_row(check: str, value, threshold, sense: str) -> dict:
-    """A certify table row: the value, its threshold and the status holds gives."""
-    return {"check": check, "value": float(value), "threshold": threshold,
-            "status": "pass" if holds(value, threshold, sense) else "fail"}
+def _gate_table(gates) -> dict:
+    """The certify table of (check, value, threshold, sense) gates: each
+    value, its threshold and the status holds gives."""
+    checks, values, thresholds, _ = zip(*gates)
+    return {"check": list(checks), "value": list(map(float, values)),
+            "threshold": list(thresholds),
+            "status": ["pass" if holds(*gate[1:]) else "fail" for gate in gates]}
+
+
+def _quantity_table(quantities) -> dict:
+    """The table of (quantity, value) pairs, each value as a float."""
+    names, values = zip(*quantities)
+    return {"quantity": list(names), "value": list(map(float, values))}
 
 
 def _run_eval(cfg: RunConfig):
-    rows = []
-    for i, (z, v) in enumerate(cfg.points):
-        f2 = metrics.eval2(cfg.metric, z, v)
-        rows.append({"index": i, "source": "config",
-                     "f2": f2, "f": math.sqrt(f2)})
+    config_f2 = [metrics.eval2(cfg.metric, z, v) for z, v in cfg.points]
+    config_f = list(map(math.sqrt, config_f2))
     zs, vs = domains.draw_grid(cfg.seed, "eval", [
         domains.Points(cfg.domain, cfg.samples), domains.Tangents(cfg.domain, cfg.samples)])
     f2s = metrics.eval2_many(cfg.metric, zs, vs)
     fs = np.sqrt(f2s)
-    vals = np.concatenate(([row["f"] for row in rows], fs))
-    rows += [{"index": i, "source": "random", "f2": f2, "f": f}
-             for i, (f2, f) in enumerate(zip(f2s.tolist(), fs.tolist()), len(rows))]
+    vals = np.concatenate((config_f, fs))
+    table = {"index": list(range(len(vals))),
+             "source": ["config"] * len(config_f) + ["random"] * len(fs),
+             "f2": config_f2 + f2s.tolist(), "f": config_f + fs.tolist()}
     ok = bool(np.all(np.isfinite(vals)) and np.all(vals > 0))
-    summary = {"count": len(rows), "f_min": float(vals.min()),
+    summary = {"count": len(vals), "f_min": float(vals.min()),
                "f_max": float(vals.max()), "f_mean": float(vals.mean()),
                "all_finite_positive": ok}
     drawn = {"eval_points": cfg.samples}
-    return ok, summary, rows, drawn
+    return ok, summary, table, drawn
 
 
 def _run_certify(cfg: RunConfig):
@@ -359,21 +366,22 @@ def _run_certify(cfg: RunConfig):
     tol = cfg.tolerances
     n = min(cfg.samples, 100)
     deviation = metrics.verify_invariance(cfg.metric, n, cfg.seed)
-    rows = [_gate_row(f"{cert_kind}_certificate", cert.worst_margin, 0.0, ">="),
-            _gate_row("invariance_deviation", deviation, tol["invariance"], "<=")]
-    cert_ok = rows[0]["status"] == "pass"
+    gates = [(f"{cert_kind}_certificate", cert.worst_margin, 0.0, ">="),
+             ("invariance_deviation", deviation, tol["invariance"], "<=")]
+    cert_ok = holds(*gates[0][1:])
     fibers = 0
     if cert_ok:
         # connection checks assume a positive definite fundamental tensor
         kb = metrics.verify_kahler_berwald(cfg.metric, seed=cfg.seed)
         fibers = kb.fibers
-        rows += [_gate_row(name, value, limit, "<=") for name, value, limit in (
+        gates += [(name, value, limit, "<=") for name, value, limit in (
             ("mixed_derivative", kb.mixed_residual, tol["mixed"]),
             ("connection_fiber_variation", kb.gamma_v_variation, tol["connection"]),
             ("connection_symmetry", kb.gamma_symmetry, tol["connection"]),
             ("connection_vs_hermitian", kb.gamma_vs_hermitian, tol["connection"]),
         )]
-    ok = all(row["status"] == "pass" for row in rows)
+    table = _gate_table(gates)
+    ok = all(status == "pass" for status in table["status"])
     summary = {
         "certificate": cert_kind,
         "certificate_passed": cert_ok,
@@ -384,7 +392,7 @@ def _run_certify(cfg: RunConfig):
     }
     drawn = {"invariance_points": n, "invariance_maps": n,
              "connection_fibers": fibers}
-    return ok, summary, rows, drawn
+    return ok, summary, table, drawn
 
 
 def _run_curvature(cfg: RunConfig):
@@ -408,20 +416,19 @@ def _run_curvature(cfg: RunConfig):
         "argmax_profile": np.asarray(report.argmax_profile).tolist(),
         "range_ok": ok,
     }
-    rows = [{"quantity": name, "value": float(value)} for name, value in (
+    table = _quantity_table((
         ("K1", report.k1), ("K2", report.k2), ("lu", report.lu),
         ("bisectional_C", bisect_c),
-        ("worst_low_excess", worst_low), ("worst_high_excess", worst_high))]
+        ("worst_low_excess", worst_low), ("worst_high_excess", worst_high)))
     drawn = {"bisectional_pairs": pair_draws, "range_tangents": cfg.samples}
-    return ok, summary, rows, drawn
+    return ok, summary, table, drawn
 
 
 def _run_sandwich(cfg: RunConfig):
     bounds = curvature.curvature_bounds(cfg.metric)
     slack = cfg.tolerances["sandwich_slack"]
     eq_tol = cfg.tolerances["sandwich_equality"]
-    report = schwarz.verify_sandwich(cfg.metric, bounds, n_samples=cfg.samples,
-                                     seed=cfg.seed)
+    report = schwarz.verify_sandwich(cfg.metric, n_samples=cfg.samples, seed=cfg.seed)
     sides = (("lower", report.worst_lower, report.witness_lower),
              ("upper", report.worst_upper, report.witness_upper))
     failed = [(side, witness) for side, margin, witness in sides
@@ -440,14 +447,14 @@ def _run_sandwich(cfg: RunConfig):
         side, (z, v, f2, fc2) = failed[0]  # the lower side first
         summary["witness"] = {"side": side, "f2": float(f2), "fc2": float(fc2),
                               "z": z, "v": v}
-    rows = [{"quantity": name, "value": float(value)} for name, value in (
+    table = _quantity_table((
         ("K1", bounds.k1), ("K2", bounds.k2),
         ("worst_lower_margin", report.worst_lower),
         ("worst_upper_margin", report.worst_upper),
         ("equality_lower", report.eq_lower),
-        ("equality_upper", report.eq_upper))]
+        ("equality_upper", report.eq_upper)))
     drawn = {"sandwich_points": cfg.samples}
-    return ok, summary, rows, drawn
+    return ok, summary, table, drawn
 
 
 def _run_schwarz(cfg: RunConfig):
@@ -461,11 +468,11 @@ def _run_schwarz(cfg: RunConfig):
     reports = schwarz.schwarz_check(maps, metric1, metric2, bounds1.k1, bounds2.k2,
                                     zs, vs)
     slack = cfg.tolerances["schwarz_slack"]
-    rows = [{"map_index": i, "kind": type(maps[i].body).__name__,
-             "min_margin": float(r.min_margin),
-             "min_margin_rel": float(r.min_margin_rel),
-             "sup_ratio": float(r.sup_ratio)}
-            for i, r in enumerate(reports)]
+    table = {"map_index": list(range(len(reports))),
+             "kind": [type(f.body).__name__ for f in maps],
+             "min_margin": [float(r.min_margin) for r in reports],
+             "min_margin_rel": [float(r.min_margin_rel) for r in reports],
+             "sup_ratio": [float(r.sup_ratio) for r in reports]}
     worst = min(range(len(reports)), key=lambda i: reports[i].min_margin_rel)
     violations = sum(not holds(r.min_margin_rel, -slack, ">=") for r in reports)
     summary = {
@@ -479,7 +486,7 @@ def _run_schwarz(cfg: RunConfig):
         "violations": violations,
     }
     drawn = {"points_per_map": cfg.samples}
-    return violations == 0, summary, rows, drawn
+    return violations == 0, summary, table, drawn
 
 
 _RUNNERS = {"eval": _run_eval, "certify": _run_certify,
@@ -525,49 +532,65 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-# The text json.dumps writes for a cell of each flat type.  A column of a type
-# without an entry (bool, None, complex, arrays, lists, numpy scalars other
-# than float64), of mixed types or with a non-finite float declines the fast
-# path for the whole table.
-_JSON_CELL = {float: float.__repr__, np.float64: float.__repr__,
-              int: int.__repr__, str: json.encoder.encode_basestring_ascii}
-_CSV_CELL = {**_JSON_CELL, str: str}
+def _row_count(table) -> int:
+    """The common length of the table's columns; columns of unequal length
+    raise StructureError, so no row is dropped."""
+    lengths = set(map(len, table.values()))
+    if len(lengths) > 1:
+        raise StructureError(f"report table columns differ in length: {sorted(lengths)}")
+    return lengths.pop() if lengths else 0
 
 
-def _column_text(rows, cell_text):
-    """The table as (keys, one list of cell texts per column), or None.
+def _rows(table) -> list:
+    """The table as one dict per row, its keys in column order."""
+    _row_count(table)
+    return [dict(zip(table, cells)) for cells in zip(*table.values())]
 
-    None unless every row is a dict with the first row's string keys in the
-    same order, and every column holds finite values of one type that
-    cell_text formats.
+
+# The row-template code of a cell of each flat type, whose text is the one
+# json.dumps writes (str cells are encoded before they are formatted).  A
+# column of a type without an entry (bool, None, complex, arrays, lists,
+# numpy scalars other than float64), of mixed types or with a non-finite
+# float declines the template for the whole table.
+_TEMPLATE_CODE = {float: "%r", int: "%d", str: "%s"}
+
+
+def _flat_columns(table):
+    """(keys, codes, columns) of a table that one row template writes, or
+    None.
+
+    None unless the table has rows, every key is a str and every column
+    holds finite values of one type in _TEMPLATE_CODE, or numpy float64
+    values, which come back as Python floats.
     """
-    if not rows or type(rows[0]) is not dict or not rows[0]:
+    if not _row_count(table) or not all(type(key) is str for key in table):
         return None
-    keys = list(rows[0])
-    if not all(type(key) is str for key in keys) or any(
-            type(row) is not dict or list(row) != keys for row in rows):
-        return None
-    columns = []
-    for key in keys:
-        values = [row[key] for row in rows]
-        kind, *others = set(map(type, values))
-        if others or kind not in cell_text or (
-                issubclass(kind, float) and not all(map(math.isfinite, values))):
+    codes, columns = [], []
+    for column in table.values():
+        kind, *others = set(map(type, column))
+        if kind is np.float64:
+            kind, column = float, list(map(float, column))
+        if others or kind not in _TEMPLATE_CODE or (
+                kind is float and not all(map(math.isfinite, column))):
             return None
-        columns.append(list(map(cell_text[kind], values)))
-    return keys, columns
+        codes.append(_TEMPLATE_CODE[kind])
+        columns.append(column)
+    return list(table), codes, columns
 
 
-def _table_json(rows):
-    """The table as json.dumps(indent=2) writes it one level deep, from one
-    row template; None where _column_text declines the table."""
-    cells = _column_text(rows, _JSON_CELL)
-    if cells is None:
+def _table_json(table):
+    """The table as json.dumps(indent=2) writes its rows one level deep,
+    from one row template; None where _flat_columns declines the table."""
+    flat = _flat_columns(table)
+    if flat is None:
         return None
-    keys, columns = cells
-    fields = ",".join("\n      " + json.encoder.encode_basestring_ascii(key)
-                      .replace("%", "%%") + ": %s" for key in keys)
+    encode = json.encoder.encode_basestring_ascii
+    keys, codes, columns = flat
+    fields = ",".join("\n      " + encode(key).replace("%", "%%") + ": " + code
+                      for key, code in zip(keys, codes))
     row = "\n    {" + fields + "\n    }"
+    columns = [list(map(encode, column)) if code == "%s" else column
+               for code, column in zip(codes, columns)]
     return "[" + ",".join(map(row.__mod__, zip(*columns))) + "\n  ]"
 
 
@@ -575,21 +598,23 @@ def emit_report(report: RunReport, format: str = "structured") -> str:
     """Serialize a report: one JSON document, or the table as CSV.
 
     The structured document is exactly the text of json.dumps(doc, indent=2)
-    with the keys task, verdict, summary, table and provenance.  json's C
-    encoder serves no indented output, so a table of flat, finite,
-    single-typed columns is written from one row template with the cell
-    texts json itself uses, and spliced between the json.dumps text of the
-    keys before it and of the provenance.  Any other table, and the whole
-    document with it, goes through json.dumps.  The tabular form writes
-    report.table, or the summary as key/value rows when the table is empty:
-    floats by repr, everything else by str.
+    with the keys task, verdict, summary, table and provenance, where table
+    is the list of report.table's rows.  json's C encoder serves no indented
+    output, so a table of flat, finite, single-typed columns is written from
+    one row template (%r for float, %d for int, %s for an encoded str) and
+    spliced between the json.dumps text of the keys before it and of the
+    provenance.  Any other table, and the whole document with it, goes
+    through json.dumps of the rows.  The tabular form writes report.table,
+    or the summary as key/value rows when the table has no rows: floats by
+    repr, everything else by str.  Columns of unequal length raise
+    StructureError in both forms.
     """
     if format == "structured":
         head = {"task": report.task, "verdict": report.verdict,
                 "summary": report.summary}
         table = _table_json(report.table)
         if table is None:
-            doc = {**head, "table": report.table, "provenance": report.provenance}
+            doc = {**head, "table": _rows(report.table), "provenance": report.provenance}
             return json.dumps(doc, indent=2, default=_json_default) + "\n"
         # both pieces are top-level objects: drop the head's closing "\n}"
         # and the provenance object's opening "{"
@@ -599,22 +624,23 @@ def emit_report(report: RunReport, format: str = "structured") -> str:
         return f'{head[:-2]},\n  "table": {table},{tail[1:]}\n'
     if format != "tabular":
         raise StructureError(f"unknown report format {format!r}")
-    rows = report.table or [{"key": k, "value": v}
-                            for k, v in report.summary.items()]
-    cells = _column_text(rows, _CSV_CELL)
-    if cells is None:
+    table = report.table if _row_count(report.table) else {
+        "key": list(report.summary), "value": list(report.summary.values())}
+    flat = _flat_columns(table)
+    if flat is None:
         # csv writes a numpy float through repr, "np.float64(...)": the rows
         # go through the JSON form, which holds only Python values
-        rows = json.loads(json.dumps(rows, default=_json_default))
-        columns = list(rows[0].keys())
+        rows = json.loads(json.dumps(_rows(table), default=_json_default))
+        header = list(rows[0].keys())
         lines = [[repr(v) if isinstance(v, float) else str(v)
-                  for v in (row[c] for c in columns)] for row in rows]
+                  for v in (row[c] for c in header)] for row in rows]
     else:
-        columns, texts = cells
-        lines = zip(*texts)
+        # csv writes a Python float by repr and an int or a str by str
+        header, _, columns = flat
+        lines = zip(*columns)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    writer.writerow(header)
     writer.writerows(lines)
     return buf.getvalue()
 

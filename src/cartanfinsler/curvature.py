@@ -74,7 +74,8 @@ def _lie_contraction(metric: MetricSpec, side_v, side_w):
 
 def _side(metric: MetricSpec, xs):
     """What B(0;V,W) reads of one argument X: (X, F^2, (|X|^2, s_X, phi(s_X))) on
-    the Lie ball, (X, F^2, (ladder of X X*, c_a)) on types I-III; X = 0 raises DomainError."""
+    the Lie ball, (X, F^2, (G^0..G^k of G = X X*, c_a)) on types I-III; X = 0 raises
+    DomainError."""
     xs = np.asarray(xs, dtype=np.complex128)
     require_nonzero(metric.domain, xs, "curvature is undefined along V = 0")
     if metric.domain.kind == "IV":
@@ -82,7 +83,7 @@ def _side(metric: MetricSpec, xs):
         phi = np.asarray(metric.family.value(s), dtype=float)
         return xs, metric.normalization * r * phi, (r, s, phi)
     powers, s_traces = power_ladder(
-        numkernel.matmul(xs, np.conj(np.swapaxes(xs, -1, -2))), metric.family.k)
+        numkernel.matmul(xs, np.conj(np.swapaxes(xs, -1, -2))), metric.family.k, top=True)
     f2, c = _trace_weights(metric, s_traces)
     return xs, f2, (powers, c)
 

@@ -409,10 +409,12 @@ def _box_muller(words, n_normals: int, n_uniforms: int):
     u = (words[:, :n_words] >> np.uint64(11)) * _UNIT53      # 53-bit uniforms on [0, 1)
     radius = np.sqrt(-2.0 * np.log1p(-u[:, 0:2 * pairs:2]))
     angle = (2.0 * np.pi) * u[:, 1:2 * pairs:2]
-    normals = np.empty((words.shape[0], 2 * pairs))
-    normals[:, 0::2] = radius * np.cos(angle)
-    normals[:, 1::2] = radius * np.sin(angle)
-    return normals[:, :n_normals], u[:, 2 * pairs:]
+    # each pair's (r cos, r sin), written in place with no temporaries
+    normals = np.empty((words.shape[0], pairs, 2))
+    cos, sin = normals[..., 0], normals[..., 1]
+    np.multiply(radius, np.cos(angle, out=cos), out=cos)
+    np.multiply(radius, np.sin(angle, out=sin), out=sin)
+    return normals.reshape(words.shape[0], 2 * pairs)[:, :n_normals], u[:, 2 * pairs:]
 
 
 def _max_abs(ws):
@@ -432,7 +434,8 @@ def _finish(part, normals, u, redraw):
         else _max_abs
 
     def tangent_class(normals):
-        ws = normals[:, :cells] + 1j * normals[:, cells:]
+        ws = np.empty((len(normals), cells), dtype=np.complex128)
+        ws.real, ws.imag = normals[:, :cells], normals[:, cells:]
         return project_tangent(spec, ws.reshape((-1,) + spec.ambient_shape))
 
     draws = tangent_class(normals)

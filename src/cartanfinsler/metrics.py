@@ -209,7 +209,7 @@ def frame_roots(spec: DomainSpec, zs):
 
 
 def _matrix_fiber_parts(metric: MetricSpec, zs, vs, frame=None):
-    """P, Q, P V Q, the ladder M^0..M^k of M = P V Q V* and S_a = tr M^a.
+    """P, Q, P V Q, the ladder M^0..M^(k-1) of M = P V Q V* and S_a = tr M^a.
 
     zs and vs may carry batch axes in front of the matrix axes, and those
     axes broadcast against each other.  Every product is a numkernel.matmul.
@@ -220,15 +220,35 @@ def _matrix_fiber_parts(metric: MetricSpec, zs, vs, frame=None):
     return (p, q, pvq) + power_ladder(m, metric.family.k)
 
 
-def power_ladder(m, k: int):
-    """(M^0..M^k, S) with S_a = tr M^a for a = 1..k over a stack of square
-    matrices M; every product is a numkernel.matmul."""
-    powers = [np.broadcast_to(np.eye(m.shape[-1], dtype=np.complex128), m.shape), m]
-    for _ in range(k - 1):
-        powers.append(numkernel.matmul(powers[-1], m))
-    s_traces = np.stack([np.trace(powers[a], axis1=-2, axis2=-1).real
-                         for a in range(1, k + 1)], axis=-1)
-    return powers, s_traces
+def power_ladder(m, k: int, top: bool = False):
+    """(M^0..M^(k-1), S) with S_a = tr M^a for a = 1..k over a stack of
+    square matrices M; every product is a numkernel.matmul.
+
+    Without top, M^k is not formed: S_k is read from M^(k-1) and M
+    (_trace_product), to the same bits as the trace of matmul(M^(k-1), M).
+    With top the ladder goes on to M^k, for a caller that reads it.
+    """
+    ladder = [np.broadcast_to(np.eye(m.shape[-1], dtype=np.complex128), m.shape), m]
+    for _ in range(k + top - 2):
+        ladder.append(numkernel.matmul(ladder[-1], m))
+    s_traces = [np.trace(x, axis1=-2, axis2=-1).real for x in ladder[1:k + 1]]
+    if len(s_traces) < k:
+        s_traces.append(_trace_product(ladder[-1], m))
+    return ladder[:k + top], np.stack(s_traces, axis=-1)
+
+
+def _trace_product(a, b):
+    """Re tr(A B) over stacks of n x p matrices A and p x n matrices B,
+    without forming A B.
+
+    Each diagonal entry sum_j A_ij B_ji is summed over j in the order
+    numkernel.matmul sums it, and the diagonal in the order np.trace sums
+    it, so the value equals np.trace(matmul(a, b)).real bit for bit.
+    """
+    diag = a[..., :, 0] * b[..., 0, :]
+    for j in range(1, a.shape[-1]):
+        diag += a[..., :, j] * b[..., j, :]
+    return diag.sum(axis=-1).real
 
 
 def trace_f2(metric: MetricSpec, s_traces):

@@ -20,17 +20,19 @@ module samples both statements.  The map corpus that probes the latter
 (generate_maps) holds only maps into their target by construction, so no
 corpus map is tested for range and every image it gives is evidence.
 """
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StructureError
 from . import automorphisms as am
+from . import curvature
 from . import domains
 from . import norms
 from . import numkernel
 from .numkernel import matmul
-from .curvature import CurvatureReport, lie_representative
+from .curvature import lie_representative
 from .domains import DomainSpec
 from .metrics import MetricSpec, eval2_many, frame_roots, power_ladder, trace_f2
 
@@ -119,31 +121,44 @@ def _profile_tangent(spec: DomainSpec, profile) -> np.ndarray:
     return out
 
 
-def verify_sandwich(metric: MetricSpec, bounds: CurvatureReport,
-                    n_samples: int = 10_000, seed: int = 0) -> SandwichReport:
-    """Sample the two-sided gauge bound and probe tightness at extremizers.
+@functools.lru_cache(maxsize=norms.METRIC_MEMO)
+def _equality_residuals(metric: MetricSpec):
+    """(K1, K2, eq_lower, eq_upper): the metric's curvature bounds and the
+    relative residuals |F^2 - (4/K) F_C^2| / F^2 of the sandwich at the
+    origin, at the K1 and at the K2 extremal profile of curvature_bounds.
 
-    bounds: the metric's curvature report; K1, K2 and the extremizing
-    profiles are read from it.  Both sides come from one W = dphi_Z V
-    (_gauge_sides): one frame for the samples and none for the probes at 0.
-    Returns the four residuals and the worst sample of each side; the caller
-    decides the verdict.
+    The extremizers, hence the residuals, depend only on the metric, so a
+    process computes them once per metric (norms.METRIC_MEMO entries).  The
+    two probes are one stack of two at W = V, with no frame.
     """
     spec = metric.domain
+    bounds = curvature.curvature_bounds(metric)
     k1, k2 = bounds.k1, bounds.k2
-    zs, vs = domains.draw_grid(seed, "sandwich", [
-        domains.Points(spec, n_samples), domains.Tangents(spec, n_samples)])
-    f2, fc2 = _gauge_sides(metric, zs, vs)
-    lower = (f2 - (4.0 / k1) * fc2) / f2
-    upper = ((4.0 / k2) * fc2 - f2) / f2
-    i, j = int(np.argmin(lower)), int(np.argmin(upper))
-
-    # the two equality probes at the origin, the K1 and the K2 extremizer,
-    # as one stack of two
     probes = np.stack([_profile_tangent(spec, bounds.argmin_profile),
                        _profile_tangent(spec, bounds.argmax_profile)])
     f2_eq, g_eq = _gauge_sides(metric, None, probes)
     eq_lower, eq_upper = (abs(f2_eq - (4.0 / np.array([k1, k2])) * g_eq) / f2_eq).tolist()
+    return k1, k2, eq_lower, eq_upper
+
+
+def verify_sandwich(metric: MetricSpec, n_samples: int = 10_000,
+                    seed: int = 0) -> SandwichReport:
+    """Sample the two-sided gauge bound and probe tightness at extremizers.
+
+    K1, K2 and the two equality residuals come from one memo,
+    _equality_residuals, so the margins and the probes read the same bounds.
+    Both sides of a sample come from one W = dphi_Z V (_gauge_sides): one
+    frame for the samples.  Returns the four residuals and the worst sample
+    of each side; the caller decides the verdict.
+    """
+    spec = metric.domain
+    zs, vs = domains.draw_grid(seed, "sandwich", [
+        domains.Points(spec, n_samples), domains.Tangents(spec, n_samples)])
+    f2, fc2 = _gauge_sides(metric, zs, vs)
+    k1, k2, eq_lower, eq_upper = _equality_residuals(metric)
+    lower = (f2 - (4.0 / k1) * fc2) / f2
+    upper = ((4.0 / k2) * fc2 - f2) / f2
+    i, j = int(np.argmin(lower)), int(np.argmin(upper))
     return SandwichReport(float(lower[i]), float(upper[j]), eq_lower, eq_upper,
                           (zs[i], vs[i], float(f2[i]), float(fc2[i])),
                           (zs[j], vs[j], float(f2[j]), float(fc2[j])))

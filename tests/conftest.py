@@ -1,11 +1,12 @@
 """Fixtures shared by the test modules."""
 import pytest
 
-from cartanfinsler import curvature, norms
+from cartanfinsler import curvature, norms, schwarz
 
 # the metric-only invariants, each memoized on its metric or family
 MEMOIZED = (curvature.curvature_bounds, curvature._bisectional_sup_matrix,
-            curvature._bisectional_sup_lie, norms.certify_scc, norms.certify_sn)
+            curvature._bisectional_sup_lie, norms.certify_scc, norms.certify_sn,
+            schwarz._equality_residuals)
 
 
 def _clear():

@@ -219,6 +219,20 @@ def schwarz_check_per_map(maps, metric1, metric2, k1, k2, zs, vs):
     return reports
 
 
+def sandwich_equality_residuals(metric, bounds):
+    """The sandwich's relative equality residuals at the origin, at the K1
+    and the K2 extremal profile of bounds, computed on each call; oracle for
+    the memo schwarz._equality_residuals."""
+    from cartanfinsler import schwarz as sw
+
+    spec = metric.domain
+    k1, k2 = bounds.k1, bounds.k2
+    probes = np.stack([sw._profile_tangent(spec, bounds.argmin_profile),
+                       sw._profile_tangent(spec, bounds.argmax_profile)])
+    f2_eq, g_eq = sw._gauge_sides(metric, None, probes)
+    return tuple((abs(f2_eq - (4.0 / np.array([k1, k2])) * g_eq) / f2_eq).tolist())
+
+
 def lie_ball_roots_mp(z0, dps: int = 50):
     """X0, A = (I - X0 X0')^{-1/2} and D = (I - X0' X0)^{-1/2} of the Lie-ball
     normalizing map at one base point z0, from the defining formulas in

@@ -13,7 +13,7 @@ import cartanfinsler.domains as dom
 import cartanfinsler.metrics as met
 import cartanfinsler.norms as nrm
 import cartanfinsler.schwarz as sw
-from oracles import bisection_gauge, g_family_from_callable
+from oracles import bisection_gauge, g_family_from_callable, sandwich_equality_residuals
 
 # one metric pair (Hermitian + non-Hermitian) per domain type
 SHIPPED = [
@@ -122,12 +122,20 @@ def test_06_curvature_sign_and_pinching():
 
 def test_07_gauge_comparison_sandwich():
     for metric in SHIPPED:
-        bounds = curv.curvature_bounds(metric)
-        rep = sw.verify_sandwich(metric, bounds, n_samples=10_000, seed=77)
+        rep = sw.verify_sandwich(metric, n_samples=10_000, seed=77)
         assert rep.worst_lower >= -1e-8, (metric.label, rep.worst_lower)
         assert rep.worst_upper >= -1e-8, (metric.label, rep.worst_upper)
         assert rep.eq_lower <= 1e-4, (metric.label, rep.eq_lower)
         assert rep.eq_upper <= 1e-4, (metric.label, rep.eq_upper)
+
+
+@pytest.mark.parametrize("metric", SHIPPED, ids=lambda m: m.label)
+def test_sandwich_equality_memo_equals_the_per_call_probes(metric, clear_memos):
+    # the memo gives, bit for bit, K1 and K2 of curvature_bounds and the
+    # residuals the sandwich computed on every call before it was memoized
+    bounds = curv.curvature_bounds(metric)
+    assert sw._equality_residuals(metric) == (
+        bounds.k1, bounds.k2, *sandwich_equality_residuals(metric, bounds))
 
 
 def test_08_schwarz_margins_over_map_corpus():

@@ -16,7 +16,7 @@ import pytest
 
 from cartanfinsler import (automorphisms as am, cli, curvature, domains, metrics, norms,
                            numkernel)
-from cartanfinsler.errors import ConfigError
+from cartanfinsler.errors import ConfigError, StructureError
 from oracles import LAPACK_KERNELS
 
 
@@ -305,9 +305,10 @@ def test_curvature_slack_drives_the_verdict(tmp_path, capsys, monkeypatch):
     assert out["summary"]["range_ok"] is True
 
 
-def test_sandwich_slack_drives_the_verdict(tmp_path, capsys, monkeypatch):
+def test_sandwich_slack_drives_the_verdict(tmp_path, capsys, monkeypatch, clear_memos):
     # the disc is tight on its lower side: a K1 reported delta low moves every
-    # lower margin to 1 - 1/(1 - delta), about -delta
+    # lower margin to 1 - 1/(1 - delta), about -delta.  The sandwich reads K1
+    # through its memo of the equality residuals, emptied around the test
     delta = 1e-6
     _scale_k1(monkeypatch, 1.0 - delta)
     doc = {"domain": {"type": "I", "m": 1, "n": 1}, "metric": {"family": "bergman"}}
@@ -756,7 +757,7 @@ def test_corpus_reports_match_the_lapack_kernels(seed, monkeypatch, clear_memos)
         assert ours.summary["violations"] == lapack.summary["violations"], kind.name
         for key in ("min_margin_rel", "sup_ratio"):
             assert close(ours.summary[key], lapack.summary[key]), (kind.name, key)
-        for row, row_lapack in zip(ours.table, lapack.table, strict=True):
+        for row, row_lapack in zip(_rows_of(ours.table), _rows_of(lapack.table), strict=True):
             assert row["kind"] == row_lapack["kind"]
             for key in ("min_margin", "min_margin_rel", "sup_ratio"):
                 assert close(row[key], row_lapack[key]), (kind.name, row["map_index"], key)
@@ -929,16 +930,22 @@ def test_tolerances_are_applied_only_in_the_cli():
 # report emission: byte identity with the plain json.dumps and CSV forms
 
 
+def _rows_of(table):
+    """A report table's rows, rebuilt from its columns; columns of unequal
+    length raise ValueError."""
+    return [dict(zip(table, cells)) for cells in zip(*table.values(), strict=True)]
+
+
 def _structured_oracle(report):
     doc = {"task": report.task, "verdict": report.verdict,
-           "summary": report.summary, "table": report.table,
+           "summary": report.summary, "table": _rows_of(report.table),
            "provenance": report.provenance}
     return json.dumps(doc, indent=2, default=cli._json_default) + "\n"
 
 
 def _tabular_oracle(report):
-    rows = report.table or [{"key": k, "value": v}
-                            for k, v in report.summary.items()]
+    rows = _rows_of(report.table) or [{"key": k, "value": v}
+                                      for k, v in report.summary.items()]
     rows = json.loads(json.dumps(rows, default=cli._json_default))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -987,10 +994,12 @@ EMIT_CONFIGS = {
 @pytest.mark.parametrize("seed", [2, 9])
 @pytest.mark.parametrize("task", sorted(EMIT_CONFIGS))
 def test_every_task_table_is_written_by_the_row_template(task, seed):
+    # each runner builds its table as columns: lists of one length
     report = cli.run(cli.parse_config(json.dumps({**EMIT_CONFIGS[task],
                                                   "seed": seed})))
-    assert cli._column_text(report.table, cli._JSON_CELL) is not None
-    assert cli._column_text(report.table, cli._CSV_CELL) is not None
+    assert all(type(column) is list for column in report.table.values())
+    assert len({len(column) for column in report.table.values()}) == 1
+    assert cli._flat_columns(report.table) is not None
     _assert_emits_like_the_oracles(report)
 
 
@@ -1007,10 +1016,10 @@ def test_a_column_not_flat_finite_and_of_one_type_falls_back(cell):
     # one certify row's value is replaced: the column is no longer flat,
     # finite and of one type (2 makes it int among floats)
     report = _certify_report()
-    table = [dict(row) for row in report.table]
-    table[1]["value"] = cell
+    table = {key: list(column) for key, column in report.table.items()}
+    table["value"][1] = cell
     report = dataclasses.replace(report, table=table)
-    assert cli._column_text(report.table, cli._JSON_CELL) is None
+    assert cli._flat_columns(report.table) is None
     _assert_emits_like_the_oracles(report)
 
 
@@ -1019,29 +1028,58 @@ def test_a_column_not_flat_finite_and_of_one_type_falls_back(cell):
                                   "\U0001d4d5"])
 def test_any_string_cell_or_key_keeps_the_row_template(text):
     report = _certify_report()
-    table = [{**row, "check": row["check"] + text, text: text}
-             for row in report.table]
+    checks = report.table["check"]
+    table = {**report.table, "check": [check + text for check in checks],
+             text: [text] * len(checks)}
     report = dataclasses.replace(report, table=table)
-    assert cli._column_text(report.table, cli._JSON_CELL) is not None
+    assert cli._flat_columns(report.table) is not None
     _assert_emits_like_the_oracles(report)
 
 
 @pytest.mark.parametrize("reshape", [
-    lambda t: t[:1] + [dict(reversed(list(t[1].items())))] + t[2:],
-    lambda t: t[:1] + [{k: v for k, v in t[1].items() if k != "status"}] + t[2:],
-    lambda t: t + [{**t[0], "extra": 1.0}],
-    lambda t: t[:1] + [list(t[1].values())] + t[2:],
-    lambda t: [dict(enumerate(row.values())) for row in t],
-    lambda t: [{} for _ in t],
-    lambda t: [],
-], ids=["key_order", "missing_key", "extra_key", "row_not_dict", "int_key",
-        "empty_rows", "empty_table"])
+    lambda t: dict(enumerate(t.values())),
+    lambda t: {key: [] for key in t},
+    lambda t: {},
+], ids=["int_key", "empty_rows", "empty_table"])
 def test_rows_that_cannot_share_one_template_fall_back(reshape):
+    # a column name that is not a str, and a table without rows (columns of
+    # length 0, or no columns)
     report = _certify_report()
-    report = dataclasses.replace(report, table=reshape([dict(row)
-                                                        for row in report.table]))
-    assert cli._column_text(report.table, cli._JSON_CELL) is None
+    report = dataclasses.replace(report, table=reshape(report.table))
+    assert cli._flat_columns(report.table) is None
     _assert_emits_like_the_oracles(report)
+
+
+@pytest.mark.parametrize("reshape", [
+    lambda t: {**t, "status": t["status"][:-1]},
+    lambda t: {**t, "value": t["value"] + [1.0]},
+    lambda t: {**t, "extra": [1.0]},
+], ids=["short_column", "long_column", "extra_column"])
+def test_columns_of_unequal_length_raise(reshape):
+    # zip would cut every row at the shortest column: both formats and the
+    # row rebuild refuse the table instead
+    report = _certify_report()
+    report = dataclasses.replace(report, table=reshape(report.table))
+    for fmt in ("structured", "tabular"):
+        with pytest.raises(StructureError, match="differ in length"):
+            cli.emit_report(report, fmt)
+    with pytest.raises(StructureError):
+        cli._rows(report.table)
+
+
+def test_a_numpy_float64_column_writes_python_float_text():
+    # np.float64 is a float whose repr is "np.float64(...)": the template
+    # writes its values by float.__repr__, as json.dumps does
+    report = _certify_report()
+    values = report.table["value"]
+    report = dataclasses.replace(report, table={
+        **report.table, "value": [np.float64(x) for x in values]})
+    assert cli._flat_columns(report.table) is not None
+    _assert_emits_like_the_oracles(report)
+    for fmt in ("structured", "tabular"):
+        text = cli.emit_report(report, fmt)
+        assert "np.float64" not in text
+        assert all(float.__repr__(x) in text for x in values)
 
 
 def test_summary_rows_of_an_empty_table_keep_their_csv_text():
@@ -1050,5 +1088,5 @@ def test_summary_rows_of_an_empty_table_keep_their_csv_text():
     for task in ("eval", "curvature", "certify"):
         report = cli.run(cli.parse_config(json.dumps({**EMIT_CONFIGS[task],
                                                       "seed": 5})))
-        report = dataclasses.replace(report, table=[])
+        report = dataclasses.replace(report, table={})
         _assert_emits_like_the_oracles(report)

@@ -8,6 +8,7 @@ import cartanfinsler.curvature as curv
 import cartanfinsler.domains as dom
 import cartanfinsler.metrics as met
 import cartanfinsler.norms as nrm
+import cartanfinsler.numkernel as numkernel
 from cartanfinsler.errors import DomainError, StructureError
 from oracles import (fiber_jet_mp, g_family_from_callable, invariance_two_pass,
                      kahler_berwald_per_base, kahler_berwald_two_pass, lapack_frame,
@@ -250,6 +251,36 @@ def test_points_and_tangents_share_one_symmetry_rule(spec, word):
         met.eval2(metric, z + 2.0 * bump, v)
     with pytest.raises(StructureError, match=f"^tangent must be {word}$"):
         met.eval2(metric, z, v + 2.0 * bump)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3)], ids=str)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_power_ladder_traces_keep_their_bits_without_the_top_power(shape, k):
+    # the ladder stops at M^(k-1) and reads S_k = tr M^k from M^(k-1) and M
+    # (with top it goes on to M^k): every power and every S_a equals the
+    # full matmul ladder and its np.trace bit for bit, on M = V V* (with two
+    # batch axes) and M = P V Q V* of the frame
+    rng = np.random.default_rng(sum(shape) + 10 * k)
+    vs = rng.standard_normal((40,) + shape) + 1j * rng.standard_normal((40,) + shape)
+    vs /= np.linalg.norm(vs, axis=(-2, -1), keepdims=True)
+    zs = 0.5 * rng.standard_normal((40, 1) + shape) / np.sqrt(np.prod(shape))
+    vsc = np.conj(np.swapaxes(vs, -1, -2))
+    p, q = met._frame(zs)
+    for m in (numkernel.matmul(vs, vsc).reshape(8, 5, shape[0], shape[0]),
+              numkernel.matmul(numkernel.matmul(numkernel.matmul(p, vs), q), vsc)):
+        full = [m]
+        for _ in range(k - 1):
+            full.append(numkernel.matmul(full[-1], m))
+        want = np.stack([np.trace(x, axis1=-2, axis2=-1).real for x in full], axis=-1)
+        for top in (False, True):
+            powers, s = met.power_ladder(m, k, top=top)
+            assert len(powers) == k + top
+            assert all(np.array_equal(x, y) for x, y in zip(powers[1:], full))
+            assert s.dtype == want.dtype and np.array_equal(s, want)
+    # A (n x p) against B (p x n), as matmul(a, b) then np.trace
+    a, b = vs, rng.standard_normal(vsc.shape) + 1j * rng.standard_normal(vsc.shape)
+    assert np.array_equal(met._trace_product(a, b),
+                          np.trace(numkernel.matmul(a, b), axis1=-2, axis2=-1).real)
 
 
 def test_grad_vbar_matches_fd():

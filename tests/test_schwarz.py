@@ -222,7 +222,7 @@ def test_sandwich_sides_from_one_gram_match_eval2_and_the_gauge(spec):
     # alone give its F^2 and F_C^2 to the last bit
     metric = _shared_w_metrics(spec)[0]
     bounds = curv.curvature_bounds(metric)
-    rep = sw.verify_sandwich(metric, bounds, n_samples=300, seed=4)
+    rep = sw.verify_sandwich(metric, n_samples=300, seed=4)
     margins = ((lambda f2, fc2: (f2 - (4.0 / bounds.k1) * fc2) / f2, rep.worst_lower,
                 rep.witness_lower),
                (lambda f2, fc2: ((4.0 / bounds.k2) * fc2 - f2) / f2, rep.worst_upper,
@@ -235,14 +235,16 @@ def test_sandwich_sides_from_one_gram_match_eval2_and_the_gauge(spec):
 @pytest.mark.parametrize("spec, values_calls", [
     (dom.type_i(2, 3), []), (dom.type_ii(2), []), (dom.type_iv(3), []),
     (dom.type_ii(3), [(50, 3, 3), (50, 3, 3), (2, 3, 3)])], ids=str)
-def test_sandwich_makes_no_lapack_call_up_to_two_rows(monkeypatch, spec, values_calls):
+def test_sandwich_makes_no_lapack_call_up_to_two_rows(monkeypatch, clear_memos, spec,
+                                                      values_calls):
     # one frame gives both sides, and the origin probes none: the Cholesky
     # roots on types I-III, the closed-form Peirce frame on the Lie ball, and
     # no automorphism is pushed on any type.  On II(3) the three values-only
-    # eigensolves are the sampler's gauge of its points, gram_top of the
-    # samples' W and gram_top of the two probes
+    # eigensolves of a cold call are the sampler's gauge of its points,
+    # gram_top of the samples' W and gram_top of the two probes; a repeated
+    # call reads the probes from the memo and makes the first two only
     metric = _shared_w_metrics(spec)[0]
-    bounds = curv.curvature_bounds(metric)
+    curv.curvature_bounds(metric)
     eigvalsh_batch = numkernel.eigvalsh_batch
     calls = []
 
@@ -261,8 +263,12 @@ def test_sandwich_makes_no_lapack_call_up_to_two_rows(monkeypatch, spec, values_
     if not values_calls:
         for name in ("eigh", "eigvalsh", "inv", "solve", "cholesky", "svd"):
             refused(np.linalg, name)
-    sw.verify_sandwich(metric, bounds, n_samples=50, seed=2)
+    margins = lambda rep: (rep.worst_lower, rep.worst_upper, rep.eq_lower, rep.eq_upper)
+    cold = margins(sw.verify_sandwich(metric, n_samples=50, seed=2))
     assert calls == values_calls
+    calls.clear()
+    assert margins(sw.verify_sandwich(metric, n_samples=50, seed=2)) == cold
+    assert calls == values_calls[:2]
 
 
 @pytest.mark.parametrize("spec", [dom.type_i(2, 3), dom.type_ii(3), dom.type_iii(4),
@@ -306,7 +312,7 @@ def test_outside_point_rejected():
 )
 def test_sandwich(metric):
     rep = curv.curvature_bounds(metric)
-    sr = sw.verify_sandwich(metric, rep, n_samples=400, seed=3)
+    sr = sw.verify_sandwich(metric, n_samples=400, seed=3)
     assert sr.worst_lower >= -1e-8 and sr.worst_upper >= -1e-8
     assert sr.eq_lower <= 1e-4 and sr.eq_upper <= 1e-4
     # each side's witness is its worst sample: it reproduces that side's margin
@@ -320,7 +326,7 @@ def test_sandwich_tight_on_disc():
     metric = met.bergman_metric(dom.type_i(1, 1))
     rep = curv.curvature_bounds(metric)
     assert (rep.k1, rep.k2) == pytest.approx((2.0, 2.0))
-    sr = sw.verify_sandwich(metric, rep, n_samples=200, seed=1)
+    sr = sw.verify_sandwich(metric, n_samples=200, seed=1)
     assert sr.worst_lower >= -1e-8 and sr.worst_upper >= -1e-8
     assert sr.eq_lower <= 1e-4 and sr.eq_upper <= 1e-4
     assert abs(sr.worst_lower) < 1e-10 and abs(sr.worst_upper) < 1e-10
