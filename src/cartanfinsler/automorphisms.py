@@ -13,8 +13,9 @@ K maps on S points (S, 1) + ambient give (S, K) + ambient in one call.
 The normalizing automorphism of a matrix domain at Z0 is
     Z  |->  A (Z - Z0) (I - Z0* Z)^{-1} D^{-1},
 with A = C* and D = R* from the Cholesky factors C C* = (I - Z0 Z0*)^{-1}
-and R R* = (I - Z0* Z0)^{-1} of the metrics' frame (metrics.frame_roots),
-the roots the gauge reads too; for the symmetric/skew domains D = conj(A).
+and R R* = (I - Z0* Z0)^{-1} of the metrics' frame (metrics.frame_roots);
+the gauge reaches the same roots as triangular inverses of the grams'
+Cholesky factors.  For the symmetric/skew domains D = conj(A).
 Any roots with A (I - Z0 Z0*) A* = I and D^{-1} D^{-*} = I - Z0* Z0 give a
 normalizing map, unique up to isotropy.  The Lie-ball
 version goes through the real 2xN matrix X0 and the auxiliary map

@@ -425,7 +425,6 @@ def _run_curvature(cfg: RunConfig):
 
 
 def _run_sandwich(cfg: RunConfig):
-    bounds = curvature.curvature_bounds(cfg.metric)
     slack = cfg.tolerances["sandwich_slack"]
     eq_tol = cfg.tolerances["sandwich_equality"]
     report = schwarz.verify_sandwich(cfg.metric, n_samples=cfg.samples, seed=cfg.seed)
@@ -436,7 +435,7 @@ def _run_sandwich(cfg: RunConfig):
     ok = (not failed and holds(report.eq_lower, eq_tol, "<=")
           and holds(report.eq_upper, eq_tol, "<="))
     summary = {
-        "K1": float(bounds.k1), "K2": float(bounds.k2),
+        "K1": float(report.k1), "K2": float(report.k2),
         "worst_lower_margin": float(report.worst_lower),
         "worst_upper_margin": float(report.worst_upper),
         "equality_lower": float(report.eq_lower),
@@ -448,7 +447,7 @@ def _run_sandwich(cfg: RunConfig):
         summary["witness"] = {"side": side, "f2": float(f2), "fc2": float(fc2),
                               "z": z, "v": v}
     table = _quantity_table((
-        ("K1", bounds.k1), ("K2", bounds.k2),
+        ("K1", report.k1), ("K2", report.k2),
         ("worst_lower_margin", report.worst_lower),
         ("worst_upper_margin", report.worst_upper),
         ("equality_lower", report.eq_lower),

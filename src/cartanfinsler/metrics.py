@@ -192,7 +192,10 @@ def frame_roots(spec: DomainSpec, zs):
 
     A (I - Z Z*) A* = I and D^{-1} D^{-*} = I - Z* Z, so A and D are roots of
     P and Q up to a unitary factor, and A V D* = C* V R is the differential
-    at Z of the normalizing map A (. - Z) (I - Z* .)^{-1} D^{-1}.
+    at Z of the normalizing map A (. - Z) (I - Z* .)^{-1} D^{-1}, whose roots
+    these are (automorphisms.normalizing_automorphism).  The gauge forms the
+    same A V D* as U^{-1} V K^{-*} from the Cholesky factors of the grams
+    (schwarz._pulled_back): A = U^{-1} and D = K^{-1}, rounded differently.
 
     The factors read the Hermitian parts (P + P*)/2 and (Q + Q*)/2.  The
     frame is Hermitian only up to rounding of order kappa^2 eps, kappa =

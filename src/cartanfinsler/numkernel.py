@@ -6,17 +6,17 @@ serves the top eigenvalue of a gram with three or more rows (``gram_top``)
 and the Hessian check of ``norms.certify_scc``.  No formula takes
 eigenvectors.
 
-Six stack kernels for the small matrices of the formulas: ``matmul``,
-``hpd_inv``, ``solve``, ``smallest_eig_exceeds``, ``cholesky`` and
-``gram_top``.  numpy's stacked ``@``, ``linalg.inv``, ``linalg.solve``,
-``linalg.cholesky`` and ``linalg.eigvalsh`` make one BLAS or LAPACK call per
-matrix, which costs about 0.3 to 0.8 us for a 2x2 matrix on a 2-vCPU x86
-host, more than the arithmetic.  These kernels instead loop in Python over
-the inner (or pivot) axis, or use a closed form, and act on the whole stack
-at once, so their cost grows with the stack in whole-array operations, and
-every matrix of a stack gets the same bits whatever the stack around it.
-``hpd_inv``, ``solve`` and ``smallest_eig_exceeds`` share one Gauss-Jordan
-loop.
+Seven stack kernels for the small matrices of the formulas: ``matmul``,
+``hpd_inv``, ``solve``, ``smallest_eig_exceeds``, ``cholesky``,
+``solve_upper`` and ``gram_top``.  numpy's stacked ``@``,
+``linalg.inv``, ``linalg.solve``, ``linalg.cholesky`` and
+``linalg.eigvalsh`` make one BLAS or LAPACK call per matrix, which costs
+about 0.3 to 0.8 us for a 2x2 matrix on a 2-vCPU x86 host, more than the
+arithmetic.  These kernels instead loop in Python over the inner (or pivot)
+axis, or use a closed form, and act on the whole stack at once, so their
+cost grows with the stack in whole-array operations, and every matrix of a
+stack gets the same bits whatever the stack around it.  ``hpd_inv``,
+``solve`` and ``smallest_eig_exceeds`` share one Gauss-Jordan loop.
 """
 from __future__ import annotations
 
@@ -156,24 +156,55 @@ def smallest_eig_exceeds(grams, margin: float) -> np.ndarray:
 
 def cholesky(ms) -> np.ndarray:
     """Lower factor L with L L* = M over a stack (..., n, n) of Hermitian
-    positive definite matrices; only the lower triangles are read.
+    matrices; only the lower triangles are read.
 
     Outer-product elimination, one whole-stack step per column: column k of
     L is column k of the remaining block divided by the square root of its
-    real pivot, and the block loses the outer product of that column.  No
-    pivot is checked: the callers factor frames P, Q >= I, and every
-    remaining block of a matrix >= I is a Schur complement, itself >= I, so
-    every pivot is >= 1.
+    real pivot, and the block loses the outer product of that column.  The
+    pivots of a Hermitian matrix are all > 0 exactly when it is positive
+    definite, so hpd_inv's rule holds: a finite pivot that is not > 0 raises
+    DomainError, as the gram I - ZZ* or I - Z*Z of a point that is not
+    interior does.  A pivot that is not finite, which non-finite input
+    gives, raises NumericError.
     """
     work = np.array(ms, dtype=np.complex128)
     low = np.zeros_like(work)
-    for k in range(work.shape[-1]):
-        root = np.sqrt(work[..., k, k].real)
-        col = work[..., k + 1:, k] / root[..., None]
+    n = work.shape[-1]
+    for k in range(n):
+        pivot = work[..., k, k].real
+        if not np.all((pivot > 0.0) & (pivot < np.inf)):
+            if not np.all(np.isfinite(pivot)):
+                raise NumericError("non-finite matrix: a Cholesky pivot is not finite")
+            _not_interior(pivot)
+        root = np.sqrt(pivot)
         low[..., k, k] = root
-        low[..., k + 1:, k] = col
-        work[..., k + 1:, k + 1:] -= col[..., :, None] * np.conj(col[..., None, :])
+        if k < n - 1:
+            col = work[..., k + 1:, k] / root[..., None]
+            low[..., k + 1:, k] = col
+            work[..., k + 1:, k + 1:] -= col[..., :, None] * np.conj(col[..., None, :])
     return low
+
+
+def solve_upper(t, b) -> np.ndarray:
+    """T^{-1} B over stacks (..., n, n) of upper-triangular T and (..., n, p)
+    whose batch axes broadcast; only the upper triangles of T are read.
+
+    Back substitution, one whole-stack step per column of T from the last:
+    row j of the solution is row j of the remaining right-hand side divided
+    by t_jj, and the rows above it lose column j of T times that row.  It is
+    backward stable (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 8).  The diagonal is not checked: the callers pass Cholesky factors,
+    whose diagonal cholesky checked > 0.
+    """
+    t = np.asarray(t)
+    b = np.asarray(b)
+    batch = np.broadcast_shapes(t.shape[:-2], b.shape[:-2])
+    x = np.array(np.broadcast_to(b, batch + b.shape[-2:]), dtype=np.complex128)
+    for j in range(t.shape[-1] - 1, -1, -1):
+        x[..., j, :] /= t[..., j, j, None]
+        if j:
+            x[..., :j, :] -= t[..., :j, j, None] * x[..., j, None, :]
+    return x
 
 
 def gram_top(ws) -> np.ndarray:

@@ -2,13 +2,15 @@
 
 The gauge metric F_C(Z; V) = gauge(dphi_Z V) pulls a tangent back to the
 origin with the normalizing automorphism phi_Z and measures it with the
-domain's Minkowski gauge.  On the matrix domains W = dphi_Z V = A V D* for
-the roots A = C*, D = R* (the normalizing map's) of the Cholesky factors
-P = C C*, Q = R R* of the metrics' own frame (metrics.frame_roots); F_C^2 is
-the top eigenvalue of W W*, whose spectrum is that of M = P V Q V*.  On the
-Lie ball dphi_Z is B(Z, Z)^(-1/2) up to isotropy, so W = V M^(1/2) / Delta in
-the Peirce frame (domains.lie_frame).  On every type the sandwich reads F^2
-from the same W, and both reduce to the plain gauge at 0.
+domain's Minkowski gauge.  On the matrix domains W = dphi_Z V = U^(-1) V K^(-*)
+for the upper Cholesky factors U U* = I - Z Z* and K K* = I - Z* Z of the
+grams, by two triangular solves; U^(-1) and K^(-1) are the roots A and D of
+the normalizing map (metrics.frame_roots).  F_C^2 is the top eigenvalue of
+W W*, whose spectrum is that of M = P V Q V* for the metrics' frame
+P = (I - Z Z*)^(-1), Q = (I - Z* Z)^(-1).  On the Lie ball dphi_Z is
+B(Z, Z)^(-1/2) up to isotropy, so W = V M^(1/2) / Delta in the Peirce frame
+(domains.lie_frame).  On every type the sandwich reads F^2 from the same W,
+and both reduce to the plain gauge at 0.
 
 Against any invariant metric F with curvature pinched in [-K1, -K2] the
 gauge satisfies the two-sided bound
@@ -34,13 +36,15 @@ from . import numkernel
 from .numkernel import matmul
 from .curvature import lie_representative
 from .domains import DomainSpec
-from .metrics import MetricSpec, eval2_many, frame_roots, power_ladder, trace_f2
+from .metrics import MetricSpec, eval2_many, power_ladder, trace_f2
 
 CORPUS_RHO = 0.8
 
 
 @dataclass(frozen=True)
 class SandwichReport:
+    k1: float            # the curvature bounds the margins read
+    k2: float
     worst_lower: float   # min over samples of (F^2 - (4/K1) F_C^2) / F^2
     worst_upper: float   # min over samples of ((4/K2) F_C^2 - F^2) / F^2
     eq_lower: float      # relative residual at the K1 extremizer
@@ -62,23 +66,52 @@ class SchwarzReport:
 # gauge metric
 
 
+def _upper_cholesky(grams) -> np.ndarray:
+    """Upper factor U with U U* = G over a stack of Hermitian grams: the
+    lower factor (numkernel.cholesky) of G with rows and columns reversed,
+    reversed back.  A pivot that is not > 0 raises DomainError."""
+    return numkernel.cholesky(grams[..., ::-1, ::-1])[..., ::-1, ::-1]
+
+
+def _gram_factors(spec: DomainSpec, zs):
+    """Upper Cholesky factors U U* = I - Z Z* and K K* = I - Z* Z over a
+    stack of points of a matrix domain; K = conj(U) on types II and III,
+    where I - Z* Z = conj(I - Z Z*).  Each gram is a numkernel.matmul, so it
+    is Hermitian to the last bit."""
+    zc = np.conj(np.swapaxes(zs, -1, -2))
+    u = _upper_cholesky(np.eye(zs.shape[-2]) - matmul(zs, zc))
+    if spec.kind != "I":
+        return u, np.conj(u)
+    return u, _upper_cholesky(np.eye(zs.shape[-1]) - matmul(zc, zs))
+
+
 def _pulled_back(spec: DomainSpec, zs, vs) -> np.ndarray:
-    """W = dphi_Z V: A V D* (frame_roots) on types I-III, V M^(1/2) / Delta
-    (domains.lie_frame) on the Lie ball."""
+    """W = dphi_Z V: U^(-1) V K^(-*) (_gram_factors, two numkernel.solve_upper
+    calls) on types I-III, V M^(1/2) / Delta (domains.lie_frame) on the Lie
+    ball.
+
+    U^(-1) and K^(-1) are upper triangular with a positive diagonal, and
+    U^(-1) (I - Z Z*) U^(-*) = I, so they are the roots A = C* and D = R* of
+    metrics.frame_roots, the normalizing map's: the map is the same and only
+    the rounding differs.  A point whose gram is not positive definite
+    raises DomainError from the factorization.
+    """
     if spec.kind == "IV":
         frame = domains.lie_frame(zs)
         return frame.times_m(vs, 0.5) / frame.delta[..., None]
-    a, d = frame_roots(spec, zs)
-    return matmul(matmul(a, vs), np.conj(np.swapaxes(d, -1, -2)))
+    u, k = _gram_factors(spec, zs)
+    adjoint = lambda x: np.conj(np.swapaxes(x, -1, -2))
+    return adjoint(numkernel.solve_upper(k, adjoint(numkernel.solve_upper(u, vs))))
 
 
 def caratheodory_many(spec: DomainSpec, zs, vs) -> np.ndarray:
     """F_C(Z;V) = gauge(dphi_Z V) over stacks of points and tangents.
 
     A non-finite point or tangent raises NumericError.  No membership test
-    of its own: a point that is not interior raises DomainError from its
-    frame, on the matrix types where the gram is not positive definite and
-    on the Lie ball where l1 >= 1 (domains.lie_frame).
+    of its own: a point that is not interior raises DomainError, on the
+    matrix types from the factorization of a gram that is not positive
+    definite (_gram_factors) and on the Lie ball from its frame where
+    l1 >= 1 (domains.lie_frame).
     """
     zs = domains._finite(np.asarray(zs, dtype=np.complex128))
     vs = domains._finite(np.asarray(vs, dtype=np.complex128))
@@ -146,9 +179,10 @@ def verify_sandwich(metric: MetricSpec, n_samples: int = 10_000,
     """Sample the two-sided gauge bound and probe tightness at extremizers.
 
     K1, K2 and the two equality residuals come from one memo,
-    _equality_residuals, so the margins and the probes read the same bounds.
+    _equality_residuals, so the margins, the probes and the report's k1 and
+    k2 read the same bounds.
     Both sides of a sample come from one W = dphi_Z V (_gauge_sides): one
-    frame for the samples.  Returns the four residuals and the worst sample
+    gram factorization (or Lie-ball frame) for the samples.  Returns the four residuals and the worst sample
     of each side; the caller decides the verdict.
     """
     spec = metric.domain
@@ -159,7 +193,7 @@ def verify_sandwich(metric: MetricSpec, n_samples: int = 10_000,
     lower = (f2 - (4.0 / k1) * fc2) / f2
     upper = ((4.0 / k2) * fc2 - f2) / f2
     i, j = int(np.argmin(lower)), int(np.argmin(upper))
-    return SandwichReport(float(lower[i]), float(upper[j]), eq_lower, eq_upper,
+    return SandwichReport(k1, k2, float(lower[i]), float(upper[j]), eq_lower, eq_upper,
                           (zs[i], vs[i], float(f2[i]), float(fc2[i])),
                           (zs[j], vs[j], float(f2[j]), float(fc2[j])))
 

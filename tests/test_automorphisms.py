@@ -325,7 +325,7 @@ def test_gram_root_accepts_every_interior_point(spec):
                              - np.eye(m))) <= budget, k
         assert np.max(np.abs(phi.d_inv @ adj(phi.d_inv)
                              - (np.eye(n) - adj(z) @ z))) <= budget, k
-    # the gauge refuses an exterior point from the frame of its gram
+    # the gauge refuses an exterior point from the factorization of its gram
     with pytest.raises(DomainError):
         schwarz.caratheodory_many(spec, 1.5 * z0s, ws)
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from cartanfinsler import (automorphisms as am, cli, curvature, domains, metrics, norms,
-                           numkernel)
+                           numkernel, schwarz)
 from cartanfinsler.errors import ConfigError, StructureError
 from oracles import LAPACK_KERNELS
 
@@ -322,6 +322,22 @@ def test_sandwich_slack_drives_the_verdict(tmp_path, capsys, monkeypatch, clear_
                             dict(doc, tolerances={"sandwich_slack": 2.0 * delta}))
     assert rc == 0 and out["verdict"] == "pass"
     assert out["summary"]["passed"] is True and "witness" not in out["summary"]
+
+
+def test_sandwich_summary_reports_the_k1_its_margins_read(tmp_path, capsys, monkeypatch,
+                                                          clear_memos):
+    # the margins read K1 and K2 from the memo of the equality residuals, so a
+    # curvature_bounds patched after the memo is filled reaches neither them
+    # nor the summary and the table, which print the bounds the margins read
+    doc = {"domain": {"type": "I", "m": 1, "n": 1}, "metric": {"family": "bergman"}}
+    _, cold = _run_sandwich(tmp_path, capsys, doc)
+    _scale_k1(monkeypatch, 1.0 - 1e-6)
+    metric = cli.parse_config(json.dumps({"task": "sandwich", **doc})).metric
+    assert curvature.curvature_bounds(metric).k1 != cold["summary"]["K1"]
+    _, warm = _run_sandwich(tmp_path, capsys, doc)
+    assert warm["summary"] == cold["summary"] and warm["table"] == cold["table"]
+    k1, k2, _, _ = schwarz._equality_residuals(metric)
+    assert (warm["summary"]["K1"], warm["summary"]["K2"]) == (k1, k2)
 
 
 def test_schwarz_slack_sets_the_violation_threshold(tmp_path, capsys, monkeypatch):
@@ -654,10 +670,11 @@ CERTIFY_FRAMES = {"certify_I13_tk": (3, 0), "certify_II2_bergman": (3, 0),
                   "certify_IV3_bergman": (0, 3), "certify_IV3_affine_t2": (0, 2)}
 
 
-def _frame_counts(monkeypatch):
+def _frame_counts(monkeypatch, *counted_names):
     """A function of a run config that runs it and returns its counts of
-    metrics._frame and domains.lie_frame calls."""
-    calls = {(metrics, "_frame"): 0, (domains, "lie_frame"): 0}
+    calls of the (module, name) pairs counted_names, by default
+    metrics._frame and domains.lie_frame."""
+    calls = dict.fromkeys(counted_names or ((metrics, "_frame"), (domains, "lie_frame")), 0)
     for module, name in calls:
         def counted(*args, _real=getattr(module, name), _key=(module, name), **kwargs):
             calls[_key] += 1
@@ -716,10 +733,12 @@ def test_one_evaluation_pass_per_certify_check(seed, monkeypatch):
         assert within_checks == expected, (kind.name, calls)
 
 
-# (_frame, lie_frame) calls per sandwich request.  On every type the samples
-# take one frame, which gives W = dphi_Z V for both sides (the Cholesky roots
-# on types I-III, V M^(1/2) / Delta on the Lie ball), and the origin probes
-# take none (W = V there).
+# (gram factorizations, lie_frame calls) per sandwich request.  On every type
+# the samples take one: schwarz._gram_factors gives the Cholesky factors of
+# I - ZZ* and I - Z*Z, whose triangular solves give W = dphi_Z V on types
+# I-III, and domains.lie_frame gives W = V M^(1/2) / Delta on the Lie ball.
+# The origin probes take none (W = V there), and no sandwich builds the
+# metrics' frame (metrics._frame).
 SANDWICH_FRAMES = {"sandwich_II3_tk": (1, 0), "sandwich_I23_tk": (1, 0),
                    "sandwich_IV3_bergman": (0, 1)}
 SANDWICH_IV3 = {"task": "sandwich", "domain": {"type": "IV", "n": 3},
@@ -728,14 +747,15 @@ SANDWICH_IV3 = {"task": "sandwich", "domain": {"type": "IV", "n": 3},
 
 @pytest.mark.parametrize("seed", [1, 7])
 def test_one_frame_per_sandwich(seed, monkeypatch):
-    counts = _frame_counts(monkeypatch)
+    counts = _frame_counts(monkeypatch, (schwarz, "_gram_factors"), (domains, "lie_frame"),
+                           (metrics, "_frame"))
     configs = {kind.name: kind.config for kind in _benchmark_request_types()
                if kind.name.startswith("sandwich")}
     configs["sandwich_IV3_bergman"] = SANDWICH_IV3
     assert set(configs) == set(SANDWICH_FRAMES)
     for name, config in configs.items():
         got = counts(dict(config, seed=seed))
-        assert got == SANDWICH_FRAMES[name], (name, got)
+        assert got == SANDWICH_FRAMES[name] + (0,), (name, got)
 
 
 @pytest.mark.parametrize("seed", [1, 7])

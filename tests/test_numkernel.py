@@ -178,8 +178,9 @@ def test_solve_raises_on_a_singular_matrix():
 
 @pytest.mark.parametrize("batch", [(), (5,), (3, 4)], ids=str)
 def test_cholesky_matches_lapack(batch):
-    # frames P = (I - ZZ*)^{-1} >= I at gauge 0.9, the matrices the gauge
-    # factors; only the lower triangle is read
+    # frames P = (I - ZZ*)^{-1} >= I at gauge 0.9, the matrices the
+    # normalizing maps factor (metrics.frame_roots); only the lower triangle
+    # is read
     rng = np.random.default_rng(9)
     for m in range(1, 5):
         z = _complex(rng, batch + (m, m + 1))
@@ -194,6 +195,98 @@ def test_cholesky_matches_lapack(batch):
         flat = frame.reshape((-1, m, m))
         assert np.array_equal(numkernel.cholesky(flat),
                               np.stack([numkernel.cholesky(f) for f in flat]))
+
+
+GRAM_GAPS = (1e-1, 1e-2, 1e-5, 1e-8, 1e-10, 1e-12)
+
+
+def _grams_up_to_the_boundary(spec):
+    """(I - ZZ*, I - Z*Z, kappa) at 200 points each at gauge 1 - gap for the
+    GRAM_GAPS, stacked as (gaps, 200, ., .), with kappa = 1/(1 - gauge^2)."""
+    zs = np.stack([domains.sample_tangents(spec, 3, 200) for _ in GRAM_GAPS])
+    gauges = domains.minkowski_gauge_many(spec, zs)
+    zs = (1.0 - np.array(GRAM_GAPS))[:, None, None, None] * zs / gauges[..., None, None]
+    zc = np.conj(np.swapaxes(zs, -1, -2))
+    return (np.eye(zs.shape[-2]) - zs @ zc, np.eye(zs.shape[-1]) - zc @ zs,
+            1.0 / (1.0 - domains.minkowski_gauge_many(spec, zs) ** 2))
+
+
+def _within(got, want, c, kappa):
+    """Whether each matrix of got is within c kappa eps of want, relative to
+    the largest entry of want."""
+    size = np.max(np.abs(want), axis=(-2, -1))
+    return np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= c * kappa * EPS * size)
+
+
+GRAM_SPECS = [domains.type_i(1, 3), domains.type_i(2, 3), domains.type_ii(3),
+              domains.type_iii(4), domains.type_i(3, 3)]
+
+
+@pytest.mark.parametrize("spec", GRAM_SPECS, ids=str)
+def test_cholesky_of_the_grams_matches_lapack_up_to_the_boundary(spec):
+    # the grams I - ZZ* and I - Z*Z that the gauge factors, at gauge 1 - 1e-1
+    # to 1 - 1e-12: within C kappa eps of LAPACK's factor, kappa = 1/(1 -
+    # gauge^2), with C = 1 (the largest value measured is 0.21); each gram
+    # gets the same bits alone as in the stack
+    *grams, kappa = _grams_up_to_the_boundary(spec)
+    for gram in grams:
+        got = numkernel.cholesky(gram)
+        assert _within(got, np.linalg.cholesky(gram), 1.0, kappa)
+        assert np.array_equal(got[:, :20], np.stack(
+            [np.stack([numkernel.cholesky(g) for g in row[:20]]) for row in gram]))
+
+
+@pytest.mark.parametrize("spec", GRAM_SPECS, ids=str)
+def test_solve_upper_matches_lapack_up_to_the_boundary(spec):
+    # back substitution with the upper factors U = L* of the grams, against
+    # np.linalg.solve: within C kappa eps relative to the largest entry of the
+    # solution, with C = 1 (measured 0.30); each system gets the same bits
+    # alone as in the stack
+    rng = np.random.default_rng(11)
+    *grams, kappa = _grams_up_to_the_boundary(spec)
+    for gram in grams:
+        upper = np.conj(np.swapaxes(np.linalg.cholesky(gram), -1, -2))
+        b = _complex(rng, gram.shape[:-1] + (3,))
+        got = numkernel.solve_upper(upper, b)
+        assert _within(got, np.linalg.solve(upper, b), 1.0, kappa)
+        assert np.array_equal(got[:, :20], np.stack(
+            [np.stack([numkernel.solve_upper(u, x) for u, x in zip(us[:20], xs[:20])])
+             for us, xs in zip(upper, b)]))
+    # batch axes broadcast as in np.linalg.solve, and only the upper triangle
+    # is read
+    upper = np.triu(_complex(rng, (4, 3, 3))) + 3.0 * np.eye(3)
+    b = _complex(rng, (2, 1, 3, 5))
+    spoiled = upper + np.tril(np.full((3, 3), np.nan), -1)
+    np.testing.assert_allclose(numkernel.solve_upper(spoiled, b), np.linalg.solve(upper, b),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_cholesky_rejects_a_gram_that_is_not_positive_definite():
+    # hpd_inv's rule: a pivot that is not > 0 raises DomainError, also from
+    # the gram I - ZZ* of a point outside the domain
+    ok = np.eye(2) - 0.25 * np.ones((2, 2))
+    z = np.array([[0.9, 0.6], [0.0, 0.3j]])
+    for bad in (np.diag([1.0, -1.0]), np.diag([0.0, 1.0]), np.ones((2, 2)),
+                np.array([[1.0, 2.0], [2.0, 1.0]]), -np.eye(1),
+                np.eye(2) - z @ np.conj(z.T)):
+        with pytest.raises(DomainError):
+            numkernel.cholesky(bad)
+        if bad.shape == ok.shape:  # one bad gram fails the whole stack
+            with pytest.raises(DomainError):
+                numkernel.cholesky(np.stack([ok, bad, ok]))
+
+
+def test_cholesky_raises_numeric_error_on_non_finite_input():
+    # a non-finite entry of the lower triangle leaves a pivot that is not
+    # finite; the arithmetic on inf warns on the way there
+    ok = np.eye(3) - 0.25 * np.ones((3, 3))
+    for bad_value, at in itertools.product((np.nan, np.inf, -np.inf),
+                                           ((0, 0), (1, 1), (2, 2), (1, 0), (2, 1))):
+        bad = ok.astype(complex)
+        bad[at] = bad_value
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            numkernel.cholesky(np.stack([ok, bad]))
+
 
 @pytest.mark.parametrize(
     "spec", [domains.type_i(2, 2), domains.type_ii(2), domains.type_i(2, 3),

@@ -133,9 +133,10 @@ def test_gauge_near_the_boundary():
 def test_gauge_matches_mpmath_oracle_up_to_the_boundary(spec):
     # 40 points each at gauge 1 - 1e-2, 1 - 1e-5, 1 - 1e-8, 1 - 1e-10 and
     # 1 - 1e-12 against 40-digit arithmetic: within C kappa eps, kappa =
-    # 1/(1 - gauge^2), with C = 1 (the largest value measured is 0.71).  Type
-    # III points have double singular values, and a Cholesky factor of the
-    # lower triangle of P alone took a negative pivot there from 1 - 1e-9 on
+    # 1/(1 - gauge^2), with C = 1 (the largest value measured is 0.86, on
+    # II(3)).  Type III points have double singular values, where a factor of
+    # a gram that is Hermitian only up to rounding can take a negative pivot;
+    # the gram I - ZZ* that the gauge factors is Hermitian to the last bit
     pytest.importorskip("mpmath")
     eps = np.finfo(float).eps
     for gap in (1e-2, 1e-5, 1e-8, 1e-10, 1e-12):
@@ -152,8 +153,8 @@ def test_gauge_matches_mpmath_oracle_up_to_the_boundary(spec):
     (dom.type_i(2, 3), 0), (dom.type_ii(2), 0), (dom.type_i(2, 2), 0),
     (dom.type_ii(3), 1), (dom.type_iii(4), 1), (dom.type_i(3, 3), 1)], ids=str)
 def test_gauge_takes_no_eigenvectors(monkeypatch, spec, values_calls):
-    # the gauge reads the metric's frame through Cholesky factors: no
-    # eigendecomposition with vectors, no LAPACK call at all for grams of up
+    # the gauge reads the Cholesky factors of the grams I - ZZ* and I - Z*Z:
+    # no eigendecomposition with vectors, no LAPACK call at all for grams of up
     # to two rows, and one values-only eigensolve of the stack from three on
     eigvalsh_batch = numkernel.eigvalsh_batch
     calls = []
@@ -201,7 +202,7 @@ def test_sandwich_sides_from_one_gram_match_eval2_and_the_gauge(spec):
     # 1 - 1e-5 and 1 - 1e-8 they agree within C kappa eps, kappa =
     # 1/(1 - gauge^2), with C = 1.5 for F_C^2 and for F^2 C = 4 on types
     # I-III and C = 5 on the Lie ball (the largest values measured are 0.99,
-    # 3.2 and 4.75, the last for affine(2) on IV(2))
+    # 3.15 on I(1,3) and 4.75, the last for affine(2) on IV(2))
     eps = np.finfo(float).eps
     vs = dom.sample_tangents(spec, 8, 200)
     stacks = [dom.sample_points(spec, 5, 200)]
@@ -237,12 +238,13 @@ def test_sandwich_sides_from_one_gram_match_eval2_and_the_gauge(spec):
     (dom.type_ii(3), [(50, 3, 3), (50, 3, 3), (2, 3, 3)])], ids=str)
 def test_sandwich_makes_no_lapack_call_up_to_two_rows(monkeypatch, clear_memos, spec,
                                                       values_calls):
-    # one frame gives both sides, and the origin probes none: the Cholesky
-    # roots on types I-III, the closed-form Peirce frame on the Lie ball, and
-    # no automorphism is pushed on any type.  On II(3) the three values-only
-    # eigensolves of a cold call are the sampler's gauge of its points,
-    # gram_top of the samples' W and gram_top of the two probes; a repeated
-    # call reads the probes from the memo and makes the first two only
+    # one factorization gives both sides, and the origin probes none: the
+    # Cholesky factors of the grams on types I-III, the closed-form Peirce
+    # frame on the Lie ball, and no automorphism is pushed on any type.  On
+    # II(3) the three values-only eigensolves of a cold call are the
+    # sampler's gauge of its points, gram_top of the samples' W and gram_top
+    # of the two probes; a repeated call reads the probes from the memo and
+    # makes the first two only
     metric = _shared_w_metrics(spec)[0]
     curv.curvature_bounds(metric)
     eigvalsh_batch = numkernel.eigvalsh_batch

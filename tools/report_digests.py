@@ -1,4 +1,4 @@
-"""One SHA-256 per report of the benchmark's request streams.
+"""SHA-256 digests of the reports of the benchmark's request streams.
 
     python3 tools/report_digests.py --seeds 1 7 --requests 150
     diff <(python3 tools/report_digests.py --src ../other/src) \
@@ -9,13 +9,15 @@ first N requests of the seeded stream of ``perfbench/workloads.py``, as
 ``perfbench/run.py`` does (``cli.parse_config``, ``cli.run``,
 ``cli.emit_report``), and prints one line per report:
 
-    <workload> <seed> <index> <request type> <sha256 of the report text>
+    <workload> <seed> <index> <request type> <json sha256> <csv sha256>
 
-The index of the warm-up is ``warmup``.  A change that claims byte-identical
-reports leaves the output of the two checkouts equal, so comparing them is
-one ``diff``.  ``--src`` selects the package sources (default: ``src`` of
-this checkout); the request streams always come from this checkout's
-``perfbench/workloads.py``, which the tool only imports.
+the SHA-256 of the structured (JSON) and of the tabular (CSV) text that
+``cli.emit_report`` writes.  The index of the warm-up is ``warmup``.  A
+change that claims byte-identical reports leaves the output of the two
+checkouts equal, so comparing them is one ``diff``.  ``--src`` selects the
+package sources (default: ``src`` of this checkout); the request streams
+always come from this checkout's ``perfbench/workloads.py``, which the tool
+only imports.
 """
 import os
 
@@ -43,15 +45,18 @@ def _workloads():
 
 
 def digests(cli, workloads, workload, seed, n_requests):
-    """(index, request type, sha256) of the warm-up and the first n_requests
-    reports of one workload stream."""
+    """(index, request type, sha256 of the structured form, sha256 of the
+    tabular form) of the warm-up and the first n_requests reports of one
+    workload stream."""
     stream = itertools.chain(
         [("warmup", workloads.warmup_request(workload, seed))],
         enumerate(itertools.islice(workloads.requests(workload, seed), n_requests)))
     for index, request in stream:
         config = cli.parse_config(request.text, task=request.config["task"])
-        text = cli.emit_report(cli.run(config))
-        yield index, request.kind.name, hashlib.sha256(text.encode()).hexdigest()
+        report = cli.run(config)
+        yield (index, request.kind.name,
+               *(hashlib.sha256(cli.emit_report(report, form).encode()).hexdigest()
+                 for form in ("structured", "tabular")))
 
 
 def main(argv=None):
@@ -70,9 +75,8 @@ def main(argv=None):
 
     for workload in workloads.WORKLOADS:
         for seed in args.seeds:
-            for index, kind, digest in digests(cli, workloads, workload, seed,
-                                               args.requests):
-                print(workload, seed, index, kind, digest, flush=True)
+            for line in digests(cli, workloads, workload, seed, args.requests):
+                print(workload, seed, *line, flush=True)
     return 0
 
 
