@@ -17,11 +17,16 @@ and R R* = (I - Z0* Z0)^{-1} of the metrics' frame (metrics.frame_roots);
 the gauge reaches the same roots as triangular inverses of the grams'
 Cholesky factors.  For the symmetric/skew domains D = conj(A).
 Any roots with A (I - Z0 Z0*) A* = I and D^{-1} D^{-*} = I - Z0* Z0 give a
-normalizing map, unique up to isotropy.  The Lie-ball
-version goes through the real 2xN matrix X0 and the auxiliary map
-u(z) = ((1+zz')/2, (1-zz')/(2i)).  Every automorphism body inverts in closed
-form; on the Lie ball the inverse of the map at z0 is the map at -z0 (Loos,
-Bounded Symmetric Domains and Jordan Pairs, 1977).
+normalizing map, unique up to isotropy.  On the Lie ball the
+normalizing map at a is the Jordan-triple transvection
+    g_{-a}(z) = -a + B(a, a)^{1/2} z^a,   z^a = (z - (z.z) conj(a)) / N(z, a),
+with N(z, w) = 1 - 2 z.conj(w) + (z.z)(conj(w).conj(w)) and bilinear dots,
+where B(a, a)^{1/2} x = Delta x M(a)^{-1/2} in the Peirce frame of a
+(domains.lie_frame).  push expands it about a, so a goes to exactly 0, and
+its differential there is B(a, a)^{-1/2}, the pull-back of
+schwarz._pulled_back.  Every automorphism body inverts in closed form; on
+the Lie ball g_{-a}^{-1} = g_a, the normalizing map at -a (Loos, Bounded
+Symmetric Domains and Jordan Pairs, 1977; Kaup, Math. Z. 183, 1983).
 """
 from dataclasses import dataclass
 
@@ -57,11 +62,10 @@ class MatrixMobiusInverse:
 
 @dataclass(frozen=True)
 class LieBallMobius:
-    """Lie-ball normalizing map through X0 and the quadric embedding."""
+    """The transvection g_{-z0} sending z0 to 0, with the Peirce frame of z0
+    (shared with its inverse, the map at -z0)."""
     z0: np.ndarray
-    x0: np.ndarray
-    a: np.ndarray  # 2x2 real PD
-    d: np.ndarray  # NxN real PD
+    frame: domains.LieFrame
 
 
 @dataclass(frozen=True)
@@ -132,33 +136,6 @@ def _haar_orthogonal(g):
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
-def _lie_ball_roots(z0):
-    """X0, A = (I - X0 X0')^{-1/2} and D = (I - X0' X0)^{-1/2} of the Lie-ball
-    normalizing maps at a stack (...,) + (N,) of base points, in closed form
-    on the plane basis [Re z0; Im z0] = U diag(sigma) V' of domains.lie_frame.
-
-    With tanh t_i = l_i for the spectral values l1, l2 = sigma_1 +- sigma_2,
-    X0 = J U diag(tanh(t1 +- t2)) V' with J = diag(1, -1), where
-    tanh(t1 +- t2) = 2 sigma_{1,2} / (1 +- l1 l2), and so A = J U diag(c) U' J
-    and D = I + V (diag(c) - I) V' with c = cosh(t1 +- t2) = (1 +- l1 l2) /
-    sqrt(Delta), Delta = (1 - l1^2)(1 - l2^2).  1 - l1 l2 is taken as
-    (1 - l1) + l1 (1 - l2).  Neither X0 nor the roots divide by
-    1 - |z0.z0|^2 or take roots of formed grams, which cancel once both
-    spectral values near 1.  Its l1 decides membership as domains.contains_many does.
-    """
-    frame = domains.lie_frame(z0)
-    if not np.all(1.0 - frame.l1**2 > domains.MEMBERSHIP_MARGIN):
-        raise DomainError("a base point is not interior to the Lie ball")
-    l1, l2, vt = frame.l1, frame.l2, frame.vt
-    plus_minus = np.stack([1.0 + l1 * l2, (1.0 - l1) + l1 * (1.0 - l2)], axis=-1)
-    x, c = 2.0 * frame.sigma / plus_minus, plus_minus / np.sqrt(frame.delta)[..., None]
-    ju = frame.u * np.array([1.0, -1.0])[:, None]
-    v = np.swapaxes(vt, -1, -2)
-    return ((ju * x[..., None, :]) @ vt,
-            (ju * c[..., None, :]) @ np.swapaxes(ju, -1, -2),
-            np.eye(z0.shape[-1]) + (v * (c - 1.0)[..., None, :]) @ vt)
-
-
 def identity_map(spec: DomainSpec) -> HoloMap:
     if spec.kind == "IV":
         body = VectorLinear(1.0 + 0.0j, np.eye(spec.dims[0]))
@@ -180,7 +157,11 @@ def normalizing_automorphism(spec: DomainSpec, z0) -> HoloMap:
     if z0.shape[z0.ndim - len(shape):] != shape:
         raise StructureError(f"Z has shape {z0.shape}, expected {shape} for {spec}")
     if spec.kind == "IV":
-        return HoloMap(spec, spec, LieBallMobius(z0, *_lie_ball_roots(domains._finite(z0))))
+        # the frame's l1 decides membership with the margin of contains_many
+        frame = domains.lie_frame(domains._finite(z0))
+        if not np.all(1.0 - frame.l1**2 > domains.MEMBERSHIP_MARGIN):
+            raise DomainError("a base point is not interior to the Lie ball")
+        return HoloMap(spec, spec, LieBallMobius(z0, frame))
     if not np.all(domains.contains_many(spec, z0.reshape((-1,) + shape))):
         raise DomainError(f"base point is not interior to {spec}")
     # contains_many admits z0 only when every pivot of I - Z0 Z0* - 1e-12 I is
@@ -220,12 +201,14 @@ def _isotropy_body(spec: DomainSpec, normals, u):
 
 
 def _map_slice(m: HoloMap, i) -> HoloMap:
-    """Map i of a stacked map: index i on the leading map axis of every body."""
+    """Map i of a stacked map: index i on the leading map axis of every body
+    field (of every field of a Lie-ball frame)."""
     b = m.body
     if isinstance(b, MapChain):
-        body = MapChain(tuple(_map_slice(f, i) for f in b.maps))
-    else:
-        body = type(b)(*(value[i] for value in vars(b).values()))
+        return HoloMap(m.source, m.target, MapChain(tuple(_map_slice(f, i) for f in b.maps)))
+    index = lambda x: type(x)(*(f[i] for f in vars(x).values()))
+    body = type(b)(*(index(x) if isinstance(x, domains.LieFrame) else x[i]
+                     for x in vars(b).values()))
     return HoloMap(m.source, m.target, body)
 
 
@@ -292,11 +275,6 @@ def _vecmat(x, m):
     return (x[..., None, :] @ m)[..., 0, :]
 
 
-def _u_step(da):
-    """Increment of u(z) = ((1 + a)/2, (1 - a)/(2i)) for an increment da of a = z.z."""
-    return np.stack([da / 2.0, -da / 2.0j], axis=-1)
-
-
 def _linear(body, z, v):
     """push for a linear body, which is its own differential."""
     return body(z), None if v is None else body(v)
@@ -329,25 +307,30 @@ def push(m: HoloMap, z, v=None):
             v = numkernel.solve(lhs, matmul(matmul(v, b.d), right))
         return w, v
     if isinstance(b, LieBallMobius):
-        # phi(z) = num / beta with num = ((z - z0) - (u(z) - u(z0)) X0) D,
-        # u(z) - u(z0) taken from a - a0 = (z - z0).(z + z0).  num is
-        # exactly 0 at z0.  The form (z - u(z) X0) D, equal in exact
-        # arithmetic, cancels there, and near the boundary along a real
-        # direction it loses every digit.
-        x0t = np.swapaxes(b.x0, -1, -2)
-        a = np.sum(z * z, axis=-1)
-        u = np.stack([(1.0 + a) / 2.0, (1.0 - a) / 2.0j], axis=-1)
-        ae = b.a @ np.array([1.0, 1.0j])
-        beta = np.sum((u - _vecmat(z, x0t)) * ae, axis=-1)
-        dz = z - b.z0
-        du = _u_step(np.sum(dz * (z + b.z0), axis=-1))
-        num = _vecmat(dz - _vecmat(du, b.x0), b.d)
+        # g_{-a} expanded about a, h = z - a: z - (z.z) conj(a) splits into
+        # a - (a.a) conj(a), which B(a, a)^{1/2} sends to a Delta, and
+        # h - (2 a.h + h.h) conj(a), and N(z, a) = Delta + dN; so
+        # g = (Delta (h - (2 a.h + h.h) conj(a)) M^{-1/2} - a dN) / N, which
+        # is exactly 0 at a.  Unexpanded, N and the numerator cancel there
+        # as kappa^2 eps.
+        dot = lambda x, y: (x * y).sum(-1, keepdims=True)
+        a, ac, frame = b.z0, np.conj(b.z0), b.frame
+        h = z - a
+        aa, quad = dot(ac, ac), dot(z + a, h)  # quad = 2 a.h + h.h
+        dn = quad * aa - 2.0 * dot(h, ac)
+        rows = [h - quad * ac]
         if v is not None:
-            du = _u_step(2.0 * np.sum(z * v, axis=-1))
-            dbeta = np.sum((du - _vecmat(v, x0t)) * ae, axis=-1)
-            dnum = _vecmat(v - _vecmat(du, b.x0), b.d)
-            v = (dnum * beta[..., None] - num * dbeta[..., None]) / (beta**2)[..., None]
-        return num / beta[..., None], v
+            zv = dot(z, v)
+            dn_v = 2.0 * (zv * aa - dot(v, ac))
+            rows.append(v - 2.0 * zv * ac)
+        # one times_m call over the image row and the tangent row
+        delta = frame.delta[..., None]
+        scaled = delta * frame.times_m(np.stack(np.broadcast_arrays(*rows)), -0.5)
+        n = delta + dn
+        g = (scaled[0] - a * dn) / n
+        if v is not None:
+            v = (scaled[1] - (a + g) * dn_v) / n
+        return g, v
     if isinstance(b, SandwichScale):
         return _linear(lambda x: matmul(matmul(b.left, x), b.right), z, v)
     if isinstance(b, VectorLinear):
@@ -418,8 +401,9 @@ def invert(m: HoloMap) -> HoloMap:
         return HoloMap(m.target, m.source,
                        MatrixMobius(b.z0, b.a, np.linalg.inv(b.d)))
     if isinstance(b, LieBallMobius):
-        # phi_{z0}^{-1} = phi_{-z0}: X0 is odd in z0, A and D are even
-        return HoloMap(m.target, m.source, LieBallMobius(-b.z0, -b.x0, b.a, b.d))
+        # g_{-a}^{-1} = g_a: l1, l2 and Delta are even in a, and times_m is
+        # even in the frame's basis, so the frame is shared
+        return HoloMap(m.target, m.source, LieBallMobius(-b.z0, b.frame))
     if isinstance(b, SandwichScale):
         try:
             left = np.linalg.inv(b.left)

@@ -162,21 +162,18 @@ def cholesky(ms) -> np.ndarray:
     L is column k of the remaining block divided by the square root of its
     real pivot, and the block loses the outer product of that column.  The
     pivots of a Hermitian matrix are all > 0 exactly when it is positive
-    definite, so hpd_inv's rule holds: a finite pivot that is not > 0 raises
+    definite, so hpd_inv's rule holds: a pivot that is not > 0 raises
     DomainError, as the gram I - ZZ* or I - Z*Z of a point that is not
-    interior does.  A pivot that is not finite, which non-finite input
-    gives, raises NumericError.
+    interior does.  A non-finite entry of a lower triangle raises
+    NumericError before any arithmetic.
     """
     work = np.array(ms, dtype=np.complex128)
+    if not np.isfinite(np.tril(work)).all():
+        raise NumericError("non-finite matrix: an entry is not finite")
     low = np.zeros_like(work)
     n = work.shape[-1]
     for k in range(n):
-        pivot = work[..., k, k].real
-        if not np.all((pivot > 0.0) & (pivot < np.inf)):
-            if not np.all(np.isfinite(pivot)):
-                raise NumericError("non-finite matrix: a Cholesky pivot is not finite")
-            _not_interior(pivot)
-        root = np.sqrt(pivot)
+        root = np.sqrt(_not_interior(work[..., k, k]))
         low[..., k, k] = root
         if k < n - 1:
             col = work[..., k + 1:, k] / root[..., None]

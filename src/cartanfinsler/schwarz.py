@@ -7,10 +7,11 @@ for the upper Cholesky factors U U* = I - Z Z* and K K* = I - Z* Z of the
 grams, by two triangular solves; U^(-1) and K^(-1) are the roots A and D of
 the normalizing map (metrics.frame_roots).  F_C^2 is the top eigenvalue of
 W W*, whose spectrum is that of M = P V Q V* for the metrics' frame
-P = (I - Z Z*)^(-1), Q = (I - Z* Z)^(-1).  On the Lie ball dphi_Z is
-B(Z, Z)^(-1/2) up to isotropy, so W = V M^(1/2) / Delta in the Peirce frame
-(domains.lie_frame).  On every type the sandwich reads F^2 from the same W,
-and both reduce to the plain gauge at 0.
+P = (I - Z Z*)^(-1), Q = (I - Z* Z)^(-1).  On the Lie ball dphi_Z at Z is
+B(Z, Z)^(-1/2), exactly what automorphisms.LieBallMobius pushes there, so
+W = V M^(1/2) / Delta in the Peirce frame (domains.lie_frame).  On every
+type the sandwich reads F^2 from the same W, and both reduce to the plain
+gauge at 0.
 
 Against any invariant metric F with curvature pinched in [-K1, -K2] the
 gauge satisfies the two-sided bound

@@ -233,34 +233,50 @@ def sandwich_equality_residuals(metric, bounds):
     return tuple((abs(f2_eq - (4.0 / np.array([k1, k2])) * g_eq) / f2_eq).tolist())
 
 
-def lie_ball_roots_mp(z0, dps: int = 50):
-    """X0, A = (I - X0 X0')^{-1/2} and D = (I - X0' X0)^{-1/2} of the Lie-ball
-    normalizing map at one base point z0, from the defining formulas in
-    dps-digit arithmetic; oracle for automorphisms._lie_ball_roots.
+def lie_ball_mobius_mp(z0, zs, vs, dps: int = 60):
+    """(g(z), dg_z v) at each pair of zs, vs for the Lie-ball normalizing map
+    g = g_{-z0}, g(z) = -z0 + B(z0, z0)^{1/2} B(z, z0)^{-1} (z - Q_z z0),
+    in dps-digit arithmetic; oracle for automorphisms.LieBallMobius.
 
-    With a = z0.z0, X0 = -[(conj(a) - 1) z0 + (a - 1) conj(z0);
-    i (a + 1) conj(z0) - i (conj(a) + 1) z0] / (1 - |a|^2), a real 2 x N
-    matrix, and each root comes from the eigenpairs of its formed gram.
+    It takes the quasi-inverse z^{z0} = B(z, z0)^{-1} (z - Q_z z0) unexpanded,
+    with dg_z = B(z0, z0)^{1/2} B(z, z0)^{-1} (the quasi-inverse's
+    derivative), from the Jordan triple of the spin factor,
+    D(x, y) e = 2 ((x.conj(y)) e + (e.conj(y)) x - (x.e) conj(y)),
+    Q_x y = 2 (x.conj(y)) x - (x.x) conj(y) and
+    B(x, y) = I - D(x, y) + Q_x Q_y, and the root from the eigenpairs of the
+    Hermitian B(z0, z0).  Returns two arrays shaped like zs.
     """
     import mpmath
 
     with mpmath.workdps(dps):
-        z = [mpmath.mpc(complex(x)) for x in z0]
-        a = mpmath.fsum(x * x for x in z)
-        ac = mpmath.conj(a)
-        scale = -1 / (1 - abs(a) ** 2)
-        x0 = mpmath.matrix(
-            [[mpmath.re(scale * ((ac - 1) * x + (a - 1) * mpmath.conj(x))) for x in z],
-             [mpmath.re(scale * 1j * ((a + 1) * mpmath.conj(x) - (ac + 1) * x))
-              for x in z]])
+        n = len(z0)
+        vec = lambda x: [mpmath.mpc(complex(t)) for t in x]
+        conj = lambda x: [mpmath.conj(t) for t in x]
+        dot = lambda x, y: mpmath.fsum(s * t for s, t in zip(x, y))
+        comb = lambda *terms: [mpmath.fsum(c * x[i] for c, x in terms) for i in range(n)]
+        quad = lambda x, y: comb((2 * dot(x, conj(y)), x), (-dot(x, x), conj(y)))
 
-        def inv_sqrt(gram):
-            w, u = mpmath.eigsy(gram)
-            return u * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * u.T
+        def bergman(x, y):
+            # column j is B(x, y) e_j = e_j - D(x, y) e_j + Q_x Q_y e_j
+            cols = []
+            for j in range(n):
+                e = [mpmath.mpf(int(i == j)) for i in range(n)]
+                cols.append(comb((1 - 2 * dot(x, conj(y)), e), (-2 * mpmath.conj(y[j]), x),
+                                 (2 * x[j], conj(y)), (1, quad(x, quad(y, e)))))
+            return mpmath.matrix([[c[i] for c in cols] for i in range(n)])
 
-        roots = (x0, inv_sqrt(mpmath.eye(2) - x0 * x0.T),
-                 inv_sqrt(mpmath.eye(len(z)) - x0.T * x0))
-        return tuple(np.array(m.tolist(), dtype=float) for m in roots)
+        a = vec(z0)
+        w, u = mpmath.eighe(bergman(a, a))
+        root = u * mpmath.diag([mpmath.sqrt(x) for x in w]) * u.transpose_conj()
+        out = []
+        for z, v in zip(zs, vs):
+            z, v = vec(z), vec(v)
+            b = bergman(z, a)
+            rhs = mpmath.matrix(comb((1, z), (-1, quad(z, a))))
+            out.append([root * mpmath.lu_solve(b, rhs) - mpmath.matrix(a),
+                        root * mpmath.lu_solve(b, mpmath.matrix(v))])
+        out = np.array([[[complex(t) for t in x] for x in pair] for pair in out])
+        return out[:, 0], out[:, 1]
 
 
 def lie_ball_matrix(z):

@@ -377,12 +377,17 @@ def test_corpus_containment(src, tgt):
 
 
 def _body_fields(m):
-    """A map's endpoints, body types and every body field, arrays as bytes."""
+    """A map's endpoints, body types and every body field, arrays as bytes
+    (a Lie-ball frame field by field)."""
     if isinstance(m.body, am.MapChain):
         return [_body_fields(f) for f in m.body.maps]
-    return [m.source, m.target, type(m.body).__name__] + [
-        (k, v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else (k, v)
-        for k, v in vars(m.body).items()]
+
+    def fields(body):
+        return [fields(v) if isinstance(v, dom.LieFrame)
+                else (k, v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray)
+                else (k, v) for k, v in vars(body).items()]
+
+    return [m.source, m.target, type(m.body).__name__] + fields(m.body)
 
 
 TEST_08_PAIRS = CORPUS_PAIRS[:4]
